@@ -5,7 +5,6 @@
 //! cargo run -p cbqt-bench --release --bin experiments -- all
 //! cargo run -p cbqt-bench --release --bin experiments -- fig3 --n 120 --scale 1.5
 //! cargo run -p cbqt-bench --release --bin experiments -- fig3 --trace
-//! cargo run -p cbqt-bench --release --bin experiments -- table2 --parallelism 4
 //! cargo run -p cbqt-bench --release --bin experiments -- joins --bushy-max-items 0
 //! ```
 
@@ -18,66 +17,60 @@ struct Args {
     scale: f64,
     reps: usize,
     trace: bool,
-    /// Worker threads for the CBQT state-space search (table2); 0 =
-    /// auto, 1 = serial.
-    parallelism: usize,
     /// Join-enumeration tier overrides for Table-2-style sweeps.
     dp_max_items: Option<usize>,
     bushy_max_items: Option<usize>,
 }
 
+const EXPERIMENTS: [&str; 8] = [
+    "all", "fig2", "fig3", "fig4", "gbp", "joins", "table1", "table2",
+];
+
+fn usage() -> ! {
+    eprintln!(
+        "usage: experiments [EXPERIMENT] [--n N] [--seed S] [--scale F] [--reps N]\n\
+         \x20                  [--dp-max-items N] [--bushy-max-items N] [--trace]\n\
+         \n\
+         EXPERIMENT is one of {} (default all). Each runs over N generated\n\
+         instances (default 80) at data scale F (default 1.0) and keeps the\n\
+         best of --reps runs (default 2). --trace also dumps the optimizer\n\
+         trace of one Figure-3 instance.",
+        EXPERIMENTS.join("|")
+    );
+    std::process::exit(2);
+}
+
 fn parse_args() -> Args {
-    let mut args = Args {
+    let mut parsed = Args {
         which: "all".into(),
         n: 80,
         seed: 42,
         scale: 1.0,
         reps: 2,
         trace: false,
-        parallelism: 1,
         dp_max_items: None,
         bushy_max_items: None,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--n" => {
-                i += 1;
-                args.n = argv[i].parse().expect("--n takes a number");
-            }
-            "--seed" => {
-                i += 1;
-                args.seed = argv[i].parse().expect("--seed takes a number");
-            }
-            "--scale" => {
-                i += 1;
-                args.scale = argv[i].parse().expect("--scale takes a number");
-            }
-            "--reps" => {
-                i += 1;
-                args.reps = argv[i].parse().expect("--reps takes a number");
-            }
-            "--parallelism" => {
-                i += 1;
-                args.parallelism = argv[i].parse().expect("--parallelism takes a number");
-            }
-            "--dp-max-items" => {
-                i += 1;
-                args.dp_max_items = Some(argv[i].parse().expect("--dp-max-items takes a number"));
-            }
-            "--bushy-max-items" => {
-                i += 1;
-                args.bushy_max_items =
-                    Some(argv[i].parse().expect("--bushy-max-items takes a number"));
-            }
-            "--trace" => args.trace = true,
-            other if !other.starts_with("--") => args.which = other.to_string(),
-            other => panic!("unknown flag {other}"),
-        }
-        i += 1;
+    fn value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>) -> T {
+        args.next()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| usage())
     }
-    args
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--n" => parsed.n = value(&mut args),
+            "--seed" => parsed.seed = value(&mut args),
+            "--scale" => parsed.scale = value(&mut args),
+            "--reps" => parsed.reps = value(&mut args),
+            "--dp-max-items" => parsed.dp_max_items = Some(value(&mut args)),
+            "--bushy-max-items" => parsed.bushy_max_items = Some(value(&mut args)),
+            "--trace" => parsed.trace = true,
+            which if EXPERIMENTS.contains(&which) => parsed.which = a,
+            _ => usage(),
+        }
+    }
+    parsed
 }
 
 fn main() {
@@ -109,13 +102,10 @@ fn main() {
         println!("{}", r.render());
     }
     if run_all || args.which == "table1" {
-        println!("{}", experiments::run_table1(args.seed));
+        println!("{}", experiments::run_table1(args.seed).render());
     }
     if run_all || args.which == "table2" {
-        println!(
-            "{}",
-            experiments::run_table2(args.seed, args.reps.max(3), args.parallelism)
-        );
+        println!("{}", experiments::run_table2(args.seed, args.reps.max(3)));
     }
     if args.trace {
         println!("{}", experiments::run_trace(args.seed, args.scale));

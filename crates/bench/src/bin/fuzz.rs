@@ -174,7 +174,7 @@ fn canon(rows: &[Vec<Value>]) -> Vec<String> {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: fuzz [--iters N] [--seed S] [--parallelism P] [--failpoints]\n\
+        "usage: fuzz [--iters N] [--seed S] [--failpoints]\n\
          \x20           [--differential-exec] [--binds] [--feedback] [--txn]\n\
          \x20           [--joins] [--dp-max-items N] [--bushy-max-items N] [N]\n\
          \n\
@@ -240,11 +240,7 @@ fn usage() -> ! {
          --dp-max-items N / --bushy-max-items N override the join\n\
          enumeration tier thresholds on every database a round builds\n\
          (Table-2-style sweeps across enumeration tiers; the --joins\n\
-         twin keeps bushy_max_items = 0 regardless).\n\
-         \n\
-         --parallelism P costs candidate transformation states on P\n\
-         worker threads (0 = auto, 1 = serial; the default). Results\n\
-         must be identical at any worker count."
+         twin keeps bushy_max_items = 0 regardless)."
     );
     std::process::exit(2);
 }
@@ -258,7 +254,6 @@ struct Args {
     feedback: bool,
     txn: bool,
     joins: bool,
-    parallelism: usize,
     dp_max_items: Option<usize>,
     bushy_max_items: Option<usize>,
 }
@@ -273,7 +268,6 @@ fn parse_args() -> Args {
         feedback: false,
         txn: false,
         joins: false,
-        parallelism: 1,
         dp_max_items: None,
         bushy_max_items: None,
     };
@@ -288,12 +282,6 @@ fn parse_args() -> Args {
             }
             "--seed" | "-s" => {
                 parsed.base_seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--parallelism" | "-p" => {
-                parsed.parallelism = args
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
@@ -332,10 +320,9 @@ fn parse_args() -> Args {
 /// One fault-injection round: random faults + random tight limits over
 /// random queries, then a sanity check that the database still serves
 /// and its plan cache is coherent. Returns the number of failures.
-fn failpoint_round(seed: u64, parallelism: usize) -> u64 {
+fn failpoint_round(seed: u64) -> u64 {
     let mut rng = Rng::seed_from_u64(seed);
     let mut db = random_db(&mut rng);
-    db.config_mut().parallelism = parallelism;
     apply_knobs(&mut db);
     let db = db;
     let names = failpoints::all();
@@ -400,15 +387,13 @@ fn failpoint_round(seed: u64, parallelism: usize) -> u64 {
 /// error. With `with_faults`, random failpoints are armed around each
 /// paired run; either side may then fail, but only with an `Err`, and
 /// both databases must keep serving. Returns the number of failures.
-fn joins_round(seed: u64, parallelism: usize, with_faults: bool) -> u64 {
+fn joins_round(seed: u64, with_faults: bool) -> u64 {
     let mut rng = Rng::seed_from_u64(seed);
     let mut db = random_db(&mut rng);
-    db.config_mut().parallelism = parallelism;
     apply_knobs(&mut db);
     let db = db;
     // twin with identical data, bushy enumeration off: the row oracle
     let mut leftdeep = random_db(&mut Rng::seed_from_u64(seed));
-    leftdeep.config_mut().parallelism = parallelism;
     apply_knobs(&mut leftdeep);
     leftdeep.config_mut().optimizer.bushy_max_items = 0;
     let leftdeep = leftdeep;
@@ -485,10 +470,9 @@ fn joins_round(seed: u64, parallelism: usize, with_faults: bool) -> u64 {
 /// `with_faults`, random failpoints are armed around each paired run —
 /// both engines see the same armed faults, so the oracle still demands
 /// matching error classes. Returns the number of failures.
-fn differential_round(seed: u64, parallelism: usize, with_faults: bool) -> u64 {
+fn differential_round(seed: u64, with_faults: bool) -> u64 {
     let mut rng = Rng::seed_from_u64(seed);
     let mut db = random_db(&mut rng);
-    db.config_mut().parallelism = parallelism;
     apply_knobs(&mut db);
     let db = db;
     let names = failpoints::all();
@@ -543,10 +527,9 @@ fn differential_round(seed: u64, parallelism: usize, with_faults: bool) -> u64 {
 /// holds at least one). With `with_faults`, random failpoints are
 /// armed around each run; failures must stay behind `Err` and the
 /// database must keep serving. Returns the number of failures.
-fn binds_round(seed: u64, parallelism: usize, with_faults: bool) -> u64 {
+fn binds_round(seed: u64, with_faults: bool) -> u64 {
     let mut rng = Rng::seed_from_u64(seed);
     let mut db = random_db(&mut rng);
-    db.config_mut().parallelism = parallelism;
     apply_knobs(&mut db);
     let db = db;
     let names = failpoints::all();
@@ -622,15 +605,13 @@ fn binds_round(seed: u64, parallelism: usize, with_faults: bool) -> u64 {
 /// each serve; aborted serves may re-arm a suspect mark, so only the
 /// row oracle and the serving sanity check apply. Returns the number of
 /// failures.
-fn feedback_round(seed: u64, parallelism: usize, with_faults: bool) -> u64 {
+fn feedback_round(seed: u64, with_faults: bool) -> u64 {
     let mut rng = Rng::seed_from_u64(seed);
     let mut db = random_db(&mut rng);
-    db.config_mut().parallelism = parallelism;
     apply_knobs(&mut db);
     let db = db;
     // twin database with identical data, feedback off: the row oracle
     let mut oracle = random_db(&mut Rng::seed_from_u64(seed));
-    oracle.config_mut().parallelism = parallelism;
     apply_knobs(&mut oracle);
     oracle.config_mut().feedback.enabled = false;
     let oracle = oracle;
@@ -716,11 +697,11 @@ fn feedback_round(seed: u64, parallelism: usize, with_faults: bool) -> u64 {
 /// its transaction, but only with an `Err`, and the twin oracle still
 /// holds because aborted transactions are never replayed. Returns the
 /// number of failures.
-fn txn_round(seed: u64, parallelism: usize, with_faults: bool) -> u64 {
+fn txn_round(seed: u64, with_faults: bool) -> u64 {
     const WRITERS: usize = 3;
     let mut rng = Rng::seed_from_u64(seed);
     let nkeys = rng.gen_range(10..50i64);
-    let build = |parallelism: usize, seed: u64, nkeys: i64| -> Database {
+    let build = |seed: u64, nkeys: i64| -> Database {
         let mut db = Database::new();
         db.execute_script("CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
             .unwrap();
@@ -730,11 +711,10 @@ fn txn_round(seed: u64, parallelism: usize, with_faults: bool) -> u64 {
             .collect();
         db.load_rows("kv", rows).unwrap();
         db.analyze().unwrap();
-        db.config_mut().parallelism = parallelism;
         db
     };
-    let db = build(parallelism, seed, nkeys);
-    let mut twin = build(parallelism, seed, nkeys);
+    let db = build(seed, nkeys);
+    let mut twin = build(seed, nkeys);
     let twin_rows = |twin: &mut Database| -> Vec<String> {
         canon(&twin.query("SELECT k, v FROM kv").unwrap().rows)
     };
@@ -1018,12 +998,7 @@ fn txn_round(seed: u64, parallelism: usize, with_faults: bool) -> u64 {
 
 fn main() {
     let args = parse_args();
-    let (rounds, base_seed, failpoint_mode, parallelism) = (
-        args.iters,
-        args.base_seed,
-        args.failpoints,
-        args.parallelism,
-    );
+    let (rounds, base_seed, failpoint_mode) = (args.iters, args.base_seed, args.failpoints);
     KNOBS
         .set((args.dp_max_items, args.bushy_max_items))
         .expect("knobs set once");
@@ -1035,7 +1010,7 @@ fn main() {
             std::panic::set_hook(Box::new(|_| {}));
         }
         for seed in base_seed..base_seed + rounds {
-            failures += joins_round(seed, parallelism, failpoint_mode);
+            failures += joins_round(seed, failpoint_mode);
         }
         println!("join-order fuzz complete: {rounds} rounds, {failures} failures");
         std::process::exit(if failures > 0 { 1 } else { 0 });
@@ -1047,7 +1022,7 @@ fn main() {
             std::panic::set_hook(Box::new(|_| {}));
         }
         for seed in base_seed..base_seed + rounds {
-            failures += txn_round(seed, parallelism, failpoint_mode);
+            failures += txn_round(seed, failpoint_mode);
         }
         println!("txn fuzz complete: {rounds} rounds, {failures} failures");
         std::process::exit(if failures > 0 { 1 } else { 0 });
@@ -1059,7 +1034,7 @@ fn main() {
             std::panic::set_hook(Box::new(|_| {}));
         }
         for seed in base_seed..base_seed + rounds {
-            failures += feedback_round(seed, parallelism, failpoint_mode);
+            failures += feedback_round(seed, failpoint_mode);
         }
         println!("feedback fuzz complete: {rounds} rounds, {failures} failures");
         std::process::exit(if failures > 0 { 1 } else { 0 });
@@ -1071,7 +1046,7 @@ fn main() {
             std::panic::set_hook(Box::new(|_| {}));
         }
         for seed in base_seed..base_seed + rounds {
-            failures += binds_round(seed, parallelism, failpoint_mode);
+            failures += binds_round(seed, failpoint_mode);
         }
         println!("bind-sharing fuzz complete: {rounds} rounds, {failures} failures");
         std::process::exit(if failures > 0 { 1 } else { 0 });
@@ -1083,7 +1058,7 @@ fn main() {
             std::panic::set_hook(Box::new(|_| {}));
         }
         for seed in base_seed..base_seed + rounds {
-            failures += differential_round(seed, parallelism, failpoint_mode);
+            failures += differential_round(seed, failpoint_mode);
         }
         println!("differential-exec fuzz complete: {rounds} rounds, {failures} failures");
         std::process::exit(if failures > 0 { 1 } else { 0 });
@@ -1093,7 +1068,7 @@ fn main() {
         // boundary; keep them off stderr
         std::panic::set_hook(Box::new(|_| {}));
         for seed in base_seed..base_seed + rounds {
-            failures += failpoint_round(seed, parallelism);
+            failures += failpoint_round(seed);
         }
         println!("failpoint fuzz complete: {rounds} rounds, {failures} failures");
         std::process::exit(if failures > 0 { 1 } else { 0 });
@@ -1102,7 +1077,6 @@ fn main() {
         let mut rng = Rng::seed_from_u64(seed);
         let mut db = random_db(&mut rng);
         let sql = random_query(&mut rng);
-        db.config_mut().parallelism = parallelism;
         apply_knobs(&mut db);
         db.config_mut().cost_based = false;
         db.config_mut().transforms = TransformSet {

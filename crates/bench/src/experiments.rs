@@ -369,9 +369,40 @@ pub fn run_joins(seed: u64, n: usize, scale: f64, reps: usize) -> ExperimentRepo
     )
 }
 
+/// Table 1's numbers: the exhaustive state space of the paper's Q1,
+/// optimized with and without §3.4.2 annotation reuse.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Table1 {
+    pub states: u64,
+    /// `(query blocks optimized, reused from annotations)`.
+    pub with_reuse: (u64, u64),
+    pub without_reuse: (u64, u64),
+}
+
+impl Table1 {
+    pub fn render(&self) -> String {
+        format!(
+            "=== Table 1: re-use and state space (paper's Q1) ===\n\
+             query: two unnestable subqueries, exhaustive search\n\
+             states costed: {} (expected 4: (0,0) (1,0) (0,1) (1,1))\n\n\
+             \x20 configuration          query blocks optimized   reused from annotations\n\
+             \x20 without reuse          {:>6}                   {:>6}\n\
+             \x20 with reuse (§3.4.2)    {:>6}                   {:>6}\n\n\
+             (counts include the final re-optimization of the winning tree: 4 states x 3\n\
+             blocks + 3 final = 15; reuse collapses equivalent sub-trees across states.)\n\
+             paper: 12 query blocks across 4 states, 4 of which are avoided by reuse.\n",
+            self.states,
+            self.without_reuse.0,
+            self.without_reuse.1,
+            self.with_reuse.0,
+            self.with_reuse.1,
+        )
+    }
+}
+
 /// Table 1: reuse of query sub-tree cost annotations across the
 /// exhaustive state space of the paper's Q1.
-pub fn run_table1(seed: u64) -> String {
+pub fn run_table1(seed: u64) -> Table1 {
     let mut gen = WorkloadGen::new(seed);
     gen.scale = 0.5;
     let mut inst = gen.generate(Family::Unnest, 1).pop().unwrap();
@@ -394,51 +425,19 @@ pub fn run_table1(seed: u64) -> String {
         c.cost_cutoff = false;
     };
     configure(&mut inst.db, true);
-    let with_reuse = inst.db.query(&inst.sql).unwrap();
+    let with_reuse = inst.db.query(&inst.sql).unwrap().stats;
     configure(&mut inst.db, false);
-    let without = inst.db.query(&inst.sql).unwrap();
-    let mut out = String::new();
-    writeln!(out, "=== Table 1: re-use and state space (paper's Q1) ===").unwrap();
-    writeln!(
-        out,
-        "query: two unnestable subqueries, exhaustive search\n\
-         states costed: {} (expected 4: (0,0) (1,0) (0,1) (1,1))\n",
-        with_reuse.stats.states_explored
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  configuration          query blocks optimized   reused from annotations"
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  without reuse          {:>6}                   {:>6}",
-        without.stats.blocks_costed, without.stats.annotation_hits
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  with reuse (§3.4.2)    {:>6}                   {:>6}",
-        with_reuse.stats.blocks_costed, with_reuse.stats.annotation_hits
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "\n(counts include the final re-optimization of the winning tree: 4 states x 3\n\
-         blocks + 3 final = 15; reuse collapses equivalent sub-trees across states.)\n\
-         paper: 12 query blocks across 4 states, 4 of which are avoided by reuse."
-    )
-    .unwrap();
-    out
+    let without = inst.db.query(&inst.sql).unwrap().stats;
+    Table1 {
+        states: with_reuse.states_explored,
+        with_reuse: (with_reuse.blocks_costed, with_reuse.annotation_hits),
+        without_reuse: (without.blocks_costed, without.annotation_hits),
+    }
 }
 
 /// Table 2: optimization time and number of states for the four search
 /// strategies on a 3-table query with four unnestable subqueries.
-/// `parallelism` costs candidate states on that many worker threads
-/// (0 = auto, 1 = serial) — the timings change, the plans and row
-/// counts must not.
-pub fn run_table2(seed: u64, reps: usize, parallelism: usize) -> String {
+pub fn run_table2(seed: u64, reps: usize) -> String {
     let mut gen = WorkloadGen::new(seed);
     gen.scale = 0.3;
     // build a dedicated instance with the paper's Table 2 query shape:
@@ -467,8 +466,7 @@ pub fn run_table2(seed: u64, reps: usize, parallelism: usize) -> String {
     writeln!(
         out,
         "=== Table 2: optimization time per search strategy ===\n\
-         query: 3 base tables + 4 unnestable multi-table subqueries\n\
-         search parallelism: {parallelism} (0 = auto, 1 = serial)\n"
+         query: 3 base tables + 4 unnestable multi-table subqueries\n"
     )
     .unwrap();
     writeln!(out, "  strategy     optimization time   #states").unwrap();
@@ -484,7 +482,6 @@ pub fn run_table2(seed: u64, reps: usize, parallelism: usize) -> String {
         c.cost_based = cost_based;
         c.search = strategy;
         c.interleave = false;
-        c.parallelism = parallelism;
         let mut best_opt = Duration::MAX;
         let mut states = 0;
         let mut rows = Vec::new();
@@ -572,18 +569,22 @@ mod tests {
 
     #[test]
     fn table1_reuse_matches_paper_counts() {
-        let text = run_table1(17);
-        assert!(text.contains("states costed: 4"), "{text}");
         // 15 block optimizations without reuse (12 across states + 3 in
-        // the final pass); 8 with reuse — the paper's 4 avoided
-        // optimizations plus the fully-cached final pass
-        assert!(text.contains("15"), "{text}");
-        assert!(text.contains("8"), "{text}");
+        // the final pass); with reuse 7, and 8 reused — the paper's 4
+        // avoided optimizations plus the fully-cached final pass
+        assert_eq!(
+            run_table1(17),
+            Table1 {
+                states: 4,
+                with_reuse: (7, 8),
+                without_reuse: (15, 0),
+            }
+        );
     }
 
     #[test]
     fn table2_strategies_ordered_by_states() {
-        let text = run_table2(19, 1, 1);
+        let text = run_table2(19, 1);
         assert!(text.contains("Heuristic"), "{text}");
         assert!(text.contains("Exhaustive"), "{text}");
     }

@@ -157,9 +157,8 @@ struct Inner {
     work_budget: Option<f64>,
     degraded: AtomicBool,
     /// Join enumeration exhausted its per-block memo allowance and fell
-    /// back to the greedy path. Kept separate from `degraded` so the
-    /// parallel search's speculative-charge refunds (`clear_degraded`)
-    /// can never erase an enumeration degradation that really happened.
+    /// back to the greedy path. Kept separate from `degraded`, which
+    /// alone drops later blocks to the greedy tier (`search_exhausted`).
     enum_degraded: AtomicBool,
     /// Counts interrupt checks so `Instant::now()` is consulted only
     /// every few checks (call sites already batch per ~128 rows).
@@ -269,10 +268,7 @@ impl Governor {
     /// True once the CBQT *search* budget specifically has run out (the
     /// framework stops costing candidate states). Join-enumeration
     /// degradation is deliberately excluded: it is local to one block of
-    /// one state and must not flip later states to the greedy tier —
-    /// wave workers cost states before earlier commits land, so any
-    /// cross-state coupling through this flag would make the parallel
-    /// search diverge from serial.
+    /// one state and must not flip later states to the greedy tier.
     pub fn search_exhausted(&self) -> bool {
         match &self.inner {
             None => false,
@@ -284,17 +280,14 @@ impl Governor {
     /// uses it as the per-block memo allowance (each memo entry costed
     /// charges one unit) — a snapshot of the *configured* budget rather
     /// than the live counter, so a block's plan depends only on the
-    /// block itself and stays identical across serial and parallel
-    /// searches (and across annotation-cache hits vs. recomputation).
+    /// block itself and stays identical across annotation-cache hits
+    /// and recomputation.
     pub fn state_budget(&self) -> Option<u64> {
         self.inner.as_ref().and_then(|inner| inner.optimizer_states)
     }
 
     /// Records that a join enumeration exhausted its memo allowance and
-    /// degraded to the greedy path. Sticky for the statement; never
-    /// cleared by [`Governor::clear_degraded`]. Callers must only invoke
-    /// this at deterministic points (serial costing, or wave commit in
-    /// state order) so the flag's final value matches a serial run.
+    /// degraded to the greedy path. Sticky for the statement.
     pub fn mark_enum_degraded(&self) {
         if let Some(inner) = &self.inner {
             inner.enum_degraded.store(true, Ordering::Relaxed);
@@ -306,27 +299,6 @@ impl Governor {
         match &self.inner {
             None => 0,
             Some(inner) => inner.states_used.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Returns `n` state charges to the budget. The parallel CBQT search
-    /// pre-charges every state of a wave before costing it; when the
-    /// wave is cut short (an earlier state stopped the scan), the
-    /// charges of the discarded states are refunded so a parallel run
-    /// consumes exactly the budget a serial run would have.
-    pub fn refund_states(&self, n: u64) {
-        if let Some(inner) = &self.inner {
-            inner.states_used.fetch_sub(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Clears the degraded flag. Only valid when the charge that tripped
-    /// [`StateCharge::ExhaustedNow`] was speculative and has just been
-    /// refunded (a serial run would never have made it), so the budget
-    /// is back under its limit and the search was not actually degraded.
-    pub fn clear_degraded(&self) {
-        if let Some(inner) = &self.inner {
-            inner.degraded.store(false, Ordering::Relaxed);
         }
     }
 }

@@ -19,9 +19,8 @@ pub const SCALAR_CMP_SEL: f64 = 0.33;
 
 /// Source of observed scan cardinalities the estimator prefers over its
 /// NDV/histogram guesses: the runtime side of the cardinality-feedback
-/// loop. `Sync` because the parallel CBQT search estimates from
-/// concurrent costing workers.
-pub trait CardFeedback: Sync {
+/// loop.
+pub trait CardFeedback {
     /// Observed output rows for the scan `key` describes, if an
     /// execution against the current table version recorded one.
     fn observed_rows(&self, key: &FeedbackKey) -> Option<f64>;

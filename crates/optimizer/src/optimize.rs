@@ -11,6 +11,7 @@ use cbqt_qgm::{
     render, BlockId, JoinInfo, QExpr, QTableSource, QueryBlock, QueryTree, RefId, SelectBlock,
     SetOp,
 };
+use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -56,26 +57,17 @@ pub struct OptimizerStats {
     pub annotation_hits: u64,
     /// A bushy join enumeration ran out of its per-block state
     /// allowance and degraded to the greedy path. Sticky for the
-    /// optimizer's lifetime; the CBQT framework folds it into the
-    /// governor's degraded outcome at deterministic commit points.
+    /// optimizer's lifetime; the optimizer also marks its governor.
     pub enum_degraded: bool,
 }
 
-/// Number of lock shards in [`CostAnnotations`]. Keys are already
-/// uniform hashes, so the low bits pick the shard.
-const ANNOTATION_SHARDS: usize = 16;
-
 /// Cost-annotation store (§3.4.2): canonical block rendering → plan.
-/// Shared across all transformation states of one optimization session.
-///
-/// The store is a sharded-lock concurrent map so the parallel CBQT
-/// search can share annotations across worker threads: a `&CostAnnotations`
-/// is all any optimizer needs, and a hit produced by one worker is
-/// immediately visible to the others. Lock poisoning is ignored (a
-/// panicking worker leaves at worst a valid-but-partial cache).
+/// Shared across all transformation states of one optimization session;
+/// interior mutability lets every optimizer of the session hold a plain
+/// `&CostAnnotations`.
 #[derive(Debug, Default)]
 pub struct CostAnnotations {
-    shards: [Mutex<HashMap<u64, BlockPlan>>; ANNOTATION_SHARDS],
+    plans: RefCell<HashMap<u64, BlockPlan>>,
 }
 
 impl CostAnnotations {
@@ -83,62 +75,29 @@ impl CostAnnotations {
         Self::default()
     }
 
-    fn shard(&self, key: u64) -> &Mutex<HashMap<u64, BlockPlan>> {
-        &self.shards[(key % ANNOTATION_SHARDS as u64) as usize]
-    }
-
     /// Looks up the annotated plan for a canonical block key.
     pub fn get(&self, key: u64) -> Option<BlockPlan> {
-        self.shard(key)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-            .cloned()
+        self.plans.borrow().get(&key).cloned()
     }
 
     /// Records the annotated plan for a canonical block key.
     pub fn insert(&self, key: u64, plan: BlockPlan) {
-        self.shard(key)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, plan);
+        self.plans.borrow_mut().insert(key, plan);
     }
 
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len())
-            .sum()
+        self.plans.borrow().len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Absorbs every entry of `other` (typically a wave worker's private
-    /// overlay) into this store. Identical keys carry identical plans
-    /// (the key is a full canonical rendering and the optimizer is
-    /// deterministic), so merge order cannot change the contents.
-    pub fn merge(&self, other: CostAnnotations) {
-        for (i, shard) in other.shards.into_iter().enumerate() {
-            let src = shard.into_inner().unwrap_or_else(|e| e.into_inner());
-            if src.is_empty() {
-                continue;
-            }
-            self.shards[i]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .extend(src);
-        }
     }
 }
 
 /// Dynamic sampling (§3.4.4): asks the storage layer for an estimate of
 /// `(rows, selectivity)` of single-table conjuncts on a table without
 /// statistics. Results are cached in a [`SamplingCache`].
-/// `Sync` because the parallel CBQT search samples from concurrent
-/// costing workers.
-pub trait DynamicSampler: Sync {
+pub trait DynamicSampler {
     fn sample(&self, table: TableId, conjuncts_key: &str) -> Option<(f64, f64)>;
 }
 
@@ -158,12 +117,6 @@ pub struct Optimizer<'a> {
     pub catalog: &'a Catalog,
     pub config: OptimizerConfig,
     pub annotations: &'a CostAnnotations,
-    /// Private annotation write layer for parallel wave costing: when
-    /// set, reads consult the overlay first and then the shared store,
-    /// and writes land in the overlay only — the coordinator merges
-    /// overlays into the shared store in deterministic state order.
-    /// `None` (the default) reads and writes the shared store directly.
-    pub overlay: Option<&'a CostAnnotations>,
     pub sampler: Option<&'a dyn DynamicSampler>,
     pub sampling_cache: &'a SamplingCache,
     /// Observed-cardinality source (the feedback loop's estimate side):
@@ -190,7 +143,6 @@ impl<'a> Optimizer<'a> {
             catalog,
             config: OptimizerConfig::default(),
             annotations,
-            overlay: None,
             sampler: None,
             sampling_cache,
             feedback: None,
@@ -244,11 +196,7 @@ impl<'a> Optimizer<'a> {
                 c.hash(&mut h);
             }
             let key = h.finish();
-            let cached = self
-                .overlay
-                .and_then(|o| o.get(key))
-                .or_else(|| self.annotations.get(key));
-            if let Some(p) = cached {
+            if let Some(p) = self.annotations.get(key) {
                 self.stats.annotation_hits += 1;
                 self.tracer.emit(|| TraceEvent::AnnotationHit {
                     block: id.to_string(),
@@ -308,9 +256,7 @@ impl<'a> Optimizer<'a> {
             }
         }
         if let Some(k) = key {
-            self.overlay
-                .unwrap_or(self.annotations)
-                .insert(k, plan.clone());
+            self.annotations.insert(k, plan.clone());
         }
         Ok(plan)
     }
@@ -475,7 +421,7 @@ impl<'a> Optimizer<'a> {
         // search-degraded flag drops every later block straight to greedy;
         // the per-block bushy allowance (enum_left) is a snapshot of the
         // configured budget, so tier choice and plan shape depend only on
-        // the block itself — identical across CBQT states and workers.
+        // the block itself — identical across CBQT states.
         let exhausted = enumerator.opt.governor.search_exhausted();
         let bushy_eligible = items.len() >= 2
             && items.len() <= enumerator.opt.config.bushy_max_items
@@ -498,20 +444,13 @@ impl<'a> Optimizer<'a> {
         let (join_node, mut cost, mut rows) = best;
         if bushy_degraded {
             self.stats.enum_degraded = true;
-            // the payload uses the configured budget (a constant), not
-            // the shared states_used counter, so the event is identical
-            // whether this block is costed serially or in a wave worker
+            // the payload is the per-block allowance that ran out (the
+            // configured budget), not the statement's states_used counter
             self.tracer.emit(|| TraceEvent::SearchDegraded {
                 transform: "bushy join enumeration".to_string(),
                 states_used: self.governor.state_budget().unwrap_or(0),
             });
-            if self.overlay.is_none() {
-                // serial costing: fold into the governor's degraded
-                // outcome directly. Wave workers instead carry the flag
-                // in their counters; the coordinator applies it in
-                // deterministic commit order (committed states only).
-                self.governor.mark_enum_degraded();
-            }
+            self.governor.mark_enum_degraded();
         }
 
         // --- post-join pipeline --------------------------------------------
@@ -824,9 +763,9 @@ struct JoinEnumerator<'b, 'a> {
     /// Remaining per-block bushy-memo state allowance — a snapshot of
     /// the governor's configured optimizer-state budget, deliberately
     /// NOT the shared remaining counter: a constant allowance makes the
-    /// chosen plan a function of the block alone, so CBQT states cost
-    /// identically whether they run serially, in parallel waves, or out
-    /// of the annotation cache. `None` = unlimited.
+    /// chosen plan a function of the block alone, so a block costs the
+    /// same whether it is planned afresh or served from the annotation
+    /// cache. `None` = unlimited.
     enum_left: std::cell::Cell<Option<u64>>,
     /// Set when the bushy enumeration exhausted `enum_left` and
     /// degraded to greedy. Read by `plan_select` after enumeration.

@@ -14,7 +14,7 @@ thread_local! {
     /// `take_block` of a shared block). Tree clones themselves are
     /// O(blocks) pointer bumps and never count. Thread-local so tests
     /// can assert on before/after deltas without interference from
-    /// cargo's parallel test threads or search workers — see
+    /// cargo's parallel test threads — see
     /// [`deep_block_clones`].
     static DEEP_BLOCK_CLONES: Cell<u64> = const { Cell::new(0) };
 }

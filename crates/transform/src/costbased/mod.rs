@@ -67,9 +67,7 @@ pub struct ApplyEffect {
 }
 
 /// A cost-based transformation.
-/// `Sync` because the parallel state-space search shares one
-/// transformation across its costing workers (they are stateless).
-pub trait CbTransform: Sync {
+pub trait CbTransform {
     fn name(&self) -> &'static str;
 
     /// Objects this transformation can apply to in the given tree.

@@ -23,7 +23,7 @@ use crate::costbased::{default_transforms, ApplyEffect, CbTransform, Target};
 use crate::heuristic::{apply_heuristics_with, HeuristicReport};
 use cbqt_catalog::Catalog;
 use cbqt_common::{
-    cost_lt, Error, ExecutionMode, Governor, Result, StateCharge, TraceBuffer, TraceEvent, Tracer,
+    cost_lt, Error, ExecutionMode, Governor, Result, StateCharge, TraceEvent, Tracer,
 };
 use cbqt_optimizer::{
     is_cutoff, BlockPlan, CardFeedback, CostAnnotations, DynamicSampler, Optimizer,
@@ -122,14 +122,11 @@ pub struct CbqtConfig {
     pub iterative_restarts: usize,
     /// Iterative improvement: max states explored.
     pub iterative_max_states: usize,
-    /// Worker threads used to cost independent candidate states of one
-    /// transformation concurrently. `0` (the default) resolves to
-    /// `std::thread::available_parallelism()`; `1` takes the exact
-    /// serial code path. Any worker count produces the same winning
-    /// plan and cost (winner by `(total_cmp(cost), state_index)`), and
-    /// a fixed worker count is fully deterministic: per-worker stats,
-    /// trace events, and annotation writes are committed in state-index
-    /// order, independent of thread scheduling.
+    /// Inert: the state-space search is serial and nothing in the
+    /// workspace reads this field. It survives only because the frozen
+    /// `benchmark/` package assigns it; the next `benchmark` PR drops
+    /// both the assignments and the field.
+    #[doc(hidden)]
     pub parallelism: usize,
     /// Which interpreter executes the chosen physical plan: the
     /// vectorized batch engine (default) or the row-at-a-time Volcano
@@ -180,23 +177,9 @@ impl Default for CbqtConfig {
             optimizer: OptimizerConfig::default(),
             iterative_restarts: 3,
             iterative_max_states: 24,
-            parallelism: 0,
+            parallelism: 1,
             execution_mode: ExecutionMode::from_env(),
             feedback: FeedbackConfig::default(),
-        }
-    }
-}
-
-impl CbqtConfig {
-    /// The resolved worker count for the state-space search: the
-    /// configured [`CbqtConfig::parallelism`], with `0` meaning
-    /// `std::thread::available_parallelism()`.
-    pub fn effective_parallelism(&self) -> usize {
-        match self.parallelism {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
         }
     }
 }
@@ -332,6 +315,15 @@ pub fn optimize_query_feedback(
     });
 
     let annotations = CostAnnotations::new();
+    let ctx = CostContext {
+        catalog,
+        config,
+        annotations: &annotations,
+        sampling_cache,
+        sampler,
+        feedback,
+        governor,
+    };
     let mut states_explored = 0u64;
     let mut cutoffs = 0u64;
     let mut decisions: Vec<(String, String)> = Vec::new();
@@ -344,15 +336,7 @@ pub fn optimize_query_feedback(
         }
         if config.cost_based {
             let session = TransformSession {
-                ctx: CostContext {
-                    catalog,
-                    config,
-                    annotations: &annotations,
-                    sampling_cache,
-                    sampler,
-                    feedback,
-                    governor,
-                },
+                ctx,
                 states: &mut states_explored,
                 cutoffs: &mut cutoffs,
                 stats: &mut opt_stats,
@@ -380,16 +364,7 @@ pub fn optimize_query_feedback(
     // final physical optimization of the winning tree; this always runs
     // (even when the search degraded) so the statement gets a valid,
     // executable plan. The governor's interrupts still apply inside.
-    let mut opt = Optimizer::new(catalog, &annotations, sampling_cache);
-    opt.sampler = sampler;
-    opt.feedback = feedback;
-    opt.config = config.optimizer.clone();
-    opt.tracer = tracer;
-    opt.governor = governor.clone();
-    let plan = opt.optimize(&tree, None)?;
-    opt_stats.blocks_costed += opt.stats.blocks_costed;
-    opt_stats.annotation_hits += opt.stats.annotation_hits;
-    opt_stats.enum_degraded |= opt.stats.enum_degraded;
+    let plan = ctx.optimize(tracer, &tree, None, &mut opt_stats)?;
     tracer.emit(|| TraceEvent::QueryRewritten {
         before: before_sql,
         after: render::render_tree(&tree, catalog),
@@ -456,8 +431,7 @@ fn apply_heuristic_rule(
     }
 }
 
-/// Everything a state-costing worker needs, all behind shared
-/// references so it can be copied into scoped worker threads.
+/// Everything costing a state needs besides the tree itself.
 #[derive(Clone, Copy)]
 struct CostContext<'a> {
     catalog: &'a Catalog,
@@ -469,66 +443,33 @@ struct CostContext<'a> {
     governor: &'a Governor,
 }
 
+impl CostContext<'_> {
+    /// Runs the physical optimizer over `tree` (under the §3.4.1 budget,
+    /// when given) and adds its counters to `stats`.
+    fn optimize(
+        self,
+        tracer: Tracer<'_>,
+        tree: &QueryTree,
+        budget: Option<f64>,
+        stats: &mut OptimizerStats,
+    ) -> Result<BlockPlan> {
+        let mut opt = Optimizer::new(self.catalog, self.annotations, self.sampling_cache);
+        opt.sampler = self.sampler;
+        opt.feedback = self.feedback;
+        opt.config = self.config.optimizer.clone();
+        opt.tracer = tracer;
+        opt.governor = self.governor.clone();
+        let res = opt.optimize(tree, budget);
+        stats.blocks_costed += opt.stats.blocks_costed;
+        stats.annotation_hits += opt.stats.annotation_hits;
+        stats.enum_degraded |= opt.stats.enum_degraded;
+        res
+    }
+}
+
 /// A costed state's outcome: `None` when the state was pruned (cut-off
 /// or budget), else its cost and the per-target interleave decisions.
 type StateOutcome = Option<(f64, Vec<bool>)>;
-
-/// Side-effect counters of one state evaluation. Workers accumulate
-/// them privately; the coordinator merges them in state-index order.
-#[derive(Default)]
-struct SearchCounters {
-    states: u64,
-    cutoffs: u64,
-    stats: OptimizerStats,
-}
-
-/// What one wave worker hands back to the coordinator.
-struct WaveResult {
-    result: Result<StateOutcome>,
-    counters: SearchCounters,
-    events: Vec<TraceEvent>,
-    overlay: CostAnnotations,
-}
-
-/// Costs one (pre-charged) state in full isolation: annotation writes
-/// go to a private overlay and trace events to a private buffer, so the
-/// evaluation is a pure function of `(tree, state, budget)` plus the
-/// shared annotation store as of wave start.
-fn cost_state_isolated(
-    ctx: CostContext<'_>,
-    tree: &QueryTree,
-    t: &dyn CbTransform,
-    targets: &[Target],
-    state: &[usize],
-    budget: f64,
-    trace_on: bool,
-) -> WaveResult {
-    let overlay = CostAnnotations::new();
-    let buffer = TraceBuffer::new();
-    let tracer = if trace_on {
-        Tracer::new(&buffer)
-    } else {
-        Tracer::disabled()
-    };
-    let mut counters = SearchCounters::default();
-    let result = cost_charged_state(
-        ctx,
-        tree,
-        t,
-        targets,
-        state,
-        budget,
-        Some(&overlay),
-        &mut counters,
-        tracer,
-    );
-    WaveResult {
-        result,
-        counters,
-        events: buffer.take(),
-        overlay,
-    }
-}
 
 struct TransformSession<'a> {
     ctx: CostContext<'a>,
@@ -595,7 +536,7 @@ impl<'a> TransformSession<'a> {
             SearchStrategy::Exhaustive => {
                 let states = space.all_states();
                 let outcomes =
-                    self.evaluate_batch(tree_ref, t, &targets, &states, best_cost, |_, _| false)?;
+                    self.evaluate_batch(tree_ref, t, &targets, &states, best_cost, |_| false)?;
                 for (state, out) in states.into_iter().zip(outcomes) {
                     if let Some((cost, sub)) = out {
                         if cost_lt(cost, best_cost) {
@@ -609,7 +550,7 @@ impl<'a> TransformSession<'a> {
             SearchStrategy::TwoPass => {
                 let states = vec![space.zero_state(), space.one_state()];
                 let outcomes =
-                    self.evaluate_batch(tree_ref, t, &targets, &states, best_cost, |_, _| false)?;
+                    self.evaluate_batch(tree_ref, t, &targets, &states, best_cost, |_| false)?;
                 for (state, out) in states.into_iter().zip(outcomes) {
                     if let Some((cost, sub)) = out {
                         if cost_lt(cost, best_cost) {
@@ -630,7 +571,7 @@ impl<'a> TransformSession<'a> {
                     &targets,
                     std::slice::from_ref(&current),
                     best_cost,
-                    |_, _| false,
+                    |_| false,
                 )?;
                 if let Some(Some((cost, sub))) = first.into_iter().next() {
                     best_cost = cost;
@@ -638,8 +579,7 @@ impl<'a> TransformSession<'a> {
                     best_sub = sub;
                 }
                 for i in 0..targets.len() {
-                    // alternatives of one coordinate are independent:
-                    // cost them as one batch
+                    // all alternatives of one coordinate, in one scan
                     let cands: Vec<Vec<usize>> = (1..arities[i])
                         .map(|c| {
                             let mut s = current.clone();
@@ -651,9 +591,7 @@ impl<'a> TransformSession<'a> {
                         continue;
                     }
                     let outcomes =
-                        self.evaluate_batch(tree_ref, t, &targets, &cands, best_cost, |_, _| {
-                            false
-                        })?;
+                        self.evaluate_batch(tree_ref, t, &targets, &cands, best_cost, |_| false)?;
                     let mut local_best = current[i];
                     for (cand, out) in cands.into_iter().zip(outcomes) {
                         if let Some((cost, sub)) = out {
@@ -683,7 +621,7 @@ impl<'a> TransformSession<'a> {
                         &targets,
                         std::slice::from_ref(&current),
                         best_cost,
-                        |_, _| false,
+                        |_| false,
                     )?;
                     let mut current_cost = match init.into_iter().next().flatten() {
                         Some((c, sub)) => {
@@ -698,10 +636,9 @@ impl<'a> TransformSession<'a> {
                     };
                     explored += 1;
                     // greedy first-improvement descent over
-                    // single-coordinate moves: the neighborhood is
-                    // evaluated as one batch (truncated to the remaining
-                    // state allowance) and committed up to the first
-                    // improving move — exactly the serial scan.
+                    // single-coordinate moves: the neighborhood
+                    // (truncated to the remaining state allowance) is
+                    // scanned up to the first improving move.
                     let mut improved = true;
                     while improved && explored < self.ctx.config.iterative_max_states {
                         improved = false;
@@ -722,7 +659,7 @@ impl<'a> TransformSession<'a> {
                         let cc = current_cost;
                         let outcomes =
                             self.evaluate_batch(tree_ref, t, &targets, &moves, best_cost, {
-                                move |_, out| matches!(out, Some((cost, _)) if cost_lt(*cost, cc))
+                                move |out| matches!(out, Some((cost, _)) if cost_lt(*cost, cc))
                             })?;
                         explored += outcomes.len();
                         for (cand, out) in moves.into_iter().zip(outcomes) {
@@ -808,26 +745,9 @@ impl<'a> TransformSession<'a> {
         }
     }
 
-    fn merge_counters(&mut self, c: SearchCounters) {
-        *self.states += c.states;
-        *self.cutoffs += c.cutoffs;
-        self.stats.blocks_costed += c.stats.blocks_costed;
-        self.stats.annotation_hits += c.stats.annotation_hits;
-        if c.stats.enum_degraded {
-            // A bushy join enumeration degraded while costing this
-            // state. Fold it into the governor's degraded outcome here,
-            // at the deterministic commit point — wave workers never
-            // touch the shared flag, and discarded speculative states
-            // never reach this merge, so the flag follows serial
-            // commit order exactly.
-            self.stats.enum_degraded = true;
-            self.ctx.governor.mark_enum_degraded();
-        }
-    }
-
-    /// Serial costing of one state: charge the governor, then cost in
-    /// place against the shared annotation store and session tracer —
-    /// today's exact single-threaded code path.
+    /// Costs one state on a copy of `tree`: apply the choices, optimize.
+    /// With interleaving, every subset of "merge the created views" is
+    /// also costed and the best sub-choice returned (§3.3.1).
     fn cost_state(
         &mut self,
         tree: &QueryTree,
@@ -836,53 +756,130 @@ impl<'a> TransformSession<'a> {
         state: &[usize],
         budget: f64,
     ) -> Result<StateOutcome> {
+        let ctx = self.ctx;
         // Statement-level optimizer budget (graceful degradation): once
         // it runs out, remaining states are skipped as if cut off — the
         // best state costed so far stands, or the all-zero state (the
         // heuristic tree) if nothing was costed yet.
-        match self.ctx.governor.charge_state() {
+        match ctx.governor.charge_state() {
             StateCharge::Charged => {}
             StateCharge::ExhaustedNow => {
                 self.tracer.emit(|| TraceEvent::SearchDegraded {
                     transform: t.name().to_string(),
-                    states_used: self.ctx.governor.states_used().saturating_sub(1),
+                    states_used: ctx.governor.states_used().saturating_sub(1),
                 });
                 return Ok(None);
             }
             StateCharge::Exhausted => return Ok(None),
         }
-        let mut counters = SearchCounters::default();
-        let res = cost_charged_state(
-            self.ctx,
-            tree,
-            t,
-            targets,
-            state,
-            budget,
-            None,
-            &mut counters,
-            self.tracer,
-        );
-        self.merge_counters(counters);
-        res
+        // cancellation / deadline are hard interrupts even mid-search
+        ctx.governor.check_interrupt()?;
+        // The deep copy of §3.1 — skipped entirely for the all-zero state,
+        // which applies no transformation (and with the copy-on-write arena
+        // a taken copy shares every block until the state mutates it).
+        let mut copy_slot: Option<QueryTree> = None;
+        let effects = if state.iter().any(|&c| c > 0) {
+            let copy = copy_slot.insert(tree.clone());
+            match apply_state(copy, ctx.catalog, t, targets, state) {
+                Ok(e) => e,
+                Err(_) => return Ok(None), // state not applicable
+            }
+        } else {
+            Vec::new()
+        };
+        let copy: &QueryTree = copy_slot.as_ref().unwrap_or(tree);
+        let created: Vec<_> = effects
+            .iter()
+            .flat_map(|e| e.created_views.iter().copied())
+            .collect();
+
+        let mut best: StateOutcome = None;
+        let budget_of =
+            |best: &StateOutcome| -> f64 { best.as_ref().map(|(c, _)| *c).unwrap_or(budget) };
+
+        // base state (no interleaved merges)
+        let base_cost = self.optimize_copy(copy, budget_of(&best))?;
+        trace_state_event(self.tracer, t, state, vec![false; created.len()], base_cost);
+        if let Some(cost) = base_cost {
+            best = Some((cost, vec![false; created.len()]));
+        }
+
+        if ctx.config.interleave && !created.is_empty() && created.len() <= 3 {
+            let n = created.len();
+            for mask in 1..(1u32 << n) {
+                // the merged copy is materialized lazily: if the first
+                // requested merge is not even applicable, no clone happens
+                let mut merged_slot: Option<QueryTree> = None;
+                let mut sub = vec![false; n];
+                let mut ok = true;
+                for (k, (parent, view_ref)) in created.iter().enumerate() {
+                    if mask & (1 << k) != 0 {
+                        let cur: &QueryTree = merged_slot.as_ref().unwrap_or(copy);
+                        let vid = {
+                            let Ok(p) = cur.select(*parent) else {
+                                ok = false;
+                                break;
+                            };
+                            match p.table(*view_ref).map(|x| &x.source) {
+                                Some(QTableSource::View(v)) => *v,
+                                _ => {
+                                    ok = false;
+                                    break;
+                                }
+                            }
+                        };
+                        if !can_merge_view(cur, ctx.catalog, *parent, *view_ref, vid) {
+                            ok = false;
+                            break;
+                        }
+                        let merged = merged_slot.get_or_insert_with(|| copy.clone());
+                        if merge_view(merged, ctx.catalog, *parent, *view_ref).is_err() {
+                            ok = false;
+                            break;
+                        }
+                        sub[k] = true;
+                    }
+                }
+                let Some(merged_copy) = merged_slot else {
+                    continue;
+                };
+                if !ok {
+                    continue;
+                }
+                let merged_cost = self.optimize_copy(&merged_copy, budget_of(&best))?;
+                trace_state_event(self.tracer, t, state, sub.clone(), merged_cost);
+                if let Some(cost) = merged_cost {
+                    if best
+                        .as_ref()
+                        .map(|(c, _)| cost_lt(cost, *c))
+                        .unwrap_or(true)
+                    {
+                        best = Some((cost, sub));
+                    }
+                }
+            }
+        }
+        Ok(best)
     }
 
-    /// Costs a batch of independent candidate states and returns the
-    /// committed outcomes, one per state in state order (possibly fewer
-    /// than `batch.len()` when `stop` ends the scan early).
-    ///
-    /// With one worker this is the serial scan: each state is charged,
-    /// costed with the running best cost as its §3.4.1 budget, and
-    /// `stop` consulted before moving on. With `workers > 1` the batch
-    /// is costed in waves of `workers` scoped threads; every wave is
-    /// budgeted at the best cost entering it, workers write annotations
-    /// into private overlays and trace into private buffers, and the
-    /// coordinator pre-charges the governor and commits counters,
-    /// events, overlays, and outcomes in state-index order — discarding
-    /// (and refunding) any speculative states past the stop point. The
-    /// committed result is therefore a pure function of the inputs and
-    /// the worker count, independent of thread scheduling.
-    #[allow(clippy::too_many_arguments)]
+    /// Optimizes one candidate copy under the §3.4.1 budget; `None` when
+    /// the cost cut-off fired.
+    fn optimize_copy(&mut self, copy: &QueryTree, budget: f64) -> Result<Option<f64>> {
+        *self.states += 1;
+        let budget = (self.ctx.config.cost_cutoff && budget.is_finite()).then_some(budget);
+        match self.ctx.optimize(self.tracer, copy, budget, self.stats) {
+            Ok(plan) => Ok(Some(plan.cost)),
+            Err(e) if is_cutoff(&e) => {
+                *self.cutoffs += 1;
+                Ok(None)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Costs candidate states in order, each with the running best cost
+    /// as its §3.4.1 budget, and returns their outcomes: one per state,
+    /// fewer than `batch.len()` when `stop` ends the scan early.
     fn evaluate_batch(
         &mut self,
         tree: &QueryTree,
@@ -890,242 +887,24 @@ impl<'a> TransformSession<'a> {
         targets: &[Target],
         batch: &[Vec<usize>],
         mut best_cost: f64,
-        mut stop: impl FnMut(usize, &StateOutcome) -> bool,
+        mut stop: impl FnMut(&StateOutcome) -> bool,
     ) -> Result<Vec<StateOutcome>> {
-        let workers = self.ctx.config.effective_parallelism().max(1);
         let mut outcomes = Vec::with_capacity(batch.len());
-        if workers == 1 || batch.len() <= 1 {
-            for (i, state) in batch.iter().enumerate() {
-                let out = self.cost_state(tree, t, targets, state, best_cost)?;
-                if let Some((c, _)) = &out {
-                    if cost_lt(*c, best_cost) {
-                        best_cost = *c;
-                    }
-                }
-                let done = stop(i, &out);
-                outcomes.push(out);
-                if done {
-                    break;
+        for state in batch {
+            let out = self.cost_state(tree, t, targets, state, best_cost)?;
+            if let Some((c, _)) = &out {
+                if cost_lt(*c, best_cost) {
+                    best_cost = *c;
                 }
             }
-            return Ok(outcomes);
-        }
-
-        let ctx = self.ctx;
-        let trace_on = self.tracer.enabled();
-        let mut idx = 0;
-        while idx < batch.len() {
-            let wave = &batch[idx..(idx + workers).min(batch.len())];
-            // Pre-charge the governor in state order (workers never
-            // touch the budget), remembering the counter value after
-            // each charge so the degradation event matches serial.
-            let charges: Vec<(StateCharge, u64)> = wave
-                .iter()
-                .map(|_| {
-                    let c = ctx.governor.charge_state();
-                    (c, ctx.governor.states_used())
-                })
-                .collect();
-            let budget = best_cost;
-            let results: Vec<Option<WaveResult>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = wave
-                    .iter()
-                    .zip(&charges)
-                    .map(|(state, (charge, _))| {
-                        if *charge != StateCharge::Charged {
-                            return None;
-                        }
-                        Some(scope.spawn(move || {
-                            cost_state_isolated(ctx, tree, t, targets, state, budget, trace_on)
-                        }))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))))
-                    .collect()
-            });
-
-            // Commit in state-index order.
-            let mut committed = 0usize;
-            let mut stopped = false;
-            let mut error: Option<Error> = None;
-            for ((charge, used_after), res) in charges.iter().zip(results) {
-                let out = match charge {
-                    StateCharge::ExhaustedNow => {
-                        self.tracer.emit(|| TraceEvent::SearchDegraded {
-                            transform: t.name().to_string(),
-                            states_used: used_after.saturating_sub(1),
-                        });
-                        None
-                    }
-                    StateCharge::Exhausted => None,
-                    StateCharge::Charged => {
-                        let r = res.expect("charged state must have a wave result");
-                        self.merge_counters(r.counters);
-                        for ev in r.events {
-                            self.tracer.emit(|| ev);
-                        }
-                        ctx.annotations.merge(r.overlay);
-                        match r.result {
-                            Err(e) => {
-                                error = Some(e);
-                                committed += 1;
-                                break;
-                            }
-                            Ok(out) => out,
-                        }
-                    }
-                };
-                if let Some((c, _)) = &out {
-                    if cost_lt(*c, best_cost) {
-                        best_cost = *c;
-                    }
-                }
-                committed += 1;
-                let done = stop(idx + committed - 1, &out);
-                outcomes.push(out);
-                if done {
-                    stopped = true;
-                    break;
-                }
-            }
-
-            // Refund speculative charges of discarded states, and clear
-            // the degraded flag if the exhausting charge itself was
-            // speculative (a serial run would never have made it).
-            if committed < wave.len() {
-                ctx.governor.refund_states((wave.len() - committed) as u64);
-                if charges[committed..]
-                    .iter()
-                    .any(|(c, _)| *c == StateCharge::ExhaustedNow)
-                {
-                    ctx.governor.clear_degraded();
-                }
-            }
-            if let Some(e) = error {
-                return Err(e);
-            }
-            if stopped {
+            let done = stop(&out);
+            outcomes.push(out);
+            if done {
                 break;
             }
-            idx += wave.len();
         }
         Ok(outcomes)
     }
-}
-
-/// Costs one state on a copy of `tree`: apply the choices, optimize.
-/// With interleaving, every subset of "merge the created views" is also
-/// costed and the best sub-choice returned (§3.3.1). The governor must
-/// already have been charged for this state.
-#[allow(clippy::too_many_arguments)]
-fn cost_charged_state(
-    ctx: CostContext<'_>,
-    tree: &QueryTree,
-    t: &dyn CbTransform,
-    targets: &[Target],
-    state: &[usize],
-    budget: f64,
-    overlay: Option<&CostAnnotations>,
-    counters: &mut SearchCounters,
-    tracer: Tracer<'_>,
-) -> Result<StateOutcome> {
-    // cancellation / deadline are hard interrupts even mid-search
-    ctx.governor.check_interrupt()?;
-    // The deep copy of §3.1 — skipped entirely for the all-zero state,
-    // which applies no transformation (and with the copy-on-write arena
-    // a taken copy shares every block until the state mutates it).
-    let mut copy_slot: Option<QueryTree> = None;
-    let effects = if state.iter().any(|&c| c > 0) {
-        let copy = copy_slot.insert(tree.clone());
-        match apply_state(copy, ctx.catalog, t, targets, state) {
-            Ok(e) => e,
-            Err(_) => return Ok(None), // state not applicable
-        }
-    } else {
-        Vec::new()
-    };
-    let copy: &QueryTree = copy_slot.as_ref().unwrap_or(tree);
-    let created: Vec<_> = effects
-        .iter()
-        .flat_map(|e| e.created_views.iter().copied())
-        .collect();
-
-    let mut best: StateOutcome = None;
-    let budget_of =
-        |best: &StateOutcome| -> f64 { best.as_ref().map(|(c, _)| *c).unwrap_or(budget) };
-
-    // base state (no interleaved merges)
-    let base_cost = optimize_state_copy(ctx, overlay, counters, tracer, copy, budget_of(&best))?;
-    trace_state_event(tracer, t, state, vec![false; created.len()], base_cost);
-    if let Some(cost) = base_cost {
-        best = Some((cost, vec![false; created.len()]));
-    }
-
-    if ctx.config.interleave && !created.is_empty() && created.len() <= 3 {
-        let n = created.len();
-        for mask in 1..(1u32 << n) {
-            // the merged copy is materialized lazily: if the first
-            // requested merge is not even applicable, no clone happens
-            let mut merged_slot: Option<QueryTree> = None;
-            let mut sub = vec![false; n];
-            let mut ok = true;
-            for (k, (parent, view_ref)) in created.iter().enumerate() {
-                if mask & (1 << k) != 0 {
-                    let cur: &QueryTree = merged_slot.as_ref().unwrap_or(copy);
-                    let vid = {
-                        let Ok(p) = cur.select(*parent) else {
-                            ok = false;
-                            break;
-                        };
-                        match p.table(*view_ref).map(|x| &x.source) {
-                            Some(QTableSource::View(v)) => *v,
-                            _ => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    };
-                    if !can_merge_view(cur, ctx.catalog, *parent, *view_ref, vid) {
-                        ok = false;
-                        break;
-                    }
-                    let merged = merged_slot.get_or_insert_with(|| copy.clone());
-                    if merge_view(merged, ctx.catalog, *parent, *view_ref).is_err() {
-                        ok = false;
-                        break;
-                    }
-                    sub[k] = true;
-                }
-            }
-            let Some(merged_copy) = merged_slot else {
-                continue;
-            };
-            if !ok {
-                continue;
-            }
-            let merged_cost = optimize_state_copy(
-                ctx,
-                overlay,
-                counters,
-                tracer,
-                &merged_copy,
-                budget_of(&best),
-            )?;
-            trace_state_event(tracer, t, state, sub.clone(), merged_cost);
-            if let Some(cost) = merged_cost {
-                if best
-                    .as_ref()
-                    .map(|(c, _)| cost_lt(cost, *c))
-                    .unwrap_or(true)
-                {
-                    best = Some((cost, sub));
-                }
-            }
-        }
-    }
-    Ok(best)
 }
 
 /// Emits one `StateCosted` event (and `CutoffTaken` when the cost
@@ -1148,43 +927,6 @@ fn trace_state_event(
             transform: t.name().to_string(),
             state: state.to_vec(),
         });
-    }
-}
-
-/// Optimizes one candidate copy under the §3.4.1 budget, charging the
-/// given counters (and the annotation overlay, when costing in a wave).
-fn optimize_state_copy(
-    ctx: CostContext<'_>,
-    overlay: Option<&CostAnnotations>,
-    counters: &mut SearchCounters,
-    tracer: Tracer<'_>,
-    copy: &QueryTree,
-    budget: f64,
-) -> Result<Option<f64>> {
-    counters.states += 1;
-    let mut opt = Optimizer::new(ctx.catalog, ctx.annotations, ctx.sampling_cache);
-    opt.overlay = overlay;
-    opt.sampler = ctx.sampler;
-    opt.feedback = ctx.feedback;
-    opt.config = ctx.config.optimizer.clone();
-    opt.tracer = tracer;
-    opt.governor = ctx.governor.clone();
-    let budget = if ctx.config.cost_cutoff && budget.is_finite() {
-        Some(budget)
-    } else {
-        None
-    };
-    let res = opt.optimize(copy, budget);
-    counters.stats.blocks_costed += opt.stats.blocks_costed;
-    counters.stats.annotation_hits += opt.stats.annotation_hits;
-    counters.stats.enum_degraded |= opt.stats.enum_degraded;
-    match res {
-        Ok(plan) => Ok(Some(plan.cost)),
-        Err(e) if is_cutoff(&e) => {
-            counters.cutoffs += 1;
-            Ok(None)
-        }
-        Err(e) => Err(e),
     }
 }
 
@@ -1406,7 +1148,6 @@ mod tests {
         // subquery blocks are reused across states
         let config = CbqtConfig {
             interleave: false,
-            parallelism: 1, // wave workers don't share annotations mid-wave
             ..Default::default()
         };
         let out = outcome(PAPER_Q1, &config);
@@ -1468,30 +1209,25 @@ mod tests {
         let targets = t.find_targets(&tree, &cat);
         assert!(!targets.is_empty());
         let zero = vec![0usize; targets.len()];
-        let mut counters = SearchCounters::default();
-        let before = cbqt_qgm::deep_block_clones();
-        let out = cost_charged_state(
+        let (mut states, mut cutoffs, mut stats) = (0, 0, OptimizerStats::default());
+        let mut session = TransformSession {
             ctx,
-            &tree,
-            &t,
-            &targets,
-            &zero,
-            f64::INFINITY,
-            None,
-            &mut counters,
-            Tracer::disabled(),
-        )
-        .unwrap();
+            states: &mut states,
+            cutoffs: &mut cutoffs,
+            stats: &mut stats,
+            tracer: Tracer::disabled(),
+        };
+        let before = cbqt_qgm::deep_block_clones();
+        let out = session
+            .cost_state(&tree, &t, &targets, &zero, f64::INFINITY)
+            .unwrap();
         assert!(out.is_some());
         assert_eq!(cbqt_qgm::deep_block_clones() - before, 0);
     }
 
     #[test]
     fn search_wide_deep_clones_stay_below_full_copies() {
-        let config = CbqtConfig {
-            parallelism: 1,
-            ..Default::default()
-        };
+        let config = CbqtConfig::default();
         let cat = catalog();
         let tree = build(&cat, PAPER_Q1);
         let cache = SamplingCache::default();
@@ -1505,133 +1241,5 @@ mod tests {
             "{clones} deep clones for {} states x {blocks} blocks",
             out.states_explored
         );
-    }
-
-    /// The fields of a [`CbqtOutcome`] that the serial-equivalence
-    /// guarantee covers (everything except the cut-off count, which may
-    /// legally shrink under wave budgeting).
-    fn fingerprint(out: &CbqtOutcome) -> (String, String, Vec<(String, String)>, u64) {
-        (
-            format!("{:?}", out.plan),
-            format!("{:.6}", out.plan.cost),
-            out.decisions.clone(),
-            out.states_explored,
-        )
-    }
-
-    #[test]
-    fn parallel_workers_match_serial_plan_and_states() {
-        for strategy in [
-            SearchStrategy::Exhaustive,
-            SearchStrategy::TwoPass,
-            SearchStrategy::Linear,
-            SearchStrategy::Iterative,
-        ] {
-            let serial = outcome(
-                PAPER_Q1,
-                &CbqtConfig {
-                    search: strategy,
-                    parallelism: 1,
-                    ..Default::default()
-                },
-            );
-            for workers in [2, 4, 8] {
-                let par = outcome(
-                    PAPER_Q1,
-                    &CbqtConfig {
-                        search: strategy,
-                        parallelism: workers,
-                        ..Default::default()
-                    },
-                );
-                assert_eq!(
-                    fingerprint(&serial),
-                    fingerprint(&par),
-                    "{strategy:?} diverged at {workers} workers"
-                );
-                assert!(
-                    par.cutoffs <= serial.cutoffs,
-                    "{strategy:?}/{workers}: {} cutoffs > serial {}",
-                    par.cutoffs,
-                    serial.cutoffs
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_work_conserved_without_cutoff() {
-        // With the §3.4.1 cost cut-off disabled, every state optimizes
-        // every block to completion, so blocks costed + annotation hits
-        // is a pure function of the search — identical for any worker
-        // count even though the hit/miss split may shift.
-        let base = CbqtConfig {
-            cost_cutoff: false,
-            interleave: false,
-            ..Default::default()
-        };
-        let serial = outcome(
-            PAPER_Q1,
-            &CbqtConfig {
-                parallelism: 1,
-                ..base.clone()
-            },
-        );
-        let swork = serial.optimizer_stats.blocks_costed + serial.optimizer_stats.annotation_hits;
-        for workers in [2, 4] {
-            let par = outcome(
-                PAPER_Q1,
-                &CbqtConfig {
-                    parallelism: workers,
-                    ..base.clone()
-                },
-            );
-            assert_eq!(fingerprint(&serial), fingerprint(&par));
-            assert_eq!(
-                swork,
-                par.optimizer_stats.blocks_costed + par.optimizer_stats.annotation_hits,
-                "{workers} workers"
-            );
-        }
-    }
-
-    #[test]
-    fn governed_parallel_search_degrades_like_serial() {
-        use cbqt_common::ExecutionLimits;
-        let cat = catalog();
-        let tree = build(&cat, PAPER_Q1);
-        let cache = SamplingCache::default();
-        let limits = ExecutionLimits {
-            optimizer_states: Some(3),
-            ..ExecutionLimits::none()
-        };
-        let mut plans = Vec::new();
-        let mut charged = Vec::new();
-        for workers in [1usize, 2, 4] {
-            let config = CbqtConfig {
-                parallelism: workers,
-                ..Default::default()
-            };
-            let governor = Governor::new(&limits, cbqt_common::CancelToken::new());
-            let out = optimize_query_governed(
-                &tree,
-                &cat,
-                &config,
-                &cache,
-                None,
-                Tracer::disabled(),
-                &governor,
-            )
-            .unwrap();
-            assert!(out.degraded, "{workers} workers");
-            plans.push(format!("{:?}|{:.6}", out.plan, out.plan.cost));
-            charged.push(governor.states_used());
-        }
-        assert_eq!(plans[0], plans[1]);
-        assert_eq!(plans[0], plans[2]);
-        // speculative wave charges past a stop point are refunded, so
-        // the charge counter itself matches the serial search exactly
-        assert_eq!(charged[0], charged[1]);
-        assert_eq!(charged[0], charged[2]);
     }
 }

@@ -4,8 +4,13 @@
 
 use cbqt::common::Value;
 use cbqt::{Database, SearchStrategy};
+use std::time::Duration;
 
 fn db() -> Database {
+    db_with_rows(300)
+}
+
+fn db_with_rows(n: i64) -> Database {
     let mut db = Database::new();
     db.execute_script(
         "CREATE TABLE t1 (a INT PRIMARY KEY, b INT, c INT);
@@ -16,7 +21,7 @@ fn db() -> Database {
     .unwrap();
     for t in ["t1", "t2", "t3"] {
         let mut rows = Vec::new();
-        for i in 0..300i64 {
+        for i in 0..n {
             rows.push(vec![Value::Int(i), Value::Int(i % 25), Value::Int(i % 7)]);
         }
         db.load_rows(t, rows).unwrap();
@@ -92,15 +97,10 @@ fn strategy_state_counts_match_paper_shape() {
 
 #[test]
 fn annotation_reuse_reduces_blocks_costed() {
-    // serial search: workers inside a parallel wave deliberately don't
-    // see each other's annotations, which dilutes the hit/cost split
-    // this test pins down
     let mut with_reuse = db();
-    with_reuse.config_mut().parallelism = 1;
     with_reuse.config_mut().optimizer.reuse_annotations = true;
     let r1 = with_reuse.query(TABLE2_QUERY).unwrap();
     let mut without = db();
-    without.config_mut().parallelism = 1;
     without.config_mut().optimizer.reuse_annotations = false;
     let r2 = without.query(TABLE2_QUERY).unwrap();
     assert_eq!(canon(&r1.rows), canon(&r2.rows));
@@ -112,6 +112,64 @@ fn annotation_reuse_reduces_blocks_costed() {
         r1.stats.blocks_costed,
         r2.stats.blocks_costed
     );
+}
+
+/// A star-shaped main block (4 inner items, the bushy enumerator's
+/// tier) plus an unnestable two-table EXISTS, so unnested states carry a
+/// semi-joined item (left-deep DP tier) and the others stay all-inner.
+const STAR_QUERY: &str = "SELECT f.a FROM t1 f, t2 d1, t3 d2, t1 d3
+    WHERE f.b = d1.b AND f.c = d2.c AND d1.c = d3.c AND
+          EXISTS (SELECT 1 FROM t2 x, t3 y WHERE x.a = y.a AND x.b = f.b)";
+
+/// Everything a statement reports except wall-clock times: rendered
+/// trace, EXPLAIN text, rows in output order and the `QueryStats`
+/// counters. The plan cache is off so the trace, the EXPLAIN and the
+/// query each run the full search.
+fn observable(mut d: Database, sql: &str) -> String {
+    d.set_plan_cache_enabled(false);
+    let trace = d.trace(sql).unwrap().render();
+    let explain = d.explain(sql).unwrap();
+    let mut r = d.query(sql).unwrap();
+    r.stats.optimize_time = Duration::ZERO;
+    r.stats.execute_time = Duration::ZERO;
+    format!(
+        "{trace}\n--\n{explain}\n--\n{:?}\n--\n{:?}",
+        r.rows, r.stats
+    )
+}
+
+/// The search is one serial scan, so everything it reports — counters
+/// and trace included — repeats exactly on a fresh database, and the
+/// inert `parallelism` field cannot change any of it.
+#[test]
+fn search_is_deterministic_and_ignores_the_parallelism_field() {
+    // the star's four-way join multiplies out, so it runs on fewer rows
+    for (sql, rows) in [(TABLE2_QUERY, 300), (STAR_QUERY, 60)] {
+        for strategy in [
+            SearchStrategy::Auto,
+            SearchStrategy::Exhaustive,
+            SearchStrategy::TwoPass,
+            SearchStrategy::Linear,
+            SearchStrategy::Iterative,
+        ] {
+            let fresh = || {
+                let mut d = db_with_rows(rows);
+                d.config_mut().search = strategy;
+                d
+            };
+            let reference = observable(fresh(), sql);
+            assert!(reference.contains("STATE"), "{strategy:?}: no search ran");
+            for p in [0, 1, 8] {
+                let mut d = fresh();
+                d.config_mut().parallelism = p;
+                assert_eq!(
+                    reference,
+                    observable(d, sql),
+                    "{strategy:?}: run diverged with parallelism = {p}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
