@@ -216,16 +216,19 @@ fn usage() -> ! {
          random faults around the serves.\n\
          \n\
          --txn switches to the MVCC transaction oracle: each round\n\
-         interleaves three transactional writer sessions against a\n\
-         serial single-writer twin database that replays a transaction's\n\
-         statements only at its successful commit. Rows must match the\n\
-         twin at every commit and at round end; a claim model predicts\n\
-         exactly which statements must lose the first-updater-wins race\n\
+         interleaves three transactional writer sessions against two\n\
+         serial single-writer twin databases that replay a transaction's\n\
+         statements only at its successful commit: one with the same\n\
+         primary key (UPDATE/DELETE targets found through the index),\n\
+         one with no index (targets found by full scan). Rows must match\n\
+         both twins at every commit and at round end; a claim model\n\
+         predicts exactly which statements (point, IN-list and range\n\
+         writes) must lose the first-updater-wins race\n\
          (Error::WriteConflict); plain readers must never see\n\
          uncommitted rows and a pinned reader must keep its snapshot.\n\
          Combine with --failpoints to also arm random faults around\n\
-         every write: statements may then abort their transaction, but\n\
-         only with an Err, and the twin oracle still holds.\n\
+         every write: statements may then fail or abort their\n\
+         transaction, but only with an Err, and the twin oracle holds.\n\
          \n\
          --joins switches to the join-order oracle: each round builds\n\
          the same random database twice — once with the default bushy\n\
@@ -684,27 +687,32 @@ fn feedback_round(seed: u64, with_faults: bool) -> u64 {
 }
 
 /// One MVCC transaction round: three interleaved transactional writer
-/// sessions mutate a key/value table on the main database while a
-/// serial single-writer twin replays each transaction's buffered
-/// statements only at its successful commit. The twin is the oracle:
-/// after every commit (and at round end) the two databases must hold
-/// identical rows, so uncommitted or rolled-back work must never leak.
+/// sessions mutate a key/value table on the main database while two
+/// serial single-writer twins replay each transaction's buffered
+/// statements only at its successful commit — one with the same
+/// primary key (UPDATE / DELETE targets found through the index), one
+/// without any index (every target found by a full scan). The twins
+/// are the oracle: after every commit (and at round end) the three
+/// databases must hold identical rows, so uncommitted or rolled-back
+/// work must never leak and both target paths must pick the same rows.
 /// A per-key claim model predicts exactly which statements must lose a
 /// first-updater-wins race (deliberate cross-partition conflict
-/// probes), and a pinned reader session must keep its snapshot across
-/// other transactions' commits. With `with_faults`, random failpoints
-/// are armed around each writer statement: any statement may then abort
-/// its transaction, but only with an `Err`, and the twin oracle still
-/// holds because aborted transactions are never replayed. Returns the
-/// number of failures.
+/// probes, and ranges that reach into another writer's partition) and
+/// how many rows every other statement affects, and a pinned reader
+/// session must keep its snapshot across other transactions' commits.
+/// With `with_faults`, random failpoints are armed around each writer
+/// statement: any statement may then fail — while it is planned,
+/// leaving its transaction open and untouched, or once it runs,
+/// aborting it — but only with an `Err`, and the twin oracle still
+/// holds because failed statements and aborted transactions are never
+/// replayed. Returns the number of failures.
 fn txn_round(seed: u64, with_faults: bool) -> u64 {
     const WRITERS: usize = 3;
     let mut rng = Rng::seed_from_u64(seed);
     let nkeys = rng.gen_range(10..50i64);
-    let build = |seed: u64, nkeys: i64| -> Database {
+    let build = |seed: u64, nkeys: i64, ddl: &str| -> Database {
         let mut db = Database::new();
-        db.execute_script("CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
-            .unwrap();
+        db.execute_script(ddl).unwrap();
         let mut data = Rng::seed_from_u64(seed ^ 0x5EED);
         let rows: Vec<Vec<Value>> = (0..nkeys)
             .map(|k| vec![Value::Int(k), Value::Int(data.gen_range(0..1000))])
@@ -713,8 +721,10 @@ fn txn_round(seed: u64, with_faults: bool) -> u64 {
         db.analyze().unwrap();
         db
     };
-    let db = build(seed, nkeys);
-    let mut twin = build(seed, nkeys);
+    let with_pk = "CREATE TABLE kv (k INT PRIMARY KEY, v INT)";
+    let db = build(seed, nkeys, with_pk);
+    let mut twin = build(seed, nkeys, with_pk);
+    let mut scan_twin = build(seed, nkeys, "CREATE TABLE kv (k INT, v INT)");
     let twin_rows = |twin: &mut Database| -> Vec<String> {
         canon(&twin.query("SELECT k, v FROM kv").unwrap().rows)
     };
@@ -770,10 +780,10 @@ fn txn_round(seed: u64, with_faults: bool) -> u64 {
                 .collect();
             continue;
         }
-        let op = rng.gen_range(0..8);
-        if op == 6 {
-            // COMMIT: on success the twin replays the buffer and both
-            // databases must agree row for row
+        let op = rng.gen_range(0..11);
+        if op == 9 {
+            // COMMIT: on success the twins replay the buffer and all
+            // three databases must agree row for row
             match s.commit() {
                 Ok(()) => {
                     commit_counter += 1;
@@ -783,12 +793,15 @@ fn txn_round(seed: u64, with_faults: bool) -> u64 {
                     }
                     for sql in buffer[w].drain(..) {
                         twin.execute_mut(&sql).unwrap();
+                        scan_twin.execute_mut(&sql).unwrap();
                     }
                     open[w] = false;
                     let got = canon(&db.query("SELECT k, v FROM kv").unwrap().rows);
-                    if got != twin_rows(&mut twin) {
-                        println!("seed {seed}: COMMIT DIVERGED from serial twin (writer {w})");
-                        failures += 1;
+                    for (name, t) in [("serial", &mut twin), ("full-scan", &mut scan_twin)] {
+                        if got != twin_rows(t) {
+                            println!("seed {seed}: COMMIT DIVERGED from {name} twin (writer {w})");
+                            failures += 1;
+                        }
                     }
                 }
                 Err(e) => {
@@ -802,7 +815,7 @@ fn txn_round(seed: u64, with_faults: bool) -> u64 {
             }
             continue;
         }
-        if op == 7 {
+        if op == 10 {
             if s.rollback().is_err() && !with_faults {
                 println!("seed {seed}: ROLLBACK ERROR");
                 failures += 1;
@@ -811,20 +824,25 @@ fn txn_round(seed: u64, with_faults: bool) -> u64 {
             continue;
         }
 
-        // a write statement: pick a key and predict the outcome
-        let (sql, key, is_insert) = match op {
+        // a write statement: pick its keys and predict the outcome
+        let mine: Vec<i64> = view[w]
+            .keys()
+            .copied()
+            .filter(|k| (*k as usize) % WRITERS == w)
+            .collect();
+        // a key of the writer's own partition (with none left, a
+        // likely-deleted one: a 0-row no-op)
+        let own_key = |rng: &mut Rng| {
+            if mine.is_empty() {
+                rng.gen_range(0..nkeys)
+            } else {
+                mine[rng.gen_range(0..mine.len())]
+            }
+        };
+        let (sql, keys, is_insert): (String, Vec<i64>, bool) = match op {
             0 | 1 => {
                 // own-partition UPDATE (evens bump, odds overwrite)
-                let mine: Vec<i64> = view[w]
-                    .keys()
-                    .copied()
-                    .filter(|k| (*k as usize) % WRITERS == w)
-                    .collect();
-                let k = if mine.is_empty() {
-                    rng.gen_range(0..nkeys) // likely-deleted key: 0-row no-op
-                } else {
-                    mine[rng.gen_range(0..mine.len())]
-                };
+                let k = own_key(&mut rng);
                 let d = rng.gen_range(1..100);
                 (
                     if op == 0 {
@@ -832,23 +850,14 @@ fn txn_round(seed: u64, with_faults: bool) -> u64 {
                     } else {
                         format!("UPDATE kv SET v = {d} WHERE k = {k}")
                     },
-                    k,
+                    vec![k],
                     false,
                 )
             }
             2 => {
                 // own-partition DELETE
-                let mine: Vec<i64> = view[w]
-                    .keys()
-                    .copied()
-                    .filter(|k| (*k as usize) % WRITERS == w)
-                    .collect();
-                let k = if mine.is_empty() {
-                    rng.gen_range(0..nkeys)
-                } else {
-                    mine[rng.gen_range(0..mine.len())]
-                };
-                (format!("DELETE FROM kv WHERE k = {k}"), k, false)
+                let k = own_key(&mut rng);
+                (format!("DELETE FROM kv WHERE k = {k}"), vec![k], false)
             }
             3 | 4 => {
                 // INSERT a globally-fresh key
@@ -856,8 +865,40 @@ fn txn_round(seed: u64, with_faults: bool) -> u64 {
                 let k = next_insert;
                 (
                     format!("INSERT INTO kv VALUES ({k}, {})", rng.gen_range(0..1000)),
-                    k,
+                    vec![k],
                     true,
+                )
+            }
+            5 | 6 => {
+                // own-partition IN-list UPDATE / DELETE
+                let list: Vec<i64> = (0..rng.gen_range(2..4usize))
+                    .map(|_| own_key(&mut rng))
+                    .collect();
+                let text: Vec<String> = list.iter().map(i64::to_string).collect();
+                let text = text.join(", ");
+                (
+                    if op == 5 {
+                        format!("UPDATE kv SET v = v + 7 WHERE k IN ({text})")
+                    } else {
+                        format!("DELETE FROM kv WHERE k IN ({text})")
+                    },
+                    list,
+                    false,
+                )
+            }
+            7 => {
+                // narrow range UPDATE / DELETE: it reaches into the other
+                // writers' partitions, so the claim model decides
+                let lo = rng.gen_range(0..nkeys);
+                let hi = lo + rng.gen_range(0..3i64);
+                (
+                    if rng.gen_bool(0.5) {
+                        format!("UPDATE kv SET v = v - 3 WHERE k BETWEEN {lo} AND {hi}")
+                    } else {
+                        format!("DELETE FROM kv WHERE k >= {lo} AND k <= {hi}")
+                    },
+                    (lo..=hi).collect(),
+                    false,
                 )
             }
             _ => {
@@ -873,19 +914,30 @@ fn txn_round(seed: u64, with_faults: bool) -> u64 {
                 } else {
                     theirs[rng.gen_range(0..theirs.len())]
                 };
-                (format!("UPDATE kv SET v = v + 1 WHERE k = {k}"), k, false)
+                (
+                    format!("UPDATE kv SET v = v + 1 WHERE k = {k}"),
+                    vec![k],
+                    false,
+                )
             }
         };
-        // predicted outcome per the claim model
-        let visible = is_insert || view[w].contains_key(&key);
+        // predicted outcome per the claim model: `touched` is what the
+        // predicate selects from the writer's view
+        let mut touched: Vec<i64> = keys
+            .into_iter()
+            .filter(|k| is_insert || view[w].contains_key(k))
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
         let expect_conflict = !is_insert
-            && visible
-            && (open_claim.get(&key).is_some_and(|o| *o != w)
-                || committed_at.get(&key).is_some_and(|c| *c > snap[w]));
-        let expect_rows = if is_insert || (visible && !expect_conflict) {
-            1
-        } else {
+            && touched.iter().any(|k| {
+                open_claim.get(k).is_some_and(|o| *o != w)
+                    || committed_at.get(k).is_some_and(|c| *c > snap[w])
+            });
+        let expect_rows = if expect_conflict {
             0
+        } else {
+            touched.len() as u64
         };
 
         let armed = if with_faults && rng.gen_bool(0.4) {
@@ -903,7 +955,7 @@ fn txn_round(seed: u64, with_faults: bool) -> u64 {
         match outcome {
             Ok(r) => {
                 if expect_conflict && !with_faults {
-                    println!("seed {seed}: MISSED CONFLICT on k={key}\n{sql}");
+                    println!("seed {seed}: MISSED CONFLICT among k={touched:?}\n{sql}");
                     failures += 1;
                 }
                 match r {
@@ -918,15 +970,17 @@ fn txn_round(seed: u64, with_faults: bool) -> u64 {
                     }
                 }
                 // apply to the model and buffer for twin replay
-                if is_insert {
-                    view[w].insert(key, 0);
-                } else if visible && !expect_conflict {
-                    if sql.starts_with("DELETE") {
-                        view[w].remove(&key);
-                    }
-                    if !claims[w].contains(&key) {
-                        claims[w].push(key);
-                        open_claim.insert(key, w);
+                for key in touched {
+                    if is_insert {
+                        view[w].insert(key, 0);
+                    } else if !expect_conflict {
+                        if sql.starts_with("DELETE") {
+                            view[w].remove(&key);
+                        }
+                        if !claims[w].contains(&key) {
+                            claims[w].push(key);
+                            open_claim.insert(key, w);
+                        }
                     }
                 }
                 buffer[w].push(sql);
@@ -940,13 +994,17 @@ fn txn_round(seed: u64, with_faults: bool) -> u64 {
                     println!("seed {seed}: expected WriteConflict, got {e}\n{sql}");
                     failures += 1;
                 }
-                // any failed write statement aborts the whole txn
-                if s.in_transaction() {
+                // a write statement that fails once it runs aborts the
+                // whole txn; only a fault while it is planned leaves the
+                // txn open, with nothing written and the model unchanged
+                if !s.in_transaction() {
+                    abort(w, &mut claims, &mut open_claim, &mut open, &mut buffer);
+                } else if !with_faults {
                     println!("seed {seed}: failed write left the transaction open\n{sql}");
                     failures += 1;
                     let _ = s.rollback();
+                    abort(w, &mut claims, &mut open_claim, &mut open, &mut buffer);
                 }
-                abort(w, &mut claims, &mut open_claim, &mut open, &mut buffer);
             }
         }
 
@@ -984,9 +1042,11 @@ fn txn_round(seed: u64, with_faults: bool) -> u64 {
     }
     let _ = pinned.rollback();
     let got = canon(&db.query("SELECT k, v FROM kv").unwrap().rows);
-    if got != twin_rows(&mut twin) {
-        println!("seed {seed}: FINAL STATE diverged from serial twin");
-        failures += 1;
+    for (name, t) in [("serial", &mut twin), ("full-scan", &mut scan_twin)] {
+        if got != twin_rows(t) {
+            println!("seed {seed}: FINAL STATE diverged from {name} twin");
+            failures += 1;
+        }
     }
     let stats = db.txn_stats();
     if stats.begun != stats.committed + stats.rolled_back {

@@ -151,6 +151,16 @@ pub enum TraceEvent {
         winner: u64,
         table: String,
     },
+    /// An UPDATE or DELETE found its target rows: `access` is the
+    /// access path the planner chose for the scan of `table`, `rows`
+    /// the versions the statement goes on to write, `work` the
+    /// executor work units the scan charged.
+    DmlTarget {
+        table: String,
+        access: String,
+        rows: usize,
+        work: f64,
+    },
 }
 
 impl fmt::Display for TraceEvent {
@@ -276,6 +286,15 @@ impl fmt::Display for TraceEvent {
             TraceEvent::TxnConflict { txn, winner, table } => {
                 write!(f, "TXN CONFLICT txn={txn} lost to txn={winner} on {table}")
             }
+            TraceEvent::DmlTarget {
+                table,
+                access,
+                rows,
+                work,
+            } => write!(
+                f,
+                "DML TARGET table={table} access={access} rows={rows} work={work:.0}"
+            ),
         }
     }
 }

@@ -921,10 +921,10 @@ impl Database {
                 self.insert_shared(ins, slot, tracer)?,
             )),
             Statement::Update(u) => Ok(StatementResult::RowsAffected(
-                self.update_shared(u, slot, tracer)?,
+                self.update_shared(u, slot, tracer, governor)?,
             )),
             Statement::Delete(d) => Ok(StatementResult::RowsAffected(
-                self.delete_shared(d, slot, tracer)?,
+                self.delete_shared(d, slot, tracer, governor)?,
             )),
             Statement::Begin => {
                 self.begin_in(slot, tracer)?;
@@ -1067,7 +1067,8 @@ impl Database {
     /// Compiles a query *without* touching the bind-family plan cache:
     /// no literal extraction, no probe, no publish. This is the single
     /// bypass — every cache-exempt path ([`StatementPath::Explain`],
-    /// [`StatementPath::Differential`]) must compile through here, and
+    /// [`StatementPath::Differential`], [`StatementPath::Dml`]) must
+    /// compile through here, and
     /// the path must answer `false` to [`path_uses_plan_cache`].
     fn plan_uncached(
         &self,
@@ -1706,6 +1707,9 @@ impl Database {
         }
         let n = rows.len() as u64;
         self.with_write_txn(slot, tracer, |txn| {
+            for row in &rows {
+                check_not_null(t, row)?;
+            }
             for row in rows {
                 self.storage.write_version(txn, tid, row)?;
             }
@@ -1719,53 +1723,38 @@ impl Database {
         u: ast::Update,
         slot: &Mutex<Option<u64>>,
         tracer: Tracer<'_>,
+        governor: &Governor,
     ) -> Result<u64> {
         let t = self
             .catalog
             .table_by_name(&u.table)
             .ok_or_else(|| Error::catalog(format!("unknown table {}", u.table)))?;
-        let tid = t.id;
-        let sets: Vec<(usize, &ast::Expr)> = u
-            .sets
-            .iter()
-            .map(|(c, e)| {
-                t.column_index(c)
-                    .map(|i| (i, e))
-                    .ok_or_else(|| Error::catalog(format!("unknown column {c}")))
-            })
-            .collect::<Result<_>>()?;
+        // the new row, column by column: the SET expression where one
+        // is given (the last one wins), the old value otherwise
+        let mut new_row: Vec<ast::Expr> = t.columns.iter().map(|c| column_of(t, &c.name)).collect();
+        for (c, e) in u.sets {
+            let i = t
+                .column_index(&c)
+                .ok_or_else(|| Error::catalog(format!("unknown column {c}")))?;
+            // an aggregate would collapse the target query to one row
+            if e.contains_aggregate() {
+                return Err(Error::analysis(format!(
+                    "aggregate functions are not allowed in UPDATE SET expressions: {e}"
+                )));
+            }
+            new_row[i] = e;
+        }
+        let plan = self.plan_dml_target(t, new_row, u.filter, tracer, governor)?;
         self.with_write_txn(slot, tracer, |txn| {
-            // pin the statement's snapshot before writing: the update
-            // reads pre-statement state only, so freshly written
-            // versions are never rescanned (no Halloween problem)
-            let snap = self.storage.txn_snapshot(txn)?;
-            let st = snap.table(tid)?;
-            let mut n = 0u64;
-            for o in st.visible_ordinals() {
-                let row = st.row(o);
-                if let Some(f) = &u.filter {
-                    if eval_row_truth(f, t, row)? != Some(true) {
-                        continue;
-                    }
-                }
-                let mut new_row = row.clone();
-                for (i, e) in &sets {
-                    new_row[*i] = eval_row_expr(e, t, row)?;
-                }
-                if let Some(winner) = self.storage.try_delete_version(txn, tid, o)? {
-                    tracer.emit(|| TraceEvent::TxnConflict {
-                        txn,
-                        winner,
-                        table: t.name.clone(),
-                    });
-                    return Err(Error::write_conflict(format!(
-                        "transaction {txn} lost a first-updater race to transaction \
-                         {winner} on table {}; retry on a fresh snapshot",
-                        u.table
-                    )));
-                }
-                self.storage.write_version(txn, tid, new_row)?;
-                n += 1;
+            let targets = self.scan_dml_target(txn, t, &plan, tracer, governor)?;
+            for row in &targets {
+                check_not_null(t, row)?;
+            }
+            let n = targets.len() as u64;
+            for mut row in targets {
+                self.claim_version(txn, t, rowid_of(&row)?, tracer)?;
+                row.truncate(t.columns.len());
+                self.storage.write_version(txn, t.id, row)?;
             }
             Ok(n)
         })
@@ -1776,38 +1765,103 @@ impl Database {
         d: ast::Delete,
         slot: &Mutex<Option<u64>>,
         tracer: Tracer<'_>,
+        governor: &Governor,
     ) -> Result<u64> {
         let t = self
             .catalog
             .table_by_name(&d.table)
             .ok_or_else(|| Error::catalog(format!("unknown table {}", d.table)))?;
-        let tid = t.id;
+        let plan = self.plan_dml_target(t, Vec::new(), d.filter, tracer, governor)?;
         self.with_write_txn(slot, tracer, |txn| {
-            let snap = self.storage.txn_snapshot(txn)?;
-            let st = snap.table(tid)?;
-            let mut n = 0u64;
-            for o in st.visible_ordinals() {
-                if let Some(f) = &d.filter {
-                    if eval_row_truth(f, t, st.row(o))? != Some(true) {
-                        continue;
-                    }
-                }
-                if let Some(winner) = self.storage.try_delete_version(txn, tid, o)? {
-                    tracer.emit(|| TraceEvent::TxnConflict {
-                        txn,
-                        winner,
-                        table: t.name.clone(),
-                    });
-                    return Err(Error::write_conflict(format!(
-                        "transaction {txn} lost a first-updater race to transaction \
-                         {winner} on table {}; retry on a fresh snapshot",
-                        d.table
-                    )));
-                }
-                n += 1;
+            let targets = self.scan_dml_target(txn, t, &plan, tracer, governor)?;
+            for row in &targets {
+                self.claim_version(txn, t, rowid_of(row)?, tracer)?;
             }
-            Ok(n)
+            Ok(targets.len() as u64)
         })
+    }
+
+    /// Compiles the target query of an UPDATE or DELETE over `t` —
+    /// `SELECT <outputs>, t.ROWID FROM t WHERE <filter>` — through the
+    /// same pipeline as any query, so the rows to write are found by
+    /// the access path the planner picks and every expression is
+    /// evaluated by the executor. Never cached: the statement's own
+    /// commit bumps the table version a cached plan would depend on.
+    fn plan_dml_target(
+        &self,
+        t: &Table,
+        outputs: Vec<ast::Expr>,
+        filter: Option<ast::Expr>,
+        tracer: Tracer<'_>,
+        governor: &Governor,
+    ) -> Result<BlockPlan> {
+        let items = outputs
+            .into_iter()
+            .chain([column_of(t, "ROWID")])
+            .map(|expr| ast::SelectItem::Expr { expr, alias: None })
+            .collect();
+        let query = ast::Query {
+            body: ast::SetExpr::Select(Box::new(ast::Select {
+                distinct: false,
+                items,
+                from: vec![ast::TableRef::Table {
+                    name: t.name.clone(),
+                    alias: None,
+                }],
+                where_clause: filter,
+                group_by: None,
+                having: None,
+            })),
+            order_by: Vec::new(),
+        };
+        Ok(self
+            .plan_uncached(&query, tracer, governor, StatementPath::Dml)?
+            .plan)
+    }
+
+    /// Runs a [target plan](Database::plan_dml_target) against the
+    /// transaction's snapshot under the statement's governor and returns
+    /// its rows, version ordinal last. The engine and the snapshot it
+    /// pins are gone when this returns: every read of the statement
+    /// precedes its first write (no Halloween problem), and the writes
+    /// that follow find the heap and index `Arc`s unshared.
+    fn scan_dml_target(
+        &self,
+        txn: u64,
+        t: &Table,
+        plan: &BlockPlan,
+        tracer: Tracer<'_>,
+        governor: &Governor,
+    ) -> Result<Vec<Row>> {
+        let mut engine = self.engine_for(Some(txn))?;
+        engine.set_mode(self.config.execution_mode);
+        engine.set_governor(governor.clone());
+        let rows = engine.run(plan)?;
+        tracer.emit(|| TraceEvent::DmlTarget {
+            table: t.name.clone(),
+            access: target_access(plan, t.id),
+            rows: rows.len(),
+            work: engine.stats().work,
+        });
+        Ok(rows)
+    }
+
+    /// First-updater-wins claim on one version; losing the race is a
+    /// [`Error::WriteConflict`] (the caller's transaction aborts).
+    fn claim_version(&self, txn: u64, t: &Table, ordinal: usize, tracer: Tracer<'_>) -> Result<()> {
+        let Some(winner) = self.storage.try_delete_version(txn, t.id, ordinal)? else {
+            return Ok(());
+        };
+        tracer.emit(|| TraceEvent::TxnConflict {
+            txn,
+            winner,
+            table: t.name.clone(),
+        });
+        Err(Error::write_conflict(format!(
+            "transaction {txn} lost a first-updater race to transaction \
+             {winner} on table {}; retry on a fresh snapshot",
+            t.name
+        )))
     }
 }
 
@@ -2142,13 +2196,15 @@ fn catch_internal<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
 /// path must compile through [`Database::plan_uncached`], which
 /// asserts against this predicate: EXPLAIN output must show the plan
 /// for the literal text as written (no literal extraction, no cached
-/// plan), and the differential oracle must hand both engines a fresh,
-/// cache-independent allocation.
+/// plan), the differential oracle must hand both engines a fresh,
+/// cache-independent allocation, and an UPDATE / DELETE target query
+/// reads a table whose version the statement's own commit bumps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StatementPath {
     Serve,
     Explain,
     Differential,
+    Dml,
 }
 
 /// True iff statements on `path` probe and populate the plan cache.
@@ -2231,117 +2287,58 @@ fn eval_const(e: &ast::Expr) -> Result<Value> {
     }
 }
 
-/// Evaluates a restricted scalar expression against one row of `t`:
-/// columns (optionally qualified by the table name), literals,
-/// arithmetic, comparisons, `AND`/`OR`/`NOT` with SQL three-valued
-/// logic, and `IS [NOT] NULL`. This is the SET / WHERE evaluator of
-/// UPDATE and DELETE — subqueries and other query-only constructs are
-/// rejected (write statements target one table).
-fn eval_row_expr(e: &ast::Expr, t: &Table, row: &Row) -> Result<Value> {
-    use ast::BinOp;
-    match e {
-        ast::Expr::Literal(v) => Ok(v.clone()),
-        ast::Expr::Column { qualifier, name } => {
-            if let Some(q) = qualifier {
-                if !q.eq_ignore_ascii_case(&t.name) {
-                    return Err(Error::analysis(format!(
-                        "unknown qualifier {q} in UPDATE/DELETE over {}",
-                        t.name
-                    )));
-                }
-            }
-            let i = t
-                .column_index(name)
-                .ok_or_else(|| Error::catalog(format!("unknown column {name}")))?;
-            Ok(row[i].clone())
-        }
-        ast::Expr::Unary {
-            op: ast::UnOp::Neg,
-            expr,
-        } => match eval_row_expr(expr, t, row)? {
-            Value::Null => Ok(Value::Null),
-            Value::Int(i) => Ok(Value::Int(-i)),
-            Value::Double(d) => Ok(Value::Double(-d)),
-            other => Err(Error::execution(format!("cannot negate {other}"))),
-        },
-        ast::Expr::Unary {
-            op: ast::UnOp::Not,
-            expr,
-        } => Ok(match eval_row_truth(expr, t, row)? {
-            Some(b) => Value::Bool(!b),
-            None => Value::Null,
-        }),
-        ast::Expr::IsNull { expr, negated } => {
-            let v = eval_row_expr(expr, t, row)?;
-            Ok(Value::Bool(v.is_null() != *negated))
-        }
-        ast::Expr::Binary { op, left, right } => match op {
-            BinOp::And => Ok(
-                match (
-                    eval_row_truth(left, t, row)?,
-                    eval_row_truth(right, t, row)?,
-                ) {
-                    (Some(false), _) | (_, Some(false)) => Value::Bool(false),
-                    (Some(true), Some(true)) => Value::Bool(true),
-                    _ => Value::Null,
-                },
-            ),
-            BinOp::Or => Ok(
-                match (
-                    eval_row_truth(left, t, row)?,
-                    eval_row_truth(right, t, row)?,
-                ) {
-                    (Some(true), _) | (_, Some(true)) => Value::Bool(true),
-                    (Some(false), Some(false)) => Value::Bool(false),
-                    _ => Value::Null,
-                },
-            ),
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
-                let l = eval_row_expr(left, t, row)?;
-                let r = eval_row_expr(right, t, row)?;
-                match op {
-                    BinOp::Add => l.numeric_add(&r),
-                    BinOp::Sub => l.numeric_sub(&r),
-                    BinOp::Mul => l.numeric_mul(&r),
-                    _ => l.numeric_div(&r),
-                }
-            }
-            BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
-                let l = eval_row_expr(left, t, row)?;
-                let r = eval_row_expr(right, t, row)?;
-                Ok(match l.sql_cmp(&r) {
-                    None => Value::Null,
-                    Some(o) => Value::Bool(match op {
-                        BinOp::Eq => o == std::cmp::Ordering::Equal,
-                        BinOp::NotEq => o != std::cmp::Ordering::Equal,
-                        BinOp::Lt => o == std::cmp::Ordering::Less,
-                        BinOp::LtEq => o != std::cmp::Ordering::Greater,
-                        BinOp::Gt => o == std::cmp::Ordering::Greater,
-                        _ => o != std::cmp::Ordering::Less,
-                    }),
-                })
-            }
-            BinOp::Concat => Err(Error::unsupported(
-                "|| is not supported in UPDATE/DELETE expressions",
-            )),
-        },
-        other => Err(Error::unsupported(format!(
-            "UPDATE/DELETE expressions support columns, literals, arithmetic \
-             and simple predicates; got {other}"
-        ))),
+/// `t.<name>` as an AST column reference.
+fn column_of(t: &Table, name: &str) -> ast::Expr {
+    ast::Expr::Column {
+        qualifier: Some(t.name.clone()),
+        name: name.to_string(),
     }
 }
 
-/// SQL three-valued truth of a predicate over one row: `Some(true)`,
-/// `Some(false)`, or `None` for `NULL` (rows filter through only on
-/// `Some(true)`).
-fn eval_row_truth(e: &ast::Expr, t: &Table, row: &Row) -> Result<Option<bool>> {
-    match eval_row_expr(e, t, row)? {
-        Value::Null => Ok(None),
-        Value::Bool(b) => Ok(Some(b)),
-        other => Err(Error::execution(format!(
-            "predicate evaluated to non-boolean {other}"
+/// The version ordinal a DML target row ends with.
+fn rowid_of(row: &Row) -> Result<usize> {
+    let ordinal = match row.last() {
+        Some(Value::Int(o)) => usize::try_from(*o).ok(),
+        _ => None,
+    };
+    ordinal.ok_or_else(|| Error::internal("DML target row does not end with a ROWID"))
+}
+
+/// How the target plan reaches `table`: the access path of its first
+/// scan of the table in EXPLAIN order.
+fn target_access(plan: &BlockPlan, table: TableId) -> String {
+    let mut found = None;
+    plan.visit_entities(&mut |entity| {
+        if let PlanEntity::Node(PlanNode::ScanBase {
+            table: scanned,
+            access,
+            ..
+        }) = entity
+        {
+            if *scanned == table && found.is_none() {
+                found = Some(access.describe());
+            }
+        }
+    });
+    found.unwrap_or_default()
+}
+
+/// `NOT NULL` (and `PRIMARY KEY`) columns are trusted by the
+/// transformations — NOT IN unnesting, set-operator conversion — so a
+/// write must never store a NULL in one. `row` leads with the table's
+/// columns; anything after them (a target row's ROWID) is ignored.
+fn check_not_null(t: &Table, row: &[Value]) -> Result<()> {
+    match t
+        .columns
+        .iter()
+        .zip(row)
+        .find(|(c, v)| c.not_null && v.is_null())
+    {
+        Some((c, _)) => Err(Error::execution(format!(
+            "NULL value in column {}.{} violates its NOT NULL constraint",
+            t.name, c.name
         ))),
+        None => Ok(()),
     }
 }
 

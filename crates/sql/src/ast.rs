@@ -580,9 +580,9 @@ pub struct Insert {
     pub rows: Vec<Vec<Expr>>,
 }
 
-/// `UPDATE <table> SET col = expr [, ...] [WHERE <pred>]`. The executor
-/// restricts SET expressions and the predicate to single-row scalar
-/// evaluation (no subqueries).
+/// `UPDATE <table> SET col = expr [, ...] [WHERE <pred>]`. SET
+/// expressions and the predicate are compiled as a query over the
+/// table, so they accept whatever a select list and a WHERE clause do.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Update {
     pub table: String,

@@ -221,6 +221,11 @@ pub struct TxnStats {
     pub committed: u64,
     pub rolled_back: u64,
     pub conflicts: u64,
+    /// Whole-heap copies a transactional write, commit or rollback had
+    /// to make because a live [`Snapshot`] still pinned the heap.
+    pub heap_copies: u64,
+    /// Whole-index copies, counted the same way.
+    pub index_copies: u64,
 }
 
 /// What a successful [`Storage::commit`] published — the caller bumps
@@ -248,6 +253,17 @@ pub struct Storage {
     committed: AtomicU64,
     rolled_back: AtomicU64,
     conflicts: AtomicU64,
+    heap_copies: AtomicU64,
+    index_copies: AtomicU64,
+}
+
+/// [`Arc::make_mut`] that counts in `copies` when it has to clone —
+/// i.e. when a snapshot still shares the allocation.
+fn make_mut_counted<'a, T: Clone>(arc: &'a mut Arc<T>, copies: &AtomicU64) -> &'a mut T {
+    if Arc::get_mut(arc).is_none() {
+        copies.fetch_add(1, Ordering::Relaxed);
+    }
+    Arc::make_mut(arc)
 }
 
 impl Clone for Storage {
@@ -258,6 +274,8 @@ impl Clone for Storage {
             committed: AtomicU64::new(self.committed.load(Ordering::Relaxed)),
             rolled_back: AtomicU64::new(self.rolled_back.load(Ordering::Relaxed)),
             conflicts: AtomicU64::new(self.conflicts.load(Ordering::Relaxed)),
+            heap_copies: AtomicU64::new(self.heap_copies.load(Ordering::Relaxed)),
+            index_copies: AtomicU64::new(self.index_copies.load(Ordering::Relaxed)),
         }
     }
 }
@@ -351,11 +369,11 @@ impl Storage {
         if !inner.txns.contains_key(&txn) {
             return Err(Error::execution(format!("no open transaction {txn}")));
         }
-        let heap = Arc::make_mut(inner.tables.entry(table).or_default());
+        let heap = make_mut_counted(inner.tables.entry(table).or_default(), &self.heap_copies);
         let ordinal = heap.versions.len();
         for ix_arc in inner.indexes.values_mut() {
             if ix_arc.table == table {
-                let ix = Arc::make_mut(ix_arc);
+                let ix = make_mut_counted(ix_arc, &self.index_copies);
                 let key = ix.key_of(&row);
                 ix.insert_key(key, ordinal);
             }
@@ -401,7 +419,7 @@ impl Storage {
             .end;
         match current_end {
             0 => {
-                let heap = Arc::make_mut(heap_arc);
+                let heap = make_mut_counted(heap_arc, &self.heap_copies);
                 heap.versions[ordinal].end = txn;
                 inner.txns.get_mut(&txn).unwrap().writes.push(Write {
                     table,
@@ -446,7 +464,10 @@ impl Storage {
             if !tables.contains(&w.table) {
                 tables.push(w.table);
             }
-            let heap = Arc::make_mut(inner.tables.get_mut(&w.table).expect("written table"));
+            let heap = make_mut_counted(
+                inner.tables.get_mut(&w.table).expect("written table"),
+                &self.heap_copies,
+            );
             let v = &mut heap.versions[w.ordinal];
             match w.kind {
                 WriteKind::Insert => {
@@ -483,7 +504,10 @@ impl Storage {
             return 0;
         };
         for w in &st.writes {
-            let heap = Arc::make_mut(inner.tables.get_mut(&w.table).expect("written table"));
+            let heap = make_mut_counted(
+                inner.tables.get_mut(&w.table).expect("written table"),
+                &self.heap_copies,
+            );
             let v = &mut heap.versions[w.ordinal];
             match w.kind {
                 WriteKind::Insert => {
@@ -509,6 +533,8 @@ impl Storage {
             committed: self.committed.load(Ordering::Relaxed),
             rolled_back: self.rolled_back.load(Ordering::Relaxed),
             conflicts: self.conflicts.load(Ordering::Relaxed),
+            heap_copies: self.heap_copies.load(Ordering::Relaxed),
+            index_copies: self.index_copies.load(Ordering::Relaxed),
         }
     }
 
@@ -1030,6 +1056,58 @@ mod tests {
         assert_eq!(s.begun, 2);
         assert_eq!(s.committed, 1);
         assert_eq!(s.rolled_back, 1);
+    }
+
+    #[test]
+    fn copies_are_counted_only_while_a_snapshot_pins_the_structures() {
+        let (mut cat, st, t) = setup();
+        for i in 0..10 {
+            st.insert(t, vec![Value::Int(i), Value::Int(i)]).unwrap();
+        }
+        let ix = cat.add_index("i_grp", t, vec![1], false).unwrap();
+        st.build_index(ix, t, vec![1]).unwrap();
+        // UPDATE of the version at `ordinal` as one transaction
+        let update = |ordinal: usize, grp: i64| {
+            let (txn, _) = st.begin();
+            assert_eq!(st.try_delete_version(txn, t, ordinal).unwrap(), None);
+            st.write_version(txn, t, vec![Value::Int(ordinal as i64), Value::Int(grp)])
+                .unwrap();
+            st.commit(txn).unwrap();
+        };
+        let copies = || {
+            let s = st.txn_stats();
+            (s.heap_copies, s.index_copies)
+        };
+
+        // nobody reads: claim, append, index insert and commit restamp
+        // all happen in place
+        update(0, 100);
+        update(1, 101);
+        assert_eq!(copies(), (0, 0));
+
+        // a held snapshot costs exactly one copy of each structure, at
+        // the first write; later writes own the copies
+        let held = st.snapshot();
+        update(2, 102);
+        update(3, 103);
+        assert_eq!(copies(), (1, 1));
+        assert_eq!(held.table(t).unwrap().version_count(), 12);
+        assert_eq!(held.index(ix).unwrap().lookup_eq(&[Value::Int(102)]), &[]);
+        drop(held);
+        update(4, 104);
+        assert_eq!(copies(), (1, 1));
+
+        // a writer that keeps its own snapshot across its writes pins
+        // the structures against itself
+        let (txn, _) = st.begin();
+        let own = st.txn_snapshot(txn).unwrap();
+        st.try_delete_version(txn, t, 5).unwrap();
+        st.write_version(txn, t, vec![Value::Int(5), Value::Int(105)])
+            .unwrap();
+        assert_eq!(copies(), (2, 2));
+        drop(own);
+        st.rollback(txn);
+        assert_eq!(copies(), (2, 2));
     }
 
     #[test]

@@ -358,6 +358,56 @@ fn session_cancel_scopes_to_one_session() {
 }
 
 #[test]
+fn cancelled_update_returns_the_governors_error_and_writes_nothing() {
+    let db = fixture();
+    let sum = "SELECT SUM(salary) FROM employees";
+    let before = db.query(sum).unwrap().rows;
+    let warm = |what: &str| {
+        let r = db.query(sum).unwrap();
+        assert_eq!(r.rows, before, "{what}: partial write");
+        assert!(r.stats.plan_cache_hit, "{what}: cached plans went cold");
+    };
+    warm("baseline");
+    let raise = "UPDATE employees SET salary = salary + 1";
+
+    // a fenced session: the UPDATE stops at the governor's first check
+    let s = db.session();
+    let token = s.cancel_token();
+    token.cancel();
+    assert!(matches!(s.execute(raise), Err(Error::Cancelled)));
+    warm("pre-cancelled UPDATE");
+    token.reset();
+
+    // cancelled from another thread while its target scan is running
+    // (the filter's subquery is the 3.4M-row cross join)
+    std::thread::scope(|scope| {
+        let s = db.session();
+        let token = s.cancel_token();
+        let runner = scope.spawn(move || {
+            s.execute(
+                "UPDATE employees SET salary = salary + 1 WHERE emp_id IN \
+                 (SELECT a.n FROM nums a, nums b, nums c WHERE a.n + b.n + c.n > -1)",
+            )
+        });
+        std::thread::sleep(Duration::from_millis(150));
+        token.cancel();
+        let err = runner
+            .join()
+            .expect("UPDATE thread must not panic")
+            .unwrap_err();
+        assert!(matches!(err, Error::Cancelled), "{err}");
+    });
+    warm("UPDATE cancelled mid-scan");
+
+    // unfenced, the same statement goes through
+    assert!(matches!(
+        s.execute_statement(raise).unwrap(),
+        cbqt::StatementResult::RowsAffected(200)
+    ));
+    assert_ne!(db.query(sum).unwrap().rows, before);
+}
+
+#[test]
 fn cancelled_session_stays_fenced_until_its_own_reset() {
     let db = fixture();
     let s = db.session();

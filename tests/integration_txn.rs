@@ -3,10 +3,12 @@
 //! statement failure, plan-cache interaction (versions bump only at
 //! commit), transaction trace events, and the statement surface
 //! (BEGIN / COMMIT / ROLLBACK in scripts, DDL rejection in
-//! transactions).
+//! transactions). UPDATE and DELETE find their rows through a planned
+//! target query: access paths, read-all-then-write-all, write cost
+//! and NOT NULL enforcement are checked here too.
 
 use cbqt::common::{Error, Value};
-use cbqt::{Database, StatementResult};
+use cbqt::{Database, OptimizerEvent, Session, StatementResult};
 use cbqt_testkit::failpoints::{self, Fail};
 
 fn fixture() -> Database {
@@ -394,4 +396,304 @@ fn dropping_a_session_rolls_back_its_open_transaction() {
         s2.query("SELECT COUNT(*) FROM accounts").unwrap().rows[0][0],
         Value::Int(20)
     );
+}
+
+// -- UPDATE / DELETE through the planner's access paths -----------------
+
+/// `kv (id INT PRIMARY KEY, k INT, tag VARCHAR)` with `rows` rows,
+/// `k = id`, and a secondary index on `k`.
+fn kv(rows: i64) -> Database {
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE kv (id INT PRIMARY KEY, k INT, tag VARCHAR(8));
+         CREATE INDEX i_kv_k ON kv (k);",
+    )
+    .unwrap();
+    let data = (0..rows)
+        .map(|i| {
+            vec![
+                Value::Int(i),
+                Value::Int(i),
+                Value::str(format!("t{}", i % 4)),
+            ]
+        })
+        .collect();
+    db.load_rows("kv", data).unwrap();
+    db.analyze().unwrap();
+    db
+}
+
+fn affected(s: &Session<'_>, sql: &str) -> u64 {
+    match s.execute_statement(sql).unwrap() {
+        StatementResult::RowsAffected(n) => n,
+        other => panic!("{sql}: expected a row count, got {other:?}"),
+    }
+}
+
+/// `(access, rows, work)` of the statement's `DML TARGET` trace event.
+fn dml_target(s: &Session<'_>, sql: &str) -> (String, usize, f64) {
+    let report = s.trace_statement(sql).unwrap();
+    let found = report.events.iter().find_map(|e| match e {
+        OptimizerEvent::DmlTarget {
+            table,
+            access,
+            rows,
+            work,
+        } => {
+            assert_eq!(table, "kv");
+            Some((access.clone(), *rows, *work))
+        }
+        _ => None,
+    });
+    found.unwrap_or_else(|| panic!("{sql}: no DML TARGET event in\n{}", report.render()))
+}
+
+#[test]
+fn pk_equality_dml_probes_the_index_at_a_cost_independent_of_table_size() {
+    let (small, large) = (kv(1_000), kv(50_000));
+    for sql in [
+        "UPDATE kv SET tag = 'x' WHERE id = 617",
+        "DELETE FROM kv WHERE id = 617",
+    ] {
+        let (s_access, s_rows, s_work) = dml_target(&small.session(), sql);
+        let (l_access, l_rows, l_work) = dml_target(&large.session(), sql);
+        assert!(s_access.starts_with("INDEX EQ"), "{sql}: {s_access}");
+        assert!(l_access.starts_with("INDEX EQ"), "{sql}: {l_access}");
+        assert_eq!((s_rows, l_rows), (1, 1), "{sql}");
+        assert!(
+            s_work > 0.0 && l_work <= 2.0 * s_work,
+            "{sql}: work {s_work} on 1k rows, {l_work} on 50k rows"
+        );
+    }
+    // the rendered trace names the access path
+    let text = small
+        .session()
+        .trace_statement("UPDATE kv SET tag = 'y' WHERE id = 3")
+        .unwrap()
+        .render();
+    assert!(
+        text.contains("DML TARGET table=kv access=INDEX EQ"),
+        "{text}"
+    );
+    assert_eq!(count(&large, "SELECT COUNT(*) FROM kv"), 49_999);
+    assert_eq!(count(&large, "SELECT COUNT(*) FROM kv WHERE tag = 'x'"), 0);
+}
+
+#[test]
+fn autocommit_updates_copy_nothing_and_a_held_snapshot_costs_one_copy() {
+    let update_every_row = |db: &Database| {
+        let s = db.session();
+        for i in 0..1_000 {
+            assert_eq!(
+                affected(
+                    &s,
+                    &format!("UPDATE kv SET k = {} WHERE id = {i}", i + 5_000)
+                ),
+                1
+            );
+        }
+    };
+    // no reader anywhere: every write happens in place
+    let db = kv(1_000);
+    let base = db.txn_stats();
+    update_every_row(&db);
+    let now = db.txn_stats();
+    assert_eq!(now.heap_copies, base.heap_copies, "{now:?}");
+    assert_eq!(now.index_copies, base.index_copies, "{now:?}");
+
+    // one snapshot held across all of them: the first write copies the
+    // heap once and each of the table's two indexes once, the rest
+    // write the copies in place; the snapshot keeps its original rows
+    let db = kv(1_000);
+    let base = db.txn_stats();
+    let held = db.storage().snapshot();
+    update_every_row(&db);
+    let now = db.txn_stats();
+    assert_eq!(now.heap_copies, base.heap_copies + 1, "{now:?}");
+    assert_eq!(now.index_copies, base.index_copies + 2, "{now:?}");
+    let table = db.catalog().table_by_name("kv").unwrap().id;
+    let old = held.table(table).unwrap();
+    assert_eq!(old.version_count(), 1_000);
+    assert!(
+        old.rows().all(|r| r[0] == r[1]),
+        "held snapshot saw a write"
+    );
+    drop(held);
+    assert_eq!(count(&db, "SELECT COUNT(*) FROM kv WHERE k >= 5000"), 1_000);
+}
+
+#[test]
+fn update_of_its_own_search_key_touches_each_row_once() {
+    // Halloween: the new versions land inside the scanned index range
+    let db = kv(300);
+    let s = db.session();
+    let sql = "UPDATE kv SET k = k + 1000 WHERE k >= 0";
+    let (access, rows, _) = dml_target(&s, sql);
+    assert_eq!(rows, 300, "{access}");
+    let r = db.query("SELECT id, k FROM kv ORDER BY id").unwrap();
+    assert_eq!(r.rows.len(), 300);
+    for row in &r.rows {
+        let (Value::Int(id), Value::Int(k)) = (&row[0], &row[1]) else {
+            panic!("{row:?}")
+        };
+        assert_eq!(*k, id + 1000, "row {id} was moved more than once");
+    }
+    // and again through a narrow range the planner serves by index
+    let (access, rows, _) = dml_target(&s, "UPDATE kv SET k = k + 1 WHERE k >= 1295");
+    assert!(access.starts_with("INDEX RANGE"), "{access}");
+    assert_eq!(rows, 5);
+    assert_eq!(count(&db, "SELECT COUNT(*) FROM kv WHERE k >= 1295"), 5);
+    assert_eq!(count(&db, "SELECT MAX(k) FROM kv"), 1300);
+}
+
+#[test]
+fn dml_inside_one_transaction_sees_its_own_writes() {
+    let db = kv(10);
+    let s = db.session();
+    s.begin().unwrap();
+    // the same row twice: the second statement finds the first's version
+    assert_eq!(affected(&s, "UPDATE kv SET k = k + 1 WHERE id = 4"), 1);
+    assert_eq!(affected(&s, "UPDATE kv SET k = k + 1 WHERE id = 4"), 1);
+    // a deleted row is gone for the transaction's later statements
+    assert_eq!(affected(&s, "DELETE FROM kv WHERE id = 5"), 1);
+    assert_eq!(affected(&s, "UPDATE kv SET k = 0 WHERE id = 5"), 0);
+    // its own insert is updatable and deletable
+    assert_eq!(affected(&s, "INSERT INTO kv VALUES (100, 1, 'new')"), 1);
+    assert_eq!(affected(&s, "UPDATE kv SET k = k + 41 WHERE id = 100"), 1);
+    assert_eq!(
+        count(&db, "SELECT COUNT(*) FROM kv WHERE id IN (5, 100)"),
+        1
+    );
+    s.commit().unwrap();
+    let r = db
+        .query("SELECT id, k FROM kv WHERE id IN (4, 5, 100) ORDER BY id")
+        .unwrap();
+    assert_eq!(
+        r.rows,
+        vec![
+            vec![Value::Int(4), Value::Int(6)],
+            vec![Value::Int(100), Value::Int(42)]
+        ]
+    );
+
+    // first updater wins, the loser aborts with the usual message
+    let (w1, w2) = (db.session(), db.session());
+    w1.begin().unwrap();
+    w2.begin().unwrap();
+    assert_eq!(affected(&w1, "UPDATE kv SET k = 7 WHERE id = 1"), 1);
+    let err = w2.execute("DELETE FROM kv WHERE id <= 1").unwrap_err();
+    assert!(matches!(err, Error::WriteConflict(_)), "{err}");
+    let text = err.to_string();
+    assert!(
+        text.contains("lost a first-updater race to transaction")
+            && text.contains("on table kv; retry on a fresh snapshot"),
+        "{text}"
+    );
+    assert!(!w2.in_transaction());
+    w1.commit().unwrap();
+    assert_eq!(count(&db, "SELECT COUNT(*) FROM kv WHERE id <= 1"), 2);
+}
+
+#[test]
+fn dml_predicates_and_set_expressions_are_full_sql() {
+    let db = kv(40);
+    let s = db.session();
+    assert_eq!(
+        affected(&s, "UPDATE kv SET k = -1 WHERE id IN (3, 5, 7, 400)"),
+        3
+    );
+    assert_eq!(
+        affected(&s, "UPDATE kv SET k = -2 WHERE id BETWEEN 10 AND 12"),
+        3
+    );
+    assert_eq!(
+        affected(&s, "DELETE FROM kv WHERE tag LIKE 't3%' AND id > 30"),
+        3
+    );
+    assert_eq!(
+        affected(&s, "UPDATE kv SET tag = tag || '!' WHERE kv.id = 0"),
+        1
+    );
+    assert_eq!(
+        db.query("SELECT tag FROM kv WHERE id = 0").unwrap().rows,
+        vec![vec![Value::str("t0!")]]
+    );
+    assert_eq!(
+        affected(
+            &s,
+            "UPDATE kv SET k = (SELECT MAX(id) FROM kv) \
+             WHERE id IN (SELECT id FROM kv WHERE k = -2)"
+        ),
+        3
+    );
+    // ids 31, 35 and 39 are gone: MAX(id) is 38, which row 38 had already
+    assert_eq!(count(&db, "SELECT COUNT(*) FROM kv WHERE k = 38"), 4);
+    // a filter that evaluates to NULL selects nothing
+    assert_eq!(affected(&s, "UPDATE kv SET k = 0 WHERE k = NULL"), 0);
+    assert_eq!(affected(&s, "DELETE FROM kv WHERE NOT (k > NULL)"), 0);
+    assert_eq!(
+        affected(&s, "DELETE FROM kv WHERE tag IN ('nope', NULL)"),
+        0
+    );
+    // an aggregate would collapse the target rows into one
+    let err = s.execute("UPDATE kv SET k = SUM(k)").unwrap_err();
+    assert!(err.to_string().contains("aggregate"), "{err}");
+    // analysis errors never start the write: an open transaction survives
+    s.begin().unwrap();
+    assert!(s.execute("UPDATE kv SET k = 1 WHERE nope = 2").is_err());
+    assert!(s.execute("DELETE FROM kv WHERE other.id = 2").is_err());
+    assert!(s.in_transaction(), "analysis error aborted the txn");
+    s.rollback().unwrap();
+    assert_eq!(count(&db, "SELECT COUNT(*) FROM kv"), 37);
+}
+
+#[test]
+fn not_null_columns_reject_null_writes() {
+    // both `code` columns are NOT NULL, so `code NOT IN (SELECT code
+    // FROM allowed)` is unnested into a plain anti-join. A NULL smuggled
+    // into `allowed.code` makes that rewrite return rows SQL says are
+    // unknown.
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE allowed (code INT NOT NULL);
+         CREATE TABLE items (id INT PRIMARY KEY, code INT NOT NULL);
+         INSERT INTO allowed VALUES (1), (2);
+         INSERT INTO items VALUES (10, 1), (11, 3);
+         ANALYZE;",
+    )
+    .unwrap();
+    let s = db.session();
+    let insert = s.execute("INSERT INTO allowed VALUES (4), (NULL)");
+    let update = s.execute("UPDATE allowed SET code = NULL WHERE code = 2");
+
+    // whatever `allowed` holds now, NOT IN must follow three-valued logic
+    let codes = db.query("SELECT code FROM allowed").unwrap().rows;
+    let has_null = codes.iter().any(|r| r[0].is_null());
+    let want: Vec<Vec<Value>> = if has_null {
+        Vec::new()
+    } else {
+        vec![vec![Value::Int(11)]]
+    };
+    let got = db
+        .query("SELECT id FROM items WHERE code NOT IN (SELECT code FROM allowed)")
+        .unwrap();
+    assert_eq!(got.rows, want, "allowed = {codes:?}");
+
+    for (what, result) in [("INSERT", insert), ("UPDATE", update)] {
+        let err = result.expect_err(what);
+        assert!(matches!(err, Error::Execution(_)), "{what}: {err}");
+        assert!(err.to_string().contains("allowed.code"), "{what}: {err}");
+    }
+    // statement-atomic: the (4) beside the NULL was not written either
+    assert_eq!(codes.len(), 2);
+    // a primary key is NOT NULL too, and a violation aborts the open
+    // transaction like any other failed write
+    s.begin().unwrap();
+    s.execute("INSERT INTO items VALUES (12, 2)").unwrap();
+    let err = s
+        .execute("UPDATE items SET id = NULL WHERE id = 10")
+        .unwrap_err();
+    assert!(err.to_string().contains("items.id"), "{err}");
+    assert!(!s.in_transaction());
+    assert_eq!(count(&db, "SELECT COUNT(*) FROM items"), 2);
 }
