@@ -5,7 +5,6 @@
 //! cargo run -p cbqt-bench --release --bin experiments -- all
 //! cargo run -p cbqt-bench --release --bin experiments -- fig3 --n 120 --scale 1.5
 //! cargo run -p cbqt-bench --release --bin experiments -- fig3 --trace
-//! cargo run -p cbqt-bench --release --bin experiments -- joins --bushy-max-items 0
 //! ```
 
 use cbqt_bench::experiments;
@@ -17,9 +16,6 @@ struct Args {
     scale: f64,
     reps: usize,
     trace: bool,
-    /// Join-enumeration tier overrides for Table-2-style sweeps.
-    dp_max_items: Option<usize>,
-    bushy_max_items: Option<usize>,
 }
 
 const EXPERIMENTS: [&str; 8] = [
@@ -29,7 +25,7 @@ const EXPERIMENTS: [&str; 8] = [
 fn usage() -> ! {
     eprintln!(
         "usage: experiments [EXPERIMENT] [--n N] [--seed S] [--scale F] [--reps N]\n\
-         \x20                  [--dp-max-items N] [--bushy-max-items N] [--trace]\n\
+         \x20                  [--trace]\n\
          \n\
          EXPERIMENT is one of {} (default all). Each runs over N generated\n\
          instances (default 80) at data scale F (default 1.0) and keeps the\n\
@@ -48,8 +44,6 @@ fn parse_args() -> Args {
         scale: 1.0,
         reps: 2,
         trace: false,
-        dp_max_items: None,
-        bushy_max_items: None,
     };
     fn value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>) -> T {
         args.next()
@@ -63,8 +57,6 @@ fn parse_args() -> Args {
             "--seed" => parsed.seed = value(&mut args),
             "--scale" => parsed.scale = value(&mut args),
             "--reps" => parsed.reps = value(&mut args),
-            "--dp-max-items" => parsed.dp_max_items = Some(value(&mut args)),
-            "--bushy-max-items" => parsed.bushy_max_items = Some(value(&mut args)),
             "--trace" => parsed.trace = true,
             which if EXPERIMENTS.contains(&which) => parsed.which = a,
             _ => usage(),
@@ -75,7 +67,6 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-    experiments::set_join_knobs(args.dp_max_items, args.bushy_max_items);
     let run_all = args.which == "all";
     println!(
         "cbqt experiments — seed={} n={} scale={} reps={}\n",

@@ -9,21 +9,6 @@ use cbqt_testkit::Rng;
 use std::collections::HashMap;
 use std::time::Duration;
 
-/// Join-enumeration knob overrides (`--dp-max-items`,
-/// `--bushy-max-items`), set once in `main` and applied to every
-/// database a round builds so tier sweeps cover all fuzz modes.
-static KNOBS: std::sync::OnceLock<(Option<usize>, Option<usize>)> = std::sync::OnceLock::new();
-
-fn apply_knobs(db: &mut Database) {
-    let &(dp, bushy) = KNOBS.get_or_init(|| (None, None));
-    if let Some(n) = dp {
-        db.config_mut().optimizer.dp_max_items = n;
-    }
-    if let Some(n) = bushy {
-        db.config_mut().optimizer.bushy_max_items = n;
-    }
-}
-
 fn random_db(rng: &mut Rng) -> Database {
     let mut db = Database::new();
     db.execute_script(
@@ -134,14 +119,16 @@ fn random_query(rng: &mut Rng) -> String {
 }
 
 /// Join-heavy query pool for the `--joins` oracle: every shape is a
-/// multi-way (3+ table) join so the bushy enumerator, the left-deep DP
+/// multi-way (3+ item) join so the bushy enumerator, the left-deep DP
 /// tier, and the greedy fallback all get real join-order decisions.
+/// The last three arms leave semi, anti and outer joins in the block,
+/// which only the left-deep and greedy tiers plan.
 fn random_join_query(rng: &mut Rng) -> String {
     let sal = rng.gen_range(0..8000);
     let date = 19_900_000 + rng.gen_range(0..50_000);
     let c = ["US", "UK", "DE"][rng.gen_range(0usize..3)];
     let k = rng.gen_range(0..20);
-    match rng.gen_range(0..6) {
+    match rng.gen_range(0..9) {
         // star: job_history fact with two independent dimension arms
         0 => format!("SELECT e.employee_name, d.department_name FROM job_history j, employees e, departments d WHERE j.emp_id = e.emp_id AND j.dept_id = d.dept_id AND e.salary > {sal} AND j.start_date > {date}"),
         // snowflake: fact -> employees arm plus departments -> locations chain
@@ -154,7 +141,13 @@ fn random_join_query(rng: &mut Rng) -> String {
         4 => format!("SELECT d.department_name, COUNT(*) FROM job_history j, employees e, departments d, locations l WHERE j.emp_id = e.emp_id AND e.dept_id = d.dept_id AND d.loc_id = l.loc_id AND j.start_date > {date} AND l.country_id = '{c}' GROUP BY d.department_name"),
         // disconnected join graph: two components forced into a
         // cross-product by the enumerator
-        _ => format!("SELECT COUNT(*) FROM departments d, locations l, job_history j WHERE d.loc_id = l.loc_id AND j.start_date > {date} AND l.country_id = '{c}'"),
+        5 => format!("SELECT COUNT(*) FROM departments d, locations l, job_history j WHERE d.loc_id = l.loc_id AND j.start_date > {date} AND l.country_id = '{c}'"),
+        // EXISTS under a 3-way chain: a semi join once unnested
+        6 => format!("SELECT e.employee_name, l.country_id FROM employees e, departments d, locations l WHERE e.dept_id = d.dept_id AND d.loc_id = l.loc_id AND e.salary > {sal} AND EXISTS (SELECT 1 FROM job_history j WHERE j.emp_id = e.emp_id AND j.start_date > {date})"),
+        // NOT IN beside a join: a null-aware anti join once unnested
+        7 => format!("SELECT e.emp_id, d.department_name FROM employees e, departments d WHERE e.dept_id = d.dept_id AND e.dept_id NOT IN (SELECT j.dept_id FROM job_history j WHERE j.start_date > {date})"),
+        // outer-join chain: both right sides are order-constrained
+        _ => format!("SELECT e.employee_name, d.department_name, l.country_id FROM employees e LEFT JOIN departments d ON e.dept_id = d.dept_id LEFT JOIN locations l ON d.loc_id = l.loc_id WHERE e.salary > {sal}"),
     }
 }
 
@@ -176,7 +169,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: fuzz [--iters N] [--seed S] [--failpoints]\n\
          \x20           [--differential-exec] [--binds] [--feedback] [--txn]\n\
-         \x20           [--joins] [--dp-max-items N] [--bushy-max-items N] [N]\n\
+         \x20           [--joins] [N]\n\
          \n\
          Runs N differential-fuzz rounds (default 300). Round i uses seed\n\
          S + i (S defaults to 0), so any reported failure reproduces with\n\
@@ -231,19 +224,16 @@ fn usage() -> ! {
          transaction, but only with an Err, and the twin oracle holds.\n\
          \n\
          --joins switches to the join-order oracle: each round builds\n\
-         the same random database twice — once with the default bushy\n\
-         enumerator and once with bushy_max_items = 0 (forced\n\
-         left-deep) — and every multi-way join query must return\n\
-         identical row sets from both, including under random tight\n\
-         optimizer-state budgets that force mid-enumeration\n\
-         degradation to greedy. Combine with --failpoints to also arm\n\
-         random faults: either side may then fail, but only with an\n\
-         Err, and both databases must keep serving.\n\
-         \n\
-         --dp-max-items N / --bushy-max-items N override the join\n\
-         enumeration tier thresholds on every database a round builds\n\
-         (Table-2-style sweeps across enumeration tiers; the --joins\n\
-         twin keeps bushy_max_items = 0 regardless)."
+         the same random database three times — with the default bushy\n\
+         enumerator, with bushy_max_items = 0 (forced left-deep DP) and\n\
+         with dp_max_items = 0 as well (forced greedy) — and every\n\
+         multi-way join query, including EXISTS / NOT IN / LEFT JOIN\n\
+         shapes, must return identical row sets from all three, also\n\
+         under random tight optimizer-state budgets that force\n\
+         mid-enumeration degradation to greedy. Combine with\n\
+         --failpoints to also arm random faults: any side may then\n\
+         fail, but only with an Err, and all three databases must keep\n\
+         serving."
     );
     std::process::exit(2);
 }
@@ -257,8 +247,6 @@ struct Args {
     feedback: bool,
     txn: bool,
     joins: bool,
-    dp_max_items: Option<usize>,
-    bushy_max_items: Option<usize>,
 }
 
 fn parse_args() -> Args {
@@ -271,8 +259,6 @@ fn parse_args() -> Args {
         feedback: false,
         txn: false,
         joins: false,
-        dp_max_items: None,
-        bushy_max_items: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -288,20 +274,6 @@ fn parse_args() -> Args {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
-            }
-            "--dp-max-items" => {
-                parsed.dp_max_items = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--bushy-max-items" => {
-                parsed.bushy_max_items = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
             }
             "--failpoints" => parsed.failpoints = true,
             "--differential-exec" => parsed.differential = true,
@@ -325,9 +297,7 @@ fn parse_args() -> Args {
 /// and its plan cache is coherent. Returns the number of failures.
 fn failpoint_round(seed: u64) -> u64 {
     let mut rng = Rng::seed_from_u64(seed);
-    let mut db = random_db(&mut rng);
-    apply_knobs(&mut db);
-    let db = db;
+    let db = random_db(&mut rng);
     let names = failpoints::all();
     for _ in 0..4 {
         let sql = random_query(&mut rng);
@@ -380,26 +350,33 @@ fn failpoint_round(seed: u64) -> u64 {
     failures
 }
 
-/// One join-order round: the same random database is built twice from
-/// the same seed — once with the default bushy enumerator and once
-/// with `bushy_max_items = 0` (forced left-deep DP/greedy) — and every
-/// multi-way join query must return identical row sets from both.
+/// One join-order round: the same random database is built three
+/// times from the same seed — with the default tier choice (bushy
+/// where the block is eligible), with `bushy_max_items = 0` (forced
+/// left-deep DP) and with `dp_max_items = 0` as well (forced greedy) —
+/// and every multi-way join query must return identical row sets from
+/// all three. The semi / anti / outer arms of the query pool keep the
+/// join kernel's non-inner branch under the oracle on every tier.
 /// Random tight optimizer-state budgets are mixed in so mid-enumeration
 /// governor exhaustion (degrade-to-greedy) is exercised: a degraded
-/// plan must still agree with the twin, and must never surface an
+/// plan must still agree with the twins, and must never surface an
 /// error. With `with_faults`, random failpoints are armed around each
-/// paired run; either side may then fail, but only with an `Err`, and
-/// both databases must keep serving. Returns the number of failures.
+/// run of the three; any side may then fail, but only with an `Err`,
+/// and all databases must keep serving. Returns the number of failures.
 fn joins_round(seed: u64, with_faults: bool) -> u64 {
     let mut rng = Rng::seed_from_u64(seed);
-    let mut db = random_db(&mut rng);
-    apply_knobs(&mut db);
-    let db = db;
-    // twin with identical data, bushy enumeration off: the row oracle
+    let bushy = random_db(&mut rng);
+    // twins with identical data on the reference tiers: the row oracle
     let mut leftdeep = random_db(&mut Rng::seed_from_u64(seed));
-    apply_knobs(&mut leftdeep);
     leftdeep.config_mut().optimizer.bushy_max_items = 0;
-    let leftdeep = leftdeep;
+    let mut greedy = random_db(&mut Rng::seed_from_u64(seed));
+    greedy.config_mut().optimizer.bushy_max_items = 0;
+    greedy.config_mut().optimizer.dp_max_items = 0;
+    let twins = [
+        ("bushy", bushy),
+        ("left-deep", leftdeep),
+        ("greedy", greedy),
+    ];
     let names = failpoints::all();
     let mut failures = 0;
     for _ in 0..4 {
@@ -420,32 +397,30 @@ fn joins_round(seed: u64, with_faults: bool) -> u64 {
         } else {
             None
         };
-        let bushy = db.query_with_limits(&sql, limits);
-        let ld = leftdeep.query_with_limits(&sql, limits);
+        let runs: Vec<_> = twins
+            .iter()
+            .map(|(_, d)| d.query_with_limits(&sql, limits).map(|r| canon(&r.rows)))
+            .collect();
         drop(armed);
-        match (bushy, ld) {
-            (Ok(b), Ok(l)) => {
-                if canon(&b.rows) != canon(&l.rows) {
+        for ((label, _), run) in twins.iter().zip(&runs) {
+            match (run, &runs[0]) {
+                (Ok(rows), Ok(reference)) if rows != reference => {
                     println!(
-                        "seed {seed}: JOIN ORDER MISMATCH ({} vs {} rows)\n{sql}",
-                        b.rows.len(),
-                        l.rows.len()
+                        "seed {seed}: JOIN ORDER MISMATCH ({label} {} vs bushy {} rows)\n{sql}",
+                        rows.len(),
+                        reference.len()
                     );
                     failures += 1;
                 }
-            }
-            (Err(_), _) | (_, Err(_)) if with_faults => {}
-            (Err(e), _) => {
-                println!("seed {seed}: BUSHY ERROR {e}\n{sql}");
-                failures += 1;
-            }
-            (_, Err(e)) => {
-                println!("seed {seed}: LEFT-DEEP ERROR {e}\n{sql}");
-                failures += 1;
+                (Err(e), _) if !with_faults => {
+                    println!("seed {seed}: {label} ERROR {e}\n{sql}");
+                    failures += 1;
+                }
+                _ => {}
             }
         }
     }
-    for (label, d) in [("bushy", &db), ("left-deep", &leftdeep)] {
+    for (label, d) in &twins {
         let stats = d.plan_cache_stats();
         if stats.bytes > stats.capacity_bytes || (stats.entries == 0) != (stats.bytes == 0) {
             println!("seed {seed}: INCONSISTENT {label} plan cache: {stats:?}");
@@ -454,7 +429,10 @@ fn joins_round(seed: u64, with_faults: bool) -> u64 {
         match d.query("SELECT COUNT(*) FROM employees") {
             Ok(r) if r.rows.len() == 1 => {}
             Ok(r) => {
-                println!("seed {seed}: {label} SANITY query returned {} rows", r.rows.len());
+                println!(
+                    "seed {seed}: {label} SANITY query returned {} rows",
+                    r.rows.len()
+                );
                 failures += 1;
             }
             Err(e) => {
@@ -475,9 +453,7 @@ fn joins_round(seed: u64, with_faults: bool) -> u64 {
 /// matching error classes. Returns the number of failures.
 fn differential_round(seed: u64, with_faults: bool) -> u64 {
     let mut rng = Rng::seed_from_u64(seed);
-    let mut db = random_db(&mut rng);
-    apply_knobs(&mut db);
-    let db = db;
+    let db = random_db(&mut rng);
     let names = failpoints::all();
     let mut failures = 0;
     for _ in 0..3 {
@@ -532,9 +508,7 @@ fn differential_round(seed: u64, with_faults: bool) -> u64 {
 /// database must keep serving. Returns the number of failures.
 fn binds_round(seed: u64, with_faults: bool) -> u64 {
     let mut rng = Rng::seed_from_u64(seed);
-    let mut db = random_db(&mut rng);
-    apply_knobs(&mut db);
-    let db = db;
+    let db = random_db(&mut rng);
     let names = failpoints::all();
     let mut failures = 0;
     for _ in 0..4 {
@@ -610,12 +584,9 @@ fn binds_round(seed: u64, with_faults: bool) -> u64 {
 /// failures.
 fn feedback_round(seed: u64, with_faults: bool) -> u64 {
     let mut rng = Rng::seed_from_u64(seed);
-    let mut db = random_db(&mut rng);
-    apply_knobs(&mut db);
-    let db = db;
+    let db = random_db(&mut rng);
     // twin database with identical data, feedback off: the row oracle
     let mut oracle = random_db(&mut Rng::seed_from_u64(seed));
-    apply_knobs(&mut oracle);
     oracle.config_mut().feedback.enabled = false;
     let oracle = oracle;
     let names = failpoints::all();
@@ -1059,9 +1030,6 @@ fn txn_round(seed: u64, with_faults: bool) -> u64 {
 fn main() {
     let args = parse_args();
     let (rounds, base_seed, failpoint_mode) = (args.iters, args.base_seed, args.failpoints);
-    KNOBS
-        .set((args.dp_max_items, args.bushy_max_items))
-        .expect("knobs set once");
     let mut failures = 0;
     if args.joins {
         if failpoint_mode {
@@ -1137,7 +1105,6 @@ fn main() {
         let mut rng = Rng::seed_from_u64(seed);
         let mut db = random_db(&mut rng);
         let sql = random_query(&mut rng);
-        apply_knobs(&mut db);
         db.config_mut().cost_based = false;
         db.config_mut().transforms = TransformSet {
             unnest: false,

@@ -237,28 +237,8 @@ fn run_paired(
     ExperimentReport::build(name, results)
 }
 
-/// Join-enumeration knob overrides (`--dp-max-items`,
-/// `--bushy-max-items` on the experiments CLI), applied on top of every
-/// reset to the default configuration so Table-2-style sweeps can
-/// compare enumeration tiers across all experiments.
-static JOIN_KNOBS: std::sync::OnceLock<(Option<usize>, Option<usize>)> =
-    std::sync::OnceLock::new();
-
-/// Sets the join-enumeration tier overrides for this process. Call
-/// before any experiment runs; later calls are ignored.
-pub fn set_join_knobs(dp_max_items: Option<usize>, bushy_max_items: Option<usize>) {
-    let _ = JOIN_KNOBS.set((dp_max_items, bushy_max_items));
-}
-
 fn default_config(db: &mut Database) {
     *db.config_mut() = cbqt::OptimizerSettings::default();
-    let &(dp, bushy) = JOIN_KNOBS.get_or_init(|| (None, None));
-    if let Some(n) = dp {
-        db.config_mut().optimizer.dp_max_items = n;
-    }
-    if let Some(n) = bushy {
-        db.config_mut().optimizer.bushy_max_items = n;
-    }
 }
 
 /// Figure 2: all transformations cost-based vs. heuristic-based

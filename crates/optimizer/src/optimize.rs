@@ -1,6 +1,7 @@
-//! Per-block plan generation: access paths, left-deep join enumeration
-//! (dynamic programming with a greedy fallback), post-join costing, and
-//! the optimizer-level caches from §3.4.
+//! Per-block plan generation: access paths, join enumeration (a
+//! memoized bushy search, a left-deep DP and a greedy pass, all costing
+//! through one kernel, `JoinEnumerator::join_pair`), post-join
+//! costing, and the optimizer-level caches from §3.4.
 
 use crate::est::{Estimator, RelStats, DEFAULT_NDV_FRAC, DEFAULT_ROWS};
 use crate::plan::{weights, *};
@@ -415,6 +416,7 @@ impl<'a> Optimizer<'a> {
             block: id,
             enum_left: std::cell::Cell::new(self.governor.state_budget()),
             enum_degraded: std::cell::Cell::new(false),
+            leaves: std::cell::OnceCell::new(),
         };
         // Tier selection: bushy (all plain inner, within bushy_max_items)
         // → left-deep DP (within dp_max_items) → greedy. The framework's
@@ -531,7 +533,7 @@ impl<'a> Optimizer<'a> {
             scan_for_special(&i.expr, &mut aggs, &mut windows);
         }
         for h in &s.having {
-            scan_for_special(&h.expr_ref(), &mut aggs, &mut windows);
+            scan_for_special(h, &mut aggs, &mut windows);
         }
         for o in &s.order_by {
             scan_for_special(&o.expr, &mut aggs, &mut windows);
@@ -688,7 +690,6 @@ impl<'a> Optimizer<'a> {
         let rows = rels.get(&t.refid).map(|r| r.rows).unwrap_or(DEFAULT_ROWS);
         Ok(Item {
             refid: t.refid,
-            alias: t.alias.clone(),
             kind,
             join: t.join.clone(),
             deps,
@@ -718,17 +719,6 @@ fn expensive_cost(e: &QExpr) -> f64 {
     total
 }
 
-/// helper so `scan_for_special` can take &QExpr from both OutputItem and
-/// plain exprs uniformly
-trait ExprRef {
-    fn expr_ref(&self) -> QExpr;
-}
-impl ExprRef for QExpr {
-    fn expr_ref(&self) -> QExpr {
-        self.clone()
-    }
-}
-
 #[derive(Debug, Clone)]
 enum ItemKind {
     Base(TableId),
@@ -738,8 +728,6 @@ enum ItemKind {
 #[derive(Debug, Clone)]
 struct Item {
     refid: RefId,
-    #[allow(dead_code)]
-    alias: String,
     kind: ItemKind,
     join: JoinInfo,
     /// Items (by refid) that must precede this one.
@@ -749,6 +737,15 @@ struct Item {
     plan: Option<Box<BlockPlan>>,
     base_rows: f64,
     width: usize,
+}
+
+impl Item {
+    /// Only a plain inner item with no ordering dependency can start a
+    /// join order: annotated items are some join's right side, and a
+    /// lateral view needs its bindings in scope.
+    fn can_drive(&self) -> bool {
+        self.join.is_inner() && self.deps.is_empty()
+    }
 }
 
 struct JoinEnumerator<'b, 'a> {
@@ -770,6 +767,13 @@ struct JoinEnumerator<'b, 'a> {
     /// Set when the bushy enumeration exhausted `enum_left` and
     /// degraded to greedy. Read by `plan_select` after enumeration.
     enum_degraded: std::cell::Cell<bool>,
+    /// Every item's own access plan, in `items` order: the base case of
+    /// all three searches. Planned once and then shared, so a block
+    /// costs (and traces) each base scan once however many join orders
+    /// — or tiers, when the bushy memo degrades — look at it. Filled on
+    /// first use so a bushy search's `JOIN ENUM BEGIN` still precedes
+    /// the scans' own trace events.
+    leaves: std::cell::OnceCell<Vec<Partial>>,
 }
 
 #[derive(Clone)]
@@ -816,16 +820,11 @@ impl<'b, 'a> JoinEnumerator<'b, 'a> {
             return Err(Error::plan("block has no tables"));
         }
         let full: u32 = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
+        let leaves = self.leaves();
         let mut best: HashMap<u32, Partial> = HashMap::new();
         for (i, item) in self.items.iter().enumerate() {
-            if !item.join.is_inner() || item.correlated && !item.deps.is_empty() {
-                // annotated / lateral items cannot drive the join
-                if !item.join.is_inner() || !item.deps.is_empty() {
-                    continue;
-                }
-            }
-            if let Some(p) = self.standalone(item) {
-                best.insert(1 << i, p);
+            if item.can_drive() {
+                best.insert(1 << i, leaves[i].clone());
             }
         }
         if best.is_empty() {
@@ -857,13 +856,12 @@ impl<'b, 'a> JoinEnumerator<'b, 'a> {
                     if !item.deps.iter().all(|d| left.refs.contains(d)) {
                         continue;
                     }
-                    if let Some(cand) = self.extend(&left, item)? {
-                        let key = mask | (1 << i);
-                        match best.get(&key) {
-                            Some(old) if old.cost <= cand.cost => {}
-                            _ => {
-                                best.insert(key, cand);
-                            }
+                    let cand = self.join_pair(&left, &leaves[i]);
+                    let key = mask | (1 << i);
+                    match best.get(&key) {
+                        Some(old) if old.cost <= cand.cost => {}
+                        _ => {
+                            best.insert(key, cand);
                         }
                     }
                 }
@@ -985,10 +983,7 @@ impl<'b, 'a> JoinEnumerator<'b, 'a> {
                     return self.bushy_degrade(memo_entries, memo_hits, pairs);
                 }
                 memo_entries += 1;
-                let p = self.standalone(&self.items[i]).ok_or_else(|| {
-                    Error::plan("bushy enumeration: item cannot stand alone")
-                })?;
-                memo.insert(1 << i, p);
+                memo.insert(1 << i, self.leaves()[i].clone());
             }
             let csize = comp.count_ones() as usize;
             if csize >= 2 {
@@ -1006,8 +1001,8 @@ impl<'b, 'a> JoinEnumerator<'b, 'a> {
                 for v in &mut by_size {
                     v.sort_unstable();
                 }
-                for size in 2..=csize {
-                    for &mask in &by_size[size] {
+                for masks in &by_size[2..] {
+                    for &mask in masks {
                         self.opt.governor.check_interrupt()?;
                         if !mask_is_connected(mask, &adj) {
                             continue;
@@ -1044,14 +1039,13 @@ impl<'b, 'a> JoinEnumerator<'b, 'a> {
                                 }
                             }
                             pairs += 1;
-                            if let Some(cand) = self.join_pair(l, r)? {
-                                if best
-                                    .as_ref()
-                                    .map(|b| cand.cost.total_cmp(&b.cost).is_lt())
-                                    .unwrap_or(true)
-                                {
-                                    best = Some(cand);
-                                }
+                            let cand = self.join_pair(l, r);
+                            if best
+                                .as_ref()
+                                .map(|b| cand.cost.total_cmp(&b.cost).is_lt())
+                                .unwrap_or(true)
+                            {
+                                best = Some(cand);
                             }
                         }
                         if let Some(b) = best {
@@ -1065,11 +1059,7 @@ impl<'b, 'a> JoinEnumerator<'b, 'a> {
                 // with a budget the only way to lose the full-component
                 // entry is the cut-off prune above
                 None if self.budget.is_some() => return Err(Error::plan(COST_CUTOFF)),
-                None => {
-                    return Err(Error::plan(
-                        "bushy join enumeration found no complete plan",
-                    ))
-                }
+                None => return Err(Error::plan("bushy join enumeration found no complete plan")),
             };
             folded = Some(match folded {
                 None => comp_best,
@@ -1078,9 +1068,7 @@ impl<'b, 'a> JoinEnumerator<'b, 'a> {
                     // join edge exists, so join_pair yields the block-NL
                     // candidate with an empty predicate set
                     pairs += 1;
-                    self.join_pair(&acc, &comp_best)?.ok_or_else(|| {
-                        Error::plan("bushy enumeration: cross-product produced no plan")
-                    })?
+                    self.join_pair(&acc, &comp_best)
                 }
             });
         }
@@ -1101,8 +1089,9 @@ impl<'b, 'a> JoinEnumerator<'b, 'a> {
     }
 
     /// Abandons a budget-exhausted bushy enumeration: emits the
-    /// degraded end event and re-plans the whole block greedily (the
-    /// greedy pass is O(n²) extends — cheap next to the memo).
+    /// degraded end event and re-plans the whole block greedily over
+    /// the leaves already planned (the greedy pass is O(n²) joins —
+    /// cheap next to the memo).
     fn bushy_degrade(
         &self,
         memo_entries: usize,
@@ -1119,19 +1108,38 @@ impl<'b, 'a> JoinEnumerator<'b, 'a> {
         self.enumerate_greedy()
     }
 
-    /// Joins two disjoint sub-plans — the generalization of [`Self::extend`]
-    /// to composite right inputs, with identical cost formulas so bushy
-    /// and left-deep plans compete on one scale. Join conjuncts that
-    /// cross the two sides become the join predicate: equalities are
-    /// oriented so the left expression references only `l` and the right
-    /// expression only `r`, everything else is residual. Candidates
-    /// mirror `extend`: hash (build right, probe left), merge, block
-    /// nested loop (always valid — the cross-product fallback), and
-    /// index NL when the right side is a single base item.
-    fn join_pair(&self, l: &Partial, r: &Partial) -> Result<Option<Partial>> {
+    /// Joins two disjoint sub-plans: the one place a join is costed, so
+    /// bushy, left-deep and greedy plans — and the transformation states
+    /// that move a block from one tier to another — compete on one
+    /// scale. A single-item right side joins under that item's
+    /// annotation (semi / anti / outer / lateral) with its ON conjuncts;
+    /// a composite right side only arises in the all-inner bushy tier.
+    /// WHERE conjuncts that cross the two sides join the predicate too:
+    /// equalities are oriented so the left expression references only
+    /// `l` and the right expression only `r`, everything else is
+    /// residual. Candidates: hash (build right, probe left), merge
+    /// (inner only in the executor), block nested loop (always valid —
+    /// the cross-product fallback), and index NL when the right side is
+    /// a single base item. A lateral view has one candidate, a nested
+    /// loop that re-runs it per distinct binding.
+    fn join_pair(&self, l: &Partial, r: &Partial) -> Partial {
+        let item = match r.refs.len() {
+            1 => self.items.iter().find(|it| r.refs.contains(&it.refid)),
+            _ => None,
+        };
+        let join = item.map_or(&JoinInfo::Inner, |it| &it.join);
+        let kind = match join {
+            JoinInfo::Inner | JoinInfo::Lateral { semi: false } => PlanJoinKind::Inner,
+            JoinInfo::Semi { .. } | JoinInfo::Lateral { semi: true } => PlanJoinKind::Semi,
+            JoinInfo::Anti { null_aware, .. } => PlanJoinKind::Anti {
+                null_aware: *null_aware,
+            },
+            JoinInfo::LeftOuter { .. } => PlanJoinKind::LeftOuter,
+        };
+
         let mut scope = l.refs.clone();
         scope.extend(r.refs.iter().copied());
-        let mut applicable: Vec<QExpr> = Vec::new();
+        let mut applicable: Vec<&QExpr> = Vec::new();
         for c in self.join_preds {
             let locals: HashSet<RefId> = c
                 .referenced_tables()
@@ -1143,297 +1151,279 @@ impl<'b, 'a> JoinEnumerator<'b, 'a> {
                 && locals.iter().any(|x| r.refs.contains(x))
             {
                 // conjuncts local to one side were already applied when
-                // that side's subset was memoized
-                applicable.push(c.clone());
+                // that side was planned
+                applicable.push(c);
             }
         }
+        applicable.extend(join.on_conjuncts());
 
         let mut equi: Vec<(QExpr, QExpr)> = Vec::new();
         let mut residual: Vec<QExpr> = Vec::new();
-        for c in &applicable {
-            let mut placed = false;
+        let mut sel = 1.0;
+        for c in applicable {
+            sel *= self.est.selectivity(c);
             if let Some((a, b)) = c.as_equality() {
-                let arefs = a.referenced_tables();
-                let brefs = b.referenced_tables();
+                let (arefs, brefs) = (a.referenced_tables(), b.referenced_tables());
+                // each side must touch its input; outer-block references
+                // are constants here
                 let on_side = |refs: &HashSet<RefId>, side: &HashSet<RefId>| {
-                    refs.iter()
-                        .all(|x| side.contains(x) || !self.est.rels.contains_key(x))
+                    !refs.is_empty()
+                        && refs
+                            .iter()
+                            .all(|x| side.contains(x) || !self.est.rels.contains_key(x))
                 };
-                let a_nonempty = !arefs.is_empty();
-                let b_nonempty = !brefs.is_empty();
-                if on_side(&arefs, &l.refs) && on_side(&brefs, &r.refs) && a_nonempty && b_nonempty
-                {
+                if on_side(&arefs, &l.refs) && on_side(&brefs, &r.refs) {
                     equi.push((a.clone(), b.clone()));
-                    placed = true;
-                } else if on_side(&arefs, &r.refs)
-                    && on_side(&brefs, &l.refs)
-                    && a_nonempty
-                    && b_nonempty
-                {
+                    continue;
+                }
+                if on_side(&arefs, &r.refs) && on_side(&brefs, &l.refs) {
                     equi.push((b.clone(), a.clone()));
-                    placed = true;
+                    continue;
                 }
             }
-            if !placed {
-                residual.push(c.clone());
+            residual.push(c.clone());
+        }
+
+        let semi_or_anti = matches!(kind, PlanJoinKind::Semi | PlanJoinKind::Anti { .. });
+        let inner_rows = (l.rows * r.rows * sel).max(0.0);
+        let out_rows = if semi_or_anti {
+            // match probability under the containment assumption
+            let matched = match equi.first() {
+                Some((a, b)) if r.rows > 0.0 => {
+                    let lndv = self.col_ndv(a).unwrap_or(l.rows.max(1.0));
+                    let rndv = self.col_ndv(b).unwrap_or(r.rows);
+                    (rndv / lndv).clamp(0.01, 1.0)
+                }
+                _ => 0.7,
+            };
+            if kind == PlanJoinKind::Semi {
+                (l.rows * matched).max(0.0)
+            } else {
+                (l.rows * (1.0 - matched)).max(l.rows * 0.01)
             }
-        }
+        } else if kind == PlanJoinKind::LeftOuter {
+            inner_rows.max(l.rows)
+        } else {
+            inner_rows
+        };
+        // semi/anti probes stop at the first match and cache on duplicate
+        // left keys (§2.1.1)
+        let (effective_left, probe_fraction) = if semi_or_anti {
+            let ndv = equi.first().and_then(|(a, _)| self.col_ndv(a));
+            (l.rows.min(ndv.unwrap_or(l.rows)), 0.5)
+        } else {
+            (l.rows, 1.0)
+        };
 
-        let mut sel = 1.0;
-        for c in &applicable {
-            sel *= self.est.selectivity(c);
-        }
-        let out_rows = (l.rows * r.rows * sel).max(0.0);
-        let kind = PlanJoinKind::Inner; // bushy tier is all-inner by gate
-
-        let mut candidates: Vec<(PlanNode, f64)> = Vec::new();
-        // hash join: build the right sub-plan, probe the left
-        if self.opt.config.enable_hash_join && !equi.is_empty() {
+        // (method, index-NL probe scan replacing `r`'s own plan, cost)
+        let mut candidates: Vec<(JoinMethod, Option<PlanNode>, f64)> = Vec::new();
+        let lateral_view = item.filter(|it| it.correlated);
+        if let Some(view) = lateral_view {
+            // the view runs once per distinct combination of the left
+            // columns it depends on (binding cache) — approximated by
+            // the row counts of the tables it binds
+            let mut bindings = 1.0_f64;
+            for d in &view.deps {
+                if let Some(rs) = self.est.rels.get(d) {
+                    bindings = (bindings * rs.rows.max(1.0)).min(1e15);
+                }
+            }
             let cost = l.cost
-                + r.cost
-                + r.rows * weights::HASH_BUILD
+                + l.rows.min(bindings).max(1.0) * r.cost
                 + l.rows * weights::HASH_PROBE
-                + out_rows * residual.len() as f64 * weights::PRED
-                + out_rows * weights::ROW;
-            candidates.push((
-                PlanNode::Join {
-                    left: Box::new(l.node.clone()),
-                    right: Box::new(r.node.clone()),
-                    kind,
-                    method: JoinMethod::Hash,
-                    equi: equi.clone(),
-                    residual: residual.clone(),
-                    lateral: false,
-                    rows: out_rows,
-                },
-                cost,
-            ));
-        }
-        // merge join
-        if self.opt.config.enable_merge_join && !equi.is_empty() {
-            let ln = l.rows.max(2.0);
-            let rn = r.rows.max(2.0);
-            let cost = l.cost
-                + r.cost
-                + weights::SORT * (ln * ln.log2() + rn * rn.log2())
-                + (l.rows + r.rows) * weights::ROW
-                + out_rows * weights::ROW;
-            candidates.push((
-                PlanNode::Join {
-                    left: Box::new(l.node.clone()),
-                    right: Box::new(r.node.clone()),
-                    kind,
-                    method: JoinMethod::Merge,
-                    equi: equi.clone(),
-                    residual: residual.clone(),
-                    lateral: false,
-                    rows: out_rows,
-                },
-                cost,
-            ));
-        }
-        // block nested loop: always valid, and the only candidate for a
-        // predicate-less cross product
-        {
+                + inner_rows * weights::ROW;
+            candidates.push((JoinMethod::NestedLoop, None, cost));
+        } else {
+            if self.opt.config.enable_hash_join && !equi.is_empty() {
+                let cost = l.cost
+                    + r.cost
+                    + r.rows * weights::HASH_BUILD
+                    + l.rows * weights::HASH_PROBE
+                    + inner_rows * residual.len() as f64 * weights::PRED
+                    + out_rows * weights::ROW;
+                candidates.push((JoinMethod::Hash, None, cost));
+            }
+            if self.opt.config.enable_merge_join && !equi.is_empty() && kind == PlanJoinKind::Inner
+            {
+                let ln = l.rows.max(2.0);
+                let rn = r.rows.max(2.0);
+                let cost = l.cost
+                    + r.cost
+                    + weights::SORT * (ln * ln.log2() + rn * rn.log2())
+                    + (l.rows + r.rows) * weights::ROW
+                    + out_rows * weights::ROW;
+                candidates.push((JoinMethod::Merge, None, cost));
+            }
+            // block nested loop over the materialized right side: always
+            // valid, and the only candidate for a predicate-less cross
+            // product
             let pred_count = (equi.len() + residual.len()).max(1) as f64;
             let cost = l.cost
                 + r.cost
-                + l.rows * r.rows * pred_count * weights::PRED
+                + effective_left * r.rows * pred_count * weights::PRED * probe_fraction
                 + out_rows * weights::ROW;
-            candidates.push((
-                PlanNode::Join {
-                    left: Box::new(l.node.clone()),
-                    right: Box::new(r.node.clone()),
-                    kind,
-                    method: JoinMethod::NestedLoop,
-                    equi: equi.clone(),
-                    residual: residual.clone(),
-                    lateral: false,
-                    rows: out_rows,
-                },
-                cost,
-            ));
-        }
-        // index nested loop: only when the right side is a single base
-        // item (probing a composite sub-plan per left row has no index)
-        if self.opt.config.enable_index_nl && !equi.is_empty() && r.refs.len() == 1 {
-            let rref = *r.refs.iter().next().unwrap();
-            let item = self.items.iter().find(|it| it.refid == rref);
-            if let Some(item) = item {
+            candidates.push((JoinMethod::NestedLoop, None, cost));
+            // index nested loop: re-scan a base item per left row with
+            // the equi columns as probe keys (a composite sub-plan has no
+            // index to probe)
+            let can_probe = self.opt.config.enable_index_nl && !equi.is_empty();
+            if let (true, Some(item)) = (can_probe, item) {
                 if let ItemKind::Base(tid) = &item.kind {
                     let local_preds = self
                         .table_preds
-                        .get(&rref)
-                        .cloned()
-                        .unwrap_or_default();
-                    let (pnode, pcost, _prows) =
-                        self.best_base_scan(item, *tid, &local_preds, &equi);
+                        .get(&item.refid)
+                        .map_or(&[][..], Vec::as_slice);
+                    let (probe, pcost, _) = self.best_base_scan(item, *tid, local_preds, &equi);
+                    // only worthwhile when an index path was chosen
                     if matches!(
-                        pnode,
+                        probe,
                         PlanNode::ScanBase {
-                            access: AccessPath::IndexEq { .. },
-                            ..
-                        } | PlanNode::ScanBase {
-                            access: AccessPath::IndexRange { .. },
+                            access: AccessPath::IndexEq { .. } | AccessPath::IndexRange { .. },
                             ..
                         }
                     ) {
                         let cost = l.cost
-                            + l.rows * pcost
+                            + effective_left * pcost
                             + l.rows * weights::HASH_PROBE * 0.1
                             + out_rows * weights::ROW;
-                        candidates.push((
-                            PlanNode::Join {
-                                left: Box::new(l.node.clone()),
-                                right: Box::new(pnode),
-                                kind,
-                                method: JoinMethod::NestedLoop,
-                                equi: equi.clone(),
-                                residual: residual.clone(),
-                                lateral: true,
-                                rows: out_rows,
-                            },
-                            cost,
-                        ));
+                        candidates.push((JoinMethod::NestedLoop, Some(probe), cost));
                     }
                 }
             }
         }
 
-        let Some((node, cost)) = candidates.into_iter().min_by(|a, b| a.1.total_cmp(&b.1)) else {
-            return Ok(None);
-        };
-        Ok(Some(Partial {
-            node,
+        let (method, probe, cost) = candidates
+            .into_iter()
+            .min_by(|a, b| a.2.total_cmp(&b.2))
+            .expect("a nested loop is always a candidate");
+        let lateral = lateral_view.is_some() || probe.is_some();
+        Partial {
+            node: PlanNode::Join {
+                left: Box::new(l.node.clone()),
+                right: Box::new(probe.unwrap_or_else(|| r.node.clone())),
+                kind,
+                method,
+                equi,
+                residual,
+                lateral,
+                rows: out_rows,
+            },
             cost,
             rows: out_rows,
             refs: scope,
-        }))
+        }
     }
 
     /// Greedy fallback for very wide blocks: start from the cheapest
     /// driving table, repeatedly add the extension with minimal cost.
     fn enumerate_greedy(&self) -> Result<(PlanNode, f64, f64)> {
         let n = self.items.len();
+        let leaves = self.leaves();
         let mut included = vec![false; n];
         // pick cheapest valid start
-        let mut start: Option<(usize, Partial)> = None;
+        let mut start: Option<usize> = None;
         for (i, item) in self.items.iter().enumerate() {
-            if !item.join.is_inner() || !item.deps.is_empty() {
-                continue;
-            }
-            if let Some(p) = self.standalone(item) {
-                if start
-                    .as_ref()
-                    .map(|(_, s)| cost_lt(p.cost, s.cost))
-                    .unwrap_or(true)
-                {
-                    start = Some((i, p));
-                }
+            if item.can_drive() && start.is_none_or(|s| cost_lt(leaves[i].cost, leaves[s].cost)) {
+                start = Some(i);
             }
         }
-        let (i0, p0) = start.ok_or_else(|| Error::plan("no valid driving table"))?;
+        let i0 = start.ok_or_else(|| Error::plan("no valid driving table"))?;
         included[i0] = true;
-        let mut current = Some(p0);
+        let mut cur = leaves[i0].clone();
         for _ in 1..n {
-            let cur = current.take().unwrap();
             let mut bestc: Option<(usize, Partial)> = None;
             for (i, item) in self.items.iter().enumerate() {
                 if included[i] || !item.deps.iter().all(|d| cur.refs.contains(d)) {
                     continue;
                 }
-                if let Some(cand) = self.extend(&cur, item)? {
-                    if bestc
-                        .as_ref()
-                        .map(|(_, b)| cost_lt(cand.cost, b.cost))
-                        .unwrap_or(true)
-                    {
-                        bestc = Some((i, cand));
-                    }
+                let cand = self.join_pair(&cur, &leaves[i]);
+                if bestc
+                    .as_ref()
+                    .map(|(_, b)| cost_lt(cand.cost, b.cost))
+                    .unwrap_or(true)
+                {
+                    bestc = Some((i, cand));
                 }
             }
-            let (i, p) = match bestc {
-                Some(x) => x,
-                None => {
-                    // No remaining item has its ordering dependencies in
-                    // scope (a dependency cycle among annotated items).
-                    // Connect the stuck remainder deterministically
-                    // instead of failing the statement: the lowest-index
-                    // remaining item whose ON conjuncts are satisfiable
-                    // once it joins (preferring one whose references are
-                    // fully in scope), attached as a plain extension —
-                    // with no shared columns this costs out as a
-                    // cross-product via the block-NL candidate.
-                    let pick = (0..n)
-                        .filter(|&i| !included[i])
-                        .find(|&i| {
-                            let it = &self.items[i];
-                            it.join.on_conjuncts().iter().all(|c| {
-                                c.referenced_tables().iter().all(|x| {
-                                    *x == it.refid
-                                        || cur.refs.contains(x)
-                                        || !self.est.rels.contains_key(x)
-                                })
+            let (i, p) = bestc.unwrap_or_else(|| {
+                // No remaining item has its ordering dependencies in
+                // scope (a dependency cycle among annotated items).
+                // Connect the stuck remainder deterministically
+                // instead of failing the statement: the lowest-index
+                // remaining item whose ON conjuncts are satisfiable
+                // once it joins (preferring one whose references are
+                // fully in scope), attached as a plain extension —
+                // with no shared columns this costs out as a
+                // cross-product via the block-NL candidate.
+                let pick = (0..n)
+                    .filter(|&i| !included[i])
+                    .find(|&i| {
+                        let it = &self.items[i];
+                        it.join.on_conjuncts().iter().all(|c| {
+                            c.referenced_tables().iter().all(|x| {
+                                *x == it.refid
+                                    || cur.refs.contains(x)
+                                    || !self.est.rels.contains_key(x)
                             })
                         })
-                        .or_else(|| (0..n).find(|&i| !included[i]))
-                        .expect("greedy loop ran past all items");
-                    let cand = self.extend(&cur, &self.items[pick])?.ok_or_else(|| {
-                        Error::plan("greedy join enumeration got stuck")
-                    })?;
-                    (pick, cand)
-                }
-            };
+                    })
+                    .or_else(|| (0..n).find(|&i| !included[i]))
+                    .expect("greedy loop ran past all items");
+                (pick, self.join_pair(&cur, &leaves[pick]))
+            });
             included[i] = true;
-            current = Some(p);
+            cur = p;
         }
-        let fin = current.unwrap();
-        Ok((fin.node, fin.cost, fin.rows))
+        Ok((cur.node, cur.cost, cur.rows))
     }
 
-    /// Cost of scanning an item on its own (driving position).
-    fn standalone(&self, item: &Item) -> Option<Partial> {
+    fn leaves(&self) -> &[Partial] {
+        self.leaves
+            .get_or_init(|| self.items.iter().map(|it| self.plan_leaf(it)).collect())
+    }
+
+    /// Plans one item on its own with its single-table predicates
+    /// folded in: the best access path of a base table, or a view's
+    /// block plan under a filter.
+    fn plan_leaf(&self, item: &Item) -> Partial {
         let preds = self
             .table_preds
             .get(&item.refid)
             .cloned()
             .unwrap_or_default();
-        match &item.kind {
-            ItemKind::Base(tid) => {
-                let (node, cost, rows) = self.best_base_scan(item, *tid, &preds, &[]);
-                Some(Partial {
-                    node,
-                    cost,
-                    rows,
-                    refs: std::iter::once(item.refid).collect(),
-                })
-            }
+        let (node, cost, rows) = match &item.kind {
+            ItemKind::Base(tid) => self.best_base_scan(item, *tid, &preds, &[]),
             ItemKind::View(b) => {
-                if item.correlated {
-                    return None; // lateral views cannot drive
-                }
-                let p = item.plan.as_ref().unwrap();
+                let p = item.plan.as_ref().expect("view items carry their plan");
                 let mut sel = 1.0;
                 for c in &preds {
                     sel *= self.est.selectivity(c);
                 }
                 let rows = (p.rows * sel).max(0.0);
-                let cost = p.cost + p.rows * preds.len() as f64 * weights::PRED;
-                Some(Partial {
-                    node: PlanNode::ScanView {
-                        block: *b,
-                        refid: item.refid,
-                        width: item.width,
-                        plan: p.clone(),
-                        correlated: false,
-                        filter: preds,
-                        rows,
-                    },
-                    cost,
+                // a lateral view's cost is per binding; `join_pair`
+                // multiplies it out
+                let cost = if item.correlated {
+                    p.cost
+                } else {
+                    p.cost + p.rows * preds.len() as f64 * weights::PRED
+                };
+                let node = PlanNode::ScanView {
+                    block: *b,
+                    refid: item.refid,
+                    width: item.width,
+                    plan: p.clone(),
+                    correlated: item.correlated,
+                    filter: preds,
                     rows,
-                    refs: std::iter::once(item.refid).collect(),
-                })
+                };
+                (node, cost, rows)
             }
+        };
+        Partial {
+            node,
+            cost,
+            rows,
+            refs: std::iter::once(item.refid).collect(),
         }
     }
 
@@ -1537,18 +1527,15 @@ impl<'b, 'a> JoinEnumerator<'b, 'a> {
             }
         }
         for (l, r) in bound_equi {
-            // by construction `r` is the local side in best_base_scan
-            // callers pass (outer_expr, local_col); normalize both ways
-            if let Some(()) = Some(()) {
-                if let QExpr::Col { table, column } = r {
-                    if *table == item.refid {
-                        eq_cols.push((*column, l.clone()));
-                    }
+            // callers pass (outer_expr, local_col); accept either side
+            if let QExpr::Col { table, column } = r {
+                if *table == item.refid {
+                    eq_cols.push((*column, l.clone()));
                 }
-                if let QExpr::Col { table, column } = l {
-                    if *table == item.refid {
-                        eq_cols.push((*column, r.clone()));
-                    }
+            }
+            if let QExpr::Col { table, column } = l {
+                if *table == item.refid {
+                    eq_cols.push((*column, r.clone()));
                 }
             }
         }
@@ -1662,332 +1649,6 @@ impl<'b, 'a> JoinEnumerator<'b, 'a> {
             }
         }
         best
-    }
-
-    /// Extends a left prefix with `item`, choosing the best join method.
-    fn extend(&self, left: &Partial, item: &Item) -> Result<Option<Partial>> {
-        // gather join conjuncts now applicable
-        let mut applicable: Vec<QExpr> = Vec::new();
-        let mut scope = left.refs.clone();
-        scope.insert(item.refid);
-        for c in self.join_preds {
-            let locals: HashSet<RefId> = c
-                .referenced_tables()
-                .into_iter()
-                .filter(|r| self.est.rels.contains_key(r))
-                .collect();
-            if locals.contains(&item.refid) && locals.is_subset(&scope) {
-                applicable.push(c.clone());
-            }
-        }
-        for c in item.join.on_conjuncts() {
-            applicable.push(c.clone());
-        }
-        let local_preds = self
-            .table_preds
-            .get(&item.refid)
-            .cloned()
-            .unwrap_or_default();
-
-        // split applicable into equi (left side vs item side) and residual
-        let mut equi: Vec<(QExpr, QExpr)> = Vec::new();
-        let mut residual: Vec<QExpr> = Vec::new();
-        for c in &applicable {
-            let mut placed = false;
-            if let Some((l, r)) = c.as_equality() {
-                let lrefs = l.referenced_tables();
-                let rrefs = r.referenced_tables();
-                let l_on_left = lrefs
-                    .iter()
-                    .all(|x| left.refs.contains(x) || !self.est.rels.contains_key(x));
-                let r_on_item = rrefs
-                    .iter()
-                    .all(|x| *x == item.refid || !self.est.rels.contains_key(x));
-                let l_on_item = lrefs
-                    .iter()
-                    .all(|x| *x == item.refid || !self.est.rels.contains_key(x));
-                let r_on_left = rrefs
-                    .iter()
-                    .all(|x| left.refs.contains(x) || !self.est.rels.contains_key(x));
-                // require each side to actually touch its relation
-                let l_nonempty = !lrefs.is_empty();
-                let r_nonempty = !rrefs.is_empty();
-                if l_on_left && r_on_item && l_nonempty && r_nonempty {
-                    equi.push((l.clone(), r.clone()));
-                    placed = true;
-                } else if l_on_item && r_on_left && l_nonempty && r_nonempty {
-                    equi.push((r.clone(), l.clone()));
-                    placed = true;
-                }
-            }
-            if !placed {
-                residual.push(c.clone());
-            }
-        }
-
-        // joint selectivity of all applied conjuncts
-        let mut sel = 1.0;
-        for c in &applicable {
-            sel *= self.est.selectivity(c);
-        }
-        let mut local_sel = 1.0;
-        for c in &local_preds {
-            local_sel *= self.est.selectivity(c);
-        }
-        let mut item_rows = (item.base_rows * local_sel).max(0.0);
-        // joins size their inputs with the same observed cardinalities
-        // the scan itself uses, so a feedback correction propagates into
-        // join-method and join-order choices
-        if let ItemKind::Base(tid) = &item.kind {
-            if let Some(observed) =
-                self.observed_scan_rows(*tid, item.refid, &local_preds, item_rows)
-            {
-                item_rows = observed;
-            }
-        }
-        let kind = match &item.join {
-            JoinInfo::Inner | JoinInfo::Lateral { semi: false } => PlanJoinKind::Inner,
-            JoinInfo::Lateral { semi: true } => PlanJoinKind::Semi,
-            JoinInfo::Semi { .. } => PlanJoinKind::Semi,
-            JoinInfo::Anti { null_aware, .. } => PlanJoinKind::Anti {
-                null_aware: *null_aware,
-            },
-            JoinInfo::LeftOuter { .. } => PlanJoinKind::LeftOuter,
-        };
-        let inner_rows = (left.rows * item_rows * sel).max(0.0);
-        // semijoin match probability: containment assumption
-        let semi_sel = match (&equi.first(), item_rows) {
-            (Some((l, r)), ir) if ir > 0.0 => {
-                let lndv = self.col_ndv(l).unwrap_or(left.rows.max(1.0));
-                let rndv = self.col_ndv(r).unwrap_or(ir);
-                (rndv / lndv).clamp(0.01, 1.0)
-            }
-            _ => 0.7,
-        };
-        let out_rows = match kind {
-            PlanJoinKind::Inner => inner_rows,
-            PlanJoinKind::Semi => (left.rows * semi_sel).max(0.0),
-            PlanJoinKind::Anti { .. } => (left.rows * (1.0 - semi_sel)).max(left.rows * 0.01),
-            PlanJoinKind::LeftOuter => inner_rows.max(left.rows),
-        };
-
-        let mut candidates: Vec<(PlanNode, f64)> = Vec::new();
-
-        match &item.kind {
-            ItemKind::View(b) if item.correlated => {
-                // lateral view: per-left-row execution with binding cache
-                let p = item.plan.as_ref().unwrap();
-                let corr_cols: Vec<QExpr> = item.deps.iter().map(|r| QExpr::col(*r, 0)).collect();
-                let _ = corr_cols;
-                let distinct_bindings = {
-                    // distinct combinations of the left columns the view
-                    // depends on — approximated via their NDVs
-                    let mut prod = 1.0_f64;
-                    for r in &item.deps {
-                        if let Some(rs) = self.est.rels.get(r) {
-                            prod = (prod * rs.rows.max(1.0)).min(1e15);
-                        }
-                    }
-                    prod
-                };
-                let eff = left.rows.min(distinct_bindings).max(1.0);
-                let cost = left.cost
-                    + eff * p.cost
-                    + left.rows * weights::HASH_PROBE
-                    + inner_rows * weights::ROW;
-                let node = PlanNode::Join {
-                    left: Box::new(left.node.clone()),
-                    right: Box::new(PlanNode::ScanView {
-                        block: *b,
-                        refid: item.refid,
-                        width: item.width,
-                        plan: p.clone(),
-                        correlated: true,
-                        filter: local_preds.clone(),
-                        rows: (p.rows * local_sel).max(0.0),
-                    }),
-                    kind,
-                    method: JoinMethod::NestedLoop,
-                    equi: equi.clone(),
-                    residual: residual.clone(),
-                    lateral: true,
-                    rows: out_rows,
-                };
-                candidates.push((node, cost));
-            }
-            _ => {
-                // materialized right side for hash / merge / block-NL
-                let right_standalone = match &item.kind {
-                    ItemKind::Base(tid) => Some(self.best_base_scan(item, *tid, &local_preds, &[])),
-                    ItemKind::View(b) => {
-                        let p = item.plan.as_ref().unwrap();
-                        let cost = p.cost + p.rows * local_preds.len() as f64 * weights::PRED;
-                        Some((
-                            PlanNode::ScanView {
-                                block: *b,
-                                refid: item.refid,
-                                width: item.width,
-                                plan: p.clone(),
-                                correlated: false,
-                                filter: local_preds.clone(),
-                                rows: (p.rows * local_sel).max(0.0),
-                            },
-                            cost,
-                            (p.rows * local_sel).max(0.0),
-                        ))
-                    }
-                };
-
-                if let Some((rnode, rcost, rrows)) = right_standalone {
-                    // hash join
-                    if self.opt.config.enable_hash_join && !equi.is_empty() {
-                        let cost = left.cost
-                            + rcost
-                            + rrows * weights::HASH_BUILD
-                            + left.rows * weights::HASH_PROBE
-                            + inner_rows * residual.len() as f64 * weights::PRED
-                            + out_rows * weights::ROW;
-                        candidates.push((
-                            PlanNode::Join {
-                                left: Box::new(left.node.clone()),
-                                right: Box::new(rnode.clone()),
-                                kind,
-                                method: JoinMethod::Hash,
-                                equi: equi.clone(),
-                                residual: residual.clone(),
-                                lateral: false,
-                                rows: out_rows,
-                            },
-                            cost,
-                        ));
-                    }
-                    // merge join (inner only in the executor)
-                    if self.opt.config.enable_merge_join
-                        && !equi.is_empty()
-                        && kind == PlanJoinKind::Inner
-                    {
-                        let ln = left.rows.max(2.0);
-                        let rn = rrows.max(2.0);
-                        let cost = left.cost
-                            + rcost
-                            + weights::SORT * (ln * ln.log2() + rn * rn.log2())
-                            + (left.rows + rrows) * weights::ROW
-                            + out_rows * weights::ROW;
-                        candidates.push((
-                            PlanNode::Join {
-                                left: Box::new(left.node.clone()),
-                                right: Box::new(rnode.clone()),
-                                kind,
-                                method: JoinMethod::Merge,
-                                equi: equi.clone(),
-                                residual: residual.clone(),
-                                lateral: false,
-                                rows: out_rows,
-                            },
-                            cost,
-                        ));
-                    }
-                    // block nested loop over the materialized right side
-                    {
-                        let pred_count = (equi.len() + residual.len()).max(1) as f64;
-                        // stop-at-first-match for semi/anti + caching on
-                        // duplicate left keys (§2.1.1)
-                        let probe_fraction = match kind {
-                            PlanJoinKind::Semi | PlanJoinKind::Anti { .. } => 0.5,
-                            _ => 1.0,
-                        };
-                        let effective_left = match kind {
-                            PlanJoinKind::Semi | PlanJoinKind::Anti { .. } => {
-                                let ndv = equi
-                                    .first()
-                                    .and_then(|(l, _)| self.col_ndv(l))
-                                    .unwrap_or(left.rows);
-                                left.rows.min(ndv)
-                            }
-                            _ => left.rows,
-                        };
-                        let cost = left.cost
-                            + rcost
-                            + effective_left * rrows * pred_count * weights::PRED * probe_fraction
-                            + out_rows * weights::ROW;
-                        candidates.push((
-                            PlanNode::Join {
-                                left: Box::new(left.node.clone()),
-                                right: Box::new(rnode),
-                                kind,
-                                method: JoinMethod::NestedLoop,
-                                equi: equi.clone(),
-                                residual: residual.clone(),
-                                lateral: false,
-                                rows: out_rows,
-                            },
-                            cost,
-                        ));
-                    }
-                }
-
-                // index nested loop: re-scan the base item per left row
-                // using the equi columns as probe keys
-                if let ItemKind::Base(tid) = &item.kind {
-                    if self.opt.config.enable_index_nl && !equi.is_empty() {
-                        let bound: Vec<(QExpr, QExpr)> =
-                            equi.iter().map(|(l, r)| (l.clone(), r.clone())).collect();
-                        let (pnode, pcost, prows) =
-                            self.best_base_scan(item, *tid, &local_preds, &bound);
-                        // only worthwhile when an index path was chosen
-                        if matches!(
-                            pnode,
-                            PlanNode::ScanBase {
-                                access: AccessPath::IndexEq { .. },
-                                ..
-                            } | PlanNode::ScanBase {
-                                access: AccessPath::IndexRange { .. },
-                                ..
-                            }
-                        ) {
-                            let effective_left = match kind {
-                                PlanJoinKind::Semi | PlanJoinKind::Anti { .. } => {
-                                    let ndv = equi
-                                        .first()
-                                        .and_then(|(l, _)| self.col_ndv(l))
-                                        .unwrap_or(left.rows);
-                                    left.rows.min(ndv)
-                                }
-                                _ => left.rows,
-                            };
-                            let cost = left.cost
-                                + effective_left * pcost
-                                + left.rows * weights::HASH_PROBE * 0.1
-                                + out_rows * weights::ROW;
-                            let _ = prows;
-                            candidates.push((
-                                PlanNode::Join {
-                                    left: Box::new(left.node.clone()),
-                                    right: Box::new(pnode),
-                                    kind,
-                                    method: JoinMethod::NestedLoop,
-                                    equi: equi.clone(),
-                                    residual: residual.clone(),
-                                    lateral: true,
-                                    rows: out_rows,
-                                },
-                                cost,
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-
-        let Some((node, cost)) = candidates.into_iter().min_by(|a, b| a.1.total_cmp(&b.1)) else {
-            return Ok(None);
-        };
-        Ok(Some(Partial {
-            node,
-            cost,
-            rows: out_rows,
-            refs: scope,
-        }))
     }
 
     fn col_ndv(&self, e: &QExpr) -> Option<f64> {
@@ -2332,7 +1993,10 @@ mod tests {
         let (dp, stats, events) = traced_plan_with(TWO_TABLE, |opt| {
             opt.config.bushy_max_items = 0;
         });
-        assert!(!has_enum_begin(&events), "left-deep DP must not trace JOIN ENUM");
+        assert!(
+            !has_enum_begin(&events),
+            "left-deep DP must not trace JOIN ENUM"
+        );
         assert!(!stats.enum_degraded);
         // two items: bushy and left-deep search the same space
         assert_eq!(bushy.cost.to_bits(), dp.cost.to_bits());
@@ -2395,10 +2059,9 @@ mod tests {
             opt.governor = governor.clone();
         });
         assert!(stats.enum_degraded);
-        assert!(events.iter().any(|e| matches!(
-            e,
-            TraceEvent::JoinEnumEnd { degraded: true, .. }
-        )));
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, TraceEvent::JoinEnumEnd { degraded: true, .. })));
         assert!(
             events
                 .iter()
@@ -2413,6 +2076,42 @@ mod tests {
         assert!(governor.optimizer_exhausted());
         // ... but does not force later blocks off the DP tiers
         assert!(!governor.search_exhausted());
+    }
+
+    #[test]
+    fn feedback_is_applied_once_per_base_scan() {
+        struct Always(f64);
+        impl crate::est::CardFeedback for Always {
+            fn observed_rows(&self, _: &cbqt_catalog::FeedbackKey) -> Option<f64> {
+                Some(self.0)
+            }
+        }
+        // employees SEMI JOIN departments, as unnesting would leave it:
+        // a non-inner block, so the left-deep tier plans it
+        let cat = catalog();
+        let mut tree = build_query_tree(&cat, &parse_query(TWO_TABLE).unwrap()).unwrap();
+        let root = tree.root;
+        let block = tree.select_mut(root).unwrap();
+        let on = std::mem::take(&mut block.where_conjuncts);
+        block.tables[1].join = JoinInfo::Semi { on };
+        let ann = CostAnnotations::new();
+        let cache = SamplingCache::default();
+        let buf = cbqt_common::TraceBuffer::new();
+        let feedback = Always(50.0);
+        let mut opt = Optimizer::new(&cat, &ann, &cache);
+        opt.tracer = Tracer::new(&buf);
+        opt.feedback = Some(&feedback);
+        opt.optimize(&tree, None).unwrap();
+        let mut applied: Vec<String> = buf
+            .take()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::FeedbackApplied { table, .. } => Some(table),
+                _ => None,
+            })
+            .collect();
+        applied.sort();
+        assert_eq!(applied, ["departments", "employees"]);
     }
 
     #[test]
@@ -2442,7 +2141,6 @@ mod tests {
             .unwrap();
         let mk = |r: u32, join: JoinInfo, deps: &[u32]| Item {
             refid: RefId(r),
-            alias: format!("t{r}"),
             kind: ItemKind::Base(tid),
             join,
             deps: deps.iter().map(|d| RefId(*d)).collect(),
@@ -2489,6 +2187,7 @@ mod tests {
                 block: BlockId(0),
                 enum_left: std::cell::Cell::new(None),
                 enum_degraded: std::cell::Cell::new(false),
+                leaves: std::cell::OnceCell::new(),
             };
             enumerator
                 .enumerate_greedy()

@@ -4,6 +4,10 @@
 //! governor interplay (a degraded recompile pins the old variant
 //! instead of looping), and per-node metrics identity in EXPLAIN
 //! ANALYZE.
+//!
+//! Failpoints are process-global, so every test here holds
+//! `failpoints::serial()`, armed or not: an unguarded recompile running
+//! beside the fault-injection test fails on the site that test armed.
 
 use cbqt::common::failpoint;
 use cbqt::common::Value;
@@ -31,6 +35,7 @@ const CORRELATED_SQL: &str = "SELECT id FROM t WHERE a = 7 AND b = 7";
 
 #[test]
 fn estimate_miss_triggers_reoptimization_end_to_end() {
+    let _serial = failpoints::serial();
     let db = correlated_db();
 
     // cold: compile on the independence estimate, execute, harvest the
@@ -73,6 +78,7 @@ fn estimate_miss_triggers_reoptimization_end_to_end() {
 
 #[test]
 fn accurate_estimates_never_reoptimize() {
+    let _serial = failpoints::serial();
     let db = correlated_db();
     // single-column predicate: the estimate (50) matches the actual, so
     // repeated serving stays on the warm plan forever
@@ -88,6 +94,7 @@ fn accurate_estimates_never_reoptimize() {
 
 #[test]
 fn disabling_feedback_disables_the_loop() {
+    let _serial = failpoints::serial();
     let mut db = correlated_db();
     db.config_mut().feedback.enabled = false;
     for i in 0..4 {
@@ -125,6 +132,7 @@ fn skewed_db() -> Database {
 
 #[test]
 fn feedback_is_isolated_per_bind_band() {
+    let _serial = failpoints::serial();
     let mut db = skewed_db();
     // tighten the trigger so the popular band's ~3.5x miss re-optimizes
     db.config_mut().feedback.divergence_ratio = 3.0;
@@ -193,6 +201,7 @@ fn correlated_db_with_subquery() -> Database {
 
 #[test]
 fn degraded_reoptimization_pins_the_variant_instead_of_looping() {
+    let _serial = failpoints::serial();
     let db = correlated_db_with_subquery();
 
     // t-matches are ids with id % 20 == 7; of those, the IN keeps ids
@@ -256,6 +265,7 @@ fn failed_reoptimization_recovers_without_losing_the_plan() {
 
 #[test]
 fn explain_analyze_actuals_are_per_node() {
+    let _serial = failpoints::serial();
     // regression for address-keyed metrics: a multi-operator plan must
     // report each operator's own actuals — node identity is the stable
     // EXPLAIN ordinal, not a heap address that a reallocation can alias

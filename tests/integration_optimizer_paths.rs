@@ -77,8 +77,9 @@ fn merge_join_appears_in_plan_when_forced() {
 
 #[test]
 fn greedy_enumeration_beyond_dp_limit() {
-    // a 6-table chain with dp_max_items lowered to 3 exercises the
-    // greedy fallback; results must match the DP plan's results
+    // a 6-table all-inner chain takes the bushy tier by default; with
+    // the bushy tier off and dp_max_items below the item count it falls
+    // to greedy, and both must return the same rows
     let mut db = Database::new();
     db.execute_mut("CREATE TABLE t0 (id INT PRIMARY KEY, nxt INT)")
         .unwrap();
@@ -97,11 +98,16 @@ fn greedy_enumeration_beyond_dp_limit() {
     let sql = "SELECT t0.id FROM t0, t1, t2, t3, t4, t5 \
                WHERE t0.nxt = t1.id AND t1.nxt = t2.id AND t2.nxt = t3.id \
                  AND t3.nxt = t4.id AND t4.nxt = t5.id AND t0.id < 5";
-    let dp = canon(&db.query(sql).unwrap().rows);
+    let trace = db.trace(sql).unwrap().render();
+    assert!(trace.contains("JOIN ENUM BEGIN"), "{trace}");
+    let bushy = canon(&db.query(sql).unwrap().rows);
+    db.config_mut().optimizer.bushy_max_items = 0;
     db.config_mut().optimizer.dp_max_items = 3;
+    let trace = db.trace(sql).unwrap().render();
+    assert!(!trace.contains("JOIN ENUM BEGIN"), "{trace}");
     let greedy = canon(&db.query(sql).unwrap().rows);
-    assert_eq!(dp, greedy);
-    assert_eq!(dp.len(), 5);
+    assert_eq!(bushy, greedy);
+    assert_eq!(bushy.len(), 5);
 }
 
 #[test]
@@ -217,9 +223,8 @@ fn cross_join_without_predicates() {
 /// left-deep pipeline.
 fn snowflake_db(arms: usize) -> Database {
     let mut db = Database::new();
-    let mut script = String::from(
-        "CREATE TABLE fact (id INT PRIMARY KEY, a1 INT, a2 INT, a3 INT, a4 INT);",
-    );
+    let mut script =
+        String::from("CREATE TABLE fact (id INT PRIMARY KEY, a1 INT, a2 INT, a3 INT, a4 INT);");
     for k in 1..=arms {
         script.push_str(&format!(
             "CREATE TABLE mid{k} (id INT PRIMARY KEY, fkey INT, leaf_id INT);
@@ -332,7 +337,7 @@ fn bushy_allowance_exhaustion_degrades_gracefully_end_to_end() {
     let sql = snowflake_query(3);
     // plenty of framework states, far too few for the 7-item memo
     let limits = StatementLimits::none().with_optimizer_states(20);
-    let report = db.trace_with_limits(&sql, limits.clone()).unwrap();
+    let report = db.trace_with_limits(&sql, limits).unwrap();
     assert!(report.stats.degraded, "memo exhaustion must degrade");
     let rendered = report.render();
     assert!(rendered.contains("JOIN ENUM BEGIN"), "{rendered}");
@@ -368,7 +373,9 @@ fn disconnected_join_graph_under_tight_budget_completes() {
     for t in ["g1", "g2", "g3"] {
         db.load_rows(
             t,
-            (0..6i64).map(|i| vec![Value::Int(i), Value::Int(i % 3)]).collect(),
+            (0..6i64)
+                .map(|i| vec![Value::Int(i), Value::Int(i % 3)])
+                .collect(),
         )
         .unwrap();
     }

@@ -3,6 +3,10 @@
 //! degradation) and the fault-injection harness (every registered
 //! failpoint must surface as an `Err`, never a panic or a hang, and the
 //! database must keep serving afterwards).
+//!
+//! Failpoints are process-global, so every test here holds
+//! `failpoints::serial()`, armed or not: an unguarded test running
+//! beside an every-failpoint walk fails on the site that walk armed.
 
 use cbqt::common::failpoint;
 use cbqt::common::{Error, Value};
@@ -49,6 +53,7 @@ const BIG_CROSS_JOIN: &str =
 
 #[test]
 fn deadline_trips_within_twice_the_limit() {
+    let _serial = failpoints::serial();
     let db = fixture();
     let limit = Duration::from_millis(400);
     let t0 = Instant::now();
@@ -69,6 +74,7 @@ fn deadline_trips_within_twice_the_limit() {
 
 #[test]
 fn row_and_work_budgets_trip() {
+    let _serial = failpoints::serial();
     let db = fixture();
     let err = db
         .query_with_limits(
@@ -103,6 +109,7 @@ fn row_and_work_budgets_trip() {
 
 #[test]
 fn cross_thread_cancellation_stops_a_running_query() {
+    let _serial = failpoints::serial();
     let db = Arc::new(fixture());
     let token = db.cancel_token();
     let runner = {
@@ -133,6 +140,7 @@ const SEARCHY: &str = "SELECT d.department_name FROM departments d WHERE d.dept_
 
 #[test]
 fn optimizer_budget_degrades_gracefully() {
+    let _serial = failpoints::serial();
     let db = fixture();
     // degraded run first: a cached full plan would short-circuit the
     // search and nothing would be left to degrade
@@ -167,6 +175,7 @@ fn optimizer_budget_degrades_gracefully() {
 
 #[test]
 fn zero_state_budget_still_produces_a_plan() {
+    let _serial = failpoints::serial();
     let db = fixture();
     let r = db
         .query_with_limits(SEARCHY, StatementLimits::none().with_optimizer_states(0))
@@ -321,6 +330,7 @@ fn every_failpoint_panic_is_contained() {
 
 #[test]
 fn limits_on_cache_hits_are_still_enforced() {
+    let _serial = failpoints::serial();
     let db = fixture();
     let sql = "SELECT COUNT(*) FROM (SELECT a.n FROM nums a, nums b WHERE a.n + b.n > -1) t";
     // compile + cache the plan with no limits (22.5k joined rows)
@@ -335,6 +345,7 @@ fn limits_on_cache_hits_are_still_enforced() {
 
 #[test]
 fn session_cancel_scopes_to_one_session() {
+    let _serial = failpoints::serial();
     let db = fixture();
     std::thread::scope(|scope| {
         let s1 = db.session();
@@ -359,6 +370,7 @@ fn session_cancel_scopes_to_one_session() {
 
 #[test]
 fn cancelled_update_returns_the_governors_error_and_writes_nothing() {
+    let _serial = failpoints::serial();
     let db = fixture();
     let sum = "SELECT SUM(salary) FROM employees";
     let before = db.query(sum).unwrap().rows;
@@ -409,6 +421,7 @@ fn cancelled_update_returns_the_governors_error_and_writes_nothing() {
 
 #[test]
 fn cancelled_session_stays_fenced_until_its_own_reset() {
+    let _serial = failpoints::serial();
     let db = fixture();
     let s = db.session();
     let token = s.cancel_token();
@@ -424,6 +437,7 @@ fn cancelled_session_stays_fenced_until_its_own_reset() {
 
 #[test]
 fn database_token_fences_every_session() {
+    let _serial = failpoints::serial();
     let db = fixture();
     let s = db.session();
     db.cancel_token().cancel();
