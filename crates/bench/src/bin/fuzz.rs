@@ -218,7 +218,9 @@ fn usage() -> ! {
          predicts exactly which statements (point, IN-list and range\n\
          writes) must lose the first-updater-wins race\n\
          (Error::WriteConflict); plain readers must never see\n\
-         uncommitted rows and a pinned reader must keep its snapshot.\n\
+         uncommitted rows and a pinned reader must keep its snapshot\n\
+         through query, query_bound and a statement prepared before it\n\
+         pinned.\n\
          Combine with --failpoints to also arm random faults around\n\
          every write: statements may then fail or abort their\n\
          transaction, but only with an Err, and the twin oracle holds.\n\
@@ -670,7 +672,9 @@ fn feedback_round(seed: u64, with_faults: bool) -> u64 {
 /// first-updater-wins race (deliberate cross-partition conflict
 /// probes, and ranges that reach into another writer's partition) and
 /// how many rows every other statement affects, and a pinned reader
-/// session must keep its snapshot across other transactions' commits.
+/// session must keep its snapshot across other transactions' commits —
+/// through `query`, `query_bound` and a statement prepared before it
+/// pinned.
 /// With `with_faults`, random failpoints are armed around each writer
 /// statement: any statement may then fail — while it is planned,
 /// leaving its transaction open and untouched, or once it runs,
@@ -716,8 +720,12 @@ fn txn_round(seed: u64, with_faults: bool) -> u64 {
     let mut open_claim: HashMap<i64, usize> = HashMap::new();
     let mut next_insert = 10_000i64;
     // one pinned reader session: must see the same rows for its whole
-    // transaction no matter what commits around it
+    // transaction no matter what commits around it, by every route a
+    // session reads through — plain text, explicit binds and a statement
+    // prepared before the snapshot was pinned
+    const PINNED_READ: &str = "SELECT k, v FROM kv";
     let pinned = db.session();
+    let pinned_stmt = pinned.prepare(PINNED_READ).unwrap();
     let mut pinned_want: Option<Vec<String>> = None;
 
     let abort = |w: usize,
@@ -996,10 +1004,16 @@ fn txn_round(seed: u64, with_faults: bool) -> u64 {
                 }
             }
             Some(want) => {
-                let got = canon(&pinned.query("SELECT k, v FROM kv").unwrap().rows);
-                if &got != want {
-                    println!("seed {seed}: PINNED READER snapshot drifted");
-                    failures += 1;
+                let routes = [
+                    ("query", pinned.query(PINNED_READ)),
+                    ("query_bound", pinned.query_bound(PINNED_READ, &[])),
+                    ("prepared", pinned_stmt.query(&[])),
+                ];
+                for (route, got) in routes {
+                    if &canon(&got.unwrap().rows) != want {
+                        println!("seed {seed}: PINNED READER snapshot drifted on {route}");
+                        failures += 1;
+                    }
                 }
             }
         }

@@ -1,0 +1,828 @@
+//! The one serving path. Every statement entry point on [`Database`],
+//! [`Session`](crate::Session) and [`Prepared`] fills a [`Request`] and
+//! hands it to [`Scope::serve`] (through the projection its signature
+//! needs: [`Scope::statement`], [`rows`](Scope::rows),
+//! [`report`](Scope::report) or [`plan_text`](Scope::plan_text)), which
+//! does each step exactly once: panic boundary → governor → parse →
+//! accept rule → tracer → dispatch to query / EXPLAIN / DML /
+//! transaction control.
+//!
+//! The query arm ([`Scope::serve_query`]) is the plan-cache path: bind
+//! resolution, family key, probe, and on anything but a hit one call of
+//! [`Database::compile_and_run`]. Every plan this crate executes —
+//! cached, freshly compiled, EXPLAIN ANALYZE, a DML target scan, either
+//! side of the differential oracle — runs through
+//! [`Database::execute_plan`].
+
+use crate::plan_cache::{self, BucketSig, CachedPlan, Lookup};
+use crate::{Database, Prepared, QueryResult, QueryStats, StatementResult, TraceReport};
+use cbqt_catalog::{selectivity_band, Catalog, FeedbackKey, FeedbackStore, TableId};
+use cbqt_common::{
+    divergence_ratio, CancelToken, Error, ExecutionLimits, ExecutionMode, Governor, Result, Row,
+    TraceBuffer, TraceEvent, Tracer, Value,
+};
+use cbqt_exec::{Engine, ExecMetrics, ExecStats};
+use cbqt_optimizer::{
+    scan_feedback_key, BlockPlan, CardFeedback, DynamicSampler, PlanEntity, PlanIndex, PlanNode,
+};
+use cbqt_qgm::{
+    build_query_tree, build_query_tree_with_binds, collect_base_tables, collect_bind_sites,
+    BindSite, BindSiteOp, QueryTree,
+};
+use cbqt_sql::ast::{self, Statement};
+use cbqt_sql::{count_params, parameterize, parse_statement, render_query};
+use cbqt_storage::Storage;
+use cbqt_transform::{optimize_query_feedback, CbqtOutcome};
+use std::borrow::Cow;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+/// Who is asking: the database a statement runs against, the cancel
+/// token its governor observes and the transaction slot it reads and
+/// writes through. [`Database::scope`] lends the database's own token
+/// and slot, [`Session::scope`](crate::Session) the session's — nothing
+/// else distinguishes the two handles.
+#[derive(Clone, Copy)]
+pub(crate) struct Scope<'a> {
+    pub(crate) db: &'a Database,
+    pub(crate) cancel: &'a CancelToken,
+    pub(crate) slot: &'a Mutex<Option<u64>>,
+}
+
+/// What one statement runs under, from the first step of
+/// [`Scope::serve`] to the last: the governor that budgets and
+/// interrupts it and the tracer that collects its events.
+#[derive(Clone, Copy)]
+pub(crate) struct Ctx<'s> {
+    pub(crate) governor: &'s Governor,
+    pub(crate) tracer: Tracer<'s>,
+}
+
+/// Which statement kinds an entry point serves, and — for the two
+/// kinds every read entry point shares — how.
+#[derive(Clone, Copy)]
+pub(crate) enum Accept {
+    /// A query, run.
+    Query,
+    /// A query, run, or an EXPLAIN, explained.
+    Read,
+    /// A query or an EXPLAIN; either way the query is run (`trace`).
+    Run,
+    /// A query or an EXPLAIN; either way the query is explained, as
+    /// text (`explain` / `explain_analyze`).
+    Explain { analyze: bool },
+    /// Everything that runs under a shared borrow of the database:
+    /// what [`Accept::Read`] serves, DML and transaction control. DDL
+    /// and ANALYZE rewrite the catalog and need `&mut Database`.
+    Shared,
+}
+
+impl Accept {
+    fn admits(self, stmt: &Statement) -> bool {
+        match stmt {
+            Statement::Query(_) => true,
+            Statement::Explain { .. } => !matches!(self, Accept::Query),
+            Statement::CreateTable(_) | Statement::CreateIndex(_) | Statement::Analyze => false,
+            _ => matches!(self, Accept::Shared),
+        }
+    }
+
+    /// Whether to explain the query of `stmt` — a query, or an EXPLAIN
+    /// of one — instead of running it, and if so whether with ANALYZE.
+    fn explains(self, stmt: &Statement) -> Option<bool> {
+        let written = match stmt {
+            Statement::Explain { analyze, .. } => Some(*analyze),
+            _ => None,
+        };
+        match self {
+            Accept::Run => None,
+            Accept::Explain { analyze } => Some(analyze || written == Some(true)),
+            _ => written,
+        }
+    }
+}
+
+/// The one error a statement kind is refused with, before anything
+/// runs.
+pub(crate) fn refused(entry: &str, accept: Accept, stmt: &Statement) -> Error {
+    let wants = match accept {
+        Accept::Shared => "a query, DML or transaction control",
+        _ => "a query",
+    };
+    Error::unsupported(format!(
+        "{entry} requires {wants}, got {}",
+        statement_kind(stmt)
+    ))
+}
+
+/// One statement to serve.
+pub(crate) struct Request<'r> {
+    /// The public method asked, for the refusal message.
+    entry: &'static str,
+    /// The statement text: parsed unless `stmt` is set, and the plan
+    /// cache key of a query when bind sharing is off.
+    sql: &'r str,
+    /// The statement, when the caller has parsed it already (a script
+    /// statement, a prepared query).
+    stmt: Option<Cow<'r, Statement>>,
+    /// Explicit values for the query's `?` parameters.
+    binds: Option<&'r [Value]>,
+    limits: ExecutionLimits,
+    /// Collect the statement's trace events ([`Scope::report`] sets it).
+    traced: bool,
+    accept: Accept,
+}
+
+impl<'r> Request<'r> {
+    pub(crate) fn new(entry: &'static str, sql: &'r str, accept: Accept) -> Request<'r> {
+        Request {
+            entry,
+            sql,
+            stmt: None,
+            binds: None,
+            limits: ExecutionLimits::none(),
+            traced: false,
+            accept,
+        }
+    }
+
+    pub(crate) fn parsed(self, stmt: Cow<'r, Statement>) -> Request<'r> {
+        Request {
+            stmt: Some(stmt),
+            ..self
+        }
+    }
+
+    pub(crate) fn binds(self, binds: &'r [Value]) -> Request<'r> {
+        Request {
+            binds: Some(binds),
+            ..self
+        }
+    }
+
+    pub(crate) fn limits(self, limits: ExecutionLimits) -> Request<'r> {
+        Request { limits, ..self }
+    }
+}
+
+/// What a served statement produced.
+enum Output {
+    Statement(StatementResult),
+    /// EXPLAIN text, not yet cut into `PLAN` rows.
+    Plan(String),
+}
+
+impl<'a> Scope<'a> {
+    /// Serves one statement — see the module docs for the steps — and
+    /// returns its output with, for a traced request, its events.
+    fn serve(self, req: Request<'_>) -> Result<(Output, Vec<TraceEvent>)> {
+        catch_internal(|| {
+            // the wall clock of a deadline starts before the parse
+            let governor = Governor::new(&req.limits, self.cancel.clone());
+            let stmt = match req.stmt {
+                Some(stmt) => stmt,
+                None => Cow::Owned(parse_statement(req.sql)?),
+            };
+            if !req.accept.admits(&stmt) {
+                return Err(refused(req.entry, req.accept, &stmt));
+            }
+            let buffer = req.traced.then(TraceBuffer::new);
+            let tracer = buffer
+                .as_ref()
+                .map_or(Tracer::disabled(), |b| Tracer::new(b));
+            let ctx = Ctx {
+                governor: &governor,
+                tracer,
+            };
+            // reads (a query, an EXPLAIN) run from a borrow of the
+            // statement — a prepared statement lends its AST; writes
+            // and transaction control consume it
+            let output = match stmt.as_ref() {
+                Statement::Query(q) | Statement::Explain { query: q, .. } => {
+                    match req.accept.explains(&stmt) {
+                        None => Output::Statement(StatementResult::Rows(
+                            self.serve_query(req.sql, q, req.binds, ctx)?,
+                        )),
+                        Some(analyze) => Output::Plan(self.explain_query(q, analyze, &governor)?),
+                    }
+                }
+                _ => Output::Statement(match stmt.into_owned() {
+                    Statement::Insert(ins) => StatementResult::RowsAffected(self.insert(ins, ctx)?),
+                    Statement::Update(u) => StatementResult::RowsAffected(self.update(u, ctx)?),
+                    Statement::Delete(d) => StatementResult::RowsAffected(self.delete(d, ctx)?),
+                    Statement::Begin => self.begin(tracer).map(|()| StatementResult::Txn)?,
+                    Statement::Commit => self.commit(tracer).map(|()| StatementResult::Txn)?,
+                    Statement::Rollback => self.rollback(tracer).map(|()| StatementResult::Txn)?,
+                    other => unreachable!("{} passed the accept rule", statement_kind(&other)),
+                }),
+            };
+            Ok((output, buffer.map_or_else(Vec::new, |b| b.take())))
+        })
+    }
+
+    /// [`serve`](Scope::serve) for the wrappers that return whatever
+    /// the statement produced.
+    pub(crate) fn statement(self, req: Request<'_>) -> Result<StatementResult> {
+        Ok(match self.serve(req)?.0 {
+            Output::Statement(r) => r,
+            Output::Plan(text) => StatementResult::Rows(QueryResult {
+                columns: vec!["PLAN".to_string()],
+                rows: text.lines().map(|l| vec![Value::str(l)]).collect(),
+                stats: QueryStats::default(),
+            }),
+        })
+    }
+
+    /// [`serve`](Scope::serve) for the wrappers that return rows; their
+    /// accept rule admits only statements that produce them.
+    pub(crate) fn rows(self, req: Request<'_>) -> Result<QueryResult> {
+        let rows = self.statement(req)?.into_rows();
+        rows.ok_or_else(|| Error::internal("the accept rule admitted a statement without rows"))
+    }
+
+    /// [`serve`](Scope::serve) for `explain` / `explain_analyze`.
+    pub(crate) fn plan_text(self, req: Request<'_>) -> Result<String> {
+        match self.serve(req)?.0 {
+            Output::Plan(text) => Ok(text),
+            Output::Statement(_) => Err(Error::internal("Accept::Explain ran a statement")),
+        }
+    }
+
+    /// [`serve`](Scope::serve) with the trace collected. The report's
+    /// stats are those of the query the statement ran, zeroes for any
+    /// other statement.
+    pub(crate) fn report(self, req: Request<'_>) -> Result<TraceReport> {
+        let (output, events) = self.serve(Request {
+            traced: true,
+            ..req
+        })?;
+        let stats = match output {
+            Output::Statement(StatementResult::Rows(r)) => r.stats,
+            _ => QueryStats::default(),
+        };
+        Ok(TraceReport { events, stats })
+    }
+
+    /// Parses and normalizes a query for repeated execution in this
+    /// scope (see [`Database::prepare`]).
+    pub(crate) fn prepare(self, sql: &str) -> Result<Prepared<'a>> {
+        catch_internal(|| {
+            let q = match parse_statement(sql)? {
+                Statement::Query(q) => q,
+                other => return Err(refused("prepare", Accept::Query, &other)),
+            };
+            let (query, defaults) = if count_params(&q) > 0 {
+                (*q, Vec::new())
+            } else {
+                let p = parameterize(&q);
+                (p.query, p.binds)
+            };
+            Ok(Prepared {
+                scope: self,
+                sql: sql.to_string(),
+                param_count: count_params(&query),
+                stmt: Statement::Query(Box::new(query)),
+                defaults,
+            })
+        })
+    }
+
+    /// The query arm ([`StatementPath::Serve`]): resolve the query's
+    /// bind parameters (explicit `?` values, or literals extracted at
+    /// normalization time when bind sharing is on), probe the shared
+    /// plan cache, and on a hit execute the cached `Arc<BlockPlan>`
+    /// with the bind values installed. A miss, invalidation, bind-bucket
+    /// mismatch or feedback reoptimization runs the full CBQT pipeline
+    /// (with the binds peeked for costing) and caches the result as a
+    /// family variant.
+    fn serve_query(
+        self,
+        sql: &str,
+        q: &ast::Query,
+        binds: Option<&[Value]>,
+        ctx: Ctx<'_>,
+    ) -> Result<QueryResult> {
+        let db = self.db;
+        let tracer = ctx.tracer;
+        let txn = self.open_txn();
+        let (fam, values) = db.resolve_binds(q, binds)?;
+        let key: Option<String> =
+            if !db.plan_cache_enabled || !path_uses_plan_cache(StatementPath::Serve) {
+                None
+            } else if db.bind_sharing_enabled {
+                // family key: the canonical render of the parameterized AST
+                Some(render_query(&fam))
+            } else if values.is_empty() {
+                // legacy literal-text keying
+                Some(plan_cache::normalize_sql(sql))
+            } else {
+                // explicit binds with bind sharing off: text keying would
+                // conflate different bind values — run uncached
+                None
+            };
+        let Some(key) = key else {
+            return db.compile_and_run(&fam, &values, ctx, None, false, txn);
+        };
+
+        let version = db.catalog.version();
+        // side-channel: remember the bucket the probe computed, so a
+        // post-execution divergence can mark exactly that variant suspect
+        let mut probe_sig: Option<BucketSig> = None;
+        let lookup = db.plan_cache.lookup(
+            &key,
+            |sites| {
+                let sig = db.bucket_sig(sites, &values);
+                probe_sig = Some(sig.clone());
+                sig
+            },
+            |deps| deps.iter().all(|&(t, v)| db.catalog.table_version(t) == v),
+        );
+        // every arm but the hit recompiles; they differ in their trace
+        // event, in whether feedback asked for the recompile and in
+        // whether a sibling joins the family
+        let (reopt, siblings) = match lookup {
+            Lookup::Hit(cached) => {
+                tracer.emit(|| TraceEvent::PlanCacheHit {
+                    key: key.clone(),
+                    version: cached.version,
+                });
+                let (exec, diverged) = db.run_plan(&cached.plan, &values, ctx.governor, txn)?;
+                if let (true, Some(sig)) = (diverged, probe_sig.as_ref()) {
+                    db.plan_cache.mark_suspect(&key, sig);
+                }
+                let columns = (*cached.columns).clone();
+                let hit = query_result(columns, &cached.plan, exec, values.len(), None);
+                return Ok(hit);
+            }
+            // the variant was marked suspect by a previous execution's
+            // divergence; recompile with the feedback store's observed
+            // cardinalities and republish under the same bucket
+            Lookup::Reoptimize { cached: _, sig } => {
+                tracer.emit(|| TraceEvent::PlanCacheReoptimize {
+                    key: key.clone(),
+                    bucket: format!("{sig:?}"),
+                });
+                (true, None)
+            }
+            Lookup::Invalidated { cached_version } => {
+                tracer.emit(|| TraceEvent::PlanCacheInvalidated {
+                    key: key.clone(),
+                    cached_version,
+                    current_version: version,
+                });
+                (false, None)
+            }
+            Lookup::BindMismatch { sig, variants } => {
+                tracer.emit(|| TraceEvent::PlanCacheBindMismatch {
+                    key: key.clone(),
+                    bucket: format!("{sig:?}"),
+                });
+                (false, Some(variants))
+            }
+            Lookup::Miss => {
+                tracer.emit(|| TraceEvent::PlanCacheMiss { key: key.clone() });
+                (false, None)
+            }
+        };
+        let cache_as = Some((key.as_str(), version));
+        let mut r = db.compile_and_run(&fam, &values, ctx, cache_as, reopt, txn)?;
+        r.stats.reoptimized = reopt;
+        r.stats.bind_mismatch = siblings.is_some();
+        // degraded plans are not published, so no sibling joined the
+        // family
+        if let (Some(variants), false) = (siblings, r.stats.degraded) {
+            tracer.emit(|| TraceEvent::PlanCacheFamilySplit {
+                key,
+                variants: variants + 1,
+            });
+        }
+        Ok(r)
+    }
+}
+
+/// One execution of a plan by [`Database::execute_plan`].
+pub(crate) struct Executed {
+    pub(crate) rows: Vec<Row>,
+    pub(crate) stats: ExecStats,
+    pub(crate) elapsed: Duration,
+    /// What the engine measured per operator, if asked to.
+    pub(crate) metrics: Option<ExecMetrics>,
+}
+
+/// How much an execution measures per operator.
+#[derive(Clone, Copy)]
+pub(crate) enum Measure {
+    Nothing,
+    /// Row and execution counts — what the feedback harvest reads.
+    Counts,
+    /// Counts plus per-operator wall time (EXPLAIN ANALYZE).
+    Timings,
+}
+
+/// The result of a served query. `search` is the half of the stats
+/// that compiling the plan filled in; a cached plan has none. The
+/// execution half is filled in here.
+fn query_result(
+    columns: Vec<String>,
+    plan: &BlockPlan,
+    exec: Executed,
+    bind_params: usize,
+    search: Option<QueryStats>,
+) -> QueryResult {
+    QueryResult {
+        columns,
+        rows: exec.rows,
+        stats: QueryStats {
+            execute_time: exec.elapsed,
+            work_units: exec.stats.work,
+            estimated_cost: plan.cost,
+            subquery_cache_hits: exec.stats.cache_hits,
+            subquery_cache_misses: exec.stats.cache_misses,
+            plan_cache_hit: search.is_none(),
+            bind_params,
+            ..search.unwrap_or_default()
+        },
+    }
+}
+
+impl Database {
+    /// Runs `plan` on a fresh engine — all mutable execution state
+    /// lives there — reading as of the latest committed snapshot, or,
+    /// inside transaction `txn`, as of its begin watermark plus its own
+    /// uncommitted writes. The engine and the snapshot it pins are gone
+    /// when this returns.
+    pub(crate) fn execute_plan(
+        &self,
+        plan: &BlockPlan,
+        binds: &[Value],
+        governor: &Governor,
+        txn: Option<u64>,
+        measure: Measure,
+        mode: ExecutionMode,
+    ) -> Result<Executed> {
+        let t0 = Instant::now();
+        let mut engine = match txn {
+            Some(t) => Engine::with_snapshot(&self.catalog, self.storage.txn_snapshot(t)?),
+            None => Engine::new(&self.catalog, &self.storage),
+        };
+        engine.set_mode(mode);
+        engine.set_governor(governor.clone());
+        engine.set_params(binds.to_vec());
+        match measure {
+            Measure::Nothing => {}
+            Measure::Counts => engine.enable_metrics_light(),
+            Measure::Timings => engine.enable_metrics(),
+        }
+        let rows = engine.run(plan)?;
+        Ok(Executed {
+            rows,
+            elapsed: t0.elapsed(),
+            stats: engine.stats(),
+            metrics: engine.take_metrics(),
+        })
+    }
+
+    /// Executes a served query's plan and harvests cardinality feedback
+    /// from it; also returns whether the harvest saw an estimate off by
+    /// the configured divergence ratio or more. In-transaction reads
+    /// never harvest: observed cardinalities over uncommitted data must
+    /// not steer recompiles of statements reading committed state.
+    fn run_plan(
+        &self,
+        plan: &BlockPlan,
+        binds: &[Value],
+        governor: &Governor,
+        txn: Option<u64>,
+    ) -> Result<(Executed, bool)> {
+        let measure = if self.config.feedback.enabled && txn.is_none() {
+            Measure::Counts
+        } else {
+            Measure::Nothing
+        };
+        let mode = self.config.execution_mode;
+        let exec = self.execute_plan(plan, binds, governor, txn, measure, mode)?;
+        let diverged = exec.metrics.as_ref().is_some_and(|m| {
+            self.harvest_feedback(plan, m, binds) >= self.config.feedback.divergence_ratio
+        });
+        Ok((exec, diverged))
+    }
+
+    /// Checks explicit bind values against the query's `?` count, or —
+    /// without explicit values, when bind sharing is on — extracts the
+    /// query's predicate literals into binds. Returns the query of the
+    /// plan family and the values to install.
+    fn resolve_binds<'q>(
+        &self,
+        q: &'q ast::Query,
+        binds: Option<&[Value]>,
+    ) -> Result<(Cow<'q, ast::Query>, Vec<Value>)> {
+        let n = count_params(q);
+        match binds {
+            Some(vals) if n > 0 && vals.len() == n => Ok((Cow::Borrowed(q), vals.to_vec())),
+            Some(vals) if n > 0 => Err(Error::analysis(format!(
+                "statement expects {n} bind value(s), got {}",
+                vals.len()
+            ))),
+            Some(vals) if !vals.is_empty() => Err(Error::analysis(format!(
+                "statement has no bind parameters but {} value(s) were supplied",
+                vals.len()
+            ))),
+            _ if n > 0 => Err(Error::analysis(format!(
+                "statement has {n} bind parameter(s); supply values \
+                 via query_bound or a prepared statement"
+            ))),
+            _ if self.plan_cache_enabled && self.bind_sharing_enabled => {
+                let p = parameterize(q);
+                Ok((Cow::Owned(p.query), p.binds))
+            }
+            _ => Ok((Cow::Borrowed(q), Vec::new())),
+        }
+    }
+
+    /// One selectivity band per bind site ([`selectivity_band`]) of the
+    /// site's predicate under the incoming bind value. Bind vectors
+    /// landing in the same bands share a cached plan; a vector landing
+    /// elsewhere compiles a sibling.
+    /// Unanalyzed tables put every value into one band (naive sharing
+    /// until ANALYZE provides the statistics ACS needs).
+    fn bucket_sig(&self, sites: &[BindSite], binds: &[Value]) -> BucketSig {
+        let band = |site: &BindSite| {
+            let v = binds.get(site.slot)?;
+            let t = self.catalog.table(site.table).ok()?;
+            let cs = t.stats.column(site.column).filter(|_| t.stats.analyzed)?;
+            Some(selectivity_band(match site.op {
+                BindSiteOp::Eq => cs.eq_selectivity(t.stats.rows, Some(v)),
+                BindSiteOp::Lt { inclusive } => cs.range_selectivity(v, true, inclusive),
+                BindSiteOp::Gt { inclusive } => cs.range_selectivity(v, false, inclusive),
+            }))
+        };
+        sites.iter().map(|s| band(s).unwrap_or(0)).collect()
+    }
+
+    /// Full transformation + optimization + execution, with `binds`
+    /// peeked by the estimator and installed on the engine. When
+    /// `cache_as` is set, the compiled plan is published to the plan
+    /// cache under that key as the variant for the binds' selectivity
+    /// bucket, recording the per-table versions it was compiled against
+    /// — DDL needs `&mut self`, so versions cannot move under a running
+    /// `&self` query.
+    /// `reopt` is true when this compile was triggered by a
+    /// [`Lookup::Reoptimize`] probe: a plan compiled *with* feedback that
+    /// still diverges (or degrades) pins its cache variant via
+    /// `block_reopt`, so suspect marks can never loop one query through
+    /// the optimizer repeatedly.
+    fn compile_and_run(
+        &self,
+        q: &ast::Query,
+        binds: &[Value],
+        ctx: Ctx<'_>,
+        cache_as: Option<(&str, u64)>,
+        reopt: bool,
+        txn: Option<u64>,
+    ) -> Result<QueryResult> {
+        let tree = build_query_tree_with_binds(&self.catalog, q, binds)?;
+        let columns = tree.block(tree.root)?.output_names(&tree);
+        // bind sites and table dependencies come from the
+        // pre-transformation tree (transforms treat binds as opaque
+        // scalars and never add base tables)
+        let (sites, deps) = if cache_as.is_some() {
+            let deps: Vec<(TableId, u64)> = collect_base_tables(&tree)
+                .into_iter()
+                .map(|t| (t, self.catalog.table_version(t)))
+                .collect();
+            (collect_bind_sites(&tree), deps)
+        } else {
+            (Vec::new(), Vec::new())
+        };
+
+        let t0 = Instant::now();
+        let outcome = self.optimize(&tree, ctx)?;
+        let search = QueryStats {
+            optimize_time: t0.elapsed(),
+            states_explored: outcome.states_explored,
+            cutoffs: outcome.cutoffs,
+            blocks_costed: outcome.optimizer_stats.blocks_costed,
+            annotation_hits: outcome.optimizer_stats.annotation_hits,
+            degraded: outcome.degraded,
+            ..QueryStats::default()
+        };
+        let plan = Arc::new(outcome.plan);
+        let (exec, diverged) = self.run_plan(&plan, binds, ctx.governor, txn)?;
+
+        if let Some((key, version)) = cache_as {
+            let sig = self.bucket_sig(&sites, binds);
+            // A degraded plan is valid but reflects a truncated search;
+            // keep it out of the shared cache so unbudgeted statements
+            // never pay for one statement's tight optimizer budget.
+            if !search.degraded {
+                self.plan_cache.insert(
+                    key.to_string(),
+                    sig.clone(),
+                    Arc::new(sites),
+                    CachedPlan {
+                        plan: Arc::clone(&plan),
+                        columns: Arc::new(columns.clone()),
+                        version,
+                        deps: Arc::new(deps),
+                    },
+                );
+            }
+            if reopt && (search.degraded || diverged) {
+                // a feedback-informed recompile that still diverges, or
+                // that degraded and was not published (the old variant
+                // keeps serving): pin the variant so the suspect mark
+                // cannot bounce it through the optimizer on every probe
+                self.plan_cache.block_reopt(key, &sig);
+            } else if diverged && !search.degraded {
+                self.plan_cache.mark_suspect(key, &sig);
+            }
+        }
+        Ok(query_result(
+            columns,
+            &plan,
+            exec,
+            binds.len(),
+            Some(search),
+        ))
+    }
+
+    /// Compiles a query *without* touching the bind-family plan cache:
+    /// no literal extraction, no probe, no publish. This is the single
+    /// bypass — every cache-exempt path ([`StatementPath::Explain`],
+    /// [`StatementPath::Differential`], [`StatementPath::Dml`]) must
+    /// compile through here, and
+    /// the path must answer `false` to [`path_uses_plan_cache`].
+    pub(crate) fn plan_uncached(
+        &self,
+        q: &ast::Query,
+        ctx: Ctx<'_>,
+        path: StatementPath,
+    ) -> Result<CbqtOutcome> {
+        assert!(
+            !path_uses_plan_cache(path),
+            "{path:?} serves from the plan cache; use Scope::serve"
+        );
+        let tree = build_query_tree(&self.catalog, q)?;
+        self.optimize(&tree, ctx)
+    }
+
+    fn optimize(&self, tree: &QueryTree, ctx: Ctx<'_>) -> Result<CbqtOutcome> {
+        // dynamic sampling (§3.4.4): tables without statistics are sized
+        // by probing storage, with results cached across optimizer calls
+        let sampler = StorageSampler {
+            catalog: &self.catalog,
+            storage: &self.storage,
+        };
+        // cardinality feedback: observed base-scan cardinalities from
+        // earlier executions override the estimator's NDV guesses. An
+        // empty store returns no hits, so first compiles are unchanged.
+        let source = FeedbackSource {
+            store: &self.feedback,
+            catalog: &self.catalog,
+        };
+        let feedback = self
+            .config
+            .feedback
+            .enabled
+            .then_some(&source as &dyn CardFeedback);
+        optimize_query_feedback(
+            tree,
+            &self.catalog,
+            &self.config,
+            &self.sampling_cache,
+            Some(&sampler),
+            feedback,
+            ctx.tracer,
+            ctx.governor,
+        )
+    }
+
+    /// Post-execution feedback harvest: records each eligible base
+    /// scan's observed per-execution cardinality in the feedback store
+    /// and returns the worst estimate-vs-actual [`divergence_ratio`]
+    /// seen (1.0 when nothing was eligible). Scans whose residual
+    /// filters are ineligible for a feedback key — e.g. they carry
+    /// bound equi-join probes referencing other refids — are skipped,
+    /// mirroring the eligibility the estimator applies on recompile.
+    fn harvest_feedback(&self, plan: &BlockPlan, metrics: &ExecMetrics, binds: &[Value]) -> f64 {
+        let index = PlanIndex::build(plan);
+        let mut worst = 1.0_f64;
+        plan.visit_entities(&mut |entity| {
+            let PlanEntity::Node(PlanNode::ScanBase {
+                table,
+                refid,
+                filter,
+                rows,
+                ..
+            }) = entity
+            else {
+                return;
+            };
+            let Some(key) = scan_feedback_key(&self.catalog, *table, *refid, filter, binds) else {
+                return;
+            };
+            let Some(m) = metrics.get(&index, entity) else {
+                return;
+            };
+            let observed = m.rows_per_exec();
+            self.feedback
+                .observe(key, observed, self.catalog.table_version(*table));
+            worst = worst.max(divergence_ratio(*rows, observed));
+        });
+        worst
+    }
+}
+
+/// Statement-level panic boundary: an unexpected panic inside parsing,
+/// optimization, or execution (a bug — or an injected fault, see
+/// `cbqt_common::failpoint`) is caught here and surfaced as
+/// `Error::Internal` instead of unwinding through the embedding
+/// application. All shared caches recover from lock poisoning (the plan
+/// cache clears a poisoned shard; the sampling cache and trace buffer
+/// keep their contents), so the database stays usable afterwards.
+pub(crate) fn catch_internal<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
+    match panic::catch_unwind(AssertUnwindSafe(f)) {
+        Ok(r) => r,
+        Err(payload) => {
+            let msg = if let Some(s) = payload.downcast_ref::<&str>() {
+                (*s).to_string()
+            } else if let Some(s) = payload.downcast_ref::<String>() {
+                s.clone()
+            } else {
+                "non-string panic payload".to_string()
+            };
+            Err(Error::internal(format!("statement panicked: {msg}")))
+        }
+    }
+}
+
+/// Which execution path a statement is served through — the single
+/// authority on plan-cache interaction. `Serve` (queries through
+/// `query`/`execute`/`query_bound`/`Prepared`/`trace`/scripts) probes
+/// the bind-family cache and publishes compiled plans; every other
+/// path must compile through [`Database::plan_uncached`], which
+/// asserts against this predicate: EXPLAIN output must show the plan
+/// for the literal text as written (no literal extraction, no cached
+/// plan), the differential oracle must hand both engines a fresh,
+/// cache-independent allocation, and an UPDATE / DELETE target query
+/// reads a table whose version the statement's own commit bumps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StatementPath {
+    Serve,
+    Explain,
+    Differential,
+    Dml,
+}
+
+/// True iff statements on `path` probe and populate the plan cache.
+const fn path_uses_plan_cache(path: StatementPath) -> bool {
+    matches!(path, StatementPath::Serve)
+}
+
+/// Human-readable kind of a statement, for error messages.
+pub(crate) fn statement_kind(stmt: &Statement) -> &'static str {
+    match stmt {
+        Statement::Query(_) => "SELECT",
+        Statement::Explain { .. } => "EXPLAIN",
+        Statement::CreateTable(_) => "CREATE TABLE",
+        Statement::CreateIndex(_) => "CREATE INDEX",
+        Statement::Insert(_) => "INSERT",
+        Statement::Update(_) => "UPDATE",
+        Statement::Delete(_) => "DELETE",
+        Statement::Analyze => "ANALYZE",
+        Statement::Begin => "BEGIN",
+        Statement::Commit => "COMMIT",
+        Statement::Rollback => "ROLLBACK",
+    }
+}
+
+/// Dynamic sampling over the in-memory storage (§3.4.4): scans a bounded
+/// sample of an unanalyzed table to estimate its cardinality.
+struct StorageSampler<'a> {
+    catalog: &'a Catalog,
+    storage: &'a Storage,
+}
+
+impl DynamicSampler for StorageSampler<'_> {
+    fn sample(&self, table: TableId, _conjuncts_key: &str) -> Option<(f64, f64)> {
+        let _ = self.catalog.table(table).ok()?;
+        let rows = self.storage.row_count(table);
+        Some((rows as f64, 1.0))
+    }
+}
+
+/// Adapter feeding the database's [`FeedbackStore`] to the optimizer's
+/// [`CardFeedback`] hook. Staleness is enforced at lookup time: entries
+/// observed against an older table version are discarded, never served.
+struct FeedbackSource<'a> {
+    store: &'a FeedbackStore,
+    catalog: &'a Catalog,
+}
+
+impl CardFeedback for FeedbackSource<'_> {
+    fn observed_rows(&self, key: &FeedbackKey) -> Option<f64> {
+        self.store
+            .lookup(key, self.catalog.table_version(key.table))
+    }
+}

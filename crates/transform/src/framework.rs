@@ -206,92 +206,44 @@ pub struct CbqtOutcome {
 
 /// Runs the full pipeline: heuristic transformations, then each
 /// cost-based transformation over its state space, then final physical
-/// optimization.
+/// optimization — untraced, ungoverned, without a dynamic sampler or
+/// cardinality feedback (see [`optimize_query_feedback`] for those).
 pub fn optimize_query(
     tree: &QueryTree,
     catalog: &Catalog,
     config: &CbqtConfig,
     sampling_cache: &SamplingCache,
 ) -> Result<CbqtOutcome> {
-    optimize_query_with_sampler(tree, catalog, config, sampling_cache, None)
-}
-
-/// [`optimize_query`] with a dynamic sampler for tables without
-/// statistics (§3.4.4); sampling results are cached in `sampling_cache`
-/// across states and across queries.
-pub fn optimize_query_with_sampler(
-    tree: &QueryTree,
-    catalog: &Catalog,
-    config: &CbqtConfig,
-    sampling_cache: &SamplingCache,
-    sampler: Option<&dyn DynamicSampler>,
-) -> Result<CbqtOutcome> {
-    optimize_query_traced(
-        tree,
-        catalog,
-        config,
-        sampling_cache,
-        sampler,
-        Tracer::disabled(),
-    )
-}
-
-/// [`optimize_query_with_sampler`] with an optimizer trace: every
-/// transformation examined, state costed, cut-off taken and annotation
-/// hit/miss is emitted into `tracer`, plus the before/after rendered SQL
-/// of the winning states. With `Tracer::disabled()` (what the plain
-/// entry points pass) no event is ever constructed.
-pub fn optimize_query_traced(
-    tree: &QueryTree,
-    catalog: &Catalog,
-    config: &CbqtConfig,
-    sampling_cache: &SamplingCache,
-    sampler: Option<&dyn DynamicSampler>,
-    tracer: Tracer<'_>,
-) -> Result<CbqtOutcome> {
-    optimize_query_governed(
-        tree,
-        catalog,
-        config,
-        sampling_cache,
-        sampler,
-        tracer,
-        &Governor::unlimited(),
-    )
-}
-
-/// [`optimize_query_traced`] under a statement-level resource
-/// [`Governor`]. Cancellation and the wall-clock deadline are observed
-/// between and inside state costings (hard failure); exhausting the
-/// optimizer-state budget *degrades* the search instead — remaining
-/// states are skipped, the best state found so far wins, and the
-/// outcome is flagged [`CbqtOutcome::degraded`].
-pub fn optimize_query_governed(
-    tree: &QueryTree,
-    catalog: &Catalog,
-    config: &CbqtConfig,
-    sampling_cache: &SamplingCache,
-    sampler: Option<&dyn DynamicSampler>,
-    tracer: Tracer<'_>,
-    governor: &Governor,
-) -> Result<CbqtOutcome> {
     optimize_query_feedback(
         tree,
         catalog,
         config,
         sampling_cache,
-        sampler,
         None,
-        tracer,
-        governor,
+        None,
+        Tracer::disabled(),
+        &Governor::unlimited(),
     )
 }
 
-/// [`optimize_query_governed`] with an observed-cardinality source: when
-/// `feedback` is set, eligible base-table scans are estimated from
-/// previously observed actuals instead of NDV/histogram guesses (traced
-/// as `FEEDBACK APPLIED`). This is how a suspect cached plan recompiles
-/// into one whose estimates match runtime reality.
+/// The pipeline of [`optimize_query`] with every hook the serving path
+/// uses:
+/// * `sampler` — dynamic sampling for tables without statistics
+///   (§3.4.4); results are cached in `sampling_cache` across states and
+///   across queries.
+/// * `tracer` — every transformation examined, state costed, cut-off
+///   taken and annotation hit/miss is emitted, plus the before/after
+///   rendered SQL of the winning states. With `Tracer::disabled()` no
+///   event is ever constructed.
+/// * `governor` — cancellation and the wall-clock deadline are observed
+///   between and inside state costings (hard failure); exhausting the
+///   optimizer-state budget *degrades* the search instead — remaining
+///   states are skipped, the best state found so far wins, and the
+///   outcome is flagged [`CbqtOutcome::degraded`].
+/// * `feedback` — when set, eligible base-table scans are estimated from
+///   previously observed actuals instead of NDV/histogram guesses (traced
+///   as `FEEDBACK APPLIED`). This is how a suspect cached plan recompiles
+///   into one whose estimates match runtime reality.
 #[allow(clippy::too_many_arguments)]
 pub fn optimize_query_feedback(
     tree: &QueryTree,

@@ -26,7 +26,6 @@ pub mod heuristic;
 pub mod util;
 
 pub use framework::{
-    optimize_query, optimize_query_feedback, optimize_query_governed, optimize_query_traced,
-    optimize_query_with_sampler, CbqtConfig, CbqtOutcome, FeedbackConfig, SearchStrategy,
-    TransformSet,
+    optimize_query, optimize_query_feedback, CbqtConfig, CbqtOutcome, FeedbackConfig,
+    SearchStrategy, TransformSet,
 };

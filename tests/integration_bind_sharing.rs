@@ -287,7 +287,11 @@ fn bind_errors_are_actionable() {
         Err(e) => e,
         Ok(_) => panic!("prepare accepted DML"),
     };
-    assert!(err.to_string().contains("execute_mut"), "{err}");
+    assert!(
+        err.to_string()
+            .contains("prepare requires a query, got INSERT"),
+        "{err}"
+    );
 }
 
 #[test]

@@ -419,6 +419,75 @@ fn cancelled_update_returns_the_governors_error_and_writes_nothing() {
     assert_ne!(db.query(sum).unwrap().rows, before);
 }
 
+/// A 5k-row table: every budget below is far under one scan of it.
+fn big_table() -> Database {
+    let mut db = Database::new();
+    db.execute_script("CREATE TABLE big (id INT PRIMARY KEY, v INT)")
+        .unwrap();
+    let rows = (0..5000i64)
+        .map(|i| vec![Value::Int(i), Value::Int(i % 7)])
+        .collect();
+    db.load_rows("big", rows).unwrap();
+    db.analyze().unwrap();
+    db
+}
+
+#[test]
+fn update_over_budget_fails_before_its_first_write() {
+    let _serial = failpoints::serial();
+    let db = big_table();
+    let sum = "SELECT SUM(v) FROM big";
+    let before = db.query(sum).unwrap().rows;
+    let raise = "UPDATE big SET v = v + 1";
+    let s = db.session();
+    for limits in [
+        StatementLimits::none().with_work_budget(100.0),
+        StatementLimits::none().with_row_budget(100),
+    ] {
+        // auto-commit: the statement's own transaction is rolled back
+        let err = s.execute_with_limits(raise, limits).unwrap_err();
+        assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
+        assert!(!s.in_transaction());
+        assert_eq!(db.query(sum).unwrap().rows, before, "partial write");
+        let txns = db.txn_stats();
+        assert_eq!(txns.begun, txns.committed + txns.rolled_back, "{txns:?}");
+
+        // inside an explicit transaction the failed write aborts it,
+        // earlier writes included
+        s.begin().unwrap();
+        s.execute("UPDATE big SET v = 1000 WHERE id = 1").unwrap();
+        let err = s.execute_with_limits(raise, limits).unwrap_err();
+        assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
+        assert!(!s.in_transaction());
+        assert_eq!(db.query(sum).unwrap().rows, before, "partial write");
+    }
+    // the same statement without a budget goes through
+    let r = s.execute_with_limits(raise, StatementLimits::none());
+    assert!(matches!(r, Ok(cbqt::StatementResult::RowsAffected(5000))));
+}
+
+#[test]
+fn update_with_no_optimizer_budget_still_writes_every_row() {
+    let _serial = failpoints::serial();
+    let db = big_table();
+    let s = db.session();
+    let starved = StatementLimits::none().with_optimizer_states(0);
+    let r = s.execute_with_limits("UPDATE big SET v = v + 1 WHERE v < 100", starved);
+    assert!(matches!(r, Ok(cbqt::StatementResult::RowsAffected(5000))));
+    let r = s.execute_with_limits("DELETE FROM big WHERE id >= 2500", starved);
+    assert!(matches!(r, Ok(cbqt::StatementResult::RowsAffected(2500))));
+    assert!(!s.in_transaction());
+    // sum of (i % 7) + 1 over the 2500 rows left
+    let want: i64 = (0..2500i64).map(|i| i % 7 + 1).sum();
+    let got = db.query("SELECT SUM(v), COUNT(*) FROM big").unwrap().rows;
+    assert_eq!(got, vec![vec![Value::Int(want), Value::Int(2500)]]);
+    // a query through the same entry point is `query_with_limits`
+    let r = s
+        .execute_with_limits("SELECT COUNT(*) FROM big", starved)
+        .unwrap();
+    assert_eq!(r.rows().unwrap().rows, vec![vec![Value::Int(2500)]]);
+}
+
 #[test]
 fn cancelled_session_stays_fenced_until_its_own_reset() {
     let _serial = failpoints::serial();

@@ -251,6 +251,49 @@ fn begin_commit_rollback_statement_surface() {
 }
 
 #[test]
+fn session_prepared_statement_reads_its_own_transaction() {
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE kv (k INT PRIMARY KEY, v INT);
+         INSERT INTO kv VALUES (1, 10), (2, 20);
+         ANALYZE;",
+    )
+    .unwrap();
+    let read = "SELECT v FROM kv WHERE k = 1";
+    let s = db.session();
+    let other = db.session();
+    // prepared before the transaction opens: what binds a statement to
+    // a transaction is the session that prepared it, not when
+    let prepared = s.prepare(read).unwrap();
+    let others = other.prepare(read).unwrap();
+    let routes = |want: i64, when: &str| {
+        let want = vec![vec![Value::Int(want)]];
+        assert_eq!(s.query(read).unwrap().rows, want, "query {when}");
+        let bound = s.query_bound("SELECT v FROM kv WHERE k = ?", &[Value::Int(1)]);
+        assert_eq!(bound.unwrap().rows, want, "query_bound {when}");
+        assert_eq!(prepared.query(&[]).unwrap().rows, want, "prepared {when}");
+        let again = s.prepare(read).unwrap();
+        assert_eq!(again.query(&[]).unwrap().rows, want, "re-prepared {when}");
+    };
+    routes(10, "before the transaction");
+
+    s.begin().unwrap();
+    s.execute("UPDATE kv SET v = 99 WHERE k = 1").unwrap();
+    routes(99, "inside the transaction");
+    // everyone else still reads the committed row
+    let committed = vec![vec![Value::Int(10)]];
+    assert_eq!(others.query(&[]).unwrap().rows, committed);
+    assert_eq!(
+        db.prepare(read).unwrap().query(&[]).unwrap().rows,
+        committed
+    );
+
+    s.rollback().unwrap();
+    routes(10, "after rollback");
+    assert_eq!(others.query(&[]).unwrap().rows, committed);
+}
+
+#[test]
 fn ddl_and_analyze_are_rejected_inside_transactions() {
     let mut db = fixture();
     db.execute_mut("BEGIN").unwrap();
@@ -273,7 +316,11 @@ fn ddl_and_analyze_are_rejected_inside_transactions() {
     let err = s
         .execute("CREATE TABLE t3 (a INT PRIMARY KEY)")
         .unwrap_err();
-    assert!(err.to_string().contains("exclusive database access"));
+    assert!(
+        err.to_string()
+            .contains("requires a query, DML or transaction control, got CREATE TABLE"),
+        "{err}"
+    );
 }
 
 #[test]
