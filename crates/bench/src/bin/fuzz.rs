@@ -1,6 +1,6 @@
 //! Extended differential fuzzing (dev tool): many random databases and
 //! queries, comparing all-transformations-off against cost-based under
-//! several strategies.
+//! every search strategy and against the heuristic rules.
 
 use cbqt::common::{Error, Value};
 use cbqt::{Database, SearchStrategy, StatementLimits, StatementResult, TransformSet};
@@ -171,8 +171,12 @@ fn usage() -> ! {
          \x20           [--differential-exec] [--binds] [--feedback] [--txn]\n\
          \x20           [--joins] [N]\n\
          \n\
-         Runs N differential-fuzz rounds (default 300). Round i uses seed\n\
-         S + i (S defaults to 0), so any reported failure reproduces with\n\
+         Runs N differential-fuzz rounds (default 300): a random query on\n\
+         a random database must return the rows of the run with every\n\
+         transformation off under each search strategy (Exhaustive,\n\
+         TwoPass, Iterative, Linear, Auto) and under the heuristic rules\n\
+         (cost_based = false). Round i uses seed S + i (S defaults to 0),\n\
+         so any reported failure reproduces with\n\
          `fuzz --iters 1 --seed <failing seed>`.\n\
          \n\
          --failpoints switches to fault-injection fuzzing: each round arms\n\
@@ -1139,12 +1143,17 @@ fn main() {
                 continue;
             }
         };
-        for strategy in [
-            SearchStrategy::Exhaustive,
-            SearchStrategy::TwoPass,
-            SearchStrategy::Iterative,
+        // every §3.2 strategy, then the heuristic rules (`Auto` is not
+        // consulted there) — all with the default `TransformSet`
+        for (label, strategy, cost_based) in [
+            ("Exhaustive", SearchStrategy::Exhaustive, true),
+            ("TwoPass", SearchStrategy::TwoPass, true),
+            ("Iterative", SearchStrategy::Iterative, true),
+            ("Linear", SearchStrategy::Linear, true),
+            ("Auto", SearchStrategy::Auto, true),
+            ("heuristic", SearchStrategy::Auto, false),
         ] {
-            db.config_mut().cost_based = true;
+            db.config_mut().cost_based = cost_based;
             db.config_mut().transforms = TransformSet::default();
             db.config_mut().heuristic_unnest_merge = true;
             db.config_mut().search = strategy;
@@ -1153,7 +1162,7 @@ fn main() {
                     let got = canon(&r.rows);
                     if got != reference {
                         println!(
-                            "seed {seed} {strategy:?}: MISMATCH ({} vs {} rows)\n{sql}",
+                            "seed {seed} {label}: MISMATCH ({} vs {} rows)\n{sql}",
                             reference.len(),
                             got.len()
                         );
@@ -1161,7 +1170,7 @@ fn main() {
                     }
                 }
                 Err(e) => {
-                    println!("seed {seed} {strategy:?}: ERROR {e}\n{sql}");
+                    println!("seed {seed} {label}: ERROR {e}\n{sql}");
                     failures += 1;
                 }
             }

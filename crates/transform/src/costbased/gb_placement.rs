@@ -9,6 +9,7 @@
 //! join fan-out multiplies whole groups uniformly.
 
 use super::{ApplyEffect, CbTransform, Target};
+use crate::framework::TransformSet;
 use cbqt_catalog::Catalog;
 use cbqt_common::{Error, Result};
 use cbqt_qgm::{
@@ -48,6 +49,10 @@ impl CbTransform for CbGroupByPlacement {
             }
         }
         out
+    }
+
+    fn enabled(&self, set: &TransformSet, target: Target) -> Option<Target> {
+        set.group_by_placement.then_some(target)
     }
 
     fn apply(

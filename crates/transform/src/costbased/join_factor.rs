@@ -4,6 +4,7 @@
 //! time; repeated application factors several common tables.
 
 use super::{ApplyEffect, CbTransform, Target};
+use crate::framework::TransformSet;
 use cbqt_catalog::{Catalog, TableId};
 use cbqt_common::{Error, Result, Value};
 use cbqt_qgm::{
@@ -41,6 +42,10 @@ impl CbTransform for CbJoinFactorization {
         }
         let _ = catalog;
         out
+    }
+
+    fn enabled(&self, set: &TransformSet, target: Target) -> Option<Target> {
+        set.join_factorization.then_some(target)
     }
 
     fn apply(

@@ -19,6 +19,7 @@ pub mod setop_join;
 pub mod unnest_view;
 pub mod view_transform;
 
+use crate::framework::TransformSet;
 use cbqt_catalog::Catalog;
 use cbqt_common::Result;
 use cbqt_qgm::{BlockId, QueryTree, RefId};
@@ -72,6 +73,23 @@ pub trait CbTransform {
 
     /// Objects this transformation can apply to in the given tree.
     fn find_targets(&self, tree: &QueryTree, catalog: &Catalog) -> Vec<Target>;
+
+    /// The switch(es) of `set` that gate this transformation: `target`
+    /// restricted to the alternatives they leave on, `None` when that is
+    /// none of them. Deliberately without a default — a transformation
+    /// must say what turns it off.
+    fn enabled(&self, set: &TransformSet, target: Target) -> Option<Target>;
+
+    /// The alternative of `target` the pre-10g heuristic rule applies
+    /// (heuristic mode, §4.1); `None` — the default — leaves it alone.
+    fn heuristic_choice(
+        &self,
+        _tree: &QueryTree,
+        _catalog: &Catalog,
+        _target: &Target,
+    ) -> Option<usize> {
+        None
+    }
 
     /// Number of alternatives for a target, *including* "do nothing"
     /// (choice 0). Two unless alternatives are juxtaposed.

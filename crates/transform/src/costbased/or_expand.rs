@@ -5,6 +5,7 @@
 //! disjunct enables.
 
 use super::{ApplyEffect, CbTransform, Target};
+use crate::framework::TransformSet;
 use cbqt_catalog::Catalog;
 use cbqt_common::{Error, Result};
 use cbqt_qgm::{
@@ -51,6 +52,10 @@ impl CbTransform for CbOrExpansion {
             }
         }
         out
+    }
+
+    fn enabled(&self, set: &TransformSet, target: Target) -> Option<Target> {
+        set.or_expansion.then_some(target)
     }
 
     fn apply(

@@ -5,6 +5,7 @@
 //! rows ever pay for the predicate (Q16 → Q17).
 
 use super::{ApplyEffect, CbTransform, Target};
+use crate::framework::TransformSet;
 use cbqt_catalog::Catalog;
 use cbqt_common::{Error, Result};
 use cbqt_qgm::{BlockId, JoinInfo, OutputItem, QExpr, QTableSource, QueryBlock, QueryTree, RefId};
@@ -52,6 +53,10 @@ impl CbTransform for CbPredicatePullup {
             }
         }
         out
+    }
+
+    fn enabled(&self, set: &TransformSet, target: Target) -> Option<Target> {
+        set.predicate_pullup.then_some(target)
     }
 
     fn apply(

@@ -7,6 +7,7 @@
 //! decision akin to distinct placement.
 
 use super::{ApplyEffect, CbTransform, Target};
+use crate::framework::TransformSet;
 use cbqt_catalog::Catalog;
 use cbqt_common::{Error, Result};
 use cbqt_qgm::{
@@ -35,6 +36,10 @@ impl CbTransform for CbSetOpToJoin {
             }
         }
         out
+    }
+
+    fn enabled(&self, set: &TransformSet, target: Target) -> Option<Target> {
+        set.setop_to_join.then_some(target)
     }
 
     fn arity(&self, _target: &Target) -> usize {

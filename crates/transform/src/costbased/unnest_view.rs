@@ -15,6 +15,7 @@
 //! [`heuristic_would_unnest`]).
 
 use super::{ApplyEffect, CbTransform, Target};
+use crate::framework::TransformSet;
 use crate::heuristic::unnest_merge::is_mergeable_subquery;
 use cbqt_catalog::Catalog;
 use cbqt_common::{Error, Result};
@@ -47,6 +48,23 @@ impl CbTransform for CbUnnestView {
             }
         }
         out
+    }
+
+    fn enabled(&self, set: &TransformSet, target: Target) -> Option<Target> {
+        set.unnest.then_some(target)
+    }
+
+    /// Unnest unless the pre-10g index rule says otherwise.
+    fn heuristic_choice(
+        &self,
+        tree: &QueryTree,
+        catalog: &Catalog,
+        target: &Target,
+    ) -> Option<usize> {
+        let Target::Subquery { block, subq } = target else {
+            return None;
+        };
+        heuristic_would_unnest(tree, catalog, *block, *subq).then_some(1)
     }
 
     fn apply(

@@ -5,6 +5,7 @@
 //! Q12 vs Q13 vs Q18 comparison.
 
 use super::{ApplyEffect, CbTransform, Target};
+use crate::framework::TransformSet;
 use crate::util::{dedup_aliases, substitute_view_columns, table_used_elsewhere};
 use cbqt_catalog::Catalog;
 use cbqt_common::{Error, Result};
@@ -44,6 +45,45 @@ impl CbTransform for CbViewTransform {
             }
         }
         out
+    }
+
+    /// The split view-merge / JPPD switches each gate one of the
+    /// juxtaposed alternatives.
+    fn enabled(&self, set: &TransformSet, target: Target) -> Option<Target> {
+        let Target::View {
+            block,
+            view_ref,
+            can_merge,
+            can_jppd,
+        } = target
+        else {
+            return None;
+        };
+        let (can_merge, can_jppd) = (can_merge && set.view_merge, can_jppd && set.jppd);
+        (can_merge || can_jppd).then_some(Target::View {
+            block,
+            view_ref,
+            can_merge,
+            can_jppd,
+        })
+    }
+
+    /// Always merge; never JPPD (the paper introduces JPPD as a
+    /// cost-based-only transformation).
+    fn heuristic_choice(
+        &self,
+        _tree: &QueryTree,
+        _catalog: &Catalog,
+        target: &Target,
+    ) -> Option<usize> {
+        let mergeable = matches!(
+            target,
+            Target::View {
+                can_merge: true,
+                ..
+            }
+        );
+        mergeable.then_some(1)
     }
 
     fn arity(&self, target: &Target) -> usize {

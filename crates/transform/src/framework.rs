@@ -11,7 +11,8 @@
 //!   small arities so juxtaposed alternatives fit, §3.3.2/§3.3.3);
 //! * four search strategies — exhaustive (2^N), iterative improvement,
 //!   linear (N+1), two-pass (2) — with automatic selection based on the
-//!   number of transformation objects;
+//!   number of transformation objects; they differ only in which states
+//!   they visit, every state goes through one `Search::try_state`;
 //! * interleaving (§3.3.1): when unnesting creates a view, the merge of
 //!   that view is evaluated *within* the same state, so "unnest + merge"
 //!   can win even when "unnest" alone loses;
@@ -19,7 +20,7 @@
 //!   cost so far is passed as a cut-off budget (§3.4.1).
 
 use crate::costbased::view_transform::{can_merge_view, merge_view};
-use crate::costbased::{default_transforms, ApplyEffect, CbTransform, Target};
+use crate::costbased::{default_transforms, CbTransform, Target};
 use crate::heuristic::{apply_heuristics_with, HeuristicReport};
 use cbqt_catalog::Catalog;
 use cbqt_common::{
@@ -29,7 +30,8 @@ use cbqt_optimizer::{
     is_cutoff, BlockPlan, CardFeedback, CostAnnotations, DynamicSampler, Optimizer,
     OptimizerConfig, OptimizerStats, SamplingCache,
 };
-use cbqt_qgm::{render, QTableSource, QueryTree};
+use cbqt_qgm::{render, BlockId, QTableSource, QueryTree, RefId};
+use std::borrow::Cow;
 
 /// Search strategies of §3.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +49,9 @@ pub enum SearchStrategy {
 }
 
 /// Which transformations are enabled — used by the experiments to turn
-/// individual transformations off or force heuristic behaviour.
+/// individual transformations off or force heuristic behaviour. What a
+/// switch gates is said by the transformation it belongs to
+/// (`CbTransform::enabled`), in cost-based and heuristic mode alike.
 #[derive(Debug, Clone)]
 pub struct TransformSet {
     pub unnest: bool,
@@ -73,21 +77,6 @@ impl Default for TransformSet {
             predicate_pullup: true,
             join_factorization: true,
             or_expansion: true,
-        }
-    }
-}
-
-impl TransformSet {
-    fn enabled(&self, name: &str) -> bool {
-        match name {
-            "subquery unnesting (inline view)" => self.unnest,
-            "view merging / join predicate pushdown" => self.view_merge || self.jppd,
-            "MINUS/INTERSECT into join" => self.setop_to_join,
-            "group-by placement" => self.group_by_placement,
-            "predicate pullup" => self.predicate_pullup,
-            "join factorization" => self.join_factorization,
-            "disjunction into UNION ALL" => self.or_expansion,
-            _ => true,
         }
     }
 }
@@ -275,48 +264,34 @@ pub fn optimize_query_feedback(
         sampler,
         feedback,
         governor,
+        tracer,
     };
-    let mut states_explored = 0u64;
-    let mut cutoffs = 0u64;
+    let mut tally = Tally::default();
     let mut decisions: Vec<(String, String)> = Vec::new();
-    let mut opt_stats = OptimizerStats::default();
 
     let transforms = default_transforms();
     for t in &transforms {
-        if !config.transforms.enabled(t.name()) {
-            continue;
-        }
-        if config.cost_based {
-            let session = TransformSession {
-                ctx,
-                states: &mut states_explored,
-                cutoffs: &mut cutoffs,
-                stats: &mut opt_stats,
-                tracer,
-            };
-            let decision = session.run(&mut tree, t.as_ref())?;
-            if let Some(d) = decision {
-                decisions.push((t.name().to_string(), d));
-            }
-            // transformations can expose heuristic work (e.g. SPJ views
-            // from set-op conversion) — §3.1
-            apply_heuristics_with(&mut tree, catalog, config.heuristic_unnest_merge)?;
+        let outcome = if config.cost_based {
+            search_and_apply(ctx, &mut tally, &mut tree, t.as_ref(), &transforms)?
         } else {
-            let applied = apply_heuristic_rule(&mut tree, catalog, t.as_ref())?;
-            if applied > 0 {
-                decisions.push((
-                    t.name().to_string(),
-                    format!("applied by heuristic rule on {applied} object(s)"),
-                ));
-                apply_heuristics_with(&mut tree, catalog, config.heuristic_unnest_merge)?;
-            }
+            apply_heuristic_rule(&mut tree, catalog, &config.transforms, t.as_ref())?
+        };
+        let Some((decision, changed)) = outcome else {
+            continue;
+        };
+        decisions.push((t.name().to_string(), decision));
+        // a transformation can expose heuristic work (e.g. SPJ views
+        // from set-op conversion) — §3.1; one that left the tree as it
+        // was cannot
+        if changed {
+            apply_heuristics_with(&mut tree, catalog, config.heuristic_unnest_merge)?;
         }
     }
 
     // final physical optimization of the winning tree; this always runs
     // (even when the search degraded) so the statement gets a valid,
     // executable plan. The governor's interrupts still apply inside.
-    let plan = ctx.optimize(tracer, &tree, None, &mut opt_stats)?;
+    let plan = ctx.optimize(&tree, None, &mut tally.stats)?;
     tracer.emit(|| TraceEvent::QueryRewritten {
         before: before_sql,
         after: render::render_tree(&tree, catalog),
@@ -330,56 +305,134 @@ pub fn optimize_query_feedback(
         plan,
         heuristics,
         decisions,
-        states_explored,
-        cutoffs,
-        optimizer_stats: opt_stats,
+        states_explored: tally.states,
+        cutoffs: tally.cutoffs,
+        optimizer_stats: tally.stats,
         degraded: governor.optimizer_exhausted(),
     })
 }
 
+/// The objects of `t` in `tree`, each restricted to the alternatives the
+/// switches leave on. The cost-based search, the query-wide total behind
+/// [`pick_strategy`] and heuristic mode all get their targets here, so a
+/// switch means the same thing to each of them.
+fn enabled_targets(
+    t: &dyn CbTransform,
+    tree: &QueryTree,
+    catalog: &Catalog,
+    set: &TransformSet,
+) -> Vec<Target> {
+    let targets = t.find_targets(tree, catalog).into_iter();
+    targets.filter_map(|tg| t.enabled(set, tg)).collect()
+}
+
 /// Heuristic-mode stand-in for the cost-based decisions (§4.1 compares
-/// against this): unnesting always fires unless the pre-10g index rule
-/// says otherwise; view merging always fires; the rest never fire
-/// (group-by placement "is never applied using heuristics").
+/// against this): every object gets the alternative its transformation's
+/// pre-10g rule picks, if it has one. Returns the decision string and
+/// "the tree changed" if any object was transformed.
 fn apply_heuristic_rule(
     tree: &mut QueryTree,
     catalog: &Catalog,
+    set: &TransformSet,
     t: &dyn CbTransform,
-) -> Result<usize> {
+) -> Result<Option<(String, bool)>> {
     let mut applied = 0;
-    match t.name() {
-        "subquery unnesting (inline view)" => loop {
-            let targets = t.find_targets(tree, catalog);
-            let Some(target) = targets.into_iter().find(|tg| {
-                let Target::Subquery { block, subq } = tg else {
-                    return false;
-                };
-                crate::costbased::unnest_view::heuristic_would_unnest(tree, catalog, *block, *subq)
-            }) else {
-                return Ok(applied);
-            };
-            t.apply(tree, catalog, &target, 1)?;
-            applied += 1;
+    // one application can invalidate the other targets: find them anew
+    loop {
+        let mut targets = enabled_targets(t, tree, catalog, set).into_iter();
+        let pick = |tg| Some((t.heuristic_choice(tree, catalog, &tg)?, tg));
+        let Some((choice, target)) = targets.find_map(pick) else {
+            let decision = || format!("applied by heuristic rule on {applied} object(s)");
+            return Ok((applied > 0).then(|| (decision(), true)));
+        };
+        t.apply(tree, catalog, &target, choice)?;
+        applied += 1;
+    }
+}
+
+/// Runs one cost-based transformation over its state space on `tree` and
+/// applies the winning state in place. Returns the decision string and
+/// whether the tree changed, if the transformation had targets.
+fn search_and_apply(
+    ctx: CostContext<'_>,
+    tally: &mut Tally,
+    tree: &mut QueryTree,
+    t: &dyn CbTransform,
+    transforms: &[Box<dyn CbTransform>],
+) -> Result<Option<(String, bool)>> {
+    let set = &ctx.config.transforms;
+    let targets = enabled_targets(t, tree, ctx.catalog, set);
+    if targets.is_empty() {
+        return Ok(None);
+    }
+    // total transformation objects across the whole query
+    let total = || {
+        let all = transforms.iter();
+        all.map(|tt| enabled_targets(tt.as_ref(), tree, ctx.catalog, set).len())
+            .sum()
+    };
+    let strategy = pick_strategy(ctx.config, targets.len(), total);
+    ctx.tracer.emit(|| TraceEvent::TransformBegin {
+        transform: t.name().to_string(),
+        targets: targets.len(),
+        strategy: format!("{strategy:?}"),
+    });
+    let mut search = Search::new(ctx, t, tree, &targets, tally);
+    search.visit(strategy)?;
+    let best = search.best;
+
+    // apply the winning state to the main tree
+    let changed = best.state.iter().any(|&c| c > 0);
+    if changed {
+        let created = apply_state(tree, ctx.catalog, t, &targets, &best.state)?;
+        // interleaved merges chosen during costing
+        for (k, (parent, view_ref)) in created.iter().enumerate() {
+            if best.merges.get(k) == Some(&true) {
+                merge_view(tree, ctx.catalog, *parent, *view_ref)?;
+            }
+        }
+        debug_assert!(tree.validate().is_ok(), "{:?} broke the tree", t.name());
+    }
+    let interleaved = best.merges.iter().any(|&b| b);
+    ctx.tracer.emit(|| TraceEvent::TransformEnd {
+        transform: t.name().to_string(),
+        best_state: best.state.clone(),
+        interleaved,
+        cost: best.cost,
+    });
+    let decision = format!(
+        "{} target(s), strategy {:?}, best state {:?}{}, cost {:.0}",
+        targets.len(),
+        strategy,
+        best.state,
+        if interleaved {
+            " + interleaved merge"
+        } else {
+            ""
         },
-        "view merging / join predicate pushdown" => loop {
-            // heuristic: always merge; never JPPD (the paper introduces
-            // JPPD as a cost-based-only transformation)
-            let targets = t.find_targets(tree, catalog);
-            let Some(target) = targets.into_iter().find(|tg| {
-                matches!(
-                    tg,
-                    Target::View {
-                        can_merge: true,
-                        ..
-                    }
-                )
-            }) else {
-                return Ok(applied);
-            };
-            t.apply(tree, catalog, &target, 1)?;
-            applied += 1;
-        },
-        _ => Ok(applied),
+        best.cost,
+    );
+    Ok(Some((decision, changed)))
+}
+
+/// Resolves `Auto` from the object counts (§3.2): `n_targets` of this
+/// transformation, `total` of every enabled transformation in the query.
+fn pick_strategy(
+    config: &CbqtConfig,
+    n_targets: usize,
+    total: impl FnOnce() -> usize,
+) -> SearchStrategy {
+    if config.search != SearchStrategy::Auto {
+        return config.search;
+    }
+    if total() > config.total_two_pass_threshold {
+        SearchStrategy::TwoPass
+    } else if n_targets <= config.exhaustive_threshold {
+        SearchStrategy::Exhaustive
+    } else if n_targets <= config.linear_threshold {
+        SearchStrategy::Linear
+    } else {
+        SearchStrategy::TwoPass
     }
 }
 
@@ -393,6 +446,7 @@ struct CostContext<'a> {
     sampler: Option<&'a dyn DynamicSampler>,
     feedback: Option<&'a dyn CardFeedback>,
     governor: &'a Governor,
+    tracer: Tracer<'a>,
 }
 
 impl CostContext<'_> {
@@ -400,7 +454,6 @@ impl CostContext<'_> {
     /// when given) and adds its counters to `stats`.
     fn optimize(
         self,
-        tracer: Tracer<'_>,
         tree: &QueryTree,
         budget: Option<f64>,
         stats: &mut OptimizerStats,
@@ -409,7 +462,7 @@ impl CostContext<'_> {
         opt.sampler = self.sampler;
         opt.feedback = self.feedback;
         opt.config = self.config.optimizer.clone();
-        opt.tracer = tracer;
+        opt.tracer = self.tracer;
         opt.governor = self.governor.clone();
         let res = opt.optimize(tree, budget);
         stats.blocks_costed += opt.stats.blocks_costed;
@@ -419,296 +472,137 @@ impl CostContext<'_> {
     }
 }
 
-/// A costed state's outcome: `None` when the state was pruned (cut-off
-/// or budget), else its cost and the per-target interleave decisions.
-type StateOutcome = Option<(f64, Vec<bool>)>;
-
-struct TransformSession<'a> {
-    ctx: CostContext<'a>,
-    states: &'a mut u64,
-    cutoffs: &'a mut u64,
-    stats: &'a mut OptimizerStats,
-    tracer: Tracer<'a>,
+/// What the searches of one statement add up to.
+#[derive(Default)]
+struct Tally {
+    /// States costed (one per optimizer call, interleave subsets too).
+    states: u64,
+    /// §3.4.1 cost cut-offs taken.
+    cutoffs: u64,
+    stats: OptimizerStats,
 }
 
-impl<'a> TransformSession<'a> {
-    /// Runs one cost-based transformation over its state space on `tree`,
-    /// applying the winning state in place. Returns a decision string if
-    /// the transformation had targets.
-    fn run(mut self, tree: &mut QueryTree, t: &dyn CbTransform) -> Result<Option<String>> {
-        let mut targets = t.find_targets(tree, self.ctx.catalog);
-        // the split view-merge / JPPD switches restrict the juxtaposed
-        // alternatives of view targets
-        if t.name() == "view merging / join predicate pushdown" {
-            let set = &self.ctx.config.transforms;
-            targets = targets
-                .into_iter()
-                .filter_map(|tg| match tg {
-                    Target::View {
-                        block,
-                        view_ref,
-                        can_merge,
-                        can_jppd,
-                    } => {
-                        let m = can_merge && set.view_merge;
-                        let j = can_jppd && set.jppd;
-                        if m || j {
-                            Some(Target::View {
-                                block,
-                                view_ref,
-                                can_merge: m,
-                                can_jppd: j,
-                            })
-                        } else {
-                            None
-                        }
-                    }
-                    other => Some(other),
-                })
-                .collect();
+/// The best state a search has costed so far.
+struct Best {
+    cost: f64,
+    state: Vec<usize>,
+    /// Its §3.3.1 interleave choices, one flag per view it creates.
+    merges: Vec<bool>,
+}
+
+/// The state-space search of one transformation over its `targets` in
+/// `tree` (§3.2). A state is a choice per target; every state is costed
+/// the same way, by [`Search::try_state`], and the strategies differ only
+/// in which states [`Search::visit`] hands it.
+struct Search<'a> {
+    ctx: CostContext<'a>,
+    t: &'a dyn CbTransform,
+    tree: &'a QueryTree,
+    targets: &'a [Target],
+    tally: &'a mut Tally,
+    best: Best,
+}
+
+impl<'a> Search<'a> {
+    /// A search that has costed nothing yet: the all-zero state (the
+    /// tree as it is) stands until a costed state beats it.
+    fn new(
+        ctx: CostContext<'a>,
+        t: &'a dyn CbTransform,
+        tree: &'a QueryTree,
+        targets: &'a [Target],
+        tally: &'a mut Tally,
+    ) -> Search<'a> {
+        let best = Best {
+            cost: f64::INFINITY,
+            state: vec![0; targets.len()],
+            merges: Vec::new(),
+        };
+        Search {
+            ctx,
+            t,
+            tree,
+            targets,
+            tally,
+            best,
         }
-        if targets.is_empty() {
-            return Ok(None);
-        }
-        let arities: Vec<usize> = targets.iter().map(|tg| t.arity(tg)).collect();
-        let strategy = self.pick_strategy(tree, t, targets.len());
-        self.tracer.emit(|| TraceEvent::TransformBegin {
-            transform: t.name().to_string(),
-            targets: targets.len(),
-            strategy: format!("{strategy:?}"),
-        });
+    }
+
+    /// Visits the states of `strategy` in its order.
+    fn visit(&mut self, strategy: SearchStrategy) -> Result<()> {
+        let arities: Vec<usize> = self.targets.iter().map(|tg| self.t.arity(tg)).collect();
         let space = StateSpace { arities: &arities };
-
-        let mut best_state = vec![0usize; targets.len()];
-        let mut best_sub: Vec<bool> = Vec::new();
-        let mut best_cost = f64::INFINITY;
-        let tree_ref: &QueryTree = tree;
-
         match strategy {
             SearchStrategy::Exhaustive => {
-                let states = space.all_states();
-                let outcomes =
-                    self.evaluate_batch(tree_ref, t, &targets, &states, best_cost, |_| false)?;
-                for (state, out) in states.into_iter().zip(outcomes) {
-                    if let Some((cost, sub)) = out {
-                        if cost_lt(cost, best_cost) {
-                            best_cost = cost;
-                            best_state = state;
-                            best_sub = sub;
-                        }
-                    }
+                for state in space.all_states() {
+                    self.try_state(&state)?;
                 }
             }
             SearchStrategy::TwoPass => {
-                let states = vec![space.zero_state(), space.one_state()];
-                let outcomes =
-                    self.evaluate_batch(tree_ref, t, &targets, &states, best_cost, |_| false)?;
-                for (state, out) in states.into_iter().zip(outcomes) {
-                    if let Some((cost, sub)) = out {
-                        if cost_lt(cost, best_cost) {
-                            best_cost = cost;
-                            best_state = state;
-                            best_sub = sub;
-                        }
-                    }
+                for state in [space.zero_state(), space.one_state()] {
+                    self.try_state(&state)?;
                 }
             }
             SearchStrategy::Linear => {
                 // dynamic-programming flavoured: start from all-zero and
-                // greedily fix each coordinate at its best alternative
+                // fix each coordinate in turn at its best alternative
                 let mut current = space.zero_state();
-                let first = self.evaluate_batch(
-                    tree_ref,
-                    t,
-                    &targets,
-                    std::slice::from_ref(&current),
-                    best_cost,
-                    |_| false,
-                )?;
-                if let Some(Some((cost, sub))) = first.into_iter().next() {
-                    best_cost = cost;
-                    best_state = current.clone();
-                    best_sub = sub;
-                }
-                for i in 0..targets.len() {
-                    // all alternatives of one coordinate, in one scan
-                    let cands: Vec<Vec<usize>> = (1..arities[i])
-                        .map(|c| {
-                            let mut s = current.clone();
-                            s[i] = c;
-                            s
-                        })
-                        .collect();
-                    if cands.is_empty() {
-                        continue;
+                self.try_state(&current)?;
+                for (i, &arity) in arities.iter().enumerate() {
+                    for c in 1..arity {
+                        current[i] = c;
+                        self.try_state(&current)?;
                     }
-                    let outcomes =
-                        self.evaluate_batch(tree_ref, t, &targets, &cands, best_cost, |_| false)?;
-                    let mut local_best = current[i];
-                    for (cand, out) in cands.into_iter().zip(outcomes) {
-                        if let Some((cost, sub)) = out {
-                            if cost_lt(cost, best_cost) {
-                                best_cost = cost;
-                                local_best = cand[i];
-                                best_state = cand;
-                                best_sub = sub;
-                            }
-                        }
-                    }
-                    current[i] = local_best;
+                    current[i] = self.best.state[i];
                 }
             }
             SearchStrategy::Iterative => {
-                let mut rng = Lcg::new(0x5DEECE66D ^ targets.len() as u64);
+                let config = self.ctx.config;
+                let mut rng = Lcg::new(0x5DEECE66D ^ arities.len() as u64);
                 let mut explored = 0usize;
-                for restart in 0..self.ctx.config.iterative_restarts.max(1) {
-                    let mut current: Vec<usize> = if restart == 0 {
+                for restart in 0..config.iterative_restarts.max(1) {
+                    let start: Vec<usize> = if restart == 0 {
                         space.zero_state()
                     } else {
                         arities.iter().map(|&a| rng.below(a)).collect()
                     };
-                    let init = self.evaluate_batch(
-                        tree_ref,
-                        t,
-                        &targets,
-                        std::slice::from_ref(&current),
-                        best_cost,
-                        |_| false,
-                    )?;
-                    let mut current_cost = match init.into_iter().next().flatten() {
-                        Some((c, sub)) => {
-                            if cost_lt(c, best_cost) {
-                                best_cost = c;
-                                best_state = current.clone();
-                                best_sub = sub;
-                            }
-                            c
-                        }
-                        None => f64::INFINITY,
-                    };
+                    let mut current_cost = self.try_state(&start)?.unwrap_or(f64::INFINITY);
                     explored += 1;
                     // greedy first-improvement descent over
-                    // single-coordinate moves: the neighborhood
-                    // (truncated to the remaining state allowance) is
-                    // scanned up to the first improving move.
-                    let mut improved = true;
-                    while improved && explored < self.ctx.config.iterative_max_states {
-                        improved = false;
-                        let mut moves: Vec<Vec<usize>> = Vec::new();
-                        for i in 0..targets.len() {
-                            for c in 0..arities[i] {
-                                if c != current[i] {
-                                    let mut cand = current.clone();
-                                    cand[i] = c;
-                                    moves.push(cand);
-                                }
+                    // single-coordinate moves: the neighborhood is
+                    // scanned up to the first improving move, within
+                    // the remaining state allowance
+                    let mut moves = space.moves(&start);
+                    while explored < config.iterative_max_states {
+                        let Some(cand) = moves.next() else {
+                            break; // a local minimum
+                        };
+                        explored += 1;
+                        match self.try_state(&cand)? {
+                            Some(cost) if cost_lt(cost, current_cost) => {
+                                current_cost = cost;
+                                moves = space.moves(&cand);
                             }
-                        }
-                        moves.truncate(self.ctx.config.iterative_max_states - explored);
-                        if moves.is_empty() {
-                            break;
-                        }
-                        let cc = current_cost;
-                        let outcomes =
-                            self.evaluate_batch(tree_ref, t, &targets, &moves, best_cost, {
-                                move |out| matches!(out, Some((cost, _)) if cost_lt(*cost, cc))
-                            })?;
-                        explored += outcomes.len();
-                        for (cand, out) in moves.into_iter().zip(outcomes) {
-                            if let Some((cost, sub)) = out {
-                                if cost_lt(cost, current_cost) {
-                                    current = cand.clone();
-                                    current_cost = cost;
-                                    improved = true;
-                                    if cost_lt(cost, best_cost) {
-                                        best_cost = cost;
-                                        best_state = cand;
-                                        best_sub = sub;
-                                    }
-                                    break;
-                                }
-                            }
+                            _ => {}
                         }
                     }
                 }
             }
             SearchStrategy::Auto => unreachable!("resolved in pick_strategy"),
         }
-
-        // apply the winning state to the main tree
-        if best_state.iter().any(|&c| c > 0) {
-            let effects = apply_state(tree, self.ctx.catalog, t, &targets, &best_state)?;
-            // interleaved merges chosen during costing
-            let created: Vec<_> = effects
-                .iter()
-                .flat_map(|e| e.created_views.iter().copied())
-                .collect();
-            for (k, (parent, view_ref)) in created.iter().enumerate() {
-                if best_sub.get(k).copied().unwrap_or(false) {
-                    merge_view(tree, self.ctx.catalog, *parent, *view_ref)?;
-                }
-            }
-            debug_assert!(tree.validate().is_ok(), "{:?} broke the tree", t.name());
-        }
-        self.tracer.emit(|| TraceEvent::TransformEnd {
-            transform: t.name().to_string(),
-            best_state: best_state.clone(),
-            interleaved: best_sub.iter().any(|&b| b),
-            cost: best_cost,
-        });
-        Ok(Some(format!(
-            "{} target(s), strategy {:?}, best state {:?}{}, cost {:.0}",
-            targets.len(),
-            strategy,
-            best_state,
-            if best_sub.iter().any(|&b| b) {
-                " + interleaved merge"
-            } else {
-                ""
-            },
-            best_cost,
-        )))
+        Ok(())
     }
 
-    fn pick_strategy(
-        &self,
-        tree: &QueryTree,
-        _t: &dyn CbTransform,
-        n_targets: usize,
-    ) -> SearchStrategy {
-        match self.ctx.config.search {
-            SearchStrategy::Auto => {
-                // total transformation objects across the whole query
-                let total: usize = default_transforms()
-                    .iter()
-                    .map(|tt| tt.find_targets(tree, self.ctx.catalog).len())
-                    .sum();
-                if total > self.ctx.config.total_two_pass_threshold {
-                    SearchStrategy::TwoPass
-                } else if n_targets <= self.ctx.config.exhaustive_threshold {
-                    SearchStrategy::Exhaustive
-                } else if n_targets <= self.ctx.config.linear_threshold {
-                    SearchStrategy::Linear
-                } else {
-                    SearchStrategy::TwoPass
-                }
-            }
-            s => s,
-        }
-    }
-
-    /// Costs one state on a copy of `tree`: apply the choices, optimize.
-    /// With interleaving, every subset of "merge the created views" is
-    /// also costed and the best sub-choice returned (§3.3.1).
-    fn cost_state(
-        &mut self,
-        tree: &QueryTree,
-        t: &dyn CbTransform,
-        targets: &[Target],
-        state: &[usize],
-        budget: f64,
-    ) -> Result<StateOutcome> {
+    /// Costs one state and returns its cost, `None` when it was pruned
+    /// (cut-off, statement budget, or not applicable). This is the one
+    /// place a state is admitted, costed and compared: it charges the
+    /// governor, applies the choices to a copy of the tree, optimizes
+    /// the copy — with interleaving, every subset of "merge the created
+    /// views" as well (§3.3.1) — under the best cost so far as the
+    /// §3.4.1 budget, and keeps the state if it beats that best.
+    fn try_state(&mut self, state: &[usize]) -> Result<Option<f64>> {
         let ctx = self.ctx;
+        let name = self.t.name();
         // Statement-level optimizer budget (graceful degradation): once
         // it runs out, remaining states are skipped as if cut off — the
         // best state costed so far stands, or the all-zero state (the
@@ -716,8 +610,8 @@ impl<'a> TransformSession<'a> {
         match ctx.governor.charge_state() {
             StateCharge::Charged => {}
             StateCharge::ExhaustedNow => {
-                self.tracer.emit(|| TraceEvent::SearchDegraded {
-                    transform: t.name().to_string(),
+                ctx.tracer.emit(|| TraceEvent::SearchDegraded {
+                    transform: name.to_string(),
                     states_used: ctx.governor.states_used().saturating_sub(1),
                 });
                 return Ok(None);
@@ -729,178 +623,122 @@ impl<'a> TransformSession<'a> {
         // The deep copy of §3.1 — skipped entirely for the all-zero state,
         // which applies no transformation (and with the copy-on-write arena
         // a taken copy shares every block until the state mutates it).
-        let mut copy_slot: Option<QueryTree> = None;
-        let effects = if state.iter().any(|&c| c > 0) {
-            let copy = copy_slot.insert(tree.clone());
-            match apply_state(copy, ctx.catalog, t, targets, state) {
-                Ok(e) => e,
+        let mut copy = Cow::Borrowed(self.tree);
+        let created = if state.iter().any(|&c| c > 0) {
+            match apply_state(copy.to_mut(), ctx.catalog, self.t, self.targets, state) {
+                Ok(created) => created,
                 Err(_) => return Ok(None), // state not applicable
             }
         } else {
             Vec::new()
         };
-        let copy: &QueryTree = copy_slot.as_ref().unwrap_or(tree);
-        let created: Vec<_> = effects
-            .iter()
-            .flat_map(|e| e.created_views.iter().copied())
-            .collect();
 
-        let mut best: StateOutcome = None;
-        let budget_of =
-            |best: &StateOutcome| -> f64 { best.as_ref().map(|(c, _)| *c).unwrap_or(budget) };
-
-        // base state (no interleaved merges)
-        let base_cost = self.optimize_copy(copy, budget_of(&best))?;
-        trace_state_event(self.tracer, t, state, vec![false; created.len()], base_cost);
-        if let Some(cost) = base_cost {
-            best = Some((cost, vec![false; created.len()]));
-        }
-
-        if ctx.config.interleave && !created.is_empty() && created.len() <= 3 {
-            let n = created.len();
-            for mask in 1..(1u32 << n) {
-                // the merged copy is materialized lazily: if the first
-                // requested merge is not even applicable, no clone happens
-                let mut merged_slot: Option<QueryTree> = None;
-                let mut sub = vec![false; n];
-                let mut ok = true;
-                for (k, (parent, view_ref)) in created.iter().enumerate() {
-                    if mask & (1 << k) != 0 {
-                        let cur: &QueryTree = merged_slot.as_ref().unwrap_or(copy);
-                        let vid = {
-                            let Ok(p) = cur.select(*parent) else {
-                                ok = false;
-                                break;
-                            };
-                            match p.table(*view_ref).map(|x| &x.source) {
-                                Some(QTableSource::View(v)) => *v,
-                                _ => {
-                                    ok = false;
-                                    break;
-                                }
-                            }
-                        };
-                        if !can_merge_view(cur, ctx.catalog, *parent, *view_ref, vid) {
-                            ok = false;
-                            break;
-                        }
-                        let merged = merged_slot.get_or_insert_with(|| copy.clone());
-                        if merge_view(merged, ctx.catalog, *parent, *view_ref).is_err() {
-                            ok = false;
-                            break;
-                        }
-                        sub[k] = true;
-                    }
-                }
-                let Some(merged_copy) = merged_slot else {
-                    continue;
+        // mask 0 is the base state (no interleaved merges)
+        let n = created.len();
+        let masks = if ctx.config.interleave && n <= 3 {
+            1u32 << n
+        } else {
+            1
+        };
+        let mut state_cost: Option<f64> = None;
+        for mask in 0..masks {
+            let Some(candidate) = merge_subset(&copy, ctx.catalog, &created, mask) else {
+                continue;
+            };
+            let merges: Vec<bool> = (0..n).map(|k| mask & (1 << k) != 0).collect();
+            let cost = self.cost_copy(&candidate)?;
+            ctx.tracer.emit(|| TraceEvent::StateCosted {
+                transform: name.to_string(),
+                state: state.to_vec(),
+                merges: merges.clone(),
+                cost,
+            });
+            let Some(cost) = cost else {
+                ctx.tracer.emit(|| TraceEvent::CutoffTaken {
+                    transform: name.to_string(),
+                    state: state.to_vec(),
+                });
+                continue;
+            };
+            if state_cost.is_none_or(|c| cost_lt(cost, c)) {
+                state_cost = Some(cost);
+            }
+            if cost_lt(cost, self.best.cost) {
+                let state = state.to_vec();
+                self.best = Best {
+                    cost,
+                    state,
+                    merges,
                 };
-                if !ok {
-                    continue;
-                }
-                let merged_cost = self.optimize_copy(&merged_copy, budget_of(&best))?;
-                trace_state_event(self.tracer, t, state, sub.clone(), merged_cost);
-                if let Some(cost) = merged_cost {
-                    if best
-                        .as_ref()
-                        .map(|(c, _)| cost_lt(cost, *c))
-                        .unwrap_or(true)
-                    {
-                        best = Some((cost, sub));
-                    }
-                }
             }
         }
-        Ok(best)
+        Ok(state_cost)
     }
 
-    /// Optimizes one candidate copy under the §3.4.1 budget; `None` when
-    /// the cost cut-off fired.
-    fn optimize_copy(&mut self, copy: &QueryTree, budget: f64) -> Result<Option<f64>> {
-        *self.states += 1;
+    /// Optimizes one candidate copy with the best cost so far as its
+    /// §3.4.1 budget; `None` when the cost cut-off fired.
+    fn cost_copy(&mut self, copy: &QueryTree) -> Result<Option<f64>> {
+        self.tally.states += 1;
+        let budget = self.best.cost;
         let budget = (self.ctx.config.cost_cutoff && budget.is_finite()).then_some(budget);
-        match self.ctx.optimize(self.tracer, copy, budget, self.stats) {
+        match self.ctx.optimize(copy, budget, &mut self.tally.stats) {
             Ok(plan) => Ok(Some(plan.cost)),
             Err(e) if is_cutoff(&e) => {
-                *self.cutoffs += 1;
+                self.tally.cutoffs += 1;
                 Ok(None)
             }
             Err(e) => Err(e),
         }
     }
+}
 
-    /// Costs candidate states in order, each with the running best cost
-    /// as its §3.4.1 budget, and returns their outcomes: one per state,
-    /// fewer than `batch.len()` when `stop` ends the scan early.
-    fn evaluate_batch(
-        &mut self,
-        tree: &QueryTree,
-        t: &dyn CbTransform,
-        targets: &[Target],
-        batch: &[Vec<usize>],
-        mut best_cost: f64,
-        mut stop: impl FnMut(&StateOutcome) -> bool,
-    ) -> Result<Vec<StateOutcome>> {
-        let mut outcomes = Vec::with_capacity(batch.len());
-        for state in batch {
-            let out = self.cost_state(tree, t, targets, state, best_cost)?;
-            if let Some((c, _)) = &out {
-                if cost_lt(*c, best_cost) {
-                    best_cost = *c;
-                }
-            }
-            let done = stop(&out);
-            outcomes.push(out);
-            if done {
-                break;
-            }
+/// `copy` with the created views that `mask` selects merged into their
+/// parents (§3.3.1), or `None` when one of them cannot merge. The merged
+/// tree is materialized lazily: if the first requested merge is not even
+/// applicable, no clone happens.
+fn merge_subset<'t>(
+    copy: &'t QueryTree,
+    catalog: &Catalog,
+    created: &[(BlockId, RefId)],
+    mask: u32,
+) -> Option<Cow<'t, QueryTree>> {
+    let mut merged = Cow::Borrowed(copy);
+    for (k, (parent, view_ref)) in created.iter().enumerate() {
+        if mask & (1 << k) == 0 {
+            continue;
         }
-        Ok(outcomes)
+        let QTableSource::View(vid) = merged.select(*parent).ok()?.table(*view_ref)?.source else {
+            return None;
+        };
+        if !can_merge_view(&merged, catalog, *parent, *view_ref, vid) {
+            return None;
+        }
+        merge_view(merged.to_mut(), catalog, *parent, *view_ref).ok()?;
     }
+    Some(merged)
 }
 
-/// Emits one `StateCosted` event (and `CutoffTaken` when the cost
-/// cut-off fired) for a just-costed `(state, merges)` combination.
-fn trace_state_event(
-    tracer: Tracer<'_>,
-    t: &dyn CbTransform,
-    state: &[usize],
-    merges: Vec<bool>,
-    cost: Option<f64>,
-) {
-    tracer.emit(|| TraceEvent::StateCosted {
-        transform: t.name().to_string(),
-        state: state.to_vec(),
-        merges,
-        cost,
-    });
-    if cost.is_none() {
-        tracer.emit(|| TraceEvent::CutoffTaken {
-            transform: t.name().to_string(),
-            state: state.to_vec(),
-        });
-    }
-}
-
-/// Applies a state (choice per target) to a tree.
+/// Applies a state (choice per target) to a tree and returns the
+/// `(parent block, view refid)` of every view that created — what
+/// interleaving (§3.3.1) can offer to view merging.
 fn apply_state(
     tree: &mut QueryTree,
     catalog: &Catalog,
     t: &dyn CbTransform,
     targets: &[Target],
     state: &[usize],
-) -> Result<Vec<ApplyEffect>> {
-    let mut effects = Vec::new();
+) -> Result<Vec<(BlockId, RefId)>> {
+    let mut created = Vec::new();
     for (target, &choice) in targets.iter().zip(state.iter()) {
         if choice == 0 {
             continue;
         }
-        effects.push(t.apply(tree, catalog, target, choice)?);
+        created.extend(t.apply(tree, catalog, target, choice)?.created_views);
     }
     if tree.validate().is_err() {
         return Err(Error::transform("state application produced invalid tree"));
     }
-    Ok(effects)
+    Ok(created)
 }
 
 /// The state space over per-target arities.
@@ -933,6 +771,20 @@ impl<'a> StateSpace<'a> {
             out = next;
         }
         out
+    }
+
+    /// The states one coordinate away from `from`, by coordinate and
+    /// then by choice.
+    fn moves(&self, from: &[usize]) -> std::vec::IntoIter<Vec<usize>> {
+        let mut out = Vec::new();
+        for (i, &a) in self.arities.iter().enumerate() {
+            for c in (0..a).filter(|&c| c != from[i]) {
+                let mut cand = from.to_vec();
+                cand[i] = c;
+                out.push(cand);
+            }
+        }
+        out.into_iter()
     }
 }
 
@@ -1135,6 +987,8 @@ mod tests {
         assert_eq!(space.all_states().len(), 6);
         assert_eq!(space.zero_state(), vec![0, 0]);
         assert_eq!(space.one_state(), vec![1, 1]);
+        let moves: Vec<_> = space.moves(&[1, 0]).collect();
+        assert_eq!(moves, [vec![0, 0], vec![1, 1], vec![1, 2]]);
     }
 
     #[test]
@@ -1156,23 +1010,16 @@ mod tests {
             sampler: None,
             feedback: None,
             governor: &governor,
+            tracer: Tracer::disabled(),
         };
         let t = crate::costbased::unnest_view::CbUnnestView;
         let targets = t.find_targets(&tree, &cat);
         assert!(!targets.is_empty());
         let zero = vec![0usize; targets.len()];
-        let (mut states, mut cutoffs, mut stats) = (0, 0, OptimizerStats::default());
-        let mut session = TransformSession {
-            ctx,
-            states: &mut states,
-            cutoffs: &mut cutoffs,
-            stats: &mut stats,
-            tracer: Tracer::disabled(),
-        };
+        let mut tally = Tally::default();
+        let mut search = Search::new(ctx, &t, &tree, &targets, &mut tally);
         let before = cbqt_qgm::deep_block_clones();
-        let out = session
-            .cost_state(&tree, &t, &targets, &zero, f64::INFINITY)
-            .unwrap();
+        let out = search.try_state(&zero).unwrap();
         assert!(out.is_some());
         assert_eq!(cbqt_qgm::deep_block_clones() - before, 0);
     }

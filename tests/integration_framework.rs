@@ -232,16 +232,7 @@ fn annotation_reuse_distinguishes_correlated_copies() {
     // reference: everything disabled
     let mut plain = db();
     plain.config_mut().cost_based = false;
-    plain.config_mut().transforms = cbqt::TransformSet {
-        unnest: false,
-        view_merge: false,
-        jppd: false,
-        setop_to_join: false,
-        group_by_placement: false,
-        predicate_pullup: false,
-        join_factorization: false,
-        or_expansion: false,
-    };
+    plain.config_mut().transforms = ALL_OFF;
     let reference = plain.query(sql).unwrap();
     assert_eq!(canon(&r.rows), canon(&reference.rows));
 }
@@ -306,4 +297,56 @@ fn cost_based_decisions_flip_with_data() {
     tis_db.config_mut().transforms.unnest = false;
     tis_db.config_mut().heuristic_unnest_merge = false;
     assert_eq!(a, tis_db.query(sql).unwrap().rows.len());
+}
+
+const ALL_OFF: cbqt::TransformSet = cbqt::TransformSet {
+    unnest: false,
+    view_merge: false,
+    jppd: false,
+    setop_to_join: false,
+    group_by_placement: false,
+    predicate_pullup: false,
+    join_factorization: false,
+    or_expansion: false,
+};
+
+/// The objects of a switched-off transformation are not part of the
+/// query's state space, so they must not count toward
+/// `total_two_pass_threshold` either: 17 unnestable subqueries with
+/// unnesting off leave the three disjunctions an exhaustive search.
+#[test]
+fn disabled_transformations_do_not_force_two_pass() {
+    let exists: Vec<String> = (0..17)
+        .map(|k| {
+            format!(
+                "EXISTS (SELECT 1 FROM t2 x{k}, t3 y{k} WHERE x{k}.a = y{k}.a \
+                 AND x{k}.b = t1.b AND x{k}.c = {})",
+                k % 7
+            )
+        })
+        .collect();
+    let sql = format!(
+        "SELECT t1.a FROM t1 WHERE {} AND (t1.c = 1 OR t1.b < 12) \
+         AND (t1.a < 40 OR t1.b = 3) AND (t1.c = 2 OR t1.a > 250)",
+        exists.join(" AND ")
+    );
+    let mut d = db();
+    d.config_mut().transforms.unnest = false;
+    let report = d.trace(&sql).unwrap();
+    assert!(
+        report
+            .events
+            .contains(&cbqt::OptimizerEvent::TransformBegin {
+                transform: "disjunction into UNION ALL".into(),
+                targets: 3,
+                strategy: "Exhaustive".into(),
+            }),
+        "{}",
+        report.render()
+    );
+    let rows = d.query(&sql).unwrap().rows;
+    let mut plain = db();
+    plain.config_mut().cost_based = false;
+    plain.config_mut().transforms = ALL_OFF;
+    assert_eq!(canon(&rows), canon(&plain.query(&sql).unwrap().rows));
 }
