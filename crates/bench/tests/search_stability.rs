@@ -10,71 +10,12 @@
 //! *meant* to move the search regenerates the table from the failure
 //! output and says so in its description.
 
-use cbqt::common::{ExecutionLimits, TraceEvent, Value};
-use cbqt::{Database, SearchStrategy};
-use cbqt_bench::{Family, WorkloadGen};
+mod common;
+
+use cbqt::common::TraceEvent;
+use cbqt::Database;
+use common::MODES;
 use std::fmt::Write;
-
-const SEED: u64 = 20_060_912;
-const PER_FAMILY: usize = 6;
-
-/// (label, search, cost_based, optimizer-state budget).
-const MODES: [(&str, SearchStrategy, bool, Option<u64>); 7] = [
-    ("exhaustive", SearchStrategy::Exhaustive, true, None),
-    ("iterative", SearchStrategy::Iterative, true, None),
-    ("linear", SearchStrategy::Linear, true, None),
-    ("two-pass", SearchStrategy::TwoPass, true, None),
-    ("auto", SearchStrategy::Auto, true, None),
-    ("heuristic", SearchStrategy::Auto, false, None),
-    ("governed", SearchStrategy::Auto, true, Some(3)),
-];
-
-/// The paper's Table 2 shape (three base tables, four unnestable
-/// multi-table subqueries), as in `tests/integration_framework.rs`.
-const TABLE2_QUERY: &str = "SELECT t1.a FROM t1, t2, t3
-    WHERE t1.b = t2.b AND t2.c = t3.c AND
-          t1.a NOT IN (SELECT x1.b FROM t1 x1, t2 y1 WHERE x1.a = y1.a
-                       AND x1.c = 3 AND x1.b IS NOT NULL) AND
-          EXISTS (SELECT 1 FROM t2 x2, t3 y2 WHERE x2.a = y2.a
-                  AND x2.b = t1.b AND x2.c = 5) AND
-          NOT EXISTS (SELECT 1 FROM t3 x3, t1 y3 WHERE x3.a = y3.a
-                      AND x3.b = t1.b AND x3.c = 6) AND
-          t1.c IN (SELECT x4.c FROM t2 x4, t3 y4 WHERE x4.a = y4.a AND x4.b = 10)";
-
-fn table2_db() -> Database {
-    let mut db = Database::new();
-    db.execute_script(
-        "CREATE TABLE t1 (a INT PRIMARY KEY, b INT, c INT);
-         CREATE TABLE t2 (a INT PRIMARY KEY, b INT, c INT);
-         CREATE TABLE t3 (a INT PRIMARY KEY, b INT, c INT);
-         CREATE INDEX i1 ON t1 (b); CREATE INDEX i2 ON t2 (b); CREATE INDEX i3 ON t3 (b);",
-    )
-    .unwrap();
-    for t in ["t1", "t2", "t3"] {
-        let rows = (0..300)
-            .map(|i| vec![Value::Int(i), Value::Int(i % 25), Value::Int(i % 7)])
-            .collect();
-        db.load_rows(t, rows).unwrap();
-    }
-    db.analyze().unwrap();
-    db
-}
-
-/// Seven two-table EXISTS subqueries: more objects than
-/// `exhaustive_threshold`, so `Auto` resolves to Linear here (it is
-/// Exhaustive on every other row).
-fn wide_query() -> String {
-    let subqueries: Vec<String> = (0..7)
-        .map(|k| {
-            format!(
-                "EXISTS (SELECT 1 FROM t2 x{k}, t3 y{k} WHERE x{k}.a = y{k}.a \
-                 AND x{k}.b = t1.b AND x{k}.c = {})",
-                k % 7
-            )
-        })
-        .collect();
-    format!("SELECT t1.a FROM t1 WHERE {}", subqueries.join(" AND "))
-}
 
 /// One row per `Family::all()` entry plus the Table 2 and wide rows, one
 /// column per `MODES` entry.
@@ -219,16 +160,8 @@ impl Row {
     /// Traces `sql` under every mode and folds the search events and the
     /// counters into the row.
     fn add(&mut self, db: &mut Database, sql: &str) {
-        for (m, (_, search, cost_based, budget)) in MODES.iter().enumerate() {
-            *db.config_mut() = cbqt::OptimizerSettings::default();
-            db.config_mut().search = *search;
-            db.config_mut().cost_based = *cost_based;
-            // no harvested actuals: each mode sees the same estimates
-            db.config_mut().feedback.enabled = false;
-            let limits = match budget {
-                Some(n) => ExecutionLimits::none().with_optimizer_states(*n),
-                None => ExecutionLimits::none(),
-            };
+        for (m, mode) in MODES.iter().enumerate() {
+            let limits = common::set_mode(db, mode);
             let report = db.trace_with_limits(sql, limits).expect("trace");
             let mut text = format!("-- {sql}\n");
             for e in &report.events {
@@ -290,25 +223,14 @@ fn search_event(text: &mut String, e: &TraceEvent) {
 
 #[test]
 fn search_events_and_counters_match_the_pre_refactor_digests() {
-    let mut gen = WorkloadGen::new(SEED);
-    gen.scale = 0.3;
-    let mut rows = Vec::new();
-    for &family in Family::all() {
-        let mut row = Row::new(family.name());
-        for mut inst in gen.generate(family, PER_FAMILY) {
-            inst.db.set_plan_cache_enabled(false);
-            row.add(&mut inst.db, &inst.sql);
+    let mut rows: Vec<Row> = Vec::new();
+    common::for_each_statement(|name, db, sql| {
+        if rows.last().is_none_or(|row| row.name != name) {
+            rows.push(Row::new(name));
         }
-        rows.push(row);
-    }
-    let mut row = Row::new("table2");
-    let mut db = table2_db();
-    db.set_plan_cache_enabled(false);
-    row.add(&mut db, TABLE2_QUERY);
-    rows.push(row);
-    let mut row = Row::new("wide");
-    row.add(&mut db, &wide_query());
-    rows.push(row);
+        let row = rows.last_mut().expect("pushed above");
+        row.add(db, sql);
+    });
 
     let actual: Vec<[u64; 7]> = rows.iter().map(|r| r.digests).collect();
     if actual != EXPECTED {

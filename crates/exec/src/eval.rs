@@ -38,7 +38,7 @@ pub struct EvalCtx<'a> {
     pub windows: &'a [QExpr],
     pub win_base: usize,
     /// Plans for subquery blocks referenced by expressions.
-    pub subplans: &'a [(cbqt_qgm::BlockId, cbqt_optimizer::BlockPlan)],
+    pub subplans: &'a [(cbqt_qgm::BlockId, std::sync::Arc<cbqt_optimizer::BlockPlan>)],
     /// Outer binding frames (for correlated evaluation).
     pub outer: Bindings<'a>,
 }

@@ -22,6 +22,8 @@ pub mod optimize;
 pub mod plan;
 
 pub use est::{clamp_feedback_rows, scan_feedback_key, CardFeedback, ColInfo, Estimator, RelStats};
+#[doc(hidden)]
+pub use optimize::record_optimized_trees;
 pub use optimize::{
     is_cutoff, CostAnnotations, DynamicSampler, Optimizer, OptimizerConfig, OptimizerStats,
     SamplingCache, COST_CUTOFF,

@@ -9,14 +9,12 @@ use cbqt_catalog::{Catalog, TableId};
 use cbqt_common::failpoint;
 use cbqt_common::{cost_lt, Error, Governor, Result, TraceEvent, Tracer, Value};
 use cbqt_qgm::{
-    render, BlockId, JoinInfo, QExpr, QTableSource, QueryBlock, QueryTree, RefId, SelectBlock,
+    fingerprint, BlockId, JoinInfo, QExpr, QTableSource, QueryBlock, QueryTree, RefId, SelectBlock,
     SetOp,
 };
 use std::cell::RefCell;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Tuning knobs of the physical optimizer.
 #[derive(Debug, Clone)]
@@ -62,13 +60,14 @@ pub struct OptimizerStats {
     pub enum_degraded: bool,
 }
 
-/// Cost-annotation store (§3.4.2): canonical block rendering → plan.
-/// Shared across all transformation states of one optimization session;
-/// interior mutability lets every optimizer of the session hold a plain
-/// `&CostAnnotations`.
+/// Cost-annotation store (§3.4.2): structural block key
+/// ([`fingerprint::block_keys`]) → plan. Shared across all transformation
+/// states of one optimization session; interior mutability lets every
+/// optimizer of the session hold a plain `&CostAnnotations`. Plans are
+/// held by `Arc`, so a hit costs a reference count, not a copy.
 #[derive(Debug, Default)]
 pub struct CostAnnotations {
-    plans: RefCell<HashMap<u64, BlockPlan>>,
+    plans: RefCell<HashMap<u64, Arc<BlockPlan>>>,
 }
 
 impl CostAnnotations {
@@ -76,13 +75,13 @@ impl CostAnnotations {
         Self::default()
     }
 
-    /// Looks up the annotated plan for a canonical block key.
-    pub fn get(&self, key: u64) -> Option<BlockPlan> {
+    /// Looks up the annotated plan for a block key.
+    pub fn get(&self, key: u64) -> Option<Arc<BlockPlan>> {
         self.plans.borrow().get(&key).cloned()
     }
 
-    /// Records the annotated plan for a canonical block key.
-    pub fn insert(&self, key: u64, plan: BlockPlan) {
+    /// Records the annotated plan for a block key.
+    pub fn insert(&self, key: u64, plan: Arc<BlockPlan>) {
         self.plans.borrow_mut().insert(key, plan);
     }
 
@@ -104,6 +103,25 @@ pub trait DynamicSampler {
 
 /// Cache for dynamic-sampling results, shared across optimizer calls.
 pub type SamplingCache = Mutex<HashMap<(TableId, String), (f64, f64)>>;
+
+thread_local! {
+    /// Trees handed to an optimizer on this thread while
+    /// [`record_optimized_trees`] runs; `None` (always, outside tests)
+    /// records nothing.
+    static OPTIMIZED_TREES: RefCell<Option<Vec<QueryTree>>> = const { RefCell::new(None) };
+}
+
+/// Test hook: runs `body` and returns, beside its result, every tree an
+/// [`Optimizer`] on the calling thread was asked to plan meanwhile — each
+/// state a transformation search costs, and the final tree. The trees
+/// are copy-on-write clones.
+#[doc(hidden)]
+pub fn record_optimized_trees<R>(body: impl FnOnce() -> R) -> (R, Vec<QueryTree>) {
+    OPTIMIZED_TREES.with(|t| *t.borrow_mut() = Some(Vec::new()));
+    let result = body();
+    let trees = OPTIMIZED_TREES.with(|t| t.borrow_mut().take());
+    (result, trees.unwrap_or_default())
+}
 
 /// Sentinel message used by the cost cut-off mechanism (§3.4.1).
 pub const COST_CUTOFF: &str = "COST_CUTOFF";
@@ -157,18 +175,42 @@ impl<'a> Optimizer<'a> {
     /// With `budget` set, aborts with the [`COST_CUTOFF`] error as soon
     /// as the root cost provably exceeds it.
     pub fn optimize(&mut self, tree: &QueryTree, budget: Option<f64>) -> Result<BlockPlan> {
-        let mut plans: HashMap<BlockId, BlockPlan> = HashMap::new();
-        let order = tree.bottom_up();
-        for id in &order {
-            let plan = self.plan_block(tree, *id, &plans, budget)?;
+        // the annotation store keeps the root's plan too, so this is a
+        // copy of the root block (its children stay shared)
+        self.optimize_shared(tree, budget).map(Arc::unwrap_or_clone)
+    }
+
+    /// [`Optimizer::optimize`] for a caller that only reads the plan —
+    /// costing a transformation state needs `cost` alone.
+    pub fn optimize_shared(
+        &mut self,
+        tree: &QueryTree,
+        budget: Option<f64>,
+    ) -> Result<Arc<BlockPlan>> {
+        OPTIMIZED_TREES.with(|t| {
+            if let Some(trees) = t.borrow_mut().as_mut() {
+                trees.push(tree.clone());
+            }
+        });
+        // one pass keys every block; without reuse nothing is keyed
+        let order: Vec<(BlockId, Option<u64>)> = if self.config.reuse_annotations {
+            let keyed = fingerprint::block_keys(tree).into_iter();
+            keyed.map(|(id, key)| (id, Some(key))).collect()
+        } else {
+            let plain = tree.bottom_up().into_iter();
+            plain.map(|id| (id, None)).collect()
+        };
+        let mut plans: HashMap<BlockId, Arc<BlockPlan>> = HashMap::new();
+        for (id, key) in order {
+            let plan = self.plan_block(tree, id, key, &plans, budget)?;
             if let Some(b) = budget {
                 // the root cost is at least the cost of any block that the
                 // root (transitively) executes at least once
-                if *id == tree.root && plan.cost > b {
+                if id == tree.root && plan.cost > b {
                     return Err(Error::plan(COST_CUTOFF));
                 }
             }
-            plans.insert(*id, plan);
+            plans.insert(id, plan);
         }
         plans
             .remove(&tree.root)
@@ -179,37 +221,28 @@ impl<'a> Optimizer<'a> {
         &mut self,
         tree: &QueryTree,
         id: BlockId,
-        plans: &HashMap<BlockId, BlockPlan>,
+        key: Option<u64>,
+        plans: &HashMap<BlockId, Arc<BlockPlan>>,
         budget: Option<f64>,
-    ) -> Result<BlockPlan> {
+    ) -> Result<Arc<BlockPlan>> {
         cbqt_common::failpoint!(failpoint::OPTIMIZER_PLAN);
         self.governor.check_interrupt()?;
-        let key = if self.config.reuse_annotations {
-            let rendered = render::render_block(tree, self.catalog, id);
-            let mut h = DefaultHasher::new();
-            rendered.hash(&mut h);
-            // correlated blocks bind outer table references: two blocks
-            // that render identically but reference different outer
-            // RefIds (e.g. copies made by OR expansion) must NOT share a
-            // plan, so the correlation identities join the key
-            for (r, c) in tree.correlated_cols(id) {
-                r.0.hash(&mut h);
-                c.hash(&mut h);
-            }
-            let key = h.finish();
-            if let Some(p) = self.annotations.get(key) {
-                self.stats.annotation_hits += 1;
-                self.tracer.emit(|| TraceEvent::AnnotationHit {
-                    block: id.to_string(),
-                });
-                let mut reused = p;
-                reused.block = id;
-                return Ok(reused);
-            }
-            Some(key)
-        } else {
-            None
-        };
+        if let Some(p) = key.and_then(|k| self.annotations.get(k)) {
+            self.stats.annotation_hits += 1;
+            self.tracer.emit(|| TraceEvent::AnnotationHit {
+                block: id.to_string(),
+            });
+            // Every copy-on-write copy of a tree keeps its block ids, so
+            // across states the plan is shared as it is. A twin under
+            // another id (an OR-expansion branch, a repeated subquery)
+            // can sit beside the original in one final plan and gets a
+            // copy of its own.
+            return Ok(if p.block == id {
+                p
+            } else {
+                Arc::new(p.unshared_as(id))
+            });
+        }
         self.stats.blocks_costed += 1;
         self.tracer.emit(|| TraceEvent::BlockCosted {
             block: id.to_string(),
@@ -217,7 +250,7 @@ impl<'a> Optimizer<'a> {
         let plan = match tree.block(id)? {
             QueryBlock::Select(s) => self.plan_select(tree, id, s, plans, budget)?,
             QueryBlock::SetOp(s) => {
-                let inputs: Vec<BlockPlan> = s
+                let inputs: Vec<Arc<BlockPlan>> = s
                     .inputs
                     .iter()
                     .map(|i| {
@@ -256,8 +289,9 @@ impl<'a> Optimizer<'a> {
                 return Err(Error::plan(COST_CUTOFF));
             }
         }
+        let plan = Arc::new(plan);
         if let Some(k) = key {
-            self.annotations.insert(k, plan.clone());
+            self.annotations.insert(k, Arc::clone(&plan));
         }
         Ok(plan)
     }
@@ -267,7 +301,7 @@ impl<'a> Optimizer<'a> {
         tree: &QueryTree,
         id: BlockId,
         s: &SelectBlock,
-        plans: &HashMap<BlockId, BlockPlan>,
+        plans: &HashMap<BlockId, Arc<BlockPlan>>,
         budget: Option<f64>,
     ) -> Result<BlockPlan> {
         let declared = s.declared_refs();
@@ -459,12 +493,12 @@ impl<'a> Optimizer<'a> {
         let layout = Layout::from_node(&join_node);
 
         // subquery (TIS) filters
-        let mut subplans: Vec<(BlockId, BlockPlan)> = Vec::new();
-        let collect_subplans = |e: &QExpr, subplans: &mut Vec<(BlockId, BlockPlan)>| {
+        let mut subplans: Vec<(BlockId, Arc<BlockPlan>)> = Vec::new();
+        let collect_subplans = |e: &QExpr, subplans: &mut Vec<(BlockId, Arc<BlockPlan>)>| {
             for b in e.subquery_blocks() {
                 if !subplans.iter().any(|(x, _)| *x == b) {
                     if let Some(p) = plans.get(&b) {
-                        subplans.push((b, p.clone()));
+                        subplans.push((b, Arc::clone(p)));
                     }
                 }
             }
@@ -658,7 +692,7 @@ impl<'a> Optimizer<'a> {
         t: &cbqt_qgm::QTable,
         declared: &HashSet<RefId>,
         rels: &HashMap<RefId, RelStats>,
-        plans: &HashMap<BlockId, BlockPlan>,
+        plans: &HashMap<BlockId, Arc<BlockPlan>>,
     ) -> Result<Item> {
         let mut deps: HashSet<RefId> = HashSet::new();
         for c in t.join.on_conjuncts() {
@@ -680,11 +714,7 @@ impl<'a> Optimizer<'a> {
                 let p = plans
                     .get(b)
                     .ok_or_else(|| Error::plan(format!("missing view plan {b}")))?;
-                (
-                    ItemKind::View(*b),
-                    !corr.is_empty(),
-                    Some(Box::new(p.clone())),
-                )
+                (ItemKind::View(*b), !corr.is_empty(), Some(Arc::clone(p)))
             }
         };
         let rows = rels.get(&t.refid).map(|r| r.rows).unwrap_or(DEFAULT_ROWS);
@@ -734,7 +764,7 @@ struct Item {
     deps: HashSet<RefId>,
     /// View correlated to sibling tables (lateral).
     correlated: bool,
-    plan: Option<Box<BlockPlan>>,
+    plan: Option<Arc<BlockPlan>>,
     base_rows: f64,
     width: usize,
 }
@@ -1411,7 +1441,7 @@ impl<'b, 'a> JoinEnumerator<'b, 'a> {
                     block: *b,
                     refid: item.refid,
                     width: item.width,
-                    plan: p.clone(),
+                    plan: Arc::clone(p),
                     correlated: item.correlated,
                     filter: preds,
                     rows,
@@ -1886,6 +1916,74 @@ mod tests {
         opt.optimize(&tree2, None).unwrap();
         assert_eq!(opt.stats.blocks_costed, 1);
         assert_eq!(opt.stats.annotation_hits, 1);
+    }
+
+    fn view_plan(p: &BlockPlan) -> &Arc<BlockPlan> {
+        fn find(n: &PlanNode) -> Option<&Arc<BlockPlan>> {
+            match n {
+                PlanNode::ScanView { plan, .. } => Some(plan),
+                PlanNode::Join { left, right, .. } => find(left).or_else(|| find(right)),
+                PlanNode::OneRow | PlanNode::ScanBase { .. } => None,
+            }
+        }
+        find(&p.as_select().unwrap().join).expect("a view scan")
+    }
+
+    #[test]
+    fn annotation_hits_share_the_stored_plans() {
+        let cat = catalog();
+        let tree = build_query_tree(
+            &cat,
+            &parse_query(
+                "SELECT e.emp_id FROM employees e, \
+                   (SELECT d.dept_id FROM departments d WHERE d.loc_id = 3) v \
+                 WHERE e.dept_id = v.dept_id AND e.salary > \
+                   (SELECT AVG(e2.salary) FROM employees e2 WHERE e2.dept_id = e.dept_id)",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let blocks = tree.bottom_up().len() as u64;
+        assert_eq!(blocks, 3);
+        let ann = CostAnnotations::new();
+        let cache = SamplingCache::default();
+        let mut opt = Optimizer::new(&cat, &ann, &cache);
+        let first = opt.optimize(&tree, None).unwrap();
+        assert_eq!((opt.stats.blocks_costed, opt.stats.annotation_hits), (3, 0));
+        // the same tree again (what a copy-on-write state is for every
+        // block it did not touch): all hits, and the children are the
+        // first plan's children, not copies of them
+        let second = opt.optimize(&tree.clone(), None).unwrap();
+        assert_eq!(
+            (opt.stats.blocks_costed, opt.stats.annotation_hits),
+            (3, blocks)
+        );
+        assert_eq!(first, second);
+        assert!(Arc::ptr_eq(view_plan(&first), view_plan(&second)));
+        let subplan = |p: &BlockPlan| Arc::clone(&p.as_select().unwrap().subplans[0].1);
+        assert!(Arc::ptr_eq(&subplan(&first), &subplan(&second)));
+    }
+
+    #[test]
+    fn a_twin_block_gets_a_plan_of_its_own() {
+        // two identical branches, each over an identical view: the
+        // second branch and its view hit the first's annotations under
+        // other block ids, and must not alias them inside the one plan
+        let (p, _) = plan(
+            "SELECT v.dept_id FROM (SELECT d.dept_id FROM departments d WHERE d.loc_id = 3) v \
+             UNION ALL \
+             SELECT v.dept_id FROM (SELECT d.dept_id FROM departments d WHERE d.loc_id = 3) v",
+        );
+        let PlanRoot::SetOp(s) = &p.root else {
+            panic!("unexpected {:?}", p.root)
+        };
+        let (a, b) = (&s.inputs[0], &s.inputs[1]);
+        assert_ne!(a.block, b.block);
+        assert_eq!(a.cost.to_bits(), b.cost.to_bits());
+        assert!(!Arc::ptr_eq(a, b));
+        assert!(!Arc::ptr_eq(view_plan(a), view_plan(b)));
+        // every element has an address of its own (debug-asserted inside)
+        assert_eq!(PlanIndex::build(&p).len(), 1 + 2 * 4);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use cbqt_catalog::{IndexId, TableId};
 use cbqt_qgm::{BlockId, QExpr, QOrder, RefId, SetOp};
+use std::sync::Arc;
 
 /// Cost-model constants. The execution engine counts *work units* with
 /// the same weights, so estimated cost and measured work are in the same
@@ -106,7 +107,9 @@ pub enum PlanNode {
         block: BlockId,
         refid: RefId,
         width: usize,
-        plan: Box<BlockPlan>,
+        /// The view block's plan, shared with the annotation store and
+        /// with every other plan that reuses it (§3.4.2).
+        plan: Arc<BlockPlan>,
         /// True when the view references columns bound outside it
         /// (correlated / JPPD lateral view): it is re-executed per outer
         /// row with result caching on the correlation values.
@@ -143,6 +146,17 @@ impl PlanNode {
                 PlanJoinKind::Semi | PlanJoinKind::Anti { .. } => left.width(),
                 _ => left.width() + right.width(),
             },
+        }
+    }
+
+    fn for_each_view_plan_mut(&mut self, f: &mut impl FnMut(&mut Arc<BlockPlan>)) {
+        match self {
+            PlanNode::OneRow | PlanNode::ScanBase { .. } => {}
+            PlanNode::ScanView { plan, .. } => f(plan),
+            PlanNode::Join { left, right, .. } => {
+                left.for_each_view_plan_mut(f);
+                right.for_each_view_plan_mut(f);
+            }
         }
     }
 
@@ -218,15 +232,15 @@ pub struct SelectPlan {
     pub order_by: Vec<QOrder>,
     pub rownum_limit: Option<u64>,
     /// Plans for non-unnested subqueries referenced by this block's
-    /// expressions.
-    pub subplans: Vec<(BlockId, BlockPlan)>,
+    /// expressions, shared like [`PlanNode::ScanView`]'s.
+    pub subplans: Vec<(BlockId, Arc<BlockPlan>)>,
 }
 
 /// Plan for a set-operation block.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SetOpPlan {
     pub op: SetOp,
-    pub inputs: Vec<BlockPlan>,
+    pub inputs: Vec<Arc<BlockPlan>>,
 }
 
 /// A fully-costed plan for one query block.
@@ -318,7 +332,10 @@ impl PlanIndex {
         let mut hasher = DefaultHasher::new();
         let mut next = 0u32;
         plan.visit_entities(&mut |e| {
-            by_addr.insert(e.addr(), PlanNodeId(next));
+            let first = by_addr.insert(e.addr(), PlanNodeId(next)).is_none();
+            // ids stand for addresses: a sub-plan shared between two
+            // positions of one plan would merge their metrics
+            debug_assert!(first, "plan element reachable twice in one plan");
             next.hash(&mut hasher);
             match e {
                 PlanEntity::Block(b) => {
@@ -517,6 +534,32 @@ impl BlockPlan {
 }
 
 impl BlockPlan {
+    /// A copy of this plan for block `id` that shares no sub-plan with
+    /// it. Plans of different blocks may end up in one final plan — two
+    /// identical UNION ALL branches, say — where [`PlanIndex`] tells
+    /// elements apart by address, so the twin cannot be handed the same
+    /// `Arc`s. Blocks below the root keep the labels they were planned
+    /// under.
+    pub fn unshared_as(&self, id: BlockId) -> BlockPlan {
+        let mut copy = self.clone();
+        copy.block = id;
+        copy.unshare_children();
+        copy
+    }
+
+    fn unshare_children(&mut self) {
+        // `make_mut` copies a child the original still holds, then its
+        // children in turn
+        let unshare = |p: &mut Arc<BlockPlan>| Arc::make_mut(p).unshare_children();
+        match &mut self.root {
+            PlanRoot::Select(sp) => {
+                sp.join.for_each_view_plan_mut(&mut |p| unshare(p));
+                sp.subplans.iter_mut().for_each(|(_, p)| unshare(p));
+            }
+            PlanRoot::SetOp(sp) => sp.inputs.iter_mut().for_each(unshare),
+        }
+    }
+
     /// Estimated deep size of this plan in bytes (stems plus heap
     /// allocations), the currency the plan cache's memory bound is
     /// expressed in. An estimate, not an exact measurement: shared
@@ -555,11 +598,7 @@ impl BlockPlan {
                 }
             }
             PlanRoot::SetOp(sp) => {
-                n += sp
-                    .inputs
-                    .iter()
-                    .map(BlockPlan::estimated_bytes)
-                    .sum::<usize>();
+                n += sp.inputs.iter().map(|p| p.estimated_bytes()).sum::<usize>();
             }
         }
         n
@@ -842,7 +881,7 @@ mod tests {
             block: BlockId(1),
             root: PlanRoot::SetOp(SetOpPlan {
                 op: SetOp::Union,
-                inputs: vec![leaf.clone(), leaf],
+                inputs: vec![Arc::new(leaf.clone()), Arc::new(leaf)],
             }),
             cost: 2.0,
             rows: 2.0,

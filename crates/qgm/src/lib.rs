@@ -22,6 +22,7 @@
 
 pub mod binds;
 pub mod build;
+pub mod fingerprint;
 pub mod model;
 pub mod render;
 

@@ -1053,40 +1053,35 @@ impl QueryTree {
     /// declared outside the subtree. Drives correlation-cache sizing
     /// (the executor caches TIS results per distinct binding).
     pub fn correlated_cols(&self, id: BlockId) -> Vec<(RefId, usize)> {
-        let outer = self.correlated_refs(id);
+        // one walk: every distinct column in first-seen order and every
+        // table the subtree declares; what it declares is then dropped
         let mut declared = HashSet::new();
-        let mut referenced = HashSet::new();
-        self.collect_subtree(id, &mut declared, &mut referenced);
         let mut cols: Vec<(RefId, usize)> = Vec::new();
-        let mut push = |e: &QExpr| {
-            let mut cs = Vec::new();
-            e.collect_cols(&mut cs);
-            for (r, c) in cs {
-                if outer.contains(&r) && !cols.contains(&(r, c)) {
-                    cols.push((r, c));
-                }
-            }
-        };
-        // walk every expression in the subtree
         let mut stack = vec![id];
         let mut seen = HashSet::new();
         while let Some(b) = stack.pop() {
             if !seen.insert(b) {
                 continue;
             }
-            if let Ok(blk) = self.block(b) {
-                match blk {
-                    QueryBlock::Select(s) => {
-                        s.for_each_expr(&mut |e| {
-                            push(e);
-                            stack.extend(e.subquery_blocks());
-                        });
-                        stack.extend(s.view_blocks());
-                    }
-                    QueryBlock::SetOp(s) => stack.extend(s.inputs.iter().copied()),
+            match self.block(b) {
+                Ok(QueryBlock::Select(s)) => {
+                    declared.extend(s.tables.iter().map(|t| t.refid));
+                    s.for_each_expr(&mut |e| {
+                        e.walk(&mut |n| match n {
+                            QExpr::Col { table, column } if !cols.contains(&(*table, *column)) => {
+                                cols.push((*table, *column));
+                            }
+                            QExpr::Subq { block, .. } => stack.push(*block),
+                            _ => {}
+                        })
+                    });
+                    stack.extend(s.view_blocks());
                 }
+                Ok(QueryBlock::SetOp(s)) => stack.extend(s.inputs.iter().copied()),
+                Err(_) => {}
             }
         }
+        cols.retain(|(r, _)| !declared.contains(r));
         cols
     }
 
@@ -1400,6 +1395,45 @@ mod tests {
         // bottom-up puts the subquery before the root
         let order = tree.bottom_up();
         assert_eq!(order, vec![sub, root]);
+    }
+
+    #[test]
+    fn correlated_cols_come_in_first_seen_order() {
+        // The executor sizes its correlation cache from this list and the
+        // optimizer multiplies NDVs along it, so the order is part of
+        // the contract: a block's own expressions first, then nested
+        // blocks last-pushed-first — not the order of the SQL text.
+        use cbqt_catalog::{Catalog, Column};
+        let mut cat = Catalog::new();
+        let cols = |names: &[&str]| {
+            let col = |n: &&str| Column {
+                name: n.to_string(),
+                data_type: cbqt_common::DataType::Int,
+                not_null: false,
+            };
+            names.iter().map(col).collect::<Vec<_>>()
+        };
+        cat.add_table("t", cols(&["a", "b", "c", "d"]), vec![])
+            .unwrap();
+        cat.add_table("u", cols(&["x", "y"]), vec![]).unwrap();
+        let sql = "SELECT t.a FROM t WHERE EXISTS (\
+                     SELECT 1 FROM u WHERE u.x = t.b \
+                       AND EXISTS (SELECT 1 FROM u u2 WHERE u2.y = t.a AND u2.x = u.y) \
+                       AND EXISTS (SELECT 1 FROM u u3 WHERE u3.y = t.d) \
+                       AND u.y = t.c)";
+        let tree = crate::build_query_tree(&cat, &cbqt_sql::parse_query(sql).unwrap()).unwrap();
+        let t = tree.select(tree.root).unwrap().tables[0].refid;
+        let outer = tree.select(tree.root).unwrap().subquery_blocks()[0];
+        assert_eq!(
+            tree.correlated_cols(outer),
+            [(t, 1), (t, 2), (t, 3), (t, 0)],
+            "t.b, t.c (own conjuncts), then u3's t.d, then u2's t.a"
+        );
+        // the inner block is correlated to both enclosing blocks
+        let inner = tree.select(outer).unwrap().subquery_blocks()[0];
+        let u = tree.select(outer).unwrap().tables[0].refid;
+        assert_eq!(tree.correlated_cols(inner), [(t, 0), (u, 1)]);
+        assert!(tree.correlated_cols(tree.root).is_empty());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Renders a query tree back to SQL-like text.
 //!
-//! Used for EXPLAIN output, debugging, and as the *canonical form* whose
-//! hash keys the cost-annotation reuse cache (§3.4.2): two structurally
-//! equivalent query blocks render identically and therefore share one
-//! annotation.
+//! For people: EXPLAIN output, trace events, debugging. The optimizer
+//! does not read it — the cost-annotation store (§3.4.2) is keyed by
+//! [`crate::fingerprint`], which hashes the same structure without
+//! building the text; `fingerprint_partition` in `cbqt-bench` holds the
+//! two to the same equivalence classes, and is `render_block`'s caller.
 
 use crate::model::*;
 use cbqt_catalog::Catalog;

@@ -32,6 +32,7 @@ use cbqt_optimizer::{
 };
 use cbqt_qgm::{render, BlockId, QTableSource, QueryTree, RefId};
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Search strategies of §3.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -268,11 +269,15 @@ pub fn optimize_query_feedback(
     };
     let mut tally = Tally::default();
     let mut decisions: Vec<(String, String)> = Vec::new();
+    // the query-wide object count behind `pick_strategy`, counted at
+    // most once per version of the tree
+    let mut total: Option<usize> = None;
 
     let transforms = default_transforms();
     for t in &transforms {
         let outcome = if config.cost_based {
-            search_and_apply(ctx, &mut tally, &mut tree, t.as_ref(), &transforms)?
+            let t = t.as_ref();
+            search_and_apply(ctx, &mut tally, &mut tree, t, &transforms, &mut total)?
         } else {
             apply_heuristic_rule(&mut tree, catalog, &config.transforms, t.as_ref())?
         };
@@ -285,13 +290,14 @@ pub fn optimize_query_feedback(
         // was cannot
         if changed {
             apply_heuristics_with(&mut tree, catalog, config.heuristic_unnest_merge)?;
+            total = None;
         }
     }
 
     // final physical optimization of the winning tree; this always runs
     // (even when the search degraded) so the statement gets a valid,
     // executable plan. The governor's interrupts still apply inside.
-    let plan = ctx.optimize(&tree, None, &mut tally.stats)?;
+    let plan = Arc::unwrap_or_clone(ctx.optimize(&tree, None, &mut tally.stats)?);
     tracer.emit(|| TraceEvent::QueryRewritten {
         before: before_sql,
         after: render::render_tree(&tree, catalog),
@@ -359,17 +365,21 @@ fn search_and_apply(
     tree: &mut QueryTree,
     t: &dyn CbTransform,
     transforms: &[Box<dyn CbTransform>],
+    total: &mut Option<usize>,
 ) -> Result<Option<(String, bool)>> {
     let set = &ctx.config.transforms;
     let targets = enabled_targets(t, tree, ctx.catalog, set);
     if targets.is_empty() {
         return Ok(None);
     }
-    // total transformation objects across the whole query
+    // total transformation objects across the whole query: the caller
+    // keeps the count until a search changes the tree
     let total = || {
-        let all = transforms.iter();
-        all.map(|tt| enabled_targets(tt.as_ref(), tree, ctx.catalog, set).len())
-            .sum()
+        *total.get_or_insert_with(|| {
+            let all = transforms.iter();
+            all.map(|tt| enabled_targets(tt.as_ref(), tree, ctx.catalog, set).len())
+                .sum()
+        })
     };
     let strategy = pick_strategy(ctx.config, targets.len(), total);
     ctx.tracer.emit(|| TraceEvent::TransformBegin {
@@ -457,14 +467,14 @@ impl CostContext<'_> {
         tree: &QueryTree,
         budget: Option<f64>,
         stats: &mut OptimizerStats,
-    ) -> Result<BlockPlan> {
+    ) -> Result<Arc<BlockPlan>> {
         let mut opt = Optimizer::new(self.catalog, self.annotations, self.sampling_cache);
         opt.sampler = self.sampler;
         opt.feedback = self.feedback;
         opt.config = self.config.optimizer.clone();
         opt.tracer = self.tracer;
         opt.governor = self.governor.clone();
-        let res = opt.optimize(tree, budget);
+        let res = opt.optimize_shared(tree, budget);
         stats.blocks_costed += opt.stats.blocks_costed;
         stats.annotation_hits += opt.stats.annotation_hits;
         stats.enum_degraded |= opt.stats.enum_degraded;

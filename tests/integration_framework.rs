@@ -114,6 +114,53 @@ fn annotation_reuse_reduces_blocks_costed() {
     );
 }
 
+/// An inner block may reuse an outer block's alias. The first two
+/// branches below then spell their subquery's column the same way —
+/// alias `e`, second column — while one reads the outer `a.y` and the
+/// other the inner `b.q`. The annotation key has to follow the binding,
+/// not the spelling: the second branch must not be served the first
+/// one's plan, and the third, which repeats the first, must be.
+#[test]
+fn annotation_reuse_tells_a_shadowed_alias_from_the_outer_one() {
+    let branch = |subquery: &str| {
+        format!("SELECT o.x FROM a o WHERE o.x < 0 OR EXISTS (SELECT 1 FROM {subquery} > 3)")
+    };
+    let three = |first: &str, second: &str| {
+        [branch(first), branch(second), branch(first)].join(" UNION ALL ")
+    };
+    // unqualified, `y` can only be the outer table's and `q` the inner's
+    let shadowed = three("b o WHERE y", "b o WHERE q");
+    // the same two bindings on one table, spelled out
+    let same_table = three("a e WHERE o.y", "a e WHERE e.y");
+    let make = |reuse: bool| {
+        let mut db = Database::new();
+        db.execute_script(
+            "CREATE TABLE a (x INT, y INT); CREATE TABLE b (p INT, q INT);
+             INSERT INTO a VALUES (1, 5); INSERT INTO a VALUES (2, 1);
+             INSERT INTO b VALUES (7, 2);",
+        )
+        .unwrap();
+        db.analyze().unwrap();
+        // literals stay literals: as bind slots no two would be alike
+        db.set_plan_cache_enabled(false);
+        db.config_mut().optimizer.reuse_annotations = reuse;
+        db
+    };
+    let (with_reuse, without) = (make(true), make(false));
+    // a.y > 3 holds for x = 1 only; no b.q > 3; some a.y > 3
+    let expected = [
+        (&shadowed, vec!["1", "1"]),
+        (&same_table, vec!["1", "1", "1", "2"]),
+    ];
+    for (sql, rows) in expected {
+        let reused = with_reuse.query(sql).unwrap();
+        // the third branch; its subquery binds another `o` than the first's
+        assert_eq!(reused.stats.annotation_hits, 1, "{sql}");
+        assert_eq!(canon(&reused.rows), rows, "{sql}");
+        assert_eq!(canon(&without.query(sql).unwrap().rows), rows, "{sql}");
+    }
+}
+
 /// A star-shaped main block (4 inner items, the bushy enumerator's
 /// tier) plus an unnestable two-table EXISTS, so unnested states carry a
 /// semi-joined item (left-deep DP tier) and the others stay all-inner.

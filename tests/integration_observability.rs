@@ -309,3 +309,95 @@ fn explain_is_deterministic_across_fresh_databases() {
     let c = golden_db().explain_analyze(GBP_SQL).unwrap();
     assert_eq!(plan_shape(&a), plan_shape(&c), "{a}\n---\n{c}");
 }
+
+/// The analyzed-plan section of `EXPLAIN ANALYZE`, times scrubbed.
+fn analyzed_plan(db: &Database, sql: &str) -> String {
+    let full = scrub_times(&db.explain_analyze(sql).unwrap());
+    let plan = full.split("== physical plan (analyzed) ==").nth(1);
+    plan.expect("analyzed section present").to_string()
+}
+
+fn sorted_rows(db: &Database, sql: &str) -> Vec<String> {
+    let mut rows: Vec<String> = db
+        .query(sql)
+        .unwrap()
+        .rows
+        .iter()
+        .map(|r| format!("{r:?}"))
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// Two textually identical blocks get one cost annotation (§3.4.2): the
+/// second is a hit under another block id. Its plan must still be an
+/// element of its own — runtime metrics are kept per plan element, and a
+/// plan shared between the two positions would add QB1's executions to
+/// QB0's.
+#[test]
+fn twin_blocks_keep_separate_actuals() {
+    let union = "SELECT e.employee_name FROM employees e WHERE e.salary > 3000 \
+                 UNION ALL \
+                 SELECT e.employee_name FROM employees e WHERE e.salary > 3000";
+    let exists = "SELECT d.department_name FROM departments d WHERE \
+        EXISTS (SELECT 1 FROM employees e WHERE e.dept_id = d.dept_id AND e.salary > 3900) \
+        OR EXISTS (SELECT 1 FROM employees e WHERE e.dept_id = d.dept_id AND e.salary > 3900)";
+    let mut db = golden_db();
+    // literals stay literals: as bind slots the two 3000s would differ
+    db.set_plan_cache_enabled(false);
+    // and estimates stay estimates from one run to the next
+    db.config_mut().feedback.enabled = false;
+    for sql in [union, exists] {
+        let stats = db.trace(sql).unwrap().stats;
+        assert!(
+            stats.annotation_hits >= 1,
+            "the twin is an annotation hit: {stats:?}"
+        );
+    }
+    assert_eq!(
+        analyzed_plan(&db, union),
+        "
+UnionAll (cost=400 rows=56) [actual rows=54 execs=1 work=396 time=#ms]
+  SELECT QB0 (cost=172 rows=28) [actual rows=27 execs=1 work=171 time=#ms]
+    SCAN t2 (r0) FULL SCAN (rows=28) filter x1 [actual rows=27 execs=1 work=144 time=#ms]
+  SELECT QB1 (cost=172 rows=28) [actual rows=27 execs=1 work=171 time=#ms]
+    SCAN t2 (r0) FULL SCAN (rows=28) filter x1 [actual rows=27 execs=1 work=144 time=#ms]
+
+execution: 54 row(s), 396 work unit(s), # ms, engine=vectorized
+"
+    );
+    // the OR stops at the first EXISTS that holds: QB1 runs for the five
+    // departments QB0 found nothing for
+    assert_eq!(
+        analyzed_plan(&db, exists),
+        "
+SELECT QB2 (cost=627 rows=6) [actual rows=3 execs=1 work=490 time=#ms]
+  SCAN t1 (r0) FULL SCAN (rows=8) [actual rows=8 execs=1 work=8 time=#ms]
+  SUBQUERY QB0:
+    SELECT QB0 (cost=37 rows=0) [actual rows=3 execs=8 work=295 time=#ms]
+      SCAN t2 (r1) INDEX EQ (ix3) (rows=0) filter x2 [actual rows=3 execs=8 work=292 time=#ms]
+  SUBQUERY QB1:
+    SELECT QB1 (cost=37 rows=0) [actual rows=0 execs=5 work=182 time=#ms]
+      SCAN t2 (r1) INDEX EQ (ix3) (rows=0) filter x2 [actual rows=0 execs=5 work=182 time=#ms]
+
+execution: 3 row(s), 490 work unit(s), # ms, engine=vectorized
+"
+    );
+    let mut plain = golden_db();
+    plain.config_mut().cost_based = false;
+    plain.config_mut().heuristic_unnest_merge = false;
+    plain.config_mut().transforms = cbqt::TransformSet {
+        unnest: false,
+        view_merge: false,
+        jppd: false,
+        setop_to_join: false,
+        group_by_placement: false,
+        predicate_pullup: false,
+        join_factorization: false,
+        or_expansion: false,
+    };
+    plain.config_mut().optimizer.reuse_annotations = false;
+    for sql in [union, exists] {
+        assert_eq!(sorted_rows(&db, sql), sorted_rows(&plain, sql));
+    }
+}
