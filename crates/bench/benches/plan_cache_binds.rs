@@ -3,8 +3,10 @@
 //! bind sharing disabled (every statement is its own cache key, so the
 //! "cold" mode pays one CBQT compile per statement) or enabled (the
 //! whole family shares one parameterized plan per selectivity bucket).
-//! The acceptance bar is bind-shared warm serving ≥5× faster than
-//! literal-text cold compilation across the family.
+//! The gate (`bind_sharing_speedup` in `BENCH_baseline.json`) is
+//! `literal_text_cold / bind_shared_cold` ≥ 2: both modes start every
+//! rep from an empty cache, so the ratio isolates the 999 compiles
+//! sharing avoids.
 
 use cbqt::common::Value;
 use cbqt::Database;

@@ -391,3 +391,32 @@ fn disconnected_join_graph_under_tight_budget_completes() {
         assert_eq!(limited.rows.len(), 8, "budget {budget}");
     }
 }
+
+#[test]
+fn a_seventy_table_block_plans_greedily() {
+    // Past 64 items the subset tiers do not apply and the join kernel
+    // runs on word-slice masks; the block must still plan and answer.
+    // The LEFT JOIN keeps it off the bushy tier whatever the limits.
+    const TABLES: usize = 70;
+    let mut db = Database::new();
+    let mut script = String::new();
+    for t in 0..TABLES {
+        script.push_str(&format!("CREATE TABLE w{t} (id INT PRIMARY KEY, v INT);"));
+    }
+    db.execute_script(&script).unwrap();
+    for t in 0..TABLES {
+        let rows = (0..3i64).map(|i| vec![Value::Int(i), Value::Int(i)]);
+        db.load_rows(&format!("w{t}"), rows.collect()).unwrap();
+    }
+    db.analyze().unwrap();
+    let mut sql = String::from("SELECT COUNT(*) FROM w0");
+    for t in 1..TABLES {
+        let join = if t == TABLES / 2 { "LEFT JOIN" } else { "JOIN" };
+        sql.push_str(&format!(" {join} w{t} ON w{}.id = w{t}.id", t - 1));
+    }
+    let plan = db.explain(&sql).unwrap();
+    let scans = plan.lines().filter(|l| l.contains("SCAN")).count();
+    assert_eq!(scans, TABLES, "one block of {TABLES} items:\n{plan}");
+    let r = db.query(&sql).unwrap();
+    assert_eq!(r.rows, vec![vec![Value::Int(3)]]);
+}
