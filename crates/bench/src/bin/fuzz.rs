@@ -88,7 +88,7 @@ fn random_query(rng: &mut Rng) -> String {
     let date = 19_900_000 + rng.gen_range(0..50_000);
     let c = ["US", "UK", "DE"][rng.gen_range(0usize..3)];
     let k = rng.gen_range(0..20);
-    match rng.gen_range(0..24) {
+    match rng.gen_range(0..26) {
         0 => "SELECT e1.employee_name FROM employees e1 WHERE e1.salary > (SELECT AVG(e2.salary) FROM employees e2 WHERE e2.dept_id = e1.dept_id)".to_string(),
         1 => format!("SELECT e.employee_name FROM employees e WHERE e.dept_id IN (SELECT d.dept_id FROM departments d, locations l WHERE d.loc_id = l.loc_id AND l.country_id = '{c}') AND e.salary > {sal}"),
         2 => format!("SELECT e1.employee_name, j.job_title FROM employees e1, job_history j, (SELECT DISTINCT d.dept_id FROM departments d, locations l WHERE d.loc_id = l.loc_id AND l.country_id IN ('UK','{c}')) v WHERE e1.dept_id = v.dept_id AND e1.emp_id = j.emp_id AND j.start_date > {date}"),
@@ -113,6 +113,20 @@ fn random_query(rng: &mut Rng) -> String {
         21 => "SELECT e.employee_name FROM employees e WHERE e.salary >= ALL (SELECT e2.salary FROM employees e2, departments d WHERE e2.dept_id = d.dept_id AND e2.salary IS NOT NULL) OR e.dept_id IS NULL".to_string(),
         // star: job_history fact with two independent dimension arms
         22 => format!("SELECT e.employee_name, d.department_name FROM job_history j, employees e, departments d WHERE j.emp_id = e.emp_id AND j.dept_id = d.dept_id AND e.salary > {sal} AND j.start_date > {date}"),
+        // Twins: the second copy of each block is an annotation hit under
+        // another block id and shares the first one's plan, so one plan
+        // element sits at two positions. No literals, so bind sharing
+        // leaves the copies identical.
+        23 => {
+            let col = ["d.dept_id", "d.loc_id", "l.country_id"][(k % 3) as usize];
+            let view = format!("(SELECT DISTINCT {col} c FROM departments d, locations l WHERE d.loc_id = l.loc_id) v");
+            format!("SELECT v.c FROM {view} UNION ALL SELECT v.c FROM {view}")
+        }
+        24 => {
+            let test = ["e.mgr_id IS NOT NULL", "e.mgr_id IS NULL", "e.salary IS NULL"][(k % 3) as usize];
+            let exists = format!("EXISTS (SELECT 1 FROM employees e WHERE e.dept_id = d.dept_id AND {test})");
+            format!("SELECT d.department_name FROM departments d WHERE {exists} OR {exists}")
+        }
         // snowflake: fact -> employees arm plus departments -> locations chain
         _ => format!("SELECT COUNT(*) FROM job_history j, employees e, departments d, locations l WHERE j.emp_id = e.emp_id AND j.dept_id = d.dept_id AND d.loc_id = l.loc_id AND l.country_id = '{c}' AND e.salary > {sal}"),
     }

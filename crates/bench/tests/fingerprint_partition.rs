@@ -7,7 +7,10 @@
 //! holds it to that on every tree the optimizer is asked to plan — each
 //! state of each search, and the final tree — and on a `RefId`-renamed
 //! copy of each, for the query set and the modes of `search_stability`
-//! plus statements whose inner blocks reuse an outer block's alias.
+//! plus statements whose inner blocks reuse an outer block's alias. The
+//! free list `block_keys` returns beside each key — all the optimizer
+//! knows of a block's correlation — must be `correlated_cols`, element
+//! for element.
 
 mod common;
 
@@ -68,10 +71,18 @@ fn block_keys_partition_blocks_like_rendering_and_correlation() {
             });
             let twins: Vec<_> = twins.collect();
             for tree in trees.iter().chain(&twins) {
-                for (id, key) in fingerprint::block_keys(tree) {
+                for (id, key, free) in fingerprint::block_keys(tree) {
                     let rendered = (
                         render::render_block(tree, db.catalog(), id),
                         tree.correlated_cols(id),
+                    );
+                    // the optimizer reads correlation from the free list
+                    // alone: TIS cost products multiply in its order
+                    assert_eq!(
+                        free, rendered.1,
+                        "{name}/{}: the free list of {id} is not its correlated \
+                         columns in first-seen order\n-- {sql}",
+                        mode.0
                     );
                     blocks += 1;
                     let first = by_key.entry(key).or_insert_with(|| rendered.clone());

@@ -244,7 +244,7 @@ fn rowid_of(row: &Row) -> Result<usize> {
 /// scan of the table in EXPLAIN order.
 fn target_access(plan: &BlockPlan, table: TableId) -> String {
     let mut found = None;
-    plan.visit_entities(&mut |entity| {
+    plan.visit_entities(&mut |_, entity| {
         if let PlanEntity::Node(PlanNode::ScanBase {
             table: scanned,
             access,

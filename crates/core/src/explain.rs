@@ -39,12 +39,12 @@ impl Scope<'_> {
             let txn = self.open_txn();
             let exec = db.execute_plan(&outcome.plan, &[], governor, txn, measure, mode)?;
             let metrics = exec.metrics.unwrap_or_default();
-            let index = PlanIndex::build(&outcome.plan);
+            debug_assert!(metrics.matches(&PlanIndex::build(&outcome.plan)));
             out.push_str("\n== physical plan (analyzed) ==\n");
             out.push_str(
                 &outcome
                     .plan
-                    .explain_annotated(&mut |e| metrics.annotate(&index, e)),
+                    .explain_annotated(&mut |id, _| metrics.annotate(id)),
             );
             out.push_str(&format!(
                 "\nexecution: {} row(s), {:.0} work unit(s), {:.3} ms, engine={}\n",

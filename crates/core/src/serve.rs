@@ -706,9 +706,9 @@ impl Database {
     /// bound equi-join probes referencing other refids — are skipped,
     /// mirroring the eligibility the estimator applies on recompile.
     fn harvest_feedback(&self, plan: &BlockPlan, metrics: &ExecMetrics, binds: &[Value]) -> f64 {
-        let index = PlanIndex::build(plan);
+        debug_assert!(metrics.matches(&PlanIndex::build(plan)));
         let mut worst = 1.0_f64;
-        plan.visit_entities(&mut |entity| {
+        plan.visit_entities(&mut |id, entity| {
             let PlanEntity::Node(PlanNode::ScanBase {
                 table,
                 refid,
@@ -722,7 +722,7 @@ impl Database {
             let Some(key) = scan_feedback_key(&self.catalog, *table, *refid, filter, binds) else {
                 return;
             };
-            let Some(m) = metrics.get(&index, entity) else {
+            let Some(m) = metrics.get(id) else {
                 return;
             };
             let observed = m.rows_per_exec();

@@ -19,7 +19,7 @@ use crate::eval::{compute_windows, AggAcc, Bindings, EvalCtx};
 use crate::vexpr::{compile, CompileCtx, VecExpr};
 use cbqt_common::failpoint;
 use cbqt_common::{Error, Result, Row, Value};
-use cbqt_optimizer::{weights, JoinMethod, Layout, PlanJoinKind, PlanNode, SelectPlan};
+use cbqt_optimizer::{weights, JoinMethod, Layout, PlanJoinKind, PlanNode, PlanNodeId, SelectPlan};
 use cbqt_qgm::QExpr;
 use std::collections::{HashMap, HashSet};
 
@@ -110,27 +110,28 @@ fn batchable(node: &PlanNode) -> bool {
     }
 }
 
-/// Executes a plan node into batches, recording per-operator metrics
-/// under the same stable plan-node id the row engine uses (so EXPLAIN
+/// Executes the plan node at position `id` into batches, recording
+/// per-operator metrics under the id the row engine uses (so EXPLAIN
 /// ANALYZE output and the differential oracle line up across engines).
 pub(crate) fn exec_node_batched(
     eng: &Engine<'_>,
     node: &PlanNode,
+    id: PlanNodeId,
     binds: &Bindings<'_>,
 ) -> Result<Vec<Batch>> {
     if !batchable(node) {
         // exec_node records its own metrics for this node and its subtree
-        let rows = eng.exec_node(node, binds)?;
+        let rows = eng.exec_node(node, id, binds)?;
         return Ok(rows_to_batches(rows, node.width()));
     }
     if !eng.metrics_enabled() {
-        return exec_node_batched_inner(eng, node, binds);
+        return exec_node_batched_inner(eng, node, id, binds);
     }
     let work0 = eng.work_now();
     let start = eng.metrics_timed().then(std::time::Instant::now);
-    let out = exec_node_batched_inner(eng, node, binds)?;
+    let out = exec_node_batched_inner(eng, node, id, binds)?;
     eng.record_metric(
-        node as *const PlanNode as usize,
+        id,
         out.iter().map(|b| b.len as u64).sum(),
         eng.work_now() - work0,
         start.map(|s| s.elapsed()).unwrap_or_default(),
@@ -141,6 +142,7 @@ pub(crate) fn exec_node_batched(
 fn exec_node_batched_inner(
     eng: &Engine<'_>,
     node: &PlanNode,
+    id: PlanNodeId,
     binds: &Bindings<'_>,
 ) -> Result<Vec<Batch>> {
     match node {
@@ -221,7 +223,7 @@ fn exec_node_batched_inner(
             filter,
             ..
         } => {
-            let rows = eng.execute_cached(plan, binds)?;
+            let rows = eng.execute_cached(plan, id.first_child(), binds)?;
             let w = *width;
             let layout = Layout {
                 slots: vec![(*refid, 0, w)],
@@ -276,7 +278,17 @@ fn exec_node_batched_inner(
             equi,
             residual,
             ..
-        } => hash_join_batched(eng, left, right, *kind, equi, residual, binds, node.width()),
+        } => hash_join_batched(
+            eng,
+            left,
+            right,
+            id,
+            *kind,
+            equi,
+            residual,
+            binds,
+            node.width(),
+        ),
     }
 }
 
@@ -334,6 +346,7 @@ fn hash_join_batched(
     eng: &Engine<'_>,
     left: &PlanNode,
     right: &PlanNode,
+    id: PlanNodeId,
     kind: PlanJoinKind,
     equi: &[(QExpr, QExpr)],
     residual: &[QExpr],
@@ -341,7 +354,8 @@ fn hash_join_batched(
     out_width: usize,
 ) -> Result<Vec<Batch>> {
     cbqt_common::failpoint!(failpoint::EXEC_JOIN);
-    let lbatches = exec_node_batched(eng, left, binds)?;
+    let (left_id, right_id) = (id.first_child(), eng.after(id.first_child()));
+    let lbatches = exec_node_batched(eng, left, left_id, binds)?;
     let llayout = Layout::from_node(left);
     let rlayout = Layout::from_node(right);
     let combined = combined_layout(&llayout, &rlayout);
@@ -349,7 +363,7 @@ fn hash_join_batched(
     let cctx = eng.simple_ctx(&combined, binds);
     let rkctx = eng.simple_ctx(&rlayout, binds);
     let lkctx = eng.simple_ctx(&llayout, binds);
-    let rbatches = exec_node_batched(eng, right, binds)?;
+    let rbatches = exec_node_batched(eng, right, right_id, binds)?;
 
     // build on right
     let rprogs: Vec<VecExpr> = {
@@ -463,19 +477,11 @@ fn hash_join_batched(
 pub(crate) fn exec_select_batched(
     eng: &Engine<'_>,
     sp: &SelectPlan,
+    id: PlanNodeId,
     binds: &Bindings<'_>,
 ) -> Result<Vec<Row>> {
-    let mut batches = exec_node_batched(eng, &sp.join, binds)?;
-    let base_ctx = EvalCtx {
-        engine: eng,
-        layout: &sp.layout,
-        aggs: &sp.aggs,
-        agg_base: sp.layout.width,
-        windows: &sp.windows,
-        win_base: sp.layout.width + sp.aggs.len(),
-        subplans: &sp.subplans,
-        outer: binds.clone(),
-    };
+    let mut batches = exec_node_batched(eng, &sp.join, id.first_child(), binds)?;
+    let base_ctx = EvalCtx::of_select(eng, sp, id, binds);
     let cx = CompileCtx {
         layout: &sp.layout,
         aggs: &sp.aggs,

@@ -8,7 +8,7 @@ use cbqt_common::failpoint;
 use cbqt_common::{Error, ExecutionMode, Governor, Result, Row, Value};
 use cbqt_optimizer::{
     weights, AccessPath, BlockPlan, JoinMethod, Layout, PlanIndex, PlanJoinKind, PlanNode,
-    PlanRoot, SelectPlan,
+    PlanNodeId, PlanRoot, SelectPlan,
 };
 use cbqt_qgm::{BlockId, QExpr, RefId, SetOp};
 use cbqt_storage::{SnapTable, Snapshot, Storage};
@@ -54,9 +54,10 @@ pub struct Engine<'a> {
     /// (used by the serving path's feedback harvest) skips the
     /// `Instant::now` pair per operator execution.
     metrics_timing: Cell<bool>,
-    /// Stable-id index of the plan being run, installed by
-    /// [`Engine::run`] while metrics are enabled: record sites translate
-    /// transient element addresses into [`PlanNodeId`]s through it.
+    /// Subtree sizes of the plan being run, installed by [`Engine::run`]
+    /// while metrics are enabled. Every operator is handed the
+    /// [`PlanNodeId`] of the element it runs — its position in the plan
+    /// walk — and derives its children's ids through this index.
     plan_index: RefCell<Option<PlanIndex>>,
     /// Statement-level resource governor; `Governor::unlimited()` (the
     /// default) makes every check a single `Option` test.
@@ -206,14 +207,12 @@ impl<'a> Engine<'a> {
 
     /// Executes a root plan and returns the projected rows.
     pub fn run(&self, plan: &BlockPlan) -> Result<Vec<Row>> {
-        if self.metrics.borrow().is_some() {
+        if let Some(m) = self.metrics.borrow_mut().as_mut() {
             let index = PlanIndex::build(plan);
-            if let Some(m) = self.metrics.borrow_mut().as_mut() {
-                m.bind(index.fingerprint());
-            }
+            m.bind(index.fingerprint());
             *self.plan_index.borrow_mut() = Some(index);
         }
-        self.execute_block(plan, &Bindings::default())
+        self.execute_block(plan, PlanNodeId(0), &Bindings::default())
     }
 
     pub fn stats(&self) -> ExecStats {
@@ -241,29 +240,27 @@ impl<'a> Engine<'a> {
         self.metrics_timing.get()
     }
 
-    /// Records one execution of the element at transient address `addr`,
-    /// translated to its stable [`PlanNodeId`](cbqt_optimizer::PlanNodeId)
-    /// through the index installed by [`Engine::run`]. An address outside
-    /// the running plan (impossible for engine-recorded elements, but the
-    /// defining hazard of address keying) is dropped rather than
-    /// attributed to the wrong operator.
+    /// Records one execution of the element at position `id`.
     pub(crate) fn record_metric(
         &self,
-        addr: usize,
+        id: PlanNodeId,
         rows: u64,
         work: f64,
         elapsed: std::time::Duration,
     ) {
-        let Some(id) = self
-            .plan_index
-            .borrow()
-            .as_ref()
-            .and_then(|ix| ix.id_of_addr(addr))
-        else {
-            return;
-        };
         if let Some(m) = self.metrics.borrow_mut().as_mut() {
             m.record(id, rows, work, elapsed);
+        }
+    }
+
+    /// The id the plan walk reaches after `id`'s subtree — the next
+    /// sibling of a join's left side, a set operation's input or a
+    /// subplan. Ids only name what gets recorded, so without metrics
+    /// there is no index and any id will do.
+    pub(crate) fn after(&self, id: PlanNodeId) -> PlanNodeId {
+        match self.plan_index.borrow().as_ref() {
+            Some(index) => index.after(id),
+            None => id,
         }
     }
 
@@ -282,11 +279,13 @@ impl<'a> Engine<'a> {
         std::hint::black_box(x);
     }
 
-    /// Executes a (possibly correlated) block plan with caching on the
-    /// values of its outer references — the TIS correlation cache.
+    /// Executes a (possibly correlated) block plan at position `id` with
+    /// caching on the values of its outer references — the TIS
+    /// correlation cache.
     pub(crate) fn execute_cached(
         &self,
         plan: &BlockPlan,
+        id: PlanNodeId,
         binds: &Bindings<'_>,
     ) -> Result<Rc<Vec<Row>>> {
         let cols = self.outer_cols_of(plan);
@@ -301,7 +300,7 @@ impl<'a> Engine<'a> {
             return Ok(Rc::clone(hit));
         }
         self.cache_misses.set(self.cache_misses.get() + 1);
-        let rows = Rc::new(self.execute_block(plan, binds)?);
+        let rows = Rc::new(self.execute_block(plan, id, binds)?);
         self.subq_cache
             .borrow_mut()
             .insert(cache_key, Rc::clone(&rows));
@@ -330,34 +329,41 @@ impl<'a> Engine<'a> {
         rc
     }
 
-    fn execute_block(&self, plan: &BlockPlan, binds: &Bindings<'_>) -> Result<Vec<Row>> {
+    fn execute_block(
+        &self,
+        plan: &BlockPlan,
+        id: PlanNodeId,
+        binds: &Bindings<'_>,
+    ) -> Result<Vec<Row>> {
         if self.metrics.borrow().is_none() {
-            return self.execute_block_inner(plan, binds);
+            return self.execute_block_inner(plan, id, binds);
         }
         let work0 = self.work.get();
         let start = self.metrics_timed().then(std::time::Instant::now);
-        let out = self.execute_block_inner(plan, binds)?;
+        let out = self.execute_block_inner(plan, id, binds)?;
         let elapsed = start.map(|s| s.elapsed()).unwrap_or_default();
         let work = self.work.get() - work0;
-        self.record_metric(
-            plan as *const BlockPlan as usize,
-            out.len() as u64,
-            work,
-            elapsed,
-        );
+        self.record_metric(id, out.len() as u64, work, elapsed);
         Ok(out)
     }
 
-    fn execute_block_inner(&self, plan: &BlockPlan, binds: &Bindings<'_>) -> Result<Vec<Row>> {
+    fn execute_block_inner(
+        &self,
+        plan: &BlockPlan,
+        id: PlanNodeId,
+        binds: &Bindings<'_>,
+    ) -> Result<Vec<Row>> {
         match &plan.root {
             PlanRoot::Select(sp) => match self.mode {
-                ExecutionMode::Volcano => self.exec_select(sp, binds),
-                ExecutionMode::Vectorized => crate::batch::exec_select_batched(self, sp, binds),
+                ExecutionMode::Volcano => self.exec_select(sp, id, binds),
+                ExecutionMode::Vectorized => crate::batch::exec_select_batched(self, sp, id, binds),
             },
             PlanRoot::SetOp(sop) => {
                 let mut inputs: Vec<Vec<Row>> = Vec::with_capacity(sop.inputs.len());
+                let mut at = id.first_child();
                 for i in &sop.inputs {
-                    inputs.push(self.execute_block(i, binds)?);
+                    inputs.push(self.execute_block(i, at, binds)?);
+                    at = self.after(at);
                 }
                 match self.mode {
                     ExecutionMode::Volcano => self.exec_setop(sop.op, inputs),
@@ -479,18 +485,14 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn exec_select(&self, sp: &SelectPlan, binds: &Bindings<'_>) -> Result<Vec<Row>> {
-        let rows = self.exec_node(&sp.join, binds)?;
-        let base_ctx = EvalCtx {
-            engine: self,
-            layout: &sp.layout,
-            aggs: &sp.aggs,
-            agg_base: sp.layout.width,
-            windows: &sp.windows,
-            win_base: sp.layout.width + sp.aggs.len(),
-            subplans: &sp.subplans,
-            outer: binds.clone(),
-        };
+    fn exec_select(
+        &self,
+        sp: &SelectPlan,
+        id: PlanNodeId,
+        binds: &Bindings<'_>,
+    ) -> Result<Vec<Row>> {
+        let rows = self.exec_node(&sp.join, id.first_child(), binds)?;
+        let base_ctx = EvalCtx::of_select(self, sp, id, binds);
 
         let mut rows = self.post_filter_rows(sp, &base_ctx, rows)?;
 
@@ -719,25 +721,30 @@ impl<'a> Engine<'a> {
         Ok(out)
     }
 
-    pub(crate) fn exec_node(&self, node: &PlanNode, binds: &Bindings<'_>) -> Result<Vec<Row>> {
+    pub(crate) fn exec_node(
+        &self,
+        node: &PlanNode,
+        id: PlanNodeId,
+        binds: &Bindings<'_>,
+    ) -> Result<Vec<Row>> {
         if self.metrics.borrow().is_none() {
-            return self.exec_node_inner(node, binds);
+            return self.exec_node_inner(node, id, binds);
         }
         let work0 = self.work.get();
         let start = self.metrics_timed().then(std::time::Instant::now);
-        let out = self.exec_node_inner(node, binds)?;
+        let out = self.exec_node_inner(node, id, binds)?;
         let elapsed = start.map(|s| s.elapsed()).unwrap_or_default();
         let work = self.work.get() - work0;
-        self.record_metric(
-            node as *const PlanNode as usize,
-            out.len() as u64,
-            work,
-            elapsed,
-        );
+        self.record_metric(id, out.len() as u64, work, elapsed);
         Ok(out)
     }
 
-    fn exec_node_inner(&self, node: &PlanNode, binds: &Bindings<'_>) -> Result<Vec<Row>> {
+    fn exec_node_inner(
+        &self,
+        node: &PlanNode,
+        id: PlanNodeId,
+        binds: &Bindings<'_>,
+    ) -> Result<Vec<Row>> {
         match node {
             PlanNode::OneRow => {
                 self.add_work(weights::ROW);
@@ -756,16 +763,7 @@ impl<'a> Engine<'a> {
                     slots: vec![(*refid, 0, *width)],
                     width: *width,
                 };
-                let ctx = EvalCtx {
-                    engine: self,
-                    layout: &layout,
-                    aggs: &[],
-                    agg_base: 0,
-                    windows: &[],
-                    win_base: 0,
-                    subplans: &[],
-                    outer: binds.clone(),
-                };
+                let ctx = self.simple_ctx(&layout, binds);
                 let data = self.snapshot.table(*table)?;
                 let mut out = Vec::new();
                 for ordinal in self.scan_ordinals(access, &ctx, &data)? {
@@ -793,21 +791,12 @@ impl<'a> Engine<'a> {
                 filter,
                 ..
             } => {
-                let rows = self.execute_cached(plan, binds)?;
+                let rows = self.execute_cached(plan, id.first_child(), binds)?;
                 let layout = Layout {
                     slots: vec![(*refid, 0, *width)],
                     width: *width,
                 };
-                let ctx = EvalCtx {
-                    engine: self,
-                    layout: &layout,
-                    aggs: &[],
-                    agg_base: 0,
-                    windows: &[],
-                    win_base: 0,
-                    subplans: &[],
-                    outer: binds.clone(),
-                };
+                let ctx = self.simple_ctx(&layout, binds);
                 let mut out = Vec::new();
                 for r in rows.iter() {
                     self.tick()?;
@@ -835,7 +824,9 @@ impl<'a> Engine<'a> {
                 residual,
                 lateral,
                 ..
-            } => self.exec_join(left, right, *kind, *method, equi, residual, *lateral, binds),
+            } => self.exec_join(
+                left, right, id, *kind, *method, equi, residual, *lateral, binds,
+            ),
         }
     }
 
@@ -861,7 +852,7 @@ impl<'a> Engine<'a> {
                 let empty = Layout::default();
                 let kctx = EvalCtx {
                     layout: &empty,
-                    ..ctx_clone(ctx)
+                    ..ctx.clone()
                 };
                 let keyvals: Vec<Value> = key
                     .iter()
@@ -887,7 +878,7 @@ impl<'a> Engine<'a> {
                 let empty = Layout::default();
                 let kctx = EvalCtx {
                     layout: &empty,
-                    ..ctx_clone(ctx)
+                    ..ctx.clone()
                 };
                 let lo_v = match lo {
                     Some((e, inc)) => {
@@ -926,6 +917,7 @@ impl<'a> Engine<'a> {
         &self,
         left: &PlanNode,
         right: &PlanNode,
+        id: PlanNodeId,
         kind: PlanJoinKind,
         method: JoinMethod,
         equi: &[(QExpr, QExpr)],
@@ -934,7 +926,8 @@ impl<'a> Engine<'a> {
         binds: &Bindings<'_>,
     ) -> Result<Vec<Row>> {
         cbqt_common::failpoint!(failpoint::EXEC_JOIN);
-        let lrows = self.exec_node(left, binds)?;
+        let (left_id, right_id) = (id.first_child(), self.after(id.first_child()));
+        let lrows = self.exec_node(left, left_id, binds)?;
         let llayout = Layout::from_node(left);
         let rlayout_node = Layout::from_node(right);
         let combined = combined_layout(&llayout, &rlayout_node);
@@ -948,8 +941,8 @@ impl<'a> Engine<'a> {
             let mut out = Vec::new();
             for lrow in &lrows {
                 let b2 = binds.push(&llayout, lrow);
-                let rrows = self.exec_node(right, &b2)?;
-                let rctx = self.simple_ctx_b(&rlayout_node, &b2);
+                let rrows = self.exec_node(right, right_id, &b2)?;
+                let rctx = self.simple_ctx(&rlayout_node, &b2);
                 let mut matched = false;
                 for rrow in &rrows {
                     self.tick()?;
@@ -995,7 +988,7 @@ impl<'a> Engine<'a> {
             return Ok(out);
         }
 
-        let rrows = self.exec_node(right, binds)?;
+        let rrows = self.exec_node(right, right_id, binds)?;
         let rctx = self.simple_ctx(&rlayout_node, binds);
 
         match method {
@@ -1024,12 +1017,9 @@ impl<'a> Engine<'a> {
             windows: &[],
             win_base: 0,
             subplans: &[],
+            subplans_at: PlanNodeId(0),
             outer: binds.clone(),
         }
-    }
-
-    fn simple_ctx_b<'b>(&'b self, layout: &'b Layout, binds: &Bindings<'b>) -> EvalCtx<'b> {
-        self.simple_ctx(layout, binds)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1351,19 +1341,6 @@ fn resolve_outer(binds: &Bindings<'_>, refid: RefId, col: usize) -> Result<Value
         "unbound outer reference r{}",
         refid.0
     )))
-}
-
-fn ctx_clone<'b>(ctx: &EvalCtx<'b>) -> EvalCtx<'b> {
-    EvalCtx {
-        engine: ctx.engine,
-        layout: ctx.layout,
-        aggs: ctx.aggs,
-        agg_base: ctx.agg_base,
-        windows: ctx.windows,
-        win_base: ctx.win_base,
-        subplans: ctx.subplans,
-        outer: ctx.outer.clone(),
-    }
 }
 
 fn as_ref_bound(b: &Bound<Value>) -> Bound<&Value> {

@@ -3,7 +3,7 @@
 
 use crate::engine::Engine;
 use cbqt_common::{Error, Result, Row, Truth, Value};
-use cbqt_optimizer::{weights, Layout};
+use cbqt_optimizer::{weights, Layout, PlanNodeId, SelectPlan};
 use cbqt_qgm::{BinOp, QExpr, Quant, SubqKind, WinFunc};
 
 /// One level of bindings: the layout of a row plus the row itself.
@@ -28,6 +28,7 @@ impl<'a> Bindings<'a> {
 }
 
 /// Evaluation context for one block's rows.
+#[derive(Clone)]
 pub struct EvalCtx<'a> {
     pub engine: &'a Engine<'a>,
     pub layout: &'a Layout,
@@ -39,11 +40,36 @@ pub struct EvalCtx<'a> {
     pub win_base: usize,
     /// Plans for subquery blocks referenced by expressions.
     pub subplans: &'a [(cbqt_qgm::BlockId, std::sync::Arc<cbqt_optimizer::BlockPlan>)],
+    /// Position of the first of `subplans` in the plan walk; the others
+    /// follow it in order.
+    pub subplans_at: PlanNodeId,
     /// Outer binding frames (for correlated evaluation).
     pub outer: Bindings<'a>,
 }
 
 impl<'a> EvalCtx<'a> {
+    /// The context of the post-join pipeline of the select block at
+    /// position `id`: its aggregate, window and subquery slots.
+    pub(crate) fn of_select(
+        engine: &'a Engine<'a>,
+        sp: &'a SelectPlan,
+        id: PlanNodeId,
+        binds: &Bindings<'a>,
+    ) -> EvalCtx<'a> {
+        EvalCtx {
+            engine,
+            layout: &sp.layout,
+            aggs: &sp.aggs,
+            agg_base: sp.layout.width,
+            windows: &sp.windows,
+            win_base: sp.layout.width + sp.aggs.len(),
+            subplans: &sp.subplans,
+            // the join tree comes first
+            subplans_at: engine.after(id.first_child()),
+            outer: binds.clone(),
+        }
+    }
+
     /// Resolves a column reference against the local row, then the outer
     /// frames from innermost to outermost.
     fn resolve_col(&self, refid: cbqt_qgm::RefId, col: usize, row: &[Value]) -> Result<Value> {
@@ -366,14 +392,16 @@ impl<'a> EvalCtx<'a> {
         kind: &SubqKind,
         row: &[Value],
     ) -> Result<Value> {
-        let plan = self
+        let k = self
             .subplans
             .iter()
-            .find(|(b, _)| *b == block)
-            .map(|(_, p)| p)
+            .position(|(b, _)| *b == block)
             .ok_or_else(|| Error::execution(format!("no subplan for {block}")))?;
+        let at = (0..k).fold(self.subplans_at, |at, _| self.engine.after(at));
         let binds = self.outer.push(self.layout, row);
-        let rows = self.engine.execute_cached(plan, &binds)?;
+        let rows = self
+            .engine
+            .execute_cached(&self.subplans[k].1, at, &binds)?;
         match kind {
             SubqKind::Scalar => match rows.len() {
                 0 => Ok(Value::Null),

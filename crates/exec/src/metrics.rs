@@ -3,15 +3,16 @@
 //!
 //! When enabled on an [`Engine`](crate::Engine), every execution of a
 //! block or join-tree node records rows produced, work units and wall
-//! time, keyed by the element's stable [`PlanNodeId`] — the ordinal the
-//! [`PlanIndex`] assigns in canonical plan order. Unlike the raw
-//! addresses used previously, ids survive plan cloning and can never
-//! alias an element of a *different* live plan: a metrics table also
-//! carries the [fingerprint](PlanIndex::fingerprint) of the plan it was
-//! recorded against, and reading it through an index with a different
-//! fingerprint yields nothing instead of silently wrong counters.
+//! time, keyed by the element's [`PlanNodeId`]: its position, the
+//! ordinal of the canonical plan walk. The engine carries the id of the
+//! element it runs, so a sub-plan shared by `Arc` at two positions keeps
+//! two sets of counters, and a reader walking the same plan
+//! ([`BlockPlan::visit_entities`](cbqt_optimizer::BlockPlan::visit_entities),
+//! `explain_annotated`) is handed the ids to look up. A metrics table
+//! also carries the [fingerprint](PlanIndex::fingerprint) of the plan it
+//! was recorded against, so a reader holding some other plan can tell.
 
-use cbqt_optimizer::{PlanEntity, PlanIndex, PlanNodeId};
+use cbqt_optimizer::{PlanIndex, PlanNodeId};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -65,15 +66,10 @@ impl ExecMetrics {
         self.map.len()
     }
 
-    /// Binds the table to the plan it will record, so later reads
-    /// through a [`PlanIndex`] of a *different* plan are rejected.
+    /// Binds the table to the plan it will record, so a reader can check
+    /// it holds the same plan ([`ExecMetrics::matches`]).
     pub fn bind(&mut self, fingerprint: u64) {
         self.fingerprint = fingerprint;
-    }
-
-    /// Fingerprint of the plan the counters were recorded against.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 
     /// True when this table was recorded against a plan structurally
@@ -91,22 +87,10 @@ impl ExecMetrics {
         m.elapsed += elapsed;
     }
 
-    /// Counters for one element by stable id (no fingerprint check —
-    /// use [`ExecMetrics::get`] when resolving through an index).
-    pub fn get_id(&self, id: PlanNodeId) -> Option<OpMetrics> {
+    /// Counters for the element at position `id`; `None` when the run
+    /// never reached it.
+    pub fn get(&self, id: PlanNodeId) -> Option<OpMetrics> {
         self.map.get(&id).copied()
-    }
-
-    /// Counters for a borrowed plan element, resolved through `index`.
-    /// Returns `None` when the element is not part of the indexed plan
-    /// or the metrics were recorded against a structurally different
-    /// plan (fingerprint mismatch) — the case address keying silently
-    /// got wrong.
-    pub fn get(&self, index: &PlanIndex, entity: PlanEntity<'_>) -> Option<OpMetrics> {
-        if !self.matches(index) {
-            return None;
-        }
-        self.map.get(&index.id_of(entity)?).copied()
     }
 
     /// All `(id, metrics)` pairs in canonical plan order. Ids are
@@ -119,15 +103,11 @@ impl ExecMetrics {
         v
     }
 
-    /// EXPLAIN-line annotation for one plan element. Operators the run
-    /// never reached (e.g. pruned by an empty outer side) are labelled
-    /// explicitly so estimation gaps stand out; metrics recorded against
-    /// a structurally different plan are refused rather than misread.
-    pub fn annotate(&self, index: &PlanIndex, entity: PlanEntity<'_>) -> Option<String> {
-        if !self.matches(index) {
-            return Some("[metrics from different plan]".to_string());
-        }
-        Some(match index.id_of(entity).and_then(|id| self.get_id(id)) {
+    /// EXPLAIN-line annotation for the element at position `id`.
+    /// Operators the run never reached (e.g. pruned by an empty outer
+    /// side) are labelled explicitly so estimation gaps stand out.
+    pub fn annotate(&self, id: PlanNodeId) -> Option<String> {
+        Some(match self.get(id) {
             Some(m) => format!(
                 "[actual rows={} execs={} work={:.0} time={:.3}ms]",
                 m.rows,

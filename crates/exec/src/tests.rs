@@ -698,3 +698,61 @@ fn vectorized_and_volcano_agree_on_joins_and_setops() {
         assert_modes_agree(&cat, &st, sql);
     }
 }
+
+/// A plan element is a position: one `Arc<BlockPlan>` that is both
+/// inputs of a UNION ALL is two elements, each with its own actuals, and
+/// both engines record them under the same ids. The branch is a hash
+/// join, so the vectorized engine threads the ids itself.
+#[test]
+fn one_arc_at_two_positions_keeps_two_sets_of_actuals() {
+    use cbqt_common::ExecutionMode;
+    use cbqt_optimizer::{BlockPlan, PlanIndex, PlanNodeId, PlanRoot, SetOpPlan};
+    use cbqt_qgm::{BlockId, SetOp};
+    use std::sync::Arc;
+    let (cat, st) = setup_large(700, false);
+    let sql = "SELECT a.n FROM nums a, nums b WHERE a.n = b.n AND a.grp = 0";
+    let tree = build_query_tree(&cat, &parse_query(sql).unwrap()).unwrap();
+    let ann = CostAnnotations::new();
+    let cache = SamplingCache::default();
+    let branch = Arc::new(
+        Optimizer::new(&cat, &ann, &cache)
+            .optimize(&tree, None)
+            .unwrap(),
+    );
+    let plan = BlockPlan {
+        block: BlockId(99),
+        root: PlanRoot::SetOp(SetOpPlan {
+            op: SetOp::UnionAll,
+            inputs: vec![Arc::clone(&branch), Arc::clone(&branch)],
+        }),
+        cost: 2.0 * branch.cost,
+        rows: 2.0 * branch.rows,
+        out_ndv: branch.out_ndv.clone(),
+    };
+    let index = PlanIndex::build(&plan);
+    let inputs = [PlanNodeId(1), index.after(PlanNodeId(1))];
+    let mut snapshots = Vec::new();
+    for mode in [ExecutionMode::Vectorized, ExecutionMode::Volcano] {
+        let mut eng = Engine::new(&cat, &st);
+        eng.set_mode(mode);
+        eng.enable_metrics_light();
+        // 100 of the 700 rows are in group 0
+        assert_eq!(eng.run(&plan).unwrap().len(), 200, "{mode}");
+        let metrics = eng.take_metrics().unwrap();
+        assert_eq!(
+            metrics.len(),
+            index.len(),
+            "{mode}: a position went unrecorded"
+        );
+        for id in inputs {
+            let input = metrics.get(id).unwrap();
+            assert_eq!((input.rows, input.execs), (100, 1), "{mode}: input {id}");
+        }
+        // work up to float association order, as the differential
+        // oracle compares it
+        let snapshot = metrics.snapshot().into_iter();
+        let snapshot = snapshot.map(|(id, m)| (id, m.rows, m.execs, format!("{:.6}", m.work)));
+        snapshots.push(snapshot.collect::<Vec<_>>());
+    }
+    assert_eq!(snapshots[0], snapshots[1]);
+}

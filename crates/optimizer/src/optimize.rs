@@ -205,16 +205,11 @@ impl<'a> Optimizer<'a> {
                 trees.push(tree.clone());
             }
         });
-        // one pass keys every block; without reuse nothing is keyed
-        let order: Vec<(BlockId, Option<u64>)> = if self.config.reuse_annotations {
-            let keyed = fingerprint::block_keys(tree).into_iter();
-            keyed.map(|(id, key)| (id, Some(key))).collect()
-        } else {
-            let plain = tree.bottom_up().into_iter();
-            plain.map(|id| (id, None)).collect()
-        };
-        let mut plans: HashMap<BlockId, Arc<BlockPlan>> = HashMap::new();
-        for (id, key) in order {
+        // one pass keys every block and finds what it reads from outside
+        // its subtree; without reuse the keys go unused
+        let mut plans: HashMap<BlockId, Planned> = HashMap::new();
+        for (id, key, free) in fingerprint::block_keys(tree) {
+            let key = self.config.reuse_annotations.then_some(key);
             let plan = self.plan_block(tree, id, key, &plans, budget)?;
             if let Some(b) = budget {
                 // the root cost is at least the cost of any block that the
@@ -223,10 +218,11 @@ impl<'a> Optimizer<'a> {
                     return Err(Error::plan(COST_CUTOFF));
                 }
             }
-            plans.insert(id, plan);
+            plans.insert(id, Planned { plan, free });
         }
         plans
             .remove(&tree.root)
+            .map(|p| p.plan)
             .ok_or_else(|| Error::plan("root block was not planned"))
     }
 
@@ -235,7 +231,7 @@ impl<'a> Optimizer<'a> {
         tree: &QueryTree,
         id: BlockId,
         key: Option<u64>,
-        plans: &HashMap<BlockId, Arc<BlockPlan>>,
+        plans: &HashMap<BlockId, Planned>,
         budget: Option<f64>,
     ) -> Result<Arc<BlockPlan>> {
         cbqt_common::failpoint!(failpoint::OPTIMIZER_PLAN);
@@ -248,12 +244,15 @@ impl<'a> Optimizer<'a> {
             // Every copy-on-write copy of a tree keeps its block ids, so
             // across states the plan is shared as it is. A twin under
             // another id (an OR-expansion branch, a repeated subquery)
-            // can sit beside the original in one final plan and gets a
-            // copy of its own.
+            // gets the stored plan relabelled at the root; plan elements
+            // are positions, so the two share every child.
             return Ok(if p.block == id {
                 p
             } else {
-                Arc::new(p.unshared_as(id))
+                Arc::new(BlockPlan {
+                    block: id,
+                    ..(*p).clone()
+                })
             });
         }
         self.stats.blocks_costed += 1;
@@ -269,7 +268,7 @@ impl<'a> Optimizer<'a> {
                     .map(|i| {
                         plans
                             .get(i)
-                            .cloned()
+                            .map(|p| Arc::clone(&p.plan))
                             .ok_or_else(|| Error::plan(format!("missing child plan {i}")))
                     })
                     .collect::<Result<_>>()?;
@@ -333,7 +332,7 @@ impl<'a> Optimizer<'a> {
         tree: &QueryTree,
         id: BlockId,
         s: &SelectBlock,
-        plans: &HashMap<BlockId, Arc<BlockPlan>>,
+        plans: &HashMap<BlockId, Planned>,
         budget: Option<f64>,
     ) -> Result<BlockPlan> {
         let declared = s.declared_refs();
@@ -368,9 +367,7 @@ impl<'a> Optimizer<'a> {
                     base.insert(t.refid, *tid);
                 }
                 QTableSource::View(b) => {
-                    let p = plans
-                        .get(b)
-                        .ok_or_else(|| Error::plan(format!("missing view plan {b}")))?;
+                    let p = &planned_view(plans, *b)?.plan;
                     rels.insert(
                         t.refid,
                         RelStats {
@@ -529,7 +526,7 @@ impl<'a> Optimizer<'a> {
             for b in e.subquery_blocks() {
                 if !subplans.iter().any(|(x, _)| *x == b) {
                     if let Some(p) = plans.get(&b) {
-                        subplans.push((b, Arc::clone(p)));
+                        subplans.push((b, Arc::clone(&p.plan)));
                     }
                 }
             }
@@ -559,12 +556,12 @@ impl<'a> Optimizer<'a> {
             None => rows,
         };
         for (b, p) in &subplans {
-            let corr = tree.correlated_cols(*b);
+            let corr = &plans[b].free;
             let eff = if corr.is_empty() {
                 1.0
             } else {
                 let mut prod = 1.0_f64;
-                for (r, cidx) in &corr {
+                for (r, cidx) in corr {
                     let ndv = rels
                         .get(r)
                         .map(|rs| rs.ndv_of(*cidx))
@@ -662,8 +659,8 @@ impl<'a> Optimizer<'a> {
         for i in &s.select {
             for b in i.expr.subquery_blocks() {
                 if let Some(p) = plans.get(&b) {
-                    let corr_execs = if tree.is_correlated(b) { rows } else { 1.0 };
-                    cost += corr_execs.max(1.0) * p.cost;
+                    let corr_execs = if p.free.is_empty() { 1.0 } else { rows };
+                    cost += corr_execs.max(1.0) * p.plan.cost;
                 }
             }
         }
@@ -723,7 +720,7 @@ impl<'a> Optimizer<'a> {
         t: &cbqt_qgm::QTable,
         declared: &HashSet<RefId>,
         rels: &HashMap<RefId, RelStats>,
-        plans: &HashMap<BlockId, Arc<BlockPlan>>,
+        plans: &HashMap<BlockId, Planned>,
     ) -> Result<Item> {
         let mut deps: Vec<RefId> = Vec::new();
         for c in t.join.on_conjuncts() {
@@ -736,14 +733,12 @@ impl<'a> Optimizer<'a> {
         let (kind, correlated, plan) = match &t.source {
             QTableSource::Base(tid) => (ItemKind::Base(*tid), false, None),
             QTableSource::View(b) => {
-                let corr = tree.correlated_refs(*b).into_iter();
+                let view = planned_view(plans, *b)?;
+                let corr = view.free.iter().map(|(r, _)| *r);
                 let corr: Vec<RefId> = corr.filter(|r| declared.contains(r)).collect();
                 let correlated = !corr.is_empty();
                 deps.extend(corr);
-                let p = plans
-                    .get(b)
-                    .ok_or_else(|| Error::plan(format!("missing view plan {b}")))?;
-                (ItemKind::View(*b), correlated, Some(Arc::clone(p)))
+                (ItemKind::View(*b), correlated, Some(Arc::clone(&view.plan)))
             }
         };
         let rows = rels.get(&t.refid).map(|r| r.rows).unwrap_or(DEFAULT_ROWS);
@@ -761,6 +756,19 @@ impl<'a> Optimizer<'a> {
             },
         })
     }
+}
+
+/// A block planned earlier in one optimizer call, with the outer columns
+/// its subtree reads (its free list from [`fingerprint::block_keys`]).
+struct Planned {
+    plan: Arc<BlockPlan>,
+    free: fingerprint::FreeCols,
+}
+
+fn planned_view(plans: &HashMap<BlockId, Planned>, b: BlockId) -> Result<&Planned> {
+    plans
+        .get(&b)
+        .ok_or_else(|| Error::plan(format!("missing view plan {b}")))
 }
 
 fn expensive_cost(e: &QExpr) -> f64 {
@@ -2343,7 +2351,8 @@ mod tests {
     fn a_twin_block_gets_a_plan_of_its_own() {
         // two identical branches, each over an identical view: the
         // second branch and its view hit the first's annotations under
-        // other block ids, and must not alias them inside the one plan
+        // other block ids; the second branch is the first relabelled at
+        // its root and shares everything below it
         let (p, _) = plan(
             "SELECT v.dept_id FROM (SELECT d.dept_id FROM departments d WHERE d.loc_id = 3) v \
              UNION ALL \
@@ -2356,8 +2365,8 @@ mod tests {
         assert_ne!(a.block, b.block);
         assert_eq!(a.cost.to_bits(), b.cost.to_bits());
         assert!(!Arc::ptr_eq(a, b));
-        assert!(!Arc::ptr_eq(view_plan(a), view_plan(b)));
-        // every element has an address of its own (debug-asserted inside)
+        assert!(Arc::ptr_eq(view_plan(a), view_plan(b)));
+        // the shared elements are at two positions, and count at both
         assert_eq!(PlanIndex::build(&p).len(), 1 + 2 * 4);
     }
 

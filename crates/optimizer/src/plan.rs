@@ -149,17 +149,6 @@ impl PlanNode {
         }
     }
 
-    fn for_each_view_plan_mut(&mut self, f: &mut impl FnMut(&mut Arc<BlockPlan>)) {
-        match self {
-            PlanNode::OneRow | PlanNode::ScanBase { .. } => {}
-            PlanNode::ScanView { plan, .. } => f(plan),
-            PlanNode::Join { left, right, .. } => {
-                left.for_each_view_plan_mut(f);
-                right.for_each_view_plan_mut(f);
-            }
-        }
-    }
-
     /// Leaf refids in join order (left-deep: the order tables appear in
     /// the output row).
     pub fn leaf_refs(&self, out: &mut Vec<(RefId, usize)>) {
@@ -262,10 +251,11 @@ pub enum PlanRoot {
     SetOp(SetOpPlan),
 }
 
-/// A plan element handed to an EXPLAIN annotator: either one block root
-/// or one node of a join tree. The borrowed reference is into the plan
-/// being explained; side tables (runtime metrics) key elements by their
-/// [`PlanNodeId`] through a [`PlanIndex`] built over the same plan.
+/// A plan element handed to a plan walk or an EXPLAIN annotator: either
+/// one block root or one node of a join tree, always together with its
+/// [`PlanNodeId`] — the element's *position*. Side tables (runtime
+/// metrics) key elements by that id, so one shared sub-plan reached at
+/// two positions is two elements.
 #[derive(Clone, Copy)]
 pub enum PlanEntity<'a> {
     Block(&'a BlockPlan),
@@ -273,17 +263,6 @@ pub enum PlanEntity<'a> {
 }
 
 impl PlanEntity<'_> {
-    /// Address of the referenced element, valid only for the lifetime of
-    /// this plan allocation. Used internally by [`PlanIndex`] to
-    /// translate borrowed elements into stable ids; never use it as a
-    /// cross-execution key directly — a reused allocation can alias.
-    pub fn addr(&self) -> usize {
-        match self {
-            PlanEntity::Block(b) => *b as *const BlockPlan as usize,
-            PlanEntity::Node(n) => *n as *const PlanNode as usize,
-        }
-    }
-
     /// Estimated output rows of this element (what EXPLAIN prints).
     pub fn est_rows(&self) -> f64 {
         match self {
@@ -298,12 +277,19 @@ impl PlanEntity<'_> {
     }
 }
 
-/// Stable identity of one plan element within its plan: the ordinal of
-/// the element in the canonical traversal (the order EXPLAIN prints).
-/// Unlike a raw address, the id survives cloning the plan and can never
-/// alias an element of a different live plan.
+/// Identity of one plan element within its plan: its *position*, the
+/// ordinal of the element in the canonical walk (the order EXPLAIN
+/// prints). The walk hands ids out, so the id survives cloning the plan,
+/// and a sub-plan shared by `Arc` at two positions is two elements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PlanNodeId(pub u32);
+
+impl PlanNodeId {
+    /// The id of this element's first child in the walk.
+    pub fn first_child(self) -> PlanNodeId {
+        PlanNodeId(self.0 + 1)
+    }
+}
 
 impl std::fmt::Display for PlanNodeId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -311,32 +297,29 @@ impl std::fmt::Display for PlanNodeId {
     }
 }
 
-/// Maps the elements of one plan allocation to their [`PlanNodeId`]s,
-/// plus a structural fingerprint of the whole plan. Metrics recorded
-/// against one plan carry the fingerprint, so applying them to a
-/// structurally different plan is detected instead of silently
-/// attributing counters to the wrong operator (the failure mode of
-/// address keying when an allocation is reused).
+/// The shape of one plan as positions: every element's subtree size, so
+/// a walker that knows an element's id knows its children's, plus a
+/// structural fingerprint of the whole plan. Metrics recorded against
+/// one plan carry the fingerprint, so applying them to a structurally
+/// different plan is detectable instead of silently attributing
+/// counters to the wrong operator.
 #[derive(Debug, Clone)]
 pub struct PlanIndex {
-    by_addr: std::collections::HashMap<usize, PlanNodeId>,
+    /// The element at id `i` and everything below it are ids
+    /// `i .. i + sizes[i]`.
+    sizes: Vec<u32>,
     fingerprint: u64,
 }
 
 impl PlanIndex {
-    /// Walks `plan` in canonical (EXPLAIN) order, assigning ordinals.
+    /// Walks `plan` in canonical (EXPLAIN) order.
     pub fn build(plan: &BlockPlan) -> PlanIndex {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
-        let mut by_addr = std::collections::HashMap::new();
+        let mut sizes = Vec::new();
         let mut hasher = DefaultHasher::new();
-        let mut next = 0u32;
-        plan.visit_entities(&mut |e| {
-            let first = by_addr.insert(e.addr(), PlanNodeId(next)).is_none();
-            // ids stand for addresses: a sub-plan shared between two
-            // positions of one plan would merge their metrics
-            debug_assert!(first, "plan element reachable twice in one plan");
-            next.hash(&mut hasher);
+        plan.walk(&mut sizes, &mut |id, e| {
+            id.0.hash(&mut hasher);
             match e {
                 PlanEntity::Block(b) => {
                     0u8.hash(&mut hasher);
@@ -385,22 +368,17 @@ impl PlanIndex {
                     }
                 },
             }
-            next += 1;
         });
         PlanIndex {
-            by_addr,
+            sizes,
             fingerprint: hasher.finish(),
         }
     }
 
-    /// The id of a borrowed element of the indexed plan; `None` when the
-    /// element belongs to a different plan allocation.
-    pub fn id_of(&self, e: PlanEntity<'_>) -> Option<PlanNodeId> {
-        self.id_of_addr(e.addr())
-    }
-
-    pub fn id_of_addr(&self, addr: usize) -> Option<PlanNodeId> {
-        self.by_addr.get(&addr).copied()
+    /// The id the walk reaches right after `id`'s subtree: its next
+    /// sibling's, or whatever follows its parent's last child.
+    pub fn after(&self, id: PlanNodeId) -> PlanNodeId {
+        PlanNodeId(id.0 + self.sizes[id.0 as usize])
     }
 
     /// Structural fingerprint of the indexed plan. Two indexes over
@@ -412,11 +390,11 @@ impl PlanIndex {
 
     /// Number of indexed elements.
     pub fn len(&self) -> usize {
-        self.by_addr.len()
+        self.sizes.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.by_addr.is_empty()
+        self.sizes.is_empty()
     }
 }
 
@@ -440,7 +418,13 @@ fn join_method_tag(m: JoinMethod) -> u8 {
 
 /// Callback appending per-element detail (e.g. actual row counts) to
 /// EXPLAIN lines; return `None` for no annotation.
-pub type Annotator<'a> = dyn FnMut(PlanEntity<'_>) -> Option<String> + 'a;
+pub type Annotator<'a> = dyn FnMut(PlanNodeId, PlanEntity<'_>) -> Option<String> + 'a;
+
+/// Hands out the next id of a walk.
+fn take(next: &mut u32) -> PlanNodeId {
+    *next += 1;
+    PlanNodeId(*next - 1)
+}
 
 impl BlockPlan {
     pub fn as_select(&self) -> Option<&SelectPlan> {
@@ -452,27 +436,36 @@ impl BlockPlan {
 
     /// Indented EXPLAIN text.
     pub fn explain(&self) -> String {
-        self.explain_annotated(&mut |_| None)
+        self.explain_annotated(&mut |_, _| None)
     }
 
     /// Visits every plan element (block roots and join-tree nodes) in
-    /// canonical order — the exact order EXPLAIN prints them, which is
-    /// also the ordinal order [`PlanIndex`] assigns [`PlanNodeId`]s in.
-    pub fn visit_entities<'a>(&'a self, f: &mut impl FnMut(PlanEntity<'a>)) {
-        f(PlanEntity::Block(self));
+    /// canonical order — the exact order EXPLAIN prints them — with its
+    /// [`PlanNodeId`], the element's ordinal in that order.
+    pub fn visit_entities<'a>(&'a self, f: &mut impl FnMut(PlanNodeId, PlanEntity<'a>)) {
+        self.walk(&mut Vec::new(), f);
+    }
+
+    /// [`BlockPlan::visit_entities`], leaving each element's subtree size
+    /// at its id in `sizes`; ids are positions in `sizes`.
+    fn walk<'a>(&'a self, sizes: &mut Vec<u32>, f: &mut impl FnMut(PlanNodeId, PlanEntity<'a>)) {
+        let at = sizes.len();
+        sizes.push(0);
+        f(PlanNodeId(at as u32), PlanEntity::Block(self));
         match &self.root {
             PlanRoot::Select(sp) => {
-                visit_node(&sp.join, f);
+                walk_node(&sp.join, sizes, f);
                 for (_, p) in &sp.subplans {
-                    p.visit_entities(f);
+                    p.walk(sizes, f);
                 }
             }
             PlanRoot::SetOp(sp) => {
                 for i in &sp.inputs {
-                    i.visit_entities(f);
+                    i.walk(sizes, f);
                 }
             }
         }
+        sizes[at] = (sizes.len() - at) as u32;
     }
 
     /// Indented EXPLAIN text with a per-element annotation appended to
@@ -480,14 +473,20 @@ impl BlockPlan {
     /// `EXPLAIN ANALYZE`.
     pub fn explain_annotated(&self, annotate: &mut Annotator<'_>) -> String {
         let mut s = String::new();
-        self.explain_into(&mut s, 0, annotate);
+        self.explain_into(&mut s, 0, &mut 0, annotate);
         s
     }
 
-    fn explain_into(&self, out: &mut String, depth: usize, annotate: &mut Annotator<'_>) {
+    fn explain_into(
+        &self,
+        out: &mut String,
+        depth: usize,
+        next: &mut u32,
+        annotate: &mut Annotator<'_>,
+    ) {
         use std::fmt::Write;
         let pad = "  ".repeat(depth);
-        let note = note_for(annotate(PlanEntity::Block(self)));
+        let note = note_for(annotate(take(next), PlanEntity::Block(self)));
         match &self.root {
             PlanRoot::Select(sp) => {
                 writeln!(
@@ -512,10 +511,10 @@ impl BlockPlan {
                     },
                 )
                 .unwrap();
-                explain_node(&sp.join, out, depth + 1, annotate);
+                explain_node(&sp.join, out, depth + 1, next, annotate);
                 for (b, p) in &sp.subplans {
                     writeln!(out, "{pad}  SUBQUERY {b}:").unwrap();
-                    p.explain_into(out, depth + 2, annotate);
+                    p.explain_into(out, depth + 2, next, annotate);
                 }
             }
             PlanRoot::SetOp(sp) => {
@@ -526,37 +525,9 @@ impl BlockPlan {
                 )
                 .unwrap();
                 for i in &sp.inputs {
-                    i.explain_into(out, depth + 1, annotate);
+                    i.explain_into(out, depth + 1, next, annotate);
                 }
             }
-        }
-    }
-}
-
-impl BlockPlan {
-    /// A copy of this plan for block `id` that shares no sub-plan with
-    /// it. Plans of different blocks may end up in one final plan — two
-    /// identical UNION ALL branches, say — where [`PlanIndex`] tells
-    /// elements apart by address, so the twin cannot be handed the same
-    /// `Arc`s. Blocks below the root keep the labels they were planned
-    /// under.
-    pub fn unshared_as(&self, id: BlockId) -> BlockPlan {
-        let mut copy = self.clone();
-        copy.block = id;
-        copy.unshare_children();
-        copy
-    }
-
-    fn unshare_children(&mut self) {
-        // `make_mut` copies a child the original still holds, then its
-        // children in turn
-        let unshare = |p: &mut Arc<BlockPlan>| Arc::make_mut(p).unshare_children();
-        match &mut self.root {
-            PlanRoot::Select(sp) => {
-                sp.join.for_each_view_plan_mut(&mut |p| unshare(p));
-                sp.subplans.iter_mut().for_each(|(_, p)| unshare(p));
-            }
-            PlanRoot::SetOp(sp) => sp.inputs.iter_mut().for_each(unshare),
         }
     }
 
@@ -697,16 +668,23 @@ fn qexpr_bytes(e: &QExpr) -> usize {
     }
 }
 
-fn visit_node<'a>(n: &'a PlanNode, f: &mut impl FnMut(PlanEntity<'a>)) {
-    f(PlanEntity::Node(n));
+fn walk_node<'a>(
+    n: &'a PlanNode,
+    sizes: &mut Vec<u32>,
+    f: &mut impl FnMut(PlanNodeId, PlanEntity<'a>),
+) {
+    let at = sizes.len();
+    sizes.push(0);
+    f(PlanNodeId(at as u32), PlanEntity::Node(n));
     match n {
         PlanNode::OneRow | PlanNode::ScanBase { .. } => {}
-        PlanNode::ScanView { plan, .. } => plan.visit_entities(f),
+        PlanNode::ScanView { plan, .. } => plan.walk(sizes, f),
         PlanNode::Join { left, right, .. } => {
-            visit_node(left, f);
-            visit_node(right, f);
+            walk_node(left, sizes, f);
+            walk_node(right, sizes, f);
         }
     }
+    sizes[at] = (sizes.len() - at) as u32;
 }
 
 fn note_for(a: Option<String>) -> String {
@@ -716,10 +694,16 @@ fn note_for(a: Option<String>) -> String {
     }
 }
 
-fn explain_node(n: &PlanNode, out: &mut String, depth: usize, annotate: &mut Annotator<'_>) {
+fn explain_node(
+    n: &PlanNode,
+    out: &mut String,
+    depth: usize,
+    next: &mut u32,
+    annotate: &mut Annotator<'_>,
+) {
     use std::fmt::Write;
     let pad = "  ".repeat(depth);
-    let note = note_for(annotate(PlanEntity::Node(n)));
+    let note = note_for(annotate(take(next), PlanEntity::Node(n)));
     match n {
         PlanNode::OneRow => {
             writeln!(out, "{pad}ONE ROW{note}").unwrap();
@@ -761,7 +745,7 @@ fn explain_node(n: &PlanNode, out: &mut String, depth: usize, annotate: &mut Ann
                 if *correlated { " LATERAL" } else { "" }
             )
             .unwrap();
-            plan.explain_into(out, depth + 1, annotate);
+            plan.explain_into(out, depth + 1, next, annotate);
         }
         PlanNode::Join {
             left,
@@ -780,8 +764,8 @@ fn explain_node(n: &PlanNode, out: &mut String, depth: usize, annotate: &mut Ann
                 if *lateral { " LATERAL" } else { "" }
             )
             .unwrap();
-            explain_node(left, out, depth + 1, annotate);
-            explain_node(right, out, depth + 1, annotate);
+            explain_node(left, out, depth + 1, next, annotate);
+            explain_node(right, out, depth + 1, next, annotate);
         }
     }
 }
@@ -935,16 +919,14 @@ mod tests {
         assert_eq!(ix_a.fingerprint(), ix_b.fingerprint());
         assert_eq!(ix_a.len(), ix_b.len());
         let mut ids_a = Vec::new();
-        plan.visit_entities(&mut |e| ids_a.push(ix_a.id_of(e).unwrap()));
+        plan.visit_entities(&mut |id, _| ids_a.push(id));
         let mut ids_b = Vec::new();
-        clone.visit_entities(&mut |e| ids_b.push(ix_b.id_of(e).unwrap()));
+        clone.visit_entities(&mut |id, _| ids_b.push(id));
         assert_eq!(ids_a, ids_b);
         assert_eq!(
             ids_a,
             (0..ids_a.len() as u32).map(PlanNodeId).collect::<Vec<_>>()
         );
-        // an element of a different allocation does not resolve
-        clone.visit_entities(&mut |e| assert!(ix_a.id_of(e).is_none()));
     }
 
     #[test]

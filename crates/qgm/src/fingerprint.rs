@@ -37,10 +37,16 @@ use cbqt_common::Value;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
+/// A block's free list: the distinct `(RefId, column)` references in its
+/// subtree to tables declared outside it, first-seen order — what
+/// [`QueryTree::correlated_cols`] finds by a walk of its own.
+pub type FreeCols = Vec<(RefId, usize)>;
+
 /// The annotation key of every block reachable from the root, in
-/// [`QueryTree::bottom_up`] order. Deterministic: fixed hasher keys, no
-/// address or iteration-order dependence.
-pub fn block_keys(tree: &QueryTree) -> Vec<(BlockId, u64)> {
+/// [`QueryTree::bottom_up`] order, with the block's free list.
+/// Deterministic: fixed hasher keys, no address or iteration-order
+/// dependence.
+pub fn block_keys(tree: &QueryTree) -> Vec<(BlockId, u64, FreeCols)> {
     let order = tree.bottom_up();
     let mut declared: Vec<Option<&QTable>> = Vec::new();
     for &id in &order {
@@ -74,7 +80,7 @@ pub fn block_keys(tree: &QueryTree) -> Vec<(BlockId, u64)> {
             hash: pass.h.finish(),
             free: pass.free,
         };
-        keys.push((id, shape.key()));
+        keys.push((id, shape.key(), shape.free.clone()));
         let slot = id.0 as usize;
         if done.len() <= slot {
             done.resize_with(slot + 1, || None);
@@ -89,9 +95,7 @@ struct Shape {
     /// The block's structure with every column hashed by its binding:
     /// equal for two copies that differ only in their `RefId`s.
     hash: u64,
-    /// Distinct `(RefId, column)` references in the subtree to tables
-    /// declared outside it, first-seen order.
-    free: Vec<(RefId, usize)>,
+    free: FreeCols,
 }
 
 impl Shape {
@@ -117,7 +121,7 @@ struct Pass<'a> {
     /// Tables the block itself declares: references to them are local.
     own: &'a [QTable],
     h: DefaultHasher,
-    free: Vec<(RefId, usize)>,
+    free: FreeCols,
 }
 
 /// The name of output column `c` of block `b`, as
@@ -575,7 +579,7 @@ mod tests {
 
     fn key_of(tree: &QueryTree, id: BlockId) -> u64 {
         let keys = block_keys(tree);
-        keys.iter().find(|(b, _)| *b == id).expect("reachable").1
+        keys.iter().find(|(b, _, _)| *b == id).expect("reachable").1
     }
 
     fn root_key(tree: &QueryTree) -> u64 {
@@ -747,7 +751,7 @@ mod tests {
     fn keys_follow_bottom_up_order_and_repeat() {
         let tree = sample();
         let keys = block_keys(&tree);
-        let ids: Vec<BlockId> = keys.iter().map(|(id, _)| *id).collect();
+        let ids: Vec<BlockId> = keys.iter().map(|(id, _, _)| *id).collect();
         assert_eq!(ids, tree.bottom_up());
         assert_eq!(keys, block_keys(&tree.clone()));
     }
