@@ -133,16 +133,16 @@ fn random_query(rng: &mut Rng) -> String {
 }
 
 /// Join-heavy query pool for the `--joins` oracle: every shape is a
-/// multi-way (3+ item) join so the bushy enumerator, the left-deep DP
-/// tier, and the greedy fallback all get real join-order decisions.
-/// The last three arms leave semi, anti and outer joins in the block,
-/// which only the left-deep and greedy tiers plan.
+/// multi-way (3+ item) join so the bushy enumerator and the greedy
+/// fallback both get real join-order decisions. The last four arms
+/// leave semi, anti and outer joins in the block, which the memo plans
+/// under their partial orders.
 fn random_join_query(rng: &mut Rng) -> String {
     let sal = rng.gen_range(0..8000);
     let date = 19_900_000 + rng.gen_range(0..50_000);
     let c = ["US", "UK", "DE"][rng.gen_range(0usize..3)];
     let k = rng.gen_range(0..20);
-    match rng.gen_range(0..9) {
+    match rng.gen_range(0..10) {
         // star: job_history fact with two independent dimension arms
         0 => format!("SELECT e.employee_name, d.department_name FROM job_history j, employees e, departments d WHERE j.emp_id = e.emp_id AND j.dept_id = d.dept_id AND e.salary > {sal} AND j.start_date > {date}"),
         // snowflake: fact -> employees arm plus departments -> locations chain
@@ -160,6 +160,10 @@ fn random_join_query(rng: &mut Rng) -> String {
         6 => format!("SELECT e.employee_name, l.country_id FROM employees e, departments d, locations l WHERE e.dept_id = d.dept_id AND d.loc_id = l.loc_id AND e.salary > {sal} AND EXISTS (SELECT 1 FROM job_history j WHERE j.emp_id = e.emp_id AND j.start_date > {date})"),
         // NOT IN beside a join: a null-aware anti join once unnested
         7 => format!("SELECT e.emp_id, d.department_name FROM employees e, departments d WHERE e.dept_id = d.dept_id AND e.dept_id NOT IN (SELECT j.dept_id FROM job_history j WHERE j.start_date > {date})"),
+        // EXISTS on the employees arm of a snowflake and NOT IN on its
+        // departments arm: once both unnest, the memo may hash-join two
+        // annotated halves, a shape no left-deep plan has
+        8 => format!("SELECT COUNT(*) FROM job_history j, employees e, departments d, locations l WHERE j.emp_id = e.emp_id AND j.dept_id = d.dept_id AND d.loc_id = l.loc_id AND l.country_id = '{c}' AND EXISTS (SELECT 1 FROM job_history h WHERE h.emp_id = e.emp_id AND h.start_date > {date}) AND d.dept_id NOT IN (SELECT m.dept_id FROM employees m WHERE m.salary > {sal})"),
         // outer-join chain: both right sides are order-constrained
         _ => format!("SELECT e.employee_name, d.department_name, l.country_id FROM employees e LEFT JOIN departments d ON e.dept_id = d.dept_id LEFT JOIN locations l ON d.loc_id = l.loc_id WHERE e.salary > {sal}"),
     }
@@ -244,15 +248,14 @@ fn usage() -> ! {
          transaction, but only with an Err, and the twin oracle holds.\n\
          \n\
          --joins switches to the join-order oracle: each round builds\n\
-         the same random database three times — with the default bushy\n\
-         enumerator, with bushy_max_items = 0 (forced left-deep DP) and\n\
-         with dp_max_items = 0 as well (forced greedy) — and every\n\
-         multi-way join query, including EXISTS / NOT IN / LEFT JOIN\n\
-         shapes, must return identical row sets from all three, also\n\
+         the same random database twice — with the default bushy\n\
+         enumerator and with bushy_max_items = 0 (forced greedy) — and\n\
+         every multi-way join query, including EXISTS / NOT IN / LEFT\n\
+         JOIN shapes, must return identical row sets from both, also\n\
          under random tight optimizer-state budgets that force\n\
          mid-enumeration degradation to greedy. Combine with\n\
-         --failpoints to also arm random faults: any side may then\n\
-         fail, but only with an Err, and all three databases must keep\n\
+         --failpoints to also arm random faults: either side may then\n\
+         fail, but only with an Err, and both databases must keep\n\
          serving."
     );
     std::process::exit(2);
@@ -370,33 +373,26 @@ fn failpoint_round(seed: u64) -> u64 {
     failures
 }
 
-/// One join-order round: the same random database is built three
-/// times from the same seed — with the default tier choice (bushy
-/// where the block is eligible), with `bushy_max_items = 0` (forced
-/// left-deep DP) and with `dp_max_items = 0` as well (forced greedy) —
-/// and every multi-way join query must return identical row sets from
-/// all three. The semi / anti / outer arms of the query pool keep the
-/// join kernel's non-inner branch under the oracle on every tier.
+/// One join-order round: the same random database is built twice from
+/// the same seed — with the default tier choice (the bushy memo for
+/// blocks of up to `bushy_max_items` items) and with
+/// `bushy_max_items = 0` (forced greedy) — and every multi-way join
+/// query must return identical row sets from both. The semi / anti /
+/// outer arms of the query pool keep the join kernel's non-inner branch
+/// under the oracle on both tiers.
 /// Random tight optimizer-state budgets are mixed in so mid-enumeration
 /// governor exhaustion (degrade-to-greedy) is exercised: a degraded
 /// plan must still agree with the twins, and must never surface an
 /// error. With `with_faults`, random failpoints are armed around each
-/// run of the three; any side may then fail, but only with an `Err`,
-/// and all databases must keep serving. Returns the number of failures.
+/// run of the two; either side may then fail, but only with an `Err`,
+/// and both databases must keep serving. Returns the number of failures.
 fn joins_round(seed: u64, with_faults: bool) -> u64 {
     let mut rng = Rng::seed_from_u64(seed);
     let bushy = random_db(&mut rng);
-    // twins with identical data on the reference tiers: the row oracle
-    let mut leftdeep = random_db(&mut Rng::seed_from_u64(seed));
-    leftdeep.config_mut().optimizer.bushy_max_items = 0;
+    // a twin with identical data on the greedy tier: the row oracle
     let mut greedy = random_db(&mut Rng::seed_from_u64(seed));
     greedy.config_mut().optimizer.bushy_max_items = 0;
-    greedy.config_mut().optimizer.dp_max_items = 0;
-    let twins = [
-        ("bushy", bushy),
-        ("left-deep", leftdeep),
-        ("greedy", greedy),
-    ];
+    let twins = [("bushy", bushy), ("greedy", greedy)];
     let names = failpoints::all();
     let mut failures = 0;
     for _ in 0..4 {
@@ -464,7 +460,8 @@ fn joins_round(seed: u64, with_faults: bool) -> u64 {
     failures
 }
 
-/// One execution-differential round: random queries through
+/// One execution-differential round: random queries (three from the
+/// general pool, one from the join pool) through
 /// [`Database::differential_exec`], which runs each optimized plan
 /// through both the vectorized and the Volcano engine and reports any
 /// divergence in rows, metrics, or governor outcome. With
@@ -476,8 +473,12 @@ fn differential_round(seed: u64, with_faults: bool) -> u64 {
     let db = random_db(&mut rng);
     let names = failpoints::all();
     let mut failures = 0;
-    for _ in 0..3 {
-        let sql = random_query(&mut rng);
+    for i in 0..4 {
+        let sql = if i < 3 {
+            random_query(&mut rng)
+        } else {
+            random_join_query(&mut rng)
+        };
         let armed = if with_faults && rng.gen_bool(0.6) {
             let name = names[rng.gen_range(0usize..names.len())];
             Some(if rng.gen_bool(0.3) {

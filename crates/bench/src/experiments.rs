@@ -328,7 +328,7 @@ pub fn run_gbp(seed: u64, n: usize, scale: f64, reps: usize) -> (ExperimentRepor
     (report, extra)
 }
 
-/// Join enumeration: forced left-deep (`bushy_max_items = 0`) vs the
+/// Join enumeration: forced greedy (`bushy_max_items = 0`) vs the
 /// default bushy memoized enumerator on star and snowflake join shapes.
 /// Like every paired experiment, the two configurations must return
 /// identical row sets on every instance.
@@ -338,7 +338,7 @@ pub fn run_joins(seed: u64, n: usize, scale: f64, reps: usize) -> ExperimentRepo
     let mut instances = gen.generate(Family::Star, n / 2);
     instances.extend(gen.generate(Family::Snowflake, n - n / 2));
     run_paired(
-        "Join enumeration: forced left-deep vs bushy (star/snowflake)",
+        "Join enumeration: forced greedy vs bushy (star/snowflake)",
         instances,
         |db| {
             default_config(db);

@@ -1,8 +1,8 @@
-//! Plan stability across the three join-enumeration tiers.
+//! Plan stability across the two join-enumeration tiers.
 //!
 //! Every workload family is planned under the default tier choice
-//! (bushy where eligible), forced left-deep DP and forced greedy, and
-//! the EXPLAIN text plus the bit pattern of the estimated cost are
+//! (the bushy memo up to `bushy_max_items` items) and forced greedy,
+//! and the EXPLAIN text plus the bit pattern of the estimated cost are
 //! digested. The constants were generated before the join-costing
 //! kernels were unified, so they pin that refactor's contract: same
 //! plans, same costs, on semi / anti / outer / lateral blocks through
@@ -15,12 +15,8 @@ use cbqt_bench::{Family, WorkloadGen};
 const SEED: u64 = 20_060_912;
 const PER_FAMILY: usize = 6;
 
-/// (label, bushy_max_items, dp_max_items); `None` keeps the default.
-const TIERS: [(&str, Option<usize>, Option<usize>); 3] = [
-    ("default", None, None),
-    ("left-deep", Some(0), None),
-    ("greedy", Some(0), Some(0)),
-];
+/// (label, bushy_max_items); `None` keeps the default.
+const TIERS: [(&str, Option<usize>); 2] = [("default", None), ("greedy", Some(0))];
 
 /// Shapes no family generates: outer joins, and anti joins that are
 /// certain to reach the final plan (planned with heuristic unnesting,
@@ -39,31 +35,31 @@ const NON_INNER: [&str; 4] = [
 
 /// One row per `Family::all()` entry plus the `NON_INNER` row, one
 /// column per `TIERS` entry.
-const EXPECTED: [[u64; 3]; 11] = [
-    [0x7f78769b11afa20a, 0xdda36d14347d05c7, 0xbbdf61f3e81b0643], // unnest-agg
-    [0x143db46a53ed478a, 0x6f1b0da69393c579, 0xc82c5ea0bdbb7851], // unnest-exists
-    [0x8f49f391d5e9db14, 0xd9e876b9d4051cad, 0xd9e876b9d4051cad], // jppd-view
-    [0xcd866350a2934ef8, 0x6790106d836079f3, 0xad988c9b28658868], // gb-placement
-    [0xf9f9622fb08df954, 0x846775e38437a0ee, 0xc2519d6443f5950a], // factorize
-    [0xc930d8b9d6135386, 0xa89b24f17db158f3, 0xa89b24f17db158f3], // setop
-    [0x597c794e0b013163, 0x5a2007211312e479, 0x5a2007211312e479], // or-expand
-    [0x6a13f6ff74e567d9, 0x6a13f6ff74e567d9, 0x6a13f6ff74e567d9], // pred-pullup
-    [0x87d268e1d400da0f, 0x2ef446d1e5c1def2, 0xb411fd25cc605318], // star-join
-    [0xec0f1d337501207c, 0x33d65d046a55fd89, 0xbb4fccb280d7b00d], // snowflake
-    [0xaa1a9ab313b69f14, 0xc8f4aefdd43a2778, 0x61a74e58e3ac9773], // non-inner
+const EXPECTED: [[u64; 2]; 11] = [
+    [0x7f78769b11afa20a, 0xbbdf61f3e81b0643], // unnest-agg
+    [0x143db46a53ed478a, 0xc82c5ea0bdbb7851], // unnest-exists
+    [0x8f49f391d5e9db14, 0xd9e876b9d4051cad], // jppd-view
+    [0xcd866350a2934ef8, 0xad988c9b28658868], // gb-placement
+    [0xf9f9622fb08df954, 0xc2519d6443f5950a], // factorize
+    [0xc930d8b9d6135386, 0xa89b24f17db158f3], // setop
+    [0x597c794e0b013163, 0x5a2007211312e479], // or-expand
+    [0x6a13f6ff74e567d9, 0x6a13f6ff74e567d9], // pred-pullup
+    [0x87d268e1d400da0f, 0x56df3182046849b5], // star-join
+    [0xec0f1d337501207c, 0xbb4fccb280d7b00d], // snowflake
+    [0xaa1a9ab313b69f14, 0x61a74e58e3ac9773], // non-inner
 ];
 
 struct Row {
     name: &'static str,
-    digests: [u64; 3],
-    texts: [String; 3],
+    digests: [u64; 2],
+    texts: [String; 2],
 }
 
 impl Row {
     fn new(name: &'static str) -> Row {
         Row {
             name,
-            digests: [0xcbf2_9ce4_8422_2325; 3], // FNV-1a offset basis
+            digests: [0xcbf2_9ce4_8422_2325; 2], // FNV-1a offset basis
             texts: Default::default(),
         }
     }
@@ -71,14 +67,11 @@ impl Row {
     /// Plans and runs `sql` under every tier and folds the EXPLAIN text
     /// and the cost bits into the row.
     fn add(&mut self, db: &mut Database, sql: &str, cost_based: bool) {
-        for (t, (_, bushy, dp)) in TIERS.iter().enumerate() {
+        for (t, (_, bushy)) in TIERS.iter().enumerate() {
             *db.config_mut() = cbqt::OptimizerSettings::default();
             db.config_mut().cost_based = cost_based;
             if let Some(n) = bushy {
                 db.config_mut().optimizer.bushy_max_items = *n;
-            }
-            if let Some(n) = dp {
-                db.config_mut().optimizer.dp_max_items = *n;
             }
             let explain = db.explain(sql).expect("explain");
             let cost = db.query(sql).expect("query").stats.estimated_cost;
@@ -112,20 +105,20 @@ fn plans_and_costs_match_the_pre_refactor_digests() {
     }
     rows.push(row);
 
-    let actual: Vec<[u64; 3]> = rows.iter().map(|r| r.digests).collect();
+    let actual: Vec<[u64; 2]> = rows.iter().map(|r| r.digests).collect();
     if actual != EXPECTED {
         for (row, expected) in rows.iter().zip(EXPECTED) {
-            for (t, (tier, _, _)) in TIERS.iter().enumerate() {
+            for (t, (tier, _)) in TIERS.iter().enumerate() {
                 if row.digests[t] != expected[t] {
                     eprintln!("=== {} / {tier} moved ===\n{}", row.name, row.texts[t]);
                 }
             }
         }
-        eprintln!("const EXPECTED: [[u64; 3]; {}] = [", rows.len());
+        eprintln!("const EXPECTED: [[u64; 2]; {}] = [", rows.len());
         for Row { name, digests, .. } in &rows {
             eprintln!(
-                "    [{:#018x}, {:#018x}, {:#018x}], // {name}",
-                digests[0], digests[1], digests[2]
+                "    [{:#018x}, {:#018x}], // {name}",
+                digests[0], digests[1]
             );
         }
         eprintln!("];");

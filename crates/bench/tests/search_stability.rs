@@ -22,13 +22,13 @@ use std::fmt::Write;
 const EXPECTED: [[u64; 7]; 12] = [
     // unnest-agg
     [
-        0xb0ffc0a607dcc7a4,
+        0xf3eaeaf4fb9b8be9,
         0xb0616c9f4b6e9661,
         0xdc10db78a35af791,
-        0x14897f6aa06905e7,
-        0xb0ffc0a607dcc7a4,
-        0x6fc2f126addebbe6,
-        0xda65dd8649fc66b4,
+        0xf668e131b6b0dfee,
+        0xf3eaeaf4fb9b8be9,
+        0x09991ef120a33e7e,
+        0x90826595ad72efe5,
     ],
     // unnest-exists
     [
@@ -122,13 +122,13 @@ const EXPECTED: [[u64; 7]; 12] = [
     ],
     // table2
     [
-        0x68cab9dbd34986d2,
-        0x3edc96c5d88224f8,
-        0x914eda995d57db59,
-        0x066fccd95155f8e5,
-        0x68cab9dbd34986d2,
-        0xe754e1488ba83f3e,
-        0xa7cc73b9b22569b4,
+        0x17783b70424ae9a7,
+        0x33789ce75fbf2f2c,
+        0xea443c89990d5259,
+        0x844f866a8e41516d,
+        0x17783b70424ae9a7,
+        0x71a4db9c8d4e947c,
+        0x88f67f97f427ea24,
     ],
     // wide
     [
@@ -138,7 +138,7 @@ const EXPECTED: [[u64; 7]; 12] = [
         0xb66f14107b1728ba,
         0x38e7028414e6b877,
         0x98884164a3c571a0,
-        0x4a0acace241ed693,
+        0xee660ae38cb05441,
     ],
 ];
 

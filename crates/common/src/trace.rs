@@ -70,8 +70,8 @@ pub enum TraceEvent {
     /// Annotation miss: the block was optimized from scratch.
     BlockCosted { block: String },
     /// The memoized bushy join enumerator started on a block's FROM
-    /// items (only the bushy tier traces begin/end; the left-deep DP and
-    /// greedy tiers predate the memo and stay silent).
+    /// items (only the bushy tier traces begin/end; the greedy tier
+    /// predates the memo and stays silent).
     JoinEnumBegin { block: String, items: usize },
     /// The bushy enumerator finished: `memo_entries` connected subsets
     /// were costed (each charged one unit of the per-block state

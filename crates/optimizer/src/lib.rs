@@ -1,5 +1,5 @@
 //! Physical optimizer: cardinality estimation, cost model, access-path
-//! selection, left-deep join enumeration, and per-block plan generation.
+//! selection, join enumeration, and per-block plan generation.
 //!
 //! In the paper's architecture (§3.1, Figure 1), the physical optimizer
 //! serves double duty: it produces the final execution plan *and* it is

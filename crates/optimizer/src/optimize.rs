@@ -1,8 +1,8 @@
 //! Per-block plan generation: access paths, join enumeration (a
-//! memoized bushy search, a left-deep DP and a greedy pass, all pricing
-//! through one kernel, `JoinEnumerator::price`, and building a plan tree
-//! only for the join order they pick), post-join costing, and the
-//! optimizer-level caches from §3.4.
+//! memoized subset search over bushy trees and a greedy pass, both
+//! pricing through one kernel, `JoinEnumerator::price`, and building a
+//! plan tree only for the join order they pick), post-join costing, and
+//! the optimizer-level caches from §3.4.
 
 use crate::est::{Estimator, RelStats, DEFAULT_NDV_FRAC, DEFAULT_ROWS};
 use crate::plan::{weights, *};
@@ -21,13 +21,10 @@ use std::sync::{Arc, Mutex};
 /// Tuning knobs of the physical optimizer.
 #[derive(Debug, Clone)]
 pub struct OptimizerConfig {
-    /// Blocks with at most this many FROM items use exhaustive DP join
-    /// enumeration; larger blocks fall back to a greedy heuristic.
-    pub dp_max_items: usize,
-    /// Blocks with at most this many FROM items (all plain inner,
-    /// non-correlated) use the memoized bushy enumerator; beyond it the
-    /// left-deep DP tier applies up to `dp_max_items`, then greedy.
-    /// Set to 0 to disable bushy enumeration entirely.
+    /// Blocks of 2 to this many FROM items (and at most 64), whatever
+    /// their items' join kinds, use the memoized bushy enumerator;
+    /// larger blocks fall back to a greedy heuristic. Set to 0 to plan
+    /// every block greedily.
     pub bushy_max_items: usize,
     pub enable_index_nl: bool,
     pub enable_hash_join: bool,
@@ -39,7 +36,6 @@ pub struct OptimizerConfig {
 impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig {
-            dp_max_items: 10,
             bushy_max_items: 10,
             enable_index_nl: true,
             enable_hash_join: true,
@@ -160,8 +156,10 @@ pub struct Optimizer<'a> {
     /// Optimizer trace sink (disabled by default; see `cbqt_common::trace`).
     pub tracer: Tracer<'a>,
     /// Statement-level resource governor. Deadline/cancellation are
-    /// observed inside join enumeration; an exhausted optimizer-state
-    /// budget degrades wide-block planning from DP to greedy.
+    /// observed inside join enumeration; once the search is exhausted
+    /// every block plans greedily, and each memo search spends a
+    /// per-block allowance of the optimizer-state budget
+    /// (`JoinEnumerator::enum_left`).
     pub governor: Governor,
 }
 
@@ -469,35 +467,28 @@ impl<'a> Optimizer<'a> {
             rels: &rels,
             base: &base,
         };
-        // Tier selection: bushy (all plain inner, within bushy_max_items)
-        // → left-deep DP (within dp_max_items) → greedy. Bushy and DP
-        // key subsets by `u64` masks, so neither applies past 64 items;
-        // greedy plans a block of any width. The framework's
-        // search-degraded flag drops every later block straight to greedy;
-        // the per-block bushy allowance (enum_left) is a snapshot of the
-        // configured budget, so tier choice and plan shape depend only on
-        // the block itself — identical across CBQT states.
+        // Tier selection: the bushy memo plans every block of 2 to
+        // bushy_max_items items, whatever their join kinds; it keys
+        // subsets by `u64` masks, so it never applies past 64 items.
+        // Greedy plans the rest at any width (a single item is its own
+        // plan either way). The framework's search-degraded flag drops
+        // every later block straight to greedy; the per-block memo
+        // allowance (enum_left) is a snapshot of the configured budget,
+        // so tier choice and plan shape depend only on the block itself —
+        // identical across CBQT states.
         let n = items.len();
         let narrow = n <= u64::BITS as usize;
-        let subsets = narrow && !self.governor.search_exhausted();
-        let bushy = subsets
-            && n >= 2
-            && n <= self.config.bushy_max_items
-            && items.iter().all(|i| i.join.is_inner() && !i.correlated);
-        let dp = subsets && n <= self.config.dp_max_items;
+        let memo = narrow
+            && (2..=self.config.bushy_max_items).contains(&n)
+            && !self.governor.search_exhausted();
         let (join_node, mut cost, mut rows, bushy_degraded) = if n == 0 {
             // FROM-less SELECT: one constant row
             (PlanNode::OneRow, weights::ROW, 1.0, false)
         } else if narrow {
             self.enumerate::<u64>(&est, &items, &table_preds, &join_preds, budget, id, |e| {
-                if bushy {
+                if memo {
                     e.enumerate_bushy()
-                } else if dp {
-                    e.enumerate_dp()
                 } else {
-                    // greedy fallback: wide blocks, or the statement's
-                    // optimizer budget ran out (degraded search keeps
-                    // planning cheap but always yields a valid plan)
                     e.enumerate_greedy()
                 }
             })?
@@ -817,7 +808,7 @@ impl Item {
 
 /// A set of a block's items, by index into `items`. The join kernel is
 /// written once against this trait: `u64` serves every block of up to
-/// 64 items (all three tiers), [`WideMask`] the wider ones (greedy).
+/// 64 items (both tiers), [`WideMask`] the wider ones (greedy).
 trait Mask: Clone {
     /// The empty set of a block with `n` items.
     fn empty(n: usize) -> Self;
@@ -1020,7 +1011,7 @@ struct Facts<'b, M> {
     deps: Vec<M>,
 }
 
-/// Every item planned on its own: the base case of all three searches.
+/// Every item planned on its own: the base case of both searches.
 struct Leaves<M> {
     nodes: Vec<PlanNode>,
     parts: Vec<Partial<M>>,
@@ -1052,7 +1043,8 @@ struct JoinEnumerator<'b, 'a, M> {
     /// NOT the shared remaining counter: a constant allowance makes the
     /// chosen plan a function of the block alone, so a block costs the
     /// same whether it is planned afresh or served from the annotation
-    /// cache. `None` = unlimited.
+    /// cache. Every block the memo plans spends it, semi / anti / outer /
+    /// lateral items included. `None` = unlimited.
     enum_left: Cell<Option<u64>>,
     /// Set when the bushy enumeration exhausted `enum_left` and
     /// degraded to greedy. Read by `plan_select` after enumeration.
@@ -1074,89 +1066,21 @@ fn mask_neighbors(mask: u64, adj: &[u64]) -> u64 {
     mask.ones().fold(0, |nb, i| nb | adj[i])
 }
 
-/// True if the items in `mask` form one connected subgraph of the
-/// join-predicate graph (grown from the lowest set bit).
-fn mask_is_connected(mask: u64, adj: &[u64]) -> bool {
-    debug_assert!(mask != 0);
-    let mut m = mask & mask.wrapping_neg();
+/// The items the join graph reaches from `seed` without leaving `within`.
+fn mask_reach(seed: u64, within: u64, adj: &[u64]) -> u64 {
+    let mut m = seed;
     loop {
-        let grow = mask_neighbors(m, adj) & mask & !m;
+        let grow = mask_neighbors(m, adj) & within & !m;
         if grow == 0 {
-            break;
+            return m;
         }
         m |= grow;
     }
-    m == mask
 }
 
-/// The subset searches: they key memos by item set, so they exist for
+/// The subset search: it keys its memo by item set, so it exists for
 /// blocks of at most 64 items.
 impl JoinEnumerator<'_, '_, u64> {
-    /// Exhaustive left-deep DP over subsets.
-    fn enumerate_dp(&self) -> Result<Partial<u64>> {
-        let n = self.items.len();
-        if n == 0 {
-            return Err(Error::plan("block has no tables"));
-        }
-        let full = u64::MAX >> (u64::BITS as usize - n);
-        let leaves = &self.leaves().parts;
-        let deps = &self.facts().deps;
-        let mut best: HashMap<u64, Partial<u64>> = HashMap::new();
-        for (i, item) in self.items.iter().enumerate() {
-            if item.can_drive() {
-                best.insert(1 << i, leaves[i].clone());
-            }
-        }
-        if best.is_empty() {
-            return Err(Error::plan(
-                "no valid driving table (all tables are join-annotated)",
-            ));
-        }
-        for size in 1..n {
-            let mut masks: Vec<u64> = best
-                .keys()
-                .copied()
-                .filter(|m| m.count_ones() as usize == size)
-                .collect();
-            // fixed expansion order so cost ties always break the same
-            // way — EXPLAIN output must be deterministic
-            masks.sort_unstable();
-            for mask in masks {
-                self.opt.governor.check_interrupt()?;
-                let left = best[&mask].clone();
-                if let Some(b) = self.budget {
-                    if left.cost > b {
-                        continue; // §3.4.1 cost cut-off prunes this state
-                    }
-                }
-                for (i, leaf) in leaves.iter().enumerate() {
-                    if mask & (1 << i) != 0 || !deps[i].subset_of(&mask) {
-                        continue;
-                    }
-                    let cand = self.price(&left, leaf);
-                    let key = mask | (1 << i);
-                    match best.get(&key) {
-                        Some(old) if old.cost <= cand.cost => {}
-                        _ => {
-                            best.insert(key, Partial::join(&left, leaf, &cand));
-                        }
-                    }
-                }
-            }
-        }
-        let fin = match best.remove(&full) {
-            Some(f) => f,
-            None if self.budget.is_some() => return Err(Error::plan(COST_CUTOFF)),
-            None => return Err(Error::plan("join enumeration found no complete plan")),
-        };
-        if let Some(b) = self.budget {
-            if fin.cost > b {
-                return Err(Error::plan(COST_CUTOFF));
-            }
-        }
-        Ok(fin)
-    }
-
     /// Charges one unit of the per-block bushy state allowance. Returns
     /// false (and latches the degraded flag) once the allowance is gone.
     fn charge_memo_entry(&self) -> bool {
@@ -1179,12 +1103,18 @@ impl JoinEnumerator<'_, '_, u64> {
     /// two connected halves with a join edge between them — both
     /// orientations, so bushy trees fall out naturally — with the
     /// existing access-path alternatives at the leaves. Connectivity
-    /// comes from the join-predicate graph: subsets without a
-    /// connecting edge are never costed, and cross-products appear only
-    /// when folding distinct connected components at the end (naive 3^n
-    /// partitioning never runs). Only called for blocks whose items are
-    /// all plain inner and non-correlated, so ordering dependencies
-    /// never arise.
+    /// comes from the join graph: each join predicate, and each item
+    /// with its prerequisites ([`Facts::deps`]), is a hyperedge.
+    /// Subsets without a connecting edge are never costed, and
+    /// cross-products appear only when folding distinct connected
+    /// components at the end (naive 3^n partitioning never runs).
+    ///
+    /// Semi / anti / outer / lateral items keep their partial order
+    /// through [`Self::legal`]: one joins only as a single right side
+    /// with its prerequisites on the left, and never starts a join
+    /// order. So a memo entry of two or more items holds every
+    /// prerequisite of its items, and joins as a plain inner join on
+    /// either side.
     ///
     /// Every memo entry costed charges one unit of the per-block state
     /// allowance ([`Self::charge_memo_entry`]); exhaustion abandons the
@@ -1205,11 +1135,17 @@ impl JoinEnumerator<'_, '_, u64> {
         let mut memo_hits = 0usize;
         let mut pairs = 0usize;
 
-        // --- join-predicate adjacency over item indices -------------------
+        // --- join-graph adjacency over item indices ------------------------
+        // An item's edge to its prerequisites connects its subsets once
+        // they hold them; prerequisites only it relates (a lateral view
+        // binding two unjoined items) become adjacent too, so the subset
+        // holding all of them is connected before the item joins it.
+        let facts = self.facts();
+        let deps = (0..n).map(|j| facts.deps[j] | 1 << j);
         let mut adj = vec![0u64; n];
-        for c in &self.facts().preds {
-            for i in c.mask.ones() {
-                adj[i] |= c.mask & !(1 << i);
+        for edge in facts.preds.iter().map(|c| c.mask).chain(deps) {
+            for i in edge.ones() {
+                adj[i] |= edge & !(1 << i);
             }
         }
 
@@ -1220,21 +1156,14 @@ impl JoinEnumerator<'_, '_, u64> {
             if seen & (1 << i) != 0 {
                 continue;
             }
-            let mut m = 1u64 << i;
-            loop {
-                let grow = mask_neighbors(m, &adj) & !m;
-                if grow == 0 {
-                    break;
-                }
-                m |= grow;
-            }
+            let m = mask_reach(1 << i, u64::MAX, &adj);
             seen |= m;
             comps.push(m);
         }
 
         // --- per-component memo over connected subsets ---------------------
         let mut memo: HashMap<u64, Partial<u64>> = HashMap::new();
-        let mut folded: Option<Partial<u64>> = None;
+        let mut parts: Vec<Partial<u64>> = Vec::new();
         for &comp in &comps {
             // leaves
             for i in comp.ones() {
@@ -1263,7 +1192,8 @@ impl JoinEnumerator<'_, '_, u64> {
                 for masks in &by_size[2..] {
                     for &mask in masks {
                         self.opt.governor.check_interrupt()?;
-                        if !mask_is_connected(mask, &adj) {
+                        // connected: grown from its lowest item
+                        if mask_reach(mask & mask.wrapping_neg(), mask, &adj) != mask {
                             continue;
                         }
                         if !self.charge_memo_entry() {
@@ -1290,10 +1220,19 @@ impl JoinEnumerator<'_, '_, u64> {
                             let (Some(l), Some(r)) = (memo.get(&s1), memo.get(&s2)) else {
                                 continue;
                             };
+                            if !self.legal(l, r) {
+                                continue;
+                            }
                             memo_hits += 2;
                             if let Some(b) = self.budget {
-                                // §3.4.1 cost cut-off prunes this pair
-                                if l.cost > b || r.cost > b {
+                                // §3.4.1 cost cut-off prunes this pair: every
+                                // candidate pays the left side's cost, and the
+                                // right side's unless an index NL probes a
+                                // single base item instead of scanning it
+                                let probed = r.leaf().is_some_and(|i| {
+                                    matches!(self.items[i].kind, ItemKind::Base(_))
+                                });
+                                if l.cost > b || (r.cost > b && !probed) {
                                     continue;
                                 }
                             }
@@ -1313,25 +1252,28 @@ impl JoinEnumerator<'_, '_, u64> {
                     }
                 }
             }
-            let comp_best = match memo.get(&comp) {
-                Some(p) => p.clone(),
+            parts.push(match memo.remove(&comp) {
+                Some(p) => p,
                 // with a budget the only way to lose the full-component
                 // entry is the cut-off prune above
                 None if self.budget.is_some() => return Err(Error::plan(COST_CUTOFF)),
                 None => return Err(Error::plan("bushy join enumeration found no complete plan")),
-            };
-            folded = Some(match folded {
-                None => comp_best,
-                Some(acc) => {
-                    // deterministic cross-product between components: no
-                    // join edge exists, so pricing yields the block-NL
-                    // candidate with an empty predicate set
-                    pairs += 1;
-                    Partial::join(&acc, &comp_best, &self.price(&acc, &comp_best))
-                }
             });
         }
-        let fin = folded.expect("bushy enumeration requires at least one item");
+        // components fold in order, except that one item unable to drive
+        // (an uncorrelated semi item) never starts the fold
+        let start = parts
+            .iter()
+            .position(|p| p.leaf().is_none_or(|i| self.items[i].can_drive()))
+            .ok_or_else(|| Error::plan("no valid driving table"))?;
+        let mut fin = parts.remove(start);
+        for part in parts {
+            // deterministic cross-product between components: no join
+            // edge exists, so pricing yields the block-NL candidate with
+            // an empty predicate set
+            pairs += 1;
+            fin = Partial::join(&fin, &part, &self.price(&fin, &part));
+        }
         if let Some(b) = self.budget {
             if fin.cost > b {
                 return Err(Error::plan(COST_CUTOFF));
@@ -1420,6 +1362,10 @@ impl<'b, 'a, M: Mask> JoinEnumerator<'b, 'a, M> {
         };
         let (lnode, l) = self.build(l);
         let (rnode, r) = self.build(r);
+        debug_assert!(
+            self.legal(&l, &r) || self.stuck(&l),
+            "join order breaks the items' partial order"
+        );
         let priced = self.price(&l, &r);
         let item = r.leaf();
         let mut equi: Vec<(QExpr, QExpr)> = Vec::new();
@@ -1449,6 +1395,25 @@ impl<'b, 'a, M: Mask> JoinEnumerator<'b, 'a, M> {
             shape: Rc::clone(shape),
         };
         (node, built)
+    }
+
+    /// Whether joining `l` to `r` keeps the items' partial order: a
+    /// single left item must be able to drive, and a single right item
+    /// needs its prerequisites on the left. A composite side holds every
+    /// prerequisite of its items, so it may join on either side.
+    fn legal(&self, l: &Partial<M>, r: &Partial<M>) -> bool {
+        l.leaf().is_none_or(|i| self.items[i].can_drive())
+            && r.leaf()
+                .is_none_or(|j| self.facts().deps[j].subset_of(&l.mask))
+    }
+
+    /// No item outside `l` has its prerequisites in it: only a
+    /// dependency cycle gets here, and greedy joins one regardless.
+    fn stuck(&self, l: &Partial<M>) -> bool {
+        let outside = self.leaves().parts.iter().zip(&self.facts().deps);
+        outside
+            .filter(|(leaf, _)| !leaf.mask.subset_of(&l.mask))
+            .all(|(_, deps)| !deps.subset_of(&l.mask))
     }
 
     fn facts(&self) -> &Facts<'b, M> {
@@ -1546,20 +1511,20 @@ impl<'b, 'a, M: Mask> JoinEnumerator<'b, 'a, M> {
     }
 
     /// Prices joining two disjoint sub-plans: the one place a join is
-    /// costed, so bushy, left-deep and greedy plans — and the
-    /// transformation states that move a block from one tier to another
-    /// — compete on one scale. A single-item right side joins under that
-    /// item's annotation (semi / anti / outer / lateral) with its ON
-    /// conjuncts; a composite right side only arises in the all-inner
-    /// bushy tier. WHERE conjuncts that cross the two sides join the
-    /// predicate too: equalities oriented with the left expression on
-    /// `l` and the right one on `r` are join keys, everything else is
-    /// residual. Candidates: hash (build right, probe left), merge
-    /// (inner only in the executor), block nested loop (always valid —
-    /// the cross-product fallback), and index NL when the right side is
-    /// a single base item. A lateral view has one candidate, a nested
-    /// loop that re-runs it per distinct binding. Ties keep the first
-    /// candidate in that order.
+    /// costed, so bushy and greedy plans — and the transformation states
+    /// whose blocks they plan — compete on one scale. A single-item
+    /// right side joins under that item's annotation (semi / anti /
+    /// outer / lateral) with its ON conjuncts; a composite right side is
+    /// a memo entry, which holds every prerequisite of its items, and
+    /// joins as an inner join. WHERE conjuncts that cross the two sides
+    /// join the predicate too: equalities oriented with the left
+    /// expression on `l` and the right one on `r` are join keys,
+    /// everything else is residual. Candidates: hash (build right, probe
+    /// left), merge (inner only in the executor), block nested loop
+    /// (always valid — the cross-product fallback), and index NL when
+    /// the right side is a single base item. A lateral view has one
+    /// candidate, a nested loop that re-runs it per distinct binding.
+    /// Ties keep the first candidate in that order.
     fn price(&self, l: &Partial<M>, r: &Partial<M>) -> Priced {
         let item = r.leaf();
         let kind = match item.map_or(&JoinInfo::Inner, |i| &self.items[i].join) {
@@ -2390,6 +2355,22 @@ mod tests {
     }
 
     #[test]
+    fn cutoff_keeps_an_index_nl_plan_under_budget() {
+        // the plan probes employees by index from the one department, so
+        // it never pays the employees scan, which alone costs more than
+        // the budget
+        let sql = "SELECT e.emp_id FROM departments d, employees e \
+                   WHERE e.dept_id = d.dept_id AND d.dept_id = 42";
+        let (free, cat) = plan(sql);
+        let tree = build_query_tree(&cat, &parse_query(sql).unwrap()).unwrap();
+        let ann = CostAnnotations::new();
+        let cache = SamplingCache::default();
+        let mut opt = Optimizer::new(&cat, &ann, &cache);
+        let budgeted = opt.optimize(&tree, Some(free.cost * 1.01)).unwrap();
+        assert_eq!(budgeted.cost.to_bits(), free.cost.to_bits());
+    }
+
+    #[test]
     fn union_all_plan() {
         let (p, _) = plan("SELECT emp_id FROM employees UNION ALL SELECT dept_id FROM departments");
         match &p.root {
@@ -2470,22 +2451,18 @@ mod tests {
     }
 
     #[test]
-    fn bushy_disabled_falls_back_to_left_deep_dp() {
+    fn bushy_disabled_falls_back_to_greedy() {
         let (bushy, _, _) = traced_plan_with(TWO_TABLE, |_| {});
-        let (dp, stats, events) = traced_plan_with(TWO_TABLE, |opt| {
+        let (greedy, stats, events) = traced_plan_with(TWO_TABLE, |opt| {
             opt.config.bushy_max_items = 0;
         });
-        assert!(
-            !has_enum_begin(&events),
-            "left-deep DP must not trace JOIN ENUM"
-        );
+        assert!(!has_enum_begin(&events), "greedy must not trace JOIN ENUM");
         assert!(!stats.enum_degraded);
-        // two items: bushy and left-deep search the same space
-        assert_eq!(bushy.cost.to_bits(), dp.cost.to_bits());
+        assert!(bushy.cost <= greedy.cost);
     }
 
     #[test]
-    fn item_count_above_bushy_limit_uses_left_deep_dp() {
+    fn item_count_above_bushy_limit_uses_greedy() {
         let sql = "SELECT e1.emp_id FROM employees e1, employees e2, departments d \
                    WHERE e1.dept_id = d.dept_id AND e2.dept_id = d.dept_id";
         let (_, _, events) = traced_plan_with(sql, |opt| {
@@ -2499,18 +2476,46 @@ mod tests {
 
     #[test]
     fn bushy_never_costs_worse_than_left_deep() {
+        // greedy grows one left-deep order; the memo prices it too
+        let cat = catalog();
         let sql = "SELECT e1.emp_id FROM employees e1, employees e2, departments d \
                    WHERE e1.dept_id = d.dept_id AND e2.dept_id = d.dept_id";
-        let (bushy, _, _) = traced_plan_with(sql, |_| {});
-        let (dp, _, _) = traced_plan_with(sql, |opt| {
-            opt.config.bushy_max_items = 0;
-        });
+        let inner = build_query_tree(&cat, &parse_query(sql).unwrap()).unwrap();
+        for tree in [inner, annotated_tree(&cat)] {
+            let bushy = plan_with(&cat, &tree, 10).0.cost;
+            let greedy = plan_with(&cat, &tree, 0).0.cost;
+            assert!(bushy <= greedy, "bushy {bushy} > greedy {greedy}");
+        }
+    }
+
+    #[test]
+    fn an_annotated_block_is_planned_by_the_memo() {
+        // a left-outer, a semi, an anti and a lateral item in one block
+        let cat = catalog();
+        let tree = annotated_tree(&cat);
+        let (bushy, events) = plan_with(&cat, &tree, 10);
+        let begin = |e: &TraceEvent| matches!(e, TraceEvent::JoinEnumBegin { items: 5, .. });
+        assert!(events.iter().any(begin), "{events:?}");
+        let greedy = plan_with(&cat, &tree, 0).0;
         assert!(
-            bushy.cost <= dp.cost,
-            "bushy {} > left-deep {}",
+            bushy.cost <= greedy.cost,
+            "{} > {}",
             bushy.cost,
-            dp.cost
+            greedy.cost
         );
+    }
+
+    #[test]
+    fn a_lateral_view_binding_two_unjoined_items_is_planned() {
+        // `e` made plain inner: no predicate joins it to `d`, only the
+        // lateral view's bindings relate the two
+        let cat = catalog();
+        let mut tree = annotated_tree(&cat);
+        let root = tree.root;
+        tree.select_mut(root).unwrap().tables[1].join = JoinInfo::Inner;
+        let (bushy, events) = plan_with(&cat, &tree, 10);
+        assert!(has_enum_begin(&events));
+        assert!(bushy.cost <= plan_with(&cat, &tree, 0).0.cost);
     }
 
     #[test]
@@ -2556,7 +2561,7 @@ mod tests {
         assert_eq!(governor.states_used(), 0);
         // the degradation is sticky on the governor (blocks cache publish)
         assert!(governor.optimizer_exhausted());
-        // ... but does not force later blocks off the DP tiers
+        // ... but does not force later blocks off the memo
         assert!(!governor.search_exhausted());
     }
 
@@ -2569,7 +2574,7 @@ mod tests {
             }
         }
         // employees SEMI JOIN departments, as unnesting would leave it:
-        // a non-inner block, so the left-deep tier plans it
+        // the memo plans a non-inner block like any other
         let cat = catalog();
         let mut tree = build_query_tree(&cat, &parse_query(TWO_TABLE).unwrap()).unwrap();
         let root = tree.root;
@@ -2796,39 +2801,45 @@ mod tests {
             .collect();
         cases.push((&emp, annotated_tree(&emp)));
         for (cat, tree) in &cases {
-            // bushy, forced left-deep DP, forced greedy
-            for (bushy, dp) in [(10, 10), (0, 10), (0, 0)] {
-                let (plan, blocks) = priced_and_built(cat, tree, bushy, dp);
+            // bushy, forced greedy
+            for bushy in [10, 0] {
+                let (plan, blocks) = priced_and_built(cat, tree, bushy);
                 assert!(!blocks.is_empty());
                 for (priced, built) in &blocks {
-                    assert_eq!(priced, built, "tier ({bushy}, {dp}):\n{plan}");
+                    assert_eq!(priced, built, "bushy_max_items {bushy}:\n{plan}");
                 }
-                let again = priced_and_built(cat, tree, bushy, dp).0;
-                assert_eq!(again, plan, "tier ({bushy}, {dp}) planned twice");
+                let again = priced_and_built(cat, tree, bushy).0;
+                assert_eq!(again, plan, "bushy_max_items {bushy} planned twice");
             }
         }
         let (emp, annotated) = cases.last().unwrap();
-        let plan = priced_and_built(emp, annotated, 10, 10).0;
+        let plan = priced_and_built(emp, annotated, 10).0;
         for kind in ["LeftOuter", "Semi", "Anti", "correlated: true"] {
             assert!(plan.contains(kind), "{kind} missing:\n{plan}");
         }
     }
 
-    /// Plans `tree` under the given tier limits and returns the plan's
-    /// `Debug` text with every block's `(priced, built)` join bits.
+    /// Plans `tree` with the given `bushy_max_items`; returns the plan
+    /// and its trace.
+    fn plan_with(cat: &Catalog, tree: &QueryTree, bushy: usize) -> (BlockPlan, Vec<TraceEvent>) {
+        let ann = CostAnnotations::new();
+        let cache = SamplingCache::default();
+        let buf = cbqt_common::TraceBuffer::new();
+        let mut opt = Optimizer::new(cat, &ann, &cache);
+        opt.tracer = Tracer::new(&buf);
+        opt.config.bushy_max_items = bushy;
+        (opt.optimize(tree, None).unwrap(), buf.take())
+    }
+
+    /// Plans `tree` with the given `bushy_max_items` and returns the
+    /// plan's `Debug` text with every block's `(priced, built)` join bits.
     fn priced_and_built(
         cat: &Catalog,
         tree: &QueryTree,
         bushy: usize,
-        dp: usize,
     ) -> (String, Vec<(CostBits, CostBits)>) {
-        let ann = CostAnnotations::new();
-        let cache = SamplingCache::default();
-        let mut opt = Optimizer::new(cat, &ann, &cache);
-        opt.config.bushy_max_items = bushy;
-        opt.config.dp_max_items = dp;
         PRICED_BUILT.with(|v| v.borrow_mut().clear());
-        let plan = opt.optimize(tree, None).unwrap();
+        let plan = plan_with(cat, tree, bushy).0;
         (format!("{plan:?}"), PRICED_BUILT.with(|v| v.take()))
     }
 

@@ -163,7 +163,7 @@ fn annotation_reuse_tells_a_shadowed_alias_from_the_outer_one() {
 
 /// A star-shaped main block (4 inner items, the bushy enumerator's
 /// tier) plus an unnestable two-table EXISTS, so unnested states carry a
-/// semi-joined item (left-deep DP tier) and the others stay all-inner.
+/// semi-joined item and the others stay all-inner.
 const STAR_QUERY: &str = "SELECT f.a FROM t1 f, t2 d1, t3 d2, t1 d3
     WHERE f.b = d1.b AND f.c = d2.c AND d1.c = d3.c AND
           EXISTS (SELECT 1 FROM t2 x, t3 y WHERE x.a = y.a AND x.b = f.b)";

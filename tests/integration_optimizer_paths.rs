@@ -1,5 +1,5 @@
 //! Exercises optimizer paths off the happy path: forced join methods,
-//! greedy enumeration beyond the DP limit, dynamic sampling on
+//! greedy enumeration beyond the bushy memo's limit, dynamic sampling on
 //! unanalyzed tables, and empty-table behaviour.
 
 use cbqt::common::Value;
@@ -78,8 +78,8 @@ fn merge_join_appears_in_plan_when_forced() {
 #[test]
 fn greedy_enumeration_beyond_dp_limit() {
     // a 6-table all-inner chain takes the bushy tier by default; with
-    // the bushy tier off and dp_max_items below the item count it falls
-    // to greedy, and both must return the same rows
+    // bushy_max_items below the item count it falls to greedy, and both
+    // must return the same rows
     let mut db = Database::new();
     db.execute_mut("CREATE TABLE t0 (id INT PRIMARY KEY, nxt INT)")
         .unwrap();
@@ -101,8 +101,7 @@ fn greedy_enumeration_beyond_dp_limit() {
     let trace = db.trace(sql).unwrap().render();
     assert!(trace.contains("JOIN ENUM BEGIN"), "{trace}");
     let bushy = canon(&db.query(sql).unwrap().rows);
-    db.config_mut().optimizer.bushy_max_items = 0;
-    db.config_mut().optimizer.dp_max_items = 3;
+    db.config_mut().optimizer.bushy_max_items = 5;
     let trace = db.trace(sql).unwrap().render();
     assert!(!trace.contains("JOIN ENUM BEGIN"), "{trace}");
     let greedy = canon(&db.query(sql).unwrap().rows);
@@ -308,26 +307,23 @@ fn six_table_star_explain_shows_bushy_shape() {
 #[test]
 fn bushy_beats_forced_left_deep_by_2x_on_snowflake() {
     // 7-table snowflake (fact + 3 arms): the acceptance-gate cost ratio
+    // against the left-deep order greedy grows
     let sql = snowflake_query(3);
     let mut db = snowflake_db(3);
     let bushy = db.query(&sql).unwrap();
-    db.config_mut().optimizer.bushy_max_items = 0; // force left-deep DP
-    let leftdeep = db.query(&sql).unwrap();
+    db.config_mut().optimizer.bushy_max_items = 0; // force greedy
+    let greedy = db.query(&sql).unwrap();
     assert_eq!(
         canon(&bushy.rows),
-        canon(&leftdeep.rows),
-        "bushy and left-deep plans must return identical row sets"
+        canon(&greedy.rows),
+        "bushy and greedy plans must return identical row sets"
     );
     assert!(
-        leftdeep.stats.estimated_cost >= 2.0 * bushy.stats.estimated_cost,
-        "left-deep {} not ≥ 2x bushy {}",
-        leftdeep.stats.estimated_cost,
+        greedy.stats.estimated_cost >= 2.0 * bushy.stats.estimated_cost,
+        "greedy {} not ≥ 2x bushy {}",
+        greedy.stats.estimated_cost,
         bushy.stats.estimated_cost
     );
-    // greedy tier for the same query also agrees on rows
-    db.config_mut().optimizer.dp_max_items = 0;
-    let greedy = db.query(&sql).unwrap();
-    assert_eq!(canon(&bushy.rows), canon(&greedy.rows));
 }
 
 #[test]
@@ -394,9 +390,9 @@ fn disconnected_join_graph_under_tight_budget_completes() {
 
 #[test]
 fn a_seventy_table_block_plans_greedily() {
-    // Past 64 items the subset tiers do not apply and the join kernel
+    // Past 64 items the subset memo does not apply and the join kernel
     // runs on word-slice masks; the block must still plan and answer.
-    // The LEFT JOIN keeps it off the bushy tier whatever the limits.
+    // The LEFT JOIN puts an outer item under the wide-mask greedy pass.
     const TABLES: usize = 70;
     let mut db = Database::new();
     let mut script = String::new();
