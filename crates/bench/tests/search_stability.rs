@@ -28,7 +28,7 @@ const EXPECTED: [[u64; 7]; 12] = [
         0xf668e131b6b0dfee,
         0xf3eaeaf4fb9b8be9,
         0x09991ef120a33e7e,
-        0x90826595ad72efe5,
+        0x51ac9fdc17541710,
     ],
     // unnest-exists
     [
@@ -58,7 +58,7 @@ const EXPECTED: [[u64; 7]; 12] = [
         0x2fd35a99f5d00162,
         0xb0a1c6b1bea3133a,
         0x8fa49e2b48729978,
-        0xb5089ff505a6d1af,
+        0xb0a1c6b1bea3133a,
     ],
     // factorize
     [
@@ -108,7 +108,7 @@ const EXPECTED: [[u64; 7]; 12] = [
         0x0ec89abcd7ef9ce3,
         0x0ec89abcd7ef9ce3,
         0x0ec89abcd7ef9ce3,
-        0xafd59082490002f0,
+        0x0ec89abcd7ef9ce3,
     ],
     // snowflake
     [
@@ -118,7 +118,7 @@ const EXPECTED: [[u64; 7]; 12] = [
         0xcbaf26e91325be72,
         0xcbaf26e91325be72,
         0xcbaf26e91325be72,
-        0x3165132abdd5dba4,
+        0x16a079cff4605daf,
     ],
     // table2
     [
@@ -128,7 +128,7 @@ const EXPECTED: [[u64; 7]; 12] = [
         0x844f866a8e41516d,
         0x17783b70424ae9a7,
         0x71a4db9c8d4e947c,
-        0x88f67f97f427ea24,
+        0xad9d83cb0c572ccc,
     ],
     // wide
     [
@@ -138,7 +138,7 @@ const EXPECTED: [[u64; 7]; 12] = [
         0xb66f14107b1728ba,
         0x38e7028414e6b877,
         0x98884164a3c571a0,
-        0xee660ae38cb05441,
+        0x4a0acace241ed693,
     ],
 ];
 

@@ -156,9 +156,9 @@ struct Inner {
     rows_used: AtomicU64,
     work_budget: Option<f64>,
     degraded: AtomicBool,
-    /// Join enumeration exhausted its per-block memo allowance and fell
-    /// back to the greedy path. Kept separate from `degraded`, which
-    /// alone drops later blocks to the greedy tier (`search_exhausted`).
+    /// A join search's per-block memo allowance narrowed one of its
+    /// windows. Kept separate from `degraded`, which alone drops later
+    /// blocks to windows of two (`search_exhausted`).
     enum_degraded: AtomicBool,
     /// Counts interrupt checks so `Instant::now()` is consulted only
     /// every few checks (call sites already batch per ~128 rows).
@@ -252,7 +252,7 @@ impl Governor {
 
     /// True once the statement's optimizer work has been degraded in any
     /// way: the CBQT search ran out of transformation states, or a join
-    /// enumeration exhausted its memo allowance mid-block. Degraded
+    /// search's memo allowance narrowed a window. Degraded
     /// plans are valid but reflect a truncated search — callers use this
     /// to flag `QueryStats::degraded` and to skip plan-cache publishing.
     pub fn optimizer_exhausted(&self) -> bool {
@@ -266,9 +266,10 @@ impl Governor {
     }
 
     /// True once the CBQT *search* budget specifically has run out (the
-    /// framework stops costing candidate states). Join-enumeration
-    /// degradation is deliberately excluded: it is local to one block of
-    /// one state and must not flip later states to the greedy tier.
+    /// framework stops costing candidate states; join searches then run
+    /// windows of two). Join-enumeration degradation is deliberately
+    /// excluded: it is local to one block of one state and must not
+    /// narrow the windows of later states.
     pub fn search_exhausted(&self) -> bool {
         match &self.inner {
             None => false,
@@ -277,8 +278,8 @@ impl Governor {
     }
 
     /// The configured optimizer-state budget, if any. Join enumeration
-    /// uses it as the per-block memo allowance (each memo entry costed
-    /// charges one unit) — a snapshot of the *configured* budget rather
+    /// uses it as the per-block memo allowance (each memo entry of two or
+    /// more nodes charges one unit) — a snapshot of the *configured* budget rather
     /// than the live counter, so a block's plan depends only on the
     /// block itself and stays identical across annotation-cache hits
     /// and recomputation.
@@ -286,8 +287,8 @@ impl Governor {
         self.inner.as_ref().and_then(|inner| inner.optimizer_states)
     }
 
-    /// Records that a join enumeration exhausted its memo allowance and
-    /// degraded to the greedy path. Sticky for the statement.
+    /// Records that a join search's memo allowance narrowed one of its
+    /// windows. Sticky for the statement.
     pub fn mark_enum_degraded(&self) {
         if let Some(inner) = &self.inner {
             inner.enum_degraded.store(true, Ordering::Relaxed);

@@ -69,21 +69,21 @@ pub enum TraceEvent {
     AnnotationHit { block: String },
     /// Annotation miss: the block was optimized from scratch.
     BlockCosted { block: String },
-    /// The memoized bushy join enumerator started on a block's FROM
-    /// items (only the bushy tier traces begin/end; the greedy tier
-    /// predates the memo and stays silent).
+    /// The join search started on a block of two or more FROM items.
     JoinEnumBegin { block: String, items: usize },
-    /// The bushy enumerator finished: `memo_entries` connected subsets
-    /// were costed (each charged one unit of the per-block state
-    /// allowance), `memo_hits` memo lookups were served while pairing,
-    /// and `pairs` csg-cmp pairs were actually costed. `degraded` is
-    /// true when the allowance ran out mid-enumeration and the block
-    /// fell back to the greedy join order.
+    /// The join search finished: `memo_entries` connected node sets
+    /// were costed (those of two or more nodes each charged one unit of
+    /// the per-block state allowance), `memo_hits` memo lookups were
+    /// served while pairing, and `pairs` joins were actually priced, over
+    /// `rounds` rounds (1: the block was planned exactly; more: wider
+    /// than its window, it was planned in windows). `degraded` is true
+    /// when the allowance narrowed a window.
     JoinEnumEnd {
         block: String,
         memo_entries: usize,
         memo_hits: usize,
         pairs: usize,
+        rounds: usize,
         degraded: bool,
     },
     /// The statement's optimizer-state budget ran out mid-search: the
@@ -215,20 +215,21 @@ impl fmt::Display for TraceEvent {
             TraceEvent::AnnotationHit { block } => write!(f, "ANNOTATION HIT {block}"),
             TraceEvent::BlockCosted { block } => write!(f, "BLOCK COSTED {block}"),
             TraceEvent::JoinEnumBegin { block, items } => {
-                write!(f, "JOIN ENUM BEGIN {block}: {items} item(s), tier=bushy")
+                write!(f, "JOIN ENUM BEGIN {block}: {items} item(s)")
             }
             TraceEvent::JoinEnumEnd {
                 block,
                 memo_entries,
                 memo_hits,
                 pairs,
+                rounds,
                 degraded,
             } => write!(
                 f,
                 "JOIN ENUM END {block}: memo={memo_entries} hits={memo_hits} \
-                 pairs={pairs}{}",
+                 pairs={pairs} rounds={rounds}{}",
                 if *degraded {
-                    " DEGRADED to greedy (state allowance exhausted)"
+                    " DEGRADED (state allowance narrowed the window)"
                 } else {
                     ""
                 }

@@ -1,8 +1,9 @@
-//! Per-block plan generation: access paths, join enumeration (a
-//! memoized subset search over bushy trees and a greedy pass, both
-//! pricing through one kernel, `JoinEnumerator::price`, and building a
-//! plan tree only for the join order they pick), post-join costing, and
-//! the optimizer-level caches from §3.4.
+//! Per-block plan generation: access paths, join enumeration (one
+//! memoized subset search over bushy trees, run in windows past
+//! `bushy_max_items`, pricing through one kernel,
+//! `JoinEnumerator::price`, and building a plan tree only for the join
+//! order it picks), post-join costing, and the optimizer-level caches
+//! from §3.4.
 
 use crate::est::{Estimator, RelStats, DEFAULT_NDV_FRAC, DEFAULT_ROWS};
 use crate::plan::{weights, *};
@@ -15,16 +16,16 @@ use cbqt_qgm::{
 };
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 /// Tuning knobs of the physical optimizer.
 #[derive(Debug, Clone)]
 pub struct OptimizerConfig {
-    /// Blocks of 2 to this many FROM items (and at most 64), whatever
-    /// their items' join kinds, use the memoized bushy enumerator;
-    /// larger blocks fall back to a greedy heuristic. Set to 0 to plan
-    /// every block greedily.
+    /// Blocks of up to this many FROM items are planned exactly; wider
+    /// blocks and exhausted searches run windows of at most this many
+    /// items (iterative DP). At 0 or 1 every window is a pair.
     pub bushy_max_items: usize,
     pub enable_index_nl: bool,
     pub enable_hash_join: bool,
@@ -52,9 +53,9 @@ pub struct OptimizerStats {
     pub blocks_costed: u64,
     /// Query blocks whose plan was reused from a cost annotation.
     pub annotation_hits: u64,
-    /// A bushy join enumeration ran out of its per-block state
-    /// allowance and degraded to the greedy path. Sticky for the
-    /// optimizer's lifetime; the optimizer also marks its governor.
+    /// A join search's per-block state allowance narrowed one of its
+    /// windows. Sticky for the optimizer's lifetime; the optimizer also
+    /// marks its governor.
     pub enum_degraded: bool,
 }
 
@@ -157,9 +158,9 @@ pub struct Optimizer<'a> {
     pub tracer: Tracer<'a>,
     /// Statement-level resource governor. Deadline/cancellation are
     /// observed inside join enumeration; once the search is exhausted
-    /// every block plans greedily, and each memo search spends a
-    /// per-block allowance of the optimizer-state budget
-    /// (`JoinEnumerator::enum_left`).
+    /// every block plans in windows of two, and each join search spends
+    /// a per-block allowance of the optimizer-state budget
+    /// (`JoinEnumerator::search`).
     pub governor: Governor,
 }
 
@@ -306,10 +307,9 @@ impl<'a> Optimizer<'a> {
         Ok(plan)
     }
 
-    /// Plans one block's join over `M`-wide item masks: `tier` searches,
+    /// Plans one block's join over `M`-wide item masks: the search runs,
     /// then the winner's tree is built. Returns the tree, its cost and
-    /// rows, and whether a bushy search degraded.
-    #[allow(clippy::too_many_arguments)]
+    /// rows, and whether the state allowance narrowed a window.
     fn enumerate<M: Mask>(
         &self,
         est: &Estimator<'_>,
@@ -318,10 +318,9 @@ impl<'a> Optimizer<'a> {
         join_preds: &[QExpr],
         budget: Option<f64>,
         id: BlockId,
-        tier: impl FnOnce(&JoinEnumerator<'_, '_, M>) -> Result<Partial<M>>,
     ) -> Result<(PlanNode, f64, f64, bool)> {
-        let e = JoinEnumerator::new(self, est, items, table_preds, join_preds, budget, id);
-        let (node, cost, rows) = e.plan(tier)?;
+        let e = JoinEnumerator::<M>::new(self, est, items, table_preds, join_preds, budget, id);
+        let (node, cost, rows) = e.plan()?;
         Ok((node, cost, rows, e.enum_degraded.get()))
     }
 
@@ -467,42 +466,21 @@ impl<'a> Optimizer<'a> {
             rels: &rels,
             base: &base,
         };
-        // Tier selection: the bushy memo plans every block of 2 to
-        // bushy_max_items items, whatever their join kinds; it keys
-        // subsets by `u64` masks, so it never applies past 64 items.
-        // Greedy plans the rest at any width (a single item is its own
-        // plan either way). The framework's search-degraded flag drops
-        // every later block straight to greedy; the per-block memo
-        // allowance (enum_left) is a snapshot of the configured budget,
-        // so tier choice and plan shape depend only on the block itself —
-        // identical across CBQT states.
-        let n = items.len();
-        let narrow = n <= u64::BITS as usize;
-        let memo = narrow
-            && (2..=self.config.bushy_max_items).contains(&n)
-            && !self.governor.search_exhausted();
-        let (join_node, mut cost, mut rows, bushy_degraded) = if n == 0 {
+        // One search at any width: item sets are `u64` masks up to 64
+        // items and word slices past that.
+        let (join_node, mut cost, mut rows, enum_degraded) = match items.len() {
             // FROM-less SELECT: one constant row
-            (PlanNode::OneRow, weights::ROW, 1.0, false)
-        } else if narrow {
-            self.enumerate::<u64>(&est, &items, &table_preds, &join_preds, budget, id, |e| {
-                if memo {
-                    e.enumerate_bushy()
-                } else {
-                    e.enumerate_greedy()
-                }
-            })?
-        } else {
-            self.enumerate::<WideMask>(&est, &items, &table_preds, &join_preds, budget, id, |e| {
-                e.enumerate_greedy()
-            })?
+            0 => (PlanNode::OneRow, weights::ROW, 1.0, false),
+            1..=64 => self.enumerate::<u64>(&est, &items, &table_preds, &join_preds, budget, id)?,
+            _ => self.enumerate::<WideMask>(&est, &items, &table_preds, &join_preds, budget, id)?,
         };
-        if bushy_degraded {
+        if enum_degraded {
             self.stats.enum_degraded = true;
-            // the payload is the per-block allowance that ran out (the
-            // configured budget), not the statement's states_used counter
+            // the payload is the per-block allowance that narrowed the
+            // window (the configured budget), not the statement's
+            // states_used counter
             self.tracer.emit(|| TraceEvent::SearchDegraded {
-                transform: "bushy join enumeration".to_string(),
+                transform: "join enumeration".to_string(),
                 states_used: self.governor.state_budget().unwrap_or(0),
             });
             self.governor.mark_enum_degraded();
@@ -806,14 +784,17 @@ impl Item {
     }
 }
 
-/// A set of a block's items, by index into `items`. The join kernel is
-/// written once against this trait: `u64` serves every block of up to
-/// 64 items (both tiers), [`WideMask`] the wider ones (greedy).
-trait Mask: Clone {
+/// A set of a block's items (or of a search round's nodes), by index.
+/// The join kernel and the search are written once against this trait:
+/// `u64` serves every block of up to 64 items, [`WideMask`] the wider
+/// ones. Up to 64 members, both order sets as binary numbers.
+trait Mask: Clone + Ord + Hash {
     /// The empty set of a block with `n` items.
     fn empty(n: usize) -> Self;
     fn insert(&mut self, i: usize);
     fn union(&self, other: &Self) -> Self;
+    /// `self \ other`.
+    fn minus(&self, other: &Self) -> Self;
     /// `self ⊆ a ∪ b`.
     fn within(&self, a: &Self, b: &Self) -> bool;
     fn intersects(&self, other: &Self) -> bool;
@@ -822,6 +803,18 @@ trait Mask: Clone {
 
     fn subset_of(&self, other: &Self) -> bool {
         self.within(other, other)
+    }
+
+    /// Every non-empty proper subset, ascending. The set has fewer than
+    /// 64 members.
+    fn parts(&self) -> impl Iterator<Item = Self> + '_ {
+        let members: Vec<usize> = self.ones().collect();
+        let none = self.minus(self); // the empty set, at this width
+        (1..(1u64 << members.len()) - 1).map(move |c| {
+            let mut part = none.clone();
+            bits(c).for_each(|b| part.insert(members[b]));
+            part
+        })
     }
 }
 
@@ -847,6 +840,9 @@ impl Mask for u64 {
     fn union(&self, other: &Self) -> Self {
         self | other
     }
+    fn minus(&self, other: &Self) -> Self {
+        self & !other
+    }
     fn within(&self, a: &Self, b: &Self) -> bool {
         self & !(a | b) == 0
     }
@@ -856,11 +852,21 @@ impl Mask for u64 {
     fn ones(&self) -> impl Iterator<Item = usize> + '_ {
         bits(*self)
     }
+    fn parts(&self) -> impl Iterator<Item = Self> + '_ {
+        // the next submask up is `(part - set) & set`
+        let (set, mut part) = (*self, 0u64);
+        std::iter::from_fn(move || {
+            part = part.wrapping_sub(set) & set;
+            (part != set).then_some(part)
+        })
+    }
 }
 
 /// An item set of a block wider than 64 items: one bit per item over
-/// `⌈n / 64⌉` words, the same length for every set of the block.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// `⌈n / 64⌉` words, the same length for every set of the block. Sets
+/// order word by word from the lowest, so as binary numbers while they
+/// fit one word.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct WideMask(Box<[u64]>);
 
 impl Mask for WideMask {
@@ -872,6 +878,9 @@ impl Mask for WideMask {
     }
     fn union(&self, other: &Self) -> Self {
         WideMask(self.0.iter().zip(&*other.0).map(|(a, b)| a | b).collect())
+    }
+    fn minus(&self, other: &Self) -> Self {
+        WideMask(self.0.iter().zip(&*other.0).map(|(a, b)| a & !b).collect())
     }
     fn within(&self, a: &Self, b: &Self) -> bool {
         let mut words = self.0.iter().zip(&*a.0).zip(&*b.0);
@@ -1029,6 +1038,18 @@ struct Probe {
     indexed: bool,
 }
 
+/// What a join search did, for its `JOIN ENUM END` event.
+#[derive(Default)]
+struct Tally {
+    /// Memo entries made, one-node entries included.
+    entries: usize,
+    /// Memo lookups served while pairing.
+    hits: usize,
+    /// Joins priced.
+    pairs: usize,
+    rounds: usize,
+}
+
 struct JoinEnumerator<'b, 'a, M> {
     opt: &'b Optimizer<'a>,
     est: &'b Estimator<'a>,
@@ -1038,276 +1059,17 @@ struct JoinEnumerator<'b, 'a, M> {
     budget: Option<f64>,
     /// Block being enumerated (JOIN ENUM trace events).
     block: BlockId,
-    /// Remaining per-block bushy-memo state allowance — a snapshot of
-    /// the governor's configured optimizer-state budget, deliberately
-    /// NOT the shared remaining counter: a constant allowance makes the
-    /// chosen plan a function of the block alone, so a block costs the
-    /// same whether it is planned afresh or served from the annotation
-    /// cache. Every block the memo plans spends it, semi / anti / outer /
-    /// lateral items included. `None` = unlimited.
-    enum_left: Cell<Option<u64>>,
-    /// Set when the bushy enumeration exhausted `enum_left` and
-    /// degraded to greedy. Read by `plan_select` after enumeration.
+    /// Set when the state allowance narrowed a window of the search.
+    /// Read by `plan_select` after enumeration.
     enum_degraded: Cell<bool>,
     /// Planned once and then shared, so a block costs (and traces) each
-    /// base scan once however many join orders — or tiers, when the
-    /// bushy memo degrades — look at it. Filled on first use so a bushy
-    /// search's `JOIN ENUM BEGIN` still precedes the scans' own trace
-    /// events.
+    /// base scan once however many join orders look at it. Filled on
+    /// first use so `JOIN ENUM BEGIN` still precedes the scans' own
+    /// trace events.
     leaves: OnceCell<Leaves<M>>,
     facts: OnceCell<Facts<'b, M>>,
     /// Per item, the index-NL probes planned so far.
     probes: RefCell<Vec<Vec<Probe>>>,
-}
-
-/// Union of the join-graph neighborhoods of every item in `mask`
-/// (including bits inside `mask` itself — callers mask those out).
-fn mask_neighbors(mask: u64, adj: &[u64]) -> u64 {
-    mask.ones().fold(0, |nb, i| nb | adj[i])
-}
-
-/// The items the join graph reaches from `seed` without leaving `within`.
-fn mask_reach(seed: u64, within: u64, adj: &[u64]) -> u64 {
-    let mut m = seed;
-    loop {
-        let grow = mask_neighbors(m, adj) & within & !m;
-        if grow == 0 {
-            return m;
-        }
-        m |= grow;
-    }
-}
-
-/// The subset search: it keys its memo by item set, so it exists for
-/// blocks of at most 64 items.
-impl JoinEnumerator<'_, '_, u64> {
-    /// Charges one unit of the per-block bushy state allowance. Returns
-    /// false (and latches the degraded flag) once the allowance is gone.
-    fn charge_memo_entry(&self) -> bool {
-        match self.enum_left.get() {
-            None => true,
-            Some(0) => {
-                self.enum_degraded.set(true);
-                false
-            }
-            Some(n) => {
-                self.enum_left.set(Some(n - 1));
-                true
-            }
-        }
-    }
-
-    /// Memoized bushy join enumeration (csg-cmp-pair style): a memo
-    /// keyed by connected item subsets (bitset keys) caches the best
-    /// priced sub-plan per subset, priced over every partition into
-    /// two connected halves with a join edge between them — both
-    /// orientations, so bushy trees fall out naturally — with the
-    /// existing access-path alternatives at the leaves. Connectivity
-    /// comes from the join graph: each join predicate, and each item
-    /// with its prerequisites ([`Facts::deps`]), is a hyperedge.
-    /// Subsets without a connecting edge are never costed, and
-    /// cross-products appear only when folding distinct connected
-    /// components at the end (naive 3^n partitioning never runs).
-    ///
-    /// Semi / anti / outer / lateral items keep their partial order
-    /// through [`Self::legal`]: one joins only as a single right side
-    /// with its prerequisites on the left, and never starts a join
-    /// order. So a memo entry of two or more items holds every
-    /// prerequisite of its items, and joins as a plain inner join on
-    /// either side.
-    ///
-    /// Every memo entry costed charges one unit of the per-block state
-    /// allowance ([`Self::charge_memo_entry`]); exhaustion abandons the
-    /// memo mid-enumeration and degrades to the greedy path.
-    ///
-    /// Determinism: component masks, subset masks, and partition
-    /// submasks are all visited in ascending numeric order, and cost
-    /// ties keep the first minimum (`total_cmp` / `cost_lt`), so EXPLAIN
-    /// output and trace streams are byte-identical run-to-run.
-    fn enumerate_bushy(&self) -> Result<Partial<u64>> {
-        let n = self.items.len();
-        debug_assert!((2..=u64::BITS as usize).contains(&n));
-        self.opt.tracer.emit(|| TraceEvent::JoinEnumBegin {
-            block: self.block.to_string(),
-            items: n,
-        });
-        let mut memo_entries = 0usize;
-        let mut memo_hits = 0usize;
-        let mut pairs = 0usize;
-
-        // --- join-graph adjacency over item indices ------------------------
-        // An item's edge to its prerequisites connects its subsets once
-        // they hold them; prerequisites only it relates (a lateral view
-        // binding two unjoined items) become adjacent too, so the subset
-        // holding all of them is connected before the item joins it.
-        let facts = self.facts();
-        let deps = (0..n).map(|j| facts.deps[j] | 1 << j);
-        let mut adj = vec![0u64; n];
-        for edge in facts.preds.iter().map(|c| c.mask).chain(deps) {
-            for i in edge.ones() {
-                adj[i] |= edge & !(1 << i);
-            }
-        }
-
-        // --- connected components (ascending lowest set bit) --------------
-        let mut comps: Vec<u64> = Vec::new();
-        let mut seen = 0u64;
-        for i in 0..n {
-            if seen & (1 << i) != 0 {
-                continue;
-            }
-            let m = mask_reach(1 << i, u64::MAX, &adj);
-            seen |= m;
-            comps.push(m);
-        }
-
-        // --- per-component memo over connected subsets ---------------------
-        let mut memo: HashMap<u64, Partial<u64>> = HashMap::new();
-        let mut parts: Vec<Partial<u64>> = Vec::new();
-        for &comp in &comps {
-            // leaves
-            for i in comp.ones() {
-                if !self.charge_memo_entry() {
-                    return self.bushy_degrade(memo_entries, memo_hits, pairs);
-                }
-                memo_entries += 1;
-                memo.insert(1 << i, self.leaves().parts[i].clone());
-            }
-            let csize = comp.count_ones() as usize;
-            if csize >= 2 {
-                // all submasks of the component, bucketed by size and
-                // visited in ascending numeric order within each size
-                let mut by_size: Vec<Vec<u64>> = vec![Vec::new(); csize + 1];
-                let mut s = comp;
-                loop {
-                    by_size[s.count_ones() as usize].push(s);
-                    if s == 0 {
-                        break;
-                    }
-                    s = (s - 1) & comp;
-                }
-                for v in &mut by_size {
-                    v.sort_unstable();
-                }
-                for masks in &by_size[2..] {
-                    for &mask in masks {
-                        self.opt.governor.check_interrupt()?;
-                        // connected: grown from its lowest item
-                        if mask_reach(mask & mask.wrapping_neg(), mask, &adj) != mask {
-                            continue;
-                        }
-                        if !self.charge_memo_entry() {
-                            return self.bushy_degrade(memo_entries, memo_hits, pairs);
-                        }
-                        memo_entries += 1;
-                        let mut best: Option<(Priced, u64)> = None;
-                        // every proper partition (s1, mask \ s1), both
-                        // orientations via the full submask sweep
-                        let mut subs: Vec<u64> = Vec::new();
-                        let mut s1 = (mask - 1) & mask;
-                        while s1 != 0 {
-                            subs.push(s1);
-                            s1 = (s1 - 1) & mask;
-                        }
-                        subs.sort_unstable();
-                        for s1 in subs {
-                            let s2 = mask & !s1;
-                            // a join edge must connect the halves
-                            // (cross-products only between components)
-                            if mask_neighbors(s1, &adj) & s2 == 0 {
-                                continue;
-                            }
-                            let (Some(l), Some(r)) = (memo.get(&s1), memo.get(&s2)) else {
-                                continue;
-                            };
-                            if !self.legal(l, r) {
-                                continue;
-                            }
-                            memo_hits += 2;
-                            if let Some(b) = self.budget {
-                                // §3.4.1 cost cut-off prunes this pair: every
-                                // candidate pays the left side's cost, and the
-                                // right side's unless an index NL probes a
-                                // single base item instead of scanning it
-                                let probed = r.leaf().is_some_and(|i| {
-                                    matches!(self.items[i].kind, ItemKind::Base(_))
-                                });
-                                if l.cost > b || (r.cost > b && !probed) {
-                                    continue;
-                                }
-                            }
-                            pairs += 1;
-                            let cand = self.price(l, r);
-                            if best
-                                .as_ref()
-                                .is_none_or(|(b, _)| cand.cost.total_cmp(&b.cost).is_lt())
-                            {
-                                best = Some((cand, s1));
-                            }
-                        }
-                        if let Some((p, s1)) = best {
-                            let joined = Partial::join(&memo[&s1], &memo[&(mask & !s1)], &p);
-                            memo.insert(mask, joined);
-                        }
-                    }
-                }
-            }
-            parts.push(match memo.remove(&comp) {
-                Some(p) => p,
-                // with a budget the only way to lose the full-component
-                // entry is the cut-off prune above
-                None if self.budget.is_some() => return Err(Error::plan(COST_CUTOFF)),
-                None => return Err(Error::plan("bushy join enumeration found no complete plan")),
-            });
-        }
-        // components fold in order, except that one item unable to drive
-        // (an uncorrelated semi item) never starts the fold
-        let start = parts
-            .iter()
-            .position(|p| p.leaf().is_none_or(|i| self.items[i].can_drive()))
-            .ok_or_else(|| Error::plan("no valid driving table"))?;
-        let mut fin = parts.remove(start);
-        for part in parts {
-            // deterministic cross-product between components: no join
-            // edge exists, so pricing yields the block-NL candidate with
-            // an empty predicate set
-            pairs += 1;
-            fin = Partial::join(&fin, &part, &self.price(&fin, &part));
-        }
-        if let Some(b) = self.budget {
-            if fin.cost > b {
-                return Err(Error::plan(COST_CUTOFF));
-            }
-        }
-        self.opt.tracer.emit(|| TraceEvent::JoinEnumEnd {
-            block: self.block.to_string(),
-            memo_entries,
-            memo_hits,
-            pairs,
-            degraded: false,
-        });
-        Ok(fin)
-    }
-
-    /// Abandons a budget-exhausted bushy enumeration: emits the
-    /// degraded end event and re-plans the whole block greedily over
-    /// the leaves already planned (the greedy pass is O(n²) joins —
-    /// cheap next to the memo).
-    fn bushy_degrade(
-        &self,
-        memo_entries: usize,
-        memo_hits: usize,
-        pairs: usize,
-    ) -> Result<Partial<u64>> {
-        self.opt.tracer.emit(|| TraceEvent::JoinEnumEnd {
-            block: self.block.to_string(),
-            memo_entries,
-            memo_hits,
-            pairs,
-            degraded: true,
-        });
-        self.enumerate_greedy()
-    }
 }
 
 impl<'b, 'a, M: Mask> JoinEnumerator<'b, 'a, M> {
@@ -1328,7 +1090,6 @@ impl<'b, 'a, M: Mask> JoinEnumerator<'b, 'a, M> {
             join_preds,
             budget,
             block,
-            enum_left: Cell::new(opt.governor.state_budget()),
             enum_degraded: Cell::new(false),
             leaves: OnceCell::new(),
             facts: OnceCell::new(),
@@ -1336,11 +1097,302 @@ impl<'b, 'a, M: Mask> JoinEnumerator<'b, 'a, M> {
         }
     }
 
-    /// Runs one search tier, then builds the plan tree of the join order
-    /// it picked — the only plan tree the enumeration builds. Returns the
+    /// The join search: a memo over connected node subsets, run in
+    /// rounds (Kossmann & Stocker's iterative DP, IDP-1). Round one's
+    /// nodes are the items; a later round's nodes also include the
+    /// sub-plans earlier rounds committed.
+    ///
+    /// A round builds the connected node subsets level by level (level
+    /// s + 1 is every level-s set grown by one join-graph neighbour) and
+    /// prices each over every partition into two memo entries with a join
+    /// edge between them, both orientations, so bushy trees fall out
+    /// naturally. The join graph has a hyperedge per join predicate and
+    /// per item with its prerequisites ([`Facts::deps`]); cross products
+    /// appear only when the components fold at the end.
+    ///
+    /// The window is the largest level such that the entries of two or
+    /// more nodes number at most `2^b − b − 1` for `b` =
+    /// `bushy_max_items` (those of a `b`-node clique) and at most the
+    /// state allowance left; it never drops below 2. A component planned
+    /// whole becomes one node; otherwise the cheapest entry of its
+    /// largest planned level does (the lowest set on ties), and the next
+    /// round runs on the contracted graph. So a block of at most `b`
+    /// items is planned exactly in one round, and a window of 2 — what
+    /// an exhausted search runs — is pairwise greedy over the same memo.
+    ///
+    /// Semi / anti / outer / lateral items keep their partial order
+    /// through [`Self::legal`]: one joins only as a single right side
+    /// with its prerequisites on the left, and never starts a join
+    /// order. So an entry of two or more items holds every prerequisite
+    /// of its items and joins as a plain inner join on either side —
+    /// which is why a committed sub-plan can stand in for its items.
+    ///
+    /// The state allowance is a snapshot of the governor's configured
+    /// optimizer-state budget, not the shared remaining counter, so the
+    /// plan is a function of the block alone, whether planned afresh or
+    /// served from the annotation cache; each entry of two or more nodes
+    /// spends one unit.
+    ///
+    /// Determinism: levels and partitions are visited in a fixed set
+    /// order (ascending, up to 64 items) and cost ties keep the first
+    /// minimum (`total_cmp`), so EXPLAIN output and trace streams are
+    /// byte-identical run to run.
+    fn search(&self) -> Result<Partial<M>> {
+        let n = self.items.len();
+        if n > 1 {
+            self.opt.tracer.emit(|| TraceEvent::JoinEnumBegin {
+                block: self.block.to_string(),
+                items: n,
+            });
+        }
+        let one = |i: usize| {
+            let mut m = M::empty(n);
+            m.insert(i);
+            m
+        };
+        // Item adjacency. An item's edge to its prerequisites connects
+        // its subsets once they hold them; prerequisites only it relates
+        // (a lateral view binding two unjoined items) become adjacent
+        // too, so the set holding all of them is connected before the
+        // item joins it.
+        let facts = self.facts();
+        let deps = (0..n).map(|j| facts.deps[j].union(&one(j)));
+        let mut adj = vec![M::empty(n); n];
+        for edge in facts.preds.iter().map(|c| c.mask.clone()).chain(deps) {
+            for i in edge.ones() {
+                adj[i] = adj[i].union(&edge);
+            }
+        }
+        let b = self.opt.config.bushy_max_items;
+        let clique = u32::try_from(b)
+            .ok()
+            .and_then(|b| 1u64.checked_shl(b))
+            .map_or(u64::MAX, |p| p - b as u64 - 1);
+        let exhausted = self.opt.governor.search_exhausted();
+        let mut left = self.opt.governor.state_budget();
+        let mut tally = Tally::default();
+        let mut nodes = self.leaves().parts.clone();
+        loop {
+            tally.rounds += 1;
+            tally.entries += nodes.len();
+            // each node's join-graph neighbours, as a node set
+            let near: Vec<M> = nodes
+                .iter()
+                .enumerate()
+                .map(|(u, p)| {
+                    let reach = p.mask.ones().fold(M::empty(n), |m, i| m.union(&adj[i]));
+                    let mut near = M::empty(n);
+                    for (v, q) in nodes.iter().enumerate() {
+                        if v != u && q.mask.intersects(&reach) {
+                            near.insert(v);
+                        }
+                    }
+                    near
+                })
+                .collect();
+            if near.iter().all(|s| s.ones().next().is_none()) {
+                break; // no join edge: every component is one node
+            }
+            let around = |set: &M| set.ones().fold(M::empty(n), |m, u| m.union(&near[u]));
+
+            // --- connected node sets by level, up to the window ---------
+            let limit = if exhausted {
+                0
+            } else {
+                left.map_or(clique, |l| l.min(clique))
+            };
+            let mut levels: Vec<Vec<M>> = vec![(0..nodes.len()).map(one).collect()];
+            let mut created = 0;
+            // an entry splits into at most 2^63 parts (`Mask::parts`)
+            while levels.len() < b.clamp(2, 63) {
+                let mut next: Vec<M> = Vec::new();
+                for set in &levels[levels.len() - 1] {
+                    next.extend(around(set).minus(set).ones().map(|v| {
+                        let mut grown = set.clone();
+                        grown.insert(v);
+                        grown
+                    }));
+                }
+                if next.is_empty() {
+                    break;
+                }
+                next.sort_unstable();
+                next.dedup();
+                let total = created + next.len() as u64;
+                if levels.len() > 1 && total > limit {
+                    // the allowance, not the clique count, stops it here
+                    if !exhausted && total <= clique {
+                        self.enum_degraded.set(true);
+                    }
+                    break;
+                }
+                created = total;
+                levels.push(next);
+            }
+            left = left.map(|l| l.saturating_sub(created));
+
+            // --- the memo ----------------------------------------------
+            let mut memo: HashMap<M, Partial<M>> = HashMap::new();
+            memo.extend(nodes.iter().enumerate().map(|(u, p)| (one(u), p.clone())));
+            for set in levels[1..].iter().flatten() {
+                self.opt.governor.check_interrupt()?;
+                tally.entries += 1;
+                if let Some(p) = self.best_split(set, &memo, &near, &mut tally) {
+                    memo.insert(set.clone(), p);
+                }
+            }
+
+            // --- commit one node per component -------------------------
+            let window = levels.len();
+            let mut committed: Vec<M> = Vec::new();
+            let mut seen = M::empty(n);
+            let mut unfinished = false;
+            for u in 0..nodes.len() {
+                if seen.intersects(&one(u)) {
+                    continue;
+                }
+                let mut comp = one(u);
+                loop {
+                    let grown = comp.union(&around(&comp));
+                    if grown == comp {
+                        break;
+                    }
+                    comp = grown;
+                }
+                seen = seen.union(&comp);
+                let size = comp.ones().count();
+                if size < 2 {
+                    continue;
+                }
+                if !memo.contains_key(&comp) {
+                    // a component inside the window has no plan at all
+                    if size <= window {
+                        return Err(self.no_plan());
+                    }
+                    unfinished = true;
+                    let planned = |level: &Vec<M>| {
+                        let sets = level.iter().filter(|s| s.subset_of(&comp));
+                        sets.filter_map(|s| memo.get(s).map(|p| (s, p.cost)))
+                            .reduce(|a, b| if b.1.total_cmp(&a.1).is_lt() { b } else { a })
+                            .map(|(s, _)| s.clone())
+                    };
+                    comp = levels[1..]
+                        .iter()
+                        .rev()
+                        .find_map(planned)
+                        .ok_or_else(|| self.no_plan())?;
+                }
+                committed.push(comp);
+            }
+            // a committed node takes the place of its lowest member, so
+            // nodes stay in order of their lowest item
+            nodes = (0..nodes.len())
+                .filter_map(|u| match committed.iter().find(|s| s.intersects(&one(u))) {
+                    None => Some(nodes[u].clone()),
+                    Some(s) => (s.ones().next() == Some(u)).then(|| memo[s].clone()),
+                })
+                .collect();
+            if !unfinished {
+                break;
+            }
+        }
+
+        // components fold in order, except that one item unable to drive
+        // (an uncorrelated semi item) never starts the fold
+        let start = nodes
+            .iter()
+            .position(|p| p.leaf().is_none_or(|i| self.items[i].can_drive()))
+            .ok_or_else(|| Error::plan("no valid driving table"))?;
+        let mut fin = nodes.remove(start);
+        for part in nodes {
+            // deterministic cross-product between components: no join
+            // edge exists, so pricing yields the block-NL candidate with
+            // an empty predicate set
+            tally.pairs += 1;
+            fin = Partial::join(&fin, &part, &self.price(&fin, &part));
+        }
+        if let Some(b) = self.budget {
+            if fin.cost > b {
+                return Err(Error::plan(COST_CUTOFF));
+            }
+        }
+        if n > 1 {
+            self.opt.tracer.emit(|| TraceEvent::JoinEnumEnd {
+                block: self.block.to_string(),
+                memo_entries: tally.entries,
+                memo_hits: tally.hits,
+                pairs: tally.pairs,
+                rounds: tally.rounds,
+                degraded: self.enum_degraded.get(),
+            });
+        }
+        Ok(fin)
+    }
+
+    /// The cheapest join of `set` out of two memo entries that partition
+    /// it with a join edge between them, or `None` if no partition is
+    /// legal and, under a budget, survives the §3.4.1 prune: every
+    /// candidate pays the left side's cost, and the right side's unless
+    /// an index NL probes a single base item instead of scanning it.
+    fn best_split(
+        &self,
+        set: &M,
+        memo: &HashMap<M, Partial<M>>,
+        near: &[M],
+        tally: &mut Tally,
+    ) -> Option<Partial<M>> {
+        let mut best: Option<(Priced, M)> = None;
+        for s1 in set.parts() {
+            let s2 = set.minus(&s1);
+            if !s1.ones().any(|u| near[u].intersects(&s2)) {
+                continue;
+            }
+            let (Some(l), Some(r)) = (memo.get(&s1), memo.get(&s2)) else {
+                continue;
+            };
+            if !self.legal(l, r) {
+                continue;
+            }
+            tally.hits += 2;
+            if let Some(b) = self.budget {
+                let probed = r
+                    .leaf()
+                    .is_some_and(|i| matches!(self.items[i].kind, ItemKind::Base(_)));
+                if l.cost > b || (r.cost > b && !probed) {
+                    continue;
+                }
+            }
+            tally.pairs += 1;
+            let cand = self.price(l, r);
+            if best
+                .as_ref()
+                .is_none_or(|(b, _)| cand.cost.total_cmp(&b.cost).is_lt())
+            {
+                best = Some((cand, s1));
+            }
+        }
+        let (p, s1) = best?;
+        Some(Partial::join(&memo[&s1], &memo[&set.minus(&s1)], &p))
+    }
+
+    /// The error of a block the search found no plan for: a cost cut-off
+    /// under a budget, where the §3.4.1 prune drops plans, and an
+    /// internal error naming the block otherwise.
+    fn no_plan(&self) -> Error {
+        match self.budget {
+            Some(_) => Error::plan(COST_CUTOFF),
+            None => Error::plan(format!(
+                "join enumeration found no plan for block {}",
+                self.block
+            )),
+        }
+    }
+
+    /// Runs the search, then builds the plan tree of the join order it
+    /// picked — the only plan tree the enumeration builds. Returns the
     /// tree with the cost and rows the search priced it at.
-    fn plan(&self, tier: impl FnOnce(&Self) -> Result<Partial<M>>) -> Result<(PlanNode, f64, f64)> {
-        let best = tier(self)?;
+    fn plan(&self) -> Result<(PlanNode, f64, f64)> {
+        let best = self.search()?;
         let (node, built) = self.build(&best.shape);
         let bits = |p: &Partial<M>| (p.cost.to_bits(), p.rows.to_bits());
         debug_assert_eq!(bits(&best), bits(&built), "built join tree reprices");
@@ -1363,7 +1415,7 @@ impl<'b, 'a, M: Mask> JoinEnumerator<'b, 'a, M> {
         let (lnode, l) = self.build(l);
         let (rnode, r) = self.build(r);
         debug_assert!(
-            self.legal(&l, &r) || self.stuck(&l),
+            self.legal(&l, &r),
             "join order breaks the items' partial order"
         );
         let priced = self.price(&l, &r);
@@ -1405,15 +1457,6 @@ impl<'b, 'a, M: Mask> JoinEnumerator<'b, 'a, M> {
         l.leaf().is_none_or(|i| self.items[i].can_drive())
             && r.leaf()
                 .is_none_or(|j| self.facts().deps[j].subset_of(&l.mask))
-    }
-
-    /// No item outside `l` has its prerequisites in it: only a
-    /// dependency cycle gets here, and greedy joins one regardless.
-    fn stuck(&self, l: &Partial<M>) -> bool {
-        let outside = self.leaves().parts.iter().zip(&self.facts().deps);
-        outside
-            .filter(|(leaf, _)| !leaf.mask.subset_of(&l.mask))
-            .all(|(_, deps)| !deps.subset_of(&l.mask))
     }
 
     fn facts(&self) -> &Facts<'b, M> {
@@ -1511,7 +1554,7 @@ impl<'b, 'a, M: Mask> JoinEnumerator<'b, 'a, M> {
     }
 
     /// Prices joining two disjoint sub-plans: the one place a join is
-    /// costed, so bushy and greedy plans — and the transformation states
+    /// costed, so plans of every window — and the transformation states
     /// whose blocks they plan — compete on one scale. A single-item
     /// right side joins under that item's annotation (semi / anti /
     /// outer / lateral) with its ON conjuncts; a composite right side is
@@ -1706,64 +1749,6 @@ impl<'b, 'a, M: Mask> JoinEnumerator<'b, 'a, M> {
             indexed,
         });
         (probes[i].len() - 1, cost, indexed)
-    }
-
-    /// Greedy fallback for very wide blocks: start from the cheapest
-    /// driving table, repeatedly add the extension with minimal cost.
-    fn enumerate_greedy(&self) -> Result<Partial<M>> {
-        let n = self.items.len();
-        let leaves = &self.leaves().parts;
-        let facts = self.facts();
-        let mut included = vec![false; n];
-        // pick cheapest valid start
-        let mut start: Option<usize> = None;
-        for (i, item) in self.items.iter().enumerate() {
-            if item.can_drive() && start.is_none_or(|s| cost_lt(leaves[i].cost, leaves[s].cost)) {
-                start = Some(i);
-            }
-        }
-        let i0 = start.ok_or_else(|| Error::plan("no valid driving table"))?;
-        included[i0] = true;
-        let mut cur = leaves[i0].clone();
-        for _ in 1..n {
-            let mut bestc: Option<(usize, Priced)> = None;
-            for (i, leaf) in leaves.iter().enumerate() {
-                if included[i] || !facts.deps[i].subset_of(&cur.mask) {
-                    continue;
-                }
-                let cand = self.price(&cur, leaf);
-                if bestc
-                    .as_ref()
-                    .map(|(_, b)| cost_lt(cand.cost, b.cost))
-                    .unwrap_or(true)
-                {
-                    bestc = Some((i, cand));
-                }
-            }
-            let (i, p) = bestc.unwrap_or_else(|| {
-                // No remaining item has its ordering dependencies in
-                // scope (a dependency cycle among annotated items).
-                // Connect the stuck remainder deterministically
-                // instead of failing the statement: the lowest-index
-                // remaining item whose ON conjuncts are satisfiable
-                // once it joins (preferring one whose references are
-                // fully in scope), attached as a plain extension —
-                // with no shared columns this costs out as a
-                // cross-product via the block-NL candidate.
-                let pick = (0..n)
-                    .filter(|&i| !included[i])
-                    .find(|&i| {
-                        let own = &leaves[i].mask;
-                        facts.on[i].iter().all(|c| c.mask.within(&cur.mask, own))
-                    })
-                    .or_else(|| (0..n).find(|&i| !included[i]))
-                    .expect("greedy loop ran past all items");
-                (pick, self.price(&cur, &leaves[pick]))
-            });
-            included[i] = true;
-            cur = Partial::join(&cur, &leaves[i], &p);
-        }
-        Ok(cur)
     }
 
     /// Plans one item on its own with its single-table predicates
@@ -2397,7 +2382,7 @@ mod tests {
         assert!((p.rows - 10.0).abs() < 1e-6);
     }
 
-    // --- enumerator tier selection ------------------------------------
+    // --- windows ---------------------------------------------------------
 
     fn traced_plan_with(
         sql: &str,
@@ -2421,8 +2406,22 @@ mod tests {
             .any(|e| matches!(e, TraceEvent::JoinEnumBegin { .. }))
     }
 
+    /// `(rounds, degraded)` of the trace's `JOIN ENUM END`.
+    fn enum_end(events: &[TraceEvent]) -> Option<(usize, bool)> {
+        events.iter().find_map(|e| match e {
+            TraceEvent::JoinEnumEnd {
+                rounds, degraded, ..
+            } => Some((*rounds, *degraded)),
+            _ => None,
+        })
+    }
+
     const TWO_TABLE: &str =
         "SELECT e.emp_id FROM employees e, departments d WHERE e.dept_id = d.dept_id";
+
+    /// A chain of three items, `e1 - d - e2`.
+    const THREE_TABLE: &str = "SELECT e1.emp_id FROM employees e1, employees e2, departments d \
+                               WHERE e1.dept_id = d.dept_id AND e2.dept_id = d.dept_id";
 
     #[test]
     fn single_item_block_skips_bushy_tier() {
@@ -2452,35 +2451,40 @@ mod tests {
 
     #[test]
     fn bushy_disabled_falls_back_to_greedy() {
-        let (bushy, _, _) = traced_plan_with(TWO_TABLE, |_| {});
-        let (greedy, stats, events) = traced_plan_with(TWO_TABLE, |opt| {
+        // b = 0 plans in windows of two: a pair is planned exactly, and
+        // a chain of three takes a pair and then the rest
+        let (exact, _, _) = traced_plan_with(TWO_TABLE, |_| {});
+        let (pair, stats, events) = traced_plan_with(TWO_TABLE, |opt| {
             opt.config.bushy_max_items = 0;
         });
-        assert!(!has_enum_begin(&events), "greedy must not trace JOIN ENUM");
+        assert_eq!(enum_end(&events), Some((1, false)));
         assert!(!stats.enum_degraded);
-        assert!(bushy.cost <= greedy.cost);
+        assert_eq!(exact.cost.to_bits(), pair.cost.to_bits());
+        let (exact, _, _) = traced_plan_with(THREE_TABLE, |_| {});
+        let (pairwise, stats, events) = traced_plan_with(THREE_TABLE, |opt| {
+            opt.config.bushy_max_items = 0;
+        });
+        assert_eq!(enum_end(&events), Some((2, false)));
+        assert!(!stats.enum_degraded);
+        assert!(exact.cost <= pairwise.cost);
     }
 
     #[test]
     fn item_count_above_bushy_limit_uses_greedy() {
-        let sql = "SELECT e1.emp_id FROM employees e1, employees e2, departments d \
-                   WHERE e1.dept_id = d.dept_id AND e2.dept_id = d.dept_id";
-        let (_, _, events) = traced_plan_with(sql, |opt| {
+        let (_, _, events) = traced_plan_with(THREE_TABLE, |opt| {
             opt.config.bushy_max_items = 2; // 3 items > limit
         });
-        assert!(!has_enum_begin(&events));
-        // raising the limit back turns the bushy tier on
-        let (_, _, events) = traced_plan_with(sql, |_| {});
-        assert!(has_enum_begin(&events));
+        assert_eq!(enum_end(&events), Some((2, false)));
+        // raising the limit back plans the block in one round
+        let (_, _, events) = traced_plan_with(THREE_TABLE, |_| {});
+        assert_eq!(enum_end(&events), Some((1, false)));
     }
 
     #[test]
     fn bushy_never_costs_worse_than_left_deep() {
-        // greedy grows one left-deep order; the memo prices it too
+        // a pairwise plan is one of the bushy trees the exact memo prices
         let cat = catalog();
-        let sql = "SELECT e1.emp_id FROM employees e1, employees e2, departments d \
-                   WHERE e1.dept_id = d.dept_id AND e2.dept_id = d.dept_id";
-        let inner = build_query_tree(&cat, &parse_query(sql).unwrap()).unwrap();
+        let inner = build_query_tree(&cat, &parse_query(THREE_TABLE).unwrap()).unwrap();
         for tree in [inner, annotated_tree(&cat)] {
             let bushy = plan_with(&cat, &tree, 10).0.cost;
             let greedy = plan_with(&cat, &tree, 0).0.cost;
@@ -2526,11 +2530,11 @@ mod tests {
         governor.charge_state(); // uses the only state
         governor.charge_state(); // trips the degraded flag
         assert!(governor.search_exhausted());
-        let (p, stats, events) = traced_plan_with(TWO_TABLE, |opt| {
+        let (p, stats, events) = traced_plan_with(THREE_TABLE, |opt| {
             opt.governor = governor.clone();
         });
-        // greedy tier: no JOIN ENUM trace, but still a valid plan
-        assert!(!has_enum_begin(&events));
+        // windows of two, which the allowance did not narrow
+        assert_eq!(enum_end(&events), Some((2, false)));
         assert!(!stats.enum_degraded);
         assert!(p.cost > 0.0);
     }
@@ -2538,30 +2542,28 @@ mod tests {
     #[test]
     fn bushy_allowance_exhaustion_degrades_to_greedy() {
         use cbqt_common::{CancelToken, ExecutionLimits};
-        // budget of 2 memo entries cannot even seed the two leaves plus
-        // the pair, so the enumeration degrades mid-flight
-        let limits = ExecutionLimits::none().with_optimizer_states(2);
+        // an allowance of one entry cannot fund the three sets of two or
+        // more items, so the window narrows to pairs
+        let limits = ExecutionLimits::none().with_optimizer_states(1);
         let governor = Governor::new(&limits, CancelToken::new());
-        let (p, stats, events) = traced_plan_with(TWO_TABLE, |opt| {
+        let (p, stats, events) = traced_plan_with(THREE_TABLE, |opt| {
             opt.governor = governor.clone();
         });
         assert!(stats.enum_degraded);
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::JoinEnumEnd { degraded: true, .. })));
+        assert_eq!(enum_end(&events), Some((2, true)));
         assert!(
             events
                 .iter()
                 .any(|e| matches!(e, TraceEvent::SearchDegraded { .. })),
             "{events:?}"
         );
-        // the degraded greedy plan is still valid and executable
+        // the narrowed plan is still valid and executable
         assert!(p.cost > 0.0);
         // memo charges never touch the framework's shared state counter
         assert_eq!(governor.states_used(), 0);
         // the degradation is sticky on the governor (blocks cache publish)
         assert!(governor.optimizer_exhausted());
-        // ... but does not force later blocks off the memo
+        // ... but does not narrow the windows of later blocks
         assert!(!governor.search_exhausted());
     }
 
@@ -2602,18 +2604,11 @@ mod tests {
     }
 
     #[test]
-    fn greedy_completes_a_cyclic_dependency_graph() {
+    fn a_cyclic_dependency_graph_has_no_plan() {
         // A crafted ordering-dependency cycle between two annotated
-        // items — unreachable from parsed SQL today, but the greedy
-        // fallback must finish with a deterministic cross-product
-        // connection rather than erroring out mid-plan.
-        fn count_scans(n: &PlanNode) -> usize {
-            match n {
-                PlanNode::Join { left, right, .. } => count_scans(left) + count_scans(right),
-                PlanNode::ScanBase { .. } => 1,
-                _ => 0,
-            }
-        }
+        // items, unreachable from parsed SQL: no join order keeps the
+        // partial order, so the search fails the block with an error
+        // naming it rather than panicking.
         let mut cat = Catalog::new();
         let tid = cat
             .add_table(
@@ -2660,10 +2655,11 @@ mod tests {
         };
         let ann = CostAnnotations::new();
         let cache = SamplingCache::default();
-        let opt = Optimizer::new(&cat, &ann, &cache);
+        let mut opt = Optimizer::new(&cat, &ann, &cache);
         let table_preds = HashMap::new();
         let join_preds: Vec<QExpr> = vec![];
-        let run = || {
+        for b in [10, 0] {
+            opt.config.bushy_max_items = b;
             let enumerator = JoinEnumerator::<u64>::new(
                 &opt,
                 &est,
@@ -2671,19 +2667,12 @@ mod tests {
                 &table_preds,
                 &join_preds,
                 None,
-                BlockId(0),
+                BlockId(7),
             );
-            enumerator
-                .plan(JoinEnumerator::enumerate_greedy)
-                .expect("cyclic deps must not error")
-        };
-        let (node, cost, _) = run();
-        assert_eq!(count_scans(&node), 3, "all three items joined");
-        assert!(cost > 0.0);
-        // deterministic: a second enumeration produces the same plan
-        let (node2, cost2, _) = run();
-        assert_eq!(cost.to_bits(), cost2.to_bits());
-        assert_eq!(format!("{node:?}"), format!("{node2:?}"));
+            let err = enumerator.plan().expect_err("no order keeps the cycle");
+            assert!(!is_cutoff(&err), "{err}");
+            assert!(err.to_string().contains(&BlockId(7).to_string()), "{err}");
+        }
     }
 
     // --- pricing vs building -------------------------------------------
@@ -2801,8 +2790,9 @@ mod tests {
             .collect();
         cases.push((&emp, annotated_tree(&emp)));
         for (cat, tree) in &cases {
-            // bushy, forced greedy
-            for bushy in [10, 0] {
+            // exact, windows of five (several rounds on the wider shapes),
+            // pairwise
+            for bushy in [10, 5, 0] {
                 let (plan, blocks) = priced_and_built(cat, tree, bushy);
                 assert!(!blocks.is_empty());
                 for (priced, built) in &blocks {
@@ -2871,11 +2861,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn one_kernel_plans_a_chain_at_any_width() {
-        // a chain of `n` items with rising row counts, planned greedily
-        // on `u64` masks and on word-slice masks: the same kernel, so
-        // the same plan bit for bit wherever both apply
+    /// Plans a chain of `n` base items with rising row counts on
+    /// `M`-wide masks with `bushy_max_items` = `b`; returns the plan's
+    /// text, the bits of its cost and rows, and the trace.
+    fn chain<M: Mask>(n: u32, b: usize) -> (String, u64, u64, Vec<TraceEvent>) {
         let mut cat = Catalog::new();
         let x = Column {
             name: "x".into(),
@@ -2883,73 +2872,103 @@ mod tests {
             not_null: false,
         };
         let tid = cat.add_table("t", vec![x], vec![]).unwrap();
+        let items: Vec<Item> = (0..n)
+            .map(|r| Item {
+                refid: RefId(r),
+                kind: ItemKind::Base(tid),
+                join: JoinInfo::Inner,
+                deps: vec![],
+                correlated: false,
+                plan: None,
+                base_rows: 10.0 + r as f64,
+                width: 2,
+            })
+            .collect();
+        let rels: HashMap<RefId, RelStats> = items
+            .iter()
+            .map(|it| {
+                let ndv = vec![it.base_rows, it.base_rows];
+                (
+                    it.refid,
+                    RelStats {
+                        rows: it.base_rows,
+                        ndv,
+                    },
+                )
+            })
+            .collect();
+        let base: HashMap<RefId, TableId> = (0..n).map(|r| (RefId(r), tid)).collect();
+        let est = Estimator {
+            catalog: &cat,
+            rels: &rels,
+            base: &base,
+        };
+        let col = |r| QExpr::Col {
+            table: RefId(r),
+            column: 0,
+        };
+        let join_preds: Vec<QExpr> = (1..n).map(|r| QExpr::eq(col(r - 1), col(r))).collect();
+        let table_preds = HashMap::new();
         let ann = CostAnnotations::new();
         let cache = SamplingCache::default();
-        let opt = Optimizer::new(&cat, &ann, &cache);
-        fn greedy<M: Mask>(opt: &Optimizer, est: &Estimator, items: &[Item]) -> (String, u64, u64) {
-            let col = |r| QExpr::Col {
-                table: RefId(r),
-                column: 0,
-            };
-            let n = items.len() as u32;
-            let join_preds: Vec<QExpr> = (1..n).map(|r| QExpr::eq(col(r - 1), col(r))).collect();
-            let table_preds = HashMap::new();
-            let e = JoinEnumerator::<M>::new(
-                opt,
-                est,
-                items,
-                &table_preds,
-                &join_preds,
-                None,
-                BlockId(0),
-            );
-            let (node, cost, rows) = e.plan(JoinEnumerator::enumerate_greedy).unwrap();
-            (format!("{node:?}"), cost.to_bits(), rows.to_bits())
-        }
-        let chain = |n: u32, wide: bool| {
-            let items: Vec<Item> = (0..n)
-                .map(|r| Item {
-                    refid: RefId(r),
-                    kind: ItemKind::Base(tid),
-                    join: JoinInfo::Inner,
-                    deps: vec![],
-                    correlated: false,
-                    plan: None,
-                    base_rows: 10.0 + r as f64,
-                    width: 2,
-                })
-                .collect();
-            let rels: HashMap<RefId, RelStats> = items
-                .iter()
-                .map(|it| {
-                    let ndv = vec![it.base_rows, it.base_rows];
-                    (
-                        it.refid,
-                        RelStats {
-                            rows: it.base_rows,
-                            ndv,
-                        },
-                    )
-                })
-                .collect();
-            let base: HashMap<RefId, TableId> = (0..n).map(|r| (RefId(r), tid)).collect();
-            let est = Estimator {
-                catalog: &cat,
-                rels: &rels,
-                base: &base,
-            };
-            if wide {
-                greedy::<WideMask>(&opt, &est, &items)
-            } else {
-                greedy::<u64>(&opt, &est, &items)
-            }
-        };
+        let buf = cbqt_common::TraceBuffer::new();
+        let mut opt = Optimizer::new(&cat, &ann, &cache);
+        opt.tracer = Tracer::new(&buf);
+        opt.config.bushy_max_items = b;
+        let e = JoinEnumerator::<M>::new(
+            &opt,
+            &est,
+            &items,
+            &table_preds,
+            &join_preds,
+            None,
+            BlockId(0),
+        );
+        let (node, cost, rows) = e.plan().unwrap();
+        (
+            format!("{node:?}"),
+            cost.to_bits(),
+            rows.to_bits(),
+            buf.take(),
+        )
+    }
+
+    #[test]
+    fn one_kernel_plans_a_chain_at_any_width() {
+        // the windowed search on `u64` masks and on word-slice masks:
+        // the same code, so the same plan bit for bit wherever both apply
         for n in [63, 64] {
-            assert_eq!(chain(n, false), chain(n, true), "n = {n}");
+            let (narrow, wide) = (chain::<u64>(n, 10), chain::<WideMask>(n, 10));
+            assert_eq!(narrow, wide, "n = {n}");
+            assert!(enum_end(&narrow.3).is_some_and(|(rounds, _)| rounds > 1));
         }
-        let (plan, cost, _) = chain(65, true);
+        let (plan, cost, _, _) = chain::<WideMask>(65, 10);
         assert_eq!(plan.matches("ScanBase").count(), 65);
         assert!(f64::from_bits(cost) > 0.0);
+    }
+
+    #[test]
+    fn a_chain_wider_than_the_window_plans_in_rounds() {
+        // 12 items at b = 10. Round one makes the chain's 63 connected
+        // sets of 2 to 10 items: the window stops at b, and 63 is far
+        // under the C = 2^10 - 11 = 1013 entries a round may make. It
+        // commits the cheapest 10-item set, and round two plans the
+        // three nodes left (three sets of two or more). Each round's
+        // one-node entries count too.
+        let (_, cost, _, events) = chain::<u64>(12, 10);
+        let memo = events.iter().find_map(|e| match e {
+            TraceEvent::JoinEnumEnd { memo_entries, .. } => Some(*memo_entries),
+            _ => None,
+        });
+        assert_eq!(memo, Some(12 + 63 + 3 + 3));
+        assert_eq!(enum_end(&events), Some((2, false)));
+        let cost = f64::from_bits(cost);
+        let pairwise = f64::from_bits(chain::<u64>(12, 0).1);
+        let exact = f64::from_bits(chain::<u64>(12, 12).1);
+        assert!(
+            exact <= cost && cost <= pairwise,
+            "{exact} {cost} {pairwise}"
+        );
     }
 
     #[test]
