@@ -132,6 +132,18 @@ fn random_query(rng: &mut Rng) -> String {
     }
 }
 
+/// NOT IN over the indexed `employees.dept_id`, whose NULL keys the
+/// subquery's filter may keep. A point on the outer side makes an index
+/// probe tempting, and a probe would miss the NULL; a high salary bar
+/// leaves most departments without a matching key, so the NULL alone
+/// decides. The main differential round runs one beside every
+/// `random_query`.
+fn null_keyed_not_in(rng: &mut Rng) -> String {
+    let dept = rng.gen_range(0..10);
+    let sal = rng.gen_range(7000..8000);
+    format!("SELECT d.department_name FROM departments d WHERE d.dept_id = {dept} AND d.dept_id NOT IN (SELECT e.dept_id FROM employees e WHERE e.salary > {sal})")
+}
+
 /// Join-heavy query pool for the `--joins` oracle: every shape is a
 /// multi-way (3+ item) join so the exact memo and pairwise windows both
 /// get real join-order decisions. Arms 6 to 9 leave semi, anti and
@@ -225,8 +237,9 @@ fn usage() -> ! {
          \x20           [--differential-exec] [--binds] [--feedback] [--txn]\n\
          \x20           [--joins] [N]\n\
          \n\
-         Runs N differential-fuzz rounds (default 300): a random query on\n\
-         a random database must return the rows of the run with every\n\
+         Runs N differential-fuzz rounds (default 300): a random query,\n\
+         and a NOT IN over an indexed key with NULLs, on a random\n\
+         database must return the rows of the run with every\n\
          transformation off under each search strategy (Exhaustive,\n\
          TwoPass, Iterative, Linear, Auto) and under the heuristic rules\n\
          (cost_based = false). Round i uses seed S + i (S defaults to 0),\n\
@@ -271,7 +284,9 @@ fn usage() -> ! {
          serial single-writer twin databases that replay a transaction's\n\
          statements only at its successful commit: one with the same\n\
          primary key (UPDATE/DELETE targets found through the index),\n\
-         one with no index (targets found by full scan). Rows must match\n\
+         one with no index (targets found by full scan), both with the\n\
+         plan cache off, so the main database's cached target plans meet\n\
+         a fresh compile. Rows must match\n\
          both twins at every commit and at round end; a claim model\n\
          predicts exactly which statements (point, IN-list and range\n\
          writes) must lose the first-updater-wins race\n\
@@ -732,7 +747,9 @@ fn feedback_round(seed: u64, with_faults: bool) -> u64 {
 /// statements only at its successful commit — one with the same
 /// primary key (UPDATE / DELETE targets found through the index), one
 /// without any index (every target found by a full scan). The twins
-/// are the oracle: after every commit (and at round end) the three
+/// run with the plan cache off, so every target plan the main database
+/// serves from its cache is checked against a fresh compile. They are
+/// the oracle: after every commit (and at round end) the three
 /// databases must hold identical rows, so uncommitted or rolled-back
 /// work must never leak and both target paths must pick the same rows.
 /// A per-key claim model predicts exactly which statements must lose a
@@ -765,8 +782,13 @@ fn txn_round(seed: u64, with_faults: bool) -> u64 {
     };
     let with_pk = "CREATE TABLE kv (k INT PRIMARY KEY, v INT)";
     let db = build(seed, nkeys, with_pk);
+    // the twins compile every statement fresh, so each UPDATE / DELETE
+    // target plan the main database serves from its cache is checked
+    // against a new compile of the same statement
     let mut twin = build(seed, nkeys, with_pk);
+    twin.set_plan_cache_enabled(false);
     let mut scan_twin = build(seed, nkeys, "CREATE TABLE kv (k INT, v INT)");
+    scan_twin.set_plan_cache_enabled(false);
     let twin_rows = |twin: &mut Database| -> Vec<String> {
         canon(&twin.query("SELECT k, v FROM kv").unwrap().rows)
     };
@@ -1108,6 +1130,65 @@ fn txn_round(seed: u64, with_faults: bool) -> u64 {
     failures
 }
 
+/// One query of the main differential round: every transformation off
+/// is the reference, and each search strategy and the heuristic rules
+/// must return its rows. Returns the number of failures.
+fn differential_query(seed: u64, db: &mut Database, sql: &str) -> u64 {
+    db.config_mut().cost_based = false;
+    db.config_mut().transforms = TransformSet {
+        unnest: false,
+        view_merge: false,
+        jppd: false,
+        setop_to_join: false,
+        group_by_placement: false,
+        predicate_pullup: false,
+        join_factorization: false,
+        or_expansion: false,
+    };
+    db.config_mut().heuristic_unnest_merge = false;
+    let reference = match db.query(sql) {
+        Ok(r) => canon(&r.rows),
+        Err(e) => {
+            println!("seed {seed}: REF ERROR {e}\n{sql}");
+            return 1;
+        }
+    };
+    let mut failures = 0;
+    // every §3.2 strategy, then the heuristic rules (`Auto` is not
+    // consulted there) — all with the default `TransformSet`
+    for (label, strategy, cost_based) in [
+        ("Exhaustive", SearchStrategy::Exhaustive, true),
+        ("TwoPass", SearchStrategy::TwoPass, true),
+        ("Iterative", SearchStrategy::Iterative, true),
+        ("Linear", SearchStrategy::Linear, true),
+        ("Auto", SearchStrategy::Auto, true),
+        ("heuristic", SearchStrategy::Auto, false),
+    ] {
+        db.config_mut().cost_based = cost_based;
+        db.config_mut().transforms = TransformSet::default();
+        db.config_mut().heuristic_unnest_merge = true;
+        db.config_mut().search = strategy;
+        match db.query(sql) {
+            Ok(r) => {
+                let got = canon(&r.rows);
+                if got != reference {
+                    println!(
+                        "seed {seed} {label}: MISMATCH ({} vs {} rows)\n{sql}",
+                        reference.len(),
+                        got.len()
+                    );
+                    failures += 1;
+                }
+            }
+            Err(e) => {
+                println!("seed {seed} {label}: ERROR {e}\n{sql}");
+                failures += 1;
+            }
+        }
+    }
+    failures
+}
+
 fn main() {
     let args = parse_args();
     let (rounds, base_seed, failpoint_mode) = (args.iters, args.base_seed, args.failpoints);
@@ -1185,58 +1266,9 @@ fn main() {
     for seed in base_seed..base_seed + rounds {
         let mut rng = Rng::seed_from_u64(seed);
         let mut db = random_db(&mut rng);
-        let sql = random_query(&mut rng);
-        db.config_mut().cost_based = false;
-        db.config_mut().transforms = TransformSet {
-            unnest: false,
-            view_merge: false,
-            jppd: false,
-            setop_to_join: false,
-            group_by_placement: false,
-            predicate_pullup: false,
-            join_factorization: false,
-            or_expansion: false,
-        };
-        db.config_mut().heuristic_unnest_merge = false;
-        let reference = match db.query(&sql) {
-            Ok(r) => canon(&r.rows),
-            Err(e) => {
-                println!("seed {seed}: REF ERROR {e}\n{sql}");
-                failures += 1;
-                continue;
-            }
-        };
-        // every §3.2 strategy, then the heuristic rules (`Auto` is not
-        // consulted there) — all with the default `TransformSet`
-        for (label, strategy, cost_based) in [
-            ("Exhaustive", SearchStrategy::Exhaustive, true),
-            ("TwoPass", SearchStrategy::TwoPass, true),
-            ("Iterative", SearchStrategy::Iterative, true),
-            ("Linear", SearchStrategy::Linear, true),
-            ("Auto", SearchStrategy::Auto, true),
-            ("heuristic", SearchStrategy::Auto, false),
-        ] {
-            db.config_mut().cost_based = cost_based;
-            db.config_mut().transforms = TransformSet::default();
-            db.config_mut().heuristic_unnest_merge = true;
-            db.config_mut().search = strategy;
-            match db.query(&sql) {
-                Ok(r) => {
-                    let got = canon(&r.rows);
-                    if got != reference {
-                        println!(
-                            "seed {seed} {label}: MISMATCH ({} vs {} rows)\n{sql}",
-                            reference.len(),
-                            got.len()
-                        );
-                        failures += 1;
-                    }
-                }
-                Err(e) => {
-                    println!("seed {seed} {label}: ERROR {e}\n{sql}");
-                    failures += 1;
-                }
-            }
+        let queries = [random_query(&mut rng), null_keyed_not_in(&mut rng)];
+        for sql in &queries {
+            failures += differential_query(seed, &mut db, sql);
         }
     }
     println!("fuzz complete: {rounds} rounds, {failures} failures");

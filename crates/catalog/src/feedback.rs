@@ -56,8 +56,12 @@ pub struct FeedbackKey {
 struct Slot {
     /// Observed output cardinality (rows per execution).
     rows: f64,
-    /// Table version at observation time; a newer table invalidates the
-    /// observation exactly like it invalidates a cached plan.
+    /// The table's data version ([`Catalog::table_version`]) at
+    /// observation time. Every commit and every shape change bumps it,
+    /// so an observation never outlives the data it was made on; a
+    /// cached plan, which keys on the table's shape, can.
+    ///
+    /// [`Catalog::table_version`]: crate::Catalog::table_version
     version: u64,
     /// LRU stamp.
     stamp: u64,
@@ -70,9 +74,16 @@ struct Inner {
 }
 
 /// Shared store of observed cardinalities, held at the database level
-/// alongside the plan cache. Thread-safe behind one mutex (entries are
-/// tiny and accesses are per-statement, not per-row); a poisoned lock
-/// keeps its contents, like the sampling cache.
+/// alongside the plan cache. Observations are keyed on the table's
+/// *data* version ([`Catalog::table_version`]): a commit to the table
+/// retires them, while the plans the plan cache holds survive it. So a
+/// recompile after a commit sees fresh estimates, and a warm plan that
+/// the new data makes diverge is marked suspect by its next harvest.
+/// Thread-safe behind one mutex (entries are tiny and accesses are
+/// per-statement, not per-row); a poisoned lock keeps its contents,
+/// like the sampling cache.
+///
+/// [`Catalog::table_version`]: crate::Catalog::table_version
 #[derive(Debug)]
 pub struct FeedbackStore {
     inner: Mutex<Inner>,
@@ -122,7 +133,7 @@ impl FeedbackStore {
     }
 
     /// The observed cardinality for `key`, if one was recorded against
-    /// the current version of the table. Stale observations (the table
+    /// the table's current data version. Stale observations (the table
     /// changed since) are dropped on probe rather than served.
     pub fn lookup(&self, key: &FeedbackKey, current_version: u64) -> Option<f64> {
         let mut inner = self.lock();

@@ -64,11 +64,16 @@ pub struct Table {
     pub columns: Vec<Column>,
     pub constraints: Vec<Constraint>,
     pub stats: TableStats,
-    /// Per-table change counter (see [`Catalog::table_version`]).
-    /// Atomic so a committing transaction can bump it through a shared
-    /// `&Catalog` — version bumps must not require exclusive catalog
-    /// access, or readers would block on writers.
-    version: AtomicU64,
+    /// Shape counter (see [`Catalog::shape_version`]).
+    shape: AtomicU64,
+    /// Data counter (see [`Catalog::table_version`]). Atomic, like
+    /// `live`, so a committing transaction can publish through a shared
+    /// `&Catalog`: commits must not need exclusive catalog access, or
+    /// readers would block on writers.
+    data: AtomicU64,
+    /// Committed live rows as of the last commit that wrote this table
+    /// (see [`Catalog::live_rows`]).
+    live: AtomicU64,
 }
 
 impl Clone for Table {
@@ -79,7 +84,9 @@ impl Clone for Table {
             columns: self.columns.clone(),
             constraints: self.constraints.clone(),
             stats: self.stats.clone(),
-            version: AtomicU64::new(self.version.load(Ordering::SeqCst)),
+            shape: AtomicU64::new(self.shape.load(Ordering::SeqCst)),
+            data: AtomicU64::new(self.data.load(Ordering::SeqCst)),
+            live: AtomicU64::new(self.live.load(Ordering::SeqCst)),
         }
     }
 }
@@ -128,8 +135,6 @@ pub struct Catalog {
     by_name: HashMap<String, TableId>,
     indexes: Vec<Index>,
     /// Monotonic schema/statistics version (see [`Catalog::version`]).
-    /// Atomic for the same reason as [`Table::version`]: commit-time
-    /// bumps go through a shared `&Catalog`.
     version: AtomicU64,
 }
 
@@ -151,42 +156,65 @@ impl Catalog {
 
     /// The catalog's monotonic version counter: bumped by every DDL
     /// (table/index creation) and every mutable table access (the path
-    /// statistics updates take). Plans compiled under an older version
-    /// may rely on schema or statistics that no longer hold — the plan
-    /// cache uses this counter as its invalidation guard.
+    /// statistics updates take) — the sum of every table's shape
+    /// changes. Commits do not move it. Shown in plan-cache trace
+    /// events; validation uses the per-table counters.
     pub fn version(&self) -> u64 {
         self.version.load(Ordering::SeqCst)
     }
 
-    /// Records a schema- or data-visible change that plans may depend
-    /// on (callers that mutate storage without touching the catalog —
-    /// DML commit — bump explicitly through this). Takes `&self`: the
-    /// counters are atomic so a committing transaction can bump them
-    /// without exclusive catalog access.
-    pub fn bump_version(&self) {
-        self.version.fetch_add(1, Ordering::SeqCst);
+    /// The per-table *shape* counter: bumped when this table is
+    /// created, gains an index or is accessed mutably (the path ANALYZE
+    /// takes), and untouched by commits and by changes to other tables.
+    /// A cached plan is valid only while the shape of every table it
+    /// reads is the one it was compiled against. Unknown ids report 0.
+    pub fn shape_version(&self, id: TableId) -> u64 {
+        self.tables
+            .get(id.0 as usize)
+            .map_or(0, |t| t.shape.load(Ordering::SeqCst))
     }
 
-    /// The per-table change counter: bumped when *this table's* schema,
-    /// statistics, data or indexes change, and untouched by changes to
-    /// other tables. The plan cache records `(table, version)` pairs per
-    /// cached plan so that a write to `t1` leaves plans on `t2` warm.
-    /// Unknown ids report 0 (a dropped/foreign table can never validate).
+    /// The per-table *data* counter: bumped by every commit that writes
+    /// this table and by every shape change, so it moves whenever
+    /// anything about the table does. The feedback store keys its
+    /// observations on it: an observed cardinality is served only while
+    /// the table is exactly as it was when the scan ran. Plans do not
+    /// key on it (see [`shape_version`](Catalog::shape_version) and
+    /// [`live_rows`](Catalog::live_rows)). Unknown ids report 0.
     pub fn table_version(&self, id: TableId) -> u64 {
         self.tables
             .get(id.0 as usize)
-            .map_or(0, |t| t.version.load(Ordering::SeqCst))
+            .map_or(0, |t| t.data.load(Ordering::SeqCst))
     }
 
-    /// Bumps one table's change counter (and the global counter — the
-    /// global version stays a superset signal for whole-catalog
-    /// observers). The path a committing DML transaction takes after
-    /// publishing its versions.
-    pub fn bump_table_version(&self, id: TableId) {
+    /// Committed live rows of a table as published by the last commit
+    /// that wrote it — one atomic load, cheap enough for every plan-cache
+    /// probe. Two concurrent commits may publish out of order, so this
+    /// is a planning hint, not a count to answer queries from; the next
+    /// commit to the table corrects it. Unknown ids report 0.
+    pub fn live_rows(&self, id: TableId) -> u64 {
+        self.tables
+            .get(id.0 as usize)
+            .map_or(0, |t| t.live.load(Ordering::SeqCst))
+    }
+
+    /// Publishes a commit that wrote table `id`: its committed live row
+    /// count afterwards, and a data-version bump. Takes `&self`: the
+    /// counters are atomic so a committing transaction needs no
+    /// exclusive catalog access. The shape is untouched.
+    pub fn record_commit(&self, id: TableId, live_rows: u64) {
         if let Some(t) = self.tables.get(id.0 as usize) {
-            t.version.fetch_add(1, Ordering::SeqCst);
+            t.live.store(live_rows, Ordering::SeqCst);
+            t.data.fetch_add(1, Ordering::SeqCst);
         }
-        self.bump_version();
+    }
+
+    /// A shape change of one table: its shape and data counters and the
+    /// global counter all move.
+    fn bump_shape(&self, t: &Table) {
+        t.shape.fetch_add(1, Ordering::SeqCst);
+        t.data.fetch_add(1, Ordering::SeqCst);
+        self.version.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Registers a table; fails on duplicate name.
@@ -210,10 +238,12 @@ impl Catalog {
             columns,
             constraints,
             stats: TableStats::default(),
-            version: AtomicU64::new(0),
+            shape: AtomicU64::new(0),
+            data: AtomicU64::new(0),
+            live: AtomicU64::new(0),
         });
         self.by_name.insert(key, id);
-        self.bump_version();
+        self.version.fetch_add(1, Ordering::SeqCst);
         Ok(id)
     }
 
@@ -270,7 +300,7 @@ impl Catalog {
             unique,
         });
         // an index changes what plans are possible on *this* table only
-        self.bump_table_version(table);
+        self.bump_shape(&self.tables[table.0 as usize]);
         Ok(id)
     }
 
@@ -281,16 +311,11 @@ impl Catalog {
     }
 
     /// Mutable table access — the path statistics recomputation takes,
-    /// so it conservatively counts as a version bump (global and for
-    /// the accessed table).
+    /// so it conservatively counts as a shape change of the accessed
+    /// table.
     pub fn table_mut(&mut self, id: TableId) -> Result<&mut Table> {
-        self.version.fetch_add(1, Ordering::SeqCst);
-        let t = self
-            .tables
-            .get_mut(id.0 as usize)
-            .ok_or_else(|| Error::catalog(format!("unknown table id {}", id.0)))?;
-        t.version.fetch_add(1, Ordering::SeqCst);
-        Ok(t)
+        self.bump_shape(self.table(id)?);
+        Ok(&mut self.tables[id.0 as usize])
     }
 
     pub fn table_by_name(&self, name: &str) -> Option<&Table> {
@@ -441,32 +466,36 @@ mod tests {
         cat.table_mut(emp).unwrap().stats.rows = 7;
         assert!(cat.version() > v1);
         let v2 = cat.version();
-        cat.bump_version();
-        assert_eq!(cat.version(), v2 + 1);
-        // read-only access does not bump
+        // read-only access and commits do not bump
         let _ = cat.table(emp).unwrap();
-        assert_eq!(cat.version(), v2 + 1);
+        cat.record_commit(emp, 3);
+        assert_eq!(cat.version(), v2);
     }
 
     #[test]
     fn table_versions_are_independent() {
         let (mut cat, dept, emp) = sample();
-        let (d0, e0) = (cat.table_version(dept), cat.table_version(emp));
-        // writing one table leaves the other's counter untouched
-        cat.bump_table_version(emp);
-        assert_eq!(cat.table_version(dept), d0);
-        assert_eq!(cat.table_version(emp), e0 + 1);
-        // statistics updates (table_mut) bump only the touched table
+        let shapes = |cat: &Catalog| (cat.shape_version(dept), cat.shape_version(emp));
+        let datas = |cat: &Catalog| (cat.table_version(dept), cat.table_version(emp));
+        let ((ds, es), (dd, ed)) = (shapes(&cat), datas(&cat));
+        // a commit moves the written table's data counter and live
+        // count, never a shape
+        cat.record_commit(emp, 40);
+        assert_eq!(shapes(&cat), (ds, es));
+        assert_eq!(datas(&cat), (dd, ed + 1));
+        assert_eq!((cat.live_rows(dept), cat.live_rows(emp)), (0, 40));
+        // statistics updates (table_mut) move the touched table's shape
+        // and data counters
         cat.table_mut(dept).unwrap().stats.rows = 3;
-        assert_eq!(cat.table_version(dept), d0 + 1);
-        assert_eq!(cat.table_version(emp), e0 + 1);
-        // an index bumps the indexed table only
+        assert_eq!(shapes(&cat), (ds + 1, es));
+        assert_eq!(datas(&cat), (dd + 1, ed + 1));
+        // an index moves the indexed table only
         cat.add_index("ix", emp, vec![1], false).unwrap();
-        assert_eq!(cat.table_version(dept), d0 + 1);
-        assert_eq!(cat.table_version(emp), e0 + 2);
-        // the global counter moved on every change
-        assert!(cat.version() >= 3);
+        assert_eq!(shapes(&cat), (ds + 1, es + 1));
+        assert_eq!(datas(&cat), (dd + 1, ed + 2));
+        assert_eq!(cat.live_rows(emp), 40);
         assert_eq!(cat.table_version(TableId(99)), 0);
+        assert_eq!(cat.shape_version(TableId(99)), 0);
     }
 
     #[test]

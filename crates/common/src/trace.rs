@@ -102,9 +102,11 @@ pub enum TraceEvent {
     /// No cached plan existed for this normalized SQL text; the query
     /// goes through the full CBQT pipeline and the result is cached.
     PlanCacheMiss { key: String },
-    /// A cached plan existed but was compiled under an older catalog
-    /// version (DDL or statistics changed since); it was evicted and the
-    /// query re-optimized.
+    /// A cached plan existed but a table it reads changed shape (an
+    /// index or statistics changed since) or its live row count drifted
+    /// by the feedback divergence ratio; the plan was evicted and the
+    /// query re-optimized. Commits alone never fire it. The versions are
+    /// the global catalog (shape) version then and now.
     PlanCacheInvalidated {
         key: String,
         cached_version: u64,
@@ -154,12 +156,14 @@ pub enum TraceEvent {
     /// An UPDATE or DELETE found its target rows: `access` is the
     /// access path the planner chose for the scan of `table`, `rows`
     /// the versions the statement goes on to write, `work` the
-    /// executor work units the scan charged.
+    /// executor work units the scan charged, `cached` whether the
+    /// target plan came from the plan cache.
     DmlTarget {
         table: String,
         access: String,
         rows: usize,
         work: f64,
+        cached: bool,
     },
 }
 
@@ -292,9 +296,11 @@ impl fmt::Display for TraceEvent {
                 access,
                 rows,
                 work,
+                cached,
             } => write!(
                 f,
-                "DML TARGET table={table} access={access} rows={rows} work={work:.0}"
+                "DML TARGET table={table} access={access} rows={rows} work={work:.0} \
+                 cached={cached}"
             ),
         }
     }

@@ -1,14 +1,15 @@
 //! INSERT / UPDATE / DELETE. UPDATE and DELETE have no evaluator of
-//! their own: they compile a target query through the query pipeline,
-//! read every target before writing any, then claim and append
-//! versions inside the scope's [write bracket](Scope::with_write_txn).
+//! their own: they get a target plan the way a query does, from the
+//! plan cache or the query pipeline, read every target before writing
+//! any, then claim and append versions inside the scope's
+//! [write bracket](Scope::with_write_txn).
 
-use crate::serve::{Ctx, Measure, Scope, StatementPath};
+use crate::serve::{Ctx, Measure, Planned, Scope};
 use crate::Database;
 use cbqt_catalog::{Table, TableId};
 use cbqt_common::{Error, Result, Row, TraceEvent, Tracer, Value};
 use cbqt_optimizer::{BlockPlan, PlanEntity, PlanNode};
-use cbqt_sql::ast;
+use cbqt_sql::{ast, parameterize_dml_target};
 
 impl Scope<'_> {
     pub(crate) fn insert(self, ins: ast::Insert, ctx: Ctx<'_>) -> Result<u64> {
@@ -60,9 +61,9 @@ impl Scope<'_> {
             }
             new_row[i] = e;
         }
-        let plan = db.plan_dml_target(t, new_row, u.filter, ctx)?;
+        let target = db.plan_dml_target(t, new_row, u.filter, ctx)?;
         self.with_write_txn(ctx.tracer, |txn| {
-            let targets = db.scan_dml_target(txn, t, &plan, ctx)?;
+            let targets = db.scan_dml_target(txn, t, &target, ctx)?;
             for row in &targets {
                 check_not_null(t, row)?;
             }
@@ -79,9 +80,9 @@ impl Scope<'_> {
     pub(crate) fn delete(self, d: ast::Delete, ctx: Ctx<'_>) -> Result<u64> {
         let db = self.db;
         let t = db.table_named(&d.table)?;
-        let plan = db.plan_dml_target(t, Vec::new(), d.filter, ctx)?;
+        let target = db.plan_dml_target(t, Vec::new(), d.filter, ctx)?;
         self.with_write_txn(ctx.tracer, |txn| {
-            let targets = db.scan_dml_target(txn, t, &plan, ctx)?;
+            let targets = db.scan_dml_target(txn, t, &target, ctx)?;
             for row in &targets {
                 db.claim_version(txn, t, rowid_of(row)?, ctx.tracer)?;
             }
@@ -116,19 +117,21 @@ impl Database {
         })
     }
 
-    /// Compiles the target query of an UPDATE or DELETE over `t` —
-    /// `SELECT <outputs>, t.ROWID FROM t WHERE <filter>` — through the
-    /// same pipeline as any query, so the rows to write are found by
-    /// the access path the planner picks and every expression is
-    /// evaluated by the executor. Never cached: the statement's own
-    /// commit bumps the table version a cached plan would depend on.
+    /// Plans the target query of an UPDATE or DELETE over `t` —
+    /// `SELECT <outputs>, t.ROWID FROM t WHERE <filter>` — like any
+    /// query, so the rows to write are found by the access path the
+    /// planner picks and every expression is evaluated by the executor.
+    /// The literals of the SET list and the filter become bind slots
+    /// ([`parameterize_dml_target`]), so every statement of one shape
+    /// shares a cached family. A plan depends on the table's shape, not
+    /// its data, so the statement's own commit leaves it warm.
     fn plan_dml_target(
         &self,
         t: &Table,
         outputs: Vec<ast::Expr>,
         filter: Option<ast::Expr>,
         ctx: Ctx<'_>,
-    ) -> Result<BlockPlan> {
+    ) -> Result<DmlTarget> {
         let items = outputs
             .into_iter()
             .chain([column_of(t, "ROWID")])
@@ -148,7 +151,15 @@ impl Database {
             })),
             order_by: Vec::new(),
         };
-        Ok(self.plan_uncached(&query, ctx, StatementPath::Dml)?.plan)
+        let (fam, binds) = if self.plan_cache_enabled && self.bind_sharing_enabled {
+            let p = parameterize_dml_target(&query);
+            (p.query, p.binds)
+        } else {
+            (query, Vec::new())
+        };
+        let key = self.family_key(&fam, &binds, None);
+        let planned = self.plan_family(key, &fam, &binds, ctx)?;
+        Ok(DmlTarget { planned, binds })
     }
 
     /// Runs a [target plan](Database::plan_dml_target) against the
@@ -162,16 +173,18 @@ impl Database {
         &self,
         txn: u64,
         t: &Table,
-        plan: &BlockPlan,
+        target: &DmlTarget,
         ctx: Ctx<'_>,
     ) -> Result<Vec<Row>> {
+        let (plan, binds) = (&target.planned.plan, &target.binds);
         let (measure, mode) = (Measure::Nothing, self.config.execution_mode);
-        let exec = self.execute_plan(plan, &[], ctx.governor, Some(txn), measure, mode)?;
+        let exec = self.execute_plan(plan, binds, ctx.governor, Some(txn), measure, mode)?;
         ctx.tracer.emit(|| TraceEvent::DmlTarget {
             table: t.name.clone(),
             access: target_access(plan, t.id),
             rows: exec.rows.len(),
             work: exec.stats.work,
+            cached: target.planned.search.is_none(),
         });
         Ok(exec.rows)
     }
@@ -193,6 +206,13 @@ impl Database {
             t.name
         )))
     }
+}
+
+/// The target plan of an UPDATE or DELETE and the bind values it runs
+/// with.
+struct DmlTarget {
+    planned: Planned,
+    binds: Vec<Value>,
 }
 
 /// The position of column `name` in `t`.

@@ -677,10 +677,20 @@ mod tests {
         assert!(db.query(q).unwrap().stats.plan_cache_hit);
         db.analyze().unwrap();
         assert!(!db.query(q).unwrap().stats.plan_cache_hit);
-        // as does DML
+        // DML does not: a plan depends on the table's shape, not its
+        // data...
         assert!(db.query(q).unwrap().stats.plan_cache_hit);
         db.execute_mut("INSERT INTO employees VALUES (200, 1, 1500)")
             .unwrap();
+        let r = db.query(q).unwrap();
+        assert!(r.stats.plan_cache_hit);
+        assert_eq!(r.rows.len(), 2);
+        // ...until the table's size drifts past the divergence ratio
+        // (101 rows at compile, 1 101 now)
+        let rows = (1000..2000i64)
+            .map(|i| vec![Value::Int(i), Value::Int(1), Value::Int(7)])
+            .collect();
+        db.load_rows("employees", rows).unwrap();
         assert!(!db.query(q).unwrap().stats.plan_cache_hit);
     }
 

@@ -24,13 +24,17 @@
 //!   signature is served. A family without a variant for the incoming
 //!   bucket reports [`Lookup::BindMismatch`] — a mismatched plan is
 //!   never served; the caller compiles and caches a sibling.
-//! - **Invalidation**: every variant records the `(table, version)`
-//!   pairs it was compiled against, using the catalog's *per-table*
-//!   version counters. DDL, ANALYZE and DML bump only the tables they
-//!   touch, so a write to `t1` invalidates plans over `t1` while plans
-//!   over `t2` stay warm. A probe whose dependencies moved evicts the
-//!   stale variant and reports [`Lookup::Invalidated`]. Stale plans
-//!   are never served.
+//! - **Invalidation**: a plan depends on a table's *shape*, not its
+//!   data. Every variant records a [`TableDep`] per table it reads: the
+//!   table's shape version and its live rows at compile time. CREATE
+//!   INDEX and ANALYZE bump the shape of the tables they touch, and so
+//!   invalidate the plans over them; a commit does not. The caller's
+//!   check also rejects a variant once a table's live row count has
+//!   drifted from the recorded one by the feedback divergence ratio, so
+//!   a plan costed for 50 rows does not keep serving 5 000. Like an
+//!   Oracle shared cursor, a plan survives ordinary DML. A probe whose
+//!   dependencies fail the check evicts the variant and reports
+//!   [`Lookup::Invalidated`]; such a plan is never served.
 //! - **Concurrency**: the cache is sharded over `std::sync::Mutex`es
 //!   (the build stays hermetic — no external lock crates) with atomic
 //!   hit/miss/invalidation counters, so `&self` lookups from many
@@ -70,6 +74,16 @@ pub const DEFAULT_SHARD_BYTES: usize = 256 * 1024;
 /// landing elsewhere compiles a sibling.
 pub type BucketSig = Vec<i8>;
 
+/// What a cached plan assumed about one table it reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TableDep {
+    pub table: TableId,
+    /// The table's shape version at compile time.
+    pub shape: u64,
+    /// The table's committed live rows at compile time.
+    pub rows: u64,
+}
+
 /// One cached compilation: the immutable physical plan plus the output
 /// column names (so a cache hit skips query-tree construction entirely).
 #[derive(Clone)]
@@ -79,9 +93,8 @@ pub struct CachedPlan {
     /// Global catalog version the plan was compiled under (kept for
     /// trace-event display; validation uses `deps`).
     pub version: u64,
-    /// Per-table versions the plan was compiled against. The variant is
-    /// valid only while every listed table still has its listed version.
-    pub deps: Arc<Vec<(TableId, u64)>>,
+    /// The tables the plan reads, as they were when it was compiled.
+    pub deps: Arc<Vec<TableDep>>,
 }
 
 struct Entry {
@@ -124,7 +137,7 @@ fn entry_bytes(key: &str, sig: &[i8], cached: &CachedPlan) -> usize {
         + key.len()
         + sig.len()
         + cached.plan.estimated_bytes()
-        + cached.deps.len() * size_of::<(TableId, u64)>()
+        + cached.deps.len() * size_of::<TableDep>()
         + cached
             .columns
             .iter()
@@ -145,8 +158,8 @@ pub enum Lookup {
     Reoptimize { cached: CachedPlan, sig: BucketSig },
     /// No family for this key.
     Miss,
-    /// A variant existed for this bucket but a table it depends on has
-    /// changed since compilation; it has been evicted.
+    /// A variant existed for this bucket but a table it reads changed
+    /// shape or drifted in size since compilation; it has been evicted.
     Invalidated { cached_version: u64 },
     /// The family exists but holds no variant for the incoming binds'
     /// selectivity bucket; `variants` is the family's current variant
@@ -238,16 +251,16 @@ impl PlanCache {
 
     /// Probes the cache. `sig_of` re-buckets the incoming bind values
     /// against the family's recorded bind sites (called only when the
-    /// family exists); `deps_current` checks a variant's per-table
-    /// versions against the live catalog. A variant whose dependencies
-    /// moved is evicted and reported `Invalidated`; a bucket with no
+    /// family exists); `deps_current` checks a variant's table
+    /// dependencies against the live catalog. A variant that fails it
+    /// is evicted and reported `Invalidated`; a bucket with no
     /// variant is reported `BindMismatch`. A stale or mismatched plan
     /// is never returned.
     pub fn lookup(
         &self,
         key: &str,
         sig_of: impl FnOnce(&[BindSite]) -> BucketSig,
-        deps_current: impl Fn(&[(TableId, u64)]) -> bool,
+        deps_current: impl Fn(&[TableDep]) -> bool,
     ) -> Lookup {
         let result = {
             let mut shard = self.lock_shard(self.shard(key));
@@ -493,7 +506,15 @@ mod tests {
             }),
             columns: Arc::new(vec![]),
             version,
-            deps: Arc::new(vec![(TableId(0), version)]),
+            deps: Arc::new(vec![dep(0, version)]),
+        }
+    }
+
+    fn dep(table: u32, shape: u64) -> TableDep {
+        TableDep {
+            table: TableId(table),
+            shape,
+            rows: 0,
         }
     }
 
@@ -502,13 +523,13 @@ mod tests {
     }
 
     /// Probe with an empty bucket signature, validating the single
-    /// `TableId(0)` dependency against `current` — the legacy
-    /// "global version" behaviour, for tests not about bind buckets.
+    /// `TableId(0)` dependency against shape `current`, for tests not
+    /// about bind buckets.
     fn probe(cache: &PlanCache, key: &str, current: u64) -> Lookup {
         cache.lookup(
             key,
             |_| Vec::new(),
-            |deps| deps.iter().all(|&(_, v)| v == current),
+            |deps| deps.iter().all(|d| d.shape == current),
         )
     }
 
@@ -553,7 +574,7 @@ mod tests {
     #[test]
     fn bind_mismatch_compiles_a_sibling_variant() {
         let cache = PlanCache::default();
-        let current = |deps: &[(TableId, u64)]| deps.iter().all(|&(_, v)| v == 0);
+        let current = |deps: &[TableDep]| deps.iter().all(|d| d.shape == 0);
         cache.insert("k".into(), vec![0], Arc::new(vec![]), plan(1.0));
         // same bucket: served
         assert!(
@@ -584,16 +605,16 @@ mod tests {
     fn per_table_deps_invalidate_only_dependent_plans() {
         let cache = PlanCache::default();
         let mut p1 = plan(1.0);
-        p1.deps = Arc::new(vec![(TableId(1), 5)]);
+        p1.deps = Arc::new(vec![dep(1, 5)]);
         let mut p2 = plan(2.0);
-        p2.deps = Arc::new(vec![(TableId(2), 9)]);
+        p2.deps = Arc::new(vec![dep(2, 9)]);
         put(&cache, "q1", p1);
         put(&cache, "q2", p2);
-        // "write to table 1": its version moves to 6; table 2 unchanged
-        let live = |deps: &[(TableId, u64)]| {
-            deps.iter().all(|&(t, v)| match t {
-                TableId(1) => v == 6,
-                TableId(2) => v == 9,
+        // "index on table 1": its shape moves to 6; table 2 unchanged
+        let live = |deps: &[TableDep]| {
+            deps.iter().all(|d| match d.table {
+                TableId(1) => d.shape == 6,
+                TableId(2) => d.shape == 9,
                 _ => false,
             })
         };
@@ -691,7 +712,7 @@ mod tests {
     #[test]
     fn suspect_marks_are_per_variant() {
         let cache = PlanCache::default();
-        let current = |deps: &[(TableId, u64)]| deps.iter().all(|&(_, v)| v == 0);
+        let current = |deps: &[TableDep]| deps.iter().all(|d| d.shape == 0);
         cache.insert("k".into(), vec![-1], Arc::new(vec![]), plan(1.0));
         cache.insert("k".into(), vec![-3], Arc::new(vec![]), plan(2.0));
         cache.mark_suspect("k", &vec![-1]);

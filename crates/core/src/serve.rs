@@ -7,14 +7,15 @@
 //! accept rule → tracer → dispatch to query / EXPLAIN / DML /
 //! transaction control.
 //!
-//! The query arm ([`Scope::serve_query`]) is the plan-cache path: bind
-//! resolution, family key, probe, and on anything but a hit one call of
-//! [`Database::compile_and_run`]. Every plan this crate executes —
-//! cached, freshly compiled, EXPLAIN ANALYZE, a DML target scan, either
-//! side of the differential oracle — runs through
+//! The query arm ([`Scope::serve_query`]) resolves binds, gets a plan
+//! from [`Database::plan_family`] — family key, probe, and on anything
+//! but a hit a compile that publishes — and runs it. UPDATE and DELETE
+//! get their target plans from the same function. Every plan this crate
+//! executes — cached, freshly compiled, EXPLAIN ANALYZE, a DML target
+//! scan, either side of the differential oracle — runs through
 //! [`Database::execute_plan`].
 
-use crate::plan_cache::{self, BucketSig, CachedPlan, Lookup};
+use crate::plan_cache::{self, BucketSig, CachedPlan, Lookup, TableDep};
 use crate::{Database, Prepared, QueryResult, QueryStats, StatementResult, TraceReport};
 use cbqt_catalog::{selectivity_band, Catalog, FeedbackKey, FeedbackStore, TableId};
 use cbqt_common::{
@@ -290,12 +291,9 @@ impl<'a> Scope<'a> {
 
     /// The query arm ([`StatementPath::Serve`]): resolve the query's
     /// bind parameters (explicit `?` values, or literals extracted at
-    /// normalization time when bind sharing is on), probe the shared
-    /// plan cache, and on a hit execute the cached `Arc<BlockPlan>`
-    /// with the bind values installed. A miss, invalidation, bind-bucket
-    /// mismatch or feedback reoptimization runs the full CBQT pipeline
-    /// (with the binds peeked for costing) and caches the result as a
-    /// family variant.
+    /// normalization time when bind sharing is on), get a plan for the
+    /// family ([`Database::plan_family`]) and run it with the bind
+    /// values installed.
     fn serve_query(
         self,
         sql: &str,
@@ -304,101 +302,31 @@ impl<'a> Scope<'a> {
         ctx: Ctx<'_>,
     ) -> Result<QueryResult> {
         let db = self.db;
-        let tracer = ctx.tracer;
         let txn = self.open_txn();
         let (fam, values) = db.resolve_binds(q, binds)?;
-        let key: Option<String> =
-            if !db.plan_cache_enabled || !path_uses_plan_cache(StatementPath::Serve) {
-                None
-            } else if db.bind_sharing_enabled {
-                // family key: the canonical render of the parameterized AST
-                Some(render_query(&fam))
-            } else if values.is_empty() {
-                // legacy literal-text keying
-                Some(plan_cache::normalize_sql(sql))
-            } else {
-                // explicit binds with bind sharing off: text keying would
-                // conflate different bind values — run uncached
-                None
-            };
-        let Some(key) = key else {
-            return db.compile_and_run(&fam, &values, ctx, None, false, txn);
-        };
-
-        let version = db.catalog.version();
-        // side-channel: remember the bucket the probe computed, so a
-        // post-execution divergence can mark exactly that variant suspect
-        let mut probe_sig: Option<BucketSig> = None;
-        let lookup = db.plan_cache.lookup(
-            &key,
-            |sites| {
-                let sig = db.bucket_sig(sites, &values);
-                probe_sig = Some(sig.clone());
-                sig
-            },
-            |deps| deps.iter().all(|&(t, v)| db.catalog.table_version(t) == v),
-        );
-        // every arm but the hit recompiles; they differ in their trace
-        // event, in whether feedback asked for the recompile and in
-        // whether a sibling joins the family
-        let (reopt, siblings) = match lookup {
-            Lookup::Hit(cached) => {
-                tracer.emit(|| TraceEvent::PlanCacheHit {
-                    key: key.clone(),
-                    version: cached.version,
-                });
-                let (exec, diverged) = db.run_plan(&cached.plan, &values, ctx.governor, txn)?;
-                if let (true, Some(sig)) = (diverged, probe_sig.as_ref()) {
-                    db.plan_cache.mark_suspect(&key, sig);
-                }
-                let columns = (*cached.columns).clone();
-                let hit = query_result(columns, &cached.plan, exec, values.len(), None);
-                return Ok(hit);
-            }
-            // the variant was marked suspect by a previous execution's
-            // divergence; recompile with the feedback store's observed
-            // cardinalities and republish under the same bucket
-            Lookup::Reoptimize { cached: _, sig } => {
-                tracer.emit(|| TraceEvent::PlanCacheReoptimize {
-                    key: key.clone(),
-                    bucket: format!("{sig:?}"),
-                });
-                (true, None)
-            }
-            Lookup::Invalidated { cached_version } => {
-                tracer.emit(|| TraceEvent::PlanCacheInvalidated {
-                    key: key.clone(),
-                    cached_version,
-                    current_version: version,
-                });
-                (false, None)
-            }
-            Lookup::BindMismatch { sig, variants } => {
-                tracer.emit(|| TraceEvent::PlanCacheBindMismatch {
-                    key: key.clone(),
-                    bucket: format!("{sig:?}"),
-                });
-                (false, Some(variants))
-            }
-            Lookup::Miss => {
-                tracer.emit(|| TraceEvent::PlanCacheMiss { key: key.clone() });
-                (false, None)
-            }
-        };
-        let cache_as = Some((key.as_str(), version));
-        let mut r = db.compile_and_run(&fam, &values, ctx, cache_as, reopt, txn)?;
-        r.stats.reoptimized = reopt;
-        r.stats.bind_mismatch = siblings.is_some();
-        // degraded plans are not published, so no sibling joined the
-        // family
-        if let (Some(variants), false) = (siblings, r.stats.degraded) {
-            tracer.emit(|| TraceEvent::PlanCacheFamilySplit {
-                key,
-                variants: variants + 1,
-            });
-        }
-        Ok(r)
+        let key = db.family_key(&fam, &values, Some(sql));
+        let planned = db.plan_family(key, &fam, &values, ctx)?;
+        let (exec, diverged) = db.run_plan(&planned.plan, &values, ctx.governor, txn)?;
+        db.settle_variant(&planned, diverged);
+        let columns = (*planned.columns).clone();
+        Ok(query_result(
+            columns,
+            &planned.plan,
+            exec,
+            values.len(),
+            planned.search,
+        ))
     }
+}
+
+/// A plan for one query family (see [`Database::plan_family`]).
+pub(crate) struct Planned {
+    pub(crate) plan: Arc<BlockPlan>,
+    columns: Arc<Vec<String>>,
+    /// What compiling the plan measured; `None` for a cache hit.
+    pub(crate) search: Option<QueryStats>,
+    /// The key and bucket of the plan's cache variant, when it has one.
+    variant: Option<(String, BucketSig)>,
 }
 
 /// One execution of a plan by [`Database::execute_plan`].
@@ -560,36 +488,162 @@ impl Database {
         sites.iter().map(|s| band(s).unwrap_or(0)).collect()
     }
 
-    /// Full transformation + optimization + execution, with `binds`
-    /// peeked by the estimator and installed on the engine. When
-    /// `cache_as` is set, the compiled plan is published to the plan
-    /// cache under that key as the variant for the binds' selectivity
-    /// bucket, recording the per-table versions it was compiled against
-    /// — DDL needs `&mut self`, so versions cannot move under a running
-    /// `&self` query.
-    /// `reopt` is true when this compile was triggered by a
-    /// [`Lookup::Reoptimize`] probe: a plan compiled *with* feedback that
-    /// still diverges (or degrades) pins its cache variant via
-    /// `block_reopt`, so suspect marks can never loop one query through
-    /// the optimizer repeatedly.
-    fn compile_and_run(
+    /// The plan-cache key of the family `fam` with bind values
+    /// `values`, or `None` to compile it uncached. With bind sharing on,
+    /// the key is the canonical render of the family; off, it is the
+    /// statement's text (`sql`, or the render of `fam` for a statement
+    /// built in here), and statements with explicit binds run uncached
+    /// — text keying would conflate their values.
+    pub(crate) fn family_key(
+        &self,
+        fam: &ast::Query,
+        values: &[Value],
+        sql: Option<&str>,
+    ) -> Option<String> {
+        if !self.plan_cache_enabled || !path_uses_plan_cache(StatementPath::Serve) {
+            None
+        } else if self.bind_sharing_enabled {
+            Some(render_query(fam))
+        } else if values.is_empty() {
+            Some(sql.map_or_else(|| render_query(fam), plan_cache::normalize_sql))
+        } else {
+            None
+        }
+    }
+
+    /// Gets a plan for the family `fam`, with `binds` peeked for
+    /// costing: probes the plan cache under `key` and serves a hit; on
+    /// a miss, an invalidation, a bind-bucket mismatch or a feedback
+    /// reoptimization runs the full CBQT pipeline and publishes the
+    /// result as the variant for the binds' selectivity bucket. Without
+    /// a key it compiles and publishes nothing. Queries and UPDATE /
+    /// DELETE targets both get their plans here.
+    pub(crate) fn plan_family(
+        &self,
+        key: Option<String>,
+        fam: &ast::Query,
+        binds: &[Value],
+        ctx: Ctx<'_>,
+    ) -> Result<Planned> {
+        let Some(key) = key else {
+            return self.compile(fam, binds, ctx, None, false);
+        };
+        let tracer = ctx.tracer;
+        let version = self.catalog.version();
+        // side-channel: remember the bucket the probe computed, so a
+        // post-execution divergence can mark exactly that variant suspect
+        let mut probe_sig: Option<BucketSig> = None;
+        let lookup = self.plan_cache.lookup(
+            &key,
+            |sites| {
+                let sig = self.bucket_sig(sites, binds);
+                probe_sig = Some(sig.clone());
+                sig
+            },
+            |deps| self.deps_current(deps),
+        );
+        // every arm but the hit recompiles; they differ in their trace
+        // event, in whether feedback asked for the recompile and in
+        // whether a sibling joins the family
+        let (reopt, siblings) = match lookup {
+            Lookup::Hit(cached) => {
+                tracer.emit(|| TraceEvent::PlanCacheHit {
+                    key: key.clone(),
+                    version: cached.version,
+                });
+                return Ok(Planned {
+                    plan: cached.plan,
+                    columns: cached.columns,
+                    search: None,
+                    variant: probe_sig.map(|sig| (key, sig)),
+                });
+            }
+            // the variant was marked suspect by a previous execution's
+            // divergence; recompile with the feedback store's observed
+            // cardinalities and republish under the same bucket
+            Lookup::Reoptimize { cached: _, sig } => {
+                tracer.emit(|| TraceEvent::PlanCacheReoptimize {
+                    key: key.clone(),
+                    bucket: format!("{sig:?}"),
+                });
+                (true, None)
+            }
+            Lookup::Invalidated { cached_version } => {
+                tracer.emit(|| TraceEvent::PlanCacheInvalidated {
+                    key: key.clone(),
+                    cached_version,
+                    current_version: version,
+                });
+                (false, None)
+            }
+            Lookup::BindMismatch { sig, variants } => {
+                tracer.emit(|| TraceEvent::PlanCacheBindMismatch {
+                    key: key.clone(),
+                    bucket: format!("{sig:?}"),
+                });
+                (false, Some(variants))
+            }
+            Lookup::Miss => {
+                tracer.emit(|| TraceEvent::PlanCacheMiss { key: key.clone() });
+                (false, None)
+            }
+        };
+        let mut planned = self.compile(fam, binds, ctx, Some((key, version)), reopt)?;
+        if let (Some(variants), Some(search)) = (siblings, planned.search.as_mut()) {
+            search.bind_mismatch = true;
+            // degraded plans are not published, so no sibling joined
+            // the family
+            if let (false, Some((key, _))) = (search.degraded, &planned.variant) {
+                tracer.emit(|| TraceEvent::PlanCacheFamilySplit {
+                    key: key.clone(),
+                    variants: variants + 1,
+                });
+            }
+        }
+        Ok(planned)
+    }
+
+    /// Whether a cached plan's table dependencies still hold: every
+    /// table has the shape it was compiled against, and a live row
+    /// count within the feedback divergence ratio of the recorded one.
+    /// Atomic loads only — this runs on every cache hit.
+    fn deps_current(&self, deps: &[TableDep]) -> bool {
+        let ratio = self.config.feedback.divergence_ratio;
+        deps.iter().all(|d| {
+            let live = self.catalog.live_rows(d.table);
+            self.catalog.shape_version(d.table) == d.shape
+                && divergence_ratio(d.rows as f64, live as f64) < ratio
+        })
+    }
+
+    /// Full transformation + optimization of `q`, with `binds` peeked by
+    /// the estimator. When `cache_as` is set, the compiled plan is
+    /// published to the plan cache under that key as the variant for
+    /// the binds' selectivity bucket, with the [`TableDep`]s of the
+    /// tables it reads — DDL needs `&mut self`, so shapes cannot move
+    /// under a running `&self` statement. A degraded plan is not
+    /// published.
+    fn compile(
         &self,
         q: &ast::Query,
         binds: &[Value],
         ctx: Ctx<'_>,
-        cache_as: Option<(&str, u64)>,
+        cache_as: Option<(String, u64)>,
         reopt: bool,
-        txn: Option<u64>,
-    ) -> Result<QueryResult> {
+    ) -> Result<Planned> {
         let tree = build_query_tree_with_binds(&self.catalog, q, binds)?;
-        let columns = tree.block(tree.root)?.output_names(&tree);
+        let columns = Arc::new(tree.block(tree.root)?.output_names(&tree));
         // bind sites and table dependencies come from the
         // pre-transformation tree (transforms treat binds as opaque
         // scalars and never add base tables)
         let (sites, deps) = if cache_as.is_some() {
-            let deps: Vec<(TableId, u64)> = collect_base_tables(&tree)
+            let deps: Vec<TableDep> = collect_base_tables(&tree)
                 .into_iter()
-                .map(|t| (t, self.catalog.table_version(t)))
+                .map(|table| TableDep {
+                    table,
+                    shape: self.catalog.shape_version(table),
+                    rows: self.catalog.live_rows(table),
+                })
                 .collect();
             (collect_bind_sites(&tree), deps)
         } else {
@@ -605,54 +659,65 @@ impl Database {
             blocks_costed: outcome.optimizer_stats.blocks_costed,
             annotation_hits: outcome.optimizer_stats.annotation_hits,
             degraded: outcome.degraded,
+            reoptimized: reopt,
             ..QueryStats::default()
         };
         let plan = Arc::new(outcome.plan);
-        let (exec, diverged) = self.run_plan(&plan, binds, ctx.governor, txn)?;
-
-        if let Some((key, version)) = cache_as {
+        let variant = cache_as.map(|(key, version)| {
             let sig = self.bucket_sig(&sites, binds);
             // A degraded plan is valid but reflects a truncated search;
             // keep it out of the shared cache so unbudgeted statements
             // never pay for one statement's tight optimizer budget.
             if !search.degraded {
                 self.plan_cache.insert(
-                    key.to_string(),
+                    key.clone(),
                     sig.clone(),
                     Arc::new(sites),
                     CachedPlan {
                         plan: Arc::clone(&plan),
-                        columns: Arc::new(columns.clone()),
+                        columns: Arc::clone(&columns),
                         version,
                         deps: Arc::new(deps),
                     },
                 );
             }
-            if reopt && (search.degraded || diverged) {
-                // a feedback-informed recompile that still diverges, or
-                // that degraded and was not published (the old variant
-                // keeps serving): pin the variant so the suspect mark
-                // cannot bounce it through the optimizer on every probe
-                self.plan_cache.block_reopt(key, &sig);
-            } else if diverged && !search.degraded {
-                self.plan_cache.mark_suspect(key, &sig);
-            }
-        }
-        Ok(query_result(
+            (key, sig)
+        });
+        Ok(Planned {
+            plan,
             columns,
-            &plan,
-            exec,
-            binds.len(),
-            Some(search),
-        ))
+            search: Some(search),
+            variant,
+        })
+    }
+
+    /// What a served query's execution says about its cache variant: a
+    /// plan whose estimates `diverged` from the actuals is marked
+    /// suspect, so the next probe recompiles it with feedback. A
+    /// feedback-informed recompile that still diverges, or that degraded
+    /// and was not published (the old variant keeps serving), pins the
+    /// variant instead, so suspect marks can never loop one query
+    /// through the optimizer.
+    fn settle_variant(&self, planned: &Planned, diverged: bool) {
+        let Some((key, sig)) = &planned.variant else {
+            return;
+        };
+        let (reopt, degraded) = planned
+            .search
+            .as_ref()
+            .map_or((false, false), |s| (s.reoptimized, s.degraded));
+        if reopt && (degraded || diverged) {
+            self.plan_cache.block_reopt(key, sig);
+        } else if diverged && !degraded {
+            self.plan_cache.mark_suspect(key, sig);
+        }
     }
 
     /// Compiles a query *without* touching the bind-family plan cache:
     /// no literal extraction, no probe, no publish. This is the single
-    /// bypass — every cache-exempt path ([`StatementPath::Explain`],
-    /// [`StatementPath::Differential`], [`StatementPath::Dml`]) must
-    /// compile through here, and
-    /// the path must answer `false` to [`path_uses_plan_cache`].
+    /// bypass — both cache-exempt paths ([`StatementPath::Explain`],
+    /// [`StatementPath::Differential`]) compile through here, and the
+    /// path must answer `false` to [`path_uses_plan_cache`].
     pub(crate) fn plan_uncached(
         &self,
         q: &ast::Query,
@@ -759,20 +824,18 @@ pub(crate) fn catch_internal<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
 
 /// Which execution path a statement is served through — the single
 /// authority on plan-cache interaction. `Serve` (queries through
-/// `query`/`execute`/`query_bound`/`Prepared`/`trace`/scripts) probes
-/// the bind-family cache and publishes compiled plans; every other
-/// path must compile through [`Database::plan_uncached`], which
-/// asserts against this predicate: EXPLAIN output must show the plan
-/// for the literal text as written (no literal extraction, no cached
-/// plan), the differential oracle must hand both engines a fresh,
-/// cache-independent allocation, and an UPDATE / DELETE target query
-/// reads a table whose version the statement's own commit bumps.
+/// `query`/`execute`/`query_bound`/`Prepared`/`trace`/scripts, and the
+/// target queries of UPDATE / DELETE) probes the bind-family cache and
+/// publishes compiled plans; every other path must compile through
+/// [`Database::plan_uncached`], which asserts against this predicate:
+/// EXPLAIN output must show the plan for the literal text as written
+/// (no literal extraction, no cached plan), and the differential oracle
+/// must hand both engines a fresh, cache-independent allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StatementPath {
     Serve,
     Explain,
     Differential,
-    Dml,
 }
 
 /// True iff statements on `path` probe and populate the plan cache.

@@ -102,8 +102,9 @@ impl Session<'_> {
     }
 
     /// Commits the open transaction, atomically publishing its writes
-    /// at a new commit watermark (and invalidating cached plans over
-    /// the written tables). Without an open transaction this is a
+    /// at a new commit watermark (and the written tables' data versions
+    /// and live row counts to the catalog; cached plans survive unless
+    /// a table's size drifts). Without an open transaction this is a
     /// no-op. A fault on the publish path aborts the transaction whole
     /// and surfaces the error — never a partial commit.
     pub fn commit(&self) -> Result<()> {

@@ -96,11 +96,12 @@ impl Database {
     fn commit_txn(&self, txn: u64, tracer: Tracer<'_>) -> Result<()> {
         match catch_internal(AssertUnwindSafe(|| self.storage.commit(txn))) {
             Ok(info) => {
-                // versions bump at commit, and only at commit: cached
-                // plans over the written tables go stale the moment the
-                // writes become visible, never before
-                for t in &info.tables {
-                    self.catalog.bump_table_version(*t);
+                // data versions and live counts move at commit, and only
+                // at commit: feedback observed before the writes became
+                // visible goes stale, and cached plans over the written
+                // tables are re-checked against the new row counts
+                for &(t, live) in &info.tables {
+                    self.catalog.record_commit(t, live as u64);
                 }
                 tracer.emit(|| TraceEvent::TxnCommit {
                     txn,

@@ -1682,8 +1682,12 @@ impl<'b, 'a, M: Mask> JoinEnumerator<'b, 'a, M> {
             consider(JoinMethod::NestedLoop, None, cost);
             // index nested loop: re-scan a base item per left row with
             // the equi columns as probe keys (a composite sub-plan has no
-            // index to probe)
-            let can_probe = self.opt.config.enable_index_nl && equis > 0;
+            // index to probe). Not under NOT IN: a probe sees only the
+            // rows whose key equals the left key, so a NULL key that
+            // must reject every left row would never be seen.
+            let can_probe = self.opt.config.enable_index_nl
+                && equis > 0
+                && kind != (PlanJoinKind::Anti { null_aware: true });
             if let (true, Some(i)) = (can_probe, item) {
                 if let ItemKind::Base(tid) = self.items[i].kind {
                     let (slot, pcost, indexed) = self.probe(i, tid, &key, &l.mask, &r.mask);

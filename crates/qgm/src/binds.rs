@@ -115,9 +115,9 @@ pub fn collect_bind_sites(tree: &QueryTree) -> Vec<BindSite> {
 
 /// Every base table referenced anywhere in a (pre-transformation)
 /// query tree, deduplicated, in deterministic block order. The plan
-/// cache pairs these with the catalog's per-table version counters to
-/// invalidate a cached plan only when a table it actually reads
-/// changes.
+/// cache pairs these with the catalog's per-table shape versions and
+/// live row counts to invalidate a cached plan only when a table it
+/// actually reads changes shape or drifts in size.
 pub fn collect_base_tables(tree: &QueryTree) -> Vec<TableId> {
     let mut tables = Vec::new();
     for id in tree.block_ids() {

@@ -22,6 +22,10 @@
 //! - a statement that already contains explicit `?` placeholders is
 //!   returned untouched: the caller controls its binds.
 //!
+//! [`parameterize_dml_target`] applies the same rules to the target
+//! query of an UPDATE or DELETE and also extracts the literals of its
+//! top-level SELECT list, which holds the SET expressions.
+//!
 //! Slots are assigned in token order (the order the clauses render in),
 //! so a family key produced by [`crate::render::render_query`] re-parses
 //! with identical slot numbering — extracted-literal and hand-written
@@ -44,13 +48,30 @@ pub struct Parameterized {
 /// Extract predicate literals into bind parameters. See the module
 /// docs for the eligibility rules.
 pub fn parameterize(q: &Query) -> Parameterized {
+    extract(q, false)
+}
+
+/// [`parameterize`] for the target query of an UPDATE or DELETE,
+/// `SELECT <new row>, ROWID FROM t WHERE <filter>`: the literals of the
+/// top-level SELECT list — the SET expressions — become bind slots as
+/// well, so `SET v = 7 WHERE k = 3` and `SET v = 9 WHERE k = 4` share
+/// one family. Those outputs are written back, never returned, so no
+/// result shape depends on them.
+pub fn parameterize_dml_target(q: &Query) -> Parameterized {
+    extract(q, true)
+}
+
+fn extract(q: &Query, items: bool) -> Parameterized {
     if count_params(q) > 0 {
         return Parameterized {
             query: q.clone(),
             binds: Vec::new(),
         };
     }
-    let mut x = Extract { binds: Vec::new() };
+    let mut x = Extract {
+        binds: Vec::new(),
+        items,
+    };
     let query = x.query(q);
     Parameterized {
         query,
@@ -73,7 +94,7 @@ pub fn count_params(q: &Query) -> usize {
 /// Lowercased names of every base table the query references, including
 /// inside subqueries and derived tables — duplicates removed, order of
 /// first mention. Used to pin cached plans to per-table catalog
-/// versions (a superset is safe: a plan invalidated for a table the
+/// state (a superset is safe: a plan invalidated for a table the
 /// optimizer later eliminated is merely recompiled).
 pub fn collect_table_names(q: &Query) -> Vec<String> {
     let mut names: Vec<String> = Vec::new();
@@ -287,6 +308,9 @@ fn from_exprs(t: &TableRef, f: &mut impl FnMut(&Expr)) {
 
 struct Extract {
     binds: Vec<Value>,
+    /// Extract from the next SELECT list too (the top-level one of a
+    /// DML target query; cleared once used).
+    items: bool,
 }
 
 impl Extract {
@@ -312,9 +336,23 @@ impl Extract {
     }
 
     fn select(&mut self, s: &Select) -> Select {
+        let items = if std::mem::take(&mut self.items) {
+            s.items
+                .iter()
+                .map(|item| match item {
+                    SelectItem::Expr { expr, alias } => SelectItem::Expr {
+                        expr: self.expr(expr),
+                        alias: alias.clone(),
+                    },
+                    other => other.clone(),
+                })
+                .collect()
+        } else {
+            s.items.clone()
+        };
         Select {
             distinct: s.distinct,
-            items: s.items.clone(),
+            items,
             from: s.from.iter().map(|t| self.table_ref(t)).collect(),
             where_clause: s.where_clause.as_ref().map(|e| self.expr(e)),
             group_by: s.group_by.clone(),
@@ -565,6 +603,23 @@ mod tests {
         )
         .unwrap();
         assert_eq!(collect_table_names(&q), vec!["emp", "dept", "bonus"]);
+    }
+
+    #[test]
+    fn dml_targets_extract_their_select_list_first() {
+        let q = parse_query("SELECT v + 5, 'x', rowid FROM kv WHERE k = 3").unwrap();
+        let p = parameterize_dml_target(&q);
+        assert_eq!(p.binds, vec![Value::Int(5), Value::str("x"), Value::Int(3)]);
+        let r = render_query(&p.query);
+        assert_eq!(r, "SELECT (v + ?), ?, rowid FROM kv WHERE (k = ?)");
+        assert_eq!(parse_query(&r).unwrap(), p.query);
+        // two statements differing only in SET and WHERE literals share
+        // a family
+        let other = parse_query("SELECT v + 9, 'y', rowid FROM kv WHERE k = 4").unwrap();
+        assert_eq!(render_query(&parameterize_dml_target(&other).query), r);
+        // only the top-level list: a nested one keeps its literals
+        let nested = parse_query("SELECT (SELECT 1 FROM t WHERE t.a = 2) FROM kv").unwrap();
+        assert_eq!(parameterize_dml_target(&nested).binds, vec![Value::Int(2)]);
     }
 
     #[test]

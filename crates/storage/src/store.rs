@@ -228,8 +228,8 @@ pub struct TxnStats {
     pub index_copies: u64,
 }
 
-/// What a successful [`Storage::commit`] published — the caller bumps
-/// catalog versions for exactly `tables`.
+/// What a successful [`Storage::commit`] published — the caller
+/// publishes exactly `tables` to the catalog.
 #[derive(Debug, Clone)]
 pub struct CommitInfo {
     pub txn: u64,
@@ -237,8 +237,9 @@ pub struct CommitInfo {
     pub watermark: u64,
     /// Row versions published (inserts + delete claims).
     pub versions: usize,
-    /// Distinct tables written, in first-write order.
-    pub tables: Vec<TableId>,
+    /// Distinct tables written, in first-write order, each with its
+    /// committed live row count after this publish.
+    pub tables: Vec<(TableId, usize)>,
 }
 
 /// All table heaps and index structures, plus the transaction table.
@@ -459,10 +460,10 @@ impl Storage {
             });
         }
         let seq = inner.watermark + 1;
-        let mut tables: Vec<TableId> = Vec::new();
+        let mut tables: Vec<(TableId, usize)> = Vec::new();
         for w in &st.writes {
-            if !tables.contains(&w.table) {
-                tables.push(w.table);
+            if !tables.iter().any(|&(t, _)| t == w.table) {
+                tables.push((w.table, 0));
             }
             let heap = make_mut_counted(
                 inner.tables.get_mut(&w.table).expect("written table"),
@@ -485,6 +486,9 @@ impl Storage {
             }
         }
         inner.watermark = seq;
+        for (t, live) in &mut tables {
+            *live = inner.tables[t].live;
+        }
         Ok(CommitInfo {
             txn,
             watermark: seq,
@@ -945,7 +949,7 @@ mod tests {
         // commit publishes atomically
         let info = st.commit(txn).unwrap();
         assert_eq!(info.versions, 1);
-        assert_eq!(info.tables, vec![t]);
+        assert_eq!(info.tables, vec![(t, 2)]);
         assert_eq!(visible_rows(&st.snapshot(), t).len(), 2);
         assert_eq!(st.row_count(t), 2);
     }

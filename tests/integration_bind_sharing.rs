@@ -162,13 +162,30 @@ fn writes_to_one_table_leave_other_tables_plans_warm() {
     );
     assert_eq!(db.catalog().table_version(t2_id), v2);
 
-    // t2's plan is still warm; t1's was invalidated and recompiled
+    // both plans are still warm: a plan depends on a table's shape,
+    // and one row more in 50 is no drift
+    assert!(db.query(q2).unwrap().stats.plan_cache_hit);
+    let r1 = db.query(q1).unwrap();
+    assert!(r1.stats.plan_cache_hit);
+    assert_eq!(r1.rows, vec![vec![Value::Int(14)]]);
+    let s = db.plan_cache_stats();
+    assert_eq!((s.hits, s.misses, s.invalidations), (2, 2, 0), "{s:?}");
+
+    // a load that multiplies t1 past the divergence ratio (50 rows at
+    // compile, 551 now) invalidates t1's plan and leaves t2's warm
+    db.load_rows(
+        "t1",
+        (1000..1500)
+            .map(|i| vec![Value::Int(i), Value::Int(0)])
+            .collect(),
+    )
+    .unwrap();
     assert!(db.query(q2).unwrap().stats.plan_cache_hit);
     let r1 = db.query(q1).unwrap();
     assert!(!r1.stats.plan_cache_hit);
     assert_eq!(r1.rows, vec![vec![Value::Int(14)]]);
     let s = db.plan_cache_stats();
-    assert_eq!((s.hits, s.misses, s.invalidations), (1, 3, 1), "{s:?}");
+    assert_eq!((s.hits, s.misses, s.invalidations), (3, 3, 1), "{s:?}");
     // and the recompiled t1 plan serves the family again
     assert!(
         db.query("SELECT b FROM t1 WHERE a = 9")

@@ -119,6 +119,34 @@ fn not_in_ignores_null_keys_its_subquery_filters_out() {
 }
 
 #[test]
+fn indexed_not_in_sees_a_null_key_its_filter_keeps() {
+    // An index on the subquery's key, and a NULL key on a row the
+    // subquery's filter keeps: NOT IN is then unknown for every
+    // department, so no row qualifies. An index probe for `d.id = 70`
+    // would see only `dept = 70` rows and miss the NULL, so the planner
+    // must not offer index NL under a null-aware anti join.
+    let mut db = not_in_db(100, 50, 0);
+    db.execute_script(
+        "CREATE INDEX i_emp_dept ON emp (dept);
+         INSERT INTO emp VALUES (999, NULL, 100);
+         ANALYZE;",
+    )
+    .unwrap();
+    let sql = "SELECT d.id FROM dept d WHERE d.id = 70 AND d.id NOT IN \
+               (SELECT e.dept FROM emp e WHERE e.sal > 50)";
+    for hash in [true, false] {
+        db.config_mut().optimizer.enable_hash_join = hash;
+        let plan = db.explain(sql).unwrap();
+        assert!(db.query(sql).unwrap().rows.is_empty(), "{plan}");
+        let limits = cbqt::StatementLimits::none();
+        assert_eq!(
+            db.differential_exec(sql, &limits).unwrap(),
+            Vec::<String>::new()
+        );
+    }
+}
+
+#[test]
 fn hash_not_in_with_a_residual_does_linear_work() {
     // No department matches, so every one is checked for NULL keys. A
     // non-NULL id checks the subquery's NULL-key rows only, not the

@@ -1,11 +1,12 @@
 //! End-to-end MVCC transaction semantics: snapshot isolation across
 //! sessions, atomic commit publishing, exact rollback, auto-abort on
-//! statement failure, plan-cache interaction (versions bump only at
-//! commit), transaction trace events, and the statement surface
-//! (BEGIN / COMMIT / ROLLBACK in scripts, DDL rejection in
-//! transactions). UPDATE and DELETE find their rows through a planned
-//! target query: access paths, read-all-then-write-all, write cost
-//! and NOT NULL enforcement are checked here too.
+//! statement failure, plan-cache interaction (data versions bump only
+//! at commit, and cached plans survive them), transaction trace events,
+//! and the statement surface (BEGIN / COMMIT / ROLLBACK in scripts, DDL
+//! rejection in transactions). UPDATE and DELETE find their rows
+//! through a planned target query: access paths,
+//! read-all-then-write-all, write cost and NOT NULL enforcement are
+//! checked here too.
 
 use cbqt::common::{Error, Value};
 use cbqt::{Database, OptimizerEvent, Session, StatementResult};
@@ -183,12 +184,18 @@ fn rolled_back_writes_keep_cached_plans_warm() {
     assert_eq!(db.plan_cache_stats().hits, hits_before + 1);
     assert_eq!(warm.rows.len(), cold.rows.len());
 
-    // a committed write DOES bump the version and forces a recompile
+    // a committed write moves the table's data version, not its shape:
+    // the plan keeps serving, and reads the write
+    let table = db.catalog().table_by_name("accounts").unwrap().id;
+    let data = db.catalog().table_version(table);
     s.begin().unwrap();
     s.execute("UPDATE accounts SET balance = 1 WHERE id = 19")
         .unwrap();
     s.commit().unwrap();
-    assert!(!db.query(sql).unwrap().stats.plan_cache_hit);
+    assert!(db.catalog().table_version(table) > data);
+    let after = db.query(sql).unwrap();
+    assert!(after.stats.plan_cache_hit);
+    assert_eq!(after.rows.len(), cold.rows.len() - 1);
 }
 
 #[test]
@@ -486,6 +493,7 @@ fn dml_target(s: &Session<'_>, sql: &str) -> (String, usize, f64) {
             access,
             rows,
             work,
+            ..
         } => {
             assert_eq!(table, "kv");
             Some((access.clone(), *rows, *work))
@@ -639,6 +647,86 @@ fn dml_inside_one_transaction_sees_its_own_writes() {
     assert!(!w2.in_transaction());
     w1.commit().unwrap();
     assert_eq!(count(&db, "SELECT COUNT(*) FROM kv WHERE id <= 1"), 2);
+}
+
+#[test]
+fn autocommit_updates_of_one_shape_compile_their_target_once() {
+    // 2 000 commits: keep the commit-publish failpoint test out of them
+    let _serial = failpoints::serial();
+    let run = |cached: bool| {
+        let mut db = kv(200);
+        db.set_plan_cache_enabled(cached);
+        let s = db.session();
+        let first = s
+            .trace_statement("UPDATE kv SET tag = 'u0' WHERE id = 0")
+            .unwrap()
+            .render();
+        // the SET and WHERE literals are bind slots: one family
+        for i in 1..1_000i64 {
+            let sql = format!("UPDATE kv SET tag = 'u{}' WHERE id = {}", i % 7, i % 200);
+            assert_eq!(affected(&s, &sql), 1, "{sql}");
+        }
+        let last = s
+            .trace_statement("UPDATE kv SET tag = 'z' WHERE id = 5")
+            .unwrap()
+            .render();
+        drop(s);
+        let stats = db.plan_cache_stats();
+        let rows = db.query("SELECT id, k, tag FROM kv ORDER BY id");
+        (first, last, stats, rows.unwrap().rows)
+    };
+    let (first, last, stats, rows) = run(true);
+    assert!(first.contains("cached=false"), "{first}");
+    assert!(last.contains("cached=true"), "{last}");
+    // 1 001 statements: one compile, and their commits invalidate nothing
+    assert_eq!(
+        (stats.misses, stats.hits, stats.invalidations),
+        (1, 1_000, 0),
+        "{stats:?}"
+    );
+    let (first, _, _, fresh) = run(false);
+    assert!(first.contains("cached=false"), "{first}");
+    assert_eq!(rows, fresh);
+}
+
+#[test]
+fn an_update_in_a_transaction_reads_its_snapshot_through_the_cached_target_plan() {
+    let db = kv(50);
+    let (writer, other, reader) = (db.session(), db.session(), db.session());
+    let sum = |s: &Session<'_>| s.query("SELECT SUM(k) FROM kv").unwrap().rows[0][0].clone();
+    // warm the family, then pin a reader
+    assert_eq!(affected(&writer, "UPDATE kv SET k = k + 1 WHERE id = 0"), 1);
+    reader.begin().unwrap();
+    let pinned = sum(&reader);
+
+    writer.begin().unwrap();
+    for _ in 0..2 {
+        // the second statement finds the first one's uncommitted version
+        let text = writer
+            .trace_statement("UPDATE kv SET k = k + 1 WHERE id = 3")
+            .unwrap()
+            .render();
+        assert!(
+            text.contains("rows=1 ") && text.contains("cached=true"),
+            "{text}"
+        );
+    }
+    // a commit after the writer's snapshot, through the same cached plan
+    assert_eq!(affected(&other, "UPDATE kv SET k = k + 10 WHERE id = 7"), 1);
+    let k_of = |s: &Session<'_>, id: i64| {
+        let sql = format!("SELECT k FROM kv WHERE id = {id}");
+        s.query(&sql).unwrap().rows[0][0].clone()
+    };
+    assert_eq!(k_of(&writer, 3), Value::Int(5));
+    assert_eq!(k_of(&writer, 7), Value::Int(7));
+    // the pinned reader sees neither
+    assert_eq!(sum(&reader), pinned);
+    writer.commit().unwrap();
+    reader.commit().unwrap();
+    assert_eq!(k_of(&reader, 3), Value::Int(5));
+    assert_eq!(k_of(&reader, 7), Value::Int(17));
+    let s = db.plan_cache_stats();
+    assert_eq!(s.invalidations, 0, "{s:?}");
 }
 
 #[test]
