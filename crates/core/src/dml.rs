@@ -157,7 +157,7 @@ impl Database {
         } else {
             (query, Vec::new())
         };
-        let key = self.family_key(&fam, &binds, None);
+        let key = self.family_key(&fam, !binds.is_empty(), None);
         let planned = self.plan_family(key, &fam, &binds, ctx)?;
         Ok(DmlTarget { planned, binds })
     }

@@ -47,6 +47,12 @@
 //!   overhead), not entry count. Eviction is per *variant* (across
 //!   families); a family whose last variant is evicted is removed.
 //!   A plan larger than the whole shard budget is never retained.
+//! - **Statement-shape recipes**: beside the families, a shard keeps
+//!   [`Recipe`]s keyed by the full masked text of a statement's
+//!   [`Shape`] (never by its hash alone). A recipe turns a statement of
+//!   its shape into the family key and bind vector without a parse; see
+//!   [`cbqt_sql::shape`]. Recipes are charged to the byte budget and
+//!   the LRU like variants, and [`PlanCache::clear`] drops them.
 //! - **Fault tolerance**: a panic while a shard lock is held (a bug, or
 //!   an injected fault — see `cbqt_common::failpoint`) poisons that
 //!   mutex. Every lock site recovers by clearing the poisoned shard —
@@ -54,8 +60,10 @@
 //!   recompilable — and continuing; the other shards are untouched.
 
 use cbqt_catalog::TableId;
-use cbqt_optimizer::BlockPlan;
+use cbqt_common::Value;
+use cbqt_optimizer::{BlockPlan, FeedbackShape, PlanEntity, PlanIndex, PlanNode, PlanNodeId};
 use cbqt_qgm::BindSite;
+use cbqt_sql::{Recipe, Shape};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -95,6 +103,53 @@ pub struct CachedPlan {
     pub version: u64,
     /// The tables the plan reads, as they were when it was compiled.
     pub deps: Arc<Vec<TableDep>>,
+    /// What the feedback harvest reads of the plan.
+    pub(crate) harvest: Arc<Harvest>,
+}
+
+/// What the feedback harvest reads of a plan, derived once when the plan
+/// is compiled, so harvesting a cached plan derives nothing again: the
+/// plan's position index, which a metered engine threads element ids
+/// through, and every feedback-eligible base scan with the half of its
+/// key no bind value moves.
+#[derive(Debug)]
+pub(crate) struct Harvest {
+    pub(crate) index: Arc<PlanIndex>,
+    /// Per eligible base scan, in plan order: its position, its
+    /// estimated rows and its key's shape.
+    pub(crate) scans: Vec<(PlanNodeId, f64, FeedbackShape)>,
+}
+
+impl Harvest {
+    pub(crate) fn of(plan: &BlockPlan) -> Harvest {
+        let mut scans = Vec::new();
+        plan.visit_entities(&mut |id, entity| {
+            if let PlanEntity::Node(PlanNode::ScanBase {
+                table,
+                refid,
+                filter,
+                rows,
+                ..
+            }) = entity
+            {
+                if let Some(shape) = FeedbackShape::of(*table, *refid, filter) {
+                    scans.push((id, *rows, shape));
+                }
+            }
+        });
+        Harvest {
+            index: Arc::new(PlanIndex::build(plan)),
+            scans,
+        }
+    }
+
+    /// Estimated bytes: the index's subtree sizes and a scan's fixed
+    /// part (its predicate text is not counted).
+    fn estimated_bytes(&self) -> usize {
+        size_of::<Harvest>()
+            + self.index.len() * size_of::<u32>()
+            + self.scans.len() * size_of::<(PlanNodeId, f64, FeedbackShape)>()
+    }
 }
 
 struct Entry {
@@ -123,12 +178,64 @@ struct Family {
     variants: HashMap<BucketSig, Entry>,
 }
 
+/// A recipe and its LRU bookkeeping.
+struct RecipeEntry {
+    recipe: Arc<Recipe>,
+    stamp: u64,
+    bytes: usize,
+}
+
 #[derive(Default)]
 struct Shard {
     map: HashMap<String, Family>,
+    /// Recipes by the full masked text of their shape.
+    recipes: HashMap<String, RecipeEntry>,
     clock: u64,
-    /// Sum of `Entry::bytes` over all variants (the LRU bound's currency).
+    /// Sum of the bytes of every variant and recipe (the LRU bound's
+    /// currency).
     bytes: usize,
+}
+
+impl Shard {
+    fn clear(&mut self) {
+        self.map.clear();
+        self.recipes.clear();
+        self.bytes = 0;
+    }
+
+    /// Evicts least-recently-used variants and recipes until the shard
+    /// holds at most `budget` bytes. A family whose last variant goes is
+    /// removed.
+    fn evict_to(&mut self, budget: usize) {
+        while self.bytes > budget {
+            let variant = self
+                .map
+                .iter()
+                .flat_map(|(k, f)| f.variants.iter().map(move |(s, e)| (e.stamp, k, Some(s))))
+                .min_by_key(|&(stamp, _, _)| stamp);
+            let recipe = self
+                .recipes
+                .iter()
+                .map(|(k, e)| (e.stamp, k, None))
+                .min_by_key(|&(stamp, _, _)| stamp);
+            let Some((_, key, sig)) = variant.into_iter().chain(recipe).min_by_key(|v| v.0) else {
+                break;
+            };
+            let (key, sig) = (key.clone(), sig.cloned());
+            let freed = match sig {
+                Some(sig) => {
+                    let family = self.map.get_mut(&key).unwrap();
+                    let evicted = family.variants.remove(&sig).unwrap();
+                    if family.variants.is_empty() {
+                        self.map.remove(&key);
+                    }
+                    evicted.bytes
+                }
+                None => self.recipes.remove(&key).unwrap().bytes,
+            };
+            self.bytes -= freed;
+        }
+    }
 }
 
 /// Estimated bytes one cached variant pins in memory.
@@ -138,11 +245,17 @@ fn entry_bytes(key: &str, sig: &[i8], cached: &CachedPlan) -> usize {
         + sig.len()
         + cached.plan.estimated_bytes()
         + cached.deps.len() * size_of::<TableDep>()
+        + cached.harvest.estimated_bytes()
         + cached
             .columns
             .iter()
             .map(|c| size_of::<String>() + c.len())
             .sum::<usize>()
+}
+
+/// Estimated bytes one recipe pins under its shape text.
+fn recipe_bytes(shape: &str, recipe: &Recipe) -> usize {
+    size_of::<RecipeEntry>() + shape.len() + recipe.estimated_bytes()
 }
 
 /// Outcome of a cache probe.
@@ -190,6 +303,10 @@ pub struct PlanCacheStats {
     /// Probes that found a suspect variant and triggered a
     /// feedback-informed recompilation (each also counts as a miss).
     pub reoptimizations: u64,
+    /// Statements served from a shape's recipe, without a parse.
+    pub recipe_hits: u64,
+    /// Current number of statement-shape recipes across all shards.
+    pub recipes: usize,
 }
 
 /// A bounded, sharded, invalidation-correct plan cache. `Send + Sync`;
@@ -203,6 +320,22 @@ pub struct PlanCache {
     bind_mismatches: AtomicU64,
     poison_recoveries: AtomicU64,
     reoptimizations: AtomicU64,
+    recipe_hits: AtomicU64,
+}
+
+/// Outcome of a recipe probe ([`PlanCache::recipe`]).
+pub enum RecipeProbe {
+    /// The shape's recipe served the statement: `recipe` holds the
+    /// family key and query, `binds` the statement's bind values.
+    Hit {
+        recipe: Arc<Recipe>,
+        binds: Vec<Value>,
+    },
+    /// The shape has a recipe, but it declined the statement (a literal
+    /// that is not a slot is spelled differently).
+    Declined,
+    /// The shape has no recipe.
+    Absent,
 }
 
 impl Default for PlanCache {
@@ -224,6 +357,7 @@ impl PlanCache {
             bind_mismatches: AtomicU64::new(0),
             poison_recoveries: AtomicU64::new(0),
             reoptimizations: AtomicU64::new(0),
+            recipe_hits: AtomicU64::new(0),
         }
     }
 
@@ -243,8 +377,7 @@ impl PlanCache {
             // instead of clearing it again on every access
             shard.clear_poison();
             let mut guard = poisoned.into_inner();
-            guard.map.clear();
-            guard.bytes = 0;
+            guard.clear();
             guard
         })
     }
@@ -363,23 +496,57 @@ impl PlanCache {
             shard.bytes -= old.bytes;
         }
         shard.bytes += bytes;
-        while shard.bytes > self.shard_bytes {
-            let Some((fkey, fsig)) = shard
-                .map
-                .iter()
-                .flat_map(|(k, f)| f.variants.iter().map(move |(s, e)| (k, s, e.stamp)))
-                .min_by_key(|&(_, _, stamp)| stamp)
-                .map(|(k, s, _)| (k.clone(), s.clone()))
-            else {
-                break;
-            };
-            let family = shard.map.get_mut(&fkey).unwrap();
-            let evicted = family.variants.remove(&fsig).unwrap();
-            if family.variants.is_empty() {
-                shard.map.remove(&fkey);
+        shard.evict_to(self.shard_bytes);
+    }
+
+    /// Probes for the recipe of `shape`, the shape of statement `src`,
+    /// and applies it: a [`RecipeProbe::Hit`] carries the statement's
+    /// family key, family query and bind values.
+    pub fn recipe(&self, src: &str, shape: &Shape) -> RecipeProbe {
+        let recipe = {
+            let mut shard = self.lock_shard(self.shard(shape.text()));
+            shard.clock += 1;
+            let stamp = shard.clock;
+            match shard.recipes.get_mut(shape.text()) {
+                Some(e) => {
+                    e.stamp = stamp;
+                    Arc::clone(&e.recipe)
+                }
+                None => return RecipeProbe::Absent,
             }
-            shard.bytes -= evicted.bytes;
+        };
+        match recipe.binds(src, shape) {
+            Some(binds) => {
+                self.recipe_hits.fetch_add(1, Ordering::Relaxed);
+                RecipeProbe::Hit { recipe, binds }
+            }
+            None => RecipeProbe::Declined,
         }
+    }
+
+    /// Records `recipe` under `shape`, then evicts like
+    /// [`insert`](PlanCache::insert). A shape keeps the first recipe
+    /// recorded for it.
+    pub fn insert_recipe(&self, shape: Shape, recipe: Recipe) {
+        let key = shape.into_text();
+        let bytes = recipe_bytes(&key, &recipe);
+        let mut shard = self.lock_shard(self.shard(&key));
+        if shard.recipes.contains_key(&key) {
+            return;
+        }
+        shard.clock += 1;
+        let stamp = shard.clock;
+        let recipe = Arc::new(recipe);
+        shard.recipes.insert(
+            key,
+            RecipeEntry {
+                recipe,
+                stamp,
+                bytes,
+            },
+        );
+        shard.bytes += bytes;
+        shard.evict_to(self.shard_bytes);
     }
 
     /// Marks the `sig` variant of `key`'s family suspect: its runtime
@@ -409,22 +576,22 @@ impl PlanCache {
         }
     }
 
-    /// Drops every cached plan (configuration changes invalidate
-    /// everything: the same SQL can compile to a different plan).
+    /// Drops every cached plan and recipe (configuration changes
+    /// invalidate everything: the same SQL can compile to a different
+    /// plan, or key differently).
     pub fn clear(&self) {
         for s in &self.shards {
-            let mut s = self.lock_shard(s);
-            s.map.clear();
-            s.bytes = 0;
+            self.lock_shard(s).clear();
         }
     }
 
     pub fn stats(&self) -> PlanCacheStats {
-        let (mut entries, mut families, mut bytes) = (0, 0, 0);
+        let (mut entries, mut families, mut recipes, mut bytes) = (0, 0, 0, 0);
         for s in &self.shards {
             let s = self.lock_shard(s);
             families += s.map.len();
             entries += s.map.values().map(|f| f.variants.len()).sum::<usize>();
+            recipes += s.recipes.len();
             bytes += s.bytes;
         }
         PlanCacheStats {
@@ -438,6 +605,8 @@ impl PlanCache {
             capacity_bytes: self.shards.len() * self.shard_bytes,
             poison_recoveries: self.poison_recoveries.load(Ordering::Relaxed),
             reoptimizations: self.reoptimizations.load(Ordering::Relaxed),
+            recipe_hits: self.recipe_hits.load(Ordering::Relaxed),
+            recipes,
         }
     }
 }
@@ -493,17 +662,19 @@ mod tests {
     use cbqt_qgm::{BlockId, SetOp};
 
     fn plan_v(cost: f64, version: u64) -> CachedPlan {
-        CachedPlan {
-            plan: Arc::new(BlockPlan {
-                block: BlockId(0),
-                root: PlanRoot::SetOp(cbqt_optimizer::SetOpPlan {
-                    op: SetOp::Union,
-                    inputs: vec![],
-                }),
-                cost,
-                rows: 0.0,
-                out_ndv: vec![],
+        let plan = BlockPlan {
+            block: BlockId(0),
+            root: PlanRoot::SetOp(cbqt_optimizer::SetOpPlan {
+                op: SetOp::Union,
+                inputs: vec![],
             }),
+            cost,
+            rows: 0.0,
+            out_ndv: vec![],
+        };
+        CachedPlan {
+            harvest: Arc::new(Harvest::of(&plan)),
+            plan: Arc::new(plan),
             columns: Arc::new(vec![]),
             version,
             deps: Arc::new(vec![dep(0, version)]),
@@ -725,6 +896,75 @@ mod tests {
             cache.lookup("k", |_| vec![-1], current),
             Lookup::Reoptimize { sig, .. } if sig == vec![-1]
         ));
+    }
+
+    /// The shape of `sql` and the recipe its full route records.
+    fn recipe_for(sql: &str) -> (Shape, Recipe) {
+        let p = cbqt_sql::parameterize(&cbqt_sql::parse_query(sql).unwrap());
+        let shape = Shape::of(sql).unwrap();
+        let key = cbqt_sql::render_query(&p.query);
+        let recipe = Recipe::derive(sql, &shape, key, p.query, &p.binds).unwrap();
+        (shape, recipe)
+    }
+
+    fn probe_recipe(cache: &PlanCache, sql: &str) -> RecipeProbe {
+        cache.recipe(sql, &Shape::of(sql).unwrap())
+    }
+
+    #[test]
+    fn recipes_hit_decline_and_clear() {
+        let cache = PlanCache::default();
+        let sql = "SELECT a, 9 FROM t WHERE b = 4";
+        assert!(matches!(probe_recipe(&cache, sql), RecipeProbe::Absent));
+        let (shape, recipe) = recipe_for(sql);
+        cache.insert_recipe(shape, recipe);
+        match probe_recipe(&cache, "SELECT a, 9 FROM t WHERE b = 5") {
+            RecipeProbe::Hit { recipe, binds } => {
+                assert_eq!(recipe.key(), "SELECT a, 9 FROM t WHERE (b = ?)");
+                assert_eq!(binds, vec![cbqt_common::Value::Int(5)]);
+            }
+            _ => panic!("expected a recipe hit"),
+        }
+        // the select-list constant is not a slot
+        assert!(matches!(
+            probe_recipe(&cache, "SELECT a, 8 FROM t WHERE b = 5"),
+            RecipeProbe::Declined
+        ));
+        // a shape keeps its first recipe
+        let (shape, recipe) = recipe_for("SELECT a, 8 FROM t WHERE b = 4");
+        cache.insert_recipe(shape, recipe);
+        let s = cache.stats();
+        assert_eq!((s.recipes, s.recipe_hits, s.entries), (1, 1, 0), "{s:?}");
+        assert!(s.bytes > 0);
+        cache.clear();
+        let s = cache.stats();
+        assert_eq!((s.recipes, s.bytes), (0, 0), "{s:?}");
+        assert!(matches!(probe_recipe(&cache, sql), RecipeProbe::Absent));
+    }
+
+    #[test]
+    fn recipes_share_the_byte_budget_and_the_lru() {
+        let sql = "SELECT a FROM t WHERE b = 4";
+        let (shape, recipe) = recipe_for(sql);
+        let recipe_bytes = recipe_bytes(shape.text(), &recipe);
+        let plan_bytes = entry_bytes("q0", &[], &plan(0.0));
+        // room for the recipe and one plan, not two plans
+        let cache = PlanCache::new(1, recipe_bytes + plan_bytes);
+        cache.insert_recipe(shape, recipe);
+        put(&cache, "q0", plan(0.0));
+        assert_eq!(cache.stats().bytes, recipe_bytes + plan_bytes);
+        // touching the recipe makes the plan the LRU entry
+        assert!(matches!(probe_recipe(&cache, sql), RecipeProbe::Hit { .. }));
+        put(&cache, "q1", plan(1.0));
+        let s = cache.stats();
+        assert_eq!((s.recipes, s.entries), (1, 1), "{s:?}");
+        assert!(matches!(probe(&cache, "q0", 0), Lookup::Miss));
+        // the next insert finds the recipe oldest; the recipe outweighs
+        // a plan, so both plans then fit
+        put(&cache, "q2", plan(2.0));
+        let s = cache.stats();
+        assert_eq!((s.recipes, s.entries), (0, 2), "{s:?}");
+        assert!(s.bytes <= s.capacity_bytes, "{s:?}");
     }
 
     #[test]

@@ -3,10 +3,15 @@
 //! hands it to [`Scope::serve`] (through the projection its signature
 //! needs: [`Scope::statement`], [`rows`](Scope::rows),
 //! [`report`](Scope::report) or [`plan_text`](Scope::plan_text)), which
-//! does each step exactly once: panic boundary → governor → parse →
-//! accept rule → tracer → dispatch to query / EXPLAIN / DML /
-//! transaction control.
+//! does each step exactly once: panic boundary → governor → tracer →
+//! recipe probe → parse → accept rule → dispatch to query / EXPLAIN /
+//! DML / transaction control.
 //!
+//! A statement that will run as a query from its own text first looks
+//! for the recipe of its [`Shape`] (see [`cbqt_sql::shape`]). A hit
+//! yields the family key, family query and bind values without a parse
+//! and goes straight to [`Scope::serve_family`]. Anything else takes the
+//! full route, and the first full route of a shape records its recipe.
 //! The query arm ([`Scope::serve_query`]) resolves binds, gets a plan
 //! from [`Database::plan_family`] — family key, probe, and on anything
 //! but a hit a compile that publishes — and runs it. UPDATE and DELETE
@@ -15,7 +20,7 @@
 //! scan, either side of the differential oracle — runs through
 //! [`Database::execute_plan`].
 
-use crate::plan_cache::{self, BucketSig, CachedPlan, Lookup, TableDep};
+use crate::plan_cache::{self, BucketSig, CachedPlan, Harvest, Lookup, RecipeProbe, TableDep};
 use crate::{Database, Prepared, QueryResult, QueryStats, StatementResult, TraceReport};
 use cbqt_catalog::{selectivity_band, Catalog, FeedbackKey, FeedbackStore, TableId};
 use cbqt_common::{
@@ -23,15 +28,13 @@ use cbqt_common::{
     TraceBuffer, TraceEvent, Tracer, Value,
 };
 use cbqt_exec::{Engine, ExecMetrics, ExecStats};
-use cbqt_optimizer::{
-    scan_feedback_key, BlockPlan, CardFeedback, DynamicSampler, PlanEntity, PlanIndex, PlanNode,
-};
+use cbqt_optimizer::{BlockPlan, CardFeedback, DynamicSampler, PlanIndex};
 use cbqt_qgm::{
     build_query_tree, build_query_tree_with_binds, collect_base_tables, collect_bind_sites,
     BindSite, BindSiteOp, QueryTree,
 };
 use cbqt_sql::ast::{self, Statement};
-use cbqt_sql::{count_params, parameterize, parse_statement, render_query};
+use cbqt_sql::{count_params, parameterize, parse_statement, render_query, Recipe, Shape};
 use cbqt_storage::Storage;
 use cbqt_transform::{optimize_query_feedback, CbqtOutcome};
 use std::borrow::Cow;
@@ -129,6 +132,9 @@ pub(crate) struct Request<'r> {
     stmt: Option<Cow<'r, Statement>>,
     /// Explicit values for the query's `?` parameters.
     binds: Option<&'r [Value]>,
+    /// The plan-family key of the parsed query, when the caller rendered
+    /// it already (a prepared statement); `Some(None)` runs it uncached.
+    family_key: Option<Option<&'r str>>,
     limits: ExecutionLimits,
     /// Collect the statement's trace events ([`Scope::report`] sets it).
     traced: bool,
@@ -142,6 +148,7 @@ impl<'r> Request<'r> {
             sql,
             stmt: None,
             binds: None,
+            family_key: None,
             limits: ExecutionLimits::none(),
             traced: false,
             accept,
@@ -165,6 +172,13 @@ impl<'r> Request<'r> {
     pub(crate) fn limits(self, limits: ExecutionLimits) -> Request<'r> {
         Request { limits, ..self }
     }
+
+    pub(crate) fn keyed(self, family_key: Option<&'r str>) -> Request<'r> {
+        Request {
+            family_key: Some(family_key),
+            ..self
+        }
+    }
 }
 
 /// What a served statement produced.
@@ -181,13 +195,6 @@ impl<'a> Scope<'a> {
         catch_internal(|| {
             // the wall clock of a deadline starts before the parse
             let governor = Governor::new(&req.limits, self.cancel.clone());
-            let stmt = match req.stmt {
-                Some(stmt) => stmt,
-                None => Cow::Owned(parse_statement(req.sql)?),
-            };
-            if !req.accept.admits(&stmt) {
-                return Err(refused(req.entry, req.accept, &stmt));
-            }
             let buffer = req.traced.then(TraceBuffer::new);
             let tracer = buffer
                 .as_ref()
@@ -196,30 +203,82 @@ impl<'a> Scope<'a> {
                 governor: &governor,
                 tracer,
             };
-            // reads (a query, an EXPLAIN) run from a borrow of the
-            // statement — a prepared statement lends its AST; writes
-            // and transaction control consume it
-            let output = match stmt.as_ref() {
-                Statement::Query(q) | Statement::Explain { query: q, .. } => {
-                    match req.accept.explains(&stmt) {
-                        None => Output::Statement(StatementResult::Rows(
-                            self.serve_query(req.sql, q, req.binds, ctx)?,
-                        )),
-                        Some(analyze) => Output::Plan(self.explain_query(q, analyze, &governor)?),
-                    }
-                }
-                _ => Output::Statement(match stmt.into_owned() {
-                    Statement::Insert(ins) => StatementResult::RowsAffected(self.insert(ins, ctx)?),
-                    Statement::Update(u) => StatementResult::RowsAffected(self.update(u, ctx)?),
-                    Statement::Delete(d) => StatementResult::RowsAffected(self.delete(d, ctx)?),
-                    Statement::Begin => self.begin(tracer).map(|()| StatementResult::Txn)?,
-                    Statement::Commit => self.commit(tracer).map(|()| StatementResult::Txn)?,
-                    Statement::Rollback => self.rollback(tracer).map(|()| StatementResult::Txn)?,
-                    other => unreachable!("{} passed the accept rule", statement_kind(&other)),
-                }),
-            };
+            let output = self.dispatch(req, ctx)?;
             Ok((output, buffer.map_or_else(Vec::new, |b| b.take())))
         })
+    }
+
+    /// Recipe probe, parse, accept rule and dispatch: the steps of
+    /// [`serve`](Scope::serve) after the governor and the tracer.
+    fn dispatch(self, req: Request<'_>, ctx: Ctx<'_>) -> Result<Output> {
+        let rows = |r| Output::Statement(StatementResult::Rows(r));
+        let mut record = None;
+        if let Some(shape) = self.recipe_shape(&req) {
+            match self.db.plan_cache.recipe(req.sql, &shape) {
+                RecipeProbe::Hit { recipe, binds } => {
+                    #[cfg(debug_assertions)]
+                    self.db.assert_full_route_agrees(req.sql, &recipe, &binds);
+                    let key = Some(recipe.key().to_string());
+                    return Ok(rows(self.serve_family(
+                        key,
+                        recipe.family(),
+                        &binds,
+                        ctx,
+                    )?));
+                }
+                RecipeProbe::Absent => record = Some(shape),
+                RecipeProbe::Declined => {}
+            }
+        }
+        let stmt = match req.stmt {
+            Some(stmt) => stmt,
+            None => Cow::Owned(parse_statement(req.sql)?),
+        };
+        if !req.accept.admits(&stmt) {
+            return Err(refused(req.entry, req.accept, &stmt));
+        }
+        // reads (a query, an EXPLAIN) run from a borrow of the statement
+        // — a prepared statement lends its AST; writes and transaction
+        // control consume it
+        Ok(match stmt.as_ref() {
+            Statement::Query(q) | Statement::Explain { query: q, .. } => {
+                match req.accept.explains(&stmt) {
+                    None => {
+                        // an EXPLAIN run as its query (`trace`) must not
+                        // teach its shape to run
+                        let record = record.filter(|_| matches!(*stmt, Statement::Query(_)));
+                        let (binds, key) = (req.binds, req.family_key);
+                        rows(self.serve_query(req.sql, q, binds, key, record, ctx)?)
+                    }
+                    Some(analyze) => Output::Plan(self.explain_query(q, analyze, ctx.governor)?),
+                }
+            }
+            _ => Output::Statement(match stmt.into_owned() {
+                Statement::Insert(ins) => StatementResult::RowsAffected(self.insert(ins, ctx)?),
+                Statement::Update(u) => StatementResult::RowsAffected(self.update(u, ctx)?),
+                Statement::Delete(d) => StatementResult::RowsAffected(self.delete(d, ctx)?),
+                Statement::Begin => self.begin(ctx.tracer).map(|()| StatementResult::Txn)?,
+                Statement::Commit => self.commit(ctx.tracer).map(|()| StatementResult::Txn)?,
+                Statement::Rollback => self.rollback(ctx.tracer).map(|()| StatementResult::Txn)?,
+                other => unreachable!("{} passed the accept rule", statement_kind(&other)),
+            }),
+        })
+    }
+
+    /// The shape a request probes recipes with: only a statement that
+    /// runs as a query from its own text — not pre-parsed, no explicit
+    /// binds, not explained — and only while recipes' route, the plan
+    /// cache with bind sharing, is on.
+    fn recipe_shape(self, req: &Request<'_>) -> Option<Shape> {
+        let db = self.db;
+        let runs_text = req.stmt.is_none()
+            && req.binds.is_none()
+            && !matches!(req.accept, Accept::Explain { .. });
+        if runs_text && db.plan_cache_enabled && db.bind_sharing_enabled {
+            Shape::of(req.sql)
+        } else {
+            None
+        }
     }
 
     /// [`serve`](Scope::serve) for the wrappers that return whatever
@@ -279,10 +338,12 @@ impl<'a> Scope<'a> {
                 let p = parameterize(&q);
                 (p.query, p.binds)
             };
+            let param_count = count_params(&query);
             Ok(Prepared {
                 scope: self,
                 sql: sql.to_string(),
-                param_count: count_params(&query),
+                key: self.db.family_key(&query, param_count > 0, Some(sql)),
+                param_count,
                 stmt: Statement::Query(Box::new(query)),
                 defaults,
             })
@@ -291,22 +352,54 @@ impl<'a> Scope<'a> {
 
     /// The query arm ([`StatementPath::Serve`]): resolve the query's
     /// bind parameters (explicit `?` values, or literals extracted at
-    /// normalization time when bind sharing is on), get a plan for the
-    /// family ([`Database::plan_family`]) and run it with the bind
-    /// values installed.
+    /// normalization time when bind sharing is on) and its family key
+    /// (`known_key`, if the caller rendered it), then
+    /// [`serve_family`](Scope::serve_family). With `record`, the shape
+    /// of `sql` had no recipe: one is derived from this route and
+    /// recorded once the statement has run.
     fn serve_query(
         self,
         sql: &str,
         q: &ast::Query,
         binds: Option<&[Value]>,
+        known_key: Option<Option<&str>>,
+        record: Option<Shape>,
+        ctx: Ctx<'_>,
+    ) -> Result<QueryResult> {
+        let db = self.db;
+        let (fam, values) = db.resolve_binds(q, binds)?;
+        let key = match known_key {
+            Some(known) => {
+                let known = known.map(str::to_string);
+                debug_assert_eq!(known, db.family_key(&fam, !values.is_empty(), Some(sql)));
+                known
+            }
+            None => db.family_key(&fam, !values.is_empty(), Some(sql)),
+        };
+        let (Some(shape), Some(recipe_key)) = (record, key.clone()) else {
+            return self.serve_family(key, &fam, &values, ctx);
+        };
+        let fam = fam.into_owned();
+        let result = self.serve_family(key, &fam, &values, ctx)?;
+        if let Some(recipe) = Recipe::derive(sql, &shape, recipe_key, fam, &values) {
+            db.plan_cache.insert_recipe(shape, recipe);
+        }
+        Ok(result)
+    }
+
+    /// Gets a plan for the family `fam` ([`Database::plan_family`]) and
+    /// runs it with `values` bound.
+    fn serve_family(
+        self,
+        key: Option<String>,
+        fam: &ast::Query,
+        values: &[Value],
         ctx: Ctx<'_>,
     ) -> Result<QueryResult> {
         let db = self.db;
         let txn = self.open_txn();
-        let (fam, values) = db.resolve_binds(q, binds)?;
-        let key = db.family_key(&fam, &values, Some(sql));
-        let planned = db.plan_family(key, &fam, &values, ctx)?;
-        let (exec, diverged) = db.run_plan(&planned.plan, &values, ctx.governor, txn)?;
+        let planned = db.plan_family(key, fam, values, ctx)?;
+        let (exec, diverged) = db.run_plan(&planned, values, ctx.governor, txn)?;
         db.settle_variant(&planned, diverged);
         let columns = (*planned.columns).clone();
         Ok(query_result(
@@ -323,6 +416,7 @@ impl<'a> Scope<'a> {
 pub(crate) struct Planned {
     pub(crate) plan: Arc<BlockPlan>,
     columns: Arc<Vec<String>>,
+    harvest: Arc<Harvest>,
     /// What compiling the plan measured; `None` for a cache hit.
     pub(crate) search: Option<QueryStats>,
     /// The key and bucket of the plan's cache variant, when it has one.
@@ -340,10 +434,11 @@ pub(crate) struct Executed {
 
 /// How much an execution measures per operator.
 #[derive(Clone, Copy)]
-pub(crate) enum Measure {
+pub(crate) enum Measure<'i> {
     Nothing,
-    /// Row and execution counts — what the feedback harvest reads.
-    Counts,
+    /// Row and execution counts — what the feedback harvest reads —
+    /// against the plan's position index, kept with the plan.
+    Counts(&'i Arc<PlanIndex>),
     /// Counts plus per-operator wall time (EXPLAIN ANALYZE).
     Timings,
 }
@@ -386,7 +481,7 @@ impl Database {
         binds: &[Value],
         governor: &Governor,
         txn: Option<u64>,
-        measure: Measure,
+        measure: Measure<'_>,
         mode: ExecutionMode,
     ) -> Result<Executed> {
         let t0 = Instant::now();
@@ -397,12 +492,17 @@ impl Database {
         engine.set_mode(mode);
         engine.set_governor(governor.clone());
         engine.set_params(binds.to_vec());
-        match measure {
-            Measure::Nothing => {}
-            Measure::Counts => engine.enable_metrics_light(),
-            Measure::Timings => engine.enable_metrics(),
-        }
-        let rows = engine.run(plan)?;
+        let rows = match measure {
+            Measure::Nothing => engine.run(plan)?,
+            Measure::Counts(index) => {
+                engine.enable_metrics_light();
+                engine.run_indexed(plan, index)?
+            }
+            Measure::Timings => {
+                engine.enable_metrics();
+                engine.run(plan)?
+            }
+        };
         Ok(Executed {
             rows,
             elapsed: t0.elapsed(),
@@ -418,20 +518,21 @@ impl Database {
     /// not steer recompiles of statements reading committed state.
     fn run_plan(
         &self,
-        plan: &BlockPlan,
+        planned: &Planned,
         binds: &[Value],
         governor: &Governor,
         txn: Option<u64>,
     ) -> Result<(Executed, bool)> {
+        let (plan, harvest) = (&planned.plan, &planned.harvest);
         let measure = if self.config.feedback.enabled && txn.is_none() {
-            Measure::Counts
+            Measure::Counts(&harvest.index)
         } else {
             Measure::Nothing
         };
         let mode = self.config.execution_mode;
         let exec = self.execute_plan(plan, binds, governor, txn, measure, mode)?;
         let diverged = exec.metrics.as_ref().is_some_and(|m| {
-            self.harvest_feedback(plan, m, binds) >= self.config.feedback.divergence_ratio
+            self.harvest_feedback(harvest, m, binds) >= self.config.feedback.divergence_ratio
         });
         Ok((exec, diverged))
     }
@@ -488,23 +589,23 @@ impl Database {
         sites.iter().map(|s| band(s).unwrap_or(0)).collect()
     }
 
-    /// The plan-cache key of the family `fam` with bind values
-    /// `values`, or `None` to compile it uncached. With bind sharing on,
-    /// the key is the canonical render of the family; off, it is the
+    /// The plan-cache key of the family `fam`, run with bind values
+    /// when `bound`, or `None` to compile it uncached. With bind sharing
+    /// on, the key is the canonical render of the family; off, it is the
     /// statement's text (`sql`, or the render of `fam` for a statement
     /// built in here), and statements with explicit binds run uncached
     /// — text keying would conflate their values.
     pub(crate) fn family_key(
         &self,
         fam: &ast::Query,
-        values: &[Value],
+        bound: bool,
         sql: Option<&str>,
     ) -> Option<String> {
         if !self.plan_cache_enabled || !path_uses_plan_cache(StatementPath::Serve) {
             None
         } else if self.bind_sharing_enabled {
             Some(render_query(fam))
-        } else if values.is_empty() {
+        } else if !bound {
             Some(sql.map_or_else(|| render_query(fam), plan_cache::normalize_sql))
         } else {
             None
@@ -554,6 +655,7 @@ impl Database {
                 return Ok(Planned {
                     plan: cached.plan,
                     columns: cached.columns,
+                    harvest: cached.harvest,
                     search: None,
                     variant: probe_sig.map(|sig| (key, sig)),
                 });
@@ -662,6 +764,7 @@ impl Database {
             reoptimized: reopt,
             ..QueryStats::default()
         };
+        let harvest = Arc::new(Harvest::of(&outcome.plan));
         let plan = Arc::new(outcome.plan);
         let variant = cache_as.map(|(key, version)| {
             let sig = self.bucket_sig(&sites, binds);
@@ -678,6 +781,7 @@ impl Database {
                         columns: Arc::clone(&columns),
                         version,
                         deps: Arc::new(deps),
+                        harvest: Arc::clone(&harvest),
                     },
                 );
             }
@@ -686,6 +790,7 @@ impl Database {
         Ok(Planned {
             plan,
             columns,
+            harvest,
             search: Some(search),
             variant,
         })
@@ -768,34 +873,44 @@ impl Database {
     /// and returns the worst estimate-vs-actual [`divergence_ratio`]
     /// seen (1.0 when nothing was eligible). Scans whose residual
     /// filters are ineligible for a feedback key — e.g. they carry
-    /// bound equi-join probes referencing other refids — are skipped,
-    /// mirroring the eligibility the estimator applies on recompile.
-    fn harvest_feedback(&self, plan: &BlockPlan, metrics: &ExecMetrics, binds: &[Value]) -> f64 {
-        debug_assert!(metrics.matches(&PlanIndex::build(plan)));
+    /// bound equi-join probes referencing other refids — were left out
+    /// of the [`Harvest`], mirroring the eligibility the estimator
+    /// applies on recompile.
+    fn harvest_feedback(&self, harvest: &Harvest, metrics: &ExecMetrics, binds: &[Value]) -> f64 {
+        debug_assert!(metrics.matches(&harvest.index));
         let mut worst = 1.0_f64;
-        plan.visit_entities(&mut |id, entity| {
-            let PlanEntity::Node(PlanNode::ScanBase {
-                table,
-                refid,
-                filter,
-                rows,
-                ..
-            }) = entity
-            else {
-                return;
+        for (id, estimate, shape) in &harvest.scans {
+            let Some(m) = metrics.get(*id) else {
+                continue;
             };
-            let Some(key) = scan_feedback_key(&self.catalog, *table, *refid, filter, binds) else {
-                return;
-            };
-            let Some(m) = metrics.get(id) else {
-                return;
-            };
+            let key = shape.key(&self.catalog, binds);
             let observed = m.rows_per_exec();
-            self.feedback
-                .observe(key, observed, self.catalog.table_version(*table));
-            worst = worst.max(divergence_ratio(*rows, observed));
-        });
+            let version = self.catalog.table_version(key.table);
+            self.feedback.observe(key, observed, version);
+            worst = worst.max(divergence_ratio(*estimate, observed));
+        }
         worst
+    }
+
+    /// Serves `sql` the full way and checks that it gets the family key
+    /// and bind values its recipe gave it.
+    #[cfg(debug_assertions)]
+    fn assert_full_route_agrees(&self, sql: &str, recipe: &Recipe, binds: &[Value]) {
+        let Ok(Statement::Query(q)) = parse_statement(sql) else {
+            panic!("a recipe served {sql:?}, which is not a query");
+        };
+        let (fam, values) = self
+            .resolve_binds(&q, None)
+            .expect("binds of a recipe's query");
+        let key = self.family_key(&fam, !values.is_empty(), Some(sql));
+        assert_eq!(key.as_deref(), Some(recipe.key()), "recipe key of {sql:?}");
+        // `Debug` shows the variant: `5` and `5.0` differ
+        assert_eq!(
+            format!("{values:?}"),
+            format!("{binds:?}"),
+            "recipe binds of {sql:?}"
+        );
+        assert!(*fam == *recipe.family(), "recipe family of {sql:?}");
     }
 }
 

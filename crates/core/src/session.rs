@@ -23,6 +23,9 @@ use std::sync::Mutex;
 pub struct Prepared<'a> {
     pub(crate) scope: Scope<'a>,
     pub(crate) sql: String,
+    /// The plan-family key, rendered once at preparation (`None` runs
+    /// uncached).
+    pub(crate) key: Option<String>,
     /// The parameterized query (bind slots in place of literals), as
     /// the statement [`Scope::serve`] dispatches on.
     pub(crate) stmt: Statement,
@@ -61,7 +64,8 @@ impl Prepared<'_> {
         self.scope.rows(
             Request::new("Prepared::query", &self.sql, Accept::Query)
                 .parsed(Cow::Borrowed(&self.stmt))
-                .binds(binds),
+                .binds(binds)
+                .keyed(self.key.as_deref()),
         )
     }
 

@@ -17,6 +17,7 @@ use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// TIS cache: (subquery block, correlation binding values) → rows.
 type SubqCache = HashMap<(BlockId, Vec<Value>), Rc<Vec<Row>>>;
@@ -58,7 +59,7 @@ pub struct Engine<'a> {
     /// while metrics are enabled. Every operator is handed the
     /// [`PlanNodeId`] of the element it runs — its position in the plan
     /// walk — and derives its children's ids through this index.
-    plan_index: RefCell<Option<PlanIndex>>,
+    plan_index: RefCell<Option<Arc<PlanIndex>>>,
     /// Statement-level resource governor; `Governor::unlimited()` (the
     /// default) makes every check a single `Option` test.
     governor: Governor,
@@ -207,8 +208,26 @@ impl<'a> Engine<'a> {
 
     /// Executes a root plan and returns the projected rows.
     pub fn run(&self, plan: &BlockPlan) -> Result<Vec<Row>> {
-        if let Some(m) = self.metrics.borrow_mut().as_mut() {
-            let index = PlanIndex::build(plan);
+        let index = self
+            .metrics_enabled()
+            .then(|| Arc::new(PlanIndex::build(plan)));
+        self.run_with(plan, index)
+    }
+
+    /// [`run`](Engine::run) with the plan's position index built by the
+    /// caller — a cached plan keeps one, so a metered execution of it
+    /// does not walk the plan first. `index` must index `plan`.
+    pub fn run_indexed(&self, plan: &BlockPlan, index: &Arc<PlanIndex>) -> Result<Vec<Row>> {
+        debug_assert_eq!(
+            index.fingerprint(),
+            PlanIndex::build(plan).fingerprint(),
+            "an index of another plan"
+        );
+        self.run_with(plan, Some(Arc::clone(index)))
+    }
+
+    fn run_with(&self, plan: &BlockPlan, index: Option<Arc<PlanIndex>>) -> Result<Vec<Row>> {
+        if let (Some(m), Some(index)) = (self.metrics.borrow_mut().as_mut(), index) {
             m.bind(index.fingerprint());
             *self.plan_index.borrow_mut() = Some(index);
         }

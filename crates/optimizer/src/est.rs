@@ -61,118 +61,202 @@ pub fn scan_feedback_key(
     preds: &[QExpr],
     params: &[Value],
 ) -> Option<FeedbackKey> {
-    fn value_of<'v>(e: &'v QExpr, params: &'v [Value]) -> Option<&'v Value> {
+    Some(FeedbackShape::of(table, refid, preds)?.key(catalog, params))
+}
+
+/// The half of a scan's [`FeedbackKey`] that no bind value moves: the
+/// masked, sorted predicate text, and what each conjunct's band is read
+/// from. A plan derives it once per scan; each execution then only
+/// bands its values ([`FeedbackShape::key`]).
+#[derive(Debug, Clone)]
+pub struct FeedbackShape {
+    table: TableId,
+    pred: String,
+    /// In predicate-text order.
+    conjuncts: Vec<Conjunct>,
+}
+
+#[derive(Debug, Clone)]
+struct Conjunct {
+    /// Position of the conjunct's mask among the distinct masks, sorted.
+    rank: u32,
+    column: usize,
+    test: Test,
+}
+
+#[derive(Debug, Clone)]
+enum Test {
+    Eq(Operand),
+    Range {
+        lt: bool,
+        inclusive: bool,
+        bound: Operand,
+    },
+    InList(Vec<Operand>),
+}
+
+/// The value side of a conjunct: a literal, or a bind slot with the
+/// peek its plan was compiled under.
+#[derive(Debug, Clone)]
+enum Operand {
+    Lit(Value),
+    Param { slot: usize, peek: Value },
+}
+
+impl Operand {
+    fn of(e: &QExpr) -> Option<Operand> {
         match e {
-            QExpr::Lit(v) => Some(v),
-            QExpr::Param { slot, peek } => Some(params.get(*slot).unwrap_or(peek)),
+            QExpr::Lit(v) => Some(Operand::Lit(v.clone())),
+            QExpr::Param { slot, peek } => Some(Operand::Param {
+                slot: *slot,
+                peek: peek.clone(),
+            }),
             _ => None,
         }
     }
 
-    let stats = catalog.table(table).ok().map(|t| &t.stats);
-    let band_of = |column: usize, sel: &dyn Fn(&ColumnStats, u64) -> f64| -> i8 {
-        match stats {
-            Some(ts) if ts.analyzed => match ts.column(column) {
-                Some(cs) => selectivity_band(sel(cs, ts.rows)),
-                None => 0,
-            },
-            // unanalyzed tables put every value into one band, exactly
-            // like adaptive cursor sharing's bucket_sig
-            _ => 0,
-        }
-    };
-
-    let mut conjuncts: Vec<(String, i8)> = Vec::with_capacity(preds.len());
-    for c in preds {
-        match c {
-            QExpr::Bin { op, left, right } => {
-                // normalize to col-op-value with the column on the left
-                let (column, value, op) = match (&**left, &**right) {
-                    (QExpr::Col { table: t, column }, v) if *t == refid => (*column, v, *op),
-                    (v, QExpr::Col { table: t, column }) if *t == refid => {
-                        let flipped = match op {
-                            BinOp::Eq => BinOp::Eq,
-                            BinOp::Lt => BinOp::Gt,
-                            BinOp::LtEq => BinOp::GtEq,
-                            BinOp::Gt => BinOp::Lt,
-                            BinOp::GtEq => BinOp::LtEq,
-                            _ => return None,
-                        };
-                        (*column, v, flipped)
-                    }
-                    _ => return None,
-                };
-                let v = value_of(value, params)?;
-                let (mask, band) = match op {
-                    BinOp::Eq => (
-                        format!("c{column}=?"),
-                        band_of(column, &|cs, rows| cs.eq_selectivity(rows, Some(v))),
-                    ),
-                    BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
-                        let lt = matches!(op, BinOp::Lt | BinOp::LtEq);
-                        let inclusive = matches!(op, BinOp::LtEq | BinOp::GtEq);
-                        let sym = match op {
-                            BinOp::Lt => "<",
-                            BinOp::LtEq => "<=",
-                            BinOp::Gt => ">",
-                            _ => ">=",
-                        };
-                        (
-                            format!("c{column}{sym}?"),
-                            band_of(column, &|cs, _| cs.range_selectivity(v, lt, inclusive)),
-                        )
-                    }
-                    _ => return None,
-                };
-                conjuncts.push((mask, band));
-            }
-            QExpr::InList {
-                expr,
-                list,
-                negated: false,
-            } => {
-                let QExpr::Col { table: t, column } = &**expr else {
-                    return None;
-                };
-                if *t != refid {
-                    return None;
-                }
-                let column = *column;
-                let mut sel = 0.0;
-                for item in list {
-                    let v = value_of(item, params)?;
-                    sel += match stats {
-                        Some(ts) if ts.analyzed => ts
-                            .column(column)
-                            .map(|cs| cs.eq_selectivity(ts.rows, Some(v)))
-                            .unwrap_or(0.0),
-                        _ => 0.0,
-                    };
-                }
-                let band = match stats {
-                    Some(ts) if ts.analyzed && ts.column(column).is_some() => {
-                        selectivity_band(sel.clamp(0.0, 1.0))
-                    }
-                    _ => 0,
-                };
-                conjuncts.push((format!("c{column} IN({})?", list.len()), band));
-            }
-            _ => return None,
+    fn value<'v>(&'v self, params: &'v [Value]) -> &'v Value {
+        match self {
+            Operand::Lit(v) => v,
+            Operand::Param { slot, peek } => params.get(*slot).unwrap_or(peek),
         }
     }
-    conjuncts.sort();
-    let (pred, bands) = conjuncts.into_iter().fold(
-        (String::new(), Vec::new()),
-        |(mut p, mut b), (mask, band)| {
-            if !p.is_empty() {
-                p.push_str(" AND ");
+}
+
+impl FeedbackShape {
+    /// The shape of the key of a scan of `table` as `refid` under the
+    /// conjuncts `preds`, or `None` when the scan is not
+    /// feedback-eligible (see [`scan_feedback_key`]).
+    pub fn of(table: TableId, refid: RefId, preds: &[QExpr]) -> Option<FeedbackShape> {
+        let mut masked: Vec<(String, usize, Test)> = Vec::with_capacity(preds.len());
+        for c in preds {
+            match c {
+                QExpr::Bin { op, left, right } => {
+                    // normalize to col-op-value with the column on the left
+                    let (column, value, op) = match (&**left, &**right) {
+                        (QExpr::Col { table: t, column }, v) if *t == refid => (*column, v, *op),
+                        (v, QExpr::Col { table: t, column }) if *t == refid => {
+                            let flipped = match op {
+                                BinOp::Eq => BinOp::Eq,
+                                BinOp::Lt => BinOp::Gt,
+                                BinOp::LtEq => BinOp::GtEq,
+                                BinOp::Gt => BinOp::Lt,
+                                BinOp::GtEq => BinOp::LtEq,
+                                _ => return None,
+                            };
+                            (*column, v, flipped)
+                        }
+                        _ => return None,
+                    };
+                    let bound = Operand::of(value)?;
+                    let (sym, test) = match op {
+                        BinOp::Eq => ("=", Test::Eq(bound)),
+                        BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
+                            let lt = matches!(op, BinOp::Lt | BinOp::LtEq);
+                            let inclusive = matches!(op, BinOp::LtEq | BinOp::GtEq);
+                            let sym = match op {
+                                BinOp::Lt => "<",
+                                BinOp::LtEq => "<=",
+                                BinOp::Gt => ">",
+                                _ => ">=",
+                            };
+                            let test = Test::Range {
+                                lt,
+                                inclusive,
+                                bound,
+                            };
+                            (sym, test)
+                        }
+                        _ => return None,
+                    };
+                    masked.push((format!("c{column}{sym}?"), column, test));
+                }
+                QExpr::InList {
+                    expr,
+                    list,
+                    negated: false,
+                } => {
+                    let QExpr::Col { table: t, column } = &**expr else {
+                        return None;
+                    };
+                    if *t != refid {
+                        return None;
+                    }
+                    let items = list.iter().map(Operand::of).collect::<Option<Vec<_>>>()?;
+                    let mask = format!("c{column} IN({})?", list.len());
+                    masked.push((mask, *column, Test::InList(items)));
+                }
+                _ => return None,
             }
-            p.push_str(&mask);
-            b.push(band);
-            (p, b)
-        },
-    );
-    Some(FeedbackKey { table, pred, bands })
+        }
+        masked.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut pred = String::new();
+        let mut conjuncts = Vec::with_capacity(masked.len());
+        let (mut rank, mut last) = (0, None);
+        for (mask, column, test) in masked {
+            if let Some(last) = &last {
+                pred.push_str(" AND ");
+                if *last != mask {
+                    rank += 1;
+                }
+            }
+            pred.push_str(&mask);
+            conjuncts.push(Conjunct { rank, column, test });
+            last = Some(mask);
+        }
+        Some(FeedbackShape {
+            table,
+            pred,
+            conjuncts,
+        })
+    }
+
+    /// The key of a scan with bind values `params` (an empty slice reads
+    /// every slot's peek).
+    pub fn key(&self, catalog: &Catalog, params: &[Value]) -> FeedbackKey {
+        let stats = catalog
+            .table(self.table)
+            .ok()
+            .map(|t| &t.stats)
+            .filter(|ts| ts.analyzed);
+        // unanalyzed tables put every value into one band, exactly like
+        // adaptive cursor sharing's bucket_sig
+        let column = |c: usize| stats.and_then(|ts| Some((ts.rows, ts.column(c)?)));
+        let band = |c: &Conjunct| match &c.test {
+            Test::Eq(bound) => column(c.column).map_or(0, |(rows, cs)| {
+                selectivity_band(cs.eq_selectivity(rows, Some(bound.value(params))))
+            }),
+            Test::Range {
+                lt,
+                inclusive,
+                bound,
+            } => column(c.column).map_or(0, |(_, cs)| {
+                selectivity_band(cs.range_selectivity(bound.value(params), *lt, *inclusive))
+            }),
+            Test::InList(items) => column(c.column).map_or(0, |(rows, cs)| {
+                let sel: f64 = items
+                    .iter()
+                    .map(|v| cs.eq_selectivity(rows, Some(v.value(params))))
+                    .sum();
+                selectivity_band(sel.clamp(0.0, 1.0))
+            }),
+        };
+        let mut bands: Vec<i8> = self.conjuncts.iter().map(band).collect();
+        // conjuncts of one mask order by band, as sorting (mask, band)
+        // pairs would
+        let mut start = 0;
+        for i in 1..=bands.len() {
+            if i == bands.len() || self.conjuncts[i].rank != self.conjuncts[start].rank {
+                bands[start..i].sort_unstable();
+                start = i;
+            }
+        }
+        FeedbackKey {
+            table: self.table,
+            pred: self.pred.clone(),
+            bands,
+        }
+    }
 }
 
 /// Statistics for one relation (base table reference or view output)
@@ -716,6 +800,32 @@ mod tests {
             scan_feedback_key(&cat, t, RefId(0), &preds2, &[]).unwrap(),
             k
         );
+    }
+
+    #[test]
+    fn feedback_key_orders_conjuncts_of_one_mask_by_band() {
+        let (cat, _, base) = setup();
+        let t = base[&RefId(0)];
+        // a > 10 (~0.99, band 0) and a > 990 (~0.01, band -2): one mask
+        let wide = QExpr::bin(BinOp::Gt, QExpr::col(RefId(0), 0), QExpr::lit(10i64));
+        let narrow = QExpr::bin(BinOp::Gt, QExpr::col(RefId(0), 0), QExpr::lit(990i64));
+        let b = QExpr::eq(QExpr::col(RefId(0), 1), QExpr::lit(3i64));
+        let k = scan_feedback_key(
+            &cat,
+            t,
+            RefId(0),
+            &[wide.clone(), b.clone(), narrow.clone()],
+            &[],
+        )
+        .unwrap();
+        assert_eq!(k.pred, "c0>? AND c0>? AND c1=?");
+        let mut sorted = k.bands[..2].to_vec();
+        sorted.sort();
+        assert_eq!(k.bands[..2], sorted[..], "{:?}", k.bands);
+        assert_ne!(k.bands[0], k.bands[1]);
+        // conjunct order never splits the key
+        let flipped = scan_feedback_key(&cat, t, RefId(0), &[narrow, b, wide], &[]).unwrap();
+        assert_eq!(flipped, k);
     }
 
     #[test]

@@ -21,7 +21,10 @@ pub mod est;
 pub mod optimize;
 pub mod plan;
 
-pub use est::{clamp_feedback_rows, scan_feedback_key, CardFeedback, ColInfo, Estimator, RelStats};
+pub use est::{
+    clamp_feedback_rows, scan_feedback_key, CardFeedback, ColInfo, Estimator, FeedbackShape,
+    RelStats,
+};
 #[doc(hidden)]
 pub use optimize::record_optimized_trees;
 pub use optimize::{

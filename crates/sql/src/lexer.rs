@@ -1,6 +1,6 @@
 //! Hand-written SQL lexer.
 
-use cbqt_common::{Error, Result};
+use cbqt_common::{Error, Result, Value};
 use std::fmt;
 
 /// Kinds of lexical tokens.
@@ -100,6 +100,11 @@ impl<'a> Lexer<'a> {
         }
     }
 
+    /// The byte offset the next scan starts from.
+    pub(crate) fn position(&self) -> usize {
+        self.pos
+    }
+
     fn peek(&self) -> u8 {
         *self.src.get(self.pos).unwrap_or(&0)
     }
@@ -148,6 +153,24 @@ impl<'a> Lexer<'a> {
 
     /// Produces the next token.
     pub fn next_token(&mut self) -> Result<Token> {
+        let (scanned, offset) = self.scan()?;
+        let text = &self.src[offset..self.pos];
+        let chars = |b: &[u8]| b.iter().map(|&c| c as char).collect::<String>();
+        let kind = match scanned {
+            Scanned::Ident => TokenKind::Ident(chars(text)),
+            Scanned::QuotedIdent => TokenKind::QuotedIdent(chars(&text[1..text.len() - 1])),
+            Scanned::Number => TokenKind::Number(chars(text)),
+            Scanned::StringLit => TokenKind::StringLit(unescape_string(text)),
+            Scanned::Punct(kind) => kind,
+        };
+        Ok(Token { kind, offset })
+    }
+
+    /// Advances past the next token and says what it was and where it
+    /// starts, allocating nothing: the text of an identifier or literal
+    /// is `src[start..self.pos]`. [`Lexer::next_token`] and the shape
+    /// pass ([`crate::shape`]) are both built on this.
+    pub(crate) fn scan(&mut self) -> Result<(Scanned, usize)> {
         self.skip_trivia()?;
         let offset = self.pos;
         let kind = match self.peek() {
@@ -227,12 +250,20 @@ impl<'a> Lexer<'a> {
                 self.pos += 2;
                 TokenKind::Concat
             }
-            b'\'' => self.lex_string()?,
-            b'"' => self.lex_quoted_ident()?,
-            c if c.is_ascii_digit() || (c == b'.' && self.peek2().is_ascii_digit()) => {
-                self.lex_number()?
+            b'\'' => return self.lex_string().map(|()| (Scanned::StringLit, offset)),
+            b'"' => {
+                return self
+                    .lex_quoted_ident()
+                    .map(|()| (Scanned::QuotedIdent, offset))
             }
-            c if c.is_ascii_alphabetic() || c == b'_' => self.lex_ident(),
+            c if c.is_ascii_digit() || (c == b'.' && self.peek2().is_ascii_digit()) => {
+                self.lex_number();
+                return Ok((Scanned::Number, offset));
+            }
+            c if c.is_ascii_alphabetic() || c == b'_' => {
+                self.lex_ident();
+                return Ok((Scanned::Ident, offset));
+            }
             c => {
                 return Err(Error::parse(format!(
                     "unexpected character '{}' at offset {offset}",
@@ -240,13 +271,12 @@ impl<'a> Lexer<'a> {
                 )))
             }
         };
-        Ok(Token { kind, offset })
+        Ok((Scanned::Punct(kind), offset))
     }
 
-    fn lex_string(&mut self) -> Result<TokenKind> {
+    fn lex_string(&mut self) -> Result<()> {
         let start = self.pos;
         self.bump(); // opening quote
-        let mut s = String::new();
         loop {
             match self.bump() {
                 0 => {
@@ -254,23 +284,18 @@ impl<'a> Lexer<'a> {
                         "unterminated string at offset {start}"
                     )))
                 }
-                b'\'' => {
-                    if self.peek() == b'\'' {
-                        self.bump();
-                        s.push('\'');
-                    } else {
-                        return Ok(TokenKind::StringLit(s));
-                    }
+                b'\'' if self.peek() == b'\'' => {
+                    self.bump();
                 }
-                c => s.push(c as char),
+                b'\'' => return Ok(()),
+                _ => {}
             }
         }
     }
 
-    fn lex_quoted_ident(&mut self) -> Result<TokenKind> {
+    fn lex_quoted_ident(&mut self) -> Result<()> {
         let start = self.pos;
         self.bump();
-        let mut s = String::new();
         loop {
             match self.bump() {
                 0 => {
@@ -278,14 +303,13 @@ impl<'a> Lexer<'a> {
                         "unterminated quoted identifier at offset {start}"
                     )))
                 }
-                b'"' => return Ok(TokenKind::QuotedIdent(s)),
-                c => s.push(c as char),
+                b'"' => return Ok(()),
+                _ => {}
             }
         }
     }
 
-    fn lex_number(&mut self) -> Result<TokenKind> {
-        let start = self.pos;
+    fn lex_number(&mut self) {
         while self.peek().is_ascii_digit() {
             self.bump();
         }
@@ -309,23 +333,58 @@ impl<'a> Lexer<'a> {
                 self.pos = save; // 'e' begins an identifier, not an exponent
             }
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos])
-            .map_err(|_| Error::parse("non-utf8 number"))?;
-        Ok(TokenKind::Number(text.to_string()))
     }
 
-    fn lex_ident(&mut self) -> TokenKind {
-        let start = self.pos;
+    fn lex_ident(&mut self) {
         while {
             let c = self.peek();
             c.is_ascii_alphanumeric() || c == b'_' || c == b'$' || c == b'#'
         } {
             self.bump();
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos])
-            .unwrap()
-            .to_string();
-        TokenKind::Ident(text)
+    }
+}
+
+/// What [`Lexer::scan`] found: a token without its text.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Scanned {
+    Ident,
+    QuotedIdent,
+    Number,
+    StringLit,
+    /// A token with no text (punctuation, `?`, end of input).
+    Punct(TokenKind),
+}
+
+/// The value of a string literal's source text, quotes included: the
+/// quotes dropped and every `''` read as one `'`.
+fn unescape_string(quoted: &[u8]) -> String {
+    let mut s = String::with_capacity(quoted.len() - 2);
+    let mut bytes = quoted[1..quoted.len() - 1].iter();
+    while let Some(&c) = bytes.next() {
+        if c == b'\'' {
+            bytes.next();
+        }
+        s.push(c as char);
+    }
+    s
+}
+
+/// The value a literal token stands for: `Number` text with a `.` or an
+/// exponent, or too large for an `i64`, is a `Double`, other `Number`
+/// text an `Int`, and a `StringLit` a `Str`. `None` for any other token
+/// (and for number text no float parse accepts). The parser and the
+/// statement-shape recipes ([`crate::shape`]) both convert through
+/// here, so a recipe can never read a literal differently from a parse.
+pub(crate) fn literal_value(kind: &TokenKind) -> Option<Value> {
+    match kind {
+        // an `i64` parse refuses a `.` or an exponent
+        TokenKind::Number(text) => match text.parse::<i64>() {
+            Ok(i) => Some(Value::Int(i)),
+            Err(_) => text.parse::<f64>().ok().map(Value::Double),
+        },
+        TokenKind::StringLit(s) => Some(Value::str(s)),
+        _ => None,
     }
 }
 

@@ -15,6 +15,7 @@ pub mod binds;
 pub mod lexer;
 pub mod parser;
 pub mod render;
+pub mod shape;
 
 pub use ast::*;
 pub use binds::{
@@ -25,3 +26,4 @@ pub use parser::{
     parse_expression, parse_query, parse_statement, parse_statements, parse_statements_spanned,
 };
 pub use render::render_query;
+pub use shape::{Recipe, Shape};

@@ -2,7 +2,7 @@
 //! expressions.
 
 use crate::ast::*;
-use crate::lexer::{Lexer, Token, TokenKind};
+use crate::lexer::{literal_value, Lexer, Token, TokenKind};
 use cbqt_common::{DataType, Error, Result, Value};
 
 /// Parses a single statement (trailing semicolon optional).
@@ -966,28 +966,11 @@ impl Parser {
 
     fn parse_primary(&mut self) -> Result<Expr> {
         match self.peek().clone() {
-            TokenKind::Number(text) => {
+            lit @ (TokenKind::Number(_) | TokenKind::StringLit(_)) => {
+                let value =
+                    literal_value(&lit).ok_or_else(|| self.err(format!("bad number {lit}")));
                 self.bump();
-                if text.contains('.') || text.contains('e') || text.contains('E') {
-                    let d: f64 = text
-                        .parse()
-                        .map_err(|_| self.err(format!("bad number {text}")))?;
-                    Ok(Expr::Literal(Value::Double(d)))
-                } else {
-                    match text.parse::<i64>() {
-                        Ok(i) => Ok(Expr::Literal(Value::Int(i))),
-                        Err(_) => {
-                            let d: f64 = text
-                                .parse()
-                                .map_err(|_| self.err(format!("bad number {text}")))?;
-                            Ok(Expr::Literal(Value::Double(d)))
-                        }
-                    }
-                }
-            }
-            TokenKind::StringLit(s) => {
-                self.bump();
-                Ok(Expr::Literal(Value::str(s)))
+                Ok(Expr::Literal(value?))
             }
             TokenKind::Question => {
                 self.bump();

@@ -364,3 +364,110 @@ fn disabling_bind_sharing_keys_each_literal_separately() {
     let s = db.plan_cache_stats();
     assert_eq!((s.families, s.entries), (1, 1), "{s:?}");
 }
+
+#[test]
+fn recipes_serve_a_thousand_literal_variants_without_a_parse() {
+    let db = uniform_db(1000);
+    let mut off = uniform_db(1000);
+    off.set_plan_cache_enabled(false);
+    for i in 0..1000i64 {
+        // two distinct, non-zero literals per statement; the range
+        // moves across selectivity bands, so siblings compile too
+        let sql = format!(
+            "SELECT emp_id, salary FROM employees WHERE salary > {} AND emp_id <= {}",
+            1000 + i,
+            300 + (i * 7) % 700
+        );
+        let (got, want) = (db.query(&sql).unwrap(), off.query(&sql).unwrap());
+        assert_eq!(got.rows, want.rows, "{sql}");
+        assert_eq!(got.stats.bind_params, 2);
+    }
+    let s = db.plan_cache_stats();
+    assert!(s.recipe_hits >= 998, "{s:?}");
+    assert_eq!(s.recipes, 1, "{s:?}");
+    assert_eq!(off.plan_cache_stats().recipes, 0);
+}
+
+#[test]
+fn clearing_the_plan_cache_drops_every_recipe() {
+    let mut db = uniform_db(100);
+    for sql in [
+        "SELECT emp_id FROM employees WHERE salary = 1005",
+        "SELECT emp_id FROM employees WHERE emp_id = 7",
+        "select emp_id from employees where emp_id = 7",
+    ] {
+        db.query(sql).unwrap();
+    }
+    // each spelling is its own shape
+    assert_eq!(db.plan_cache_stats().recipes, 3);
+    db.clear_plan_cache();
+    let s = db.plan_cache_stats();
+    assert_eq!((s.recipes, s.entries, s.bytes), (0, 0, 0), "{s:?}");
+    // the next statement of a cleared shape takes the full route again
+    db.query("SELECT emp_id FROM employees WHERE emp_id = 8")
+        .unwrap();
+    assert_eq!(db.plan_cache_stats().recipe_hits, 0);
+    db.query("SELECT emp_id FROM employees WHERE emp_id = 9")
+        .unwrap();
+    assert_eq!(db.plan_cache_stats().recipe_hits, 1);
+    // every toggle that clears the cache drops them too
+    db.set_bind_sharing_enabled(true);
+    assert_eq!(db.plan_cache_stats().recipes, 0);
+    db.query("SELECT emp_id FROM employees WHERE emp_id = 9")
+        .unwrap();
+    db.config_mut();
+    assert_eq!(db.plan_cache_stats().recipes, 0);
+    // and with bind sharing off no recipe is recorded
+    db.set_bind_sharing_enabled(false);
+    db.query("SELECT emp_id FROM employees WHERE emp_id = 9")
+        .unwrap();
+    assert_eq!(db.plan_cache_stats().recipes, 0);
+}
+
+#[test]
+fn a_literal_equal_to_a_bind_never_recipe_serves_a_wrong_bind() {
+    let db = uniform_db(100);
+    let mut off = uniform_db(100);
+    off.set_plan_cache_enabled(false);
+    let rows = |sql: &str| {
+        let got = db.query(sql).unwrap().rows;
+        assert_eq!(got, off.query(sql).unwrap().rows, "{sql}");
+        got
+    };
+    // `5` twice: which one is the bind? No recipe is recorded
+    let five = "SELECT 5, emp_id FROM employees WHERE emp_id = 5";
+    assert_eq!(rows(five), vec![vec![Value::Int(5), Value::Int(5)]]);
+    assert_eq!(db.plan_cache_stats().recipes, 0);
+    // from distinct literals it is; the select-list constant stays fixed
+    rows("SELECT 5, emp_id FROM employees WHERE emp_id = 6");
+    assert_eq!(db.plan_cache_stats().recipes, 1);
+    assert_eq!(rows(five), vec![vec![Value::Int(5), Value::Int(5)]]);
+    assert_eq!(db.plan_cache_stats().recipe_hits, 1);
+    // another constant is declined, not served the recorded one
+    let six = "SELECT 6, emp_id FROM employees WHERE emp_id = 6";
+    assert_eq!(rows(six), vec![vec![Value::Int(6), Value::Int(6)]]);
+    assert_eq!(db.plan_cache_stats().recipe_hits, 1);
+}
+
+#[test]
+fn an_explain_run_as_its_query_records_no_recipe() {
+    let db = uniform_db(100);
+    // `trace` runs the query of an EXPLAIN; the EXPLAIN's shape must
+    // not learn to run
+    db.trace("EXPLAIN SELECT emp_id FROM employees WHERE salary = 1005")
+        .unwrap();
+    assert_eq!(db.plan_cache_stats().recipes, 0);
+    let r = db
+        .query("EXPLAIN SELECT emp_id FROM employees WHERE salary = 1006")
+        .unwrap();
+    assert_eq!(r.columns, vec!["PLAN"]);
+    // an explain of a recorded query's text explains it
+    db.query("SELECT emp_id FROM employees WHERE salary = 1005")
+        .unwrap();
+    assert_eq!(db.plan_cache_stats().recipes, 1);
+    let text = db
+        .explain("SELECT emp_id FROM employees WHERE salary = 1006")
+        .unwrap();
+    assert!(text.contains("physical plan"), "{text}");
+    assert_eq!(db.plan_cache_stats().recipe_hits, 0);
+}
