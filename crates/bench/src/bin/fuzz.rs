@@ -13,6 +13,28 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 fn random_db(rng: &mut Rng) -> Database {
+    let nloc = rng.gen_range(1..6i64);
+    let ndept = rng.gen_range(1..20i64);
+    let nemp = rng.gen_range(0..250i64);
+    let njh = rng.gen_range(0..200i64);
+    load_db(rng, [nloc, ndept, nemp, njh], false)
+}
+
+/// A database several batches deep: 2–4k employees and job-history rows
+/// with skewed join keys — half the employees in department 0, half the
+/// job history on 20 employees — so hash tables hold long duplicate
+/// runs and every operator's input crosses the 1024-row batch size.
+fn random_large_db(rng: &mut Rng) -> Database {
+    let nloc = rng.gen_range(1..6i64);
+    let ndept = rng.gen_range(5..40i64);
+    let nemp = rng.gen_range(2000..4000i64);
+    let njh = rng.gen_range(2000..4000i64);
+    load_db(rng, [nloc, ndept, nemp, njh], true)
+}
+
+/// The HR schema with `[locations, departments, employees, job_history]`
+/// rows drawn from `rng`; `skew` concentrates the join keys.
+fn load_db(rng: &mut Rng, [nloc, ndept, nemp, njh]: [i64; 4], skew: bool) -> Database {
     let mut db = Database::new();
     db.execute_script(
         "CREATE TABLE locations (loc_id INT PRIMARY KEY, country_id VARCHAR(2) NOT NULL);
@@ -25,10 +47,6 @@ fn random_db(rng: &mut Rng) -> Database {
          CREATE INDEX i_emp_dept ON employees (dept_id);",
     )
     .unwrap();
-    let nloc = rng.gen_range(1..6i64);
-    let ndept = rng.gen_range(1..20i64);
-    let nemp = rng.gen_range(0..250i64);
-    let njh = rng.gen_range(0..200i64);
     let nf = rng.gen_range(0.0..0.4);
     let mut rows = Vec::new();
     for l in 0..nloc {
@@ -54,6 +72,8 @@ fn random_db(rng: &mut Rng) -> Database {
             Value::str(format!("e{e}")),
             if rng.gen_bool(nf) {
                 Value::Null
+            } else if skew && rng.gen_bool(0.5) {
+                Value::Int(0)
             } else {
                 Value::Int(rng.gen_range(0..ndept))
             },
@@ -68,8 +88,12 @@ fn random_db(rng: &mut Rng) -> Database {
     db.load_rows("employees", rows).unwrap();
     let mut rows = Vec::new();
     for _j in 0..njh {
+        let emp = match skew && rng.gen_bool(0.5) {
+            true => rng.gen_range(0..20i64),
+            false => rng.gen_range(0..nemp.max(1)),
+        };
         rows.push(vec![
-            Value::Int(rng.gen_range(0..nemp.max(1))),
+            Value::Int(emp),
             Value::str(format!("t{}", rng.gen_range(0..4))),
             Value::Int(19_900_000 + rng.gen_range(0i64..50_000)),
             if rng.gen_bool(nf) {
@@ -538,7 +562,8 @@ fn joins_round(seed: u64, with_faults: bool) -> u64 {
 const KNOWN_WORK_BUDGET_DIVERGENCES: &[u64] = &[338, 762];
 
 /// One execution-differential round: random queries (three from the
-/// general pool, one from the join pool) through
+/// general pool, one from the join pool, then one from either on a
+/// [`random_large_db`], unfaulted) through
 /// [`Database::differential_exec`], which runs each optimized plan
 /// through both the vectorized and the Volcano engine and reports any
 /// divergence in rows, metrics, or governor outcome. With
@@ -585,26 +610,54 @@ fn differential_round(seed: u64, with_faults: bool) -> u64 {
         if armed.is_some() {
             limits = StatementLimits::none();
         }
-        match db.differential_exec(&sql, &limits) {
-            Ok(mismatches) => {
-                for m in mismatches {
-                    if KNOWN_WORK_BUDGET_DIVERGENCES.contains(&seed) && m.contains("work budget") {
-                        println!("seed {seed}: KNOWN work-budget DIVERGENCE {m}\n{sql}");
-                        continue;
-                    }
-                    println!("seed {seed}: DIVERGENCE {m}\n{sql}");
-                    failures += 1;
+        failures += exec_divergences(seed, &db, &sql, &limits, armed.is_some());
+        drop(armed);
+    }
+    // one more query on a database several batches deep, drawn from a
+    // stream of its own so every seed keeps the queries above; a row
+    // budget (identical in both engines by construction) may cut it
+    let mut big = Rng::seed_from_u64(seed ^ 0x00b1_6b47_c4e5);
+    let db = random_large_db(&mut big);
+    let sql = match big.gen_bool(0.5) {
+        true => random_query(&mut big),
+        false => random_join_query(&mut big),
+    };
+    let limits = match big.gen_bool(0.3) {
+        true => StatementLimits::none().with_row_budget(big.gen_range(1000i64..20_000) as u64),
+        false => StatementLimits::none(),
+    };
+    failures += exec_divergences(seed, &db, &sql, &limits, false);
+    failures
+}
+
+/// Runs `sql` through [`Database::differential_exec`] and reports each
+/// divergence; returns how many count as failures.
+fn exec_divergences(
+    seed: u64,
+    db: &Database,
+    sql: &str,
+    limits: &StatementLimits,
+    faulted: bool,
+) -> u64 {
+    let mut failures = 0;
+    match db.differential_exec(sql, limits) {
+        Ok(mismatches) => {
+            for m in mismatches {
+                if KNOWN_WORK_BUDGET_DIVERGENCES.contains(&seed) && m.contains("work budget") {
+                    println!("seed {seed}: KNOWN work-budget DIVERGENCE {m}\n{sql}");
+                    continue;
                 }
-            }
-            // An armed fault can fire during parsing/optimization,
-            // before either engine runs; that is not a divergence.
-            Err(_) if armed.is_some() => {}
-            Err(e) => {
-                println!("seed {seed}: PRE-EXEC ERROR {e}\n{sql}");
+                println!("seed {seed}: DIVERGENCE {m}\n{sql}");
                 failures += 1;
             }
         }
-        drop(armed);
+        // An armed fault can fire during parsing/optimization,
+        // before either engine runs; that is not a divergence.
+        Err(_) if faulted => {}
+        Err(e) => {
+            println!("seed {seed}: PRE-EXEC ERROR {e}\n{sql}");
+            failures += 1;
+        }
     }
     failures
 }

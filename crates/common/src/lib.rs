@@ -9,6 +9,7 @@
 pub mod error;
 pub mod failpoint;
 pub mod governor;
+pub mod hash;
 pub mod trace;
 pub mod value;
 

@@ -83,6 +83,13 @@ pub struct Engine<'a> {
 /// identical across engines.
 const GOVERNOR_BATCH: u64 = 128;
 
+/// The right input of [`Engine::join_rows`]: rows produced once, or a
+/// lateral side (node and position) run once per left row.
+pub(crate) enum RightInput<'p> {
+    Rows(&'p PlanNode, Vec<Row>),
+    Lateral(&'p PlanNode, PlanNodeId),
+}
+
 impl<'a> Engine<'a> {
     /// An engine reading the latest committed state (autocommit reads).
     pub fn new(catalog: &'a Catalog, storage: &Storage) -> Engine<'a> {
@@ -931,6 +938,8 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Produces a join's children with the row engine, then runs the
+    /// join loop over their rows.
     #[allow(clippy::too_many_arguments)]
     fn exec_join(
         &self,
@@ -947,6 +956,34 @@ impl<'a> Engine<'a> {
         cbqt_common::failpoint!(failpoint::EXEC_JOIN);
         let (left_id, right_id) = (id.first_child(), self.after(id.first_child()));
         let lrows = self.exec_node(left, left_id, binds)?;
+        let right_in = if lateral {
+            RightInput::Lateral(right, right_id)
+        } else {
+            RightInput::Rows(right, self.exec_node(right, right_id, binds)?)
+        };
+        self.join_rows(left, right_in, kind, method, equi, residual, &lrows, binds)
+    }
+
+    /// The join loop over rows, once both children are produced (a
+    /// lateral right side is produced here, once per left row). Both
+    /// engines run every nested-loop, merge and lateral join through
+    /// it — the batch engine produces the children batched — so their
+    /// charges, ticks and output order are one code path.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn join_rows(
+        &self,
+        left: &PlanNode,
+        right_in: RightInput<'_>,
+        kind: PlanJoinKind,
+        method: JoinMethod,
+        equi: &[(QExpr, QExpr)],
+        residual: &[QExpr],
+        lrows: &[Row],
+        binds: &Bindings<'_>,
+    ) -> Result<Vec<Row>> {
+        let right = match &right_in {
+            RightInput::Lateral(node, _) | RightInput::Rows(node, _) => *node,
+        };
         let llayout = Layout::from_node(left);
         let rlayout_node = Layout::from_node(right);
         let combined = combined_layout(&llayout, &rlayout_node);
@@ -955,70 +992,71 @@ impl<'a> Engine<'a> {
         let lctx = self.simple_ctx(&llayout, binds);
         let cctx = self.simple_ctx(&combined, binds);
 
-        if lateral {
-            // right side re-executed per left row
-            let mut out = Vec::new();
-            for lrow in &lrows {
-                let b2 = binds.push(&llayout, lrow);
-                let rrows = self.exec_node(right, right_id, &b2)?;
-                let rctx = self.simple_ctx(&rlayout_node, &b2);
-                let mut matched = false;
-                for rrow in &rrows {
-                    self.tick()?;
-                    self.add_work((equi.len() + residual.len()).max(1) as f64 * weights::PRED);
-                    if !self.pair_matches(&lctx, &rctx, &cctx, lrow, rrow, equi, residual)? {
-                        continue;
+        let rrows = match right_in {
+            RightInput::Rows(_, rrows) => rrows,
+            RightInput::Lateral(_, right_id) => {
+                // right side re-executed per left row
+                let mut out = Vec::new();
+                for lrow in lrows {
+                    let b2 = binds.push(&llayout, lrow);
+                    let rrows = self.exec_node(right, right_id, &b2)?;
+                    let rctx = self.simple_ctx(&rlayout_node, &b2);
+                    let mut matched = false;
+                    for rrow in &rrows {
+                        self.tick()?;
+                        self.add_work((equi.len() + residual.len()).max(1) as f64 * weights::PRED);
+                        if !self.pair_matches(&lctx, &rctx, &cctx, lrow, rrow, equi, residual)? {
+                            continue;
+                        }
+                        matched = true;
+                        match kind {
+                            PlanJoinKind::Inner | PlanJoinKind::LeftOuter => {
+                                out.push(concat(lrow, rrow));
+                            }
+                            PlanJoinKind::Semi => {
+                                out.push(lrow.clone());
+                                break;
+                            }
+                            PlanJoinKind::Anti { .. } => break,
+                        }
                     }
-                    matched = true;
                     match kind {
-                        PlanJoinKind::Inner | PlanJoinKind::LeftOuter => {
-                            out.push(concat(lrow, rrow));
+                        PlanJoinKind::LeftOuter if !matched => {
+                            out.push(null_pad(lrow, rwidth));
                         }
-                        PlanJoinKind::Semi => {
-                            out.push(lrow.clone());
-                            break;
-                        }
-                        PlanJoinKind::Anti { .. } => break,
-                    }
-                }
-                match kind {
-                    PlanJoinKind::LeftOuter if !matched => {
-                        out.push(null_pad(lrow, rwidth));
-                    }
-                    PlanJoinKind::Anti { null_aware } if !matched => {
-                        if null_aware {
-                            // NOT IN: a NULL probe key never qualifies
-                            // unless the right side is empty
-                            let keys: Vec<Value> = equi
-                                .iter()
-                                .map(|(l, _)| lctx.eval(l, lrow))
-                                .collect::<Result<_>>()?;
-                            if rrows.is_empty() || !keys.iter().any(Value::is_null) {
+                        PlanJoinKind::Anti { null_aware } if !matched => {
+                            if null_aware {
+                                // NOT IN: a NULL probe key never qualifies
+                                // unless the right side is empty
+                                let keys: Vec<Value> = equi
+                                    .iter()
+                                    .map(|(l, _)| lctx.eval(l, lrow))
+                                    .collect::<Result<_>>()?;
+                                if rrows.is_empty() || !keys.iter().any(Value::is_null) {
+                                    out.push(lrow.clone());
+                                }
+                            } else {
                                 out.push(lrow.clone());
                             }
-                        } else {
-                            out.push(lrow.clone());
                         }
+                        _ => {}
                     }
-                    _ => {}
                 }
+                self.add_work(out.len() as f64 * weights::ROW);
+                return Ok(out);
             }
-            self.add_work(out.len() as f64 * weights::ROW);
-            return Ok(out);
-        }
-
-        let rrows = self.exec_node(right, right_id, binds)?;
+        };
         let rctx = self.simple_ctx(&rlayout_node, binds);
 
         match method {
             JoinMethod::Hash => self.hash_join(
-                &lrows, &rrows, kind, equi, residual, &lctx, &rctx, &cctx, rwidth,
+                lrows, &rrows, kind, equi, residual, &lctx, &rctx, &cctx, rwidth,
             ),
             JoinMethod::Merge => {
-                self.merge_join(&lrows, &rrows, equi, residual, &lctx, &rctx, &cctx)
+                self.merge_join(lrows, &rrows, equi, residual, &lctx, &rctx, &cctx)
             }
             JoinMethod::NestedLoop => self.nl_join(
-                &lrows, &rrows, kind, equi, residual, &lctx, &rctx, &cctx, rwidth,
+                lrows, &rrows, kind, equi, residual, &lctx, &rctx, &cctx, rwidth,
             ),
         }
     }
@@ -1072,35 +1110,28 @@ impl<'a> Engine<'a> {
 
     /// Whether a left row that matched no right row still fails a
     /// null-aware anti join (NOT IN): some right row passes the residual
-    /// with it while its key or that row's key is NULL. `null_rows` are
-    /// the positions of the right rows whose key is NULL, so a non-NULL
-    /// left key checks only those and a NULL one checks every right row;
-    /// each row checked against a residual is charged. A residual that
-    /// reads only the right side is the subquery's own filter, so a
+    /// with it while its key or that row's key is NULL. The caller picks
+    /// the `candidates`: the right rows whose key is NULL for a non-NULL
+    /// left key, every right row for a NULL one; `rrow(k)` fetches the
+    /// k-th. Each row checked against a residual is charged. A residual
+    /// that reads only the right side is the subquery's own filter, so a
     /// right row it rejects is not in the subquery at all, NULL key or
     /// not. Both engines call this, so their charges stay equal.
-    pub(crate) fn null_aware_rejects(
+    pub(crate) fn null_aware_rejects<R: AsRef<[Value]>>(
         &self,
         cctx: &EvalCtx<'_>,
         lrow: &[Value],
-        left_null: bool,
-        rrows: &[Row],
-        null_rows: &[usize],
+        candidates: usize,
+        mut rrow: impl FnMut(usize) -> R,
         residual: &[QExpr],
     ) -> Result<bool> {
-        let candidates = if left_null {
-            rrows.len()
-        } else {
-            null_rows.len()
-        };
         if residual.is_empty() {
             return Ok(candidates > 0);
         }
         for k in 0..candidates {
-            let rrow = &rrows[if left_null { k } else { null_rows[k] }];
             self.tick()?;
             self.add_work(residual.len() as f64 * weights::PRED);
-            let crow = concat(lrow, rrow);
+            let crow = concat(lrow, rrow(k).as_ref());
             let mut pass = true;
             for c in residual {
                 if !cctx.eval_truth(c, &crow)?.passes() {
@@ -1190,10 +1221,15 @@ impl<'a> Engine<'a> {
                 match kind {
                     PlanJoinKind::LeftOuter => out.push(null_pad(lrow, rwidth)),
                     PlanJoinKind::Anti { null_aware } => {
-                        let rejects = null_aware
-                            && self.null_aware_rejects(
-                                cctx, lrow, null_key, rrows, &null_rows, residual,
-                            )?;
+                        let rejects = null_aware && {
+                            let n = if null_key {
+                                rrows.len()
+                            } else {
+                                null_rows.len()
+                            };
+                            let pick = |k: usize| &rrows[if null_key { k } else { null_rows[k] }];
+                            self.null_aware_rejects(cctx, lrow, n, pick, residual)?
+                        };
                         if !rejects {
                             out.push(lrow.clone());
                         }
@@ -1381,7 +1417,13 @@ impl<'a> Engine<'a> {
                             left_null |= lctx.eval(le, lrow)?.is_null();
                         }
                         let null_rows = null_rows.as_deref().unwrap_or_default();
-                        self.null_aware_rejects(cctx, lrow, left_null, rrows, null_rows, residual)?
+                        let n = if left_null {
+                            rrows.len()
+                        } else {
+                            null_rows.len()
+                        };
+                        let pick = |k: usize| &rrows[if left_null { k } else { null_rows[k] }];
+                        self.null_aware_rejects(cctx, lrow, n, pick, residual)?
                     };
                     if !rejects {
                         out.push(lrow.clone());

@@ -2,10 +2,13 @@
 //! a small in-memory database.
 
 use crate::Engine;
-use cbqt_catalog::{Catalog, Column, Constraint, ForeignKey};
+use cbqt_catalog::{Catalog, Column, Constraint, ForeignKey, TableId};
 use cbqt_common::{DataType, Value};
-use cbqt_optimizer::{CostAnnotations, Optimizer, SamplingCache};
-use cbqt_qgm::build_query_tree;
+use cbqt_optimizer::{
+    AccessPath, BlockPlan, CostAnnotations, JoinMethod, Layout, Optimizer, PlanJoinKind, PlanNode,
+    PlanRoot, SamplingCache, SelectPlan,
+};
+use cbqt_qgm::{build_query_tree, BinOp, BlockId, QExpr, RefId};
 use cbqt_sql::parse_query;
 use cbqt_storage::Storage;
 
@@ -755,4 +758,240 @@ fn one_arc_at_two_positions_keeps_two_sets_of_actuals() {
         snapshots.push(snapshot.collect::<Vec<_>>());
     }
     assert_eq!(snapshots[0], snapshots[1]);
+}
+
+// ---------------------------------------------------------------------
+// Joins and aggregates at batch scale: every join kind and method the
+// batch engine runs, on inputs below, at and across the 1024-row batch
+// size, must match the Volcano engine row for row (order included), per
+// plan node, and in total work.
+
+/// Runs `plan` under both engines with metrics on and asserts the same
+/// ordered rows, the same per-node rows / executions / work, and the
+/// same total work. Returns the rows.
+fn assert_engines_agree_on(cat: &Catalog, st: &Storage, plan: &BlockPlan) -> Vec<Vec<Value>> {
+    use cbqt_common::ExecutionMode::{Vectorized, Volcano};
+    let run = |mode| {
+        let mut eng = Engine::new(cat, st);
+        eng.set_mode(mode);
+        eng.enable_metrics_light();
+        let rows = eng.run(plan).unwrap();
+        let metrics = eng.take_metrics().unwrap().snapshot();
+        let metrics: Vec<_> = metrics
+            .into_iter()
+            .map(|(id, m)| (id, m.rows, m.execs, format!("{:.6}", m.work)))
+            .collect();
+        (rows, metrics, format!("{:.6}", eng.stats().work))
+    };
+    let (v, o) = (run(Vectorized), run(Volcano));
+    assert_eq!(v.0, o.0, "rows differ");
+    assert_eq!(v.1, o.1, "per-node metrics differ");
+    assert_eq!(v.2, o.2, "total work differs");
+    v.0
+}
+
+fn plan_of(cat: &Catalog, sql: &str) -> BlockPlan {
+    let tree = build_query_tree(cat, &parse_query(sql).unwrap()).unwrap();
+    let ann = CostAnnotations::new();
+    let cache = SamplingCache::default();
+    Optimizer::new(cat, &ann, &cache)
+        .optimize(&tree, None)
+        .unwrap()
+}
+
+/// `l(k INT, v INT)` with `nl` rows and `r(k DOUBLE, v INT)` with `nr`
+/// rows. Keys repeat (`i % 97`), every 11th is NULL, and `r` stores its
+/// keys as doubles, so `Int(1)` has to meet `Double(1.0)`.
+fn setup_join(nl: i64, nr: i64) -> (Catalog, Storage, [TableId; 2]) {
+    let mut cat = Catalog::new();
+    let col = |n: &str, data_type| Column {
+        name: n.into(),
+        data_type,
+        not_null: false,
+    };
+    let l = cat
+        .add_table(
+            "l",
+            vec![col("k", DataType::Int), col("v", DataType::Int)],
+            vec![],
+        )
+        .unwrap();
+    let r = cat
+        .add_table(
+            "r",
+            vec![col("k", DataType::Double), col("v", DataType::Int)],
+            vec![],
+        )
+        .unwrap();
+    let st = Storage::new();
+    st.create_table(l);
+    st.create_table(r);
+    let key = |i: i64, double: bool| match (i % 11 == 5, double) {
+        (true, _) => Value::Null,
+        (false, false) => Value::Int(i % 97),
+        (false, true) => Value::Double((i % 97) as f64),
+    };
+    for i in 0..nl {
+        st.insert(l, vec![key(i, false), Value::Int(i)]).unwrap();
+    }
+    for i in 0..nr {
+        st.insert(r, vec![key(i * 3, true), Value::Int((i * 7) % 1000)])
+            .unwrap();
+    }
+    st.analyze(&mut cat).unwrap();
+    (cat, st, [l, r])
+}
+
+/// `SELECT l.*[, r.*] FROM l <kind> JOIN r ON l.k = r.k [AND r.v > l.v]`
+/// as a hand-built plan, so kind and method are exactly the ones asked.
+fn join_plan(
+    tables: [TableId; 2],
+    kind: PlanJoinKind,
+    method: JoinMethod,
+    residual: bool,
+) -> BlockPlan {
+    let col = |t: u32, column| QExpr::Col {
+        table: RefId(t),
+        column,
+    };
+    let scan = |t: usize| PlanNode::ScanBase {
+        table: tables[t],
+        refid: RefId(t as u32),
+        width: 3,
+        access: AccessPath::FullScan,
+        filter: Vec::new(),
+        rows: 0.0,
+    };
+    let residual = match residual {
+        true => vec![QExpr::Bin {
+            op: BinOp::Gt,
+            left: Box::new(col(1, 1)),
+            right: Box::new(col(0, 1)),
+        }],
+        false => Vec::new(),
+    };
+    let join = PlanNode::Join {
+        left: Box::new(scan(0)),
+        right: Box::new(scan(1)),
+        kind,
+        method,
+        equi: vec![(col(0, 0), col(1, 0))],
+        residual,
+        lateral: false,
+        rows: 0.0,
+    };
+    let mut select = vec![col(0, 0), col(0, 1)];
+    if matches!(kind, PlanJoinKind::Inner | PlanJoinKind::LeftOuter) {
+        select.extend([col(1, 0), col(1, 1)]);
+    }
+    let layout = Layout::from_node(&join);
+    BlockPlan {
+        block: BlockId(0),
+        root: PlanRoot::Select(Box::new(SelectPlan {
+            join,
+            layout,
+            post_filter: Vec::new(),
+            aggs: Vec::new(),
+            group_by: Vec::new(),
+            grouping_sets: None,
+            having: Vec::new(),
+            windows: Vec::new(),
+            select,
+            distinct: false,
+            distinct_keys: None,
+            order_by: Vec::new(),
+            rownum_limit: None,
+            subplans: Vec::new(),
+        })),
+        cost: 0.0,
+        rows: 0.0,
+        out_ndv: Vec::new(),
+    }
+}
+
+const JOIN_KINDS: [PlanJoinKind; 5] = [
+    PlanJoinKind::Inner,
+    PlanJoinKind::LeftOuter,
+    PlanJoinKind::Semi,
+    PlanJoinKind::Anti { null_aware: false },
+    PlanJoinKind::Anti { null_aware: true },
+];
+
+#[test]
+fn hash_joins_agree_across_batch_boundaries() {
+    let sizes = [(0, 0), (1, 1), (1024, 1024), (1025, 1025), (3000, 3000)];
+    let lopsided = [(0, 3000), (3000, 0), (1, 1025), (1025, 1), (3000, 1024)];
+    for (nl, nr) in sizes.into_iter().chain(lopsided) {
+        let (cat, st, tables) = setup_join(nl, nr);
+        for kind in JOIN_KINDS {
+            for residual in [false, true] {
+                let plan = join_plan(tables, kind, JoinMethod::Hash, residual);
+                let rows = assert_engines_agree_on(&cat, &st, &plan);
+                if kind == PlanJoinKind::LeftOuter {
+                    assert!(rows.len() >= nl as usize, "{nl}x{nr}: outer join lost rows");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn hash_join_keys_meet_across_int_and_double() {
+    let (cat, st, tables) = setup_join(200, 200);
+    let plan = join_plan(tables, PlanJoinKind::Inner, JoinMethod::Hash, false);
+    let rows = assert_engines_agree_on(&cat, &st, &plan);
+    assert!(!rows.is_empty());
+    for r in &rows {
+        assert!(matches!(r[0], Value::Int(_)) && matches!(r[2], Value::Double(_)));
+        assert_eq!(r[0], r[2], "an Int key met a different Double key");
+    }
+}
+
+#[test]
+fn nested_loop_and_merge_joins_agree_across_batch_boundaries() {
+    // one side small: a nested loop visits every pair
+    for (nl, nr) in [(0, 1025), (1, 1025), (1025, 1), (1024, 7), (3000, 2)] {
+        let (cat, st, tables) = setup_join(nl, nr);
+        for kind in JOIN_KINDS {
+            for residual in [false, true] {
+                let plan = join_plan(tables, kind, JoinMethod::NestedLoop, residual);
+                assert_engines_agree_on(&cat, &st, &plan);
+            }
+        }
+        // the merge join is inner only
+        for residual in [false, true] {
+            let plan = join_plan(tables, PlanJoinKind::Inner, JoinMethod::Merge, residual);
+            assert_engines_agree_on(&cat, &st, &plan);
+        }
+    }
+}
+
+#[test]
+fn joins_feeding_aggregates_agree_at_scale() {
+    let (cat, st, _) = setup_join(3000, 1025);
+    for sql in [
+        // GROUP BY over a NULL-bearing key, after a join
+        "SELECT l.k, COUNT(*), SUM(r.v), MAX(l.v) FROM l, r WHERE l.k = r.k GROUP BY l.k",
+        "SELECT l.k, COUNT(*), MIN(r.v) FROM l LEFT JOIN r ON l.k = r.k AND r.v > l.v \
+         GROUP BY l.k ORDER BY l.k",
+        // GROUP BY over the NULL keys themselves
+        "SELECT k, COUNT(*), COUNT(k), AVG(v) FROM l GROUP BY k",
+        "SELECT r.k, l.k, COUNT(*) FROM l LEFT JOIN r ON l.k = r.k GROUP BY r.k, l.k",
+        // ROLLUP
+        "SELECT MOD(l.v, 3) m, l.k, COUNT(*), SUM(r.v) FROM l, r WHERE l.k = r.k \
+         GROUP BY ROLLUP (MOD(l.v, 3), l.k)",
+        "SELECT k, v, COUNT(*) FROM r GROUP BY ROLLUP (k, v) ORDER BY k, v",
+        // DISTINCT aggregates and DISTINCT rows
+        "SELECT l.k, COUNT(DISTINCT r.v), SUM(DISTINCT MOD(r.v, 10)) FROM l, r \
+         WHERE l.k = r.k GROUP BY l.k",
+        "SELECT COUNT(DISTINCT k), COUNT(DISTINCT v) FROM r",
+        "SELECT DISTINCT l.k, MOD(r.v, 5) FROM l, r WHERE l.k = r.k",
+        // ORDER BY over a wide join, most columns pruned below it
+        "SELECT l.v FROM l, r WHERE l.k = r.k AND r.v < 50 ORDER BY r.v DESC, l.v",
+        // an empty scalar aggregate over a join that matches nothing
+        "SELECT COUNT(*), SUM(l.v) FROM l, r WHERE l.k = r.k AND l.v < 0",
+    ] {
+        let plan = plan_of(&cat, sql);
+        assert_engines_agree_on(&cat, &st, &plan);
+    }
 }

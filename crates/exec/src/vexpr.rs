@@ -303,7 +303,13 @@ impl VecExpr {
         ctx: &EvalCtx<'_>,
     ) -> Result<Vec<Value>> {
         match self {
-            VecExpr::Col(i) => Ok(sel.iter().map(|&r| batch.cols[*i][r].clone()).collect()),
+            VecExpr::Col(i) => {
+                debug_assert!(
+                    sel.is_empty() || batch.cols[*i].len() == batch.len,
+                    "a program reads pruned column {i}"
+                );
+                Ok(sel.iter().map(|&r| batch.cols[*i][r].clone()).collect())
+            }
             VecExpr::AggSlot(i) => {
                 if sel.is_empty() {
                     return Ok(Vec::new());
@@ -658,7 +664,14 @@ impl VecExpr {
     /// the comparison fast path in [`eval_truth`](VecExpr::eval_truth).
     fn direct_at<'v>(&'v self, batch: &'v Batch, row: usize) -> Option<&'v Value> {
         match self {
-            VecExpr::Col(i) => Some(&batch.cols[*i][row]),
+            VecExpr::Col(i) => {
+                debug_assert_eq!(
+                    batch.cols[*i].len(),
+                    batch.len,
+                    "a program reads pruned column {i}"
+                );
+                Some(&batch.cols[*i][row])
+            }
             VecExpr::Lit(v) => Some(v),
             _ => None,
         }
