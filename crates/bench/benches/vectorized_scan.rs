@@ -2,10 +2,14 @@
 //! a 100k-row scan with a selective filter feeding a grouped aggregate
 //! (`vectorized` / `volcano`), and a 12k x 8k hash join feeding a grouped
 //! aggregate (`vectorized_join` / `volcano_join`: the shape of the repo
-//! benchmark's `warm_scan` template 3 at its widest filter). The
-//! regression gate (`ci/check_bench_regression.sh`) asserts the
-//! vectorized engine stays at least 2x faster than the row engine on the
-//! scan and 1.5x on the join, in addition to the absolute thresholds.
+//! benchmark's `warm_scan` template 3 at its widest filter), and 1 000
+//! warm literal-text primary-key lookups on a 20k-row table
+//! (`vectorized_point` / `volcano_point`: the repo benchmark's
+//! `warm_point`). The regression gate (`ci/check_bench_regression.sh`)
+//! asserts the vectorized engine stays at least 2x faster than the row
+//! engine on the scan and 3x on the join, and that a point lookup costs
+//! it about what it costs the row engine (`point_lookup_parity`), in
+//! addition to the absolute thresholds.
 
 use cbqt::common::{ExecutionMode, Value};
 use cbqt::Database;
@@ -99,6 +103,34 @@ fn build_join_db() -> Database {
     db
 }
 
+const POINT_ROWS: i64 = 20_000;
+const POINT_LOOKUPS: i64 = 1_000;
+
+/// `accounts` of the repo benchmark's `warm_point`: 20k rows keyed by
+/// `id`, read by primary-key lookups with a fresh literal each.
+fn build_point_db() -> Database {
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE accounts (id INT PRIMARY KEY, owner INT NOT NULL, branch INT, \
+             balance INT, note VARCHAR(20));",
+    )
+    .unwrap();
+    let rows = (0..POINT_ROWS)
+        .map(|id| {
+            vec![
+                Value::Int(id),
+                Value::Int(id / 2),
+                Value::Int(id % 50),
+                Value::Int(id * 31 % 1_000_000),
+                Value::str(format!("acct-{id}")),
+            ]
+        })
+        .collect();
+    db.load_rows("accounts", rows).unwrap();
+    db.analyze().unwrap();
+    db
+}
+
 fn bench(c: &mut Harness) {
     let mut g = c.benchmark_group("vectorized_scan");
     g.sample_size(15);
@@ -113,6 +145,31 @@ fn bench(c: &mut Harness) {
                 b.iter(|| db.query(sql).unwrap().rows.len())
             });
         }
+    }
+    // warm point lookups: the plan cache serves every statement, so a
+    // lookup costs its serving path and one engine set-up
+    let mut db = build_point_db();
+    let lookups: Vec<String> = (0..POINT_LOOKUPS)
+        .map(|i| {
+            let id = i * 7_919 % POINT_ROWS;
+            format!("SELECT balance, branch, note FROM accounts WHERE id = {id}")
+        })
+        .collect();
+    for (name, mode) in [
+        ("vectorized_point", ExecutionMode::Vectorized),
+        ("volcano_point", ExecutionMode::Volcano),
+    ] {
+        db.config_mut().execution_mode = mode;
+        db.clear_plan_cache();
+        for sql in &lookups {
+            db.query(sql).unwrap();
+        }
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let found = lookups.iter().map(|sql| db.query(sql).unwrap().rows.len());
+                found.sum::<usize>()
+            })
+        });
     }
     g.finish();
 }

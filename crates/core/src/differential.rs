@@ -50,7 +50,7 @@ impl Database {
                 let governor = Governor::new(limits, self.cancel.clone());
                 let measure = Measure::Timings;
                 catch_internal(|| {
-                    self.execute_plan(&outcome.plan, &[], &governor, None, measure, mode)
+                    self.execute_plan(&outcome.plan, None, &[], &governor, None, measure, mode)
                 })
             };
             let mut mismatches = Vec::new();

@@ -177,8 +177,17 @@ impl Database {
         ctx: Ctx<'_>,
     ) -> Result<Vec<Row>> {
         let (plan, binds) = (&target.planned.plan, &target.binds);
+        let programs = Some(&target.planned.runtime.programs);
         let (measure, mode) = (Measure::Nothing, self.config.execution_mode);
-        let exec = self.execute_plan(plan, binds, ctx.governor, Some(txn), measure, mode)?;
+        let exec = self.execute_plan(
+            plan,
+            programs,
+            binds,
+            ctx.governor,
+            Some(txn),
+            measure,
+            mode,
+        )?;
         ctx.tracer.emit(|| TraceEvent::DmlTarget {
             table: t.name.clone(),
             access: target_access(plan, t.id),

@@ -37,7 +37,7 @@ impl Scope<'_> {
         if analyze {
             let (measure, mode) = (Measure::Timings, db.config.execution_mode);
             let txn = self.open_txn();
-            let exec = db.execute_plan(&outcome.plan, &[], governor, txn, measure, mode)?;
+            let exec = db.execute_plan(&outcome.plan, None, &[], governor, txn, measure, mode)?;
             let metrics = exec.metrics.unwrap_or_default();
             debug_assert!(metrics.matches(&PlanIndex::build(&outcome.plan)));
             out.push_str("\n== physical plan (analyzed) ==\n");

@@ -34,7 +34,6 @@
 
 use cbqt_catalog::{Catalog, FeedbackStore};
 use cbqt_common::{CancelToken, ExecutionLimits, Result, Row, TraceEvent, Value};
-use cbqt_optimizer::SamplingCache;
 use cbqt_sql::ast::Statement;
 use cbqt_sql::{parameterize, parse_statement, parse_statements_spanned, render_query};
 use cbqt_storage::Storage;
@@ -330,7 +329,6 @@ pub struct Database {
     catalog: Catalog,
     storage: Storage,
     config: CbqtConfig,
-    sampling_cache: SamplingCache,
     plan_cache: PlanCache,
     plan_cache_enabled: bool,
     bind_sharing_enabled: bool,
@@ -355,7 +353,6 @@ impl Database {
             catalog: Catalog::new(),
             storage: Storage::new(),
             config: CbqtConfig::default(),
-            sampling_cache: SamplingCache::default(),
             plan_cache: PlanCache::default(),
             plan_cache_enabled: true,
             bind_sharing_enabled: true,

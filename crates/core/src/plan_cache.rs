@@ -43,9 +43,10 @@
 //!   per-query [`Engine`](cbqt_exec::Engine) that owns all mutable
 //!   execution state.
 //! - **Bounding**: a stamp-based LRU per shard, bounded by *estimated
-//!   plan bytes* ([`BlockPlan::estimated_bytes`] plus key and column
-//!   overhead), not entry count. Eviction is per *variant* (across
-//!   families); a family whose last variant is evicted is removed.
+//!   plan bytes* ([`BlockPlan::estimated_bytes`] plus the compiled
+//!   program set, key and column overhead), not entry count. Eviction
+//!   is per *variant* (across families); a family whose last variant
+//!   is evicted is removed.
 //!   A plan larger than the whole shard budget is never retained.
 //! - **Statement-shape recipes**: beside the families, a shard keeps
 //!   [`Recipe`]s keyed by the full masked text of a statement's
@@ -61,6 +62,7 @@
 
 use cbqt_catalog::TableId;
 use cbqt_common::Value;
+use cbqt_exec::ProgramSet;
 use cbqt_optimizer::{BlockPlan, FeedbackShape, PlanEntity, PlanIndex, PlanNode, PlanNodeId};
 use cbqt_qgm::BindSite;
 use cbqt_sql::{Recipe, Shape};
@@ -73,8 +75,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Number of independently locked shards.
 pub const DEFAULT_SHARDS: usize = 8;
-/// Default byte budget per shard (cache-wide bound = shards × this).
-pub const DEFAULT_SHARD_BYTES: usize = 256 * 1024;
+/// Default byte budget per shard (cache-wide bound = shards × this):
+/// room for over a thousand one-table selects (about 2 KB each with
+/// their compiled program sets) spread unevenly over the shards.
+pub const DEFAULT_SHARD_BYTES: usize = 384 * 1024;
 
 /// A family variant's selectivity bucket: one decimal band per bind
 /// site (`log10(selectivity)` rounded to the nearest integer, clamped).
@@ -103,25 +107,26 @@ pub struct CachedPlan {
     pub version: u64,
     /// The tables the plan reads, as they were when it was compiled.
     pub deps: Arc<Vec<TableDep>>,
-    /// What the feedback harvest reads of the plan.
-    pub(crate) harvest: Arc<Harvest>,
+    /// What every execution of the plan needs.
+    pub(crate) runtime: Arc<Runtime>,
 }
 
-/// What the feedback harvest reads of a plan, derived once when the plan
-/// is compiled, so harvesting a cached plan derives nothing again: the
-/// plan's position index, which a metered engine threads element ids
-/// through, and every feedback-eligible base scan with the half of its
-/// key no bind value moves.
+/// What every execution of a plan needs, derived once when the plan is
+/// compiled, so an execution of a cached plan derives nothing again: the
+/// batch engine's [`ProgramSet`] with the plan's position index, which
+/// an engine threads element ids through, and — for the feedback
+/// harvest — every feedback-eligible base scan with the half of its key
+/// no bind value moves.
 #[derive(Debug)]
-pub(crate) struct Harvest {
-    pub(crate) index: Arc<PlanIndex>,
+pub(crate) struct Runtime {
+    pub(crate) programs: Arc<ProgramSet>,
     /// Per eligible base scan, in plan order: its position, its
     /// estimated rows and its key's shape.
     pub(crate) scans: Vec<(PlanNodeId, f64, FeedbackShape)>,
 }
 
-impl Harvest {
-    pub(crate) fn of(plan: &BlockPlan) -> Harvest {
+impl Runtime {
+    pub(crate) fn of(plan: &BlockPlan) -> Runtime {
         let mut scans = Vec::new();
         plan.visit_entities(&mut |id, entity| {
             if let PlanEntity::Node(PlanNode::ScanBase {
@@ -137,17 +142,23 @@ impl Harvest {
                 }
             }
         });
-        Harvest {
-            index: Arc::new(PlanIndex::build(plan)),
+        Runtime {
+            programs: Arc::new(ProgramSet::of(plan)),
             scans,
         }
     }
 
-    /// Estimated bytes: the index's subtree sizes and a scan's fixed
-    /// part (its predicate text is not counted).
+    /// The plan's position index.
+    pub(crate) fn index(&self) -> &Arc<PlanIndex> {
+        self.programs.index()
+    }
+
+    /// Estimated bytes: the program set, the index's subtree sizes and a
+    /// scan's fixed part (its predicate text is not counted).
     fn estimated_bytes(&self) -> usize {
-        size_of::<Harvest>()
-            + self.index.len() * size_of::<u32>()
+        size_of::<Runtime>()
+            + self.programs.estimated_bytes()
+            + self.index().len() * size_of::<u32>()
             + self.scans.len() * size_of::<(PlanNodeId, f64, FeedbackShape)>()
     }
 }
@@ -245,7 +256,7 @@ fn entry_bytes(key: &str, sig: &[i8], cached: &CachedPlan) -> usize {
         + sig.len()
         + cached.plan.estimated_bytes()
         + cached.deps.len() * size_of::<TableDep>()
-        + cached.harvest.estimated_bytes()
+        + cached.runtime.estimated_bytes()
         + cached
             .columns
             .iter()
@@ -673,7 +684,7 @@ mod tests {
             out_ndv: vec![],
         };
         CachedPlan {
-            harvest: Arc::new(Harvest::of(&plan)),
+            runtime: Arc::new(Runtime::of(&plan)),
             plan: Arc::new(plan),
             columns: Arc::new(vec![]),
             version,

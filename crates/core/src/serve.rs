@@ -20,15 +20,15 @@
 //! scan, either side of the differential oracle — runs through
 //! [`Database::execute_plan`].
 
-use crate::plan_cache::{self, BucketSig, CachedPlan, Harvest, Lookup, RecipeProbe, TableDep};
+use crate::plan_cache::{self, BucketSig, CachedPlan, Lookup, RecipeProbe, Runtime, TableDep};
 use crate::{Database, Prepared, QueryResult, QueryStats, StatementResult, TraceReport};
 use cbqt_catalog::{selectivity_band, Catalog, FeedbackKey, FeedbackStore, TableId};
 use cbqt_common::{
     divergence_ratio, CancelToken, Error, ExecutionLimits, ExecutionMode, Governor, Result, Row,
     TraceBuffer, TraceEvent, Tracer, Value,
 };
-use cbqt_exec::{Engine, ExecMetrics, ExecStats};
-use cbqt_optimizer::{BlockPlan, CardFeedback, DynamicSampler, PlanIndex};
+use cbqt_exec::{Engine, ExecMetrics, ExecStats, ProgramSet};
+use cbqt_optimizer::{BlockPlan, CardFeedback, DynamicSampler, SamplingCache};
 use cbqt_qgm::{
     build_query_tree, build_query_tree_with_binds, collect_base_tables, collect_bind_sites,
     BindSite, BindSiteOp, QueryTree,
@@ -416,7 +416,7 @@ impl<'a> Scope<'a> {
 pub(crate) struct Planned {
     pub(crate) plan: Arc<BlockPlan>,
     columns: Arc<Vec<String>>,
-    harvest: Arc<Harvest>,
+    pub(crate) runtime: Arc<Runtime>,
     /// What compiling the plan measured; `None` for a cache hit.
     pub(crate) search: Option<QueryStats>,
     /// The key and bucket of the plan's cache variant, when it has one.
@@ -434,11 +434,10 @@ pub(crate) struct Executed {
 
 /// How much an execution measures per operator.
 #[derive(Clone, Copy)]
-pub(crate) enum Measure<'i> {
+pub(crate) enum Measure {
     Nothing,
-    /// Row and execution counts — what the feedback harvest reads —
-    /// against the plan's position index, kept with the plan.
-    Counts(&'i Arc<PlanIndex>),
+    /// Row and execution counts — what the feedback harvest reads.
+    Counts,
     /// Counts plus per-operator wall time (EXPLAIN ANALYZE).
     Timings,
 }
@@ -474,14 +473,18 @@ impl Database {
     /// lives there — reading as of the latest committed snapshot, or,
     /// inside transaction `txn`, as of its begin watermark plus its own
     /// uncommitted writes. The engine and the snapshot it pins are gone
-    /// when this returns.
+    /// when this returns. `programs` is the plan's compiled program set
+    /// when it has one (a planned query or DML target); without it the
+    /// engine compiles one.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn execute_plan(
         &self,
         plan: &BlockPlan,
+        programs: Option<&Arc<ProgramSet>>,
         binds: &[Value],
         governor: &Governor,
         txn: Option<u64>,
-        measure: Measure<'_>,
+        measure: Measure,
         mode: ExecutionMode,
     ) -> Result<Executed> {
         let t0 = Instant::now();
@@ -491,17 +494,15 @@ impl Database {
         };
         engine.set_mode(mode);
         engine.set_governor(governor.clone());
-        engine.set_params(binds.to_vec());
-        let rows = match measure {
-            Measure::Nothing => engine.run(plan)?,
-            Measure::Counts(index) => {
-                engine.enable_metrics_light();
-                engine.run_indexed(plan, index)?
-            }
-            Measure::Timings => {
-                engine.enable_metrics();
-                engine.run(plan)?
-            }
+        engine.set_params(binds);
+        match measure {
+            Measure::Nothing => {}
+            Measure::Counts => engine.enable_metrics_light(),
+            Measure::Timings => engine.enable_metrics(),
+        }
+        let rows = match programs {
+            Some(programs) => engine.run_programs(plan, programs)?,
+            None => engine.run(plan)?,
         };
         Ok(Executed {
             rows,
@@ -523,16 +524,16 @@ impl Database {
         governor: &Governor,
         txn: Option<u64>,
     ) -> Result<(Executed, bool)> {
-        let (plan, harvest) = (&planned.plan, &planned.harvest);
+        let (plan, runtime) = (&planned.plan, &planned.runtime);
         let measure = if self.config.feedback.enabled && txn.is_none() {
-            Measure::Counts(&harvest.index)
+            Measure::Counts
         } else {
             Measure::Nothing
         };
-        let mode = self.config.execution_mode;
-        let exec = self.execute_plan(plan, binds, governor, txn, measure, mode)?;
+        let (programs, mode) = (Some(&runtime.programs), self.config.execution_mode);
+        let exec = self.execute_plan(plan, programs, binds, governor, txn, measure, mode)?;
         let diverged = exec.metrics.as_ref().is_some_and(|m| {
-            self.harvest_feedback(harvest, m, binds) >= self.config.feedback.divergence_ratio
+            self.harvest_feedback(runtime, m, binds) >= self.config.feedback.divergence_ratio
         });
         Ok((exec, diverged))
     }
@@ -655,7 +656,7 @@ impl Database {
                 return Ok(Planned {
                     plan: cached.plan,
                     columns: cached.columns,
-                    harvest: cached.harvest,
+                    runtime: cached.runtime,
                     search: None,
                     variant: probe_sig.map(|sig| (key, sig)),
                 });
@@ -764,7 +765,8 @@ impl Database {
             reoptimized: reopt,
             ..QueryStats::default()
         };
-        let harvest = Arc::new(Harvest::of(&outcome.plan));
+        // the final plan's programs, compiled once for every execution
+        let runtime = Arc::new(Runtime::of(&outcome.plan));
         let plan = Arc::new(outcome.plan);
         let variant = cache_as.map(|(key, version)| {
             let sig = self.bucket_sig(&sites, binds);
@@ -781,7 +783,7 @@ impl Database {
                         columns: Arc::clone(&columns),
                         version,
                         deps: Arc::new(deps),
-                        harvest: Arc::clone(&harvest),
+                        runtime: Arc::clone(&runtime),
                     },
                 );
             }
@@ -790,7 +792,7 @@ impl Database {
         Ok(Planned {
             plan,
             columns,
-            harvest,
+            runtime,
             search: Some(search),
             variant,
         })
@@ -839,7 +841,10 @@ impl Database {
 
     fn optimize(&self, tree: &QueryTree, ctx: Ctx<'_>) -> Result<CbqtOutcome> {
         // dynamic sampling (§3.4.4): tables without statistics are sized
-        // by probing storage, with results cached across optimizer calls
+        // by probing storage. A sample is reused by every CBQT state of
+        // this call and forgotten after it, so a table that grows is
+        // sampled afresh by the next compile.
+        let sampling = SamplingCache::default();
         let sampler = StorageSampler {
             catalog: &self.catalog,
             storage: &self.storage,
@@ -860,7 +865,7 @@ impl Database {
             tree,
             &self.catalog,
             &self.config,
-            &self.sampling_cache,
+            &sampling,
             Some(&sampler),
             feedback,
             ctx.tracer,
@@ -874,12 +879,12 @@ impl Database {
     /// seen (1.0 when nothing was eligible). Scans whose residual
     /// filters are ineligible for a feedback key — e.g. they carry
     /// bound equi-join probes referencing other refids — were left out
-    /// of the [`Harvest`], mirroring the eligibility the estimator
+    /// of the [`Runtime`], mirroring the eligibility the estimator
     /// applies on recompile.
-    fn harvest_feedback(&self, harvest: &Harvest, metrics: &ExecMetrics, binds: &[Value]) -> f64 {
-        debug_assert!(metrics.matches(&harvest.index));
+    fn harvest_feedback(&self, runtime: &Runtime, metrics: &ExecMetrics, binds: &[Value]) -> f64 {
+        debug_assert!(metrics.matches(runtime.index()));
         let mut worst = 1.0_f64;
-        for (id, estimate, shape) in &harvest.scans {
+        for (id, estimate, shape) in &runtime.scans {
             let Some(m) = metrics.get(*id) else {
                 continue;
             };

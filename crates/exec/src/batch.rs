@@ -3,8 +3,15 @@
 //!
 //! Operators exchange [`Batch`]es of up to [`BATCH_SIZE`] rows stored
 //! column-wise; predicates and projections run as [`crate::vexpr`]
-//! programs compiled once per operator. Work-unit charges and governor
-//! row ticks are the batch-granular aggregates of exactly what the row
+//! programs. Programs are compiled **once per plan**, not per execution:
+//! a [`ProgramSet`] holds, by plan position, everything the pipeline
+//! derives from the plan — each block's live columns, each scan's,
+//! view's and hash join's programs and column masks, and each block's
+//! post-filter, GROUP BY, aggregate, HAVING, DISTINCT, ORDER BY and
+//! select programs. A bind parameter compiles to its slot, so a cached
+//! plan keeps one set for every bind vector, and an execution allocates
+//! only for the rows it produces. Work-unit charges and governor row
+//! ticks are the batch-granular aggregates of exactly what the row
 //! engine charges per row, so both engines produce identical results,
 //! per-operator row counts, work totals, and governor outcomes — the
 //! property the fuzzer's `--differential-exec` mode asserts.
@@ -14,9 +21,9 @@
 //! its output is gathered column by column from those pairs. GROUP BY,
 //! DISTINCT and ORDER BY work on row ids and group ids too: a row's key
 //! is hashed once and compared in place, never copied into a per-row
-//! key. Each select block computes once per execution the set of
-//! columns anything above its scans reads ([`Live`]); scans, views and
-//! joins materialize only those, and the others stay empty `Vec`s.
+//! key. Each select block's [`Live`] set names the columns anything
+//! above its scans reads; scans, views and joins materialize only
+//! those, and the others stay empty `Vec`s.
 //!
 //! Nested-loop, merge and lateral joins produce their inputs batched and
 //! run the row loop both engines share ([`Engine::join_rows`]). What
@@ -30,9 +37,14 @@ use crate::vexpr::{compile, CompileCtx, VecExpr};
 use cbqt_common::failpoint;
 use cbqt_common::hash::hash_all;
 use cbqt_common::{Error, Result, Row, Value};
-use cbqt_optimizer::{weights, JoinMethod, Layout, PlanJoinKind, PlanNode, PlanNodeId, SelectPlan};
+use cbqt_optimizer::{
+    weights, BlockPlan, JoinMethod, Layout, PlanIndex, PlanJoinKind, PlanNode, PlanNodeId,
+    PlanRoot, SelectPlan,
+};
 use cbqt_qgm::{QExpr, RefId};
 use std::borrow::Cow;
+use std::mem::size_of;
+use std::sync::Arc;
 
 /// Target rows per batch: large enough to amortize per-batch dispatch,
 /// small enough to keep a batch's columns cache-resident.
@@ -211,8 +223,8 @@ fn gather_ids(src: &[Batch], ids: &[Rid]) -> Vec<Batch> {
 /// scans reads, as sorted `(table reference, column)` pairs: the union
 /// of the columns of its post-join filter, GROUP BY keys, aggregate
 /// arguments, HAVING, DISTINCT / ORDER BY keys and select list, and of
-/// every join's equi-keys and residual. Computed once per execution of
-/// the block.
+/// every join's equi-keys and residual. Computed once per plan, when its
+/// [`ProgramSet`] is built.
 pub(crate) struct Live(Vec<(RefId, usize)>);
 
 impl Live {
@@ -403,23 +415,345 @@ impl GroupTable {
     }
 }
 
+/// Everything the batch engine derives from one plan, compiled once and
+/// kept by position ([`PlanNodeId`]): an execution looks its programs
+/// up instead of compiling them. A cached plan keeps its set beside it;
+/// [`Engine::run`] builds one for a plan it is handed bare.
+#[derive(Debug)]
+pub struct ProgramSet {
+    index: Arc<PlanIndex>,
+    /// By position, in plan-walk order.
+    steps: Vec<Step>,
+}
+
+/// What is compiled at one plan position (boxed, so a position with
+/// nothing compiled costs a pointer).
+#[derive(Debug, PartialEq)]
+enum Step {
+    /// Nothing: a set operation, ONE ROW, or a join the shared row loop
+    /// runs.
+    Nothing,
+    Select(Box<SelectProgs>),
+    /// A base-table scan or a view scan.
+    Scan(Box<ScanProgs>),
+    HashJoin(Box<HashJoinProgs>),
+}
+
+/// A select block's pipeline above its join tree.
+#[derive(Debug, PartialEq)]
+struct SelectProgs {
+    /// The block's live columns: what aggregation gathers of a group's
+    /// representative row.
+    keep: Vec<bool>,
+    post_filter: Vec<VecExpr>,
+    group_by: Vec<VecExpr>,
+    /// Per aggregate slot, its argument (`None`: `COUNT(*)`, or a slot
+    /// that is no aggregate, which errors when accumulators are made).
+    agg_args: Vec<Option<VecExpr>>,
+    /// The grouping sets, as positions in `group_by`.
+    sets: Vec<Vec<usize>>,
+    having: Vec<VecExpr>,
+    /// The DISTINCT (or DISTINCT ON) keys; empty without DISTINCT.
+    distinct: Vec<VecExpr>,
+    order_by: Vec<VecExpr>,
+    select: Vec<VecExpr>,
+    /// Every select program is a [cell](VecExpr::cell): the projection
+    /// writes output rows directly, with no column-to-row transpose.
+    cells: bool,
+}
+
+/// A base-table or view scan: its filter, and which of its columns the
+/// filter reads and which the block keeps.
+#[derive(Debug, PartialEq)]
+struct ScanProgs {
+    layout: Layout,
+    filter: Vec<VecExpr>,
+    /// Columns the filter reads (all of them for a fallback program).
+    have: Vec<bool>,
+    /// Live columns.
+    keep: Vec<bool>,
+}
+
+/// A hash join's key programs, layouts and kept columns.
+#[derive(Debug, PartialEq)]
+struct HashJoinProgs {
+    llayout: Layout,
+    rlayout: Layout,
+    combined: Layout,
+    lkeys: Vec<VecExpr>,
+    rkeys: Vec<VecExpr>,
+    lkeep: Vec<bool>,
+    /// Empty for a semi or anti join, which outputs left rows only.
+    rkeep: Vec<bool>,
+}
+
+impl ProgramSet {
+    /// Compiles `plan`, with its position index.
+    pub fn of(plan: &BlockPlan) -> ProgramSet {
+        let index = Arc::new(PlanIndex::build(plan));
+        let mut steps = Vec::with_capacity(index.len());
+        block_steps(plan, &mut steps);
+        debug_assert_eq!(steps.len(), index.len(), "steps out of walk order");
+        ProgramSet { index, steps }
+    }
+
+    /// The position index of the compiled plan.
+    pub fn index(&self) -> &Arc<PlanIndex> {
+        &self.index
+    }
+
+    /// Estimated bytes held: every step, mask, layout slot and program
+    /// node (the `QExpr` of a fallback program is not counted).
+    pub fn estimated_bytes(&self) -> usize {
+        let progs = |ps: &[VecExpr]| ps.iter().map(VecExpr::nodes).sum::<usize>();
+        let slots = |l: &Layout| l.slots.len() * size_of::<(RefId, usize, usize)>();
+        let steps = self.steps.iter().map(|s| match s {
+            Step::Nothing => 0,
+            Step::Select(p) => {
+                let args = p
+                    .agg_args
+                    .iter()
+                    .flatten()
+                    .map(VecExpr::nodes)
+                    .sum::<usize>();
+                let lists = [
+                    &p.post_filter,
+                    &p.group_by,
+                    &p.having,
+                    &p.distinct,
+                    &p.order_by,
+                    &p.select,
+                ];
+                size_of::<SelectProgs>()
+                    + p.keep.len()
+                    + p.sets
+                        .iter()
+                        .map(|s| s.len() * size_of::<usize>())
+                        .sum::<usize>()
+                    + (args + lists.iter().map(|l| progs(l)).sum::<usize>()) * size_of::<VecExpr>()
+            }
+            Step::Scan(p) => {
+                size_of::<ScanProgs>()
+                    + slots(&p.layout)
+                    + progs(&p.filter) * size_of::<VecExpr>()
+                    + p.have.len()
+                    + p.keep.len()
+            }
+            Step::HashJoin(p) => {
+                size_of::<HashJoinProgs>()
+                    + slots(&p.llayout)
+                    + slots(&p.rlayout)
+                    + slots(&p.combined)
+                    + (progs(&p.lkeys) + progs(&p.rkeys)) * size_of::<VecExpr>()
+                    + p.lkeep.len()
+                    + p.rkeep.len()
+            }
+        });
+        size_of::<ProgramSet>() + self.steps.len() * size_of::<Step>() + steps.sum::<usize>()
+    }
+
+    fn step(&self, id: PlanNodeId) -> Option<&Step> {
+        self.steps.get(id.0 as usize)
+    }
+
+    fn select(&self, id: PlanNodeId) -> Result<&SelectProgs> {
+        match self.step(id) {
+            Some(Step::Select(p)) => Ok(p),
+            _ => Err(Error::internal(format!("no select programs at {id}"))),
+        }
+    }
+
+    fn scan(&self, id: PlanNodeId) -> Result<&ScanProgs> {
+        match self.step(id) {
+            Some(Step::Scan(p)) => Ok(p),
+            _ => Err(Error::internal(format!("no scan programs at {id}"))),
+        }
+    }
+
+    fn hash_join(&self, id: PlanNodeId) -> Result<&HashJoinProgs> {
+        match self.step(id) {
+            Some(Step::HashJoin(p)) => Ok(p),
+            _ => Err(Error::internal(format!("no hash-join programs at {id}"))),
+        }
+    }
+}
+
+/// Two sets are equal when they compile plans of one shape to the same
+/// programs at every position.
+impl PartialEq for ProgramSet {
+    fn eq(&self, other: &ProgramSet) -> bool {
+        self.index.fingerprint() == other.index.fingerprint() && self.steps == other.steps
+    }
+}
+
+/// Appends the steps of the block `plan` and of everything below it, in
+/// plan-walk order.
+fn block_steps(plan: &BlockPlan, steps: &mut Vec<Step>) {
+    let at = steps.len();
+    steps.push(Step::Nothing);
+    match &plan.root {
+        PlanRoot::Select(sp) => {
+            let live = Live::of(sp);
+            node_steps(&sp.join, live.as_ref(), steps);
+            for (_, p) in &sp.subplans {
+                block_steps(p, steps);
+            }
+            steps[at] = Step::Select(Box::new(SelectProgs::of(sp, live.as_ref())));
+        }
+        PlanRoot::SetOp(sop) => {
+            for i in &sop.inputs {
+                block_steps(i, steps);
+            }
+        }
+    }
+}
+
+/// Appends the steps of a join-tree node of a block whose live columns
+/// are `live`.
+fn node_steps(node: &PlanNode, live: Option<&Live>, steps: &mut Vec<Step>) {
+    match node {
+        PlanNode::OneRow => steps.push(Step::Nothing),
+        PlanNode::ScanBase {
+            refid,
+            width,
+            filter,
+            ..
+        } => steps.push(Step::Scan(Box::new(ScanProgs::of(
+            *refid, *width, filter, live,
+        )))),
+        PlanNode::ScanView {
+            refid,
+            width,
+            plan,
+            filter,
+            ..
+        } => {
+            steps.push(Step::Scan(Box::new(ScanProgs::of(
+                *refid, *width, filter, live,
+            ))));
+            block_steps(plan, steps);
+        }
+        PlanNode::Join {
+            left,
+            right,
+            kind,
+            method,
+            equi,
+            lateral,
+            ..
+        } => {
+            let at = steps.len();
+            steps.push(Step::Nothing);
+            node_steps(left, live, steps);
+            node_steps(right, live, steps);
+            if *method == JoinMethod::Hash && !*lateral {
+                let p = HashJoinProgs::of(left, right, *kind, equi, live);
+                steps[at] = Step::HashJoin(Box::new(p));
+            }
+        }
+    }
+}
+
+impl SelectProgs {
+    fn of(sp: &SelectPlan, live: Option<&Live>) -> SelectProgs {
+        let cx = CompileCtx {
+            layout: &sp.layout,
+            aggs: &sp.aggs,
+            agg_base: sp.layout.width,
+            windows: &sp.windows,
+            win_base: sp.layout.width + sp.aggs.len(),
+        };
+        let all = |es: &[QExpr]| -> Vec<VecExpr> { es.iter().map(|e| compile(e, &cx)).collect() };
+        let distinct = match (&sp.distinct_keys, sp.distinct) {
+            (Some(keys), _) => all(keys),
+            (None, true) => all(&sp.select),
+            (None, false) => Vec::new(),
+        };
+        let select = all(&sp.select);
+        SelectProgs {
+            keep: Live::mask(live, &sp.layout),
+            post_filter: all(&sp.post_filter),
+            group_by: all(&sp.group_by),
+            agg_args: sp
+                .aggs
+                .iter()
+                .map(|a| match a {
+                    QExpr::Agg { arg, .. } => arg.as_ref().map(|x| compile(x, &cx)),
+                    _ => None,
+                })
+                .collect(),
+            sets: match &sp.grouping_sets {
+                Some(s) => s.clone(),
+                None => vec![(0..sp.group_by.len()).collect()],
+            },
+            having: all(&sp.having),
+            distinct,
+            order_by: sp.order_by.iter().map(|o| compile(&o.expr, &cx)).collect(),
+            cells: select.iter().all(VecExpr::is_cell),
+            select,
+        }
+    }
+}
+
+impl ScanProgs {
+    fn of(refid: RefId, width: usize, filter: &[QExpr], live: Option<&Live>) -> ScanProgs {
+        let layout = Layout {
+            slots: vec![(refid, 0, width)],
+            width,
+        };
+        let cx = CompileCtx::plain(&layout);
+        let filter: Vec<VecExpr> = filter.iter().map(|c| compile(c, &cx)).collect();
+        ScanProgs {
+            have: needed_cols(&filter, width),
+            keep: Live::mask(live, &layout),
+            filter,
+            layout,
+        }
+    }
+}
+
+impl HashJoinProgs {
+    fn of(
+        left: &PlanNode,
+        right: &PlanNode,
+        kind: PlanJoinKind,
+        equi: &[(QExpr, QExpr)],
+        live: Option<&Live>,
+    ) -> HashJoinProgs {
+        let llayout = Layout::from_node(left);
+        let rlayout = Layout::from_node(right);
+        let (cxl, cxr) = (CompileCtx::plain(&llayout), CompileCtx::plain(&rlayout));
+        HashJoinProgs {
+            lkeys: equi.iter().map(|(le, _)| compile(le, &cxl)).collect(),
+            rkeys: equi.iter().map(|(_, re)| compile(re, &cxr)).collect(),
+            lkeep: Live::mask(live, &llayout),
+            rkeep: match kind {
+                PlanJoinKind::Semi | PlanJoinKind::Anti { .. } => Vec::new(),
+                _ => Live::mask(live, &rlayout),
+            },
+            combined: combined_layout(&llayout, &rlayout),
+            llayout,
+            rlayout,
+        }
+    }
+}
+
 /// Executes the plan node at position `id` into batches, recording
 /// per-operator metrics under the id the row engine uses (so EXPLAIN
 /// ANALYZE output and the differential oracle line up across engines).
-/// Only the columns `live` names are materialized.
+/// Only the columns its block keeps live are materialized.
 pub(crate) fn exec_node_batched(
     eng: &Engine<'_>,
     node: &PlanNode,
     id: PlanNodeId,
     binds: &Bindings<'_>,
-    live: Option<&Live>,
 ) -> Result<Vec<Batch>> {
     if !eng.metrics_enabled() {
-        return exec_node_batched_inner(eng, node, id, binds, live);
+        return exec_node_batched_inner(eng, node, id, binds);
     }
     let work0 = eng.work_now();
     let start = eng.metrics_timed().then(std::time::Instant::now);
-    let out = exec_node_batched_inner(eng, node, id, binds, live)?;
+    let out = exec_node_batched_inner(eng, node, id, binds)?;
     eng.record_metric(
         id,
         out.iter().map(|b| b.len as u64).sum(),
@@ -434,7 +768,6 @@ fn exec_node_batched_inner(
     node: &PlanNode,
     id: PlanNodeId,
     binds: &Bindings<'_>,
-    live: Option<&Live>,
 ) -> Result<Vec<Batch>> {
     match node {
         PlanNode::OneRow => {
@@ -444,131 +777,38 @@ fn exec_node_batched_inner(
                 len: 1,
             }])
         }
-        PlanNode::ScanBase {
-            table,
-            refid,
-            width,
-            access,
-            filter,
-            ..
-        } => {
+        PlanNode::ScanBase { table, access, .. } => {
             cbqt_common::failpoint!(failpoint::EXEC_SCAN);
-            let w = *width;
-            let layout = Layout {
-                slots: vec![(*refid, 0, w)],
-                width: w,
-            };
-            let ctx = eng.simple_ctx(&layout, binds);
+            let set = eng.programs();
+            let sc = set.scan(id)?;
+            let ctx = eng.simple_ctx(&sc.layout, binds);
             let data = eng.snapshot().table(*table)?;
             let ordinals = eng.scan_ordinals(access, &ctx, &data)?;
-            let cxp = CompileCtx::plain(&layout, eng.params());
-            let progs: Vec<VecExpr> = filter.iter().map(|c| compile(c, &cxp)).collect();
-            let needs_full = progs.iter().any(VecExpr::uses_fallback);
-            let have = needed_cols(&progs, w, needs_full);
-            let keep = Live::mask(live, &layout);
-            let mut out = Vec::new();
-            for chunk in ordinals.chunks(BATCH_SIZE) {
-                eng.tick_rows(chunk.len() as u64)?;
-                // materialize only the columns the filter reads; the
-                // ROWID pseudo-column sits at index `w - 1`
-                let mut fb = Batch {
-                    cols: vec![Vec::new(); w],
-                    len: chunk.len(),
-                };
-                for (j, col) in fb.cols.iter_mut().enumerate() {
-                    if !have[j] {
-                        continue;
-                    }
-                    col.reserve(chunk.len());
-                    if j + 1 == w {
-                        col.extend(chunk.iter().map(|&o| Value::Int(o as i64)));
-                    } else {
-                        col.extend(chunk.iter().map(|&o| data.row(o)[j].clone()));
-                    }
-                }
-                let sel = filter_batch(eng, &fb, &progs, &ctx)?;
-                if sel.is_empty() {
-                    continue;
-                }
-                // the live columns of the survivors only
-                let all = sel.len() == chunk.len();
-                let cols = (0..w).map(|j| match (keep[j], have[j]) {
-                    (false, _) => Vec::new(),
-                    (true, true) if all => std::mem::take(&mut fb.cols[j]),
-                    (true, true) => sel.iter().map(|&k| fb.cols[j][k].clone()).collect(),
-                    (true, false) if j + 1 == w => {
-                        sel.iter().map(|&k| Value::Int(chunk[k] as i64)).collect()
-                    }
-                    (true, false) => sel.iter().map(|&k| data.row(chunk[k])[j].clone()).collect(),
-                });
-                out.push(Batch {
-                    cols: cols.collect(),
-                    len: sel.len(),
-                });
-            }
-            Ok(out)
-        }
-        PlanNode::ScanView {
-            refid,
-            width,
-            plan,
-            filter,
-            ..
-        } => {
-            let rows = eng.execute_cached(plan, id.first_child(), binds)?;
-            let w = *width;
-            let layout = Layout {
-                slots: vec![(*refid, 0, w)],
-                width: w,
+            // the ROWID pseudo-column sits at index `w - 1`
+            let w = sc.layout.width;
+            let value = |i: usize, j: usize| match j + 1 == w {
+                true => Value::Int(ordinals[i] as i64),
+                false => data.row(ordinals[i])[j].clone(),
             };
-            let ctx = eng.simple_ctx(&layout, binds);
-            let cxp = CompileCtx::plain(&layout, eng.params());
-            let progs: Vec<VecExpr> = filter.iter().map(|c| compile(c, &cxp)).collect();
-            let needs_full = progs.iter().any(VecExpr::uses_fallback);
-            let have = needed_cols(&progs, w, needs_full);
-            let keep = Live::mask(live, &layout);
-            let mut out = Vec::new();
-            for rows in rows.chunks(BATCH_SIZE) {
-                let n = rows.len();
-                eng.tick_rows(n as u64)?;
-                eng.add_work(n as f64 * weights::ROW);
-                let mut fb = Batch {
-                    cols: vec![Vec::new(); w],
-                    len: n,
-                };
-                for (j, col) in fb.cols.iter_mut().enumerate() {
-                    if have[j] {
-                        col.extend(rows.iter().map(|r| r[j].clone()));
-                    }
-                }
-                let sel = filter_batch(eng, &fb, &progs, &ctx)?;
-                if sel.is_empty() {
-                    continue;
-                }
-                let all = sel.len() == n;
-                let cols = (0..w).map(|j| match (keep[j], have[j]) {
-                    (false, _) => Vec::new(),
-                    (true, true) if all => std::mem::take(&mut fb.cols[j]),
-                    (true, true) => sel.iter().map(|&k| fb.cols[j][k].clone()).collect(),
-                    (true, false) => sel.iter().map(|&k| rows[k][j].clone()).collect(),
-                });
-                out.push(Batch {
-                    cols: cols.collect(),
-                    len: sel.len(),
-                });
-            }
-            Ok(out)
+            scan_batches(eng, sc, &ctx, ordinals.len(), 0.0, value)
+        }
+        PlanNode::ScanView { plan, .. } => {
+            let rows = eng.execute_cached(plan, id.first_child(), binds)?;
+            let set = eng.programs();
+            let sc = set.scan(id)?;
+            let ctx = eng.simple_ctx(&sc.layout, binds);
+            let value = |i: usize, j: usize| rows[i][j].clone();
+            scan_batches(eng, sc, &ctx, rows.len(), weights::ROW, value)
         }
         PlanNode::Join {
             left,
             right,
             kind,
             method: JoinMethod::Hash,
-            equi,
             residual,
             lateral: false,
             ..
-        } => hash_join_batched(eng, left, right, id, *kind, equi, residual, binds, live),
+        } => hash_join_batched(eng, left, right, id, *kind, residual, binds),
         PlanNode::Join {
             left,
             right,
@@ -583,11 +823,11 @@ fn exec_node_batched_inner(
             // a lateral right side runs row-wise, once per left row
             cbqt_common::failpoint!(failpoint::EXEC_JOIN);
             let (left_id, right_id) = (id.first_child(), eng.after(id.first_child()));
-            let lrows = batches_to_rows(exec_node_batched(eng, left, left_id, binds, live)?);
+            let lrows = batches_to_rows(exec_node_batched(eng, left, left_id, binds)?);
             let right_in = match lateral {
                 true => RightInput::Lateral(right, right_id),
                 false => {
-                    let rbatches = exec_node_batched(eng, right, right_id, binds, live)?;
+                    let rbatches = exec_node_batched(eng, right, right_id, binds)?;
                     RightInput::Rows(right, batches_to_rows(rbatches))
                 }
             };
@@ -599,10 +839,75 @@ fn exec_node_batched_inner(
     }
 }
 
+/// Filters `n` source rows in batches of at most [`BATCH_SIZE`] and
+/// keeps the live columns of the survivors; `value(i, j)` reads column
+/// `j` of source row `i`. Only the columns the filter reads are
+/// materialized for every row; the rest are gathered for the survivors
+/// straight from the source. `row_work` is charged per source row.
+fn scan_batches(
+    eng: &Engine<'_>,
+    sc: &ScanProgs,
+    ctx: &EvalCtx<'_>,
+    n: usize,
+    row_work: f64,
+    value: impl Fn(usize, usize) -> Value,
+) -> Result<Vec<Batch>> {
+    let mut out = Vec::with_capacity(n.div_ceil(BATCH_SIZE));
+    // the survivors of a chunk, when there is a filter to refine them
+    let mut sel: Vec<usize> = Vec::new();
+    for start in (0..n).step_by(BATCH_SIZE) {
+        let len = BATCH_SIZE.min(n - start);
+        eng.tick_rows(len as u64)?;
+        if row_work > 0.0 {
+            eng.add_work(len as f64 * row_work);
+        }
+        let mut fb = Batch::default();
+        if !sc.filter.is_empty() {
+            let col = |j: usize| (start..start + len).map(|i| value(i, j)).collect();
+            fb = Batch {
+                cols: (0..sc.have.len())
+                    .map(|j| match sc.have[j] {
+                        true => col(j),
+                        false => Vec::new(),
+                    })
+                    .collect(),
+                len,
+            };
+            sel.clear();
+            sel.extend(0..len);
+            filter_batch(eng, &fb, &sc.filter, ctx, &mut sel)?;
+            if sel.is_empty() {
+                continue;
+            }
+        }
+        // the survivors' chunk positions; `None`: every row survived
+        let kept = (!sc.filter.is_empty() && sel.len() < len).then_some(&sel[..]);
+        let gather = |j: usize| match kept {
+            None => (0..len).map(|k| value(start + k, j)).collect(),
+            Some(kept) => kept.iter().map(|&k| value(start + k, j)).collect(),
+        };
+        let cols = sc.keep.iter().enumerate().map(|(j, &keep)| {
+            let have = fb.cols.get(j).is_some_and(|c| c.len() == len);
+            match (keep, have, kept) {
+                (false, ..) => Vec::new(),
+                (true, true, None) => std::mem::take(&mut fb.cols[j]),
+                (true, true, Some(kept)) => kept.iter().map(|&k| fb.cols[j][k].clone()).collect(),
+                (true, false, _) => gather(j),
+            }
+        });
+        out.push(Batch {
+            cols: cols.collect(),
+            len: kept.map_or(len, <[usize]>::len),
+        });
+    }
+    Ok(out)
+}
+
 /// Column mask for sparse scan materialization: which of the `w` batch
 /// columns the filter programs read. Fallback programs gather full rows,
 /// so they force every column on.
-fn needed_cols(progs: &[VecExpr], w: usize, needs_full: bool) -> Vec<bool> {
+fn needed_cols(progs: &[VecExpr], w: usize) -> Vec<bool> {
+    let needs_full = progs.iter().any(VecExpr::uses_fallback);
     let mut have = vec![needs_full; w];
     if !needs_full {
         let mut idx = Vec::new();
@@ -618,30 +923,60 @@ fn needed_cols(progs: &[VecExpr], w: usize, needs_full: bool) -> Vec<bool> {
     have
 }
 
-/// Applies compiled filter conjuncts to a batch with selection
-/// refinement. Charges one PRED per conjunct per row still selected —
-/// the aggregate of the row engine's per-row break-on-fail charges.
-pub(crate) fn filter_batch(
+/// Applies compiled filter conjuncts to a batch, refining the selection
+/// `sel` in place. Charges one PRED per conjunct per row still selected
+/// — the aggregate of the row engine's per-row break-on-fail charges.
+fn filter_batch(
     eng: &Engine<'_>,
     b: &Batch,
     progs: &[VecExpr],
     ctx: &EvalCtx<'_>,
-) -> Result<Vec<usize>> {
-    let mut sel: Vec<usize> = (0..b.len).collect();
+    sel: &mut Vec<usize>,
+) -> Result<()> {
     for p in progs {
         if sel.is_empty() {
             break;
         }
         eng.add_work(sel.len() as f64 * weights::PRED);
-        let t = p.eval_truth(b, &sel, ctx)?;
-        sel = sel
-            .iter()
-            .zip(t.iter())
-            .filter(|(_, t)| t.passes())
-            .map(|(&i, _)| i)
-            .collect();
+        p.refine(b, sel, ctx)?;
     }
-    Ok(sel)
+    Ok(())
+}
+
+/// Keeps the rows of `batches` that pass every one of `progs`, ticking
+/// the governor per batch when `tick`. No programs keep every batch as
+/// it is.
+fn filter_batches(
+    eng: &Engine<'_>,
+    batches: Vec<Batch>,
+    progs: &[VecExpr],
+    ctx: &EvalCtx<'_>,
+    tick: bool,
+) -> Result<Vec<Batch>> {
+    if progs.is_empty() {
+        if tick {
+            for b in &batches {
+                eng.tick_rows(b.len as u64)?;
+            }
+        }
+        return Ok(batches);
+    }
+    let mut kept = Vec::with_capacity(batches.len());
+    let mut sel = Vec::new();
+    for b in batches {
+        if tick {
+            eng.tick_rows(b.len as u64)?;
+        }
+        sel.clear();
+        sel.extend(0..b.len);
+        filter_batch(eng, &b, progs, ctx, &mut sel)?;
+        if sel.len() == b.len {
+            kept.push(b);
+        } else if !sel.is_empty() {
+            kept.push(b.gather(&sel));
+        }
+    }
+    Ok(kept)
 }
 
 /// Hash join over batches that emits row ids: the build side becomes one
@@ -651,34 +986,26 @@ pub(crate) fn filter_batch(
 /// pairs — the live columns only. Candidate order, residual checks,
 /// ticks, work charges and null-aware anti-join semantics are the row
 /// engine's `hash_join`, exactly.
-#[allow(clippy::too_many_arguments)]
 fn hash_join_batched(
     eng: &Engine<'_>,
     left: &PlanNode,
     right: &PlanNode,
     id: PlanNodeId,
     kind: PlanJoinKind,
-    equi: &[(QExpr, QExpr)],
     residual: &[QExpr],
     binds: &Bindings<'_>,
-    live: Option<&Live>,
 ) -> Result<Vec<Batch>> {
     cbqt_common::failpoint!(failpoint::EXEC_JOIN);
     let (left_id, right_id) = (id.first_child(), eng.after(id.first_child()));
-    let lbatches = exec_node_batched(eng, left, left_id, binds, live)?;
-    let llayout = Layout::from_node(left);
-    let rlayout = Layout::from_node(right);
-    let combined = combined_layout(&llayout, &rlayout);
-    let cctx = eng.simple_ctx(&combined, binds);
-    let rkctx = eng.simple_ctx(&rlayout, binds);
-    let lkctx = eng.simple_ctx(&llayout, binds);
-    let rbatches = exec_node_batched(eng, right, right_id, binds, live)?;
+    let lbatches = exec_node_batched(eng, left, left_id, binds)?;
+    let set = eng.programs();
+    let hj = set.hash_join(id)?;
+    let cctx = eng.simple_ctx(&hj.combined, binds);
+    let rkctx = eng.simple_ctx(&hj.rlayout, binds);
+    let lkctx = eng.simple_ctx(&hj.llayout, binds);
+    let rbatches = exec_node_batched(eng, right, right_id, binds)?;
 
     // build on right: key groups, each compared by its first row's key
-    let rprogs: Vec<VecExpr> = {
-        let cxr = CompileCtx::plain(&rlayout, eng.params());
-        equi.iter().map(|(_, re)| compile(re, &cxr)).collect()
-    };
     let mut rkeys = Vec::with_capacity(rbatches.len());
     let mut table = GroupTable::default();
     let mut first: Vec<Rid> = Vec::new();
@@ -687,7 +1014,7 @@ fn hash_join_batched(
     for (bi, b) in rbatches.iter().enumerate() {
         eng.tick_rows(b.len as u64)?;
         eng.add_work(b.len as f64 * weights::HASH_BUILD);
-        rkeys.push(eval_all(&rprogs, b, &rkctx)?);
+        rkeys.push(eval_all(&hj.rkeys, b, &rkctx)?);
         let kc = &rkeys[bi];
         for i in 0..b.len {
             if kc.iter().any(|c| c[i].is_null()) {
@@ -720,15 +1047,11 @@ fn hash_join_batched(
     }
 
     // probe keys, column-wise per left batch
-    let lprogs: Vec<VecExpr> = {
-        let cxl = CompileCtx::plain(&llayout, eng.params());
-        equi.iter().map(|(le, _)| compile(le, &cxl)).collect()
-    };
     let mut lkeys = Vec::with_capacity(lbatches.len());
     for b in &lbatches {
         eng.tick_rows(b.len as u64)?;
         eng.add_work(b.len as f64 * weights::HASH_PROBE);
-        lkeys.push(eval_all(&lprogs, b, &lkctx)?);
+        lkeys.push(eval_all(&hj.lkeys, b, &lkctx)?);
     }
 
     let mut pairs: Vec<(Rid, Rid)> = Vec::new();
@@ -758,7 +1081,7 @@ fn hash_join_batched(
                 eng.tick()?;
                 if !residual.is_empty() {
                     eng.add_work(residual.len() as f64 * weights::PRED);
-                    crow.truncate(llayout.width);
+                    crow.truncate(hj.llayout.width);
                     let rb = &rbatches[rid.b as usize];
                     let rv = rb.cols.iter().map(|c| c.get(rid.r as usize));
                     crow.extend(rv.map(|v| v.cloned().unwrap_or(Value::Null)));
@@ -815,17 +1138,12 @@ fn hash_join_batched(
     eng.add_work(pairs.len() as f64 * weights::ROW);
 
     // gather the output, column by column
-    let lkeep = Live::mask(live, &llayout);
-    let rkeep = match kind {
-        PlanJoinKind::Semi | PlanJoinKind::Anti { .. } => Vec::new(),
-        _ => Live::mask(live, &rlayout),
-    };
     let out = pairs.chunks(BATCH_SIZE).map(|chunk| {
-        let lcols = lkeep.iter().enumerate().map(|(j, keep)| match keep {
+        let lcols = hj.lkeep.iter().enumerate().map(|(j, keep)| match keep {
             true => gather_col(&lbatches, j, chunk.iter().map(|p| p.0)),
             false => Vec::new(),
         });
-        let rcols = rkeep.iter().enumerate().map(|(j, keep)| match keep {
+        let rcols = hj.rkeep.iter().enumerate().map(|(j, keep)| match keep {
             true => gather_col(&rbatches, j, chunk.iter().map(|p| p.1)),
             false => Vec::new(),
         });
@@ -838,24 +1156,18 @@ fn hash_join_batched(
 }
 
 /// Vectorized select-block pipeline: the batch counterpart of
-/// `Engine::exec_select`, stage for stage.
+/// `Engine::exec_select`, stage for stage, running the block's programs
+/// from the engine's [`ProgramSet`].
 pub(crate) fn exec_select_batched(
     eng: &Engine<'_>,
     sp: &SelectPlan,
     id: PlanNodeId,
     binds: &Bindings<'_>,
 ) -> Result<Vec<Row>> {
-    let live = Live::of(sp);
-    let mut batches = exec_node_batched(eng, &sp.join, id.first_child(), binds, live.as_ref())?;
+    let mut batches = exec_node_batched(eng, &sp.join, id.first_child(), binds)?;
+    let set = eng.programs();
+    let progs = set.select(id)?;
     let base_ctx = EvalCtx::of_select(eng, sp, id, binds);
-    let cx = CompileCtx {
-        layout: &sp.layout,
-        aggs: &sp.aggs,
-        agg_base: sp.layout.width,
-        windows: &sp.windows,
-        win_base: sp.layout.width + sp.aggs.len(),
-        params: eng.params(),
-    };
 
     // WHERE residue + ROWNUM
     if sp.rownum_limit.is_some() {
@@ -864,18 +1176,7 @@ pub(crate) fn exec_select_batched(
         let rows = eng.post_filter_rows(sp, &base_ctx, batches_to_rows(batches))?;
         batches = rows_to_batches(rows, sp.layout.width);
     } else {
-        let progs: Vec<VecExpr> = sp.post_filter.iter().map(|c| compile(c, &cx)).collect();
-        let mut kept = Vec::with_capacity(batches.len());
-        for b in batches {
-            eng.tick_rows(b.len as u64)?;
-            let sel = filter_batch(eng, &b, &progs, &base_ctx)?;
-            if sel.len() == b.len {
-                kept.push(b);
-            } else if !sel.is_empty() {
-                kept.push(b.gather(&sel));
-            }
-        }
-        batches = kept;
+        batches = filter_batches(eng, batches, &progs.post_filter, &base_ctx, true)?;
     }
 
     // aggregation + HAVING
@@ -884,20 +1185,9 @@ pub(crate) fn exec_select_batched(
         || !sp.aggs.is_empty()
         || !sp.having.is_empty();
     if aggregated {
-        let keep = Live::mask(live.as_ref(), &sp.layout);
-        batches = aggregate_batched(eng, sp, &base_ctx, &cx, batches, &keep)?;
-        let progs: Vec<VecExpr> = sp.having.iter().map(|c| compile(c, &cx)).collect();
-        let mut kept = Vec::with_capacity(batches.len());
-        for b in batches {
-            // no governor tick here: the row engine doesn't tick HAVING
-            let sel = filter_batch(eng, &b, &progs, &base_ctx)?;
-            if sel.len() == b.len {
-                kept.push(b);
-            } else if !sel.is_empty() {
-                kept.push(b.gather(&sel));
-            }
-        }
-        batches = kept;
+        batches = aggregate_batched(eng, sp, progs, &base_ctx, batches)?;
+        // no governor tick here: the row engine doesn't tick HAVING
+        batches = filter_batches(eng, batches, &progs.having, &base_ctx, false)?;
     }
 
     // window functions: row-wise stage shared with the row engine
@@ -910,14 +1200,12 @@ pub(crate) fn exec_select_batched(
 
     // distinct / distinct-on: first-occurrence order across batches
     if sp.distinct || sp.distinct_keys.is_some() {
-        let keys = sp.distinct_keys.as_ref().unwrap_or(&sp.select);
-        let kprogs: Vec<VecExpr> = keys.iter().map(|e| compile(e, &cx)).collect();
         let mut seen = GroupTable::default();
         let mut seen_keys: Vec<Value> = Vec::new();
         let mut kept = Vec::with_capacity(batches.len());
         for b in batches {
             eng.add_work(b.len as f64 * weights::DEDUP);
-            let kc = eval_all(&kprogs, &b, &base_ctx)?;
+            let kc = eval_all(&progs.distinct, &b, &base_ctx)?;
             let mut keep = Vec::new();
             for i in 0..b.len {
                 let nk = kc.len();
@@ -942,11 +1230,10 @@ pub(crate) fn exec_select_batched(
         let total: usize = batches.iter().map(|b| b.len).sum();
         let n = total.max(2) as f64;
         eng.add_work(weights::SORT * n * n.log2());
-        let oprogs: Vec<VecExpr> = sp.order_by.iter().map(|o| compile(&o.expr, &cx)).collect();
         let sorted = {
             let keys: Vec<Vec<Cow<[Value]>>> = batches
                 .iter()
-                .map(|b| eval_all(&oprogs, b, &base_ctx))
+                .map(|b| eval_all(&progs.order_by, b, &base_ctx))
                 .collect::<Result<_>>()?;
             let mut ids: Vec<Rid> = Vec::with_capacity(total);
             for (bi, b) in batches.iter().enumerate() {
@@ -968,14 +1255,29 @@ pub(crate) fn exec_select_batched(
         batches = sorted;
     }
 
-    // projection
-    let sprogs: Vec<VecExpr> = sp.select.iter().map(|e| compile(e, &cx)).collect();
-    let mut out: Vec<Row> = Vec::new();
+    // projection: cells are written straight into output rows
+    let mut out: Vec<Row> = Vec::with_capacity(batches.iter().map(|b| b.len).sum());
     for b in batches {
         eng.tick_rows(b.len as u64)?;
         eng.add_work(b.len as f64 * weights::ROW);
+        if progs.cells {
+            for i in 0..b.len {
+                let mut row = Vec::with_capacity(progs.select.len());
+                for p in &progs.select {
+                    row.push(match p.cell(&b, i, eng) {
+                        Some(v) => v.clone(),
+                        // a slot the batch does not carry: the program's
+                        // own error
+                        None => p.eval(&b, &[i], &base_ctx)?.pop().unwrap_or(Value::Null),
+                    });
+                }
+                out.push(row);
+            }
+            continue;
+        }
         let sel: Vec<usize> = (0..b.len).collect();
-        let pcols: Vec<Vec<Value>> = sprogs
+        let pcols: Vec<Vec<Value>> = progs
+            .select
             .iter()
             .map(|p| p.eval(&b, &sel, &base_ctx))
             .collect::<Result<_>>()?;
@@ -995,21 +1297,16 @@ pub(crate) fn exec_select_batched(
 /// exact semantics of `Engine::aggregate`. Each row's key is hashed once
 /// and compared in place against its group's stored key; aggregate
 /// arguments are read from their columns by reference. A group's
-/// representative row is the id of its first row, gathered (the `keep`
-/// columns only) when the groups are complete.
+/// representative row is the id of its first row, gathered (the block's
+/// live columns only) when the groups are complete.
 fn aggregate_batched(
     eng: &Engine<'_>,
     sp: &SelectPlan,
+    progs: &SelectProgs,
     ctx: &EvalCtx<'_>,
-    cx: &CompileCtx<'_>,
     batches: Vec<Batch>,
-    keep: &[bool],
 ) -> Result<Vec<Batch>> {
     cbqt_common::failpoint!(failpoint::EXEC_AGG);
-    let sets: Vec<Vec<usize>> = match &sp.grouping_sets {
-        Some(s) => s.clone(),
-        None => vec![(0..sp.group_by.len()).collect()],
-    };
     let make_accs = || -> Result<Vec<AggAcc>> {
         sp.aggs
             .iter()
@@ -1023,23 +1320,13 @@ fn aggregate_batched(
             })
             .collect()
     };
-    let gprogs: Vec<VecExpr> = sp.group_by.iter().map(|g| compile(g, cx)).collect();
-    // aggregate argument programs; a non-Agg slot errors later via
-    // make_accs, matching the row engine
-    let aprogs: Vec<Option<VecExpr>> = sp
-        .aggs
-        .iter()
-        .map(|a| match a {
-            QExpr::Agg { arg, .. } => arg.as_ref().map(|x| compile(x, cx)),
-            _ => None,
-        })
-        .collect();
+    let (sets, keep) = (&progs.sets, &progs.keep);
     let (w, na) = (sp.layout.width, sp.aggs.len());
     let count_star = Value::Int(1);
 
     let mut out: Vec<Vec<Value>> = vec![Vec::new(); w + na];
     let mut out_len = 0usize;
-    for set in &sets {
+    for set in sets {
         let nk = set.len();
         let mut table = GroupTable::default();
         // per group: its first row, its key (nk values), its accumulators
@@ -1049,8 +1336,9 @@ fn aggregate_batched(
         for (bi, b) in batches.iter().enumerate() {
             eng.tick_rows(b.len as u64)?;
             eng.add_work(b.len as f64 * weights::AGG);
-            let kc = eval_all(set.iter().map(|&i| &gprogs[i]), b, ctx)?;
-            let ac: Vec<Option<Cow<[Value]>>> = aprogs
+            let kc = eval_all(set.iter().map(|&i| &progs.group_by[i]), b, ctx)?;
+            let ac: Vec<Option<Cow<[Value]>>> = progs
+                .agg_args
                 .iter()
                 .map(|p| match p {
                     Some(p) => Ok(eval_all([p], b, ctx)?.pop()),

@@ -1,18 +1,20 @@
 //! Block execution: scans, joins, aggregation, windows, distinct, order,
 //! ROWNUM — plus the TIS subquery cache.
 
+use crate::batch::ProgramSet;
 use crate::eval::{compute_windows, AggAcc, Bindings, EvalCtx};
 use crate::metrics::ExecMetrics;
 use cbqt_catalog::Catalog;
 use cbqt_common::failpoint;
 use cbqt_common::{Error, ExecutionMode, Governor, Result, Row, Value};
 use cbqt_optimizer::{
-    weights, AccessPath, BlockPlan, JoinMethod, Layout, PlanIndex, PlanJoinKind, PlanNode,
-    PlanNodeId, PlanRoot, SelectPlan,
+    weights, AccessPath, BlockPlan, JoinMethod, Layout, PlanJoinKind, PlanNode, PlanNodeId,
+    PlanRoot, SelectPlan,
 };
 use cbqt_qgm::{BlockId, QExpr, RefId, SetOp};
 use cbqt_storage::{SnapTable, Snapshot, Storage};
-use std::cell::{Cell, RefCell};
+use std::borrow::Cow;
+use std::cell::{Cell, Ref, RefCell};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
@@ -55,11 +57,13 @@ pub struct Engine<'a> {
     /// (used by the serving path's feedback harvest) skips the
     /// `Instant::now` pair per operator execution.
     metrics_timing: Cell<bool>,
-    /// Subtree sizes of the plan being run, installed by [`Engine::run`]
-    /// while metrics are enabled. Every operator is handed the
+    /// The compiled programs of the plan being run, with its position
+    /// index, installed by every run ([`Engine::run`],
+    /// [`Engine::run_programs`]). Every operator is handed the
     /// [`PlanNodeId`] of the element it runs — its position in the plan
-    /// walk — and derives its children's ids through this index.
-    plan_index: RefCell<Option<Arc<PlanIndex>>>,
+    /// walk — derives its children's ids through the index, and the
+    /// batch engine looks its programs up by that id.
+    programs: RefCell<Option<Arc<ProgramSet>>>,
     /// Statement-level resource governor; `Governor::unlimited()` (the
     /// default) makes every check a single `Option` test.
     governor: Governor,
@@ -70,10 +74,10 @@ pub struct Engine<'a> {
     /// Which interpreter executes select blocks: the vectorized batch
     /// engine or the row-at-a-time Volcano oracle.
     mode: ExecutionMode,
-    /// Bind values for this execution, indexed by `QExpr::Param` slot.
-    /// Empty means "use each param's peek value" (the values the plan
-    /// was compiled with).
-    params: Vec<Value>,
+    /// Bind values for this execution, indexed by `QExpr::Param` slot,
+    /// borrowed when the caller keeps them. Empty means "use each
+    /// param's peek value" (the values the plan was compiled with).
+    params: Cow<'a, [Value]>,
 }
 
 /// Rows processed between governor checks. Small enough that deadlines
@@ -109,19 +113,20 @@ impl<'a> Engine<'a> {
             outer_cols: RefCell::new(HashMap::new()),
             metrics: RefCell::new(None),
             metrics_timing: Cell::new(true),
-            plan_index: RefCell::new(None),
+            programs: RefCell::new(None),
             governor: Governor::unlimited(),
             ticks: Cell::new(0),
             mode: ExecutionMode::from_env(),
-            params: Vec::new(),
+            params: Cow::Borrowed(&[]),
         }
     }
 
-    /// Installs the bind values for this execution. `QExpr::Param`
-    /// slots resolve against this vector; slots past its end fall back
-    /// to their compiled-in peek values.
-    pub fn set_params(&mut self, params: Vec<Value>) {
-        self.params = params;
+    /// Installs the bind values for this execution — a `Vec`, or a
+    /// slice the caller keeps for the engine's life. `QExpr::Param`
+    /// slots resolve against them; slots past their end fall back to
+    /// their compiled-in peek values.
+    pub fn set_params(&mut self, params: impl Into<Cow<'a, [Value]>>) {
+        self.params = params.into();
     }
 
     /// Resolves a bind slot: the installed value, or `peek` when none
@@ -129,12 +134,6 @@ impl<'a> Engine<'a> {
     #[inline]
     pub(crate) fn param<'v>(&'v self, slot: usize, peek: &'v Value) -> &'v Value {
         self.params.get(slot).unwrap_or(peek)
-    }
-
-    /// The installed bind vector (empty = peeks apply).
-    #[inline]
-    pub(crate) fn params(&self) -> &[Value] {
-        &self.params
     }
 
     /// The MVCC snapshot this engine reads through.
@@ -213,32 +212,37 @@ impl<'a> Engine<'a> {
         self.metrics.borrow_mut().as_mut().map(std::mem::take)
     }
 
-    /// Executes a root plan and returns the projected rows.
+    /// Executes a root plan and returns the projected rows, compiling
+    /// its [`ProgramSet`] first.
     pub fn run(&self, plan: &BlockPlan) -> Result<Vec<Row>> {
-        let index = self
-            .metrics_enabled()
-            .then(|| Arc::new(PlanIndex::build(plan)));
-        self.run_with(plan, index)
+        self.run_with(plan, Arc::new(ProgramSet::of(plan)))
     }
 
-    /// [`run`](Engine::run) with the plan's position index built by the
-    /// caller — a cached plan keeps one, so a metered execution of it
-    /// does not walk the plan first. `index` must index `plan`.
-    pub fn run_indexed(&self, plan: &BlockPlan, index: &Arc<PlanIndex>) -> Result<Vec<Row>> {
-        debug_assert_eq!(
-            index.fingerprint(),
-            PlanIndex::build(plan).fingerprint(),
-            "an index of another plan"
+    /// [`run`](Engine::run) with the plan's program set compiled by the
+    /// caller — a cached plan keeps one, so an execution of it compiles
+    /// nothing. `programs` must be compiled from `plan`; debug builds
+    /// check it against a fresh build.
+    pub fn run_programs(&self, plan: &BlockPlan, programs: &Arc<ProgramSet>) -> Result<Vec<Row>> {
+        debug_assert!(
+            **programs == ProgramSet::of(plan),
+            "a program set of another plan"
         );
-        self.run_with(plan, Some(Arc::clone(index)))
+        self.run_with(plan, Arc::clone(programs))
     }
 
-    fn run_with(&self, plan: &BlockPlan, index: Option<Arc<PlanIndex>>) -> Result<Vec<Row>> {
-        if let (Some(m), Some(index)) = (self.metrics.borrow_mut().as_mut(), index) {
-            m.bind(index.fingerprint());
-            *self.plan_index.borrow_mut() = Some(index);
+    fn run_with(&self, plan: &BlockPlan, programs: Arc<ProgramSet>) -> Result<Vec<Row>> {
+        if let Some(m) = self.metrics.borrow_mut().as_mut() {
+            m.bind(programs.index());
         }
+        *self.programs.borrow_mut() = Some(programs);
         self.execute_block(plan, PlanNodeId(0), &Bindings::default())
+    }
+
+    /// The program set of the running plan.
+    pub(crate) fn programs(&self) -> Ref<'_, ProgramSet> {
+        Ref::map(self.programs.borrow(), |p| {
+            p.as_deref().expect("every run installs a program set")
+        })
     }
 
     pub fn stats(&self) -> ExecStats {
@@ -281,13 +285,9 @@ impl<'a> Engine<'a> {
 
     /// The id the plan walk reaches after `id`'s subtree — the next
     /// sibling of a join's left side, a set operation's input or a
-    /// subplan. Ids only name what gets recorded, so without metrics
-    /// there is no index and any id will do.
+    /// subplan.
     pub(crate) fn after(&self, id: PlanNodeId) -> PlanNodeId {
-        match self.plan_index.borrow().as_ref() {
-            Some(index) => index.after(id),
-            None => id,
-        }
+        self.programs().index().after(id)
     }
 
     /// Burns CPU for the EXPENSIVE() stand-in UDF: deterministic work

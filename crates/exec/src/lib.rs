@@ -25,6 +25,7 @@ pub mod eval;
 pub mod metrics;
 pub(crate) mod vexpr;
 
+pub use batch::ProgramSet;
 pub use engine::{Engine, ExecStats};
 pub use metrics::{ExecMetrics, OpMetrics};
 

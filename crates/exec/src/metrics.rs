@@ -8,12 +8,12 @@
 //! element it runs, so a sub-plan shared by `Arc` at two positions keeps
 //! two sets of counters, and a reader walking the same plan
 //! ([`BlockPlan::visit_entities`](cbqt_optimizer::BlockPlan::visit_entities),
-//! `explain_annotated`) is handed the ids to look up. A metrics table
+//! `explain_annotated`) is handed the ids to look up. Ids are dense
+//! positions, so the counters are a `Vec` indexed by id. A metrics table
 //! also carries the [fingerprint](PlanIndex::fingerprint) of the plan it
 //! was recorded against, so a reader holding some other plan can tell.
 
 use cbqt_optimizer::{PlanIndex, PlanNodeId};
-use std::collections::HashMap;
 use std::time::Duration;
 
 /// Runtime counters for one plan operator, accumulated across all of its
@@ -47,7 +47,8 @@ impl OpMetrics {
 /// harvester.
 #[derive(Debug, Clone, Default)]
 pub struct ExecMetrics {
-    map: HashMap<PlanNodeId, OpMetrics>,
+    /// Counters by position; an element never executed has `execs == 0`.
+    ops: Vec<OpMetrics>,
     /// Fingerprint of the plan these counters were recorded against
     /// (0 until [`ExecMetrics::bind`]).
     fingerprint: u64,
@@ -59,17 +60,21 @@ impl ExecMetrics {
     }
 
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
+    /// Number of elements executed at least once.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.ops.iter().filter(|m| m.execs > 0).count()
     }
 
-    /// Binds the table to the plan it will record, so a reader can check
-    /// it holds the same plan ([`ExecMetrics::matches`]).
-    pub fn bind(&mut self, fingerprint: u64) {
-        self.fingerprint = fingerprint;
+    /// Binds the table to the plan `index` describes, so a reader can
+    /// check it holds the same plan ([`ExecMetrics::matches`]), and
+    /// makes room for one counter per position.
+    pub fn bind(&mut self, index: &PlanIndex) {
+        self.fingerprint = index.fingerprint();
+        self.ops.clear();
+        self.ops.resize(index.len(), OpMetrics::default());
     }
 
     /// True when this table was recorded against a plan structurally
@@ -80,7 +85,11 @@ impl ExecMetrics {
 
     /// Accumulates one execution of the element `id`.
     pub fn record(&mut self, id: PlanNodeId, rows: u64, work: f64, elapsed: Duration) {
-        let m = self.map.entry(id).or_default();
+        let at = id.0 as usize;
+        if at >= self.ops.len() {
+            self.ops.resize(at + 1, OpMetrics::default());
+        }
+        let m = &mut self.ops[at];
         m.rows += rows;
         m.execs += 1;
         m.work += work;
@@ -90,7 +99,7 @@ impl ExecMetrics {
     /// Counters for the element at position `id`; `None` when the run
     /// never reached it.
     pub fn get(&self, id: PlanNodeId) -> Option<OpMetrics> {
-        self.map.get(&id).copied()
+        self.ops.get(id.0 as usize).filter(|m| m.execs > 0).copied()
     }
 
     /// All `(id, metrics)` pairs in canonical plan order. Ids are
@@ -98,9 +107,10 @@ impl ExecMetrics {
     /// same plan produce directly comparable snapshots — the
     /// differential oracle compares these.
     pub fn snapshot(&self) -> Vec<(PlanNodeId, OpMetrics)> {
-        let mut v: Vec<(PlanNodeId, OpMetrics)> = self.map.iter().map(|(&a, &m)| (a, m)).collect();
-        v.sort_by_key(|(a, _)| *a);
-        v
+        let ops = self.ops.iter().enumerate();
+        ops.filter(|(_, m)| m.execs > 0)
+            .map(|(at, &m)| (PlanNodeId(at as u32), m))
+            .collect()
     }
 
     /// EXPLAIN-line annotation for the element at position `id`.
@@ -129,7 +139,9 @@ mod tests {
         let mut m = ExecMetrics::new();
         m.record(PlanNodeId(42), 10, 5.0, Duration::from_millis(1));
         m.record(PlanNodeId(42), 7, 2.5, Duration::from_millis(2));
-        let op = m.map[&PlanNodeId(42)];
+        let op = m.get(PlanNodeId(42)).unwrap();
+        assert_eq!(m.get(PlanNodeId(41)), None, "never executed");
+        assert_eq!(m.len(), 1);
         assert_eq!(op.rows, 17);
         assert_eq!(op.execs, 2);
         assert!((op.work - 7.5).abs() < 1e-9);

@@ -995,3 +995,120 @@ fn joins_feeding_aggregates_agree_at_scale() {
         assert_engines_agree_on(&cat, &st, &plan);
     }
 }
+
+// ---------------------------------------------------------------------
+// Programs compiled once per plan: a bind parameter compiles to its
+// slot, so one program set serves every bind vector.
+
+/// One plan with bind slots in an index key, a scan filter, the
+/// post-filter (a correlated EXISTS, which runs as a fallback program),
+/// HAVING, an ORDER BY key and the select list, compiled into one
+/// [`ProgramSet`](crate::ProgramSet) and run with three bind vectors and
+/// with none (the peeks). Each run must match a fresh `Engine::run` —
+/// which compiles its own set — and the Volcano engine, in ordered rows,
+/// per-node metrics and total work.
+#[test]
+fn one_program_set_serves_every_bind_vector() {
+    use crate::ProgramSet;
+    use cbqt_common::ExecutionMode::{Vectorized, Volcano};
+    use cbqt_qgm::build_query_tree_with_binds;
+    use std::sync::Arc;
+    let (cat, st) = setup();
+    let sql = "SELECT e.salary, COUNT(*), SUM(e.salary) + ? \
+               FROM employees e \
+               WHERE e.dept_id = ? AND e.salary > ? AND ? <> 0 \
+               AND EXISTS (SELECT 1 FROM departments d \
+                           WHERE d.dept_id = e.dept_id AND d.loc_id <= ?) \
+               GROUP BY e.salary \
+               HAVING SUM(e.salary) > ? \
+               ORDER BY SUM(e.salary) * ?";
+    let int = |v: i64| Value::Int(v);
+    let peeks = [int(0), int(2), int(0), int(1), int(1), int(0), int(1)];
+    let tree = build_query_tree_with_binds(&cat, &parse_query(sql).unwrap(), &peeks).unwrap();
+    let ann = CostAnnotations::new();
+    let cache = SamplingCache::default();
+    let plan = Optimizer::new(&cat, &ann, &cache)
+        .optimize(&tree, None)
+        .unwrap();
+    let PlanRoot::Select(sp) = &plan.root else {
+        panic!("not a select block:\n{}", plan.explain());
+    };
+    let is_param = |e: &QExpr| matches!(e, QExpr::Param { .. });
+    let has_param = |e: &QExpr| format!("{e:?}").contains("Param");
+    match &sp.join {
+        PlanNode::ScanBase {
+            access: AccessPath::IndexEq { key, .. },
+            filter,
+            ..
+        } => {
+            assert!(key.iter().any(is_param), "index key:\n{}", plan.explain());
+            assert!(
+                filter.iter().any(has_param),
+                "scan filter:\n{}",
+                plan.explain()
+            );
+        }
+        other => panic!("expected an index probe, got {other:?}"),
+    }
+    assert!(sp.post_filter.iter().any(has_param));
+    assert!(sp.post_filter.iter().any(QExpr::contains_subquery));
+    assert!(format!("{:?}", sp.subplans).contains("Param"));
+    assert!(sp.having.iter().any(has_param) && sp.select.iter().any(has_param));
+    assert!(sp.order_by.iter().any(|o| has_param(&o.expr)));
+
+    let programs = Arc::new(ProgramSet::of(&plan));
+    let run = |binds: &[Value], mode, cached: bool| {
+        let mut eng = Engine::new(&cat, &st);
+        eng.set_mode(mode);
+        eng.set_params(binds);
+        eng.enable_metrics_light();
+        let rows = match cached {
+            true => eng.run_programs(&plan, &programs).unwrap(),
+            false => eng.run(&plan).unwrap(),
+        };
+        let metrics = eng.take_metrics().unwrap().snapshot();
+        let metrics: Vec<_> = metrics
+            .into_iter()
+            .map(|(id, m)| (id, m.rows, m.execs, format!("{:.6}", m.work)))
+            .collect();
+        (rows, metrics, format!("{:.6}", eng.stats().work))
+    };
+    let vectors: [&[Value]; 5] = [
+        // dept 2: employees 2, 6 and 10, every department at loc <= 1
+        &[int(0), int(2), int(0), int(1), int(1), int(0), int(1)],
+        // dept 1 (loc 0), salaries above 2000, descending
+        &[
+            int(100),
+            int(1),
+            int(2000),
+            int(1),
+            int(0),
+            int(5000),
+            int(-1),
+        ],
+        // the bind-only post-filter conjunct drops every row
+        &[int(-5), int(3), int(0), int(0), int(1), int(0), int(1)],
+        // no department at loc <= -1: the EXISTS drops every row
+        &[int(-5), int(3), int(0), int(1), int(-1), int(0), int(1)],
+        // none: the peeks
+        &[],
+    ];
+    let mut answers = Vec::new();
+    for binds in vectors {
+        let cached = run(binds, Vectorized, true);
+        assert_eq!(
+            cached,
+            run(binds, Vectorized, false),
+            "fresh set, {binds:?}"
+        );
+        assert_eq!(cached, run(binds, Volcano, false), "Volcano, {binds:?}");
+        answers.push(cached.0);
+    }
+    let sums = |rows: &[Vec<Value>]| -> Vec<i64> { ints(rows) };
+    assert_eq!(sums(&answers[0]), [3000, 7000, 11000]);
+    assert_eq!(sums(&answers[1]), [10000, 6000]);
+    assert!(answers[2].is_empty() && answers[3].is_empty());
+    assert_eq!(answers[4], answers[0], "the peeks are the first vector");
+    // the bind in the select list moved the output
+    assert_eq!(answers[1][0][2], int(10100));
+}

@@ -1,13 +1,15 @@
 //! Compiled per-batch expression programs for the vectorized engine.
 //!
-//! A [`VecExpr`] is compiled **once per operator** from a `QExpr` by
-//! resolving every column reference to a direct batch-column index (the
-//! row engine re-walks the layout per row), then evaluated with a
-//! per-batch loop over a *selection vector*. Short-circuiting constructs
-//! (`AND`/`OR`, `CASE`, `IN`-lists, `NVL`) refine the selection instead
-//! of branching per row, so the set of `(row, subexpression)`
-//! evaluations — and therefore every `EXPENSIVE()` burn and work unit —
-//! is exactly the set the Volcano oracle produces.
+//! A [`VecExpr`] is compiled **once per plan** from a `QExpr` (see
+//! [`ProgramSet`](crate::batch::ProgramSet)) by resolving every column
+//! reference to a direct batch-column index (the row engine re-walks the
+//! layout per row); a bind parameter compiles to its slot, read from the
+//! engine's bind vector when the program runs. A program is evaluated
+//! with a per-batch loop over a *selection vector*. Short-circuiting
+//! constructs (`AND`/`OR`, `CASE`, `IN`-lists, `NVL`) refine the
+//! selection instead of branching per row, so the set of `(row,
+//! subexpression)` evaluations — and therefore every `EXPENSIVE()` burn
+//! and work unit — is exactly the set the Volcano oracle produces.
 //!
 //! Constructs the batch form cannot express natively (subqueries, outer
 //! correlation frames, unknown slots) compile to [`VecExpr::Fallback`],
@@ -15,35 +17,33 @@
 //! ordinary row-wise [`EvalCtx`] — same TIS caches, same errors.
 
 use crate::batch::Batch;
+use crate::engine::Engine;
 use crate::eval::{display_raw, like_match, truth_value, EvalCtx};
 use cbqt_common::{Error, Result, Truth, Value};
 use cbqt_optimizer::{weights, Layout};
 use cbqt_qgm::{BinOp, QExpr};
 
 /// Slot mapping used while compiling: mirrors the fields of [`EvalCtx`]
-/// that decide how a `QExpr` resolves to a row position.
+/// that decide how a `QExpr` resolves to a row position. It holds no
+/// bind values: programs are compiled once per plan and read each
+/// execution's binds when they run.
 pub(crate) struct CompileCtx<'a> {
     pub layout: &'a Layout,
     pub aggs: &'a [QExpr],
     pub agg_base: usize,
     pub windows: &'a [QExpr],
     pub win_base: usize,
-    /// Bind values for this execution; `QExpr::Param` compiles to the
-    /// resolved constant (programs are rebuilt per execution, so the
-    /// constant is always current).
-    pub params: &'a [Value],
 }
 
 impl<'a> CompileCtx<'a> {
     /// A context with no aggregate / window slots (scans, join keys).
-    pub fn plain(layout: &'a Layout, params: &'a [Value]) -> CompileCtx<'a> {
+    pub fn plain(layout: &'a Layout) -> CompileCtx<'a> {
         CompileCtx {
             layout,
             aggs: &[],
             agg_base: 0,
             windows: &[],
             win_base: 0,
-            params,
         }
     }
 }
@@ -65,7 +65,7 @@ pub(crate) enum FuncOp {
 }
 
 /// One compiled expression node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum VecExpr {
     /// Local column, resolved to a direct batch-column index.
     Col(usize),
@@ -75,6 +75,12 @@ pub(crate) enum VecExpr {
     /// Window output slot.
     WinSlot(usize),
     Lit(Value),
+    /// Bind slot: the execution's value for `slot`, or `peek` when the
+    /// execution installed none ([`Engine::param`]).
+    Param {
+        slot: usize,
+        peek: Value,
+    },
     /// Non-logical binary operator (arithmetic, comparison, `||`).
     Bin {
         op: BinOp,
@@ -119,7 +125,7 @@ pub(crate) enum VecExpr {
     /// only if the expression is ever reached.
     LazyErr(String),
     /// Row-wise escape hatch: gather the row, evaluate via [`EvalCtx`].
-    Fallback(QExpr),
+    Fallback(Box<QExpr>),
 }
 
 /// Compiles a `QExpr` against the given slot mapping.
@@ -129,10 +135,13 @@ pub(crate) fn compile(e: &QExpr, cx: &CompileCtx<'_>) -> VecExpr {
             Some((off, w)) if *column < w => VecExpr::Col(off + column),
             Some(_) => VecExpr::LazyErr(format!("column {column} out of range for r{}", table.0)),
             // outer reference: resolved per row through the binding frames
-            None => VecExpr::Fallback(e.clone()),
+            None => VecExpr::Fallback(Box::new(e.clone())),
         },
         QExpr::Lit(v) => VecExpr::Lit(v.clone()),
-        QExpr::Param { slot, peek } => VecExpr::Lit(cx.params.get(*slot).unwrap_or(peek).clone()),
+        QExpr::Param { slot, peek } => VecExpr::Param {
+            slot: *slot,
+            peek: peek.clone(),
+        },
         QExpr::Bin {
             op: BinOp::And,
             left,
@@ -218,7 +227,7 @@ pub(crate) fn compile(e: &QExpr, cx: &CompileCtx<'_>) -> VecExpr {
             Some(i) => VecExpr::WinSlot(cx.win_base + i),
             None => VecExpr::LazyErr("window function not computed".into()),
         },
-        QExpr::Subq { .. } => VecExpr::Fallback(e.clone()),
+        QExpr::Subq { .. } => VecExpr::Fallback(Box::new(e.clone())),
     }
 }
 
@@ -234,6 +243,13 @@ impl VecExpr {
             }
         });
         found
+    }
+
+    /// Number of nodes in the program.
+    pub(crate) fn nodes(&self) -> usize {
+        let mut n = 0;
+        self.walk(&mut |_| n += 1);
+        n
     }
 
     /// Collects every batch-column index the program reads directly.
@@ -289,6 +305,7 @@ impl VecExpr {
             | VecExpr::AggSlot(_)
             | VecExpr::WinSlot(_)
             | VecExpr::Lit(_)
+            | VecExpr::Param { .. }
             | VecExpr::LazyErr(_)
             | VecExpr::Fallback(_) => {}
         }
@@ -329,6 +346,9 @@ impl VecExpr {
                 Ok(sel.iter().map(|&r| batch.cols[*i][r].clone()).collect())
             }
             VecExpr::Lit(v) => Ok(vec![v.clone(); sel.len()]),
+            VecExpr::Param { slot, peek } => {
+                Ok(vec![ctx.engine.param(*slot, peek).clone(); sel.len()])
+            }
             VecExpr::Bin { op, l, r } => {
                 let lv = l.eval(batch, sel, ctx)?;
                 let rv = r.eval(batch, sel, ctx)?;
@@ -659,10 +679,18 @@ impl VecExpr {
         }
     }
 
-    /// A direct operand — a column or a literal — whose value for a row
-    /// can be borrowed without materializing an operand vector. Backs
-    /// the comparison fast path in [`eval_truth`](VecExpr::eval_truth).
-    fn direct_at<'v>(&'v self, batch: &'v Batch, row: usize) -> Option<&'v Value> {
+    /// The value of a direct operand — a column, an aggregate or window
+    /// slot, a literal or a bind — for row `row`, borrowed without
+    /// materializing an operand vector; `None` for any other program
+    /// and for a slot the batch does not carry. Backs the comparison
+    /// fast path in [`eval_truth`](VecExpr::eval_truth) and the row-wise
+    /// projection.
+    pub(crate) fn cell<'v>(
+        &'v self,
+        batch: &'v Batch,
+        row: usize,
+        engine: &'v Engine<'_>,
+    ) -> Option<&'v Value> {
         match self {
             VecExpr::Col(i) => {
                 debug_assert_eq!(
@@ -672,13 +700,57 @@ impl VecExpr {
                 );
                 Some(&batch.cols[*i][row])
             }
+            VecExpr::AggSlot(i) | VecExpr::WinSlot(i) => batch.cols.get(*i).map(|c| &c[row]),
             VecExpr::Lit(v) => Some(v),
+            VecExpr::Param { slot, peek } => Some(engine.param(*slot, peek)),
             _ => None,
         }
     }
 
+    /// Whether [`cell`](VecExpr::cell) reads this program.
+    pub(crate) fn is_cell(&self) -> bool {
+        matches!(
+            self,
+            VecExpr::Col(_)
+                | VecExpr::AggSlot(_)
+                | VecExpr::WinSlot(_)
+                | VecExpr::Lit(_)
+                | VecExpr::Param { .. }
+        )
+    }
+
+    /// A direct comparison operand: a column, a literal or a bind, which
+    /// can neither raise nor miss.
     fn is_direct(&self) -> bool {
-        matches!(self, VecExpr::Col(_) | VecExpr::Lit(_))
+        matches!(
+            self,
+            VecExpr::Col(_) | VecExpr::Lit(_) | VecExpr::Param { .. }
+        )
+    }
+
+    /// Keeps in `sel` the rows on which the program is true: what
+    /// [`eval_truth`](VecExpr::eval_truth) decides, applied in place. A
+    /// direct comparison is decided row by row with no truth vector.
+    pub(crate) fn refine(
+        &self,
+        batch: &Batch,
+        sel: &mut Vec<usize>,
+        ctx: &EvalCtx<'_>,
+    ) -> Result<()> {
+        if let VecExpr::Bin { op, l, r } = self {
+            if is_cmp(*op) && l.is_direct() && r.is_direct() {
+                let eng = ctx.engine;
+                sel.retain(|&row| {
+                    let (a, b) = (l.cell(batch, row, eng), r.cell(batch, row, eng));
+                    compare(*op, a.unwrap(), b.unwrap()).passes()
+                });
+                return Ok(());
+            }
+        }
+        let truths = self.eval_truth(batch, sel, ctx)?;
+        let mut pass = truths.iter().map(|t| t.passes());
+        sel.retain(|_| pass.next() == Some(true));
+        Ok(())
     }
 
     /// Evaluates the program as a three-valued truth per selected row,
@@ -695,31 +767,13 @@ impl VecExpr {
             // cloning both sides into operand vectors. Semantics are
             // identical to the generic Bin arm (same `sql_cmp`, and this
             // shape cannot raise).
-            VecExpr::Bin { op, l, r }
-                if matches!(
-                    op,
-                    BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq
-                ) && l.is_direct()
-                    && r.is_direct() =>
-            {
-                let mut out = Vec::with_capacity(sel.len());
-                for &row in sel {
-                    let a = l.direct_at(batch, row).unwrap();
-                    let b = r.direct_at(batch, row).unwrap();
-                    out.push(match a.sql_cmp(b) {
-                        None => Truth::Unknown,
-                        Some(ord) => Truth::from_opt(Some(match op {
-                            BinOp::Eq => ord == std::cmp::Ordering::Equal,
-                            BinOp::NotEq => ord != std::cmp::Ordering::Equal,
-                            BinOp::Lt => ord == std::cmp::Ordering::Less,
-                            BinOp::LtEq => ord != std::cmp::Ordering::Greater,
-                            BinOp::Gt => ord == std::cmp::Ordering::Greater,
-                            BinOp::GtEq => ord != std::cmp::Ordering::Less,
-                            _ => unreachable!(),
-                        })),
-                    });
-                }
-                Ok(out)
+            VecExpr::Bin { op, l, r } if is_cmp(*op) && l.is_direct() && r.is_direct() => {
+                let eng = ctx.engine;
+                let truth = |&row: &usize| {
+                    let (a, b) = (l.cell(batch, row, eng), r.cell(batch, row, eng));
+                    compare(*op, a.unwrap(), b.unwrap())
+                };
+                Ok(sel.iter().map(truth).collect())
             }
             VecExpr::And { l, r } => {
                 let lt = l.eval_truth(batch, sel, ctx)?;
@@ -764,5 +818,29 @@ impl VecExpr {
                     .collect()
             }
         }
+    }
+}
+
+fn is_cmp(op: BinOp) -> bool {
+    matches!(
+        op,
+        BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq
+    )
+}
+
+/// SQL comparison `a <op> b` of two values ([`is_cmp`] operators only).
+fn compare(op: BinOp, a: &Value, b: &Value) -> Truth {
+    use std::cmp::Ordering;
+    match a.sql_cmp(b) {
+        None => Truth::Unknown,
+        Some(ord) => Truth::from_opt(Some(match op {
+            BinOp::Eq => ord == Ordering::Equal,
+            BinOp::NotEq => ord != Ordering::Equal,
+            BinOp::Lt => ord == Ordering::Less,
+            BinOp::LtEq => ord != Ordering::Greater,
+            BinOp::Gt => ord == Ordering::Greater,
+            BinOp::GtEq => ord != Ordering::Less,
+            _ => unreachable!("not a comparison"),
+        })),
     }
 }

@@ -9,11 +9,12 @@
 //! its `begin` mark committed at or before the watermark (or belongs to
 //! the snapshot's own transaction) and its `end` mark did not.
 //!
-//! **Readers never block on writers**: a snapshot is a handful of `Arc`
-//! clones taken under the storage mutex and then read lock-free. Writers
-//! mutate heaps through [`Arc::make_mut`] — copy-on-write kicks in only
-//! while some snapshot actually pins the heap, so single-threaded
-//! workloads keep in-place appends.
+//! **Readers never block on writers**: a snapshot is one `Arc` clone of
+//! the published table and index maps, taken under the storage mutex and
+//! then read lock-free. Writers mutate the maps and the heaps under them
+//! through [`Arc::make_mut`] — copy-on-write kicks in only while some
+//! snapshot actually pins them, so single-threaded workloads keep
+//! in-place appends.
 //!
 //! Writes follow **first-updater-wins (no-wait)** conflict resolution: an
 //! UPDATE/DELETE claims a version by stamping its `end` with the writer's
@@ -192,10 +193,18 @@ struct TxnState {
     writes: Vec<Write>,
 }
 
-#[derive(Debug, Clone)]
-struct Inner {
+/// Every table heap and index structure, published as one unit: a
+/// snapshot pins it with one `Arc` clone, and a writer copies the two
+/// maps (not the heaps) only while a snapshot still holds them.
+#[derive(Debug, Clone, Default)]
+struct Published {
     tables: HashMap<TableId, Arc<VersionHeap>>,
     indexes: HashMap<IndexId, Arc<BTreeIndex>>,
+}
+
+#[derive(Debug, Clone)]
+struct Inner {
+    data: Arc<Published>,
     txns: HashMap<u64, TxnState>,
     /// Highest published commit sequence.
     watermark: u64,
@@ -205,8 +214,7 @@ struct Inner {
 impl Default for Inner {
     fn default() -> Inner {
         Inner {
-            tables: HashMap::new(),
-            indexes: HashMap::new(),
+            data: Arc::default(),
             txns: HashMap::new(),
             watermark: 0,
             next_txn: TXN_BASE,
@@ -296,7 +304,8 @@ impl Storage {
 
     /// Ensures a heap exists for `table`.
     pub fn create_table(&self, table: TableId) {
-        self.lock().tables.entry(table).or_default();
+        let mut g = self.lock();
+        Arc::make_mut(&mut g.data).tables.entry(table).or_default();
     }
 
     /// Pins a read snapshot at the latest commit watermark.
@@ -305,8 +314,7 @@ impl Storage {
         Snapshot {
             watermark: g.watermark,
             txn: 0,
-            tables: g.tables.clone(),
-            indexes: g.indexes.clone(),
+            data: Arc::clone(&g.data),
         }
     }
 
@@ -321,8 +329,7 @@ impl Storage {
         Ok(Snapshot {
             watermark: st.snapshot,
             txn,
-            tables: g.tables.clone(),
-            indexes: g.indexes.clone(),
+            data: Arc::clone(&g.data),
         })
     }
 
@@ -333,7 +340,7 @@ impl Storage {
 
     /// Committed live rows (what a fresh snapshot would see).
     pub fn row_count(&self, table: TableId) -> usize {
-        self.lock().tables.get(&table).map_or(0, |h| h.live)
+        self.lock().data.tables.get(&table).map_or(0, |h| h.live)
     }
 
     // -- transactions -------------------------------------------------
@@ -370,9 +377,10 @@ impl Storage {
         if !inner.txns.contains_key(&txn) {
             return Err(Error::execution(format!("no open transaction {txn}")));
         }
-        let heap = make_mut_counted(inner.tables.entry(table).or_default(), &self.heap_copies);
+        let data = Arc::make_mut(&mut inner.data);
+        let heap = make_mut_counted(data.tables.entry(table).or_default(), &self.heap_copies);
         let ordinal = heap.versions.len();
-        for ix_arc in inner.indexes.values_mut() {
+        for ix_arc in data.indexes.values_mut() {
             if ix_arc.table == table {
                 let ix = make_mut_counted(ix_arc, &self.index_copies);
                 let key = ix.key_of(&row);
@@ -409,18 +417,19 @@ impl Storage {
         if !inner.txns.contains_key(&txn) {
             return Err(Error::execution(format!("no open transaction {txn}")));
         }
-        let heap_arc = inner
+        let current_end = inner
+            .data
             .tables
-            .get_mut(&table)
-            .ok_or_else(|| Error::execution(format!("no data for table id {}", table.0)))?;
-        let current_end = heap_arc
+            .get(&table)
+            .ok_or_else(|| Error::execution(format!("no data for table id {}", table.0)))?
             .versions
             .get(ordinal)
             .ok_or_else(|| Error::execution(format!("no row version at ordinal {ordinal}")))?
             .end;
         match current_end {
             0 => {
-                let heap = make_mut_counted(heap_arc, &self.heap_copies);
+                let heap_arc = Arc::make_mut(&mut inner.data).tables.get_mut(&table);
+                let heap = make_mut_counted(heap_arc.expect("checked above"), &self.heap_copies);
                 heap.versions[ordinal].end = txn;
                 inner.txns.get_mut(&txn).unwrap().writes.push(Write {
                     table,
@@ -461,12 +470,13 @@ impl Storage {
         }
         let seq = inner.watermark + 1;
         let mut tables: Vec<(TableId, usize)> = Vec::new();
+        let data = Arc::make_mut(&mut inner.data);
         for w in &st.writes {
             if !tables.iter().any(|&(t, _)| t == w.table) {
                 tables.push((w.table, 0));
             }
             let heap = make_mut_counted(
-                inner.tables.get_mut(&w.table).expect("written table"),
+                data.tables.get_mut(&w.table).expect("written table"),
                 &self.heap_copies,
             );
             let v = &mut heap.versions[w.ordinal];
@@ -487,7 +497,7 @@ impl Storage {
         }
         inner.watermark = seq;
         for (t, live) in &mut tables {
-            *live = inner.tables[t].live;
+            *live = data.tables[t].live;
         }
         Ok(CommitInfo {
             txn,
@@ -507,9 +517,14 @@ impl Storage {
         let Some(st) = inner.txns.remove(&txn) else {
             return 0;
         };
+        self.rolled_back.fetch_add(1, Ordering::Relaxed);
+        if st.writes.is_empty() {
+            return 0;
+        }
+        let data = Arc::make_mut(&mut inner.data);
         for w in &st.writes {
             let heap = make_mut_counted(
-                inner.tables.get_mut(&w.table).expect("written table"),
+                data.tables.get_mut(&w.table).expect("written table"),
                 &self.heap_copies,
             );
             let v = &mut heap.versions[w.ordinal];
@@ -526,7 +541,6 @@ impl Storage {
                 }
             }
         }
-        self.rolled_back.fetch_add(1, Ordering::Relaxed);
         st.writes.len()
     }
 
@@ -555,10 +569,11 @@ impl Storage {
         let mut g = self.lock();
         let inner = &mut *g;
         let seq = inner.watermark + 1;
-        let heap = Arc::make_mut(inner.tables.entry(table).or_default());
+        let data = Arc::make_mut(&mut inner.data);
+        let heap = Arc::make_mut(data.tables.entry(table).or_default());
         for row in rows {
             let ordinal = heap.versions.len();
-            for ix_arc in inner.indexes.values_mut() {
+            for ix_arc in data.indexes.values_mut() {
                 if ix_arc.table == table {
                     let ix = Arc::make_mut(ix_arc);
                     let key = ix.key_of(&row);
@@ -583,6 +598,7 @@ impl Storage {
         let mut g = self.lock();
         let inner = &mut *g;
         let heap = inner
+            .data
             .tables
             .get(&table)
             .ok_or_else(|| Error::execution(format!("no data for table id {}", table.0)))?;
@@ -591,7 +607,7 @@ impl Storage {
             let key: Vec<Value> = columns.iter().map(|&c| v.row[c].clone()).collect();
             map.entry(key).or_default().push(ordinal);
         }
-        inner.indexes.insert(
+        Arc::make_mut(&mut inner.data).indexes.insert(
             id,
             Arc::new(BTreeIndex {
                 table,
@@ -629,13 +645,12 @@ impl Storage {
 
 /// A pinned, lock-free view of storage "as of" a commit watermark (plus
 /// the uncommitted writes of its own transaction, if any). Cheap to
-/// clone — a few `Arc` bumps.
+/// take and to clone — one `Arc` bump.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     watermark: u64,
     txn: u64,
-    tables: HashMap<TableId, Arc<VersionHeap>>,
-    indexes: HashMap<IndexId, Arc<BTreeIndex>>,
+    data: Arc<Published>,
 }
 
 impl Snapshot {
@@ -652,7 +667,8 @@ impl Snapshot {
     /// The visibility-filtered view of one table.
     pub fn table(&self, table: TableId) -> Result<SnapTable<'_>> {
         cbqt_common::failpoint!(cbqt_common::failpoint::STORAGE_SCAN);
-        self.tables
+        self.data
+            .tables
             .get(&table)
             .map(|heap| SnapTable {
                 heap,
@@ -666,7 +682,8 @@ impl Snapshot {
     /// [`SnapTable::visible`].
     pub fn index(&self, id: IndexId) -> Result<&BTreeIndex> {
         cbqt_common::failpoint!(cbqt_common::failpoint::STORAGE_INDEX);
-        self.indexes
+        self.data
+            .indexes
             .get(&id)
             .map(Arc::as_ref)
             .ok_or_else(|| Error::execution(format!("index id {} not built", id.0)))

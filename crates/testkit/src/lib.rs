@@ -1,7 +1,7 @@
 //! In-tree test infrastructure for the cbqt workspace — the hermetic
 //! replacement for the `rand`, `proptest` and `criterion` dependencies.
 //!
-//! Three modules:
+//! Five modules:
 //! - [`rng`]: seedable SplitMix64 / xoshiro256** PRNG with the
 //!   `gen_range` / `gen_bool` surface the data and workload generators
 //!   use; golden-value tests pin its output per seed across platforms.
@@ -11,6 +11,8 @@
 //!   lines to stdout (see the [`bench_main!`] macro).
 //! - [`failpoints`]: the fault-injection harness arming the engine's
 //!   compiled-in `failpoint!` sites (see `cbqt_common::failpoint`).
+//! - [`mod@alloc`]: a counting global allocator for per-statement
+//!   allocation budgets.
 //!
 //! This crate must never grow an *external* dependency — the CI
 //! hermeticity guard (`ci/check_hermetic.sh`) fails the build if any
@@ -18,6 +20,7 @@
 //! only dependency is the in-tree `cbqt-common`, which itself depends
 //! on nothing.
 
+pub mod alloc;
 pub mod bench;
 pub mod failpoints;
 pub mod prop;

@@ -230,6 +230,52 @@ fn rounds(trace: &str) -> Vec<usize> {
     rounds
 }
 
+/// Two unanalyzed tables: `a` with `a_rows` rows, `b` with 2 000, both
+/// joined on `v`.
+fn sampled_pair(a_rows: i64) -> Database {
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE a (id INT PRIMARY KEY, v INT); CREATE TABLE b (id INT PRIMARY KEY, v INT);",
+    )
+    .unwrap();
+    db.load_rows(
+        "b",
+        (0..2_000i64)
+            .map(|i| vec![Value::Int(i), Value::Int(i % 300)])
+            .collect(),
+    )
+    .unwrap();
+    grow_a(&mut db, 0, a_rows);
+    db
+}
+
+fn grow_a(db: &mut Database, from: i64, to: i64) {
+    let rows = (from..to).map(|i| vec![Value::Int(i), Value::Int(i % 300)]);
+    db.load_rows("a", rows.collect()).unwrap();
+}
+
+/// Dynamic sampling (§3.4.4) forgets a sample once the compile that took
+/// it is done: a table that grows is sampled afresh, so a recompile after
+/// growth plans what a freshly loaded database plans — with the plan
+/// cache on and off. A sample kept for the database's life planned a
+/// nested loop over a "3-row" full scan of the grown table.
+#[test]
+fn a_grown_table_is_sampled_afresh() {
+    let sql = "SELECT COUNT(*) FROM a, b WHERE a.v = b.v AND a.id > 3";
+    let fresh = sampled_pair(20_000);
+    let expected = fresh.explain(sql).unwrap();
+    let count = fresh.query(sql).unwrap().rows;
+    for cache in [true, false] {
+        let mut db = sampled_pair(10);
+        db.set_plan_cache_enabled(cache);
+        db.query(sql).unwrap();
+        grow_a(&mut db, 10, 20_000);
+        db.clear_plan_cache();
+        assert_eq!(db.explain(sql).unwrap(), expected, "plan cache on: {cache}");
+        assert_eq!(db.query(sql).unwrap().rows, count, "plan cache on: {cache}");
+    }
+}
+
 #[test]
 fn unanalyzed_tables_use_dynamic_sampling() {
     let mut db = Database::new();
