@@ -333,7 +333,8 @@ fn usage() -> ! {
          (Error::WriteConflict); plain readers must never see\n\
          uncommitted rows and a pinned reader must keep its snapshot\n\
          through query, query_bound and a statement prepared before it\n\
-         pinned.\n\
+         pinned. Writes of a shape seen before are served from its\n\
+         statement-shape recipe, and the run must serve at least one.\n\
          Combine with --failpoints to also arm random faults around\n\
          every write: statements may then fail or abort their\n\
          transaction, but only with an Err, and the twin oracle holds.\n\
@@ -906,8 +907,10 @@ fn feedback_round(seed: u64, with_faults: bool) -> u64 {
 /// leaving its transaction open and untouched, or once it runs,
 /// aborting it — but only with an `Err`, and the twin oracle still
 /// holds because failed statements and aborted transactions are never
-/// replayed. Returns the number of failures.
-fn txn_round(seed: u64, with_faults: bool) -> u64 {
+/// replayed. Writes of a shape seen before are served from its
+/// statement-shape recipe, so the twins check the recipe route too.
+/// Returns the number of failures and of writes served from a recipe.
+fn txn_round(seed: u64, with_faults: bool) -> (u64, u64) {
     const WRITERS: usize = 3;
     let mut rng = Rng::seed_from_u64(seed);
     let nkeys = rng.gen_range(10..50i64);
@@ -936,6 +939,8 @@ fn txn_round(seed: u64, with_faults: bool) -> u64 {
     };
 
     let mut failures = 0;
+    let mut recipe_writes = 0;
+    let recipe_hits = || db.plan_cache_stats().recipe_hits;
     let names = failpoints::all();
     let sessions: Vec<_> = (0..WRITERS).map(|_| db.session()).collect();
     // per-writer model state: open?, snapshot counter, visible view,
@@ -1160,7 +1165,9 @@ fn txn_round(seed: u64, with_faults: bool) -> u64 {
         } else {
             None
         };
+        let hits = recipe_hits();
         let outcome = s.execute_statement(&sql);
+        recipe_writes += recipe_hits() - hits;
         drop(armed);
         match outcome {
             Ok(r) => {
@@ -1269,7 +1276,7 @@ fn txn_round(seed: u64, with_faults: bool) -> u64 {
         println!("seed {seed}: txn accounting leak: {stats:?}");
         failures += 1;
     }
-    failures
+    (failures, recipe_writes)
 }
 
 /// One query of the main differential round: every transformation off
@@ -1353,10 +1360,22 @@ fn main() {
             // boundary; keep them off stderr
             std::panic::set_hook(Box::new(|_| {}));
         }
+        let mut recipe_writes = 0;
         for seed in base_seed..base_seed + rounds {
-            failures += txn_round(seed, failpoint_mode);
+            let (failed, hits) = txn_round(seed, failpoint_mode);
+            failures += failed;
+            recipe_writes += hits;
         }
-        println!("txn fuzz complete: {rounds} rounds, {failures} failures");
+        // repeated write shapes exist to drive the recipe route: a run
+        // that never took it left it unchecked
+        if recipe_writes == 0 {
+            println!("no write was served from a recipe");
+            failures += 1;
+        }
+        println!(
+            "txn fuzz complete: {rounds} rounds, {failures} failures, \
+             {recipe_writes} DML recipe hits"
+        );
         std::process::exit(if failures > 0 { 1 } else { 0 });
     }
     if args.feedback {

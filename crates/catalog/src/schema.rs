@@ -318,10 +318,15 @@ impl Catalog {
         Ok(&mut self.tables[id.0 as usize])
     }
 
+    /// The table named `name`, in any case; a name already in lower
+    /// case is looked up without a copy.
     pub fn table_by_name(&self, name: &str) -> Option<&Table> {
-        self.by_name
-            .get(&name.to_ascii_lowercase())
-            .map(|id| &self.tables[id.0 as usize])
+        let id = if name.bytes().any(|b| b.is_ascii_uppercase()) {
+            self.by_name.get(&name.to_ascii_lowercase())
+        } else {
+            self.by_name.get(name)
+        }?;
+        Some(&self.tables[id.0 as usize])
     }
 
     pub fn tables(&self) -> impl Iterator<Item = &Table> {

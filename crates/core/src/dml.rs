@@ -1,15 +1,19 @@
 //! INSERT / UPDATE / DELETE. UPDATE and DELETE have no evaluator of
-//! their own: they get a target plan the way a query does, from the
-//! plan cache or the query pipeline, read every target before writing
-//! any, then claim and append versions inside the scope's
-//! [write bracket](Scope::with_write_txn).
+//! their own: each is a target query
+//! ([`Database::dml_target`]) planned the way a query is, from the plan
+//! cache or the query pipeline ([`Database::plan_family`]), and one
+//! write step ([`Scope::write_targets`]) that reads every target before
+//! writing any, then claims and appends versions inside the scope's
+//! [write bracket](Scope::with_write_txn). A statement served from its
+//! shape's recipe skips the first step and takes the other two.
 
-use crate::serve::{Ctx, Measure, Planned, Scope};
+use crate::serve::{statement_kind, Ctx, Measure, Planned, Scope};
 use crate::Database;
 use cbqt_catalog::{Table, TableId};
 use cbqt_common::{Error, Result, Row, TraceEvent, Tracer, Value};
 use cbqt_optimizer::{BlockPlan, PlanEntity, PlanNode};
-use cbqt_sql::{ast, parameterize_dml_target};
+use cbqt_sql::ast::{self, Statement};
+use cbqt_sql::{parameterize_dml_target, Dml, Recipe, RecipeKind, Shape};
 
 impl Scope<'_> {
     pub(crate) fn insert(self, ins: ast::Insert, ctx: Ctx<'_>) -> Result<u64> {
@@ -45,48 +49,84 @@ impl Scope<'_> {
         })
     }
 
-    pub(crate) fn update(self, u: ast::Update, ctx: Ctx<'_>) -> Result<u64> {
+    /// An UPDATE or DELETE served the full way: its target query, the
+    /// family and binds [`parameterize_dml_target`] makes of it, then
+    /// [`write_family`](Scope::write_family). With `record`, the shape
+    /// of `sql` had no recipe: one is derived from this route and
+    /// recorded once the statement has succeeded.
+    pub(crate) fn write(
+        self,
+        stmt: Statement,
+        sql: &str,
+        record: Option<Shape>,
+        ctx: Ctx<'_>,
+    ) -> Result<u64> {
         let db = self.db;
-        let t = db.table_named(&u.table)?;
-        // the new row, column by column: the SET expression where one
-        // is given (the last one wins), the old value otherwise
-        let mut new_row: Vec<ast::Expr> = t.columns.iter().map(|c| column_of(t, &c.name)).collect();
-        for (c, e) in u.sets {
-            let i = column_named(t, &c)?;
-            // an aggregate would collapse the target query to one row
-            if e.contains_aggregate() {
-                return Err(Error::analysis(format!(
-                    "aggregate functions are not allowed in UPDATE SET expressions: {e}"
-                )));
-            }
-            new_row[i] = e;
+        let (dml, t, query) = db.dml_target(stmt)?;
+        let (fam, binds, key) = db.dml_family(query);
+        let Some(shape) = record else {
+            return self.write_family(dml, t, key, &fam, &binds, ctx);
+        };
+        let recipe_key = key.clone();
+        let n = self.write_family(dml, t, key, &fam, &binds, ctx)?;
+        // in lower case, a hit looks its table up without a copy
+        let kind = RecipeKind::Write {
+            dml,
+            table: t.name.to_ascii_lowercase().into(),
+        };
+        let recipe = recipe_key.and_then(|key| Recipe::derive(sql, &shape, kind, key, fam, &binds));
+        if let Some(recipe) = recipe {
+            db.plan_cache.insert_recipe(shape, recipe);
         }
-        let target = db.plan_dml_target(t, new_row, u.filter, ctx)?;
+        Ok(n)
+    }
+
+    /// Plans the target family `fam` of a write to `t` — probe under
+    /// `key`, compile on a miss — and writes the rows it finds with
+    /// `binds` bound. The full route and the recipe route of UPDATE and
+    /// DELETE both end here.
+    pub(crate) fn write_family(
+        self,
+        dml: Dml,
+        t: &Table,
+        key: Option<String>,
+        fam: &ast::Query,
+        binds: &[Value],
+        ctx: Ctx<'_>,
+    ) -> Result<u64> {
+        let planned = self.db.plan_family(key, fam, binds, ctx)?;
+        self.write_targets(dml, t, &planned, binds, ctx)
+    }
+
+    /// The one write step of UPDATE and DELETE, in the write bracket:
+    /// scan the targets, check NOT NULL on the new rows of an UPDATE,
+    /// claim each target's version and, for an UPDATE, append its new
+    /// one.
+    fn write_targets(
+        self,
+        dml: Dml,
+        t: &Table,
+        planned: &Planned,
+        binds: &[Value],
+        ctx: Ctx<'_>,
+    ) -> Result<u64> {
+        let db = self.db;
         self.with_write_txn(ctx.tracer, |txn| {
-            let targets = db.scan_dml_target(txn, t, &target, ctx)?;
-            for row in &targets {
-                check_not_null(t, row)?;
+            let targets = db.scan_dml_target(txn, t, planned, binds, ctx)?;
+            if dml == Dml::Update {
+                for row in &targets {
+                    check_not_null(t, row)?;
+                }
             }
             let n = targets.len() as u64;
             for mut row in targets {
                 db.claim_version(txn, t, rowid_of(&row)?, ctx.tracer)?;
-                row.truncate(t.columns.len());
-                db.storage.write_version(txn, t.id, row)?;
+                if dml == Dml::Update {
+                    row.truncate(t.columns.len());
+                    db.storage.write_version(txn, t.id, row)?;
+                }
             }
             Ok(n)
-        })
-    }
-
-    pub(crate) fn delete(self, d: ast::Delete, ctx: Ctx<'_>) -> Result<u64> {
-        let db = self.db;
-        let t = db.table_named(&d.table)?;
-        let target = db.plan_dml_target(t, Vec::new(), d.filter, ctx)?;
-        self.with_write_txn(ctx.tracer, |txn| {
-            let targets = db.scan_dml_target(txn, t, &target, ctx)?;
-            for row in &targets {
-                db.claim_version(txn, t, rowid_of(row)?, ctx.tracer)?;
-            }
-            Ok(targets.len() as u64)
         })
     }
 }
@@ -117,21 +157,44 @@ impl Database {
         })
     }
 
-    /// Plans the target query of an UPDATE or DELETE over `t` —
-    /// `SELECT <outputs>, t.ROWID FROM t WHERE <filter>` — like any
-    /// query, so the rows to write are found by the access path the
-    /// planner picks and every expression is evaluated by the executor.
-    /// The literals of the SET list and the filter become bind slots
-    /// ([`parameterize_dml_target`]), so every statement of one shape
-    /// shares a cached family. A plan depends on the table's shape, not
-    /// its data, so the statement's own commit leaves it warm.
-    fn plan_dml_target(
-        &self,
-        t: &Table,
-        outputs: Vec<ast::Expr>,
-        filter: Option<ast::Expr>,
-        ctx: Ctx<'_>,
-    ) -> Result<DmlTarget> {
+    /// The table an UPDATE or DELETE writes and its target query —
+    /// `SELECT <outputs>, t.ROWID FROM t WHERE <filter>` — so the rows
+    /// to write are found by the access path the planner picks and every
+    /// expression is evaluated by the executor. An UPDATE's outputs are
+    /// its new row, column by column: the SET expression where one is
+    /// given (the last one wins), the old value otherwise; a DELETE has
+    /// none.
+    pub(crate) fn dml_target(&self, stmt: Statement) -> Result<(Dml, &Table, ast::Query)> {
+        let (dml, t, outputs, filter) = match stmt {
+            Statement::Update(u) => {
+                let t = self.table_named(&u.table)?;
+                let mut new_row: Vec<ast::Expr> =
+                    t.columns.iter().map(|c| column_of(t, &c.name)).collect();
+                for (c, e) in u.sets {
+                    let i = column_named(t, &c)?;
+                    // an aggregate would collapse the target query to one row
+                    if e.contains_aggregate() {
+                        return Err(Error::analysis(format!(
+                            "aggregate functions are not allowed in UPDATE SET expressions: {e}"
+                        )));
+                    }
+                    new_row[i] = e;
+                }
+                (Dml::Update, t, new_row, u.filter)
+            }
+            Statement::Delete(d) => (
+                Dml::Delete,
+                self.table_named(&d.table)?,
+                Vec::new(),
+                d.filter,
+            ),
+            other => {
+                return Err(Error::internal(format!(
+                    "{} has no target query",
+                    statement_kind(&other)
+                )))
+            }
+        };
         let items = outputs
             .into_iter()
             .chain([column_of(t, "ROWID")])
@@ -151,6 +214,15 @@ impl Database {
             })),
             order_by: Vec::new(),
         };
+        Ok((dml, t, query))
+    }
+
+    /// The plan family of a target query, its binds and its key. The
+    /// literals of the SET list and the filter become bind slots
+    /// ([`parameterize_dml_target`]), so every statement of one shape
+    /// shares a cached family. A plan depends on the table's shape, not
+    /// its data, so the statement's own commit leaves it warm.
+    pub(crate) fn dml_family(&self, query: ast::Query) -> (ast::Query, Vec<Value>, Option<String>) {
         let (fam, binds) = if self.plan_cache_enabled && self.bind_sharing_enabled {
             let p = parameterize_dml_target(&query);
             (p.query, p.binds)
@@ -158,26 +230,25 @@ impl Database {
             (query, Vec::new())
         };
         let key = self.family_key(&fam, !binds.is_empty(), None);
-        let planned = self.plan_family(key, &fam, &binds, ctx)?;
-        Ok(DmlTarget { planned, binds })
+        (fam, binds, key)
     }
 
-    /// Runs a [target plan](Database::plan_dml_target) against the
-    /// transaction's snapshot under the statement's governor and returns
-    /// its rows, version ordinal last. No engine and no snapshot
-    /// outlives [`execute_plan`](Database::execute_plan): every read of
-    /// the statement precedes its first write (no Halloween problem),
-    /// and the writes that follow find the heap and index `Arc`s
-    /// unshared.
+    /// Runs a target plan against the transaction's snapshot under the
+    /// statement's governor and returns its rows, version ordinal last.
+    /// No engine and no snapshot outlives
+    /// [`execute_plan`](Database::execute_plan): every read of the
+    /// statement precedes its first write (no Halloween problem), and
+    /// the writes that follow find the heap and index `Arc`s unshared.
     fn scan_dml_target(
         &self,
         txn: u64,
         t: &Table,
-        target: &DmlTarget,
+        planned: &Planned,
+        binds: &[Value],
         ctx: Ctx<'_>,
     ) -> Result<Vec<Row>> {
-        let (plan, binds) = (&target.planned.plan, &target.binds);
-        let programs = Some(&target.planned.runtime.programs);
+        let plan = &planned.plan;
+        let programs = Some(&planned.runtime.programs);
         let (measure, mode) = (Measure::Nothing, self.config.execution_mode);
         let exec = self.execute_plan(
             plan,
@@ -193,7 +264,7 @@ impl Database {
             access: target_access(plan, t.id),
             rows: exec.rows.len(),
             work: exec.stats.work,
-            cached: target.planned.search.is_none(),
+            cached: planned.search.is_none(),
         });
         Ok(exec.rows)
     }
@@ -215,13 +286,6 @@ impl Database {
             t.name
         )))
     }
-}
-
-/// The target plan of an UPDATE or DELETE and the bind values it runs
-/// with.
-struct DmlTarget {
-    planned: Planned,
-    binds: Vec<Value>,
 }
 
 /// The position of column `name` in `t`.

@@ -65,7 +65,7 @@ use cbqt_common::Value;
 use cbqt_exec::ProgramSet;
 use cbqt_optimizer::{BlockPlan, FeedbackShape, PlanEntity, PlanIndex, PlanNode, PlanNodeId};
 use cbqt_qgm::BindSite;
-use cbqt_sql::{Recipe, Shape};
+use cbqt_sql::{Recipe, RecipeKind, Shape};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -512,8 +512,14 @@ impl PlanCache {
 
     /// Probes for the recipe of `shape`, the shape of statement `src`,
     /// and applies it: a [`RecipeProbe::Hit`] carries the statement's
-    /// family key, family query and bind values.
-    pub fn recipe(&self, src: &str, shape: &Shape) -> RecipeProbe {
+    /// family key, family query and bind values. A recipe whose kind
+    /// the caller does not `admit` declines the statement.
+    pub fn recipe(
+        &self,
+        src: &str,
+        shape: &Shape,
+        admit: impl FnOnce(&RecipeKind) -> bool,
+    ) -> RecipeProbe {
         let recipe = {
             let mut shard = self.lock_shard(self.shard(shape.text()));
             shard.clock += 1;
@@ -526,7 +532,8 @@ impl PlanCache {
                 None => return RecipeProbe::Absent,
             }
         };
-        match recipe.binds(src, shape) {
+        let binds = admit(recipe.kind()).then(|| recipe.binds(src, shape));
+        match binds.flatten() {
             Some(binds) => {
                 self.recipe_hits.fetch_add(1, Ordering::Relaxed);
                 RecipeProbe::Hit { recipe, binds }
@@ -914,12 +921,13 @@ mod tests {
         let p = cbqt_sql::parameterize(&cbqt_sql::parse_query(sql).unwrap());
         let shape = Shape::of(sql).unwrap();
         let key = cbqt_sql::render_query(&p.query);
-        let recipe = Recipe::derive(sql, &shape, key, p.query, &p.binds).unwrap();
+        let kind = RecipeKind::Query;
+        let recipe = Recipe::derive(sql, &shape, kind, key, p.query, &p.binds).unwrap();
         (shape, recipe)
     }
 
     fn probe_recipe(cache: &PlanCache, sql: &str) -> RecipeProbe {
-        cache.recipe(sql, &Shape::of(sql).unwrap())
+        cache.recipe(sql, &Shape::of(sql).unwrap(), |_| true)
     }
 
     #[test]
@@ -939,6 +947,12 @@ mod tests {
         // the select-list constant is not a slot
         assert!(matches!(
             probe_recipe(&cache, "SELECT a, 8 FROM t WHERE b = 5"),
+            RecipeProbe::Declined
+        ));
+        // a caller that does not admit the recipe's kind is declined
+        let other = "SELECT a, 9 FROM t WHERE b = 6";
+        assert!(matches!(
+            cache.recipe(other, &Shape::of(other).unwrap(), |_| false),
             RecipeProbe::Declined
         ));
         // a shape keeps its first recipe

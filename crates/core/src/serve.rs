@@ -7,15 +7,17 @@
 //! recipe probe → parse → accept rule → dispatch to query / EXPLAIN /
 //! DML / transaction control.
 //!
-//! A statement that will run as a query from its own text first looks
-//! for the recipe of its [`Shape`] (see [`cbqt_sql::shape`]). A hit
-//! yields the family key, family query and bind values without a parse
-//! and goes straight to [`Scope::serve_family`]. Anything else takes the
-//! full route, and the first full route of a shape records its recipe.
-//! The query arm ([`Scope::serve_query`]) resolves binds, gets a plan
-//! from [`Database::plan_family`] — family key, probe, and on anything
-//! but a hit a compile that publishes — and runs it. UPDATE and DELETE
-//! get their target plans from the same function. Every plan this crate
+//! A statement that runs from its own text first looks for the recipe
+//! of its [`Shape`] (see [`cbqt_sql::shape`]). A hit yields the family
+//! key, family query and bind values without a parse and goes straight
+//! to [`Scope::serve_family`] — or, for an UPDATE or DELETE recipe, to
+//! [`Scope::write_family`], where the full route of a write ends too.
+//! Anything else takes the full route, and the first successful full
+//! route of a shape records its recipe. The query arm
+//! ([`Scope::serve_query`]) resolves binds, gets a plan from
+//! [`Database::plan_family`] — family key, probe, and on anything but a
+//! hit a compile that publishes — and runs it. UPDATE and DELETE get
+//! their target plans from the same function. Every plan this crate
 //! executes — cached, freshly compiled, EXPLAIN ANALYZE, a DML target
 //! scan, either side of the differential oracle — runs through
 //! [`Database::execute_plan`].
@@ -34,7 +36,9 @@ use cbqt_qgm::{
     BindSite, BindSiteOp, QueryTree,
 };
 use cbqt_sql::ast::{self, Statement};
-use cbqt_sql::{count_params, parameterize, parse_statement, render_query, Recipe, Shape};
+use cbqt_sql::{
+    count_params, parameterize, parse_statement, render_query, Recipe, RecipeKind, Shape,
+};
 use cbqt_storage::Storage;
 use cbqt_transform::{optimize_query_feedback, CbqtOutcome};
 use std::borrow::Cow;
@@ -90,6 +94,14 @@ impl Accept {
             Statement::CreateTable(_) | Statement::CreateIndex(_) | Statement::Analyze => false,
             _ => matches!(self, Accept::Shared),
         }
+    }
+
+    /// Whether a recipe of `kind` may serve a request: a write's only
+    /// under [`Accept::Shared`]. Any other entry point declines it, so
+    /// the statement is parsed and refused by [`admits`](Accept::admits)
+    /// exactly as it is without a recipe.
+    fn admits_recipe(self, kind: &RecipeKind) -> bool {
+        matches!(kind, RecipeKind::Query) || matches!(self, Accept::Shared)
     }
 
     /// Whether to explain the query of `stmt` — a query, or an EXPLAIN
@@ -212,19 +224,24 @@ impl<'a> Scope<'a> {
     /// [`serve`](Scope::serve) after the governor and the tracer.
     fn dispatch(self, req: Request<'_>, ctx: Ctx<'_>) -> Result<Output> {
         let rows = |r| Output::Statement(StatementResult::Rows(r));
+        let affected = |n| Output::Statement(StatementResult::RowsAffected(n));
+        let txn = |()| Output::Statement(StatementResult::Txn);
         let mut record = None;
         if let Some(shape) = self.recipe_shape(&req) {
-            match self.db.plan_cache.recipe(req.sql, &shape) {
+            let admits = |kind: &RecipeKind| req.accept.admits_recipe(kind);
+            match self.db.plan_cache.recipe(req.sql, &shape, admits) {
                 RecipeProbe::Hit { recipe, binds } => {
                     #[cfg(debug_assertions)]
                     self.db.assert_full_route_agrees(req.sql, &recipe, &binds);
                     let key = Some(recipe.key().to_string());
-                    return Ok(rows(self.serve_family(
-                        key,
-                        recipe.family(),
-                        &binds,
-                        ctx,
-                    )?));
+                    let fam = recipe.family();
+                    return Ok(match recipe.kind() {
+                        RecipeKind::Query => rows(self.serve_family(key, fam, &binds, ctx)?),
+                        RecipeKind::Write { dml, table } => {
+                            let t = self.db.table_named(table)?;
+                            affected(self.write_family(*dml, t, key, fam, &binds, ctx)?)
+                        }
+                    });
                 }
                 RecipeProbe::Absent => record = Some(shape),
                 RecipeProbe::Declined => {}
@@ -253,22 +270,24 @@ impl<'a> Scope<'a> {
                     Some(analyze) => Output::Plan(self.explain_query(q, analyze, ctx.governor)?),
                 }
             }
-            _ => Output::Statement(match stmt.into_owned() {
-                Statement::Insert(ins) => StatementResult::RowsAffected(self.insert(ins, ctx)?),
-                Statement::Update(u) => StatementResult::RowsAffected(self.update(u, ctx)?),
-                Statement::Delete(d) => StatementResult::RowsAffected(self.delete(d, ctx)?),
-                Statement::Begin => self.begin(ctx.tracer).map(|()| StatementResult::Txn)?,
-                Statement::Commit => self.commit(ctx.tracer).map(|()| StatementResult::Txn)?,
-                Statement::Rollback => self.rollback(ctx.tracer).map(|()| StatementResult::Txn)?,
+            _ => match stmt.into_owned() {
+                Statement::Insert(ins) => affected(self.insert(ins, ctx)?),
+                w @ (Statement::Update(_) | Statement::Delete(_)) => {
+                    affected(self.write(w, req.sql, record, ctx)?)
+                }
+                Statement::Begin => self.begin(ctx.tracer).map(txn)?,
+                Statement::Commit => self.commit(ctx.tracer).map(txn)?,
+                Statement::Rollback => self.rollback(ctx.tracer).map(txn)?,
                 other => unreachable!("{} passed the accept rule", statement_kind(&other)),
-            }),
+            },
         })
     }
 
     /// The shape a request probes recipes with: only a statement that
-    /// runs as a query from its own text — not pre-parsed, no explicit
-    /// binds, not explained — and only while recipes' route, the plan
-    /// cache with bind sharing, is on.
+    /// runs from its own text — not pre-parsed, no explicit binds, not
+    /// explained — and only while recipes' route, the plan cache with
+    /// bind sharing, is on. Whether the recipe found may serve the
+    /// request is [`Accept::admits_recipe`]'s call.
     fn recipe_shape(self, req: &Request<'_>) -> Option<Shape> {
         let db = self.db;
         let runs_text = req.stmt.is_none()
@@ -381,7 +400,8 @@ impl<'a> Scope<'a> {
         };
         let fam = fam.into_owned();
         let result = self.serve_family(key, &fam, &values, ctx)?;
-        if let Some(recipe) = Recipe::derive(sql, &shape, recipe_key, fam, &values) {
+        let kind = RecipeKind::Query;
+        if let Some(recipe) = Recipe::derive(sql, &shape, kind, recipe_key, fam, &values) {
             db.plan_cache.insert_recipe(shape, recipe);
         }
         Ok(result)
@@ -897,17 +917,37 @@ impl Database {
         worst
     }
 
-    /// Serves `sql` the full way and checks that it gets the family key
-    /// and bind values its recipe gave it.
+    /// Serves `sql` the full way and checks that it gets the family key,
+    /// family and bind values its recipe gave it: a query through
+    /// [`resolve_binds`](Database::resolve_binds), an UPDATE or DELETE
+    /// through the target-query builder of its full route.
     #[cfg(debug_assertions)]
     fn assert_full_route_agrees(&self, sql: &str, recipe: &Recipe, binds: &[Value]) {
-        let Ok(Statement::Query(q)) = parse_statement(sql) else {
-            panic!("a recipe served {sql:?}, which is not a query");
+        let stmt = parse_statement(sql).expect("a recipe's statement parses");
+        let (fam, values, key) = match (stmt, recipe.kind()) {
+            (Statement::Query(q), RecipeKind::Query) => {
+                let (fam, values) = self
+                    .resolve_binds(&q, None)
+                    .expect("binds of a recipe's query");
+                let key = self.family_key(&fam, !values.is_empty(), Some(sql));
+                (fam.into_owned(), values, key)
+            }
+            (stmt, RecipeKind::Write { dml, table }) => {
+                let (written, t, query) = self
+                    .dml_target(stmt)
+                    .expect("the target query of a recipe's write");
+                assert_eq!(written, *dml, "recipe kind of {sql:?}");
+                assert!(
+                    t.name.eq_ignore_ascii_case(table),
+                    "recipe table of {sql:?}"
+                );
+                self.dml_family(query)
+            }
+            (stmt, kind) => panic!(
+                "a {kind:?} recipe served {sql:?}, a {}",
+                statement_kind(&stmt)
+            ),
         };
-        let (fam, values) = self
-            .resolve_binds(&q, None)
-            .expect("binds of a recipe's query");
-        let key = self.family_key(&fam, !values.is_empty(), Some(sql));
         assert_eq!(key.as_deref(), Some(recipe.key()), "recipe key of {sql:?}");
         // `Debug` shows the variant: `5` and `5.0` differ
         assert_eq!(
@@ -915,7 +955,7 @@ impl Database {
             format!("{binds:?}"),
             "recipe binds of {sql:?}"
         );
-        assert!(*fam == *recipe.family(), "recipe family of {sql:?}");
+        assert!(fam == *recipe.family(), "recipe family of {sql:?}");
     }
 }
 

@@ -794,7 +794,10 @@ impl<'a> Engine<'a> {
                 let mut out = Vec::new();
                 for ordinal in self.scan_ordinals(access, &ctx, &data)? {
                     self.tick()?;
-                    let mut row = data.row(ordinal).clone();
+                    // one allocation per row: the heap row and its ROWID
+                    let heap_row = data.row(ordinal);
+                    let mut row = Vec::with_capacity(heap_row.len() + 1);
+                    row.extend_from_slice(heap_row);
                     row.push(Value::Int(ordinal as i64));
                     let mut pass = true;
                     for c in filter {

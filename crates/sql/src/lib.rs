@@ -26,4 +26,4 @@ pub use parser::{
     parse_expression, parse_query, parse_statement, parse_statements, parse_statements_spanned,
 };
 pub use render::render_query;
-pub use shape::{Recipe, Shape};
+pub use shape::{Dml, Recipe, RecipeKind, Shape};

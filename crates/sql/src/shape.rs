@@ -13,20 +13,28 @@
 //! and bind vector from the recipe and its own literals
 //! ([`Recipe::binds`]), or is declined and takes the full route.
 //!
+//! A recipe serves a query or an UPDATE / DELETE ([`RecipeKind`]). For
+//! a write, the family is the parameterized target query the full route
+//! builds from the statement
+//! ([`parameterize_dml_target`](crate::parameterize_dml_target)), and
+//! the recipe also names the table written.
+//!
 //! Why a recipe serves exactly what the full route would:
 //! - Two texts with one shape lex to the same tokens but for the text of
 //!   their literals. A mask holds a NUL byte, and a text with a NUL byte
-//!   has no shape, so masks cannot be forged. The parser and
-//!   `parameterize` decide structure from token kinds, not literal text,
-//!   so every text of a shape puts slot `j` at the same literal.
+//!   has no shape, so masks cannot be forged. The parser, the target
+//!   query of a write and `parameterize` decide structure from token
+//!   kinds and names, not literal text, so every text of a shape puts
+//!   slot `j` at the same literal.
 //! - A recipe is derived only from a statement whose literal values are
 //!   pairwise distinct and not zero. The literal whose value a bind
 //!   holds — or whose negation, for a folded unary minus — is then
 //!   unique, so the slot's source is too.
 //! - A literal that is not a slot shapes the plan: a select-list
 //!   constant, a `ROWNUM` bound, a `LIKE` pattern, an `ORDER BY`
-//!   position, a `DATE`. The recipe keeps its text and declines any
-//!   statement that spells it differently.
+//!   position, a `DATE`, a `SET` item a later one overrides. The recipe
+//!   keeps its text and declines any statement that spells it
+//!   differently.
 
 use crate::ast::Query;
 use crate::lexer::{literal_value, Lexer, Scanned, TokenKind};
@@ -118,10 +126,28 @@ struct Slot {
     negate: bool,
 }
 
+/// What a recipe's statement does with its family query.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RecipeKind {
+    /// A query: the family runs and its rows are returned.
+    Query,
+    /// An UPDATE or DELETE of `table`: the family is its target query,
+    /// and every row it finds is written back or deleted.
+    Write { dml: Dml, table: Box<str> },
+}
+
+/// The statements whose target query a [`RecipeKind::Write`] holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dml {
+    Update,
+    Delete,
+}
+
 /// How to serve a statement of one shape without parsing it (see the
 /// module docs).
 #[derive(Debug)]
 pub struct Recipe {
+    kind: RecipeKind,
     key: String,
     family: Query,
     slots: Vec<Slot>,
@@ -131,14 +157,15 @@ pub struct Recipe {
 
 impl Recipe {
     /// The recipe of `src`'s shape, from what the full route produced
-    /// for `src`: its plan-family `key`, the parameterized `family`
-    /// query and its bind values. `None` when a slot's source is
-    /// ambiguous — two literals of one value, a zero literal — or a
-    /// bind came from no literal (a `DATE`); the next statement of the
-    /// shape tries again.
+    /// for `src`, a statement of `kind`: its plan-family `key`, the
+    /// parameterized `family` query and its bind values. `None` when a
+    /// slot's source is ambiguous — two literals of one value, a zero
+    /// literal — or a bind came from no literal (a `DATE`); the next
+    /// statement of the shape tries again.
     pub fn derive(
         src: &str,
         shape: &Shape,
+        kind: RecipeKind,
         key: String,
         family: Query,
         binds: &[Value],
@@ -172,6 +199,7 @@ impl Recipe {
             .map(|i| (i, shape.literal(src, i).into()))
             .collect();
         Some(Recipe {
+            kind,
             key,
             family,
             slots,
@@ -204,6 +232,11 @@ impl Recipe {
             .collect()
     }
 
+    /// What a statement of the shape does with the family.
+    pub fn kind(&self) -> &RecipeKind {
+        &self.kind
+    }
+
     /// The plan-family key every statement of the shape is served under.
     pub fn key(&self) -> &str {
         &self.key
@@ -219,7 +252,12 @@ impl Recipe {
     /// it is charged a fixed number of bytes per byte of its rendered
     /// key, which grows with it.
     pub fn estimated_bytes(&self) -> usize {
+        let table = match &self.kind {
+            RecipeKind::Query => 0,
+            RecipeKind::Write { table, .. } => table.len(),
+        };
         size_of::<Recipe>()
+            + table
             + self.key.len() * (1 + AST_BYTES_PER_KEY_BYTE)
             + self.slots.len() * size_of::<Slot>()
             + self
@@ -251,7 +289,7 @@ fn same(a: &Value, b: &Value) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binds::parameterize;
+    use crate::binds::{parameterize, parameterize_dml_target};
     use crate::parser::parse_query;
     use crate::render::render_query;
 
@@ -263,7 +301,14 @@ mod tests {
 
     fn recipe(sql: &str) -> Option<Recipe> {
         let (key, family, binds) = full(sql);
-        Recipe::derive(sql, &Shape::of(sql)?, key, family, &binds)
+        Recipe::derive(
+            sql,
+            &Shape::of(sql)?,
+            RecipeKind::Query,
+            key,
+            family,
+            &binds,
+        )
     }
 
     /// Serves `sql` from the recipe recorded from `recorded`, checking
@@ -448,5 +493,36 @@ mod tests {
             ),
             Some(vec![])
         );
+    }
+
+    #[test]
+    fn a_write_recipe_maps_set_and_filter_literals() {
+        // the target query an UPDATE of `kv (id, val)` is served by,
+        // written out here: the core crate builds it from the AST
+        let target = |val: &str, id: &str| {
+            let q = parse_query(&format!(
+                "SELECT kv.id, {val}, kv.ROWID FROM kv WHERE kv.id = {id}"
+            ))
+            .unwrap();
+            let p = parameterize_dml_target(&q);
+            (render_query(&p.query), p.query, p.binds)
+        };
+        let kind = RecipeKind::Write {
+            dml: Dml::Update,
+            table: "kv".into(),
+        };
+        let derive = |sql: &str, (key, family, binds): (String, Query, Vec<Value>)| {
+            Recipe::derive(sql, &Shape::of(sql)?, kind.clone(), key, family, &binds)
+        };
+        let sql = "UPDATE kv SET val = 7 WHERE id = 3";
+        let r = derive(sql, target("7", "3")).unwrap();
+        assert_eq!(r.kind(), &kind);
+        assert_eq!(r.key(), target("9", "4").0);
+        let other = "UPDATE kv SET val = 9 WHERE id = 4";
+        let binds = r.binds(other, &Shape::of(other).unwrap()).unwrap();
+        assert_eq!(binds, target("9", "4").2);
+        assert_eq!(binds, vec![Value::Int(9), Value::Int(4)]);
+        // a SET value equal to the key leaves the slots ambiguous
+        assert!(derive("UPDATE kv SET val = 5 WHERE id = 5", target("5", "5")).is_none());
     }
 }

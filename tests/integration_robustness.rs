@@ -207,20 +207,26 @@ fn probe_sql(name: &str) -> &'static str {
 /// Write-path failpoints probe through DML instead: `(probe, undo)`
 /// statement pairs over the `nums` table, where `undo` restores the
 /// fixture state after a successful disarmed run of `probe`.
-fn write_probe(name: &str) -> Option<(&'static str, &'static str)> {
+fn write_probes(name: &str) -> Option<&'static [(&'static str, &'static str)]> {
     match name {
-        failpoint::STORAGE_WRITE_VERSION => Some((
-            "INSERT INTO nums VALUES (900)",
-            "DELETE FROM nums WHERE n = 900",
-        )),
-        failpoint::TXN_CONFLICT_CHECK => Some((
+        failpoint::STORAGE_WRITE_VERSION => Some(&[
+            (
+                "INSERT INTO nums VALUES (900)",
+                "DELETE FROM nums WHERE n = 900",
+            ),
+            (
+                "UPDATE nums SET n = n + 2000 WHERE n = 7",
+                "UPDATE nums SET n = n - 2000 WHERE n = 2007",
+            ),
+        ]),
+        failpoint::TXN_CONFLICT_CHECK => Some(&[(
             "DELETE FROM nums WHERE n = 3",
             "INSERT INTO nums VALUES (3)",
-        )),
-        failpoint::STORAGE_COMMIT_PUBLISH => Some((
+        )]),
+        failpoint::STORAGE_COMMIT_PUBLISH => Some(&[(
             "UPDATE nums SET n = n + 1000 WHERE n = 5",
             "UPDATE nums SET n = n - 1000 WHERE n = 1005",
-        )),
+        )]),
         _ => None,
     }
 }
@@ -254,31 +260,56 @@ fn check_failpoint(db: &Database, name: &'static str, panic_action: bool) {
         }
     };
 
-    if let Some((sql, undo)) = write_probe(name) {
+    if let Some(probes) = write_probes(name) {
         let session = db.session();
         let count = "SELECT COUNT(*) FROM nums";
         let base = db.query(count).unwrap().rows[0][0].clone();
-        assert!(db.query(count).unwrap().stats.plan_cache_hit);
-        {
-            let _fp = arm(name);
-            let err = session.execute(sql).unwrap_err();
-            check_err(&err);
+        let recipe_hits = || db.plan_cache_stats().recipe_hits;
+        for &(sql, undo) in probes {
+            // the full route with nothing cached, then the recipe route:
+            // a disarmed run of the probe and its undo records their
+            // recipes (INSERT has none)
+            for from_recipe in [false, true] {
+                db.clear_plan_cache();
+                if from_recipe {
+                    session.execute(sql).unwrap();
+                    session.execute(undo).unwrap();
+                }
+                assert!(db.query(count).is_ok());
+                assert!(db.query(count).unwrap().stats.plan_cache_hit);
+                let served = u64::from(from_recipe && !sql.starts_with("INSERT"));
+                let before = recipe_hits();
+                {
+                    let _fp = arm(name);
+                    let err = session.execute(sql).unwrap_err();
+                    check_err(&err);
+                }
+                assert_eq!(
+                    recipe_hits() - before,
+                    served,
+                    "failpoint {name}: {sql} recipe hits"
+                );
+                // a fault anywhere between the first write and
+                // commit-publish aborts the whole statement: no rows
+                // changed, no version bump — cached plans over the table
+                // stay warm
+                let after = db.query(count).unwrap();
+                assert_eq!(after.rows[0][0], base, "failpoint {name}: partial write");
+                assert!(
+                    after.stats.plan_cache_hit,
+                    "failpoint {name}: rolled-back write invalidated cached plans"
+                );
+                // disarmed: the same write succeeds, from its recipe if
+                // it has one, and the database keeps serving
+                let before = recipe_hits();
+                session.execute(sql).unwrap_or_else(|e| {
+                    panic!("follow-up write after failpoint {name} failed: {e}")
+                });
+                assert_eq!(recipe_hits() - before, served, "failpoint {name}: {sql}");
+                session.execute(undo).unwrap();
+                assert_eq!(db.query(count).unwrap().rows[0][0], base, "{name}");
+            }
         }
-        // a fault anywhere between the first write and commit-publish
-        // aborts the whole statement: no rows changed, no version bump —
-        // cached plans over the table stay warm
-        let after = db.query(count).unwrap();
-        assert_eq!(after.rows[0][0], base, "failpoint {name}: partial write");
-        assert!(
-            after.stats.plan_cache_hit,
-            "failpoint {name}: rolled-back write invalidated cached plans"
-        );
-        // disarmed: the same write succeeds and the database keeps serving
-        session
-            .execute(sql)
-            .unwrap_or_else(|e| panic!("follow-up write after failpoint {name} failed: {e}"));
-        session.execute(undo).unwrap();
-        assert_eq!(db.query(count).unwrap().rows[0][0], base, "{name}");
         return;
     }
 

@@ -832,3 +832,174 @@ fn not_null_columns_reject_null_writes() {
     assert!(!s.in_transaction());
     assert_eq!(count(&db, "SELECT COUNT(*) FROM items"), 2);
 }
+
+// -- UPDATE / DELETE served from statement-shape recipes ----------------
+
+/// The plan cache's `(recipes, recipe_hits)`.
+fn recipes(db: &Database) -> (usize, u64) {
+    let s = db.plan_cache_stats();
+    (s.recipes, s.recipe_hits)
+}
+
+#[test]
+fn writes_of_one_shape_are_served_from_one_recipe() {
+    let updates: Vec<String> = (1..=1_000i64)
+        .map(|i| {
+            format!(
+                "UPDATE kv SET k = {} WHERE id = {}",
+                10_000 + i,
+                i * 7 % 2_000
+            )
+        })
+        .collect();
+    let deletes: Vec<String> = (1..=200i64)
+        .map(|i| format!("DELETE FROM kv WHERE id = {}", i * 13 % 2_000))
+        .collect();
+    let run = |db: &Database, checked: bool| {
+        let s = db.session();
+        for sql in &updates {
+            assert_eq!(affected(&s, sql), 1, "{sql}");
+        }
+        if checked {
+            let (n, hits) = recipes(db);
+            assert_eq!(n, 1, "one UPDATE shape, one recipe");
+            assert!(hits >= 999, "{hits} UPDATEs served from the recipe");
+        }
+        for sql in &deletes {
+            assert_eq!(affected(&s, sql), 1, "{sql}");
+        }
+        if checked {
+            let (n, hits) = recipes(db);
+            assert_eq!(n, 2, "one DELETE shape, one more recipe");
+            assert!(hits >= 999 + 199, "{hits} writes served from recipes");
+        }
+        db.query("SELECT id, k, tag FROM kv ORDER BY id")
+            .unwrap()
+            .rows
+    };
+    let db = kv(2_000);
+    let mut twin = kv(2_000);
+    twin.set_plan_cache_enabled(false);
+    let rows = run(&db, true);
+    assert_eq!(rows.len(), 1_800);
+    assert_eq!(rows, run(&twin, false));
+    assert_eq!(recipes(&twin), (0, 0));
+}
+
+#[test]
+fn a_write_recipe_is_refused_where_its_statement_is() {
+    let sql = "UPDATE kv SET k = 7 WHERE id = 3";
+    let refusals = |db: &Database| {
+        let read = |r: cbqt::common::Result<()>| r.unwrap_err().to_string();
+        [
+            read(db.query(sql).map(drop)),
+            read(db.execute(sql).map(drop)),
+            read(db.trace(sql).map(drop)),
+            read(db.explain(sql).map(drop)),
+        ]
+    };
+    let want = refusals(&kv(10));
+    assert!(want[0].contains("requires a query, got UPDATE"), "{want:?}");
+
+    let db = kv(10);
+    let s = db.session();
+    assert_eq!(affected(&s, "UPDATE kv SET k = 8 WHERE id = 4"), 1);
+    assert_eq!(recipes(&db), (1, 0));
+    // the shape has a recipe, yet no read entry point runs it
+    assert_eq!(refusals(&db), want);
+    assert_eq!(recipes(&db), (1, 0));
+    assert_eq!(count(&db, "SELECT k FROM kv WHERE id = 3"), 3);
+    // a session statement still does
+    assert_eq!(affected(&s, sql), 1);
+    assert_eq!(recipes(&db).1, 1);
+    assert_eq!(count(&db, "SELECT k FROM kv WHERE id = 3"), 7);
+}
+
+/// Runs `sql` on `s` and checks that it was served from its shape's
+/// recipe.
+fn from_recipe(db: &Database, s: &Session<'_>, sql: &str) -> cbqt::common::Result<StatementResult> {
+    let before = recipes(db).1;
+    let r = s.execute_statement(sql);
+    assert_eq!(recipes(db).1, before + 1, "{sql} missed its recipe");
+    r
+}
+
+#[test]
+fn a_recipe_write_in_a_transaction_reads_its_own_writes_and_loses_races() {
+    let db = kv(20);
+    let (w1, w2) = (db.session(), db.session());
+    let k_of = |s: &Session<'_>, id: i64| {
+        let sql = format!("SELECT k FROM kv WHERE id = {id}");
+        s.query(&sql).unwrap().rows[0][0].clone()
+    };
+    let bump = |s: &Session<'_>, id: i64| {
+        from_recipe(&db, s, &format!("UPDATE kv SET k = k + 5 WHERE id = {id}"))
+    };
+    assert_eq!(affected(&w1, "UPDATE kv SET k = k + 5 WHERE id = 1"), 1);
+    assert_eq!(recipes(&db), (1, 0));
+
+    // the second write finds the first one's uncommitted version
+    w1.begin().unwrap();
+    for _ in 0..2 {
+        assert!(matches!(bump(&w1, 3), Ok(StatementResult::RowsAffected(1))));
+    }
+    assert_eq!(k_of(&w1, 3), Value::Int(13));
+    assert_eq!(k_of(&w2, 3), Value::Int(3));
+    w1.rollback().unwrap();
+    assert_eq!(k_of(&w1, 3), Value::Int(3));
+
+    // first updater wins, on the recipe route too
+    w1.begin().unwrap();
+    w2.begin().unwrap();
+    assert!(matches!(bump(&w1, 4), Ok(StatementResult::RowsAffected(1))));
+    let err = bump(&w2, 4).unwrap_err();
+    assert!(matches!(err, Error::WriteConflict(_)), "{err}");
+    assert!(
+        err.to_string().contains("lost a first-updater race"),
+        "{err}"
+    );
+    assert!(!w2.in_transaction());
+    w1.commit().unwrap();
+    assert_eq!(k_of(&w2, 4), Value::Int(9));
+}
+
+#[test]
+fn a_recipe_write_of_a_fixed_null_still_meets_not_null() {
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE items (id INT PRIMARY KEY, code INT NOT NULL);
+         INSERT INTO items VALUES (10, 1), (11, 3);",
+    )
+    .unwrap();
+    let s = db.session();
+    // no row matches, so nothing is written and the shape records
+    assert_eq!(
+        affected(&s, "UPDATE items SET code = NULL WHERE id = 99"),
+        0
+    );
+    assert_eq!(recipes(&db), (1, 0));
+    s.begin().unwrap();
+    let err = from_recipe(&db, &s, "UPDATE items SET code = NULL WHERE id = 11").unwrap_err();
+    assert!(matches!(err, Error::Execution(_)), "{err}");
+    assert!(err.to_string().contains("items.code"), "{err}");
+    assert!(!s.in_transaction());
+    assert_eq!(
+        db.query("SELECT code FROM items WHERE id = 11")
+            .unwrap()
+            .rows,
+        vec![vec![Value::Int(3)]]
+    );
+}
+
+#[test]
+fn a_write_with_two_equal_literals_records_no_recipe() {
+    let db = kv(20);
+    let s = db.session();
+    assert_eq!(affected(&s, "UPDATE kv SET k = 5 WHERE id = 5"), 1);
+    assert_eq!(recipes(&db), (0, 0));
+    assert_eq!(affected(&s, "UPDATE kv SET k = 9 WHERE id = 6"), 1);
+    assert_eq!(recipes(&db), (1, 0));
+    assert_eq!(affected(&s, "UPDATE kv SET k = 5 WHERE id = 5"), 1);
+    assert_eq!(recipes(&db), (1, 1));
+    assert_eq!(count(&db, "SELECT SUM(k) FROM kv WHERE id IN (5, 6)"), 14);
+}
