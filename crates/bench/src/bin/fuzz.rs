@@ -1,15 +1,16 @@
-//! Extended differential fuzzing (dev tool): many random databases and
-//! queries, comparing all-transformations-off against cost-based under
-//! every search strategy and against the heuristic rules.
+//! Differential fuzzing (dev tool): seven row oracles over random
+//! databases and statements, run by one driver. An oracle builds its
+//! twins from a round's seed, draws its statements and checks its
+//! invariants; the driver owns the seed loop, the panic hook, fault
+//! arming, the still-serving check and the failure tally.
 
 use cbqt::common::{Error, Value};
 use cbqt::sql::{Lexer, TokenKind};
-use cbqt::{
-    Database, PlanCacheStats, SearchStrategy, StatementLimits, StatementResult, TransformSet,
-};
+use cbqt::{Database, QueryResult, SearchStrategy, StatementLimits, StatementResult, TransformSet};
 use cbqt_testkit::failpoints::{self, Fail};
 use cbqt_testkit::Rng;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Display;
 use std::time::Duration;
 
 fn random_db(rng: &mut Rng) -> Database {
@@ -244,189 +245,278 @@ fn random_join_query(rng: &mut Rng) -> String {
     }
 }
 
-fn canon(rows: &[Vec<Value>]) -> Vec<String> {
-    let mut v: Vec<String> = rows
+/// One row oracle: the flag that selects it, what it checks and its
+/// round.
+struct Oracle {
+    /// `None` for the default oracle.
+    flag: Option<&'static str>,
+    /// What it checks: its paragraph of the usage text.
+    about: &'static str,
+    /// A run must serve at least one statement from a recipe: the
+    /// oracle is there to check that route.
+    needs_recipe_hits: bool,
+    round: fn(&mut Round),
+}
+
+/// Every oracle, in the order of the usage text. Of several oracle
+/// flags given, the one latest here wins.
+static ORACLES: [Oracle; 7] = [
+    STRATEGIES,
+    FAILPOINTS,
+    DIFFERENTIAL_EXEC,
+    BINDS,
+    FEEDBACK,
+    TXN,
+    JOINS,
+];
+
+fn usage() -> ! {
+    let flags: Vec<String> = ORACLES
         .iter()
-        .map(|r| {
-            r.iter()
+        .filter_map(|o| Some(format!("[{}]", o.flag?)))
+        .collect();
+    eprintln!(
+        "usage: fuzz [--iters N] [--seed S] {} [N]\n\
+         \n\
+         Runs N rounds (default 300) of the row oracle its flag picks (below).\n\
+         Round i draws everything from seed S + i (S defaults to 0), so\n\
+         `fuzz <flags> --seed <failing seed> --iters 1` replays a failing round.\n\
+         Beside another oracle's flag, --failpoints arms random failpoints\n\
+         (error and panic modes) in its rounds: statements may then fail, but\n\
+         only with an Err, and the databases must keep serving.",
+        flags.join(" ")
+    );
+    for o in &ORACLES {
+        eprintln!("\n{}", o.flag.unwrap_or("(no flag)"));
+        for line in o.about.lines() {
+            eprintln!("    {line}");
+        }
+    }
+    std::process::exit(2);
+}
+
+fn main() {
+    let (mut oracle, mut iters, mut base_seed, mut faults) = (0, 300, 0, false);
+    let mut args = std::env::args().skip(1);
+    let number = |args: &mut dyn Iterator<Item = String>| {
+        args.next()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| usage())
+    };
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--iters" | "-n" => iters = number(&mut args),
+            "--seed" | "-s" => base_seed = number(&mut args),
+            "--help" | "-h" => usage(),
+            flag => match ORACLES.iter().position(|o| o.flag == Some(flag)) {
+                Some(i) => {
+                    faults |= flag == "--failpoints";
+                    oracle = oracle.max(i);
+                }
+                // bare positional N, the pre-CLI invocation style
+                None => iters = flag.parse().unwrap_or_else(|_| usage()),
+            },
+        }
+    }
+    let oracle = &ORACLES[oracle];
+    if faults {
+        // injected panics are expected and caught at the statement
+        // boundary; keep them off stderr
+        std::panic::set_hook(Box::new(|_| {}));
+    }
+    let mut r = Round {
+        faults,
+        ..Round::default()
+    };
+    for seed in base_seed..base_seed + iters {
+        r.seed = seed;
+        (oracle.round)(&mut r);
+    }
+    let mut hits = String::new();
+    if oracle.needs_recipe_hits {
+        if r.recipe_hits == 0 {
+            println!("no statement was served from a recipe");
+            r.failures += 1;
+        }
+        hits = format!(", {} recipe hits", r.recipe_hits);
+    }
+    println!(
+        "fuzz complete: {iters} rounds, {} failures{hits}",
+        r.failures
+    );
+    std::process::exit(i32::from(r.failures > 0));
+}
+
+/// The round being run, and the run's tallies.
+#[derive(Default)]
+struct Round {
+    seed: u64,
+    /// `--failpoints`: arm random faults ([`Round::arm`]).
+    faults: bool,
+    failures: u64,
+    /// Statements served from a recipe.
+    recipe_hits: u64,
+}
+
+/// A query's rows in a canonical order, or its error.
+type Rows = Result<Vec<String>, Error>;
+
+fn rows(run: Result<QueryResult, Error>) -> Rows {
+    let mut rows: Vec<String> = run?
+        .rows
+        .iter()
+        .map(|row| {
+            row.iter()
                 .map(|x| x.to_string())
                 .collect::<Vec<_>>()
                 .join("|")
         })
         .collect();
-    v.sort();
-    v
+    rows.sort();
+    Ok(rows)
 }
 
-/// Whether plan-cache stats add up: within the byte budget, bytes held
-/// exactly while some plan variant or recipe is, and no family without
-/// a variant.
-fn coherent(stats: &PlanCacheStats) -> bool {
-    stats.bytes <= stats.capacity_bytes
-        && (stats.entries + stats.recipes == 0) == (stats.bytes == 0)
-        && stats.families <= stats.entries
-}
+impl Round {
+    fn fail(&mut self, what: impl Display) {
+        println!("seed {}: {what}", self.seed);
+        self.failures += 1;
+    }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: fuzz [--iters N] [--seed S] [--failpoints]\n\
-         \x20           [--differential-exec] [--binds] [--feedback] [--txn]\n\
-         \x20           [--joins] [N]\n\
-         \n\
-         Runs N differential-fuzz rounds (default 300): a random query,\n\
-         and a NOT IN over an indexed key with NULLs, on a random\n\
-         database must return the rows of the run with every\n\
-         transformation off under each search strategy (Exhaustive,\n\
-         TwoPass, Iterative, Linear, Auto) and under the heuristic rules\n\
-         (cost_based = false). Round i uses seed S + i (S defaults to 0),\n\
-         so any reported failure reproduces with\n\
-         `fuzz --iters 1 --seed <failing seed>`.\n\
-         \n\
-         --failpoints switches to fault-injection fuzzing: each round arms\n\
-         random failpoints (error and panic modes) and random tight\n\
-         resource limits. Queries may fail, but must only ever fail with\n\
-         an Err — no panics escaping the statement boundary, no hangs —\n\
-         and the database must keep serving consistently afterwards.\n\
-         Result-row comparison is skipped (faults and limits legitimately\n\
-         abort statements).\n\
-         \n\
-         --differential-exec switches to the execution-engine oracle:\n\
-         each round optimizes random queries once and runs the same plan\n\
-         through both the vectorized and the Volcano engine, asserting\n\
-         identical result rows, per-operator metrics, and governor\n\
-         outcomes (see Database::differential_exec). Combine with\n\
-         --failpoints to also arm random faults during the paired runs —\n\
-         both engines must then fail with the same error class.\n\
-         \n\
-         --binds switches to the bind-sharing oracle: each round runs\n\
-         random queries three ways — literal text (the bind-extraction\n\
-         serving path), prepared with its extracted defaults, and\n\
-         prepared re-bound explicitly — and all three must return\n\
-         identical rows while the plan-family cache stays coherent\n\
-         (byte-bounded, families <= variants). Copies of each query\n\
-         with a few number literals changed, served as text (mostly\n\
-         from the recipe of the query's shape), must return the rows\n\
-         of a plan-cache-off twin, and the run must serve at least one\n\
-         statement from a recipe. Combine with\n\
-         --failpoints to also arm random faults: runs may fail, but\n\
-         only with an Err, and the database must keep serving.\n\
-         \n\
-         --feedback switches to the cardinality-feedback oracle: each\n\
-         round serves random queries repeatedly with feedback-driven\n\
-         re-optimization on, against a feedback-off twin database as\n\
-         the row oracle. Re-optimization must never change result rows,\n\
-         and no query may re-optimize more than once (the suspect/pin\n\
-         protocol forbids loops). Combine with --failpoints to also arm\n\
-         random faults around the serves.\n\
-         \n\
-         --txn switches to the MVCC transaction oracle: each round\n\
-         interleaves three transactional writer sessions against two\n\
-         serial single-writer twin databases that replay a transaction's\n\
-         statements only at its successful commit: one with the same\n\
-         primary key (UPDATE/DELETE targets found through the index),\n\
-         one with no index (targets found by full scan), both with the\n\
-         plan cache off, so the main database's cached target plans meet\n\
-         a fresh compile. Rows must match\n\
-         both twins at every commit and at round end; a claim model\n\
-         predicts exactly which statements (point, IN-list and range\n\
-         writes) must lose the first-updater-wins race\n\
-         (Error::WriteConflict); plain readers must never see\n\
-         uncommitted rows and a pinned reader must keep its snapshot\n\
-         through query, query_bound and a statement prepared before it\n\
-         pinned. Writes of a shape seen before are served from its\n\
-         statement-shape recipe, and the run must serve at least one.\n\
-         Combine with --failpoints to also arm random faults around\n\
-         every write: statements may then fail or abort their\n\
-         transaction, but only with an Err, and the twin oracle holds.\n\
-         \n\
-         --joins switches to the join-order oracle: each round builds\n\
-         the same random database twice — with the default\n\
-         bushy_max_items and with bushy_max_items = 0 (pairwise\n\
-         windows) — and every multi-way join query, including EXISTS /\n\
-         NOT IN / LEFT JOIN shapes and blocks wider than the default\n\
-         window, must return identical row sets from both, also under\n\
-         random tight optimizer-state budgets that narrow the windows.\n\
-         Combine with\n\
-         --failpoints to also arm random faults: either side may then\n\
-         fail, but only with an Err, and both databases must keep\n\
-         serving."
-    );
-    std::process::exit(2);
-}
+    /// With probability `p`, when the run arms faults, a failpoint drawn
+    /// from `rng` armed in the error or (less often) the panic mode; it
+    /// is disarmed when dropped. Draws nothing when the run arms none.
+    fn arm(&self, rng: &mut Rng, p: f64) -> Option<Fail> {
+        if !self.faults || !rng.gen_bool(p) {
+            return None;
+        }
+        let names = failpoints::all();
+        let name = names[rng.gen_range(0usize..names.len())];
+        Some(match rng.gen_bool(0.3) {
+            true => Fail::panic(name),
+            false => Fail::error(name),
+        })
+    }
 
-struct Args {
-    iters: u64,
-    base_seed: u64,
-    failpoints: bool,
-    differential: bool,
-    binds: bool,
-    feedback: bool,
-    txn: bool,
-    joins: bool,
-}
-
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        iters: 300,
-        base_seed: 0,
-        failpoints: false,
-        differential: false,
-        binds: false,
-        feedback: false,
-        txn: false,
-        joins: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--iters" | "-n" => {
-                parsed.iters = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
+    /// Checks that each named database still serves at round end: its
+    /// plan cache is coherent — within its byte budget, holding bytes
+    /// exactly while it holds a plan variant or a recipe, and no family
+    /// without a variant — and a sanity query returns its one row.
+    fn still_serving(&mut self, dbs: &[(&str, &Database)]) {
+        for (label, db) in dbs {
+            let s = db.plan_cache_stats();
+            if s.bytes > s.capacity_bytes
+                || (s.entries + s.recipes == 0) != (s.bytes == 0)
+                || s.families > s.entries
+            {
+                self.fail(format_args!("INCOHERENT {label} plan cache: {s:?}"));
             }
-            "--seed" | "-s" => {
-                parsed.base_seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
+            match db.query("SELECT COUNT(*) FROM employees") {
+                Ok(r) if r.rows.len() == 1 => {}
+                Ok(r) => self.fail(format_args!(
+                    "{label} SANITY query returned {} rows",
+                    r.rows.len()
+                )),
+                Err(e) => self.fail(format_args!("{label} SANITY query failed: {e}")),
             }
-            "--failpoints" => parsed.failpoints = true,
-            "--differential-exec" => parsed.differential = true,
-            "--binds" => parsed.binds = true,
-            "--feedback" => parsed.feedback = true,
-            "--txn" => parsed.txn = true,
-            "--joins" => parsed.joins = true,
-            "--help" | "-h" => usage(),
-            // bare positional N, the pre-CLI invocation style
-            other => match other.parse() {
-                Ok(n) => parsed.iters = n,
-                Err(_) => usage(),
-            },
         }
     }
-    parsed
+
+    /// Whether `run`, the run of `sql` the others are compared with,
+    /// succeeded; its failure is reported unless `faulted` (a failpoint
+    /// was armed in it).
+    fn ok(&mut self, what: &str, run: &Rows, faulted: bool, sql: &str) -> bool {
+        if let (Err(e), false) = (run, faulted) {
+            self.fail(format_args!("{what} ERROR {e}\n{sql}"));
+        }
+        run.is_ok()
+    }
+
+    /// Reports where `got` parts from `want`, the result of `sql` on the
+    /// twin `got` is checked against: other rows, or an error on one side
+    /// only. `faulted` (a failpoint was armed in `got`'s run) excuses an
+    /// error of `got`.
+    fn compare(&mut self, what: &str, got: &Rows, want: &Rows, faulted: bool, sql: &str) {
+        match (got, want) {
+            (Ok(g), Ok(w)) if g != w => self.fail(format_args!(
+                "{what} MISMATCH ({} vs {} rows)\n{sql}",
+                g.len(),
+                w.len()
+            )),
+            (Err(e), Ok(_)) if !faulted => self.fail(format_args!("{what} ERROR {e}\n{sql}")),
+            (Ok(_), Err(e)) => self.fail(format_args!("{what} OK, its twin failed: {e}\n{sql}")),
+            _ => {}
+        }
+    }
 }
 
-/// One fault-injection round: random faults + random tight limits over
-/// random queries, then a sanity check that the database still serves
-/// and its plan cache is coherent. Returns the number of failures.
-fn failpoint_round(seed: u64) -> u64 {
-    let mut rng = Rng::seed_from_u64(seed);
+const STRATEGIES: Oracle = Oracle {
+    flag: None,
+    about: "A random query, and a NOT IN over an indexed key with NULLs, on a\n\
+            random database must return the rows of the run with every\n\
+            transformation off under each search strategy (Exhaustive,\n\
+            TwoPass, Iterative, Linear, Auto) and under the heuristic rules\n\
+            (cost_based = false), all with the default TransformSet.",
+    needs_recipe_hits: false,
+    round: strategies_round,
+};
+
+fn strategies_round(r: &mut Round) {
+    let mut rng = Rng::seed_from_u64(r.seed);
+    let mut db = random_db(&mut rng);
+    for sql in [random_query(&mut rng), null_keyed_not_in(&mut rng)] {
+        let config = db.config_mut();
+        config.cost_based = false;
+        config.transforms = TransformSet {
+            unnest: false,
+            view_merge: false,
+            jppd: false,
+            setop_to_join: false,
+            group_by_placement: false,
+            predicate_pullup: false,
+            join_factorization: false,
+            or_expansion: false,
+        };
+        config.heuristic_unnest_merge = false;
+        let want = rows(db.query(&sql));
+        if !r.ok("transformations-off", &want, false, &sql) {
+            continue;
+        }
+        for (label, search, cost_based) in [
+            ("Exhaustive", SearchStrategy::Exhaustive, true),
+            ("TwoPass", SearchStrategy::TwoPass, true),
+            ("Iterative", SearchStrategy::Iterative, true),
+            ("Linear", SearchStrategy::Linear, true),
+            ("Auto", SearchStrategy::Auto, true),
+            ("heuristic", SearchStrategy::Auto, false),
+        ] {
+            let config = db.config_mut();
+            config.cost_based = cost_based;
+            config.transforms = TransformSet::default();
+            config.heuristic_unnest_merge = true;
+            config.search = search;
+            r.compare(label, &rows(db.query(&sql)), &want, false, &sql);
+        }
+    }
+}
+
+const FAILPOINTS: Oracle = Oracle {
+    flag: Some("--failpoints"),
+    about: "Each round runs random queries under a random armed failpoint\n\
+            and random tight resource limits (optimizer states, rows, work,\n\
+            a deadline). A query may fail, but only with an Err: no panic\n\
+            escapes the statement boundary, nothing hangs, and the database\n\
+            keeps serving with a coherent plan cache. Rows are not compared:\n\
+            faults and limits legitimately abort statements.",
+    needs_recipe_hits: false,
+    round: failpoints_round,
+};
+
+fn failpoints_round(r: &mut Round) {
+    let mut rng = Rng::seed_from_u64(r.seed);
     let db = random_db(&mut rng);
-    let names = failpoints::all();
     for _ in 0..4 {
         let sql = random_query(&mut rng);
-        let armed = if rng.gen_bool(0.7) {
-            let name = names[rng.gen_range(0usize..names.len())];
-            Some(if rng.gen_bool(0.3) {
-                Fail::panic(name)
-            } else {
-                Fail::error(name)
-            })
-        } else {
-            None
-        };
+        let armed = r.arm(&mut rng, 0.7);
         let mut limits = StatementLimits::none();
         if rng.gen_bool(0.5) {
             limits = limits.with_optimizer_states(rng.gen_range(0i64..6) as u64);
@@ -445,114 +535,22 @@ fn failpoint_round(seed: u64) -> u64 {
         let _ = db.query_with_limits(&sql, limits);
         drop(armed);
     }
-    let mut failures = 0;
-    let stats = db.plan_cache_stats();
-    if !coherent(&stats) {
-        println!("seed {seed}: INCONSISTENT plan cache after faults: {stats:?}");
-        failures += 1;
-    }
-    match db.query("SELECT COUNT(*) FROM employees") {
-        Ok(r) => {
-            if r.rows.len() != 1 {
-                println!("seed {seed}: SANITY query returned {} rows", r.rows.len());
-                failures += 1;
-            }
-        }
-        Err(e) => {
-            println!("seed {seed}: SANITY query failed after faults: {e}");
-            failures += 1;
-        }
-    }
-    failures
+    r.still_serving(&[("main", &db)]);
 }
 
-/// One join-order round: the same random database is built twice from
-/// the same seed — with the default `bushy_max_items` (blocks of up to
-/// 10 items planned exactly, wider ones in windows) and with
-/// `bushy_max_items = 0` (pairwise windows) — and every multi-way join
-/// query must return identical row sets from both. The semi / anti /
-/// outer arms of the query pool keep the join kernel's non-inner branch
-/// under the oracle at both settings, and the wide arm runs several
-/// rounds at the default.
-/// Random tight optimizer-state budgets are mixed in so windows the
-/// allowance narrows are exercised: a degraded plan must still agree
-/// with the twin, and must never surface an
-/// error. With `with_faults`, random failpoints are armed around each
-/// run of the two; either side may then fail, but only with an `Err`,
-/// and both databases must keep serving. Returns the number of failures.
-fn joins_round(seed: u64, with_faults: bool) -> u64 {
-    let mut rng = Rng::seed_from_u64(seed);
-    let default = random_db(&mut rng);
-    // a twin with identical data planned pairwise: the row oracle
-    let mut pairwise = random_db(&mut Rng::seed_from_u64(seed));
-    pairwise.config_mut().optimizer.bushy_max_items = 0;
-    let twins = [("default", default), ("pairwise", pairwise)];
-    let names = failpoints::all();
-    let mut failures = 0;
-    for _ in 0..4 {
-        let sql = random_join_query(&mut rng);
-        let mut limits = StatementLimits::none();
-        if rng.gen_bool(0.4) {
-            // tight state budgets narrow the windows; rows must be
-            // unaffected
-            limits = limits.with_optimizer_states(rng.gen_range(0i64..40) as u64);
-        }
-        let armed = if with_faults && rng.gen_bool(0.5) {
-            let name = names[rng.gen_range(0usize..names.len())];
-            Some(if rng.gen_bool(0.3) {
-                Fail::panic(name)
-            } else {
-                Fail::error(name)
-            })
-        } else {
-            None
-        };
-        let runs: Vec<_> = twins
-            .iter()
-            .map(|(_, d)| d.query_with_limits(&sql, limits).map(|r| canon(&r.rows)))
-            .collect();
-        drop(armed);
-        for ((label, _), run) in twins.iter().zip(&runs) {
-            match (run, &runs[0]) {
-                (Ok(rows), Ok(reference)) if rows != reference => {
-                    println!(
-                        "seed {seed}: JOIN ORDER MISMATCH ({label} {} vs default {} rows)\n{sql}",
-                        rows.len(),
-                        reference.len()
-                    );
-                    failures += 1;
-                }
-                (Err(e), _) if !with_faults => {
-                    println!("seed {seed}: {label} ERROR {e}\n{sql}");
-                    failures += 1;
-                }
-                _ => {}
-            }
-        }
-    }
-    for (label, d) in &twins {
-        let stats = d.plan_cache_stats();
-        if !coherent(&stats) {
-            println!("seed {seed}: INCONSISTENT {label} plan cache: {stats:?}");
-            failures += 1;
-        }
-        match d.query("SELECT COUNT(*) FROM employees") {
-            Ok(r) if r.rows.len() == 1 => {}
-            Ok(r) => {
-                println!(
-                    "seed {seed}: {label} SANITY query returned {} rows",
-                    r.rows.len()
-                );
-                failures += 1;
-            }
-            Err(e) => {
-                println!("seed {seed}: {label} SANITY query failed: {e}");
-                failures += 1;
-            }
-        }
-    }
-    failures
-}
+const DIFFERENTIAL_EXEC: Oracle = Oracle {
+    flag: Some("--differential-exec"),
+    about: "Each round optimizes random queries (three from the general pool,\n\
+            one from the join pool, then one from either on a 2-4k-row\n\
+            database with skewed join keys) once and runs the plan through\n\
+            both the vectorized and the Volcano engine, which must agree on\n\
+            rows, per-operator metrics and governor outcome under random row\n\
+            and work budgets (Database::differential_exec). Under\n\
+            --failpoints both engines see the same armed fault, with no\n\
+            limits, and must fail with the same error class.",
+    needs_recipe_hits: false,
+    round: differential_round,
+};
 
 /// Seeds whose differential round trips a work budget in one engine and
 /// not the other: the vectorized engine charges work at other points
@@ -562,37 +560,16 @@ fn joins_round(seed: u64, with_faults: bool) -> u64 {
 /// totals equal by construction.
 const KNOWN_WORK_BUDGET_DIVERGENCES: &[u64] = &[338, 762];
 
-/// One execution-differential round: random queries (three from the
-/// general pool, one from the join pool, then one from either on a
-/// [`random_large_db`], unfaulted) through
-/// [`Database::differential_exec`], which runs each optimized plan
-/// through both the vectorized and the Volcano engine and reports any
-/// divergence in rows, metrics, or governor outcome. With
-/// `with_faults`, random failpoints are armed around each paired run —
-/// both engines see the same armed faults, so the oracle still demands
-/// matching error classes; such a run has no resource limits. Returns
-/// the number of failures.
-fn differential_round(seed: u64, with_faults: bool) -> u64 {
-    let mut rng = Rng::seed_from_u64(seed);
+fn differential_round(r: &mut Round) {
+    let mut rng = Rng::seed_from_u64(r.seed);
     let db = random_db(&mut rng);
-    let names = failpoints::all();
-    let mut failures = 0;
     for i in 0..4 {
         let sql = if i < 3 {
             random_query(&mut rng)
         } else {
             random_join_query(&mut rng)
         };
-        let armed = if with_faults && rng.gen_bool(0.6) {
-            let name = names[rng.gen_range(0usize..names.len())];
-            Some(if rng.gen_bool(0.3) {
-                Fail::panic(name)
-            } else {
-                Fail::error(name)
-            })
-        } else {
-            None
-        };
+        let armed = r.arm(&mut rng, 0.6);
         let mut limits = StatementLimits::none();
         if rng.gen_bool(0.4) {
             limits = limits.with_row_budget(rng.gen_range(1i64..2000) as u64);
@@ -611,13 +588,13 @@ fn differential_round(seed: u64, with_faults: bool) -> u64 {
         if armed.is_some() {
             limits = StatementLimits::none();
         }
-        failures += exec_divergences(seed, &db, &sql, &limits, armed.is_some());
+        exec_divergences(r, &db, &sql, &limits, armed.is_some());
         drop(armed);
     }
     // one more query on a database several batches deep, drawn from a
     // stream of its own so every seed keeps the queries above; a row
     // budget (identical in both engines by construction) may cut it
-    let mut big = Rng::seed_from_u64(seed ^ 0x00b1_6b47_c4e5);
+    let mut big = Rng::seed_from_u64(r.seed ^ 0x00b1_6b47_c4e5);
     let db = random_large_db(&mut big);
     let sql = match big.gen_bool(0.5) {
         true => random_query(&mut big),
@@ -627,142 +604,85 @@ fn differential_round(seed: u64, with_faults: bool) -> u64 {
         true => StatementLimits::none().with_row_budget(big.gen_range(1000i64..20_000) as u64),
         false => StatementLimits::none(),
     };
-    failures += exec_divergences(seed, &db, &sql, &limits, false);
-    failures
+    exec_divergences(r, &db, &sql, &limits, false);
 }
 
 /// Runs `sql` through [`Database::differential_exec`] and reports each
-/// divergence; returns how many count as failures.
+/// divergence.
 fn exec_divergences(
-    seed: u64,
+    r: &mut Round,
     db: &Database,
     sql: &str,
     limits: &StatementLimits,
     faulted: bool,
-) -> u64 {
-    let mut failures = 0;
+) {
     match db.differential_exec(sql, limits) {
         Ok(mismatches) => {
             for m in mismatches {
-                if KNOWN_WORK_BUDGET_DIVERGENCES.contains(&seed) && m.contains("work budget") {
-                    println!("seed {seed}: KNOWN work-budget DIVERGENCE {m}\n{sql}");
-                    continue;
+                if KNOWN_WORK_BUDGET_DIVERGENCES.contains(&r.seed) && m.contains("work budget") {
+                    println!("seed {}: KNOWN work-budget DIVERGENCE {m}\n{sql}", r.seed);
+                } else {
+                    r.fail(format_args!("DIVERGENCE {m}\n{sql}"));
                 }
-                println!("seed {seed}: DIVERGENCE {m}\n{sql}");
-                failures += 1;
             }
         }
         // An armed fault can fire during parsing/optimization,
         // before either engine runs; that is not a divergence.
         Err(_) if faulted => {}
-        Err(e) => {
-            println!("seed {seed}: PRE-EXEC ERROR {e}\n{sql}");
-            failures += 1;
-        }
+        Err(e) => r.fail(format_args!("PRE-EXEC ERROR {e}\n{sql}")),
     }
-    failures
 }
 
-/// One bind-sharing round: every random query is run three ways —
-/// literal text (the bind-extraction serving path), prepared with its
-/// extracted defaults, and prepared re-bound to those defaults
-/// explicitly — and all three must return identical rows. Then
-/// [`SIBLINGS`] copies of it with a few number literals changed are
-/// served as text, mostly from the recipe of its shape, and each must
-/// return the rows of a plan-cache-off twin. Afterwards the plan-family
-/// cache must be coherent: byte-bounded, no phantom bytes, and never
-/// more families than cached variants (every family holds at least
-/// one). With `with_faults`, random failpoints are armed around the
-/// three-way runs; failures must stay behind `Err` and the database
-/// must keep serving. Returns the number of failures and of statements
-/// served from a recipe.
-fn binds_round(seed: u64, with_faults: bool) -> (u64, u64) {
-    let mut rng = Rng::seed_from_u64(seed);
+const BINDS: Oracle = Oracle {
+    flag: Some("--binds"),
+    about: "Each round runs random queries three ways: literal text (the\n\
+            bind-extraction serving path), prepared with its extracted\n\
+            defaults, and prepared re-bound explicitly; all three must\n\
+            return the same rows. Copies of each query with a few number\n\
+            literals changed, served as text (mostly from the recipe of the\n\
+            query's shape), must return the rows of a plan-cache-off twin.\n\
+            The plan-family cache must stay coherent, and the run must serve\n\
+            at least one statement from a recipe.",
+    needs_recipe_hits: true,
+    round: binds_round,
+};
+
+fn binds_round(r: &mut Round) {
+    let mut rng = Rng::seed_from_u64(r.seed);
     let db = random_db(&mut rng);
-    // twin database with identical data and no plan cache: the row
-    // oracle of the siblings
-    let mut twin = random_db(&mut Rng::seed_from_u64(seed));
+    // the same data: the row oracle of the siblings
+    let mut twin = random_db(&mut Rng::seed_from_u64(r.seed));
     twin.set_plan_cache_enabled(false);
     // a stream of its own, so the siblings leave the query stream as it
     // was
-    let mut perturb = Rng::seed_from_u64(seed ^ 0x5eed_5eed);
-    let names = failpoints::all();
-    let mut failures = 0;
+    let mut perturb = Rng::seed_from_u64(r.seed ^ 0x5eed_5eed);
     for _ in 0..4 {
         let sql = random_query(&mut rng);
-        let armed = if with_faults && rng.gen_bool(0.5) {
-            let name = names[rng.gen_range(0usize..names.len())];
-            Some(if rng.gen_bool(0.3) {
-                Fail::panic(name)
-            } else {
-                Fail::error(name)
-            })
-        } else {
-            None
-        };
-        let literal = db.query(&sql);
-        let prepared = db.prepare(&sql).and_then(|p| {
-            let defaulted = p.query(&[])?;
-            let rebound = p.query(p.param_defaults())?;
-            Ok((defaulted, rebound))
-        });
+        let armed = r.arm(&mut rng, 0.5);
+        let literal = rows(db.query(&sql));
+        let prepared = db
+            .prepare(&sql)
+            .and_then(|p| Ok([p.query(&[])?, p.query(p.param_defaults())?]));
         drop(armed);
-        match (literal, prepared) {
-            (Ok(l), Ok((d, r))) => {
-                let want = canon(&l.rows);
-                if want != canon(&d.rows) || want != canon(&r.rows) {
-                    println!("seed {seed}: BIND MISMATCH literal vs prepared rows\n{sql}");
-                    failures += 1;
-                }
-            }
-            // An armed fault may abort any of the three runs
-            // independently; Err is the only acceptable failure shape.
-            _ if with_faults => {}
-            (Err(e), _) => {
-                println!("seed {seed}: LITERAL ERROR {e}\n{sql}");
-                failures += 1;
-            }
-            (_, Err(e)) => {
-                println!("seed {seed}: PREPARED ERROR {e}\n{sql}");
-                failures += 1;
+        if r.ok("literal", &literal, r.faults, &sql) {
+            let runs: Vec<Rows> = match prepared {
+                Ok(runs) => runs.map(|run| rows(Ok(run))).into(),
+                Err(e) => vec![Err(e)],
+            };
+            for got in &runs {
+                r.compare("prepared", got, &literal, r.faults, &sql);
             }
         }
         for _ in 0..SIBLINGS {
             let k = perturb.gen_range(1usize..4);
             let sibling = with_numbers_changed(&mut perturb, &sql, k);
-            let got = db.query(&sibling).map(|r| canon(&r.rows));
-            let want = twin.query(&sibling).map(|r| canon(&r.rows));
-            match (got, want) {
-                (Ok(got), Ok(want)) if got != want => {
-                    println!("seed {seed}: SIBLING MISMATCH vs the plan-cache-off twin\n{sibling}");
-                    failures += 1;
-                }
-                (Ok(_), Ok(_)) | (Err(_), Err(_)) => {}
-                (got, want) => {
-                    let (got, want) = (got.err(), want.err());
-                    println!("seed {seed}: SIBLING ERROR {got:?} vs twin {want:?}\n{sibling}");
-                    failures += 1;
-                }
-            }
+            let got = rows(db.query(&sibling));
+            let want = rows(twin.query(&sibling));
+            r.compare("SIBLING", &got, &want, false, &sibling);
         }
     }
-    let stats = db.plan_cache_stats();
-    if !coherent(&stats) {
-        println!("seed {seed}: INCOHERENT plan cache: {stats:?}");
-        failures += 1;
-    }
-    match db.query("SELECT COUNT(*) FROM employees") {
-        Ok(r) if r.rows.len() == 1 => {}
-        Ok(r) => {
-            println!("seed {seed}: SANITY query returned {} rows", r.rows.len());
-            failures += 1;
-        }
-        Err(e) => {
-            println!("seed {seed}: SANITY query failed: {e}");
-            failures += 1;
-        }
-    }
-    (failures, stats.recipe_hits)
+    r.recipe_hits += db.plan_cache_stats().recipe_hits;
+    r.still_serving(&[("main", &db)]);
 }
 
 /// Copies of each bind-round query served with changed literals.
@@ -800,121 +720,97 @@ fn with_numbers_changed(rng: &mut Rng, sql: &str, k: usize) -> String {
     out
 }
 
-/// One cardinality-feedback round: random queries served repeatedly
-/// against a feedback-on database, with a feedback-off twin (same seed,
-/// same data) as the row oracle. Re-optimization must be transparent —
-/// identical rows on every serve — and bounded: the suspect/pin
-/// protocol allows at most one re-optimization per query, never a
-/// compile loop. With `with_faults`, random failpoints are armed around
-/// each serve; aborted serves may re-arm a suspect mark, so only the
-/// row oracle and the serving sanity check apply. Returns the number of
-/// failures.
-fn feedback_round(seed: u64, with_faults: bool) -> u64 {
-    let mut rng = Rng::seed_from_u64(seed);
+const FEEDBACK: Oracle = Oracle {
+    flag: Some("--feedback"),
+    about: "Each round serves random queries repeatedly with feedback-driven\n\
+            re-optimization on, against a feedback-off twin as the row\n\
+            oracle. Re-optimization must never change rows, and no query may\n\
+            re-optimize more than once (the suspect/pin protocol forbids\n\
+            loops; not checked under --failpoints, where an aborted serve\n\
+            may re-arm a suspect mark).",
+    needs_recipe_hits: false,
+    round: feedback_round,
+};
+
+fn feedback_round(r: &mut Round) {
+    let mut rng = Rng::seed_from_u64(r.seed);
     let db = random_db(&mut rng);
-    // twin database with identical data, feedback off: the row oracle
-    let mut oracle = random_db(&mut Rng::seed_from_u64(seed));
+    // the same data, feedback off: the row oracle
+    let mut oracle = random_db(&mut Rng::seed_from_u64(r.seed));
     oracle.config_mut().feedback.enabled = false;
-    let oracle = oracle;
-    let names = failpoints::all();
-    let mut failures = 0;
     for _ in 0..3 {
         let sql = random_query(&mut rng);
-        let want = match oracle.query(&sql) {
-            Ok(r) => Some(canon(&r.rows)),
-            Err(_) => None, // the feedback run must then fail too
-        };
-        let mut reopts = 0u32;
+        // when the oracle fails, every serve must fail too
+        let want = rows(oracle.query(&sql));
+        let mut reopts = 0;
         for _serve in 0..4 {
-            let armed = if with_faults && rng.gen_bool(0.4) {
-                let name = names[rng.gen_range(0usize..names.len())];
-                Some(if rng.gen_bool(0.3) {
-                    Fail::panic(name)
-                } else {
-                    Fail::error(name)
-                })
-            } else {
-                None
-            };
+            let armed = r.arm(&mut rng, 0.4);
             let got = db.query(&sql);
             drop(armed);
-            match (got, &want) {
-                (Ok(r), Some(w)) => {
-                    if &canon(&r.rows) != w {
-                        println!("seed {seed}: FEEDBACK ROW DRIFT\n{sql}");
-                        failures += 1;
-                    }
-                    if r.stats.reoptimized {
-                        reopts += 1;
-                    }
-                }
-                (Ok(_), None) => {
-                    println!("seed {seed}: feedback run succeeded, oracle failed\n{sql}");
-                    failures += 1;
-                }
-                (Err(_), _) if with_faults => {}
-                (Err(_), None) => {}
-                (Err(e), Some(_)) => {
-                    println!("seed {seed}: FEEDBACK ERROR {e}\n{sql}");
-                    failures += 1;
-                }
-            }
+            reopts += u32::from(got.as_ref().is_ok_and(|g| g.stats.reoptimized));
+            r.compare("FEEDBACK", &rows(got), &want, r.faults, &sql);
         }
-        if !with_faults && reopts > 1 {
-            println!("seed {seed}: RE-OPTIMIZATION LOOP ({reopts} recompiles)\n{sql}");
-            failures += 1;
+        if !r.faults && reopts > 1 {
+            r.fail(format_args!(
+                "RE-OPTIMIZATION LOOP ({reopts} recompiles)\n{sql}"
+            ));
         }
     }
-    let stats = db.plan_cache_stats();
-    if !coherent(&stats) {
-        println!("seed {seed}: INCOHERENT plan cache: {stats:?}");
-        failures += 1;
-    }
-    match db.query("SELECT COUNT(*) FROM employees") {
-        Ok(r) if r.rows.len() == 1 => {}
-        Ok(r) => {
-            println!("seed {seed}: SANITY query returned {} rows", r.rows.len());
-            failures += 1;
-        }
-        Err(e) => {
-            println!("seed {seed}: SANITY query failed: {e}");
-            failures += 1;
-        }
-    }
-    failures
+    r.still_serving(&[("main", &db)]);
 }
 
-/// One MVCC transaction round: three interleaved transactional writer
-/// sessions mutate a key/value table on the main database while two
-/// serial single-writer twins replay each transaction's buffered
-/// statements only at its successful commit — one with the same
-/// primary key (UPDATE / DELETE targets found through the index), one
-/// without any index (every target found by a full scan). The twins
-/// run with the plan cache off, so every target plan the main database
-/// serves from its cache is checked against a fresh compile. They are
-/// the oracle: after every commit (and at round end) the three
-/// databases must hold identical rows, so uncommitted or rolled-back
-/// work must never leak and both target paths must pick the same rows.
-/// A per-key claim model predicts exactly which statements must lose a
-/// first-updater-wins race (deliberate cross-partition conflict
-/// probes, and ranges that reach into another writer's partition) and
-/// how many rows every other statement affects, and a pinned reader
-/// session must keep its snapshot across other transactions' commits —
-/// through `query`, `query_bound` and a statement prepared before it
-/// pinned.
-/// With `with_faults`, random failpoints are armed around each writer
-/// statement: any statement may then fail — while it is planned,
-/// leaving its transaction open and untouched, or once it runs,
-/// aborting it — but only with an `Err`, and the twin oracle still
-/// holds because failed statements and aborted transactions are never
-/// replayed. Writes of a shape seen before are served from its
-/// statement-shape recipe, so the twins check the recipe route too.
-/// Returns the number of failures and of writes served from a recipe.
-fn txn_round(seed: u64, with_faults: bool) -> (u64, u64) {
+const TXN: Oracle = Oracle {
+    flag: Some("--txn"),
+    about: "Each round interleaves three writer sessions' transactions on a\n\
+            key/value table. Two serial twins with the plan cache off replay a\n\
+            transaction only at its commit, one through the primary key and\n\
+            one with no index (full scans), and must hold the main database's\n\
+            rows at every commit and at round end. A claim model predicts\n\
+            which writes (point, IN-list, range) lose the first-updater-wins\n\
+            race (Error::WriteConflict) and how many rows every other one\n\
+            affects. Plain readers must never see uncommitted rows; a pinned\n\
+            reader keeps its snapshot through query, query_bound and a\n\
+            statement prepared before it pinned. Writes of a shape seen before\n\
+            are served from its statement-shape recipe, and the run must\n\
+            serve at least one. Under --failpoints a failed write leaves its\n\
+            transaction open (a fault while planned) or aborts it, and the\n\
+            twins still agree: failed statements and aborted transactions\n\
+            are never replayed.",
+    needs_recipe_hits: true,
+    round: txn_round,
+};
+
+/// A writer session's part of the `--txn` claim model.
+#[derive(Default)]
+struct Writer {
+    open: bool,
+    /// The logical commit its transaction's snapshot was taken after.
+    snap: u64,
+    /// The keys its transaction sees.
+    view: BTreeSet<i64>,
+    claims: Vec<i64>,
+    /// Its transaction's statements, replayed on the twins at commit.
+    buffer: Vec<String>,
+}
+
+impl Writer {
+    /// Ends the transaction with nothing replayed.
+    fn abort(&mut self, open_claim: &mut BTreeMap<i64, usize>) {
+        for k in self.claims.drain(..) {
+            open_claim.remove(&k);
+        }
+        self.buffer.clear();
+        self.open = false;
+    }
+}
+
+fn txn_round(r: &mut Round) {
     const WRITERS: usize = 3;
-    let mut rng = Rng::seed_from_u64(seed);
+    const KV: &str = "SELECT k, v FROM kv";
+    let seed = r.seed;
+    let mut rng = Rng::seed_from_u64(r.seed);
     let nkeys = rng.gen_range(10..50i64);
-    let build = |seed: u64, nkeys: i64, ddl: &str| -> Database {
+    let build = |ddl: &str, plan_cache: bool| -> Database {
         let mut db = Database::new();
         db.execute_script(ddl).unwrap();
         let mut data = Rng::seed_from_u64(seed ^ 0x5EED);
@@ -923,73 +819,48 @@ fn txn_round(seed: u64, with_faults: bool) -> (u64, u64) {
             .collect();
         db.load_rows("kv", rows).unwrap();
         db.analyze().unwrap();
+        db.set_plan_cache_enabled(plan_cache);
         db
     };
     let with_pk = "CREATE TABLE kv (k INT PRIMARY KEY, v INT)";
-    let db = build(seed, nkeys, with_pk);
+    let db = build(with_pk, true);
     // the twins compile every statement fresh, so each UPDATE / DELETE
     // target plan the main database serves from its cache is checked
     // against a new compile of the same statement
-    let mut twin = build(seed, nkeys, with_pk);
-    twin.set_plan_cache_enabled(false);
-    let mut scan_twin = build(seed, nkeys, "CREATE TABLE kv (k INT, v INT)");
-    scan_twin.set_plan_cache_enabled(false);
-    let twin_rows = |twin: &mut Database| -> Vec<String> {
-        canon(&twin.query("SELECT k, v FROM kv").unwrap().rows)
-    };
+    let mut twins = [
+        ("serial", build(with_pk, false)),
+        ("full-scan", build("CREATE TABLE kv (k INT, v INT)", false)),
+    ];
+    let kv = |db: &Database| rows(db.query(KV));
 
-    let mut failures = 0;
-    let mut recipe_writes = 0;
-    let recipe_hits = || db.plan_cache_stats().recipe_hits;
-    let names = failpoints::all();
     let sessions: Vec<_> = (0..WRITERS).map(|_| db.session()).collect();
-    // per-writer model state: open?, snapshot counter, visible view,
-    // claimed keys, buffered statements for twin replay
-    let mut open = [false; WRITERS];
-    let mut snap = [0u64; WRITERS];
-    let mut view: Vec<HashMap<i64, i64>> = vec![HashMap::new(); WRITERS];
-    let mut claims: Vec<Vec<i64>> = vec![Vec::new(); WRITERS];
-    let mut buffer: Vec<Vec<String>> = vec![Vec::new(); WRITERS];
-    // global model: logical commit counter, per-key last commit
+    let mut writers: Vec<Writer> = (0..WRITERS).map(|_| Writer::default()).collect();
+    // global model: logical commit counter, the last commit of each key,
+    // and the open transaction claiming each key
     let mut commit_counter = 0u64;
-    let mut committed_at: HashMap<i64, u64> = HashMap::new();
-    let mut open_claim: HashMap<i64, usize> = HashMap::new();
+    let mut committed_at: BTreeMap<i64, u64> = BTreeMap::new();
+    let mut open_claim: BTreeMap<i64, usize> = BTreeMap::new();
     let mut next_insert = 10_000i64;
     // one pinned reader session: must see the same rows for its whole
     // transaction no matter what commits around it, by every route a
     // session reads through — plain text, explicit binds and a statement
     // prepared before the snapshot was pinned
-    const PINNED_READ: &str = "SELECT k, v FROM kv";
     let pinned = db.session();
-    let pinned_stmt = pinned.prepare(PINNED_READ).unwrap();
-    let mut pinned_want: Option<Vec<String>> = None;
-
-    let abort = |w: usize,
-                 claims: &mut Vec<Vec<i64>>,
-                 open_claim: &mut HashMap<i64, usize>,
-                 open: &mut [bool; WRITERS],
-                 buffer: &mut Vec<Vec<String>>| {
-        for k in claims[w].drain(..) {
-            open_claim.remove(&k);
-        }
-        buffer[w].clear();
-        open[w] = false;
-    };
+    let pinned_stmt = pinned.prepare(KV).unwrap();
+    let mut pinned_want: Option<Rows> = None;
 
     for _step in 0..40 {
         let w = rng.gen_range(0..WRITERS);
-        let s = &sessions[w];
-        if !open[w] {
+        let (s, me) = (&sessions[w], &mut writers[w]);
+        if !me.open {
             s.begin().unwrap();
-            open[w] = true;
-            snap[w] = commit_counter;
-            view[w] = twin
-                .query("SELECT k, v FROM kv")
-                .unwrap()
-                .rows
+            me.open = true;
+            me.snap = commit_counter;
+            let keys = twins[0].1.query("SELECT k FROM kv").unwrap().rows;
+            me.view = keys
                 .iter()
-                .map(|r| match (&r[0], &r[1]) {
-                    (Value::Int(k), Value::Int(v)) => (*k, *v),
+                .map(|row| match row[0] {
+                    Value::Int(k) => k,
                     _ => unreachable!("kv holds ints"),
                 })
                 .collect();
@@ -1002,152 +873,124 @@ fn txn_round(seed: u64, with_faults: bool) -> (u64, u64) {
             match s.commit() {
                 Ok(()) => {
                     commit_counter += 1;
-                    for k in claims[w].drain(..) {
+                    for k in me.claims.drain(..) {
                         open_claim.remove(&k);
                         committed_at.insert(k, commit_counter);
                     }
-                    for sql in buffer[w].drain(..) {
-                        twin.execute_mut(&sql).unwrap();
-                        scan_twin.execute_mut(&sql).unwrap();
-                    }
-                    open[w] = false;
-                    let got = canon(&db.query("SELECT k, v FROM kv").unwrap().rows);
-                    for (name, t) in [("serial", &mut twin), ("full-scan", &mut scan_twin)] {
-                        if got != twin_rows(t) {
-                            println!("seed {seed}: COMMIT DIVERGED from {name} twin (writer {w})");
-                            failures += 1;
+                    let got = kv(&db);
+                    for (name, twin) in &mut twins {
+                        for sql in &me.buffer {
+                            twin.execute_mut(sql).unwrap();
                         }
+                        let what = format!("COMMIT of writer {w} vs the {name} twin");
+                        r.compare(&what, &got, &kv(twin), false, KV);
                     }
+                    me.buffer.clear();
+                    me.open = false;
                 }
                 Err(e) => {
-                    if !with_faults {
-                        println!("seed {seed}: COMMIT ERROR {e}");
-                        failures += 1;
+                    if !r.faults {
+                        r.fail(format_args!("COMMIT ERROR {e}"));
                     }
                     // failed commit = abort: nothing replays
-                    abort(w, &mut claims, &mut open_claim, &mut open, &mut buffer);
+                    me.abort(&mut open_claim);
                 }
             }
             continue;
         }
         if op == 10 {
-            if s.rollback().is_err() && !with_faults {
-                println!("seed {seed}: ROLLBACK ERROR");
-                failures += 1;
+            if s.rollback().is_err() && !r.faults {
+                r.fail("ROLLBACK ERROR");
             }
-            abort(w, &mut claims, &mut open_claim, &mut open, &mut buffer);
+            me.abort(&mut open_claim);
             continue;
         }
 
         // a write statement: pick its keys and predict the outcome
-        let mine: Vec<i64> = view[w]
-            .keys()
+        let mine: Vec<i64> = me
+            .view
+            .iter()
             .copied()
             .filter(|k| (*k as usize) % WRITERS == w)
             .collect();
-        // a key of the writer's own partition (with none left, a
-        // likely-deleted one: a 0-row no-op)
-        let own_key = |rng: &mut Rng| {
-            if mine.is_empty() {
-                rng.gen_range(0..nkeys)
-            } else {
-                mine[rng.gen_range(0..mine.len())]
-            }
+        // one of `keys`; with none, any key (likely a deleted one: a
+        // 0-row no-op)
+        let pick = |rng: &mut Rng, keys: &[i64]| match keys.len() {
+            0 => rng.gen_range(0..nkeys),
+            n => keys[rng.gen_range(0..n)],
         };
-        let (sql, keys, is_insert): (String, Vec<i64>, bool) = match op {
+        let is_insert = matches!(op, 3 | 4);
+        let (sql, keys): (String, Vec<i64>) = match op {
+            // own-partition UPDATE (evens bump, odds overwrite)
             0 | 1 => {
-                // own-partition UPDATE (evens bump, odds overwrite)
-                let k = own_key(&mut rng);
-                let d = rng.gen_range(1..100);
-                (
-                    if op == 0 {
-                        format!("UPDATE kv SET v = v + {d} WHERE k = {k}")
-                    } else {
-                        format!("UPDATE kv SET v = {d} WHERE k = {k}")
-                    },
-                    vec![k],
-                    false,
-                )
+                let k = pick(&mut rng, &mine);
+                let d = rng.gen_range(1..100i32);
+                let v = if op == 0 {
+                    format!("v + {d}")
+                } else {
+                    d.to_string()
+                };
+                (format!("UPDATE kv SET v = {v} WHERE k = {k}"), vec![k])
             }
+            // own-partition DELETE
             2 => {
-                // own-partition DELETE
-                let k = own_key(&mut rng);
-                (format!("DELETE FROM kv WHERE k = {k}"), vec![k], false)
+                let k = pick(&mut rng, &mine);
+                (format!("DELETE FROM kv WHERE k = {k}"), vec![k])
             }
+            // INSERT a globally-fresh key
             3 | 4 => {
-                // INSERT a globally-fresh key
                 next_insert += 1;
-                let k = next_insert;
-                (
-                    format!("INSERT INTO kv VALUES ({k}, {})", rng.gen_range(0..1000)),
-                    vec![k],
-                    true,
-                )
+                let (k, v) = (next_insert, rng.gen_range(0..1000));
+                (format!("INSERT INTO kv VALUES ({k}, {v})"), vec![k])
             }
+            // own-partition IN-list UPDATE / DELETE
             5 | 6 => {
-                // own-partition IN-list UPDATE / DELETE
-                let list: Vec<i64> = (0..rng.gen_range(2..4usize))
-                    .map(|_| own_key(&mut rng))
+                let keys: Vec<i64> = (0..rng.gen_range(2..4usize))
+                    .map(|_| pick(&mut rng, &mine))
                     .collect();
-                let text: Vec<String> = list.iter().map(i64::to_string).collect();
-                let text = text.join(", ");
-                (
-                    if op == 5 {
-                        format!("UPDATE kv SET v = v + 7 WHERE k IN ({text})")
-                    } else {
-                        format!("DELETE FROM kv WHERE k IN ({text})")
-                    },
-                    list,
-                    false,
-                )
+                let list: Vec<String> = keys.iter().map(i64::to_string).collect();
+                let verb = if op == 5 {
+                    "UPDATE kv SET v = v + 7"
+                } else {
+                    "DELETE FROM kv"
+                };
+                (format!("{verb} WHERE k IN ({})", list.join(", ")), keys)
             }
+            // narrow range UPDATE / DELETE: it reaches into the other
+            // writers' partitions, so the claim model decides
             7 => {
-                // narrow range UPDATE / DELETE: it reaches into the other
-                // writers' partitions, so the claim model decides
                 let lo = rng.gen_range(0..nkeys);
                 let hi = lo + rng.gen_range(0..3i64);
-                (
-                    if rng.gen_bool(0.5) {
-                        format!("UPDATE kv SET v = v - 3 WHERE k BETWEEN {lo} AND {hi}")
-                    } else {
-                        format!("DELETE FROM kv WHERE k >= {lo} AND k <= {hi}")
-                    },
-                    (lo..=hi).collect(),
-                    false,
-                )
+                let sql = match rng.gen_bool(0.5) {
+                    true => format!("UPDATE kv SET v = v - 3 WHERE k BETWEEN {lo} AND {hi}"),
+                    false => format!("DELETE FROM kv WHERE k >= {lo} AND k <= {hi}"),
+                };
+                (sql, (lo..=hi).collect())
             }
+            // deliberate conflict probe: go after a key another open
+            // transaction has already claimed
             _ => {
-                // deliberate conflict probe: go after a key another
-                // open transaction has already claimed
                 let theirs: Vec<i64> = open_claim
                     .iter()
                     .filter(|(_, owner)| **owner != w)
                     .map(|(k, _)| *k)
                     .collect();
-                let k = if theirs.is_empty() {
-                    rng.gen_range(0..nkeys)
-                } else {
-                    theirs[rng.gen_range(0..theirs.len())]
-                };
-                (
-                    format!("UPDATE kv SET v = v + 1 WHERE k = {k}"),
-                    vec![k],
-                    false,
-                )
+                let k = pick(&mut rng, &theirs);
+                (format!("UPDATE kv SET v = v + 1 WHERE k = {k}"), vec![k])
             }
         };
         // predicted outcome per the claim model: `touched` is what the
         // predicate selects from the writer's view
         let mut touched: Vec<i64> = keys
             .into_iter()
-            .filter(|k| is_insert || view[w].contains_key(k))
+            .filter(|k| is_insert || me.view.contains(k))
             .collect();
         touched.sort_unstable();
         touched.dedup();
         let expect_conflict = !is_insert
             && touched.iter().any(|k| {
                 open_claim.get(k).is_some_and(|o| *o != w)
-                    || committed_at.get(k).is_some_and(|c| *c > snap[w])
+                    || committed_at.get(k).is_some_and(|c| *c > me.snap)
             });
         let expect_rows = if expect_conflict {
             0
@@ -1155,295 +998,147 @@ fn txn_round(seed: u64, with_faults: bool) -> (u64, u64) {
             touched.len() as u64
         };
 
-        let armed = if with_faults && rng.gen_bool(0.4) {
-            let name = names[rng.gen_range(0usize..names.len())];
-            Some(if rng.gen_bool(0.3) {
-                Fail::panic(name)
-            } else {
-                Fail::error(name)
-            })
-        } else {
-            None
-        };
-        let hits = recipe_hits();
+        let armed = r.arm(&mut rng, 0.4);
+        let hits = db.plan_cache_stats().recipe_hits;
         let outcome = s.execute_statement(&sql);
-        recipe_writes += recipe_hits() - hits;
+        r.recipe_hits += db.plan_cache_stats().recipe_hits - hits;
         drop(armed);
         match outcome {
-            Ok(r) => {
-                if expect_conflict && !with_faults {
-                    println!("seed {seed}: MISSED CONFLICT among k={touched:?}\n{sql}");
-                    failures += 1;
+            Ok(result) => {
+                if expect_conflict && !r.faults {
+                    r.fail(format_args!("MISSED CONFLICT among k={touched:?}\n{sql}"));
                 }
-                match r {
-                    StatementResult::RowsAffected(n) if n == expect_rows => {}
-                    other => {
-                        if !with_faults || !expect_conflict {
-                            println!(
-                                "seed {seed}: expected {expect_rows} rows affected, got {other:?}\n{sql}"
-                            );
-                            failures += 1;
-                        }
-                    }
+                let affected =
+                    matches!(result, StatementResult::RowsAffected(n) if n == expect_rows);
+                if !(affected || r.faults && expect_conflict) {
+                    r.fail(format_args!(
+                        "expected {expect_rows} rows affected, got {result:?}\n{sql}"
+                    ));
                 }
                 // apply to the model and buffer for twin replay
                 for key in touched {
                     if is_insert {
-                        view[w].insert(key, 0);
+                        me.view.insert(key);
                     } else if !expect_conflict {
                         if sql.starts_with("DELETE") {
-                            view[w].remove(&key);
+                            me.view.remove(&key);
                         }
-                        if !claims[w].contains(&key) {
-                            claims[w].push(key);
+                        if !me.claims.contains(&key) {
+                            me.claims.push(key);
                             open_claim.insert(key, w);
                         }
                     }
                 }
-                buffer[w].push(sql);
+                me.buffer.push(sql);
             }
             Err(e) => {
-                if !with_faults && !expect_conflict {
-                    println!("seed {seed}: UNEXPECTED WRITE ERROR {e}\n{sql}");
-                    failures += 1;
-                }
-                if expect_conflict && !with_faults && !matches!(e, Error::WriteConflict(_)) {
-                    println!("seed {seed}: expected WriteConflict, got {e}\n{sql}");
-                    failures += 1;
+                // unfaulted, a write fails only by losing a predicted race
+                let lost_race = expect_conflict && matches!(e, Error::WriteConflict(_));
+                if !(r.faults || lost_race) {
+                    let predicted = format!("conflict predicted: {expect_conflict}");
+                    r.fail(format_args!("WRITE ERROR {e} ({predicted})\n{sql}"));
                 }
                 // a write statement that fails once it runs aborts the
                 // whole txn; only a fault while it is planned leaves the
                 // txn open, with nothing written and the model unchanged
                 if !s.in_transaction() {
-                    abort(w, &mut claims, &mut open_claim, &mut open, &mut buffer);
-                } else if !with_faults {
-                    println!("seed {seed}: failed write left the transaction open\n{sql}");
-                    failures += 1;
+                    me.abort(&mut open_claim);
+                } else if !r.faults {
+                    r.fail(format_args!(
+                        "failed write left the transaction open\n{sql}"
+                    ));
                     let _ = s.rollback();
-                    abort(w, &mut claims, &mut open_claim, &mut open, &mut buffer);
+                    me.abort(&mut open_claim);
                 }
             }
         }
 
         // plain readers always see exactly the committed (twin) state
         if rng.gen_bool(0.3) {
-            let got = canon(&db.query("SELECT k, v FROM kv").unwrap().rows);
-            if got != twin_rows(&mut twin) {
-                println!("seed {seed}: READER saw uncommitted or lost rows");
-                failures += 1;
-            }
+            r.compare("READER", &kv(&db), &kv(&twins[0].1), false, KV);
         }
         // pin (or check) the snapshot reader
         match &pinned_want {
             None => {
                 if rng.gen_bool(0.2) {
                     pinned.begin().unwrap();
-                    pinned_want = Some(twin_rows(&mut twin));
+                    pinned_want = Some(kv(&twins[0].1));
                 }
             }
             Some(want) => {
                 let routes = [
-                    ("query", pinned.query(PINNED_READ)),
-                    ("query_bound", pinned.query_bound(PINNED_READ, &[])),
+                    ("query", pinned.query(KV)),
+                    ("query_bound", pinned.query_bound(KV, &[])),
                     ("prepared", pinned_stmt.query(&[])),
                 ];
                 for (route, got) in routes {
-                    if &canon(&got.unwrap().rows) != want {
-                        println!("seed {seed}: PINNED READER snapshot drifted on {route}");
-                        failures += 1;
-                    }
+                    r.compare(
+                        &format!("PINNED READER on {route}"),
+                        &rows(got),
+                        want,
+                        false,
+                        KV,
+                    );
                 }
             }
         }
     }
 
     // close everything out and compare the final states
-    for (w, s) in sessions.iter().enumerate() {
-        if open[w] {
+    for (s, writer) in sessions.iter().zip(&writers) {
+        if writer.open {
             let _ = s.rollback();
         }
     }
     let _ = pinned.rollback();
-    let got = canon(&db.query("SELECT k, v FROM kv").unwrap().rows);
-    for (name, t) in [("serial", &mut twin), ("full-scan", &mut scan_twin)] {
-        if got != twin_rows(t) {
-            println!("seed {seed}: FINAL STATE diverged from {name} twin");
-            failures += 1;
-        }
+    let got = kv(&db);
+    for (name, twin) in &twins {
+        r.compare(
+            &format!("FINAL STATE vs the {name} twin"),
+            &got,
+            &kv(twin),
+            false,
+            KV,
+        );
     }
     let stats = db.txn_stats();
     if stats.begun != stats.committed + stats.rolled_back {
-        println!("seed {seed}: txn accounting leak: {stats:?}");
-        failures += 1;
+        r.fail(format_args!("txn accounting leak: {stats:?}"));
     }
-    (failures, recipe_writes)
 }
 
-/// One query of the main differential round: every transformation off
-/// is the reference, and each search strategy and the heuristic rules
-/// must return its rows. Returns the number of failures.
-fn differential_query(seed: u64, db: &mut Database, sql: &str) -> u64 {
-    db.config_mut().cost_based = false;
-    db.config_mut().transforms = TransformSet {
-        unnest: false,
-        view_merge: false,
-        jppd: false,
-        setop_to_join: false,
-        group_by_placement: false,
-        predicate_pullup: false,
-        join_factorization: false,
-        or_expansion: false,
-    };
-    db.config_mut().heuristic_unnest_merge = false;
-    let reference = match db.query(sql) {
-        Ok(r) => canon(&r.rows),
-        Err(e) => {
-            println!("seed {seed}: REF ERROR {e}\n{sql}");
-            return 1;
-        }
-    };
-    let mut failures = 0;
-    // every §3.2 strategy, then the heuristic rules (`Auto` is not
-    // consulted there) — all with the default `TransformSet`
-    for (label, strategy, cost_based) in [
-        ("Exhaustive", SearchStrategy::Exhaustive, true),
-        ("TwoPass", SearchStrategy::TwoPass, true),
-        ("Iterative", SearchStrategy::Iterative, true),
-        ("Linear", SearchStrategy::Linear, true),
-        ("Auto", SearchStrategy::Auto, true),
-        ("heuristic", SearchStrategy::Auto, false),
-    ] {
-        db.config_mut().cost_based = cost_based;
-        db.config_mut().transforms = TransformSet::default();
-        db.config_mut().heuristic_unnest_merge = true;
-        db.config_mut().search = strategy;
-        match db.query(sql) {
-            Ok(r) => {
-                let got = canon(&r.rows);
-                if got != reference {
-                    println!(
-                        "seed {seed} {label}: MISMATCH ({} vs {} rows)\n{sql}",
-                        reference.len(),
-                        got.len()
-                    );
-                    failures += 1;
-                }
-            }
-            Err(e) => {
-                println!("seed {seed} {label}: ERROR {e}\n{sql}");
-                failures += 1;
-            }
-        }
-    }
-    failures
-}
+const JOINS: Oracle = Oracle {
+    flag: Some("--joins"),
+    about: "Each round builds the same random database twice, at the default\n\
+            bushy_max_items (blocks of up to 10 items planned exactly, wider\n\
+            ones in windows) and at bushy_max_items = 0 (pairwise windows),\n\
+            and every multi-way join query must return the same rows from\n\
+            both: inner, EXISTS, NOT IN and LEFT JOIN shapes, and blocks\n\
+            wider than the default window, which the default plans in\n\
+            several rounds. Random tight optimizer-state budgets narrow the\n\
+            windows: a degraded plan must still agree, and never fail.",
+    needs_recipe_hits: false,
+    round: joins_round,
+};
 
-fn main() {
-    let args = parse_args();
-    let (rounds, base_seed, failpoint_mode) = (args.iters, args.base_seed, args.failpoints);
-    let mut failures = 0;
-    if args.joins {
-        if failpoint_mode {
-            // injected panics are expected and caught at the statement
-            // boundary; keep them off stderr
-            std::panic::set_hook(Box::new(|_| {}));
+fn joins_round(r: &mut Round) {
+    let mut rng = Rng::seed_from_u64(r.seed);
+    let default = random_db(&mut rng);
+    // the same data, planned pairwise
+    let mut pairwise = random_db(&mut Rng::seed_from_u64(r.seed));
+    pairwise.config_mut().optimizer.bushy_max_items = 0;
+    for _ in 0..4 {
+        let sql = random_join_query(&mut rng);
+        let mut limits = StatementLimits::none();
+        if rng.gen_bool(0.4) {
+            limits = limits.with_optimizer_states(rng.gen_range(0i64..40) as u64);
         }
-        for seed in base_seed..base_seed + rounds {
-            failures += joins_round(seed, failpoint_mode);
-        }
-        println!("join-order fuzz complete: {rounds} rounds, {failures} failures");
-        std::process::exit(if failures > 0 { 1 } else { 0 });
-    }
-    if args.txn {
-        if failpoint_mode {
-            // injected panics are expected and caught at the statement
-            // boundary; keep them off stderr
-            std::panic::set_hook(Box::new(|_| {}));
-        }
-        let mut recipe_writes = 0;
-        for seed in base_seed..base_seed + rounds {
-            let (failed, hits) = txn_round(seed, failpoint_mode);
-            failures += failed;
-            recipe_writes += hits;
-        }
-        // repeated write shapes exist to drive the recipe route: a run
-        // that never took it left it unchecked
-        if recipe_writes == 0 {
-            println!("no write was served from a recipe");
-            failures += 1;
-        }
-        println!(
-            "txn fuzz complete: {rounds} rounds, {failures} failures, \
-             {recipe_writes} DML recipe hits"
-        );
-        std::process::exit(if failures > 0 { 1 } else { 0 });
-    }
-    if args.feedback {
-        if failpoint_mode {
-            // injected panics are expected and caught at the statement
-            // boundary; keep them off stderr
-            std::panic::set_hook(Box::new(|_| {}));
-        }
-        for seed in base_seed..base_seed + rounds {
-            failures += feedback_round(seed, failpoint_mode);
-        }
-        println!("feedback fuzz complete: {rounds} rounds, {failures} failures");
-        std::process::exit(if failures > 0 { 1 } else { 0 });
-    }
-    if args.binds {
-        if failpoint_mode {
-            // injected panics are expected and caught at the statement
-            // boundary; keep them off stderr
-            std::panic::set_hook(Box::new(|_| {}));
-        }
-        let mut recipe_hits = 0;
-        for seed in base_seed..base_seed + rounds {
-            let (failed, hits) = binds_round(seed, failpoint_mode);
-            failures += failed;
-            recipe_hits += hits;
-        }
-        // the siblings exist to drive the recipe route: a run that never
-        // took it tested nothing new
-        if recipe_hits == 0 {
-            println!("no statement was served from a recipe");
-            failures += 1;
-        }
-        println!(
-            "bind-sharing fuzz complete: {rounds} rounds, {failures} failures, \
-             {recipe_hits} recipe hits"
-        );
-        std::process::exit(if failures > 0 { 1 } else { 0 });
-    }
-    if args.differential {
-        if failpoint_mode {
-            // injected panics are expected and caught inside
-            // differential_exec; keep them off stderr
-            std::panic::set_hook(Box::new(|_| {}));
-        }
-        for seed in base_seed..base_seed + rounds {
-            failures += differential_round(seed, failpoint_mode);
-        }
-        println!("differential-exec fuzz complete: {rounds} rounds, {failures} failures");
-        std::process::exit(if failures > 0 { 1 } else { 0 });
-    }
-    if failpoint_mode {
-        // injected panics are expected and caught at the statement
-        // boundary; keep them off stderr
-        std::panic::set_hook(Box::new(|_| {}));
-        for seed in base_seed..base_seed + rounds {
-            failures += failpoint_round(seed);
-        }
-        println!("failpoint fuzz complete: {rounds} rounds, {failures} failures");
-        std::process::exit(if failures > 0 { 1 } else { 0 });
-    }
-    for seed in base_seed..base_seed + rounds {
-        let mut rng = Rng::seed_from_u64(seed);
-        let mut db = random_db(&mut rng);
-        let queries = [random_query(&mut rng), null_keyed_not_in(&mut rng)];
-        for sql in &queries {
-            failures += differential_query(seed, &mut db, sql);
+        let armed = r.arm(&mut rng, 0.5);
+        let [want, got] = [&default, &pairwise].map(|db| rows(db.query_with_limits(&sql, limits)));
+        drop(armed);
+        if r.ok("default", &want, r.faults, &sql) {
+            r.compare("pairwise", &got, &want, r.faults, &sql);
         }
     }
-    println!("fuzz complete: {rounds} rounds, {failures} failures");
-    std::process::exit(if failures > 0 { 1 } else { 0 });
+    r.still_serving(&[("default", &default), ("pairwise", &pairwise)]);
 }

@@ -58,31 +58,46 @@ pub struct Shape {
 
 impl Shape {
     /// The shape of `src`, or `None` when `src` does not lex, holds a NUL
-    /// byte or has a `?` placeholder (its caller chose the binds). Case,
-    /// whitespace and comments are kept as written: two spellings of one
-    /// statement are two shapes.
+    /// byte or has a `?` placeholder (its caller chose the binds), or is
+    /// no statement a recipe is recorded for: only a query (`SELECT …`,
+    /// `(…`), an UPDATE and a DELETE get a shape. Case, whitespace and
+    /// comments are kept as written: two spellings of one statement are
+    /// two shapes.
     pub fn of(src: &str) -> Option<Shape> {
         if src.as_bytes().contains(&0) {
             return None;
         }
         let mut lexer = Lexer::new(src);
+        let (mut scanned, mut start) = lexer.scan().ok()?;
+        let recorded = match scanned {
+            Scanned::Ident => ["SELECT", "UPDATE", "DELETE"]
+                .iter()
+                .any(|kw| src[start..lexer.position()].eq_ignore_ascii_case(kw)),
+            Scanned::Punct(TokenKind::LParen) => true,
+            _ => false,
+        };
+        if !recorded {
+            return None;
+        }
         let mut text = String::with_capacity(src.len());
         let mut literals = Vec::new();
         let mut copied = 0;
         loop {
-            let (scanned, start) = lexer.scan().ok()?;
             let mask = match scanned {
-                Scanned::Number => NUMBER_MASK,
-                Scanned::StringLit => STRING_MASK,
+                Scanned::Number => Some(NUMBER_MASK),
+                Scanned::StringLit => Some(STRING_MASK),
                 Scanned::Punct(TokenKind::Question) => return None,
                 Scanned::Punct(TokenKind::Eof) => break,
-                _ => continue,
+                _ => None,
             };
-            let end = lexer.position();
-            text.push_str(&src[copied..start]);
-            text.push_str(mask);
-            literals.push(start..end);
-            copied = end;
+            if let Some(mask) = mask {
+                let end = lexer.position();
+                text.push_str(&src[copied..start]);
+                text.push_str(mask);
+                literals.push(start..end);
+                copied = end;
+            }
+            (scanned, start) = lexer.scan().ok()?;
         }
         text.push_str(&src[copied..]);
         Some(Shape { text, literals })
@@ -354,6 +369,42 @@ mod tests {
         assert!(Shape::of("SELECT 'unterminated").is_none());
         // a `?` inside a string or a comment is not a placeholder
         assert!(Shape::of("SELECT '?' FROM t /* ? */").is_some());
+    }
+
+    #[test]
+    fn only_statements_that_record_recipes_get_a_shape() {
+        let spell = |sql: &str| {
+            let lower = sql.to_lowercase();
+            let mixed: String = sql
+                .chars()
+                .enumerate()
+                .map(|(i, c)| match i % 2 {
+                    0 => c.to_ascii_lowercase(),
+                    _ => c,
+                })
+                .collect();
+            [sql.to_string(), lower, mixed, format!(" \n\t{sql}")]
+        };
+        for sql in [
+            "INSERT INTO t VALUES (1, 'x')",
+            "BEGIN",
+            "COMMIT",
+            "ROLLBACK",
+        ] {
+            for text in spell(sql) {
+                assert_eq!(Shape::of(&text), None, "{text:?}");
+            }
+        }
+        for sql in [
+            "SELECT a FROM t WHERE b = 1",
+            "(SELECT a FROM t) UNION ALL (SELECT b FROM u WHERE c = 2)",
+            "UPDATE t SET a = 1 WHERE b = 2",
+            "DELETE FROM t WHERE b = 2",
+        ] {
+            for text in spell(sql) {
+                assert!(Shape::of(&text).is_some(), "{text:?}");
+            }
+        }
     }
 
     #[test]

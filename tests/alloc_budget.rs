@@ -48,7 +48,6 @@ fn accounts(mode: ExecutionMode) -> Database {
         .collect();
     db.load_rows("accounts", rows).unwrap();
     db.analyze().unwrap();
-    db.config_mut().parallelism = 1;
     db.config_mut().execution_mode = mode;
     db
 }
@@ -68,7 +67,6 @@ fn kv_rows(mode: ExecutionMode, n: i64) -> Database {
         .collect();
     db.load_rows("kv", rows).unwrap();
     db.analyze().unwrap();
-    db.config_mut().parallelism = 1;
     db.config_mut().execution_mode = mode;
     db
 }
@@ -234,7 +232,7 @@ fn single_row_insert() {
             "single-row INSERT … VALUES",
             mode,
             got,
-            ceiling(mode, (33.5, 33.5)),
+            ceiling(mode, (31.5, 31.5)),
         );
     }
 }
