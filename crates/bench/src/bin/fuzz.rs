@@ -172,6 +172,51 @@ fn null_keyed_not_in(rng: &mut Rng) -> String {
     format!("SELECT d.department_name FROM departments d WHERE d.dept_id = {dept} AND d.dept_id NOT IN (SELECT e.dept_id FROM employees e WHERE e.salary > {sal})")
 }
 
+/// A query shaped for the batch engine's scan and aggregate kernels: one
+/// to three aggregates over the nullable `salary` (SUM, AVG, MIN, MAX,
+/// COUNT(col), DISTINCT, a MIN over strings, and an argument that turns
+/// `Double` on one row), maybe grouped, under a filter that the scan tests
+/// in place (`col <cmp> lit`, a flipped `lit < col`, `col <cmp> col`, a
+/// ROWID bound) or that puts a computed conjunct between two in-place
+/// ones.
+fn kernel_query(rng: &mut Rng) -> String {
+    let sal = rng.gen_range(0..8000);
+    let k = rng.gen_range(0..4000);
+    let d = rng.gen_range(0..10);
+    let aggs = [
+        "SUM(e.salary)".to_string(),
+        "AVG(e.salary)".to_string(),
+        "MIN(e.salary)".to_string(),
+        "MAX(e.salary)".to_string(),
+        "COUNT(e.salary)".to_string(),
+        "COUNT(*)".to_string(),
+        "SUM(DISTINCT e.salary)".to_string(),
+        "MIN(e.employee_name)".to_string(),
+        format!("SUM(CASE WHEN e.emp_id = {k} THEN 0.5 ELSE e.salary END)"),
+        "AVG(e.salary / 3)".to_string(),
+    ];
+    let n = rng.gen_range(1..4usize);
+    let list: Vec<&str> = (0..n)
+        .map(|_| aggs[rng.gen_range(0..aggs.len())].as_str())
+        .collect();
+    let filter = match rng.gen_range(0..7) {
+        0 => String::new(),
+        1 => format!("WHERE {sal} < e.salary"),
+        2 => format!("WHERE e.dept_id = {d}"),
+        3 => format!("WHERE e.salary >= {sal} AND e.emp_id + 0 > {k} AND e.dept_id <> {d}"),
+        4 => "WHERE e.mgr_id > e.emp_id".to_string(),
+        5 => format!("WHERE e.ROWID < {k} AND {d} >= e.dept_id"),
+        _ => format!("WHERE e.salary IS NULL OR e.salary > {sal}"),
+    };
+    match rng.gen_bool(0.4) {
+        true => format!(
+            "SELECT e.dept_id, {} FROM employees e {filter} GROUP BY e.dept_id",
+            list.join(", ")
+        ),
+        false => format!("SELECT {} FROM employees e {filter}", list.join(", ")),
+    }
+}
+
 /// Join-heavy query pool for the `--joins` oracle: every shape is a
 /// multi-way (3+ item) join so the exact memo and pairwise windows both
 /// get real join-order decisions. Arms 6 to 9 leave semi, anti and
@@ -541,8 +586,9 @@ fn failpoints_round(r: &mut Round) {
 const DIFFERENTIAL_EXEC: Oracle = Oracle {
     flag: Some("--differential-exec"),
     about: "Each round optimizes random queries (three from the general pool,\n\
-            one from the join pool, then one from either on a 2-4k-row\n\
-            database with skewed join keys) once and runs the plan through\n\
+            one from the join pool, then one from either and one shaped for\n\
+            the scan and aggregate kernels on a 2-4k-row database with\n\
+            skewed join keys) once and runs the plan through\n\
             both the vectorized and the Volcano engine, which must agree on\n\
             rows, per-operator metrics and governor outcome under random row\n\
             and work budgets (Database::differential_exec). Under\n\
@@ -605,6 +651,10 @@ fn differential_round(r: &mut Round) {
         false => StatementLimits::none(),
     };
     exec_divergences(r, &db, &sql, &limits, false);
+    // and one kernel-shaped query on it, from a stream of its own too
+    let mut kern = Rng::seed_from_u64(r.seed ^ 0x6b65_726e_656c);
+    let sql = kernel_query(&mut kern);
+    exec_divergences(r, &db, &sql, &StatementLimits::none(), false);
 }
 
 /// Runs `sql` through [`Database::differential_exec`] and reports each

@@ -769,7 +769,11 @@ fn one_arc_at_two_positions_keeps_two_sets_of_actuals() {
 /// Runs `plan` under both engines with metrics on and asserts the same
 /// ordered rows, the same per-node rows / executions / work, and the
 /// same total work. Returns the rows.
-fn assert_engines_agree_on(cat: &Catalog, st: &Storage, plan: &BlockPlan) -> Vec<Vec<Value>> {
+pub(crate) fn assert_engines_agree_on(
+    cat: &Catalog,
+    st: &Storage,
+    plan: &BlockPlan,
+) -> Vec<Vec<Value>> {
     use cbqt_common::ExecutionMode::{Vectorized, Volcano};
     let run = |mode| {
         let mut eng = Engine::new(cat, st);
@@ -790,7 +794,7 @@ fn assert_engines_agree_on(cat: &Catalog, st: &Storage, plan: &BlockPlan) -> Vec
     v.0
 }
 
-fn plan_of(cat: &Catalog, sql: &str) -> BlockPlan {
+pub(crate) fn plan_of(cat: &Catalog, sql: &str) -> BlockPlan {
     let tree = build_query_tree(cat, &parse_query(sql).unwrap()).unwrap();
     let ann = CostAnnotations::new();
     let cache = SamplingCache::default();
