@@ -185,6 +185,26 @@ impl ExperimentReport {
             self.degraded_avg_pct
         )
         .unwrap();
+        // the plan itself ran more than 1% more work: a wrong plan
+        // choice, not the search's optimization charge
+        let more_work: Vec<f64> = self
+            .results
+            .iter()
+            .map(|r| r.treat.work / r.base.work.max(1e-9) - 1.0)
+            .filter(|&m| m > 0.01)
+            .collect();
+        let lo = more_work.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = more_work.iter().copied().fold(0.0, f64::max);
+        let range = match more_work.is_empty() {
+            true => String::new(),
+            false => format!(" (by {:.0}% to {:.0}%)", 100.0 * lo, 100.0 * hi),
+        };
+        writeln!(
+            out,
+            "more work: {} queries run more execution work than the baseline plan{range}",
+            more_work.len(),
+        )
+        .unwrap();
         writeln!(
             out,
             "optimization time increase: {:+.0}%",

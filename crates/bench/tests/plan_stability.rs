@@ -42,7 +42,7 @@ const EXPECTED: [[u64; 2]; 11] = [
     [0x143db46a53ed478a, 0x6f1b0da69393c579], // unnest-exists
     [0x8f49f391d5e9db14, 0xd9e876b9d4051cad], // jppd-view
     [0xcd866350a2934ef8, 0xd89e13b80b586819], // gb-placement
-    [0xf9f9622fb08df954, 0x846775e38437a0ee], // factorize
+    [0xa3d8eb85b8bfe1ca, 0x1c73864f4a92d891], // factorize
     [0xc930d8b9d6135386, 0xa89b24f17db158f3], // setop
     [0x597c794e0b013163, 0x5a2007211312e479], // or-expand
     [0x6a13f6ff74e567d9, 0x6a13f6ff74e567d9], // pred-pullup

@@ -42,13 +42,13 @@ const EXPECTED: [[u64; 7]; 12] = [
     ],
     // jppd-view
     [
-        0x25fea6c839d9abf1,
-        0xbc799795159ecdea,
-        0xc02a33b606214c89,
-        0xf535692ec451407e,
-        0x25fea6c839d9abf1,
-        0x03ae3ab8cdea005c,
-        0x25fea6c839d9abf1,
+        0xd33ba759da9ee613,
+        0x6d4c1e3aff7d95b8,
+        0x9e02f377e2dcd57f,
+        0x94dd6cf97507e6a4,
+        0xd33ba759da9ee613,
+        0x8665cb489c6176c2,
+        0xd33ba759da9ee613,
     ],
     // gb-placement
     [
@@ -62,13 +62,13 @@ const EXPECTED: [[u64; 7]; 12] = [
     ],
     // factorize
     [
-        0x65cea4ba419a939f,
-        0x08c51cf733054a91,
-        0xc4089ab819478bf3,
-        0xf111e06f58fdd1dd,
-        0x65cea4ba419a939f,
+        0x03da2295ca60ccdf,
+        0x04a27df27f5f9d51,
+        0xd68053acdeba473b,
+        0x1c0d6bb6a37b76f5,
+        0x03da2295ca60ccdf,
         0x14424c89bb0b4cd8,
-        0x65cea4ba419a939f,
+        0x03da2295ca60ccdf,
     ],
     // setop
     [
