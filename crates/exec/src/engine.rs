@@ -871,7 +871,9 @@ impl<'a> Engine<'a> {
     ) -> Result<Vec<usize>> {
         match access {
             AccessPath::FullScan => {
-                let hits: Vec<usize> = data.visible_ordinals().collect();
+                // sized for every version, so the list never regrows
+                let mut hits = Vec::with_capacity(data.version_count());
+                hits.extend(data.visible_ordinals());
                 self.add_work(hits.len() as f64 * weights::ROW);
                 Ok(hits)
             }
