@@ -7,6 +7,11 @@
 //! through a planned target query: access paths,
 //! read-all-then-write-all, write cost and NOT NULL enforcement are
 //! checked here too.
+//!
+//! Every test holds [`failpoints::serial`]: one test arms the
+//! process-global commit-publish failpoint, and a commit on another
+//! test's thread (any `load_rows`, auto-commit or COMMIT) would fail
+//! on it.
 
 use cbqt::common::{Error, Value};
 use cbqt::{Database, OptimizerEvent, Session, StatementResult};
@@ -42,6 +47,7 @@ fn count(db: &Database, sql: &str) -> i64 {
 
 #[test]
 fn uncommitted_writes_visible_only_to_their_own_transaction() {
+    let _serial = failpoints::serial();
     let db = fixture();
     let writer = db.session();
     let reader = db.session();
@@ -83,6 +89,7 @@ fn uncommitted_writes_visible_only_to_their_own_transaction() {
 
 #[test]
 fn rollback_restores_exact_pre_transaction_state() {
+    let _serial = failpoints::serial();
     let db = fixture();
     let before = db.query("SELECT id, owner, balance FROM accounts").unwrap();
     let s = db.session();
@@ -110,6 +117,7 @@ fn rollback_restores_exact_pre_transaction_state() {
 
 #[test]
 fn statements_outside_transactions_autocommit() {
+    let _serial = failpoints::serial();
     let mut db = fixture();
     for sql in [
         "INSERT INTO accounts VALUES (300, 'auto', 7)",
@@ -129,6 +137,7 @@ fn statements_outside_transactions_autocommit() {
 
 #[test]
 fn failed_write_statement_aborts_the_whole_transaction() {
+    let _serial = failpoints::serial();
     let db = fixture();
     let s = db.session();
     s.begin().unwrap();
@@ -161,6 +170,7 @@ fn failed_write_statement_aborts_the_whole_transaction() {
 
 #[test]
 fn rolled_back_writes_keep_cached_plans_warm() {
+    let _serial = failpoints::serial();
     let db = fixture();
     let sql = "SELECT owner FROM accounts WHERE balance > 1500";
     let cold = db.query(sql).unwrap();
@@ -200,6 +210,7 @@ fn rolled_back_writes_keep_cached_plans_warm() {
 
 #[test]
 fn in_transaction_queries_serve_from_cache_against_the_txn_snapshot() {
+    let _serial = failpoints::serial();
     let db = fixture();
     let sql = "SELECT COUNT(*) FROM accounts";
     db.query(sql).unwrap();
@@ -220,6 +231,7 @@ fn in_transaction_queries_serve_from_cache_against_the_txn_snapshot() {
 
 #[test]
 fn begin_commit_rollback_statement_surface() {
+    let _serial = failpoints::serial();
     let mut db = fixture();
     // nested BEGIN is an error
     let results = db.execute_script("BEGIN; BEGIN;");
@@ -259,6 +271,7 @@ fn begin_commit_rollback_statement_surface() {
 
 #[test]
 fn session_prepared_statement_reads_its_own_transaction() {
+    let _serial = failpoints::serial();
     let mut db = Database::new();
     db.execute_script(
         "CREATE TABLE kv (k INT PRIMARY KEY, v INT);
@@ -302,6 +315,7 @@ fn session_prepared_statement_reads_its_own_transaction() {
 
 #[test]
 fn ddl_and_analyze_are_rejected_inside_transactions() {
+    let _serial = failpoints::serial();
     let mut db = fixture();
     db.execute_mut("BEGIN").unwrap();
     for sql in [
@@ -332,6 +346,7 @@ fn ddl_and_analyze_are_rejected_inside_transactions() {
 
 #[test]
 fn txn_stats_count_lifecycle_events() {
+    let _serial = failpoints::serial();
     let db = fixture();
     let base = db.txn_stats();
     let s = db.session();
@@ -368,6 +383,7 @@ fn txn_stats_count_lifecycle_events() {
 
 #[test]
 fn trace_statement_reports_transaction_events() {
+    let _serial = failpoints::serial();
     let db = fixture();
     let s = db.session();
 
@@ -436,6 +452,7 @@ fn commit_publish_failpoint_rolls_back_the_explicit_transaction() {
 
 #[test]
 fn dropping_a_session_rolls_back_its_open_transaction() {
+    let _serial = failpoints::serial();
     let db = fixture();
     {
         let s = db.session();
@@ -505,6 +522,7 @@ fn dml_target(s: &Session<'_>, sql: &str) -> (String, usize, f64) {
 
 #[test]
 fn pk_equality_dml_probes_the_index_at_a_cost_independent_of_table_size() {
+    let _serial = failpoints::serial();
     let (small, large) = (kv(1_000), kv(50_000));
     for sql in [
         "UPDATE kv SET tag = 'x' WHERE id = 617",
@@ -536,6 +554,7 @@ fn pk_equality_dml_probes_the_index_at_a_cost_independent_of_table_size() {
 
 #[test]
 fn autocommit_updates_copy_nothing_and_a_held_snapshot_costs_one_copy() {
+    let _serial = failpoints::serial();
     let update_every_row = |db: &Database| {
         let s = db.session();
         for i in 0..1_000 {
@@ -579,6 +598,7 @@ fn autocommit_updates_copy_nothing_and_a_held_snapshot_costs_one_copy() {
 
 #[test]
 fn update_of_its_own_search_key_touches_each_row_once() {
+    let _serial = failpoints::serial();
     // Halloween: the new versions land inside the scanned index range
     let db = kv(300);
     let s = db.session();
@@ -603,6 +623,7 @@ fn update_of_its_own_search_key_touches_each_row_once() {
 
 #[test]
 fn dml_inside_one_transaction_sees_its_own_writes() {
+    let _serial = failpoints::serial();
     let db = kv(10);
     let s = db.session();
     s.begin().unwrap();
@@ -651,7 +672,6 @@ fn dml_inside_one_transaction_sees_its_own_writes() {
 
 #[test]
 fn autocommit_updates_of_one_shape_compile_their_target_once() {
-    // 2 000 commits: keep the commit-publish failpoint test out of them
     let _serial = failpoints::serial();
     let run = |cached: bool| {
         let mut db = kv(200);
@@ -691,6 +711,7 @@ fn autocommit_updates_of_one_shape_compile_their_target_once() {
 
 #[test]
 fn an_update_in_a_transaction_reads_its_snapshot_through_the_cached_target_plan() {
+    let _serial = failpoints::serial();
     let db = kv(50);
     let (writer, other, reader) = (db.session(), db.session(), db.session());
     let sum = |s: &Session<'_>| s.query("SELECT SUM(k) FROM kv").unwrap().rows[0][0].clone();
@@ -731,6 +752,7 @@ fn an_update_in_a_transaction_reads_its_snapshot_through_the_cached_target_plan(
 
 #[test]
 fn dml_predicates_and_set_expressions_are_full_sql() {
+    let _serial = failpoints::serial();
     let db = kv(40);
     let s = db.session();
     assert_eq!(
@@ -784,6 +806,7 @@ fn dml_predicates_and_set_expressions_are_full_sql() {
 
 #[test]
 fn not_null_columns_reject_null_writes() {
+    let _serial = failpoints::serial();
     // both `code` columns are NOT NULL, so `code NOT IN (SELECT code
     // FROM allowed)` is unnested into a plain anti-join. A NULL smuggled
     // into `allowed.code` makes that rewrite return rows SQL says are
@@ -843,6 +866,7 @@ fn recipes(db: &Database) -> (usize, u64) {
 
 #[test]
 fn writes_of_one_shape_are_served_from_one_recipe() {
+    let _serial = failpoints::serial();
     let updates: Vec<String> = (1..=1_000i64)
         .map(|i| {
             format!(
@@ -888,6 +912,7 @@ fn writes_of_one_shape_are_served_from_one_recipe() {
 
 #[test]
 fn a_write_recipe_is_refused_where_its_statement_is() {
+    let _serial = failpoints::serial();
     let sql = "UPDATE kv SET k = 7 WHERE id = 3";
     let refusals = |db: &Database| {
         let read = |r: cbqt::common::Result<()>| r.unwrap_err().to_string();
@@ -926,6 +951,7 @@ fn from_recipe(db: &Database, s: &Session<'_>, sql: &str) -> cbqt::common::Resul
 
 #[test]
 fn a_recipe_write_in_a_transaction_reads_its_own_writes_and_loses_races() {
+    let _serial = failpoints::serial();
     let db = kv(20);
     let (w1, w2) = (db.session(), db.session());
     let k_of = |s: &Session<'_>, id: i64| {
@@ -965,6 +991,7 @@ fn a_recipe_write_in_a_transaction_reads_its_own_writes_and_loses_races() {
 
 #[test]
 fn a_recipe_write_of_a_fixed_null_still_meets_not_null() {
+    let _serial = failpoints::serial();
     let mut db = Database::new();
     db.execute_script(
         "CREATE TABLE items (id INT PRIMARY KEY, code INT NOT NULL);
@@ -993,6 +1020,7 @@ fn a_recipe_write_of_a_fixed_null_still_meets_not_null() {
 
 #[test]
 fn a_write_with_two_equal_literals_records_no_recipe() {
+    let _serial = failpoints::serial();
     let db = kv(20);
     let s = db.session();
     assert_eq!(affected(&s, "UPDATE kv SET k = 5 WHERE id = 5"), 1);
