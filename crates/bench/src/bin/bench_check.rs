@@ -19,7 +19,7 @@
 //! JSON handling is deliberately hand-rolled: the workspace is hermetic
 //! (no serde), and both files are flat machine-generated objects.
 
-use std::collections::HashMap;
+use cbqt_common::hash::HashMap;
 use std::process::ExitCode;
 
 #[derive(Debug, Clone)]
@@ -219,7 +219,7 @@ fn main() -> ExitCode {
         eprintln!("bench_check: no bench lines found in {results_path}");
         return ExitCode::FAILURE;
     }
-    let mut fresh: HashMap<String, f64> = HashMap::new();
+    let mut fresh: HashMap<String, f64> = HashMap::default();
     for r in &results {
         // last write wins, so a re-run appended to the same file gates on
         // its most recent measurements

@@ -381,7 +381,8 @@ mod tests {
         let mut g = WorkloadGen::new(1);
         g.scale = 0.05;
         let batch = g.generate_mixed(8);
-        let fams: std::collections::HashSet<&str> = batch.iter().map(|i| i.family.name()).collect();
+        let fams: cbqt_common::hash::HashSet<&str> =
+            batch.iter().map(|i| i.family.name()).collect();
         assert_eq!(fams.len(), 8);
     }
 }

@@ -17,7 +17,7 @@ mod common;
 use cbqt::optimizer::record_optimized_trees;
 use cbqt::qgm::{fingerprint, render, RefId};
 use cbqt::Database;
-use std::collections::HashMap;
+use cbqt_common::hash::HashMap;
 
 /// What keyed an annotation before the fingerprint did.
 type Rendered = (String, Vec<(RefId, usize)>);
@@ -58,8 +58,8 @@ fn block_keys_partition_blocks_like_rendering_and_correlation() {
             assert!(!trees.is_empty(), "{name}/{}: nothing was planned", mode.0);
             // classes are compared across the whole statement: that is
             // the lifetime of one annotation store
-            let mut by_key: HashMap<u64, Rendered> = HashMap::new();
-            let mut by_rendered: HashMap<Rendered, u64> = HashMap::new();
+            let mut by_key: HashMap<u64, Rendered> = HashMap::default();
+            let mut by_rendered: HashMap<Rendered, u64> = HashMap::default();
             // Each tree is followed by a copy of itself under fresh
             // `RefId`s and block ids, what OR expansion and join
             // factorization make of a branch: its uncorrelated blocks

@@ -18,7 +18,7 @@
 //! predicate text (`c0=?`) is identical.
 
 use crate::schema::TableId;
-use std::collections::HashMap;
+use cbqt_common::hash::HashMap;
 use std::sync::Mutex;
 
 /// Decimal selectivity band, shared by adaptive cursor sharing and the

@@ -1,8 +1,8 @@
 //! Schema objects: tables, columns, indexes, constraints.
 
 use crate::stats::TableStats;
+use cbqt_common::hash::HashMap;
 use cbqt_common::{DataType, Error, Result};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifies a table in the catalog.

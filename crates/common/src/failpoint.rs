@@ -23,7 +23,7 @@
 //! enumerate; a site and its name can't drift apart.
 
 use crate::error::{Error, Result};
-use std::collections::HashMap;
+use crate::hash::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 

@@ -1,19 +1,46 @@
-//! A small, fixed hasher for the executor's hash tables (hash-join build
-//! sides, GROUP BY and DISTINCT groups).
+//! One small, fixed hasher for every hash table of the workspace: the
+//! executor's (hash-join build sides, GROUP BY and DISTINCT groups, the
+//! subquery cache), the optimizer's (the join enumerator's subset memo,
+//! per-block statistics), the plan cache, the feedback store, the
+//! catalog, storage and the tools. [`HashMap`] and [`HashSet`] are std's
+//! tables over it, and a lint (`disallowed-types` in `clippy.toml`)
+//! keeps std's `RandomState` tables out.
 //!
-//! The standard library's `DefaultHasher` is keyed per process and
-//! written for untrusted keys; executor keys are SQL values hashed once
-//! per row, where a multiply-rotate word hasher is several times cheaper.
-//! Its output is fixed by its code alone (the golden values below pin
-//! it), so hash-table behaviour never depends on the host. A hash is only
-//! a filter: every table that uses it compares full keys on a hash hit,
-//! so a collision costs a comparison, never a wrong group.
+//! std's default is SipHash with a per-process random key, written for
+//! untrusted keys. The keys here are ids, masks, names and SQL values,
+//! hashed on every probe (the join enumerator probes its memo twice per
+//! split of every connected set), where a multiply-rotate word hasher is
+//! several times cheaper. Its output is fixed by its code alone (the
+//! golden values and the pinned iteration order below), so hash-table
+//! behaviour, iteration order included, is the same in every process
+//! and on every host.
+//!
+//! It does not defend against hash flooding, and needs not: a hash is
+//! only a filter, since every table that uses it compares full keys on a
+//! hash hit, so a collision costs a comparison, never a wrong answer;
+//! and the tables that grow with their input are bounded (the plan
+//! cache and its recipes by a byte budget, the feedback store by its
+//! capacity), so crafted keys can slow a probe but not grow memory.
+//!
+//! Where a 64-bit hash *is* an identity and no full-key compare follows
+//! — the §3.4.2 annotation key (`cbqt_qgm::fingerprint`) and a plan's
+//! metrics fingerprint (`PlanIndex::build`) — a collision would be a
+//! wrong answer, so those keep std's SipHash with its fixed keys.
 //!
 //! Values are fed through [`Value`](crate::Value)'s `Hash`, which hashes
 //! `Int(1)`, `Double(1.0)` and `Date(1)` alike because they compare
 //! equal.
 
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+/// `std`'s `HashMap` over [`KeyHasher`]. Build one with `default()` or
+/// `with_capacity_and_hasher(n, Default::default())`.
+#[allow(clippy::disallowed_types)]
+pub type HashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<KeyHasher>>;
+
+/// `std`'s `HashSet` over [`KeyHasher`].
+#[allow(clippy::disallowed_types)]
+pub type HashSet<K> = std::collections::HashSet<K, BuildHasherDefault<KeyHasher>>;
 
 /// Odd multiplier of the word mix (the FxHash constant).
 const K: u64 = 0x517c_c1b7_2722_0a95;
@@ -102,10 +129,9 @@ mod tests {
         hash_all([v])
     }
 
-    /// Golden values: the hasher is part of no on-disk format, but a
-    /// change to it changes hash-table iteration nowhere visible either,
-    /// so the pins only guard against an accidental edit (and against a
-    /// host-dependent hasher sneaking in).
+    /// Golden values: the hasher is part of no on-disk format, so the
+    /// pins guard against an accidental edit (which would move every
+    /// map's iteration order) and a host-dependent hasher sneaking in.
     #[test]
     fn golden_values() {
         let got: Vec<u64> = [
@@ -136,6 +162,27 @@ mod tests {
         assert_eq!(got, want, "{got:#x?}");
         let pair = hash_all(&[Value::Int(3), Value::str("t1")]);
         assert_eq!(pair, 0xeb3f_fd57_ce50_5328, "{pair:#x}");
+    }
+
+    /// Map iteration order is a function of the keys alone, the same in
+    /// every process: a swap back to a per-process `RandomState`, or an
+    /// edit to the hasher, moves these lists.
+    #[test]
+    fn iteration_order_is_pinned() {
+        let ints: HashSet<u64> = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 1 << 40, u64::MAX]
+            .into_iter()
+            .collect();
+        let got: Vec<u64> = ints.iter().copied().collect();
+        let want = [0, 5, 8, 34, 55, 1, 144, 1 << 40, u64::MAX, 2, 89, 13, 3, 21];
+        assert_eq!(got, want, "{got:?}");
+
+        /// Shaped like the optimizer's table references.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        struct Ref(u32);
+        let refs: HashMap<Ref, usize> = (0..16).map(|i| (Ref(i), i as usize)).collect();
+        let got: Vec<u32> = refs.keys().map(|r| r.0).collect();
+        let want = [0, 5, 1, 10, 9, 2, 4, 6, 7, 12, 8, 14, 15, 11, 13, 3];
+        assert_eq!(got, want, "{got:?}");
     }
 
     #[test]

@@ -61,13 +61,12 @@
 //!   recompilable — and continuing; the other shards are untouched.
 
 use cbqt_catalog::TableId;
+use cbqt_common::hash::{HashMap, KeyHasher};
 use cbqt_common::Value;
 use cbqt_exec::ProgramSet;
 use cbqt_optimizer::{BlockPlan, FeedbackShape, PlanEntity, PlanIndex, PlanNode, PlanNodeId};
 use cbqt_qgm::BindSite;
 use cbqt_sql::{Recipe, RecipeKind, Shape};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -373,7 +372,7 @@ impl PlanCache {
     }
 
     fn shard(&self, key: &str) -> &Mutex<Shard> {
-        let mut h = DefaultHasher::new();
+        let mut h = KeyHasher::default();
         key.hash(&mut h);
         &self.shards[(h.finish() % self.shards.len() as u64) as usize]
     }
@@ -489,7 +488,7 @@ impl PlanCache {
         let stamp = shard.clock;
         let family = shard.map.entry(key).or_insert_with(|| Family {
             sites: Arc::clone(&sites),
-            variants: HashMap::new(),
+            variants: HashMap::default(),
         });
         // refresh sites: deterministic per key, but stats/DDL may have
         // changed what the slots resolve to since the family was created

@@ -6,6 +6,7 @@ use crate::eval::{compute_windows, AggAcc, Bindings, EvalCtx};
 use crate::metrics::ExecMetrics;
 use cbqt_catalog::Catalog;
 use cbqt_common::failpoint;
+use cbqt_common::hash::{HashMap, HashSet};
 use cbqt_common::{Error, ExecutionMode, Governor, Result, Row, Value};
 use cbqt_optimizer::{
     weights, AccessPath, BlockPlan, JoinMethod, Layout, PlanJoinKind, PlanNode, PlanNodeId,
@@ -16,7 +17,6 @@ use cbqt_storage::{SnapTable, Snapshot, Storage};
 use std::borrow::Cow;
 use std::cell::{Cell, Ref, RefCell};
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -109,8 +109,8 @@ impl<'a> Engine<'a> {
             work: Cell::new(0.0),
             cache_hits: Cell::new(0),
             cache_misses: Cell::new(0),
-            subq_cache: RefCell::new(HashMap::new()),
-            outer_cols: RefCell::new(HashMap::new()),
+            subq_cache: RefCell::new(HashMap::default()),
+            outer_cols: RefCell::new(HashMap::default()),
             metrics: RefCell::new(None),
             metrics_timing: Cell::new(true),
             programs: RefCell::new(None),
@@ -339,7 +339,7 @@ impl<'a> Engine<'a> {
         if let Some(c) = self.outer_cols.borrow().get(&plan.block) {
             return Rc::clone(c);
         }
-        let mut defined: HashSet<RefId> = HashSet::new();
+        let mut defined: HashSet<RefId> = HashSet::default();
         let mut referenced: Vec<(RefId, usize)> = Vec::new();
         collect_plan_refs(plan, &mut defined, &mut referenced);
         let mut outer: Vec<(RefId, usize)> = Vec::new();
@@ -413,7 +413,7 @@ impl<'a> Engine<'a> {
                 Ok(out)
             }
             SetOp::Union => {
-                let mut seen: HashSet<Row> = HashSet::new();
+                let mut seen: HashSet<Row> = HashSet::default();
                 let mut out = Vec::new();
                 for i in inputs {
                     for r in i {
@@ -429,7 +429,7 @@ impl<'a> Engine<'a> {
             SetOp::Intersect => {
                 let right: HashSet<Row> = inputs.pop().unwrap_or_default().into_iter().collect();
                 let left = inputs.pop().unwrap_or_default();
-                let mut seen: HashSet<Row> = HashSet::new();
+                let mut seen: HashSet<Row> = HashSet::default();
                 let mut out = Vec::new();
                 for r in left {
                     self.tick()?;
@@ -443,7 +443,7 @@ impl<'a> Engine<'a> {
             SetOp::Minus => {
                 let right: HashSet<Row> = inputs.pop().unwrap_or_default().into_iter().collect();
                 let left = inputs.pop().unwrap_or_default();
-                let mut seen: HashSet<Row> = HashSet::new();
+                let mut seen: HashSet<Row> = HashSet::default();
                 let mut out = Vec::new();
                 for r in left {
                     self.tick()?;
@@ -482,7 +482,7 @@ impl<'a> Engine<'a> {
                 Ok(out)
             }
             SetOp::Union => {
-                let mut seen: HashSet<Row> = HashSet::new();
+                let mut seen: HashSet<Row> = HashSet::default();
                 let mut out = Vec::new();
                 for i in inputs {
                     chunked(self, &i)?;
@@ -499,7 +499,7 @@ impl<'a> Engine<'a> {
                 let left = inputs.pop().unwrap_or_default();
                 chunked(self, &left)?;
                 let keep_present = op == SetOp::Intersect;
-                let mut seen: HashSet<Row> = HashSet::new();
+                let mut seen: HashSet<Row> = HashSet::default();
                 let mut out = Vec::new();
                 for r in left {
                     if right.contains(&r) == keep_present && seen.insert(r.clone()) {
@@ -558,7 +558,7 @@ impl<'a> Engine<'a> {
                 Some(k) => k.clone(),
                 None => sp.select.clone(),
             };
-            let mut seen: HashSet<Vec<Value>> = HashSet::new();
+            let mut seen: HashSet<Vec<Value>> = HashSet::default();
             let mut kept = Vec::new();
             for r in rows {
                 self.add_work(weights::DEDUP);
@@ -679,7 +679,7 @@ impl<'a> Engine<'a> {
 
         let mut out: Vec<Row> = Vec::new();
         for set in &sets {
-            let mut groups: HashMap<Vec<Value>, (Row, Vec<AggAcc>)> = HashMap::new();
+            let mut groups: HashMap<Vec<Value>, (Row, Vec<AggAcc>)> = HashMap::default();
             let mut order: Vec<Vec<Value>> = Vec::new();
             for r in &rows {
                 self.tick()?;
@@ -1165,7 +1165,7 @@ impl<'a> Engine<'a> {
         rwidth: usize,
     ) -> Result<Vec<Row>> {
         // build on right
-        let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+        let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::default();
         let mut null_rows = Vec::new();
         for (i, r) in rrows.iter().enumerate() {
             self.tick()?;
@@ -1360,7 +1360,7 @@ impl<'a> Engine<'a> {
         let cacheable = matches!(kind, PlanJoinKind::Semi | PlanJoinKind::Anti { .. })
             && !equi.is_empty()
             && residual.is_empty();
-        let mut match_cache: HashMap<Vec<Value>, bool> = HashMap::new();
+        let mut match_cache: HashMap<Vec<Value>, bool> = HashMap::default();
         // NOT IN: the right rows whose key is NULL, found at the first
         // unmatched left row
         let mut null_rows: Option<Vec<usize>> = None;

@@ -2,6 +2,7 @@
 //! for correlation and slot-mapped aggregate / window values.
 
 use crate::engine::Engine;
+use cbqt_common::hash::{HashMap, HashSet};
 use cbqt_common::{Error, Result, Row, Truth, Value};
 use cbqt_optimizer::{weights, Layout, PlanNodeId, SelectPlan};
 use cbqt_qgm::{BinOp, QExpr, Quant, SubqKind, WinFunc};
@@ -550,8 +551,7 @@ pub fn compute_windows(ctx: &EvalCtx<'_>, rows: &mut [Row], windows: &[QExpr]) -
             return Err(Error::execution("non-window expr in window list"));
         };
         // partition rows by key
-        let mut parts: std::collections::HashMap<Vec<Value>, Vec<usize>> =
-            std::collections::HashMap::new();
+        let mut parts: HashMap<Vec<Value>, Vec<usize>> = HashMap::default();
         for (i, r) in rows.iter().enumerate() {
             let key: Vec<Value> = partition_by
                 .iter()
@@ -641,7 +641,7 @@ pub struct AggAcc {
     isum: i64,
     min: Option<Value>,
     max: Option<Value>,
-    distinct: Option<std::collections::HashSet<Value>>,
+    distinct: Option<HashSet<Value>>,
 }
 
 impl AggAcc {
@@ -660,7 +660,7 @@ impl AggAcc {
 
     pub fn new_distinct(func: cbqt_qgm::AggFunc) -> AggAcc {
         let mut a = AggAcc::new(func);
-        a.distinct = Some(std::collections::HashSet::new());
+        a.distinct = Some(HashSet::default());
         a
     }
 

@@ -1,9 +1,9 @@
 //! Cardinality and selectivity estimation.
 
 use cbqt_catalog::{selectivity_band, Catalog, ColumnStats, FeedbackKey, TableId};
+use cbqt_common::hash::{HashMap, HashSet};
 use cbqt_common::Value;
 use cbqt_qgm::{BinOp, QExpr, RefId, SubqKind};
-use std::collections::HashMap;
 
 /// Default row count assumed for tables without statistics (when dynamic
 /// sampling is unavailable).
@@ -527,7 +527,7 @@ impl<'a> Estimator<'a> {
     /// executions of a correlated subplan under correlation caching.
     pub fn distinct_bindings(&self, exprs: &[QExpr], outer_rels: &HashMap<RefId, RelStats>) -> f64 {
         let mut prod = 1.0_f64;
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::default();
         for e in exprs {
             let mut cols = Vec::new();
             e.collect_cols(&mut cols);
@@ -595,7 +595,7 @@ mod tests {
                 },
             ];
         }
-        let mut rels = HashMap::new();
+        let mut rels = HashMap::default();
         rels.insert(
             RefId(0),
             RelStats {
@@ -603,7 +603,7 @@ mod tests {
                 ndv: vec![1000.0, 10.0, 1000.0],
             },
         );
-        let mut base = HashMap::new();
+        let mut base = HashMap::default();
         base.insert(RefId(0), t);
         (cat, rels, base)
     }
@@ -747,7 +747,7 @@ mod tests {
                 histogram: None,
             }];
         }
-        let mut rels = HashMap::new();
+        let mut rels = HashMap::default();
         rels.insert(
             RefId(0),
             RelStats {
@@ -755,7 +755,7 @@ mod tests {
                 ndv: vec![0.0],
             },
         );
-        let mut base = HashMap::new();
+        let mut base = HashMap::default();
         base.insert(RefId(0), t);
         let est = Estimator {
             catalog: &cat,
@@ -891,7 +891,7 @@ mod tests {
             rels: &rels,
             base: &base,
         };
-        let mut outer = HashMap::new();
+        let mut outer = HashMap::default();
         outer.insert(
             RefId(9),
             RelStats {

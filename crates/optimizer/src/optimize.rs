@@ -9,13 +9,13 @@ use crate::est::{Estimator, RelStats, DEFAULT_NDV_FRAC, DEFAULT_ROWS};
 use crate::plan::{weights, *};
 use cbqt_catalog::{Catalog, TableId};
 use cbqt_common::failpoint;
+use cbqt_common::hash::{HashMap, HashSet};
 use cbqt_common::{cost_lt, Error, Governor, Result, TraceEvent, Tracer, Value};
 use cbqt_qgm::{
     fingerprint, BlockId, JoinInfo, QExpr, QTableSource, QueryBlock, QueryTree, RefId, SelectBlock,
     SetOp,
 };
 use std::cell::{Cell, OnceCell, RefCell};
-use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
@@ -206,7 +206,7 @@ impl<'a> Optimizer<'a> {
         });
         // one pass keys every block and finds what it reads from outside
         // its subtree; without reuse the keys go unused
-        let mut plans: HashMap<BlockId, Planned> = HashMap::new();
+        let mut plans: HashMap<BlockId, Planned> = HashMap::default();
         for (id, key, free) in fingerprint::block_keys(tree) {
             let key = self.config.reuse_annotations.then_some(key);
             let plan = self.plan_block(tree, id, key, &plans, budget)?;
@@ -334,8 +334,8 @@ impl<'a> Optimizer<'a> {
         let declared = s.declared_refs();
 
         // --- relation statistics per item --------------------------------
-        let mut rels: HashMap<RefId, RelStats> = HashMap::new();
-        let mut base: HashMap<RefId, TableId> = HashMap::new();
+        let mut rels: HashMap<RefId, RelStats> = HashMap::default();
+        let mut base: HashMap<RefId, TableId> = HashMap::default();
         for t in &s.tables {
             match &t.source {
                 QTableSource::Base(tid) => {
@@ -376,7 +376,7 @@ impl<'a> Optimizer<'a> {
         }
 
         // --- partition WHERE conjuncts ------------------------------------
-        let mut table_preds: HashMap<RefId, Vec<QExpr>> = HashMap::new();
+        let mut table_preds: HashMap<RefId, Vec<QExpr>> = HashMap::default();
         let mut join_preds: Vec<QExpr> = Vec::new();
         let mut post_filter: Vec<QExpr> = Vec::new();
         let outer_annotated: HashSet<RefId> = s
@@ -1231,7 +1231,11 @@ impl<'b, 'a, M: Mask> JoinEnumerator<'b, 'a, M> {
             left = left.map(|l| l.saturating_sub(created));
 
             // --- the memo ----------------------------------------------
-            let mut memo: HashMap<M, Partial<M>> = HashMap::new();
+            // one entry per node and per connected set at most, so the
+            // memo never regrows while it fills
+            let sets = levels.iter().map(Vec::len).sum();
+            let mut memo: HashMap<M, Partial<M>> =
+                HashMap::with_capacity_and_hasher(sets, Default::default());
             memo.extend(nodes.iter().enumerate().map(|(u, p)| (one(u), p.clone())));
             for set in levels[1..].iter().flatten() {
                 self.opt.governor.check_interrupt()?;
@@ -2729,7 +2733,7 @@ mod tests {
         let ann = CostAnnotations::new();
         let cache = SamplingCache::default();
         let mut opt = Optimizer::new(&cat, &ann, &cache);
-        let table_preds = HashMap::new();
+        let table_preds = HashMap::default();
         let join_preds: Vec<QExpr> = vec![];
         for b in [10, 0] {
             opt.config.bushy_max_items = b;
@@ -2981,7 +2985,7 @@ mod tests {
             column: 0,
         };
         let join_preds: Vec<QExpr> = (1..n).map(|r| QExpr::eq(col(r - 1), col(r))).collect();
-        let table_preds = HashMap::new();
+        let table_preds = HashMap::default();
         let ann = CostAnnotations::new();
         let cache = SamplingCache::default();
         let buf = cbqt_common::TraceBuffer::new();

@@ -314,6 +314,9 @@ pub struct PlanIndex {
 impl PlanIndex {
     /// Walks `plan` in canonical (EXPLAIN) order.
     pub fn build(plan: &BlockPlan) -> PlanIndex {
+        // The fingerprint is the plan's identity for its metrics, and no
+        // full-plan compare follows a match, so it keeps std's SipHash
+        // (fixed keys) rather than the maps' cheaper `KeyHasher`.
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
         let mut sizes = Vec::new();

@@ -34,6 +34,12 @@
 
 use crate::model::*;
 use cbqt_common::Value;
+// The key *is* a block's identity: an annotation hit compares 64-bit
+// keys and nothing else, so a collision would hand one block another's
+// plan. That is why this keeps std's SipHash (`DefaultHasher::new()`,
+// fixed keys, so still deterministic) rather than the workspace's
+// `KeyHasher`, which is cheap because every map behind it compares full
+// keys on a hit.
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 

@@ -1,9 +1,9 @@
 //! QGM data structures and manipulation helpers.
 
 use cbqt_catalog::TableId;
+use cbqt_common::hash::HashSet;
 use cbqt_common::{Error, Result, Value};
 use std::cell::Cell;
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -938,7 +938,7 @@ impl QueryTree {
     /// "a query tree is traversed in a bottom-up manner").
     pub fn bottom_up(&self) -> Vec<BlockId> {
         let mut order = Vec::new();
-        let mut seen = HashSet::new();
+        let mut seen = HashSet::default();
         self.visit_post(self.root, &mut seen, &mut order);
         order
     }
@@ -1006,8 +1006,8 @@ impl QueryTree {
     /// expressions of its nested subtree) that are *not* declared inside
     /// the subtree rooted at `id` — i.e. its correlations.
     pub fn correlated_refs(&self, id: BlockId) -> HashSet<RefId> {
-        let mut declared = HashSet::new();
-        let mut referenced = HashSet::new();
+        let mut declared = HashSet::default();
+        let mut referenced = HashSet::default();
         self.collect_subtree(id, &mut declared, &mut referenced);
         referenced.difference(&declared).copied().collect()
     }
@@ -1055,10 +1055,10 @@ impl QueryTree {
     pub fn correlated_cols(&self, id: BlockId) -> Vec<(RefId, usize)> {
         // one walk: every distinct column in first-seen order and every
         // table the subtree declares; what it declares is then dropped
-        let mut declared = HashSet::new();
+        let mut declared = HashSet::default();
         let mut cols: Vec<(RefId, usize)> = Vec::new();
         let mut stack = vec![id];
-        let mut seen = HashSet::new();
+        let mut seen = HashSet::default();
         while let Some(b) = stack.pop() {
             if !seen.insert(b) {
                 continue;
@@ -1089,11 +1089,11 @@ impl QueryTree {
     /// tree), remapping block ids and ref ids, and returns the new root
     /// id. Used when transformations instantiate an alternative.
     pub fn import_subtree(&mut self, src_tree: &QueryTree, src: BlockId) -> Result<BlockId> {
-        use std::collections::HashMap;
-        let mut block_map: HashMap<BlockId, BlockId> = HashMap::new();
-        let mut ref_map: HashMap<RefId, RefId> = HashMap::new();
+        use cbqt_common::hash::HashMap;
+        let mut block_map: HashMap<BlockId, BlockId> = HashMap::default();
+        let mut ref_map: HashMap<RefId, RefId> = HashMap::default();
         // collect subtree ids in bottom-up order
-        let mut seen = HashSet::new();
+        let mut seen = HashSet::default();
         let mut order = Vec::new();
         src_tree.visit_post(src, &mut seen, &mut order);
         // pre-allocate new ids
@@ -1148,7 +1148,7 @@ impl QueryTree {
     /// column reference must resolve to a table declared in the block or
     /// one of its ancestors, and view column ordinals must be in range.
     pub fn validate(&self) -> Result<()> {
-        self.validate_block(self.root, &HashSet::new())
+        self.validate_block(self.root, &HashSet::default())
     }
 
     fn validate_block(&self, id: BlockId, outer: &HashSet<RefId>) -> Result<()> {
@@ -1160,7 +1160,7 @@ impl QueryTree {
                 let mut scope = outer.clone();
                 scope.extend(s.tables.iter().map(|t| t.refid));
                 // aliases unique
-                let mut names = HashSet::new();
+                let mut names = HashSet::default();
                 for t in &s.tables {
                     if !names.insert(t.alias.to_ascii_lowercase()) {
                         return Err(Error::transform(format!(

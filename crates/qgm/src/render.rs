@@ -8,8 +8,8 @@
 
 use crate::model::*;
 use cbqt_catalog::Catalog;
+use cbqt_common::hash::HashMap;
 use cbqt_sql::ast::SetOp;
-use std::collections::HashMap;
 use std::fmt::Write;
 
 /// Renders the whole tree rooted at `tree.root`.
@@ -33,7 +33,7 @@ struct Renderer<'a> {
 
 impl<'a> Renderer<'a> {
     fn new(tree: &'a QueryTree, catalog: &'a Catalog) -> Self {
-        let mut refs = HashMap::new();
+        let mut refs = HashMap::default();
         for id in tree.block_ids() {
             if let Ok(QueryBlock::Select(s)) = tree.block(id) {
                 for t in &s.tables {

@@ -38,8 +38,8 @@
 
 use crate::ast::Query;
 use crate::lexer::{literal_value, Lexer, Scanned, TokenKind};
+use cbqt_common::hash::HashMap;
 use cbqt_common::Value;
-use std::collections::HashMap;
 use std::mem::{discriminant, size_of};
 use std::ops::Range;
 
@@ -190,7 +190,7 @@ impl Recipe {
             .collect::<Option<Vec<Value>>>()?;
         // `Value` equality is numeric across Int and Double, so this
         // also refuses `5` beside `5.0`: coarser than needed, never wrong
-        let mut ordinal = HashMap::with_capacity(values.len());
+        let mut ordinal = HashMap::with_capacity_and_hasher(values.len(), Default::default());
         for (i, v) in values.iter().enumerate() {
             if *v == Value::Int(0) || ordinal.insert(v, i).is_some() {
                 return None;

@@ -119,7 +119,7 @@ impl RowGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use cbqt_common::hash::HashMap;
 
     #[test]
     fn serial_is_dense() {
@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn zipf_is_skewed() {
         let g = RowGenerator::new(5000, vec![ColumnGen::Zipf { n: 100, theta: 1.0 }], 3);
-        let mut counts: HashMap<i64, usize> = HashMap::new();
+        let mut counts: HashMap<i64, usize> = HashMap::default();
         for r in g.generate() {
             *counts.entry(r[0].as_i64().unwrap()).or_default() += 1;
         }

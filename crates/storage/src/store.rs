@@ -30,8 +30,9 @@
 //! entries — dead versions are filtered by visibility at read time.
 
 use cbqt_catalog::{Catalog, ColumnStats, Histogram, IndexId, TableId, TableStats};
+use cbqt_common::hash::{HashMap, HashSet};
 use cbqt_common::{Error, Result, Row, Value};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -215,7 +216,7 @@ impl Default for Inner {
     fn default() -> Inner {
         Inner {
             data: Arc::default(),
-            txns: HashMap::new(),
+            txns: HashMap::default(),
             watermark: 0,
             next_txn: TXN_BASE,
         }
@@ -755,7 +756,7 @@ fn compute_stats(data: &[&Row], ncols: usize) -> TableStats {
     let rows = data.len() as u64;
     let mut columns = Vec::with_capacity(ncols);
     for c in 0..ncols {
-        let mut distinct: HashSet<Value> = HashSet::new();
+        let mut distinct: HashSet<Value> = HashSet::default();
         let mut nulls = 0u64;
         let mut min: Option<Value> = None;
         let mut max: Option<Value> = None;

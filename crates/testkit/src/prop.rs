@@ -631,7 +631,7 @@ mod tests {
     #[test]
     fn union_covers_all_alternatives() {
         let s = one_of![just(1i64), just(2i64), just(3i64)];
-        let seen = std::cell::RefCell::new(std::collections::HashSet::new());
+        let seen = std::cell::RefCell::new(cbqt_common::hash::HashSet::default());
         let _ = check("t::union", Some(200), |g| {
             seen.borrow_mut().insert(s.generate(g));
         });

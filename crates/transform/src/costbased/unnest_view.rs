@@ -18,6 +18,7 @@ use super::{ApplyEffect, CbTransform, Target};
 use crate::framework::TransformSet;
 use crate::heuristic::unnest_merge::is_mergeable_subquery;
 use cbqt_catalog::Catalog;
+use cbqt_common::hash::HashSet;
 use cbqt_common::{Error, Result};
 use cbqt_qgm::{
     AggFunc, BlockId, JoinInfo, OutputItem, QExpr, QTable, QTableSource, Quant, QueryBlock,
@@ -119,8 +120,8 @@ fn split_correlation(tree: &QueryTree, sub: BlockId, c: &QExpr) -> Option<(QExpr
     None
 }
 
-fn collect_subtree_refs(tree: &QueryTree, root: BlockId) -> std::collections::HashSet<RefId> {
-    let mut out = std::collections::HashSet::new();
+fn collect_subtree_refs(tree: &QueryTree, root: BlockId) -> HashSet<RefId> {
+    let mut out = HashSet::default();
     let mut stack = vec![root];
     while let Some(b) = stack.pop() {
         if let Ok(blk) = tree.block(b) {

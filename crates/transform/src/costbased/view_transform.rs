@@ -8,9 +8,9 @@ use super::{ApplyEffect, CbTransform, Target};
 use crate::framework::TransformSet;
 use crate::util::{dedup_aliases, substitute_view_columns, table_used_elsewhere};
 use cbqt_catalog::Catalog;
+use cbqt_common::hash::HashSet;
 use cbqt_common::{Error, Result};
 use cbqt_qgm::{BlockId, JoinInfo, QExpr, QTableSource, QueryBlock, QueryTree, RefId};
-use std::collections::HashSet;
 
 pub struct CbViewTransform;
 
@@ -426,7 +426,7 @@ pub fn jppd_view(tree: &mut QueryTree, parent: BlockId, view_ref: RefId) -> Resu
             }
             QueryBlock::SetOp(_) => false,
         };
-        if v_all_pushed && !table_used_elsewhere(tree, view_ref, parent, &HashSet::new()) {
+        if v_all_pushed && !table_used_elsewhere(tree, view_ref, parent, &HashSet::default()) {
             if let QueryBlock::Select(v) = tree.block_mut(vid)? {
                 v.distinct = false;
             }

@@ -11,9 +11,9 @@
 
 use crate::util::table_used_elsewhere;
 use cbqt_catalog::Catalog;
+use cbqt_common::hash::HashSet;
 use cbqt_common::Result;
 use cbqt_qgm::{JoinInfo, QExpr, QTableSource, QueryBlock, QueryTree, RefId};
-use std::collections::HashSet;
 
 /// Applies join elimination everywhere; returns the number of tables
 /// removed.
@@ -142,7 +142,7 @@ fn eliminate_one_outer_unique(tree: &mut QueryTree, catalog: &Catalog) -> Result
             if !ok || t_cols.is_empty() || !table.is_unique_key(&t_cols) {
                 continue;
             }
-            if table_used_elsewhere(tree, t.refid, id, &HashSet::new()) {
+            if table_used_elsewhere(tree, t.refid, id, &HashSet::default()) {
                 continue;
             }
             let refid = t.refid;

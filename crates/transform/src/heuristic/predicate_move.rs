@@ -259,7 +259,7 @@ fn generate_transitive(tree: &mut QueryTree) -> Result<usize> {
             continue;
         };
         let declared = s.declared_refs();
-        let inner: std::collections::HashSet<RefId> = s
+        let inner: cbqt_common::hash::HashSet<RefId> = s
             .tables
             .iter()
             .filter(|t| matches!(t.join, JoinInfo::Inner))

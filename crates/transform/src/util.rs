@@ -2,11 +2,11 @@
 //! management, mergeability predicates.
 
 use cbqt_catalog::Catalog;
+use cbqt_common::hash::HashSet;
 use cbqt_common::Result;
 use cbqt_qgm::{
     BlockId, JoinInfo, QExpr, QTable, QTableSource, QueryBlock, QueryTree, RefId, SelectBlock,
 };
-use std::collections::HashSet;
 
 /// Substitutes every reference `Col{view_ref, i}` anywhere in the tree
 /// with `outputs[i]`. Used when a view is merged into its parent: because

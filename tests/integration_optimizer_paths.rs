@@ -447,7 +447,7 @@ fn snowflake_query(arms: usize) -> String {
 /// indentation depth (one left spine); two JOIN lines at the same
 /// depth prove a bushy shape.
 fn has_bushy_shape(explain: &str) -> bool {
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = cbqt_common::hash::HashSet::default();
     for line in explain.lines() {
         if line.trim_start().contains("JOIN") {
             let indent = line.len() - line.trim_start().len();

@@ -46,7 +46,7 @@ fn window_desc_and_multiple_windows() {
     assert!(!r.rows.is_empty());
     // within each region the rank-1 row has the max amount; the partition
     // total is constant
-    let mut seen_regions = std::collections::HashSet::new();
+    let mut seen_regions = cbqt_common::hash::HashSet::default();
     for w in r.rows.windows(2) {
         let (a, b) = (&w[0], &w[1]);
         if a[1] == Value::Int(1) {
