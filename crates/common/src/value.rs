@@ -59,7 +59,7 @@ impl DataType {
 }
 
 /// A single SQL value.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum Value {
     Null,
     Int(i64),
@@ -67,6 +67,27 @@ pub enum Value {
     Str(Arc<str>),
     Bool(bool),
     Date(i32),
+}
+
+/// Tests for `Int`, the common case of row, key and column copies, before
+/// the match over the other variants (a derived `clone` is one jump table
+/// on the tag). The batch engine's column copies, Volcano's rows,
+/// hash-join and DISTINCT keys and bind vectors all copy through here.
+impl Clone for Value {
+    #[inline]
+    fn clone(&self) -> Value {
+        if let Value::Int(i) = self {
+            return Value::Int(*i);
+        }
+        match self {
+            Value::Null => Value::Null,
+            Value::Int(i) => Value::Int(*i),
+            Value::Double(d) => Value::Double(*d),
+            Value::Str(s) => Value::Str(Arc::clone(s)),
+            Value::Bool(b) => Value::Bool(*b),
+            Value::Date(d) => Value::Date(*d),
+        }
+    }
 }
 
 /// Alias emphasising "a value inside a row" in executor code.

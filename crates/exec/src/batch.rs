@@ -36,10 +36,8 @@
 //! aggregate per batch ([`AggAcc::add_all`]), and a grouped one first
 //! computes the batch's group ids, then folds each aggregate's column by
 //! group id ([`AggAcc::add_by_group`]); `Int`s fold in a tight loop, in
-//! row order, so every sum rounds as the row engine's does. Column
-//! copies go through [`copy`], which tests for `Int` before the derived
-//! clone's jump table, and a comparison decides its operator once per
-//! loop ([`retain_cmp`]).
+//! row order, so every sum rounds as the row engine's does. A comparison
+//! decides its operator once per loop ([`retain_cmp`]).
 //!
 //! Nested-loop, merge and lateral joins produce their inputs batched and
 //! run the row loop both engines share ([`Engine::join_rows`]). What
@@ -98,7 +96,7 @@ impl Batch {
         Batch {
             cols: (0..self.cols.len())
                 .map(|j| match self.has(j) {
-                    true => sel.iter().map(|&i| copy(&self.cols[j][i])).collect(),
+                    true => sel.iter().map(|&i| self.cols[j][i].clone()).collect(),
                     false => Vec::new(),
                 })
                 .collect(),
@@ -122,19 +120,6 @@ impl Batch {
                     .collect()
             })
             .collect()
-    }
-}
-
-/// A copy of `v`, testing for `Int` first. The derived `Value::clone`
-/// dispatches through a jump table on the tag, an indirect branch that
-/// costs several ns per value on a 2-vCPU box; this branch halves the
-/// time to copy a 2 000-row `Int` column (~18 → ~9 µs there), and
-/// column copies are most of what a scan or a gather does.
-#[inline]
-pub(crate) fn copy(v: &Value) -> Value {
-    match v {
-        Value::Int(i) => Value::Int(*i),
-        other => other.clone(),
     }
 }
 
@@ -226,7 +211,7 @@ const PAD: Rid = Rid {
 fn gather_col(src: &[Batch], j: usize, ids: impl Iterator<Item = Rid>) -> Vec<Value> {
     ids.map(|id| match id == PAD {
         true => Value::Null,
-        false => copy(&src[id.b as usize].cols[j][id.r as usize]),
+        false => src[id.b as usize].cols[j][id.r as usize].clone(),
     })
     .collect()
 }
@@ -911,10 +896,7 @@ trait ScanRows {
     /// Column `j` of source row `i`, copied out.
     #[inline]
     fn value(&self, i: usize, j: usize) -> Value {
-        match self.cell(i, j) {
-            Cow::Borrowed(v) => copy(v),
-            Cow::Owned(v) => v,
-        }
+        self.cell(i, j).into_owned()
     }
 }
 
@@ -1446,7 +1428,7 @@ pub(crate) fn exec_select_batched(
                 let mut row = Vec::with_capacity(progs.select.len());
                 for p in &progs.select {
                     row.push(match p.cell(&b, i, eng) {
-                        Some(v) => copy(v),
+                        Some(v) => v.clone(),
                         // a slot the batch does not carry: the program's
                         // own error
                         None => p.eval(&b, &[i], &base_ctx)?.pop().unwrap_or(Value::Null),

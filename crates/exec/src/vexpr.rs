@@ -16,7 +16,7 @@
 //! which gathers the affected rows and evaluates them through the
 //! ordinary row-wise [`EvalCtx`] — same TIS caches, same errors.
 
-use crate::batch::{copy, Batch};
+use crate::batch::Batch;
 use crate::engine::Engine;
 use crate::eval::{display_raw, like_match, truth_value, EvalCtx};
 use cbqt_common::{Error, Result, Truth, Value};
@@ -326,7 +326,7 @@ impl VecExpr {
                     sel.is_empty() || batch.cols[*i].len() == batch.len,
                     "a program reads pruned column {i}"
                 );
-                Ok(sel.iter().map(|&r| copy(&batch.cols[*i][r])).collect())
+                Ok(sel.iter().map(|&r| batch.cols[*i][r].clone()).collect())
             }
             VecExpr::AggSlot(i) => {
                 if sel.is_empty() {
@@ -335,7 +335,7 @@ impl VecExpr {
                 if *i >= batch.cols.len() {
                     return Err(Error::execution("aggregate slot out of range"));
                 }
-                Ok(sel.iter().map(|&r| copy(&batch.cols[*i][r])).collect())
+                Ok(sel.iter().map(|&r| batch.cols[*i][r].clone()).collect())
             }
             VecExpr::WinSlot(i) => {
                 if sel.is_empty() {
@@ -344,7 +344,7 @@ impl VecExpr {
                 if *i >= batch.cols.len() {
                     return Err(Error::execution("window slot out of range"));
                 }
-                Ok(sel.iter().map(|&r| copy(&batch.cols[*i][r])).collect())
+                Ok(sel.iter().map(|&r| batch.cols[*i][r].clone()).collect())
             }
             VecExpr::Lit(v) => Ok(vec![v.clone(); sel.len()]),
             VecExpr::Param { slot, peek } => {
