@@ -777,7 +777,11 @@ const FEEDBACK: Oracle = Oracle {
             oracle. Re-optimization must never change rows, and no query may\n\
             re-optimize more than once (the suspect/pin protocol forbids\n\
             loops; not checked under --failpoints, where an aborted serve\n\
-            may re-arm a suspect mark).",
+            may re-arm a suspect mark). Each round ends with a scan that\n\
+            feedback cannot settle: before every serve a commit moves another\n\
+            number of rows into its filter and retires the observations, so\n\
+            its re-optimized plan still diverges and must be pinned after\n\
+            exactly one recompile.",
     needs_recipe_hits: false,
     round: feedback_round,
 };
@@ -807,6 +811,56 @@ fn feedback_round(r: &mut Round) {
         }
     }
     r.still_serving(&[("main", &db)]);
+    drifting_scan(r);
+}
+
+/// A scan whose every execution sees another row count: before each
+/// serve, UPDATEs leave exactly `id < m` rows (a fresh `m` each time) in
+/// the filtered value. Its first plan estimates from the statistics of
+/// uniform data and diverges; every commit retires the table's
+/// observations, so the re-optimized plan estimates from the same stale
+/// statistics and diverges again. The protocol must pin it there: one
+/// recompile in four serves, neither none nor one per serve.
+fn drifting_scan(r: &mut Round) {
+    let mut rng = Rng::seed_from_u64(r.seed ^ 0xD21F7);
+    let n = rng.gen_range(300..500i64);
+    let hot = rng.gen_range(0..50i64);
+    let build = |feedback: bool| {
+        let mut db = Database::new();
+        db.execute_script("CREATE TABLE drift (id INT PRIMARY KEY, c INT, v INT)")
+            .unwrap();
+        let rows = (0..n).map(|id| vec![Value::Int(id), Value::Int(id % 50), Value::Int(id)]);
+        db.load_rows("drift", rows.collect()).unwrap();
+        db.analyze().unwrap();
+        db.config_mut().feedback.enabled = feedback;
+        db
+    };
+    let (db, oracle) = (build(true), build(false));
+    let sql = format!("SELECT COUNT(*), SUM(v) FROM drift WHERE c = {hot}");
+    let mut reopts = 0;
+    for _serve in 0..4 {
+        let m = rng.gen_range(n / 2..n);
+        for d in [&db, &oracle] {
+            let writer = d.session();
+            writer
+                .execute(&format!("UPDATE drift SET c = -1 WHERE c = {hot}"))
+                .unwrap();
+            writer
+                .execute(&format!("UPDATE drift SET c = {hot} WHERE id < {m}"))
+                .unwrap();
+        }
+        let want = rows(oracle.query(&sql));
+        let armed = r.arm(&mut rng, 0.4);
+        let got = db.query(&sql);
+        drop(armed);
+        reopts += u32::from(got.as_ref().is_ok_and(|g| g.stats.reoptimized));
+        r.compare("DRIFT", &rows(got), &want, r.faults, &sql);
+    }
+    if !r.faults && reopts != 1 {
+        r.fail(format_args!(
+            "DRIFTING SCAN re-optimized {reopts} times, not once\n{sql}"
+        ));
+    }
 }
 
 const TXN: Oracle = Oracle {
