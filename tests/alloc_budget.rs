@@ -1,9 +1,11 @@
-//! Allocation budgets per statement kind: the heap allocations a warm
+//! Allocation budgets per statement kind: the heap allocations a
 //! statement makes, counted exactly by a counting global allocator.
 //!
-//! Each kind runs 1 000 statements after a warm-up (plan cache, recipes
-//! and the feedback store in their steady state) and is held to a
-//! ceiling of allocations per statement, under both engines. A count
+//! Each warm kind runs 1 000 statements after a warm-up (plan cache,
+//! recipes and the feedback store in their steady state); each cold kind
+//! (a recipe miss, and cache-miss compiles of the Table-2 query and of a
+//! `cold_joins`-shaped snowflake) runs 50 after 10. Every kind is held to
+//! a ceiling of allocations per statement, under both engines. A count
 //! above its ceiling fails; a count below it is printed, so the ceiling
 //! is tightened in the change that lowered it.
 //!
@@ -71,20 +73,131 @@ fn kv_rows(mode: ExecutionMode, n: i64) -> Database {
     db
 }
 
+/// The HR schema of the paper's Table 2 query, small: 5 locations, 20
+/// departments, 200 employees and 200 job-history rows.
+fn hr(mode: ExecutionMode) -> Database {
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE locations (loc_id INT PRIMARY KEY, country_id VARCHAR(2) NOT NULL);
+         CREATE TABLE departments (dept_id INT PRIMARY KEY, department_name VARCHAR(30),
+             loc_id INT REFERENCES locations(loc_id));
+         CREATE TABLE employees (emp_id INT PRIMARY KEY, employee_name VARCHAR(30),
+             dept_id INT REFERENCES departments(dept_id), salary INT, mgr_id INT);
+         CREATE TABLE job_history (emp_id INT NOT NULL, job_title VARCHAR(30),
+             start_date INT, dept_id INT);",
+    )
+    .unwrap();
+    let countries = ["US", "UK", "DE", "JP", "FR"];
+    let locations = (0..5).map(|l| vec![Value::Int(l), Value::str(countries[l as usize])]);
+    let departments = (0..20i64).map(|d| {
+        vec![
+            Value::Int(d),
+            Value::str(format!("dept{d}")),
+            Value::Int(d % 5),
+        ]
+    });
+    let employees = (0..200i64).map(|e| {
+        vec![
+            Value::Int(e),
+            Value::str(format!("emp{e}")),
+            Value::Int(e * 7 % 20),
+            Value::Int(1_000 + e * 37 % 5_000),
+            Value::Int(e / 10),
+        ]
+    });
+    let history = (0..200i64).map(|j| {
+        vec![
+            Value::Int(j * 3 % 200),
+            Value::str(format!("job{}", j % 9)),
+            Value::Int(19_900_000 + j * 1_013 % 100_000),
+            Value::Int(j * 11 % 20),
+        ]
+    });
+    db.load_rows("locations", locations.collect()).unwrap();
+    db.load_rows("departments", departments.collect()).unwrap();
+    db.load_rows("employees", employees.collect()).unwrap();
+    db.load_rows("job_history", history.collect()).unwrap();
+    db.analyze().unwrap();
+    db.config_mut().execution_mode = mode;
+    db
+}
+
+/// The paper's Table 2 query: three base tables and four unnestable
+/// multi-table subqueries (`experiments table2`).
+const TABLE2: &str = "SELECT e1.employee_name \
+    FROM employees e1, job_history j, departments d0 \
+    WHERE e1.emp_id = j.emp_id AND e1.dept_id = d0.dept_id AND \
+          e1.dept_id NOT IN (SELECT d.dept_id FROM departments d, locations l \
+                             WHERE d.loc_id = l.loc_id AND l.country_id = 'JP' \
+                               AND d.dept_id IS NOT NULL) AND \
+          EXISTS (SELECT 1 FROM departments d, locations l \
+                  WHERE d.loc_id = l.loc_id AND d.dept_id = e1.dept_id \
+                    AND l.country_id = 'US') AND \
+          NOT EXISTS (SELECT 1 FROM departments d, locations l \
+                      WHERE d.loc_id = l.loc_id AND d.dept_id = e1.dept_id \
+                        AND l.country_id = 'DE') AND \
+          e1.emp_id IN (SELECT j2.emp_id FROM job_history j2, departments d2 \
+                        WHERE j2.dept_id = d2.dept_id AND j2.start_date > 19950000)";
+
+/// `cold_joins`' schema, as small: a 120-row fact table and three arms
+/// of a 240-row mid and a 240-row leaf table.
+fn snowflake(mode: ExecutionMode) -> Database {
+    let mut db = Database::new();
+    let mut ddl = String::from("CREATE TABLE fact (id INT PRIMARY KEY, a1 INT, a2 INT, a3 INT);");
+    for k in 1..=3 {
+        ddl.push_str(&format!(
+            "CREATE TABLE mid{k} (id INT PRIMARY KEY, fkey INT, leaf_id INT);
+             CREATE TABLE leaf{k} (id INT PRIMARY KEY, attr INT);"
+        ));
+    }
+    db.execute_script(&ddl).unwrap();
+    let fact = (0..120i64).map(|i| {
+        let mut row = vec![Value::Int(i)];
+        row.extend((1..=3).map(|k| Value::Int(i * (7 + k) % 40)));
+        row
+    });
+    db.load_rows("fact", fact.collect()).unwrap();
+    for k in 1..=3i64 {
+        let mid = (0..240i64).map(|i| {
+            vec![
+                Value::Int(i),
+                Value::Int((i * 13 + k) % 40),
+                Value::Int(i * 17 % 240),
+            ]
+        });
+        db.load_rows(&format!("mid{k}"), mid.collect()).unwrap();
+        let leaf = (0..240i64).map(|i| vec![Value::Int(i), Value::Int((i + k) % 12)]);
+        db.load_rows(&format!("leaf{k}"), leaf.collect()).unwrap();
+    }
+    db.analyze().unwrap();
+    db.config_mut().execution_mode = mode;
+    db
+}
+
 /// Runs `stmt(i)` for the warm-up, then counts the allocations of the
 /// next [`COUNTED`] statements and returns their mean. `stmt` must not
 /// allocate for anything but the statement it runs (texts are built
 /// before counting).
-fn per_statement(mut stmt: impl FnMut(usize)) -> f64 {
-    for i in 0..WARMUP {
+fn per_statement(stmt: impl FnMut(usize)) -> f64 {
+    mean_after(WARMUP, COUNTED, stmt)
+}
+
+/// [`per_statement`] for a cold statement, which compiles every time:
+/// fewer runs, since each costs a whole search.
+fn per_cold_statement(stmt: impl FnMut(usize)) -> f64 {
+    mean_after(10, 50, stmt)
+}
+
+fn mean_after(warmup: usize, counted: usize, mut stmt: impl FnMut(usize)) -> f64 {
+    for i in 0..warmup {
         stmt(i);
     }
     let ((), counts) = count(|| {
-        for i in WARMUP..WARMUP + COUNTED {
+        for i in warmup..warmup + counted {
             stmt(i);
         }
     });
-    counts.allocs as f64 / COUNTED as f64
+    counts.allocs as f64 / counted as f64
 }
 
 /// Holds `measured` to `ceiling` (release builds only) and prints it.
@@ -291,5 +404,81 @@ fn grouped_aggregate() {
             got,
             ceiling(mode, (91.0, 4170.0)),
         );
+    }
+}
+
+#[test]
+fn table2_cache_miss() {
+    // the plan cache off: every run parses, searches the CBQT states and
+    // plans every block afresh
+    for mode in MODES {
+        let mut db = hr(mode);
+        db.set_plan_cache_enabled(false);
+        let rows = db.query(TABLE2).unwrap().rows.len();
+        let got = per_cold_statement(|_| assert_eq!(db.query(TABLE2).unwrap().rows.len(), rows));
+        check(
+            "Table-2 query, cache miss (compile + run)",
+            mode,
+            got,
+            ceiling(mode, (10229.0, 10863.0)),
+        );
+    }
+}
+
+#[test]
+fn snowflake_cache_miss() {
+    // `cold_joins`' 7-table shape: one memoized join enumeration over
+    // fact, three mids and three filtered leaves
+    let sqls = texts(60, |i| {
+        let (from, preds): (Vec<String>, Vec<String>) = (1..=3)
+            .map(|k| {
+                (
+                    format!("mid{k} m{k}, leaf{k} l{k}"),
+                    format!(
+                        "f.a{k} = m{k}.fkey AND m{k}.leaf_id = l{k}.id AND l{k}.attr = {}",
+                        (i + k) % 12
+                    ),
+                )
+            })
+            .unzip();
+        format!(
+            "SELECT f.id FROM fact f, {} WHERE {}",
+            from.join(", "),
+            preds.join(" AND ")
+        )
+    });
+    for mode in MODES {
+        let mut db = snowflake(mode);
+        db.set_plan_cache_enabled(false);
+        let got = per_cold_statement(|i| drop(db.query(&sqls[i]).unwrap()));
+        check(
+            "7-table snowflake, cache miss (compile + run)",
+            mode,
+            got,
+            ceiling(mode, (1544.5, 4381.5)),
+        );
+    }
+}
+
+#[test]
+fn recipe_miss() {
+    // a comment is part of a statement's shape but not of its plan
+    // family: every text misses the recipes, takes the full route
+    // (parse, parameterize, family key) to a warm plan and records a
+    // recipe of its own
+    let sqls = texts(WARMUP + COUNTED, |i| {
+        format!(
+            "SELECT balance, branch, note FROM accounts WHERE id = {} -- q{i}",
+            i * 7 % 20_000
+        )
+    });
+    for mode in MODES {
+        let db = accounts(mode);
+        db.query("SELECT balance, branch, note FROM accounts WHERE id = 1")
+            .unwrap();
+        let before = db.plan_cache_stats().recipe_hits;
+        let got = per_statement(|i| assert_eq!(db.query(&sqls[i]).unwrap().rows.len(), 1));
+        assert_eq!(db.plan_cache_stats().recipe_hits, before, "a recipe served");
+        check("recipe miss", mode, got, ceiling(mode, (92.5, 90.5)));
     }
 }
