@@ -403,6 +403,9 @@ struct Round {
     recipe_hits: u64,
 }
 
+/// The sanity query of a database built by [`random_db`].
+const HR_SANITY: &str = "SELECT COUNT(*) FROM employees";
+
 /// A query's rows in a canonical order, or its error.
 type Rows = Result<Vec<String>, Error>;
 
@@ -445,9 +448,10 @@ impl Round {
     /// Checks that each named database still serves at round end: its
     /// plan cache is coherent — within its byte budget, holding bytes
     /// exactly while it holds a plan variant or a recipe, and no family
-    /// without a variant — and a sanity query returns its one row.
-    fn still_serving(&mut self, dbs: &[(&str, &Database)]) {
-        for (label, db) in dbs {
+    /// without a variant — and its sanity query (a count over one of its
+    /// tables) returns its one row.
+    fn still_serving(&mut self, dbs: &[(&str, &Database, &str)]) {
+        for (label, db, sanity) in dbs {
             let s = db.plan_cache_stats();
             if s.bytes > s.capacity_bytes
                 || (s.entries + s.recipes == 0) != (s.bytes == 0)
@@ -455,7 +459,7 @@ impl Round {
             {
                 self.fail(format_args!("INCOHERENT {label} plan cache: {s:?}"));
             }
-            match db.query("SELECT COUNT(*) FROM employees") {
+            match db.query(sanity) {
                 Ok(r) if r.rows.len() == 1 => {}
                 Ok(r) => self.fail(format_args!(
                     "{label} SANITY query returned {} rows",
@@ -580,7 +584,7 @@ fn failpoints_round(r: &mut Round) {
         let _ = db.query_with_limits(&sql, limits);
         drop(armed);
     }
-    r.still_serving(&[("main", &db)]);
+    r.still_serving(&[("main", &db, HR_SANITY)]);
 }
 
 const DIFFERENTIAL_EXEC: Oracle = Oracle {
@@ -597,14 +601,6 @@ const DIFFERENTIAL_EXEC: Oracle = Oracle {
     needs_recipe_hits: false,
     round: differential_round,
 };
-
-/// Seeds whose differential round trips a work budget in one engine and
-/// not the other: the vectorized engine charges work at other points
-/// than Volcano, so a budget between the two totals splits them. They
-/// are reported, not failed, until one charge table serves the cost
-/// model and both engines (ROADMAP.md, "Cost = work"), which makes the
-/// totals equal by construction.
-const KNOWN_WORK_BUDGET_DIVERGENCES: &[u64] = &[338, 762];
 
 fn differential_round(r: &mut Round) {
     let mut rng = Rng::seed_from_u64(r.seed);
@@ -669,11 +665,7 @@ fn exec_divergences(
     match db.differential_exec(sql, limits) {
         Ok(mismatches) => {
             for m in mismatches {
-                if KNOWN_WORK_BUDGET_DIVERGENCES.contains(&r.seed) && m.contains("work budget") {
-                    println!("seed {}: KNOWN work-budget DIVERGENCE {m}\n{sql}", r.seed);
-                } else {
-                    r.fail(format_args!("DIVERGENCE {m}\n{sql}"));
-                }
+                r.fail(format_args!("DIVERGENCE {m}\n{sql}"));
             }
         }
         // An armed fault can fire during parsing/optimization,
@@ -732,7 +724,7 @@ fn binds_round(r: &mut Round) {
         }
     }
     r.recipe_hits += db.plan_cache_stats().recipe_hits;
-    r.still_serving(&[("main", &db)]);
+    r.still_serving(&[("main", &db, HR_SANITY)]);
 }
 
 /// Copies of each bind-round query served with changed literals.
@@ -810,7 +802,7 @@ fn feedback_round(r: &mut Round) {
             ));
         }
     }
-    r.still_serving(&[("main", &db)]);
+    r.still_serving(&[("main", &db, HR_SANITY)]);
     drifting_scan(r);
 }
 
@@ -861,6 +853,7 @@ fn drifting_scan(r: &mut Round) {
             "DRIFTING SCAN re-optimized {reopts} times, not once\n{sql}"
         ));
     }
+    r.still_serving(&[("drift", &db, "SELECT COUNT(*) FROM drift")]);
 }
 
 const TXN: Oracle = Oracle {
@@ -1244,5 +1237,8 @@ fn joins_round(r: &mut Round) {
             r.compare("pairwise", &got, &want, r.faults, &sql);
         }
     }
-    r.still_serving(&[("default", &default), ("pairwise", &pairwise)]);
+    r.still_serving(&[
+        ("default", &default, HR_SANITY),
+        ("pairwise", &pairwise, HR_SANITY),
+    ]);
 }

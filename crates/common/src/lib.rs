@@ -56,12 +56,18 @@ pub fn divergence_ratio(estimate: f64, actual: f64) -> f64 {
     (a / e).max(e / a)
 }
 
-/// Which interpreter the engine uses to execute physical plans.
+/// Which interpreter the engine uses to execute physical plans. A
+/// caller picks one by name (`CbqtConfig::execution_mode`,
+/// `Engine::set_mode`); there is no process-wide switch, and
+/// `ExecutionMode::default()` is the vectorized engine.
 ///
 /// Both interpreters run the *same* plans and must produce identical
-/// results, per-operator row counts, and governor outcomes — the
-/// row-at-a-time engine is kept as the correctness oracle for the
-/// vectorized one (see the fuzzer's `--differential-exec` mode).
+/// results, per-operator row counts and work. A work budget is checked
+/// against the statement's total work once the plan has run, so both
+/// engines succeed or fail under it alike; mid-run checks are early
+/// exits only. The row-at-a-time engine is kept as the correctness
+/// oracle for the vectorized one (see the fuzzer's `--differential-exec`
+/// mode).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
     /// Columnar batch interpreter: operators exchange ~1024-row batches
@@ -75,26 +81,6 @@ pub enum ExecutionMode {
 }
 
 impl ExecutionMode {
-    /// Parses a mode name (case-insensitive); anything other than
-    /// `volcano` / `row` selects the vectorized engine.
-    pub fn parse(s: &str) -> ExecutionMode {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "volcano" | "row" => ExecutionMode::Volcano,
-            _ => ExecutionMode::Vectorized,
-        }
-    }
-
-    /// The process-wide default, read once from `CBQT_EXEC_MODE`
-    /// (`volcano` selects the oracle engine; unset or anything else
-    /// selects the vectorized engine).
-    pub fn from_env() -> ExecutionMode {
-        static MODE: std::sync::OnceLock<ExecutionMode> = std::sync::OnceLock::new();
-        *MODE.get_or_init(|| match std::env::var("CBQT_EXEC_MODE") {
-            Ok(v) => ExecutionMode::parse(&v),
-            Err(_) => ExecutionMode::Vectorized,
-        })
-    }
-
     pub fn as_str(self) -> &'static str {
         match self {
             ExecutionMode::Vectorized => "vectorized",

@@ -51,11 +51,6 @@ impl DataType {
             other => Err(Error::parse(format!("unknown data type {other}"))),
         }
     }
-
-    /// True when values of this type are numeric.
-    pub fn is_numeric(self) -> bool {
-        matches!(self, DataType::Int | DataType::Double)
-    }
 }
 
 /// A single SQL value.
@@ -133,13 +128,6 @@ impl Value {
             Value::Int(i) => Some(*i),
             Value::Date(d) => Some(*d as i64),
             Value::Double(d) if d.fract() == 0.0 => Some(*d as i64),
-            _ => None,
-        }
-    }
-
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }

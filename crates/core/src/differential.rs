@@ -28,7 +28,11 @@ impl Database {
     ///   row of a batch trips a fault first is representation-dependent,
     ///   so messages are allowed to differ, the variant is not. Caught
     ///   panics (from armed failpoints) are folded into
-    ///   `Error::Internal`, same as the `Database` boundary does.
+    ///   `Error::Internal`, same as the `Database` boundary does. A work
+    ///   budget is checked against each run's total work once its plan
+    ///   has run, so both runs succeed or fail under it alike; a
+    ///   mid-run check may stop one engine earlier than the other, but
+    ///   never decides the outcome alone.
     ///
     /// Returns `Ok(mismatches)` — empty means the engines agree. `Err`
     /// is reserved for failures *before* execution (parse, analysis,

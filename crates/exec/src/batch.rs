@@ -13,8 +13,12 @@
 //! only for the rows it produces. Work-unit charges and governor row
 //! ticks are the batch-granular aggregates of exactly what the row
 //! engine charges per row, so both engines produce identical results,
-//! per-operator row counts, work totals, and governor outcomes — the
-//! property the fuzzer's `--differential-exec` mode asserts.
+//! per-operator row counts and work totals. Row ticks reach the governor
+//! at the same multiples of its quantum in both, and a work budget is
+//! checked against the statement's total work once the plan has run
+//! (a mid-run check only stops a statement early), so both succeed or
+//! fail under the same budgets — the property the fuzzer's
+//! `--differential-exec` mode asserts.
 //!
 //! Rows stay in batches through joins and aggregates. A hash join builds
 //! a table from key to right-side row ids and emits pairs of ids, and
@@ -798,19 +802,8 @@ pub(crate) fn exec_node_batched(
     id: PlanNodeId,
     binds: &Bindings<'_>,
 ) -> Result<Vec<Batch>> {
-    if !eng.metrics_enabled() {
-        return exec_node_batched_inner(eng, node, id, binds);
-    }
-    let work0 = eng.work_now();
-    let start = eng.metrics_timed().then(std::time::Instant::now);
-    let out = exec_node_batched_inner(eng, node, id, binds)?;
-    eng.record_metric(
-        id,
-        out.iter().map(|b| b.len as u64).sum(),
-        eng.work_now() - work0,
-        start.map(|s| s.elapsed()).unwrap_or_default(),
-    );
-    Ok(out)
+    let rows = |out: &Vec<Batch>| out.iter().map(|b| b.len).sum();
+    eng.metered(id, rows, || exec_node_batched_inner(eng, node, id, binds))
 }
 
 fn exec_node_batched_inner(
@@ -1470,19 +1463,6 @@ fn aggregate_batched(
     batches: Vec<Batch>,
 ) -> Result<Vec<Batch>> {
     cbqt_common::failpoint!(failpoint::EXEC_AGG);
-    let make_accs = || -> Result<Vec<AggAcc>> {
-        sp.aggs
-            .iter()
-            .map(|a| match a {
-                QExpr::Agg { func, distinct, .. } => Ok(if *distinct {
-                    AggAcc::new_distinct(*func)
-                } else {
-                    AggAcc::new(*func)
-                }),
-                _ => Err(Error::execution("non-aggregate in agg slot list")),
-            })
-            .collect()
-    };
     let (sets, keep) = (&progs.sets, &progs.keep);
     let (w, na) = (sp.layout.width, sp.aggs.len());
     let count_star = Value::Int(1);
@@ -1521,7 +1501,7 @@ fn aggregate_batched(
                 // one group: each accumulator folds the batch's column
                 if first.is_empty() {
                     first.push(Rid::new(bi, 0));
-                    accs.extend(make_accs()?);
+                    accs.extend(AggAcc::for_slots(&sp.aggs)?);
                 }
                 for (acc, a) in accs.iter_mut().zip(&ac) {
                     match a {
@@ -1539,7 +1519,7 @@ fn aggregate_batched(
                 if new {
                     first.push(Rid::new(bi, i));
                     keys.extend(kc.iter().map(|c| c[i].clone()));
-                    accs.extend(make_accs()?);
+                    accs.extend(AggAcc::for_slots(&sp.aggs)?);
                 }
                 gids.push(g as u32);
             }
@@ -1556,7 +1536,7 @@ fn aggregate_batched(
                     col.push(Value::Null);
                 }
             }
-            for (col, acc) in out[w..].iter_mut().zip(make_accs()?) {
+            for (col, acc) in out[w..].iter_mut().zip(AggAcc::for_slots(&sp.aggs)?) {
                 col.push(acc.finish());
             }
             out_len += 1;
@@ -1646,7 +1626,7 @@ mod tests {
     /// Runs `sql` under both engines (rows, per-node rows and work, total
     /// work all equal) and returns the rows.
     fn agree(cat: &Catalog, st: &Storage, sql: &str) -> Vec<Row> {
-        assert_engines_agree_on(cat, st, &plan_of(cat, sql))
+        assert_engines_agree_on(cat, st, &plan_of(cat, sql)).0
     }
 
     /// The shape of each conjunct of the first scan's filter: its

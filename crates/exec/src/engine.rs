@@ -39,6 +39,15 @@ pub struct ExecStats {
 
 /// The execution engine. Create one per query execution; the TIS cache
 /// lives for the duration of the query.
+///
+/// It runs select blocks with the vectorized batch engine unless the
+/// caller picks the Volcano row engine with [`Engine::set_mode`]. The
+/// two agree on rows, per-operator rows and work, and total work. Set
+/// operations, the metrics wrapper, access paths, the nested-loop /
+/// merge / lateral join loop and the ROWNUM filter are one code path
+/// for both. A work budget is checked against
+/// the statement's total work once the plan has run, so both engines
+/// succeed or fail under it alike.
 pub struct Engine<'a> {
     pub catalog: &'a Catalog,
     /// The MVCC snapshot every scan reads "as of". Pinned at engine
@@ -67,9 +76,8 @@ pub struct Engine<'a> {
     /// Statement-level resource governor; `Governor::unlimited()` (the
     /// default) makes every check a single `Option` test.
     governor: Governor,
-    /// Rows processed since the governor was last consulted; batches
-    /// per-row [`Engine::tick`] calls into one governor charge per
-    /// [`GOVERNOR_BATCH`] rows.
+    /// Rows processed so far; the governor is charged once per
+    /// [`GOVERNOR_BATCH`] boundary the count crosses.
     ticks: Cell<u64>,
     /// Which interpreter executes select blocks: the vectorized batch
     /// engine or the row-at-a-time Volcano oracle.
@@ -82,9 +90,9 @@ pub struct Engine<'a> {
 
 /// Rows processed between governor checks. Small enough that deadlines
 /// and budgets trip promptly, large enough to keep atomics off the
-/// per-row path. The vectorized engine charges the same multiples of
-/// this quantum via [`Engine::tick_rows`], so row-budget outcomes are
-/// identical across engines.
+/// per-row path. Both engines charge through [`Engine::tick_rows`], so
+/// they charge the same multiples of this quantum and row-budget
+/// outcomes are identical across engines.
 const GOVERNOR_BATCH: u64 = 128;
 
 /// The right input of [`Engine::join_rows`]: rows produced once, or a
@@ -116,7 +124,7 @@ impl<'a> Engine<'a> {
             programs: RefCell::new(None),
             governor: Governor::unlimited(),
             ticks: Cell::new(0),
-            mode: ExecutionMode::from_env(),
+            mode: ExecutionMode::default(),
             params: Cow::Borrowed(&[]),
         }
     }
@@ -142,8 +150,8 @@ impl<'a> Engine<'a> {
         &self.snapshot
     }
 
-    /// Selects the interpreter for this engine (overriding the
-    /// process-wide `CBQT_EXEC_MODE` default).
+    /// Selects the interpreter for this engine; a new engine runs the
+    /// vectorized one (`ExecutionMode::default()`).
     pub fn set_mode(&mut self, mode: ExecutionMode) {
         self.mode = mode;
     }
@@ -154,30 +162,23 @@ impl<'a> Engine<'a> {
 
     /// Installs the statement's resource governor: row/work budgets and
     /// deadline/cancellation interrupts are observed by every operator
-    /// loop (batched per `GOVERNOR_BATCH` rows).
+    /// loop (batched per `GOVERNOR_BATCH` rows), and the work budget once
+    /// more against the total when the plan has run.
     pub fn set_governor(&mut self, governor: Governor) {
         self.governor = governor;
     }
 
-    /// Charges one processed row against the governor, consulting it
-    /// every [`GOVERNOR_BATCH`] rows. Every `next()`-style operator loop
-    /// calls this, so a runaway statement is interrupted wherever its
-    /// time goes.
+    /// Charges one processed row against the governor. Every
+    /// `next()`-style row loop calls this, so a runaway statement is
+    /// interrupted wherever its time goes.
     #[inline]
     pub(crate) fn tick(&self) -> Result<()> {
-        let t = self.ticks.get().wrapping_add(1);
-        self.ticks.set(t);
-        if t.is_multiple_of(GOVERNOR_BATCH) {
-            self.governor.charge_exec(GOVERNOR_BATCH, self.work.get())?;
-        }
-        Ok(())
+        self.tick_rows(1)
     }
 
-    /// Batch-granular [`Engine::tick`]: charges `n` processed rows in one
-    /// call, consulting the governor once per [`GOVERNOR_BATCH`] boundary
-    /// crossed. The cumulative charge totals are exactly those the
-    /// per-row `tick` path produces, so row-budget outcomes are
-    /// identical between the vectorized and Volcano engines.
+    /// Charges `n` processed rows in one call, consulting the governor
+    /// once per [`GOVERNOR_BATCH`] boundary crossed. A row loop and a
+    /// batch loop over the same rows make the same charges.
     #[inline]
     pub(crate) fn tick_rows(&self, n: u64) -> Result<()> {
         let t0 = self.ticks.get();
@@ -235,7 +236,11 @@ impl<'a> Engine<'a> {
             m.bind(programs.index());
         }
         *self.programs.borrow_mut() = Some(programs);
-        self.execute_block(plan, PlanNodeId(0), &Bindings::default())
+        let rows = self.execute_block(plan, PlanNodeId(0), &Bindings::default())?;
+        // the budget holds for the statement's total work; the checks at
+        // row ticks only stop a runaway statement early
+        self.governor.charge_exec(0, self.work.get())?;
+        Ok(rows)
     }
 
     /// The program set of the running plan.
@@ -257,30 +262,28 @@ impl<'a> Engine<'a> {
         self.work.set(self.work.get() + w);
     }
 
-    pub(crate) fn work_now(&self) -> f64 {
-        self.work.get()
-    }
-
-    pub(crate) fn metrics_enabled(&self) -> bool {
-        self.metrics.borrow().is_some()
-    }
-
-    /// Whether metric records should pay for wall-clock timestamps.
-    pub(crate) fn metrics_timed(&self) -> bool {
-        self.metrics_timing.get()
-    }
-
-    /// Records one execution of the element at position `id`.
-    pub(crate) fn record_metric(
+    /// Runs the element at position `id` and, when metrics are on,
+    /// records one execution of it: the rows `rows` counts in its
+    /// output, the work it charged and (unless light) its wall time.
+    /// Every block and plan node of both engines runs through here.
+    pub(crate) fn metered<T>(
         &self,
         id: PlanNodeId,
-        rows: u64,
-        work: f64,
-        elapsed: std::time::Duration,
-    ) {
-        if let Some(m) = self.metrics.borrow_mut().as_mut() {
-            m.record(id, rows, work, elapsed);
+        rows: impl FnOnce(&T) -> usize,
+        run: impl FnOnce() -> Result<T>,
+    ) -> Result<T> {
+        if self.metrics.borrow().is_none() {
+            return run();
         }
+        let work0 = self.work.get();
+        let start = self.metrics_timing.get().then(std::time::Instant::now);
+        let out = run()?;
+        let elapsed = start.map(|s| s.elapsed()).unwrap_or_default();
+        let work = self.work.get() - work0;
+        if let Some(m) = self.metrics.borrow_mut().as_mut() {
+            m.record(id, rows(&out) as u64, work, elapsed);
+        }
+        Ok(out)
     }
 
     /// The id the plan walk reaches after `id`'s subtree — the next
@@ -361,16 +364,7 @@ impl<'a> Engine<'a> {
         id: PlanNodeId,
         binds: &Bindings<'_>,
     ) -> Result<Vec<Row>> {
-        if self.metrics.borrow().is_none() {
-            return self.execute_block_inner(plan, id, binds);
-        }
-        let work0 = self.work.get();
-        let start = self.metrics_timed().then(std::time::Instant::now);
-        let out = self.execute_block_inner(plan, id, binds)?;
-        let elapsed = start.map(|s| s.elapsed()).unwrap_or_default();
-        let work = self.work.get() - work0;
-        self.record_metric(id, out.len() as u64, work, elapsed);
-        Ok(out)
+        self.metered(id, Vec::len, || self.execute_block_inner(plan, id, binds))
     }
 
     fn execute_block_inner(
@@ -391,77 +385,16 @@ impl<'a> Engine<'a> {
                     inputs.push(self.execute_block(i, at, binds)?);
                     at = self.after(at);
                 }
-                match self.mode {
-                    ExecutionMode::Volcano => self.exec_setop(sop.op, inputs),
-                    ExecutionMode::Vectorized => self.exec_setop_batched(sop.op, inputs),
-                }
+                self.exec_setop(sop.op, inputs)
             }
         }
     }
 
+    /// Set operations over the inputs' rows, for both engines: UNION
+    /// and INTERSECT / MINUS dedup through one `HashSet<Row>` and keep
+    /// first-occurrence order; the governor ticks and DEDUP work are
+    /// charged once per [`crate::batch::BATCH_SIZE`] chunk.
     fn exec_setop(&self, op: SetOp, mut inputs: Vec<Vec<Row>>) -> Result<Vec<Row>> {
-        cbqt_common::failpoint!(failpoint::EXEC_SETOP);
-        match op {
-            SetOp::UnionAll => {
-                let mut out = Vec::new();
-                for mut i in inputs {
-                    self.add_work(i.len() as f64 * weights::ROW);
-                    out.append(&mut i);
-                }
-                self.governor
-                    .charge_exec(out.len() as u64, self.work.get())?;
-                Ok(out)
-            }
-            SetOp::Union => {
-                let mut seen: HashSet<Row> = HashSet::default();
-                let mut out = Vec::new();
-                for i in inputs {
-                    for r in i {
-                        self.tick()?;
-                        self.add_work(weights::DEDUP);
-                        if seen.insert(r.clone()) {
-                            out.push(r);
-                        }
-                    }
-                }
-                Ok(out)
-            }
-            SetOp::Intersect => {
-                let right: HashSet<Row> = inputs.pop().unwrap_or_default().into_iter().collect();
-                let left = inputs.pop().unwrap_or_default();
-                let mut seen: HashSet<Row> = HashSet::default();
-                let mut out = Vec::new();
-                for r in left {
-                    self.tick()?;
-                    self.add_work(weights::DEDUP);
-                    if right.contains(&r) && seen.insert(r.clone()) {
-                        out.push(r);
-                    }
-                }
-                Ok(out)
-            }
-            SetOp::Minus => {
-                let right: HashSet<Row> = inputs.pop().unwrap_or_default().into_iter().collect();
-                let left = inputs.pop().unwrap_or_default();
-                let mut seen: HashSet<Row> = HashSet::default();
-                let mut out = Vec::new();
-                for r in left {
-                    self.tick()?;
-                    self.add_work(weights::DEDUP);
-                    if !right.contains(&r) && seen.insert(r.clone()) {
-                        out.push(r);
-                    }
-                }
-                Ok(out)
-            }
-        }
-    }
-
-    /// Batch-granular set operations: identical dedup semantics and
-    /// first-occurrence output order as [`Engine::exec_setop`], with the
-    /// per-row governor ticks and DEDUP work charged once per
-    /// [`crate::batch::BATCH_SIZE`] chunk.
-    fn exec_setop_batched(&self, op: SetOp, mut inputs: Vec<Vec<Row>>) -> Result<Vec<Row>> {
         cbqt_common::failpoint!(failpoint::EXEC_SETOP);
         let chunked = |this: &Engine<'_>, rows: &[Row]| -> Result<()> {
             for chunk in rows.chunks(crate::batch::BATCH_SIZE) {
@@ -662,20 +595,6 @@ impl<'a> Engine<'a> {
             Some(s) => s.clone(),
             None => vec![(0..sp.group_by.len()).collect()],
         };
-        // distinct aggregates need distinct accumulators
-        let make_accs = || -> Result<Vec<AggAcc>> {
-            sp.aggs
-                .iter()
-                .map(|a| match a {
-                    QExpr::Agg { func, distinct, .. } => Ok(if *distinct {
-                        AggAcc::new_distinct(*func)
-                    } else {
-                        AggAcc::new(*func)
-                    }),
-                    _ => Err(Error::execution("non-aggregate in agg slot list")),
-                })
-                .collect()
-        };
 
         let mut out: Vec<Row> = Vec::new();
         for set in &sets {
@@ -694,7 +613,7 @@ impl<'a> Engine<'a> {
                         order.push(key.clone());
                         groups
                             .entry(key.clone())
-                            .or_insert((r.clone(), make_accs()?))
+                            .or_insert((r.clone(), AggAcc::for_slots(&sp.aggs)?))
                     }
                 };
                 for (acc, agg) in entry.1.iter_mut().zip(sp.aggs.iter()) {
@@ -711,7 +630,7 @@ impl<'a> Engine<'a> {
             // scalar aggregate over empty input: one all-NULL group
             if groups.is_empty() && sp.group_by.is_empty() && sets.len() == 1 {
                 let rep: Row = vec![Value::Null; sp.layout.width];
-                let accs = make_accs()?;
+                let accs = AggAcc::for_slots(&sp.aggs)?;
                 let mut row = rep;
                 for acc in &accs {
                     row.push(acc.finish());
@@ -753,16 +672,7 @@ impl<'a> Engine<'a> {
         id: PlanNodeId,
         binds: &Bindings<'_>,
     ) -> Result<Vec<Row>> {
-        if self.metrics.borrow().is_none() {
-            return self.exec_node_inner(node, id, binds);
-        }
-        let work0 = self.work.get();
-        let start = self.metrics_timed().then(std::time::Instant::now);
-        let out = self.exec_node_inner(node, id, binds)?;
-        let elapsed = start.map(|s| s.elapsed()).unwrap_or_default();
-        let work = self.work.get() - work0;
-        self.record_metric(id, out.len() as u64, work, elapsed);
-        Ok(out)
+        self.metered(id, Vec::len, || self.exec_node_inner(node, id, binds))
     }
 
     fn exec_node_inner(

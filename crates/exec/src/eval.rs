@@ -664,6 +664,20 @@ impl AggAcc {
         a
     }
 
+    /// One accumulator per aggregate slot of a select block, in slot
+    /// order; a DISTINCT aggregate gets a distinct accumulator.
+    pub(crate) fn for_slots(aggs: &[QExpr]) -> Result<Vec<AggAcc>> {
+        aggs.iter()
+            .map(|a| match a {
+                QExpr::Agg { func, distinct, .. } => Ok(match distinct {
+                    true => AggAcc::new_distinct(*func),
+                    false => AggAcc::new(*func),
+                }),
+                _ => Err(Error::execution("non-aggregate in agg slot list")),
+            })
+            .collect()
+    }
+
     pub fn add(&mut self, v: &Value) {
         use cbqt_qgm::AggFunc::*;
         if self.func == CountStar {

@@ -1,7 +1,7 @@
 //! End-to-end engine tests: SQL → QGM → physical plan → execution over
 //! a small in-memory database.
 
-use crate::Engine;
+use crate::{Engine, ExecStats};
 use cbqt_catalog::{Catalog, Column, Constraint, ForeignKey, TableId};
 use cbqt_common::{DataType, Value};
 use cbqt_optimizer::{
@@ -88,14 +88,10 @@ fn setup() -> (Catalog, Storage) {
     (cat, st)
 }
 
+/// Plans `sql` and runs it under both engines, which must agree (see
+/// [`assert_engines_agree_on`]); returns the rows.
 fn run(cat: &Catalog, st: &Storage, sql: &str) -> Vec<Vec<Value>> {
-    let tree = build_query_tree(cat, &parse_query(sql).unwrap()).unwrap();
-    let ann = CostAnnotations::new();
-    let cache = SamplingCache::default();
-    let mut opt = Optimizer::new(cat, &ann, &cache);
-    let plan = opt.optimize(&tree, None).unwrap();
-    let eng = Engine::new(cat, st);
-    eng.run(&plan).unwrap()
+    assert_engines_agree_on(cat, st, &plan_of(cat, sql)).0
 }
 
 fn ints(rows: &[Vec<Value>]) -> Vec<i64> {
@@ -419,41 +415,25 @@ fn rollup_grouping_sets() {
 #[test]
 fn expensive_function_burns_work() {
     let (cat, st) = setup();
-    let tree = build_query_tree(
+    let plan = plan_of(
         &cat,
-        &parse_query("SELECT emp_id FROM employees WHERE EXPENSIVE(salary, 100) > 0").unwrap(),
-    )
-    .unwrap();
-    let ann = CostAnnotations::new();
-    let cache = SamplingCache::default();
-    let mut opt = Optimizer::new(&cat, &ann, &cache);
-    let plan = opt.optimize(&tree, None).unwrap();
-    let eng = Engine::new(&cat, &st);
-    let rows = eng.run(&plan).unwrap();
+        "SELECT emp_id FROM employees WHERE EXPENSIVE(salary, 100) > 0",
+    );
+    let (rows, stats) = assert_engines_agree_on(&cat, &st, &plan);
     assert_eq!(rows.len(), 12);
     // 12 rows × 100 units burned, plus scan work
-    assert!(eng.stats().work >= 1200.0, "{}", eng.stats().work);
+    assert!(stats.work >= 1200.0, "{}", stats.work);
 }
 
 #[test]
 fn correlation_cache_hits() {
     let (cat, st) = setup();
-    let tree = build_query_tree(
+    let plan = plan_of(
         &cat,
-        &parse_query(
-            "SELECT e1.emp_id FROM employees e1 WHERE e1.salary > \
-             (SELECT AVG(e2.salary) FROM employees e2 WHERE e2.dept_id = e1.dept_id)",
-        )
-        .unwrap(),
-    )
-    .unwrap();
-    let ann = CostAnnotations::new();
-    let cache = SamplingCache::default();
-    let mut opt = Optimizer::new(&cat, &ann, &cache);
-    let plan = opt.optimize(&tree, None).unwrap();
-    let eng = Engine::new(&cat, &st);
-    eng.run(&plan).unwrap();
-    let stats = eng.stats();
+        "SELECT e1.emp_id FROM employees e1 WHERE e1.salary > \
+         (SELECT AVG(e2.salary) FROM employees e2 WHERE e2.dept_id = e1.dept_id)",
+    );
+    let (_, stats) = assert_engines_agree_on(&cat, &st, &plan);
     // 12 probes over 5 distinct dept bindings (incl NULL)
     assert_eq!(stats.cache_misses, 5, "{stats:?}");
     assert_eq!(stats.cache_hits, 7, "{stats:?}");
@@ -561,43 +541,19 @@ fn setup_large(total: i64, null_heavy: bool) -> (Catalog, Storage) {
     (cat, st)
 }
 
-fn run_mode(
-    cat: &Catalog,
-    st: &Storage,
-    sql: &str,
-    mode: cbqt_common::ExecutionMode,
-) -> cbqt_common::Result<Vec<Vec<Value>>> {
-    let tree = build_query_tree(cat, &parse_query(sql).unwrap()).unwrap();
-    let ann = CostAnnotations::new();
-    let cache = SamplingCache::default();
-    let mut opt = Optimizer::new(cat, &ann, &cache);
-    let plan = opt.optimize(&tree, None).unwrap();
-    let mut eng = Engine::new(cat, st);
-    eng.set_mode(mode);
-    eng.run(&plan)
-}
-
-fn assert_modes_agree(cat: &Catalog, st: &Storage, sql: &str) -> Vec<Vec<Value>> {
-    use cbqt_common::ExecutionMode::{Vectorized, Volcano};
-    let v = run_mode(cat, st, sql, Vectorized).unwrap();
-    let o = run_mode(cat, st, sql, Volcano).unwrap();
-    assert_eq!(v, o, "engines disagree on {sql}");
-    v
-}
-
 #[test]
 fn vectorized_empty_scan_and_empty_filter_result() {
     let (cat, st) = setup_large(0, false);
-    let rows = assert_modes_agree(&cat, &st, "SELECT n FROM nums");
+    let rows = run(&cat, &st, "SELECT n FROM nums");
     assert!(rows.is_empty());
     // empty input through a scalar aggregate: one all-NULL/zero row
-    let rows = assert_modes_agree(&cat, &st, "SELECT COUNT(*), SUM(n) FROM nums");
+    let rows = run(&cat, &st, "SELECT COUNT(*), SUM(n) FROM nums");
     assert_eq!(rows[0][0], Value::Int(0));
     assert!(rows[0][1].is_null());
 
     // non-empty scan whose filter keeps nothing
     let (cat, st) = setup_large(2000, false);
-    let rows = assert_modes_agree(&cat, &st, "SELECT n FROM nums WHERE n < 0");
+    let rows = run(&cat, &st, "SELECT n FROM nums WHERE n < 0");
     assert!(rows.is_empty());
 }
 
@@ -605,7 +561,7 @@ fn vectorized_empty_scan_and_empty_filter_result() {
 fn vectorized_final_partial_batch() {
     // 2500 = 2 full 1024-row batches + a 452-row tail
     let (cat, st) = setup_large(2500, false);
-    let rows = assert_modes_agree(
+    let rows = run(
         &cat,
         &st,
         "SELECT COUNT(*), SUM(n), MIN(n), MAX(n) FROM nums WHERE n >= 1000",
@@ -614,7 +570,7 @@ fn vectorized_final_partial_batch() {
     assert_eq!(rows[0][2], Value::Int(1000));
     assert_eq!(rows[0][3], Value::Int(2499));
 
-    let rows = assert_modes_agree(
+    let rows = run(
         &cat,
         &st,
         "SELECT grp, COUNT(*) FROM nums GROUP BY grp ORDER BY grp",
@@ -629,19 +585,19 @@ fn vectorized_null_heavy_columns() {
     let (cat, st) = setup_large(3000, true);
     // every third n is NULL: filters, aggregates and DISTINCT must all
     // treat them with SQL null semantics in both engines
-    let rows = assert_modes_agree(
+    let rows = run(
         &cat,
         &st,
         "SELECT COUNT(*), COUNT(n), SUM(n) FROM nums WHERE n > 100 OR n IS NULL",
     );
     assert_eq!(rows[0][0].as_i64().unwrap(), 1000 + 1933);
     assert_eq!(rows[0][1].as_i64().unwrap(), 1933);
-    assert_modes_agree(
+    run(
         &cat,
         &st,
         "SELECT DISTINCT grp FROM nums WHERE n IS NULL ORDER BY grp",
     );
-    assert_modes_agree(
+    run(
         &cat,
         &st,
         "SELECT grp, COUNT(n), COUNT(*) FROM nums GROUP BY grp ORDER BY grp",
@@ -652,11 +608,7 @@ fn vectorized_null_heavy_columns() {
 fn vectorized_row_budget_trips_mid_batch() {
     use cbqt_common::{CancelToken, Error, ExecutionLimits, Governor};
     let (cat, st) = setup_large(2500, false);
-    let tree = build_query_tree(&cat, &parse_query("SELECT SUM(n) FROM nums").unwrap()).unwrap();
-    let ann = CostAnnotations::new();
-    let cache = SamplingCache::default();
-    let mut opt = Optimizer::new(&cat, &ann, &cache);
-    let plan = opt.optimize(&tree, None).unwrap();
+    let plan = plan_of(&cat, "SELECT SUM(n) FROM nums");
     for mode in [
         cbqt_common::ExecutionMode::Vectorized,
         cbqt_common::ExecutionMode::Volcano,
@@ -698,7 +650,7 @@ fn vectorized_and_volcano_agree_on_joins_and_setops() {
          GROUP BY dept_id HAVING COUNT(*) > 1 ORDER BY dept_id",
         "SELECT DISTINCT dept_id FROM employees ORDER BY dept_id",
     ] {
-        assert_modes_agree(&cat, &st, sql);
+        run(&cat, &st, sql);
     }
 }
 
@@ -714,14 +666,7 @@ fn one_arc_at_two_positions_keeps_two_sets_of_actuals() {
     use std::sync::Arc;
     let (cat, st) = setup_large(700, false);
     let sql = "SELECT a.n FROM nums a, nums b WHERE a.n = b.n AND a.grp = 0";
-    let tree = build_query_tree(&cat, &parse_query(sql).unwrap()).unwrap();
-    let ann = CostAnnotations::new();
-    let cache = SamplingCache::default();
-    let branch = Arc::new(
-        Optimizer::new(&cat, &ann, &cache)
-            .optimize(&tree, None)
-            .unwrap(),
-    );
+    let branch = Arc::new(plan_of(&cat, sql));
     let plan = BlockPlan {
         block: BlockId(99),
         root: PlanRoot::SetOp(SetOpPlan {
@@ -767,13 +712,14 @@ fn one_arc_at_two_positions_keeps_two_sets_of_actuals() {
 // plan node, and in total work.
 
 /// Runs `plan` under both engines with metrics on and asserts the same
-/// ordered rows, the same per-node rows / executions / work, and the
-/// same total work. Returns the rows.
+/// ordered rows, the same per-node rows / executions / work, the same
+/// total work and the same subquery-cache counters. Returns the rows
+/// and the vectorized run's stats.
 pub(crate) fn assert_engines_agree_on(
     cat: &Catalog,
     st: &Storage,
     plan: &BlockPlan,
-) -> Vec<Vec<Value>> {
+) -> (Vec<Vec<Value>>, ExecStats) {
     use cbqt_common::ExecutionMode::{Vectorized, Volcano};
     let run = |mode| {
         let mut eng = Engine::new(cat, st);
@@ -785,13 +731,18 @@ pub(crate) fn assert_engines_agree_on(
             .into_iter()
             .map(|(id, m)| (id, m.rows, m.execs, format!("{:.6}", m.work)))
             .collect();
-        (rows, metrics, format!("{:.6}", eng.stats().work))
+        (rows, metrics, eng.stats())
     };
     let (v, o) = (run(Vectorized), run(Volcano));
     assert_eq!(v.0, o.0, "rows differ");
     assert_eq!(v.1, o.1, "per-node metrics differ");
-    assert_eq!(v.2, o.2, "total work differs");
-    v.0
+    let total = |s: &ExecStats| (format!("{:.6}", s.work), s.cache_hits, s.cache_misses);
+    assert_eq!(
+        total(&v.2),
+        total(&o.2),
+        "total work or cache counters differ"
+    );
+    (v.0, v.2)
 }
 
 pub(crate) fn plan_of(cat: &Catalog, sql: &str) -> BlockPlan {
@@ -930,7 +881,7 @@ fn hash_joins_agree_across_batch_boundaries() {
         for kind in JOIN_KINDS {
             for residual in [false, true] {
                 let plan = join_plan(tables, kind, JoinMethod::Hash, residual);
-                let rows = assert_engines_agree_on(&cat, &st, &plan);
+                let (rows, _) = assert_engines_agree_on(&cat, &st, &plan);
                 if kind == PlanJoinKind::LeftOuter {
                     assert!(rows.len() >= nl as usize, "{nl}x{nr}: outer join lost rows");
                 }
@@ -943,7 +894,7 @@ fn hash_joins_agree_across_batch_boundaries() {
 fn hash_join_keys_meet_across_int_and_double() {
     let (cat, st, tables) = setup_join(200, 200);
     let plan = join_plan(tables, PlanJoinKind::Inner, JoinMethod::Hash, false);
-    let rows = assert_engines_agree_on(&cat, &st, &plan);
+    let (rows, _) = assert_engines_agree_on(&cat, &st, &plan);
     assert!(!rows.is_empty());
     for r in &rows {
         assert!(matches!(r[0], Value::Int(_)) && matches!(r[2], Value::Double(_)));

@@ -463,11 +463,6 @@ impl QExpr {
         cols.into_iter().map(|(r, _)| r).collect()
     }
 
-    /// True if the expression mentions only tables from `allowed`.
-    pub fn references_only(&self, allowed: &HashSet<RefId>) -> bool {
-        self.referenced_tables().is_subset(allowed)
-    }
-
     /// True if this expression (not descending into subqueries) contains
     /// a plain aggregate node.
     pub fn contains_agg(&self) -> bool {

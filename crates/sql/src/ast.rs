@@ -416,13 +416,6 @@ impl Expr {
         }
     }
 
-    pub fn qcol(q: &str, name: &str) -> Expr {
-        Expr::Column {
-            qualifier: Some(q.to_string()),
-            name: name.to_string(),
-        }
-    }
-
     pub fn lit(v: impl Into<Value>) -> Expr {
         Expr::Literal(v.into())
     }

@@ -363,11 +363,6 @@ impl Storage {
         (txn, snapshot)
     }
 
-    /// True iff `txn` is open (neither committed nor rolled back).
-    pub fn txn_open(&self, txn: u64) -> bool {
-        self.lock().txns.contains_key(&txn)
-    }
-
     /// Appends an uncommitted row version for `txn`. The version is
     /// visible only to `txn` until commit. The failpoint fires before
     /// any mutation, so an injected fault leaves storage untouched.

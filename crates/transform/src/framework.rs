@@ -120,8 +120,8 @@ pub struct CbqtConfig {
     pub parallelism: usize,
     /// Which interpreter executes the chosen physical plan: the
     /// vectorized batch engine (default) or the row-at-a-time Volcano
-    /// oracle. Defaults to the process-wide `CBQT_EXEC_MODE` setting so
-    /// the whole test suite can be flipped onto the oracle path.
+    /// oracle. A caller that wants the oracle sets it here; nothing
+    /// process-wide overrides it.
     pub execution_mode: ExecutionMode,
     /// Cardinality feedback & re-optimization knobs.
     pub feedback: FeedbackConfig,
@@ -168,7 +168,7 @@ impl Default for CbqtConfig {
             iterative_restarts: 3,
             iterative_max_states: 24,
             parallelism: 1,
-            execution_mode: ExecutionMode::from_env(),
+            execution_mode: ExecutionMode::default(),
             feedback: FeedbackConfig::default(),
         }
     }

@@ -47,11 +47,6 @@ impl HeuristicReport {
     }
 }
 
-/// Runs the full heuristic pipeline to a fixpoint (bounded).
-pub fn apply_heuristics(tree: &mut QueryTree, catalog: &Catalog) -> Result<HeuristicReport> {
-    apply_heuristics_with(tree, catalog, true)
-}
-
 /// Variant with unnesting-by-merging switchable (the Figure 3 experiment
 /// disables *all* unnesting, including the imperative kind).
 pub fn apply_heuristics_with(

@@ -9,7 +9,7 @@
 use crate::util::{dedup_aliases, invert_comparison, provably_not_null};
 use cbqt_catalog::Catalog;
 use cbqt_common::Result;
-use cbqt_qgm::{BlockId, JoinInfo, QExpr, Quant, QueryBlock, QueryTree, SelectBlock, SubqKind};
+use cbqt_qgm::{BlockId, JoinInfo, QExpr, Quant, QueryBlock, QueryTree, SubqKind};
 
 /// Applies merging unnesting everywhere; returns the number of
 /// subqueries unnested.
@@ -208,11 +208,6 @@ fn apply(tree: &mut QueryTree, block: BlockId, conj_idx: usize, catalog: &Catalo
 /// Exposed for tests: checks mergeability of a specific subquery block.
 pub fn is_mergeable_subquery(tree: &QueryTree, sub: BlockId) -> bool {
     mergeable(tree, sub)
-}
-
-/// Helper for other modules: true if a SelectBlock has exactly one table.
-pub fn single_table(s: &SelectBlock) -> bool {
-    s.tables.len() == 1
 }
 
 #[cfg(test)]

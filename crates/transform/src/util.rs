@@ -3,7 +3,6 @@
 
 use cbqt_catalog::Catalog;
 use cbqt_common::hash::HashSet;
-use cbqt_common::Result;
 use cbqt_qgm::{
     BlockId, JoinInfo, QExpr, QTable, QTableSource, QueryBlock, QueryTree, RefId, SelectBlock,
 };
@@ -119,17 +118,6 @@ pub fn is_spj(s: &SelectBlock) -> bool {
             .any(|i| i.expr.contains_agg() || i.expr.contains_window())
 }
 
-/// True if the block's expressions contain any subquery reference.
-pub fn block_has_subqueries(s: &SelectBlock) -> bool {
-    let mut found = false;
-    s.for_each_expr(&mut |e| {
-        if e.contains_subquery() {
-            found = true;
-        }
-    });
-    found
-}
-
 /// Resolves whether an expression is provably non-null: a literal
 /// non-null value, or a base-table column with a NOT NULL constraint that
 /// is not on the null-producing side of an outer join.
@@ -183,45 +171,6 @@ pub fn find_view_ref(tree: &QueryTree, view_block: BlockId) -> Option<(BlockId, 
         }
     }
     None
-}
-
-/// Repoints references to `old_block` (as a view source or a subquery)
-/// to `new_block` throughout the tree, and moves the root if needed.
-pub fn repoint_block(tree: &mut QueryTree, old_block: BlockId, new_block: BlockId) -> Result<()> {
-    if tree.root == old_block {
-        tree.root = new_block;
-    }
-    for id in tree.block_ids() {
-        if id == new_block {
-            continue;
-        }
-        match tree.block_mut(id)? {
-            QueryBlock::Select(s) => {
-                for t in &mut s.tables {
-                    if t.source == QTableSource::View(old_block) {
-                        t.source = QTableSource::View(new_block);
-                    }
-                }
-                s.for_each_expr_mut(&mut |e| {
-                    e.rewrite(&mut |n| match n {
-                        QExpr::Subq { block, kind } if *block == old_block => Some(QExpr::Subq {
-                            block: new_block,
-                            kind: kind.clone(),
-                        }),
-                        _ => None,
-                    })
-                });
-            }
-            QueryBlock::SetOp(s) => {
-                for i in &mut s.inputs {
-                    if *i == old_block {
-                        *i = new_block;
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Inverts a comparison operator (for ALL-quantifier unnesting:

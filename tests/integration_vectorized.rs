@@ -121,13 +121,36 @@ fn explain_analyze_reports_engine() {
 
 #[test]
 fn execution_mode_parses_and_defaults() {
-    assert_eq!(ExecutionMode::parse("volcano"), ExecutionMode::Volcano);
-    assert_eq!(ExecutionMode::parse("row"), ExecutionMode::Volcano);
-    assert_eq!(
-        ExecutionMode::parse("vectorized"),
-        ExecutionMode::Vectorized
-    );
-    // unknown strings fall back to the vectorized default
-    assert_eq!(ExecutionMode::parse("nope"), ExecutionMode::Vectorized);
     assert_eq!(ExecutionMode::default(), ExecutionMode::Vectorized);
+}
+
+/// A statement far smaller than one governor tick (128 rows) still
+/// answers to its work budget: the budget is checked against the
+/// statement's total work once the plan has run, in both engines.
+#[test]
+fn a_work_budget_holds_below_one_governor_tick() {
+    let mut db = Database::new();
+    db.execute_script("CREATE TABLE tiny (id INT PRIMARY KEY, v INT)")
+        .unwrap();
+    let rows = (0..8i64).map(|i| vec![cbqt::common::Value::Int(i), cbqt::common::Value::Int(i)]);
+    db.load_rows("tiny", rows.collect()).unwrap();
+    db.execute_mut("ANALYZE").unwrap();
+    let sql = "SELECT COUNT(*) FROM tiny";
+    let work = db.query(sql).unwrap().stats.work_units;
+    assert!(work > 0.0, "{work}");
+    let limits = StatementLimits::none().with_work_budget(work / 2.0);
+    for mode in [ExecutionMode::Vectorized, ExecutionMode::Volcano] {
+        db.config_mut().execution_mode = mode;
+        match db.query_with_limits(sql, limits) {
+            Err(cbqt::common::Error::ResourceExhausted(m)) => {
+                assert!(m.contains("work budget"), "{mode}: {m}")
+            }
+            other => panic!("{mode}: expected ResourceExhausted, got {other:?}"),
+        }
+        // the whole budget is enough
+        let whole = StatementLimits::none().with_work_budget(work);
+        assert_eq!(db.query_with_limits(sql, whole).unwrap().rows.len(), 1);
+    }
+    let mismatches = db.differential_exec(sql, &limits).unwrap();
+    assert!(mismatches.is_empty(), "{mismatches:?}");
 }
