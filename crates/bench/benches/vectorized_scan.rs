@@ -2,14 +2,19 @@
 //! a 100k-row scan with a selective filter feeding a grouped aggregate
 //! (`vectorized` / `volcano`), and a 12k x 8k hash join feeding a grouped
 //! aggregate (`vectorized_join` / `volcano_join`: the shape of the repo
-//! benchmark's `warm_scan` template 3 at its widest filter), and 1 000
-//! warm literal-text primary-key lookups on a 20k-row table
-//! (`vectorized_point` / `volcano_point`: the repo benchmark's
-//! `warm_point`). The regression gate (`ci/check_bench_regression.sh`)
-//! asserts the vectorized engine stays at least 2x faster than the row
-//! engine on the scan and 3x on the join, and that a point lookup costs
-//! it about what it costs the row engine (`point_lookup_parity`), in
-//! addition to the absolute thresholds.
+//! benchmark's `warm_scan` template 3 at its widest filter), the same
+//! join with `job_history (emp_id)` indexed and a filter that keeps a
+//! quarter of the employees, which plans an index nested loop — a
+//! lateral join probing the index once per employee
+//! (`vectorized_lateral` / `volcano_lateral`: template 3 at a narrow
+//! filter), and 1 000 warm literal-text primary-key lookups on a
+//! 20k-row table (`vectorized_point` / `volcano_point`: the repo
+//! benchmark's `warm_point`). The regression gate
+//! (`ci/check_bench_regression.sh`) asserts the vectorized engine stays
+//! faster than the row engine by the ratios `BENCH_baseline.json`
+//! names on the scan, the hash join and the lateral join, and that a
+//! point lookup costs it about what it costs the row engine
+//! (`point_lookup_parity`), in addition to the absolute thresholds.
 
 use cbqt::common::{ExecutionMode, Value};
 use cbqt::Database;
@@ -55,10 +60,34 @@ const JOIN_SQL: &str = "SELECT j.job_title, COUNT(*) c, MAX(j.start_date) m \
                         WHERE j.emp_id = e.emp_id AND e.salary > 1000 \
                         GROUP BY j.job_title";
 
-/// `employees` (8k) and `job_history` (12k) of the HR schema, with no
-/// index on `job_history.emp_id`, so the join is a hash join whatever
-/// the statistics say; the salary filter keeps about 90% of employees.
+/// [`JOIN_SQL`] with a salary filter that keeps about a quarter of the
+/// employees.
+const LATERAL_SQL: &str = "SELECT j.job_title, COUNT(*) c, MAX(j.start_date) m \
+                           FROM job_history j, employees e \
+                           WHERE j.emp_id = e.emp_id AND e.salary > 7500 \
+                           GROUP BY j.job_title";
+
+/// `employees` (8k) and `job_history` (12k) of the HR schema. With no
+/// index on `job_history.emp_id` ([`JOIN_SQL`]) the join is a hash join
+/// whatever the statistics say; the salary filter keeps about 90% of
+/// employees.
 fn build_join_db() -> Database {
+    let db = build_hr_db(false);
+    let plan = db.explain(JOIN_SQL).unwrap();
+    assert!(plan.contains("Hash Inner JOIN"), "not a hash join:\n{plan}");
+    db
+}
+
+/// [`build_join_db`]'s tables with `job_history (emp_id)` indexed: the
+/// narrower filter of [`LATERAL_SQL`] plans an index nested loop.
+fn build_lateral_db() -> Database {
+    let db = build_hr_db(true);
+    let plan = db.explain(LATERAL_SQL).unwrap();
+    assert!(plan.contains("JOIN LATERAL"), "not a lateral join:\n{plan}");
+    db
+}
+
+fn build_hr_db(index: bool) -> Database {
     let mut db = Database::new();
     db.execute_script(
         "CREATE TABLE employees (emp_id INT PRIMARY KEY, employee_name VARCHAR(30), \
@@ -97,9 +126,11 @@ fn build_join_db() -> Database {
         })
         .collect();
     db.load_rows("job_history", history).unwrap();
+    if index {
+        db.execute_script("CREATE INDEX i_jh_emp ON job_history (emp_id);")
+            .unwrap();
+    }
     db.analyze().unwrap();
-    let plan = db.explain(JOIN_SQL).unwrap();
-    assert!(plan.contains("Hash Inner JOIN"), "not a hash join:\n{plan}");
     db
 }
 
@@ -134,7 +165,12 @@ fn build_point_db() -> Database {
 fn bench(c: &mut Harness) {
     let mut g = c.benchmark_group("vectorized_scan");
     g.sample_size(15);
-    for (db, sql, suffix) in [(build_db(), SQL, ""), (build_join_db(), JOIN_SQL, "_join")] {
+    let pipelines = [
+        (build_db(), SQL, ""),
+        (build_join_db(), JOIN_SQL, "_join"),
+        (build_lateral_db(), LATERAL_SQL, "_lateral"),
+    ];
+    for (db, sql, suffix) in pipelines {
         let mut db = db;
         for (name, mode) in [
             ("vectorized", ExecutionMode::Vectorized),

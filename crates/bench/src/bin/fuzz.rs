@@ -300,6 +300,10 @@ struct Oracle {
     /// A run must serve at least one statement from a recipe: the
     /// oracle is there to check that route.
     needs_recipe_hits: bool,
+    /// A run counts the statements whose plan ran each join method and
+    /// must run at least one lateral join: the oracle is there to check
+    /// every join loop of both engines.
+    needs_lateral_joins: bool,
     round: fn(&mut Round),
 }
 
@@ -385,6 +389,17 @@ fn main() {
         }
         hits = format!(", {} recipe hits", r.recipe_hits);
     }
+    if oracle.needs_lateral_joins {
+        let [hash, nested_loop, merge, lateral] = r.joins_ran;
+        println!(
+            "statements whose plan ran a join: {hash} hash, {nested_loop} nested-loop, \
+             {merge} merge, {lateral} lateral"
+        );
+        if lateral == 0 {
+            println!("no plan ran a lateral join");
+            r.failures += 1;
+        }
+    }
     println!(
         "fuzz complete: {iters} rounds, {} failures{hits}",
         r.failures
@@ -401,6 +416,9 @@ struct Round {
     failures: u64,
     /// Statements served from a recipe.
     recipe_hits: u64,
+    /// Statements whose plan ran a hash, a block nested-loop, a merge
+    /// and a lateral join.
+    joins_ran: [u64; 4],
 }
 
 /// The sanity query of a database built by [`random_db`].
@@ -506,6 +524,7 @@ const STRATEGIES: Oracle = Oracle {
             TwoPass, Iterative, Linear, Auto) and under the heuristic rules\n\
             (cost_based = false), all with the default TransformSet.",
     needs_recipe_hits: false,
+    needs_lateral_joins: false,
     round: strategies_round,
 };
 
@@ -557,6 +576,7 @@ const FAILPOINTS: Oracle = Oracle {
             keeps serving with a coherent plan cache. Rows are not compared:\n\
             faults and limits legitimately abort statements.",
     needs_recipe_hits: false,
+    needs_lateral_joins: false,
     round: failpoints_round,
 };
 
@@ -597,8 +617,11 @@ const DIFFERENTIAL_EXEC: Oracle = Oracle {
             rows, per-operator metrics and governor outcome under random row\n\
             and work budgets (Database::differential_exec). Under\n\
             --failpoints both engines see the same armed fault, with no\n\
-            limits, and must fail with the same error class.",
+            limits, and must fail with the same error class. The run prints\n\
+            how many statements' plans ran a hash, a nested-loop, a merge\n\
+            and a lateral join, and fails when none ran a lateral join.",
     needs_recipe_hits: false,
+    needs_lateral_joins: true,
     round: differential_round,
 };
 
@@ -653,8 +676,8 @@ fn differential_round(r: &mut Round) {
     exec_divergences(r, &db, &sql, &StatementLimits::none(), false);
 }
 
-/// Runs `sql` through [`Database::differential_exec`] and reports each
-/// divergence.
+/// Runs `sql` through [`Database::differential_report`], reports each
+/// divergence and counts the join methods its plan ran.
 fn exec_divergences(
     r: &mut Round,
     db: &Database,
@@ -662,9 +685,14 @@ fn exec_divergences(
     limits: &StatementLimits,
     faulted: bool,
 ) {
-    match db.differential_exec(sql, limits) {
-        Ok(mismatches) => {
-            for m in mismatches {
+    match db.differential_report(sql, limits) {
+        Ok(report) => {
+            let j = report.joins_ran;
+            let ran = [j.hash, j.nested_loop, j.merge, j.lateral];
+            for (count, ran) in r.joins_ran.iter_mut().zip(ran) {
+                *count += u64::from(ran);
+            }
+            for m in report.mismatches {
                 r.fail(format_args!("DIVERGENCE {m}\n{sql}"));
             }
         }
@@ -686,6 +714,7 @@ const BINDS: Oracle = Oracle {
             The plan-family cache must stay coherent, and the run must serve\n\
             at least one statement from a recipe.",
     needs_recipe_hits: true,
+    needs_lateral_joins: false,
     round: binds_round,
 };
 
@@ -775,6 +804,7 @@ const FEEDBACK: Oracle = Oracle {
             its re-optimized plan still diverges and must be pinned after\n\
             exactly one recompile.",
     needs_recipe_hits: false,
+    needs_lateral_joins: false,
     round: feedback_round,
 };
 
@@ -874,6 +904,7 @@ const TXN: Oracle = Oracle {
             twins still agree: failed statements and aborted transactions\n\
             are never replayed.",
     needs_recipe_hits: true,
+    needs_lateral_joins: false,
     round: txn_round,
 };
 
@@ -1215,6 +1246,7 @@ const JOINS: Oracle = Oracle {
             several rounds. Random tight optimizer-state budgets narrow the\n\
             windows: a degraded plan must still agree, and never fail.",
     needs_recipe_hits: false,
+    needs_lateral_joins: false,
     round: joins_round,
 };
 

@@ -4,8 +4,8 @@
 use crate::serve::{catch_internal, refused, Accept, Ctx, Executed, Measure, StatementPath};
 use crate::Database;
 use cbqt_common::{ExecutionLimits, ExecutionMode, Governor, Result, Row, Tracer};
-use cbqt_exec::OpMetrics;
-use cbqt_optimizer::PlanNodeId;
+use cbqt_exec::{ExecMetrics, OpMetrics};
+use cbqt_optimizer::{BlockPlan, JoinMethod, PlanEntity, PlanNode, PlanNodeId};
 use cbqt_sql::ast::Statement;
 use cbqt_sql::parse_statement;
 
@@ -18,7 +18,7 @@ impl Database {
     /// Compared surfaces:
     /// * result rows, in order (both engines are order-deterministic
     ///   over the same plan, so this is an exact comparison);
-    /// * per-operator [`ExecMetrics`](crate::exec::ExecMetrics) — operator
+    /// * per-operator [`ExecMetrics`] — operator
     ///   set, row counts and execution counts exactly, work units to a
     ///   relative tolerance (both engines charge the same weights, but
     ///   accumulate in different association orders);
@@ -38,6 +38,16 @@ impl Database {
     /// is reserved for failures *before* execution (parse, analysis,
     /// optimization), which neither engine reached.
     pub fn differential_exec(&self, sql: &str, limits: &ExecutionLimits) -> Result<Vec<String>> {
+        self.differential_report(sql, limits).map(|r| r.mismatches)
+    }
+
+    /// [`differential_exec`](Database::differential_exec), also telling
+    /// which join methods the plan ran.
+    pub fn differential_report(
+        &self,
+        sql: &str,
+        limits: &ExecutionLimits,
+    ) -> Result<DifferentialReport> {
         catch_internal(|| {
             let q = match parse_statement(sql)? {
                 Statement::Query(q) => q,
@@ -58,6 +68,7 @@ impl Database {
                 })
             };
             let mut mismatches = Vec::new();
+            let mut joins_ran = JoinsRan::default();
             match (run(ExecutionMode::Vectorized), run(ExecutionMode::Volcano)) {
                 // Work, cache counters and per-operator metrics are only
                 // comparable when both runs finished: a fault or budget trip
@@ -65,6 +76,9 @@ impl Database {
                 // mid-plan (cumulative totals are identical, intermediate
                 // prefixes are not).
                 (Ok(vec), Ok(volcano)) => {
+                    if let Some(m) = &vec.metrics {
+                        joins_ran = JoinsRan::of(&outcome.plan, m);
+                    }
                     if vec.rows != volcano.rows {
                         mismatches.push(format!(
                             "result rows differ: vectorized {} row(s), volcano {} row(s){}",
@@ -105,8 +119,57 @@ impl Database {
                     volcano.rows.len()
                 )),
             }
-            Ok(mismatches)
+            Ok(DifferentialReport {
+                mismatches,
+                joins_ran,
+            })
         })
+    }
+}
+
+/// What [`Database::differential_report`] found.
+#[derive(Debug, Clone, Default)]
+pub struct DifferentialReport {
+    /// Every divergence between the engines; empty when they agree.
+    pub mismatches: Vec<String>,
+    /// The join methods of the plan's joins that ran at least once, when
+    /// both engines finished.
+    pub joins_ran: JoinsRan,
+}
+
+/// Which join methods a plan ran: a lateral join (an index nested loop
+/// or a lateral view) counts as lateral whatever its method.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct JoinsRan {
+    pub hash: bool,
+    /// A block nested loop over a materialized right side.
+    pub nested_loop: bool,
+    pub merge: bool,
+    pub lateral: bool,
+}
+
+impl JoinsRan {
+    /// The methods of the joins of `plan` that `metrics` saw execute.
+    fn of(plan: &BlockPlan, metrics: &ExecMetrics) -> JoinsRan {
+        let mut ran = JoinsRan::default();
+        plan.visit_entities(&mut |id, e| {
+            let PlanEntity::Node(PlanNode::Join {
+                method, lateral, ..
+            }) = e
+            else {
+                return;
+            };
+            if metrics.get(id).is_none() {
+                return;
+            }
+            match (method, lateral) {
+                (_, true) => ran.lateral = true,
+                (JoinMethod::Hash, false) => ran.hash = true,
+                (JoinMethod::NestedLoop, false) => ran.nested_loop = true,
+                (JoinMethod::Merge, false) => ran.merge = true,
+            }
+        });
+        ran
     }
 }
 

@@ -151,6 +151,7 @@ pub use cbqt_common::{CancelToken as StatementCancelToken, ExecutionLimits as St
 pub use cbqt_common::{TraceEvent as OptimizerEvent, TraceSink};
 pub use cbqt_storage::TxnStats;
 pub use cbqt_transform::{CbqtConfig as OptimizerSettings, SearchStrategy, TransformSet};
+pub use differential::{DifferentialReport, JoinsRan};
 pub use plan_cache::{normalize_sql, BucketSig as PlanBucketSig, PlanCache, PlanCacheStats};
 pub use session::{Prepared, Session};
 

@@ -20,14 +20,24 @@
 //! fail under the same budgets — the property the fuzzer's
 //! `--differential-exec` mode asserts.
 //!
-//! Rows stay in batches through joins and aggregates. A hash join builds
-//! a table from key to right-side row ids and emits pairs of ids, and
-//! its output is gathered column by column from those pairs. GROUP BY,
+//! Rows stay in batches through joins and aggregates. Every join emits
+//! pairs of left and right row ids, and its output is gathered column by
+//! column from those pairs. A hash join builds a table from key to
+//! right-side row ids; a block nested loop and a merge join test or sort
+//! row ids of their batched inputs. A lateral join binds each left row
+//! as the innermost frame of its right side, read in place from the
+//! left batch: an index nested loop probes the index once per left row,
+//! tests the scan's conjuncts on the heap rows in place and pairs the
+//! surviving heap ordinals, and a lateral view runs batched, once per
+//! distinct binding, through the TIS cache. An outer column compiles to
+//! a per-execution constant ([`VecExpr::Outer`]), so a correlated
+//! re-check such as `j.emp_id = e.emp_id` is an in-place conjunct. GROUP BY,
 //! DISTINCT and ORDER BY work on row ids and group ids too: a row's key
 //! is hashed once and compared in place, never copied into a per-row
-//! key. Each select block's [`Live`] set names the columns anything
-//! above its scans reads; scans, views and joins materialize only
-//! those, and the others stay empty `Vec`s.
+//! key. A [`Live`] set names the columns something reads above a point
+//! of a block's join tree; each scan, view and join materializes only
+//! those read above it (a join's own keys only below it), and the
+//! others stay empty `Vec`s.
 //!
 //! Scans filter in place. A conjunct that compares two direct operands
 //! (`col <cmp> lit | bind | col`) is tested on the source row where it
@@ -43,17 +53,15 @@
 //! row order, so every sum rounds as the row engine's does. A comparison
 //! decides its operator once per loop ([`retain_cmp`]).
 //!
-//! Nested-loop, merge and lateral joins produce their inputs batched and
-//! run the row loop both engines share ([`Engine::join_rows`]). What
-//! still runs row-wise: the right side of a lateral join (once per left
-//! row, through [`Engine::exec_node`]), window frames, the ROWNUM early
-//! exit, and correlated subqueries.
+//! What still runs row-wise: window frames, the ROWNUM early exit, and
+//! subqueries (a [`VecExpr::Fallback`] program evaluates them through
+//! the row engine's `EvalCtx`, with its TIS cache).
 
-use crate::engine::{combined_layout, order_cmp, Engine, RightInput};
-use crate::eval::{compute_windows, AggAcc, Bindings, EvalCtx};
+use crate::engine::{collect_node_refs, combined_layout, order_cmp, Engine};
+use crate::eval::{compute_windows, AggAcc, Bindings, EvalCtx, FrameRow};
 use crate::vexpr::{compile, order, retain_cmp, CompileCtx, VecExpr};
 use cbqt_common::failpoint;
-use cbqt_common::hash::hash_all;
+use cbqt_common::hash::{hash_all, HashMap, HashSet};
 use cbqt_common::{Error, Result, Row, Value};
 use cbqt_optimizer::{
     weights, BlockPlan, JoinMethod, Layout, PlanIndex, PlanJoinKind, PlanNode, PlanNodeId,
@@ -211,13 +219,80 @@ const PAD: Rid = Rid {
     r: u32::MAX,
 };
 
+/// Rows addressed by [`Rid`]: an operator's output batches, or a heap
+/// table whose rows a join names by ordinal.
+trait RowsById {
+    /// Column `j` of row `id` (never [`PAD`]).
+    fn at(&self, id: Rid, j: usize) -> Value;
+}
+
+impl RowsById for [Batch] {
+    #[inline]
+    fn at(&self, id: Rid, j: usize) -> Value {
+        self[id.b as usize].cols[j][id.r as usize].clone()
+    }
+}
+
+/// The heap rows an index nested loop's pairs name: [`Rid::r`] is the
+/// ordinal, and the ROWID pseudo-column (index `rowid`) reads it.
+struct HeapById<'a> {
+    /// `None` until the first probe reads the table.
+    data: Option<SnapTable<'a>>,
+    rowid: usize,
+}
+
+impl RowsById for HeapById<'_> {
+    #[inline]
+    fn at(&self, id: Rid, j: usize) -> Value {
+        let ordinal = id.r as usize;
+        match j == self.rowid {
+            true => Value::Int(ordinal as i64),
+            false => {
+                let data = self.data.as_ref().expect("a paired heap row was probed");
+                data.row(ordinal)[j].clone()
+            }
+        }
+    }
+}
+
 /// Column `j` of the rows `ids` names, in order; [`PAD`] reads NULL.
-fn gather_col(src: &[Batch], j: usize, ids: impl Iterator<Item = Rid>) -> Vec<Value> {
+fn gather_col<R: RowsById + ?Sized>(
+    src: &R,
+    j: usize,
+    ids: impl Iterator<Item = Rid>,
+) -> Vec<Value> {
     ids.map(|id| match id == PAD {
         true => Value::Null,
-        false => src[id.b as usize].cols[j][id.r as usize].clone(),
+        false => src.at(id, j),
     })
     .collect()
+}
+
+/// A join's output from the pairs it emitted: each pair's left row and
+/// right row ([`PAD`]: NULLs) side by side, gathered column by column
+/// into batches of at most [`BATCH_SIZE`] — the kept columns only.
+fn gather_pairs<R: RowsById + ?Sized>(
+    lbatches: &[Batch],
+    jp: &JoinProgs,
+    right: &R,
+    pairs: &[(Rid, Rid)],
+) -> Vec<Batch> {
+    let out = pairs.chunks(BATCH_SIZE).map(|chunk| {
+        let (lkeep, rkeep) = jp.keep.split_at(jp.llayout.width);
+        let lcols = lkeep.iter().enumerate().map(|(j, keep)| match keep {
+            true => gather_col(lbatches, j, chunk.iter().map(|p| p.0)),
+            false => Vec::new(),
+        });
+        let rcols = rkeep.iter().enumerate().map(|(j, keep)| match keep {
+            true => gather_col(right, j, chunk.iter().map(|p| p.1)),
+            false => Vec::new(),
+        });
+        Batch {
+            cols: lcols.chain(rcols).collect(),
+            len: chunk.len(),
+        }
+    });
+    out.collect()
 }
 
 /// The rows `ids` names, gathered column by column into batches of at
@@ -238,30 +313,27 @@ fn gather_ids(src: &[Batch], ids: &[Rid]) -> Vec<Batch> {
         .collect()
 }
 
-/// The columns of a select block's join tree that anything above the
-/// scans reads, as sorted `(table reference, column)` pairs: the union
-/// of the columns of its post-join filter, GROUP BY keys, aggregate
-/// arguments, HAVING, DISTINCT / ORDER BY keys and select list, and of
-/// every join's equi-keys and residual. Computed once per plan, when its
-/// [`ProgramSet`] is built.
+/// The columns that something reads above a point of a select block's
+/// join tree, as `(table reference, column)` pairs: at the top, those of
+/// the block's post-join filter, GROUP BY keys, aggregate arguments,
+/// HAVING, DISTINCT / ORDER BY keys and select list; below a join, also
+/// the join's equi-keys and residual, and below its left side the
+/// columns a lateral right side reads through its binding. Each scan,
+/// view and join keeps only the columns read above it. Computed once
+/// per plan, when its [`ProgramSet`] is built.
 pub(crate) struct Live(Vec<(RefId, usize)>);
 
 impl Live {
-    /// `None` keeps every column: the block has a row-wise stage that
-    /// may read any column of a row — a fallback program (a subquery or
-    /// an outer reference), a lateral join, window functions or a
-    /// ROWNUM limit.
+    /// The block's own columns, or `None`, which keeps every column: the
+    /// block has a row-wise stage that may read any column of a row — a
+    /// subquery's fallback program, window functions or a ROWNUM limit.
+    /// A column of an outer reference is read from its binding frame,
+    /// not from the block's batches, and no layout of the block holds
+    /// it.
     fn of(sp: &SelectPlan) -> Option<Live> {
-        if !sp.windows.is_empty() || sp.rownum_limit.is_some() {
+        if !sp.windows.is_empty() || sp.rownum_limit.is_some() || join_subquery(&sp.join) {
             return None;
         }
-        let (mut cols, mut defined) = (Vec::new(), Vec::new());
-        if !join_cols(&sp.join, &mut cols, &mut defined)
-            || cols.iter().any(|(r, _)| !defined.contains(r))
-        {
-            return None;
-        }
-        let joins = cols.len();
         let block = sp
             .post_filter
             .iter()
@@ -271,20 +343,13 @@ impl Live {
             .chain(sp.distinct_keys.iter().flatten())
             .chain(sp.order_by.iter().map(|o| &o.expr))
             .chain(&sp.select);
+        let mut cols = Vec::new();
         for e in block {
             if e.contains_subquery() {
                 return None;
             }
             e.collect_cols(&mut cols);
         }
-        if cols[joins..]
-            .iter()
-            .any(|(r, _)| sp.layout.offset_of(*r).is_none())
-        {
-            return None;
-        }
-        cols.sort_unstable();
-        cols.dedup();
         Some(Live(cols))
     }
 
@@ -306,33 +371,21 @@ impl Live {
     }
 }
 
-/// Collects the columns a join tree's keys and residuals read, and the
-/// references it defines. False when the tree needs full rows: a
-/// lateral join, or a key or residual with a subquery.
-fn join_cols(node: &PlanNode, cols: &mut Vec<(RefId, usize)>, defined: &mut Vec<RefId>) -> bool {
+/// Whether a join key or residual of the tree has a subquery, whose
+/// fallback program reads full rows.
+fn join_subquery(node: &PlanNode) -> bool {
     match node {
-        PlanNode::OneRow => true,
-        PlanNode::ScanBase { refid, .. } | PlanNode::ScanView { refid, .. } => {
-            defined.push(*refid);
-            true
-        }
         PlanNode::Join {
             left,
             right,
             equi,
             residual,
-            lateral,
             ..
         } => {
-            let exprs = equi.iter().flat_map(|(l, r)| [l, r]).chain(residual);
-            for e in exprs {
-                if e.contains_subquery() {
-                    return false;
-                }
-                e.collect_cols(cols);
-            }
-            !*lateral && join_cols(left, cols, defined) && join_cols(right, cols, defined)
+            let mut exprs = equi.iter().flat_map(|(l, r)| [l, r]).chain(residual);
+            exprs.any(QExpr::contains_subquery) || join_subquery(left) || join_subquery(right)
         }
+        _ => false,
     }
 }
 
@@ -460,13 +513,12 @@ pub struct ProgramSet {
 /// nothing compiled costs a pointer).
 #[derive(Debug, PartialEq)]
 enum Step {
-    /// Nothing: a set operation, ONE ROW, or a join the shared row loop
-    /// runs.
+    /// Nothing: a set operation or ONE ROW.
     Nothing,
     Select(Box<SelectProgs>),
     /// A base-table scan or a view scan.
     Scan(Box<ScanProgs>),
-    HashJoin(Box<HashJoinProgs>),
+    Join(Box<JoinProgs>),
 }
 
 /// A select block's pipeline above its join tree.
@@ -514,17 +566,18 @@ enum ScanConj {
     Batched { prog: VecExpr, cols: Vec<usize> },
 }
 
-/// A hash join's key programs, layouts and kept columns.
+/// A join's key programs, layouts and kept columns, whatever its method.
 #[derive(Debug, PartialEq)]
-struct HashJoinProgs {
+struct JoinProgs {
     llayout: Layout,
     rlayout: Layout,
+    /// The left and right layouts side by side.
     combined: Layout,
-    lkeys: Vec<VecExpr>,
-    rkeys: Vec<VecExpr>,
-    lkeep: Vec<bool>,
-    /// Empty for a semi or anti join, which outputs left rows only.
-    rkeep: Vec<bool>,
+    /// Per equi pair, its left and its right key program.
+    keys: Vec<(VecExpr, VecExpr)>,
+    /// The output's kept columns: the left's, then the right's — none
+    /// for a semi or anti join, which outputs left rows only.
+    keep: Vec<bool>,
 }
 
 impl ProgramSet {
@@ -585,14 +638,17 @@ impl ProgramSet {
                     + conjs.sum::<usize>()
                     + p.keep.len()
             }
-            Step::HashJoin(p) => {
-                size_of::<HashJoinProgs>()
+            Step::Join(p) => {
+                size_of::<JoinProgs>()
                     + slots(&p.llayout)
                     + slots(&p.rlayout)
                     + slots(&p.combined)
-                    + (progs(&p.lkeys) + progs(&p.rkeys)) * size_of::<VecExpr>()
-                    + p.lkeep.len()
-                    + p.rkeep.len()
+                    + p.keys
+                        .iter()
+                        .map(|(l, r)| l.nodes() + r.nodes())
+                        .sum::<usize>()
+                        * size_of::<VecExpr>()
+                    + p.keep.len()
             }
         });
         size_of::<ProgramSet>() + self.steps.len() * size_of::<Step>() + steps.sum::<usize>()
@@ -616,11 +672,22 @@ impl ProgramSet {
         }
     }
 
-    fn hash_join(&self, id: PlanNodeId) -> Result<&HashJoinProgs> {
+    fn join(&self, id: PlanNodeId) -> Result<&JoinProgs> {
         match self.step(id) {
-            Some(Step::HashJoin(p)) => Ok(p),
-            _ => Err(Error::internal(format!("no hash-join programs at {id}"))),
+            Some(Step::Join(p)) => Ok(p),
+            _ => Err(Error::internal(format!("no join programs at {id}"))),
         }
+    }
+
+    /// The layout of the scan at `id`, which the row engine reads too.
+    pub(crate) fn scan_layout(&self, id: PlanNodeId) -> Result<&Layout> {
+        self.scan(id).map(|p| &p.layout)
+    }
+
+    /// The left, right and combined layouts of the join at `id`, which
+    /// the row engine reads too.
+    pub(crate) fn join_layouts(&self, id: PlanNodeId) -> Result<[&Layout; 3]> {
+        self.join(id).map(|p| [&p.llayout, &p.rlayout, &p.combined])
     }
 }
 
@@ -639,8 +706,8 @@ fn block_steps(plan: &BlockPlan, steps: &mut Vec<Step>) {
     steps.push(Step::Nothing);
     match &plan.root {
         PlanRoot::Select(sp) => {
-            let live = Live::of(sp);
-            node_steps(&sp.join, live.as_ref(), steps);
+            let mut live = Live::of(sp);
+            node_steps(&sp.join, live.as_mut(), steps);
             for (_, p) in &sp.subplans {
                 block_steps(p, steps);
             }
@@ -654,9 +721,9 @@ fn block_steps(plan: &BlockPlan, steps: &mut Vec<Step>) {
     }
 }
 
-/// Appends the steps of a join-tree node of a block whose live columns
-/// are `live`.
-fn node_steps(node: &PlanNode, live: Option<&Live>, steps: &mut Vec<Step>) {
+/// Appends the steps of a join-tree node, below which `live` is read
+/// (`None`: every column); `live` is restored on return.
+fn node_steps(node: &PlanNode, live: Option<&mut Live>, steps: &mut Vec<Step>) {
     match node {
         PlanNode::OneRow => steps.push(Step::Nothing),
         PlanNode::ScanBase {
@@ -665,7 +732,10 @@ fn node_steps(node: &PlanNode, live: Option<&Live>, steps: &mut Vec<Step>) {
             filter,
             ..
         } => steps.push(Step::Scan(Box::new(ScanProgs::of(
-            *refid, *width, filter, live,
+            *refid,
+            *width,
+            filter,
+            live.as_deref(),
         )))),
         PlanNode::ScanView {
             refid,
@@ -675,7 +745,10 @@ fn node_steps(node: &PlanNode, live: Option<&Live>, steps: &mut Vec<Step>) {
             ..
         } => {
             steps.push(Step::Scan(Box::new(ScanProgs::of(
-                *refid, *width, filter, live,
+                *refid,
+                *width,
+                filter,
+                live.as_deref(),
             ))));
             block_steps(plan, steps);
         }
@@ -683,19 +756,32 @@ fn node_steps(node: &PlanNode, live: Option<&Live>, steps: &mut Vec<Step>) {
             left,
             right,
             kind,
-            method,
             equi,
+            residual,
             lateral,
             ..
         } => {
-            let at = steps.len();
-            steps.push(Step::Nothing);
-            node_steps(left, live, steps);
-            node_steps(right, live, steps);
-            if *method == JoinMethod::Hash && !*lateral {
-                let p = HashJoinProgs::of(left, right, *kind, equi, live);
-                steps[at] = Step::HashJoin(Box::new(p));
+            let p = JoinProgs::of(left, right, *kind, equi, live.as_deref());
+            steps.push(Step::Join(Box::new(p)));
+            let Some(live) = live else {
+                node_steps(left, None, steps);
+                node_steps(right, None, steps);
+                return;
+            };
+            // the join reads its keys and residual of both inputs, and a
+            // lateral right side reads the left rows it is bound to
+            let above = live.0.len();
+            for e in equi.iter().flat_map(|(l, r)| [l, r]).chain(residual) {
+                e.collect_cols(&mut live.0);
             }
+            let both = live.0.len();
+            if *lateral {
+                collect_node_refs(right, &mut HashSet::default(), &mut live.0);
+            }
+            node_steps(left, Some(&mut *live), steps);
+            live.0.truncate(both);
+            node_steps(right, Some(&mut *live), steps);
+            live.0.truncate(above);
         }
     }
 }
@@ -766,26 +852,44 @@ impl ScanProgs {
     }
 }
 
-impl HashJoinProgs {
+impl JoinProgs {
+    /// The left key programs, in equi order.
+    fn lkeys(&self) -> impl Iterator<Item = &VecExpr> + Clone {
+        self.keys.iter().map(|k| &k.0)
+    }
+
+    /// The right key programs, in equi order.
+    fn rkeys(&self) -> impl Iterator<Item = &VecExpr> + Clone {
+        self.keys.iter().map(|k| &k.1)
+    }
+
+    /// Whether the join outputs right rows (no semi or anti join).
+    fn outputs_right(&self) -> bool {
+        self.keep.len() > self.llayout.width
+    }
+
     fn of(
         left: &PlanNode,
         right: &PlanNode,
         kind: PlanJoinKind,
         equi: &[(QExpr, QExpr)],
         live: Option<&Live>,
-    ) -> HashJoinProgs {
+    ) -> JoinProgs {
         let llayout = Layout::from_node(left);
         let rlayout = Layout::from_node(right);
         let (cxl, cxr) = (CompileCtx::plain(&llayout), CompileCtx::plain(&rlayout));
-        HashJoinProgs {
-            lkeys: equi.iter().map(|(le, _)| compile(le, &cxl)).collect(),
-            rkeys: equi.iter().map(|(_, re)| compile(re, &cxr)).collect(),
-            lkeep: Live::mask(live, &llayout),
-            rkeep: match kind {
-                PlanJoinKind::Semi | PlanJoinKind::Anti { .. } => Vec::new(),
-                _ => Live::mask(live, &rlayout),
-            },
-            combined: combined_layout(&llayout, &rlayout),
+        let combined = combined_layout(&llayout, &rlayout);
+        let mut keep = Live::mask(live, &combined);
+        if let PlanJoinKind::Semi | PlanJoinKind::Anti { .. } = kind {
+            keep.truncate(llayout.width);
+        }
+        JoinProgs {
+            keys: equi
+                .iter()
+                .map(|(le, re)| (compile(le, &cxl), compile(re, &cxr)))
+                .collect(),
+            keep,
+            combined,
             llayout,
             rlayout,
         }
@@ -826,7 +930,8 @@ fn exec_node_batched_inner(
             let sc = set.scan(id)?;
             let ctx = eng.simple_ctx(&sc.layout, binds);
             let data = eng.snapshot().table(*table)?;
-            let ordinals = eng.scan_ordinals(access, &ctx, &data)?;
+            let mut ordinals = Vec::new();
+            eng.scan_ordinals(access, &ctx, &data, &mut ordinals)?;
             let src = HeapRows {
                 data,
                 ordinals: &ordinals,
@@ -846,42 +951,30 @@ fn exec_node_batched_inner(
             left,
             right,
             kind,
-            method: JoinMethod::Hash,
-            residual,
-            lateral: false,
-            ..
-        } => hash_join_batched(eng, left, right, id, *kind, residual, binds),
-        PlanNode::Join {
-            left,
-            right,
-            kind,
             method,
-            equi,
             residual,
             lateral,
             ..
         } => {
-            // both inputs batched, then the row loop the engines share;
-            // a lateral right side runs row-wise, once per left row
             cbqt_common::failpoint!(failpoint::EXEC_JOIN);
-            let (left_id, right_id) = (id.first_child(), eng.after(id.first_child()));
-            let lrows = batches_to_rows(exec_node_batched(eng, left, left_id, binds)?);
-            let right_in = match lateral {
-                true => RightInput::Lateral(right, right_id),
-                false => {
-                    let rbatches = exec_node_batched(eng, right, right_id, binds)?;
-                    RightInput::Rows(right, batches_to_rows(rbatches))
-                }
+            let j = JoinRun {
+                eng,
+                id,
+                kind: *kind,
+                residual,
+                binds,
             };
-            let out = eng.join_rows(
-                left, right_in, *kind, *method, equi, residual, &lrows, binds,
-            )?;
-            Ok(rows_to_batches(out, node.width()))
+            match (method, lateral) {
+                (_, true) => j.lateral(left, right),
+                (JoinMethod::Hash, false) => j.hash(left, right),
+                (JoinMethod::NestedLoop, false) => j.nested_loop(left, right),
+                (JoinMethod::Merge, false) => j.merge(left, right),
+            }
         }
     }
 }
 
-/// The rows a scan filters, read where they lie.
+/// The rows a scan filters or a join tests, read where they lie.
 trait ScanRows {
     /// Column `j` of source row `i`, borrowed where the source keeps it.
     fn cell(&self, i: usize, j: usize) -> Cow<'_, Value>;
@@ -916,6 +1009,31 @@ impl ScanRows for [Row] {
     #[inline]
     fn cell(&self, i: usize, j: usize) -> Cow<'_, Value> {
         Cow::Borrowed(&self[i][j])
+    }
+}
+
+/// A batch's rows; a pruned column reads NULL.
+impl ScanRows for Batch {
+    #[inline]
+    fn cell(&self, i: usize, j: usize) -> Cow<'_, Value> {
+        match self.cols[j].get(i) {
+            Some(v) => Cow::Borrowed(v),
+            None => Cow::Owned(Value::Null),
+        }
+    }
+}
+
+/// The rows of `batches` that `ids` names, in that order.
+struct RidRows<'a> {
+    batches: &'a [Batch],
+    ids: &'a [Rid],
+}
+
+impl ScanRows for RidRows<'_> {
+    #[inline]
+    fn cell(&self, k: usize, j: usize) -> Cow<'_, Value> {
+        let id = self.ids[k];
+        self.batches[id.b as usize].cell(id.r as usize, j)
     }
 }
 
@@ -1006,7 +1124,7 @@ fn filter_scan<S: ScanRows + ?Sized>(
         eng.add_work(sel.len() as f64 * weights::PRED);
         let (prog, cols) = match conj {
             ScanConj::InPlace(p) => {
-                refine_in_place(p, eng, src, start, sel);
+                refine_in_place(p, ctx, src, start, sel)?;
                 continue;
             }
             ScanConj::Batched { prog, cols } => (prog, cols),
@@ -1030,23 +1148,25 @@ fn filter_scan<S: ScanRows + ?Sized>(
 
 /// Keeps in `sel` the chunk positions on which the direct comparison
 /// `prog` holds, reading a column operand from the source row in place
-/// and a literal or bind once.
+/// and a literal, bind or outer column once.
 fn refine_in_place<S: ScanRows + ?Sized>(
     prog: &VecExpr,
-    eng: &Engine<'_>,
+    ctx: &EvalCtx<'_>,
     src: &S,
     start: usize,
     sel: &mut Vec<usize>,
-) {
+) -> Result<()> {
     let (op, l, r) = prog
         .direct_cmp()
         .expect("an in-place conjunct is a direct comparison");
+    l.bound(ctx)?;
+    r.bound(ctx)?;
     // a direct operand that is no constant is a column
     let col = |e: &VecExpr| match e {
         VecExpr::Col(j) => *j,
         _ => unreachable!("direct operand {e:?}"),
     };
-    match (l.constant(eng), r.constant(eng)) {
+    match (l.constant(ctx), r.constant(ctx)) {
         (None, Some(v)) => {
             let j = col(l);
             retain_cmp(op, sel, |k| order(&src.cell(start + k, j), v));
@@ -1063,6 +1183,7 @@ fn refine_in_place<S: ScanRows + ?Sized>(
         }
         (Some(a), Some(b)) => retain_cmp(op, sel, |_| order(a, b)),
     }
+    Ok(())
 }
 
 /// The columns of a `w`-wide scan batch that `prog` reads, sorted: every
@@ -1135,180 +1256,667 @@ fn filter_batches(
     Ok(kept)
 }
 
-/// Hash join over batches that emits row ids: the build side becomes one
-/// group per distinct non-NULL key, holding its right-side row ids in
-/// build order; the probe writes pairs of left id and right id (or
-/// [`PAD`]), and the output is gathered column by column from those
-/// pairs — the live columns only. Candidate order, residual checks,
-/// ticks, work charges and null-aware anti-join semantics are the row
-/// engine's `hash_join`, exactly.
-fn hash_join_batched(
-    eng: &Engine<'_>,
-    left: &PlanNode,
-    right: &PlanNode,
+/// One execution of a join node: what every join method reads.
+struct JoinRun<'r> {
+    eng: &'r Engine<'r>,
     id: PlanNodeId,
     kind: PlanJoinKind,
-    residual: &[QExpr],
-    binds: &Bindings<'_>,
-) -> Result<Vec<Batch>> {
-    cbqt_common::failpoint!(failpoint::EXEC_JOIN);
-    let (left_id, right_id) = (id.first_child(), eng.after(id.first_child()));
-    let lbatches = exec_node_batched(eng, left, left_id, binds)?;
-    let set = eng.programs();
-    let hj = set.hash_join(id)?;
-    let cctx = eng.simple_ctx(&hj.combined, binds);
-    let rkctx = eng.simple_ctx(&hj.rlayout, binds);
-    let lkctx = eng.simple_ctx(&hj.llayout, binds);
-    let rbatches = exec_node_batched(eng, right, right_id, binds)?;
+    residual: &'r [QExpr],
+    binds: &'r Bindings<'r>,
+}
 
-    // build on right: key groups, each compared by its first row's key
-    let mut rkeys = Vec::with_capacity(rbatches.len());
-    let mut table = GroupTable::default();
-    let mut first: Vec<Rid> = Vec::new();
-    let mut members: Vec<(u32, Rid)> = Vec::new();
-    let mut null_rows: Vec<Rid> = Vec::new();
-    for (bi, b) in rbatches.iter().enumerate() {
-        eng.tick_rows(b.len as u64)?;
-        eng.add_work(b.len as f64 * weights::HASH_BUILD);
-        rkeys.push(eval_all(&hj.rkeys, b, &rkctx)?);
-        let kc = &rkeys[bi];
-        for i in 0..b.len {
-            if kc.iter().any(|c| c[i].is_null()) {
-                null_rows.push(Rid::new(bi, i));
+/// The pair test of the row engine's nested-loop and lateral join loop:
+/// one tick and one PRED per key and residual conjunct (at least one),
+/// the keys compared in order until one differs, then the residual on
+/// the two rows side by side. A key that is a column or a constant is
+/// read in place; any other key program runs on the one row, as often
+/// as the row engine evaluates it.
+struct PairTest<'p> {
+    jp: &'p JoinProgs,
+    kind: PlanJoinKind,
+    residual: &'p [QExpr],
+    /// The context of the left keys, under the join's own bindings.
+    lctx: EvalCtx<'p>,
+    /// The context of the residual, over the two rows side by side.
+    cctx: EvalCtx<'p>,
+}
+
+impl PairTest<'_> {
+    /// Whether left row `i` of `lb` joins row `k` of `src`, whose keys
+    /// run in `rctx` (a lateral right side's sees its probe binding).
+    /// `crow` is the caller's buffer for the residual's row.
+    fn matches<S: ScanRows + ?Sized>(
+        &self,
+        lb: &Batch,
+        i: usize,
+        src: &S,
+        k: usize,
+        rctx: &EvalCtx<'_>,
+        crow: &mut Row,
+    ) -> Result<bool> {
+        let eng = self.lctx.engine;
+        eng.tick()?;
+        let tests = self.jp.keys.len() + self.residual.len();
+        eng.add_work(tests.max(1) as f64 * weights::PRED);
+        let (lw, rw) = (self.jp.llayout.width, self.jp.rlayout.width);
+        for (lp, rp) in &self.jp.keys {
+            let lv = key_of(lp, lb, i, &self.lctx, lw)?;
+            let rv = key_of(rp, src, k, rctx, rw)?;
+            if lv.sql_eq(&rv) != Some(true) {
+                return Ok(false);
+            }
+        }
+        self.residual_holds(lb, i, src, k, crow)
+    }
+
+    /// Whether every residual conjunct holds on left row `i` of `lb` and
+    /// row `k` of `src`, side by side in `crow`.
+    fn residual_holds<S: ScanRows + ?Sized>(
+        &self,
+        lb: &Batch,
+        i: usize,
+        src: &S,
+        k: usize,
+        crow: &mut Row,
+    ) -> Result<bool> {
+        if self.residual.is_empty() {
+            return Ok(true);
+        }
+        crow.clear();
+        crow.extend((0..self.jp.llayout.width).map(|j| lb.value(i, j)));
+        crow.extend((0..self.jp.rlayout.width).map(|j| src.value(k, j)));
+        for c in self.residual {
+            if !self.cctx.eval_truth(c, crow)?.passes() {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// The body of the row engine's lateral loop for left row `lid` of
+    /// `lb`: tests it against the rows its probe produced, in order, and
+    /// emits pairs by the join kind, NULL-padding an unmatched outer row
+    /// and keeping an unmatched anti-join row (under NOT IN, only when
+    /// its key has no NULL or the probe found no row).
+    fn lateral_row<S: Probed>(
+        &self,
+        lb: &Batch,
+        lid: Rid,
+        src: &S,
+        rctx: &EvalCtx<'_>,
+        crow: &mut Row,
+        pairs: &mut Vec<(Rid, Rid)>,
+    ) -> Result<()> {
+        let i = lid.r as usize;
+        let mut matched = false;
+        for k in 0..src.len() {
+            if !self.matches(lb, i, src, k, rctx, crow)? {
                 continue;
             }
-            let (g, new) = table.find_or_insert(key_hash(kc, i), |g| {
-                let f = first[g];
-                key_eq(kc, i, rkeys[f.b as usize].iter().map(|c| &c[f.r as usize]))
-            });
-            if new {
-                first.push(Rid::new(bi, i));
+            matched = true;
+            match self.kind {
+                PlanJoinKind::Inner | PlanJoinKind::LeftOuter => pairs.push((lid, src.id(k))),
+                PlanJoinKind::Semi => {
+                    pairs.push((lid, PAD));
+                    break;
+                }
+                PlanJoinKind::Anti { .. } => break,
             }
-            members.push((g as u32, Rid::new(bi, i)));
+        }
+        match self.kind {
+            PlanJoinKind::LeftOuter if !matched => pairs.push((lid, PAD)),
+            PlanJoinKind::Anti { null_aware } if !matched => {
+                // NOT IN: a NULL probe key never qualifies unless the
+                // right side is empty
+                let mut null_key = false;
+                if null_aware {
+                    for p in self.jp.lkeys() {
+                        null_key |= key_of(p, lb, i, &self.lctx, self.jp.llayout.width)?.is_null();
+                    }
+                }
+                if src.len() == 0 || !null_key {
+                    pairs.push((lid, PAD));
+                }
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+}
+
+/// The rows one probe of a lateral join produced, by position, and
+/// their ids among the join's right rows.
+trait Probed: ScanRows {
+    fn len(&self) -> usize;
+    fn id(&self, k: usize) -> Rid;
+}
+
+/// An index probe's surviving heap rows: a row's id is its ordinal.
+impl Probed for HeapRows<'_> {
+    fn len(&self) -> usize {
+        self.ordinals.len()
+    }
+
+    fn id(&self, k: usize) -> Rid {
+        Rid::new(0, self.ordinals[k])
+    }
+}
+
+impl Probed for RidRows<'_> {
+    fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    fn id(&self, k: usize) -> Rid {
+        self.ids[k]
+    }
+}
+
+/// Key program `p`'s value on row `k` of `src` (`width` columns): a
+/// column or a constant is read in place, and any other program runs
+/// on the one row.
+fn key_of<'v, S: ScanRows + ?Sized>(
+    p: &'v VecExpr,
+    src: &'v S,
+    k: usize,
+    ctx: &'v EvalCtx<'_>,
+    width: usize,
+) -> Result<Cow<'v, Value>> {
+    if let VecExpr::Col(j) = p {
+        return Ok(src.cell(k, *j));
+    }
+    if let Some(v) = p.constant(ctx) {
+        return Ok(Cow::Borrowed(v));
+    }
+    let row = Batch {
+        cols: (0..width).map(|j| vec![src.value(k, j)]).collect(),
+        len: 1,
+    };
+    Ok(Cow::Owned(
+        p.eval(&row, &[0], ctx)?.pop().unwrap_or(Value::Null),
+    ))
+}
+
+/// The ids of every row of `batches`, in order.
+fn all_ids(batches: &[Batch]) -> Vec<Rid> {
+    let ids = batches.iter().enumerate();
+    ids.flat_map(|(b, x)| (0..x.len).map(move |r| Rid::new(b, r)))
+        .collect()
+}
+
+impl<'r> JoinRun<'r> {
+    /// The positions of the join's left and right children.
+    fn children(&self) -> (PlanNodeId, PlanNodeId) {
+        let left = self.id.first_child();
+        (left, self.eng.after(left))
+    }
+
+    fn pair_test<'p>(&'p self, jp: &'p JoinProgs) -> PairTest<'p> {
+        PairTest {
+            jp,
+            kind: self.kind,
+            residual: self.residual,
+            lctx: self.eng.simple_ctx(&jp.llayout, self.binds),
+            cctx: self.eng.simple_ctx(&jp.combined, self.binds),
         }
     }
-    // group g's rows are by_group[starts[g]..starts[g + 1]], in build order
-    let mut starts = vec![0usize; first.len() + 1];
-    for &(g, _) in &members {
-        starts[g as usize + 1] += 1;
-    }
-    for g in 0..first.len() {
-        starts[g + 1] += starts[g];
-    }
-    let mut fill = starts.clone();
-    let mut by_group = vec![PAD; members.len()];
-    for (g, rid) in members {
-        by_group[fill[g as usize]] = rid;
-        fill[g as usize] += 1;
-    }
 
-    // probe keys, column-wise per left batch
-    let mut lkeys = Vec::with_capacity(lbatches.len());
-    for b in &lbatches {
-        eng.tick_rows(b.len as u64)?;
-        eng.add_work(b.len as f64 * weights::HASH_PROBE);
-        lkeys.push(eval_all(&hj.lkeys, b, &lkctx)?);
-    }
-
-    let mut pairs: Vec<(Rid, Rid)> = Vec::new();
-    // left row ++ candidate right row, for residual checks
-    let mut crow: Row = Vec::new();
-    // every right row, for a NULL probe key of a null-aware anti join
-    let mut all_right: Option<Vec<Rid>> = None;
-    for (bi, (b, kc)) in lbatches.iter().zip(&lkeys).enumerate() {
-        for i in 0..b.len {
-            let lid = Rid::new(bi, i);
-            let null_key = kc.iter().any(|c| c[i].is_null());
-            let hits: &[Rid] = match null_key {
-                true => &[],
-                false => {
-                    let g = table.find(key_hash(kc, i), |g| {
-                        let f = first[g];
-                        key_eq(kc, i, rkeys[f.b as usize].iter().map(|c| &c[f.r as usize]))
-                    });
-                    g.map_or(&[], |g| &by_group[starts[g]..starts[g + 1]])
+    /// Hash join over batches that emits row ids: the build side becomes
+    /// one group per distinct non-NULL key, holding its right-side row
+    /// ids in build order; the probe writes pairs of left id and right id
+    /// (or [`PAD`]), and the output is gathered column by column from
+    /// those pairs — the live columns only. Candidate order, residual
+    /// checks, ticks, work charges and null-aware anti-join semantics are
+    /// the row engine's `hash_join`, exactly.
+    fn hash(&self, left: &PlanNode, right: &PlanNode) -> Result<Vec<Batch>> {
+        let (eng, binds, kind, residual) = (self.eng, self.binds, self.kind, self.residual);
+        let (left_id, right_id) = self.children();
+        let lbatches = exec_node_batched(eng, left, left_id, binds)?;
+        let set = eng.programs();
+        let hj = set.join(self.id)?;
+        let test = self.pair_test(hj);
+        let rkctx = eng.simple_ctx(&hj.rlayout, binds);
+        let rbatches = exec_node_batched(eng, right, right_id, binds)?;
+        // build on right: key groups, each compared by its first row's key
+        let mut rkeys = Vec::with_capacity(rbatches.len());
+        let mut table = GroupTable::default();
+        let mut first: Vec<Rid> = Vec::new();
+        let mut members: Vec<(u32, Rid)> = Vec::new();
+        let mut null_rows: Vec<Rid> = Vec::new();
+        for (bi, b) in rbatches.iter().enumerate() {
+            eng.tick_rows(b.len as u64)?;
+            eng.add_work(b.len as f64 * weights::HASH_BUILD);
+            rkeys.push(eval_all(hj.rkeys(), b, &rkctx)?);
+            let kc = &rkeys[bi];
+            for i in 0..b.len {
+                if kc.iter().any(|c| c[i].is_null()) {
+                    null_rows.push(Rid::new(bi, i));
+                    continue;
                 }
-            };
-            if !residual.is_empty() && !hits.is_empty() {
-                crow = b.gather_row(i);
+                let (g, new) = table.find_or_insert(key_hash(kc, i), |g| {
+                    let f = first[g];
+                    key_eq(kc, i, rkeys[f.b as usize].iter().map(|c| &c[f.r as usize]))
+                });
+                if new {
+                    first.push(Rid::new(bi, i));
+                }
+                members.push((g as u32, Rid::new(bi, i)));
             }
-            let mut matched = false;
-            for &rid in hits {
-                eng.tick()?;
-                if !residual.is_empty() {
-                    eng.add_work(residual.len() as f64 * weights::PRED);
-                    crow.truncate(hj.llayout.width);
-                    let rb = &rbatches[rid.b as usize];
-                    let rv = rb.cols.iter().map(|c| c.get(rid.r as usize));
-                    crow.extend(rv.map(|v| v.cloned().unwrap_or(Value::Null)));
-                    let mut pass = true;
-                    for c in residual {
-                        if !cctx.eval_truth(c, &crow)?.passes() {
-                            pass = false;
-                            break;
+        }
+        // group g's rows are by_group[starts[g]..starts[g + 1]], in build order
+        let mut starts = vec![0usize; first.len() + 1];
+        for &(g, _) in &members {
+            starts[g as usize + 1] += 1;
+        }
+        for g in 0..first.len() {
+            starts[g + 1] += starts[g];
+        }
+        let mut fill = starts.clone();
+        let mut by_group = vec![PAD; members.len()];
+        for (g, rid) in members {
+            by_group[fill[g as usize]] = rid;
+            fill[g as usize] += 1;
+        }
+
+        // probe keys, column-wise per left batch
+        let mut lkeys = Vec::with_capacity(lbatches.len());
+        for b in &lbatches {
+            eng.tick_rows(b.len as u64)?;
+            eng.add_work(b.len as f64 * weights::HASH_PROBE);
+            lkeys.push(eval_all(hj.lkeys(), b, &test.lctx)?);
+        }
+
+        let (mut pairs, mut crow) = (Vec::new(), Vec::new());
+        // every right row, for a NULL probe key of a null-aware anti join
+        let mut all_right: Option<Vec<Rid>> = None;
+        for (bi, (b, kc)) in lbatches.iter().zip(&lkeys).enumerate() {
+            for i in 0..b.len {
+                let lid = Rid::new(bi, i);
+                let null_key = kc.iter().any(|c| c[i].is_null());
+                let hits: &[Rid] = match null_key {
+                    true => &[],
+                    false => {
+                        let g = table.find(key_hash(kc, i), |g| {
+                            let f = first[g];
+                            key_eq(kc, i, rkeys[f.b as usize].iter().map(|c| &c[f.r as usize]))
+                        });
+                        g.map_or(&[], |g| &by_group[starts[g]..starts[g + 1]])
+                    }
+                };
+                let mut matched = false;
+                for &rid in hits {
+                    eng.tick()?;
+                    if !residual.is_empty() {
+                        eng.add_work(residual.len() as f64 * weights::PRED);
+                        let rb = &rbatches[rid.b as usize];
+                        if !test.residual_holds(b, i, rb, rid.r as usize, &mut crow)? {
+                            continue;
                         }
                     }
-                    if !pass {
-                        continue;
+                    matched = true;
+                    match kind {
+                        PlanJoinKind::Inner | PlanJoinKind::LeftOuter => pairs.push((lid, rid)),
+                        PlanJoinKind::Semi => {
+                            pairs.push((lid, PAD));
+                            break;
+                        }
+                        PlanJoinKind::Anti { .. } => break,
                     }
                 }
-                matched = true;
-                match kind {
-                    PlanJoinKind::Inner | PlanJoinKind::LeftOuter => pairs.push((lid, rid)),
-                    PlanJoinKind::Semi => {
-                        pairs.push((lid, PAD));
-                        break;
+                if !matched {
+                    match kind {
+                        PlanJoinKind::LeftOuter => pairs.push((lid, PAD)),
+                        PlanJoinKind::Anti { null_aware } => {
+                            let rejects = null_aware && {
+                                let cands: &[Rid] = match null_key {
+                                    true => all_right.get_or_insert_with(|| all_ids(&rbatches)),
+                                    false => &null_rows,
+                                };
+                                let pick = |k: usize| {
+                                    let rid = cands[k];
+                                    rbatches[rid.b as usize].gather_row(rid.r as usize)
+                                };
+                                let lrow = b.gather_row(i);
+                                eng.null_aware_rejects(
+                                    &test.cctx,
+                                    &lrow,
+                                    cands.len(),
+                                    pick,
+                                    residual,
+                                )?
+                            };
+                            if !rejects {
+                                pairs.push((lid, PAD));
+                            }
+                        }
+                        _ => {}
                     }
-                    PlanJoinKind::Anti { .. } => break,
                 }
             }
-            if !matched {
+        }
+        eng.add_work(pairs.len() as f64 * weights::ROW);
+        Ok(gather_pairs(&lbatches, hj, &rbatches[..], &pairs))
+    }
+
+    /// Block nested loop over both inputs batched: each left row is
+    /// tested against the right rows in order, and a semi or anti join
+    /// stops at its first match and, with no residual, caches the
+    /// outcome on its left key (§2.1.1). Pairs of row ids are emitted
+    /// and the output gathered from them. Charges, ticks and order are
+    /// the row engine's `nl_join`.
+    fn nested_loop(&self, left: &PlanNode, right: &PlanNode) -> Result<Vec<Batch>> {
+        let (eng, binds, kind) = (self.eng, self.binds, self.kind);
+        let (left_id, right_id) = self.children();
+        let lbatches = exec_node_batched(eng, left, left_id, binds)?;
+        let rbatches = exec_node_batched(eng, right, right_id, binds)?;
+        let set = eng.programs();
+        let jp = set.join(self.id)?;
+        let test = self.pair_test(jp);
+        let rctx = eng.simple_ctx(&jp.rlayout, binds);
+        let all = all_ids(&rbatches);
+        let rows = RidRows {
+            batches: &rbatches,
+            ids: &all,
+        };
+        let (lw, rw) = (jp.llayout.width, jp.rlayout.width);
+        let cacheable = matches!(kind, PlanJoinKind::Semi | PlanJoinKind::Anti { .. })
+            && !jp.keys.is_empty()
+            && self.residual.is_empty();
+        let mut match_cache: HashMap<Vec<Value>, bool> = HashMap::default();
+        // NOT IN: the right rows whose key is NULL, found at the first
+        // unmatched left row
+        let mut null_rows: Option<Vec<usize>> = None;
+        let (mut pairs, mut crow) = (Vec::new(), Vec::new());
+        for (bi, lb) in lbatches.iter().enumerate() {
+            for i in 0..lb.len {
+                let lid = Rid::new(bi, i);
+                let lkey = match cacheable {
+                    true => {
+                        let key = jp.lkeys().map(|p| key_of(p, lb, i, &test.lctx, lw));
+                        Some(
+                            key.map(|v| v.map(Cow::into_owned))
+                                .collect::<Result<Vec<_>>>()?,
+                        )
+                    }
+                    false => None,
+                };
+                let cached = lkey.as_ref().and_then(|k| match_cache.get(k)).copied();
+                let matched = match cached {
+                    Some(m) => {
+                        eng.add_work(weights::HASH_PROBE);
+                        m
+                    }
+                    None => {
+                        let mut m = false;
+                        for (k, &rid) in all.iter().enumerate() {
+                            if test.matches(lb, i, &rows, k, &rctx, &mut crow)? {
+                                m = true;
+                                match kind {
+                                    PlanJoinKind::Inner | PlanJoinKind::LeftOuter => {
+                                        pairs.push((lid, rid))
+                                    }
+                                    _ => break,
+                                }
+                            }
+                        }
+                        if let Some(key) = lkey {
+                            match_cache.insert(key, m);
+                        }
+                        m
+                    }
+                };
                 match kind {
-                    PlanJoinKind::LeftOuter => pairs.push((lid, PAD)),
-                    PlanJoinKind::Anti { null_aware } => {
+                    PlanJoinKind::Semi if matched => pairs.push((lid, PAD)),
+                    PlanJoinKind::Anti { null_aware } if !matched => {
                         let rejects = null_aware && {
-                            let cands: &[Rid] = match null_key {
-                                true => all_right.get_or_insert_with(|| {
-                                    let ids = rbatches.iter().enumerate();
-                                    ids.flat_map(|(bi, b)| (0..b.len).map(move |i| Rid::new(bi, i)))
-                                        .collect()
-                                }),
-                                false => &null_rows,
+                            if null_rows.is_none() {
+                                let mut found = Vec::new();
+                                for k in 0..all.len() {
+                                    for rp in jp.rkeys() {
+                                        if key_of(rp, &rows, k, &rctx, rw)?.is_null() {
+                                            found.push(k);
+                                            break;
+                                        }
+                                    }
+                                }
+                                null_rows = Some(found);
+                            }
+                            let mut left_null = false;
+                            for lp in jp.lkeys() {
+                                left_null |= key_of(lp, lb, i, &test.lctx, lw)?.is_null();
+                            }
+                            let null_rows = null_rows.as_deref().unwrap_or_default();
+                            let n = match left_null {
+                                true => all.len(),
+                                false => null_rows.len(),
                             };
-                            let pick = |k: usize| {
-                                let rid = cands[k];
-                                rbatches[rid.b as usize].gather_row(rid.r as usize)
+                            let pick = |c: usize| {
+                                let id = all[if left_null { c } else { null_rows[c] }];
+                                rbatches[id.b as usize].gather_row(id.r as usize)
                             };
-                            let lrow = b.gather_row(i);
-                            eng.null_aware_rejects(&cctx, &lrow, cands.len(), pick, residual)?
+                            let lrow = lb.gather_row(i);
+                            eng.null_aware_rejects(&test.cctx, &lrow, n, pick, self.residual)?
                         };
                         if !rejects {
                             pairs.push((lid, PAD));
                         }
                     }
+                    PlanJoinKind::LeftOuter if !matched => pairs.push((lid, PAD)),
                     _ => {}
                 }
             }
         }
+        eng.add_work(pairs.len() as f64 * weights::ROW);
+        Ok(gather_pairs(&lbatches, jp, &rbatches[..], &pairs))
     }
-    eng.add_work(pairs.len() as f64 * weights::ROW);
 
-    // gather the output, column by column
-    let out = pairs.chunks(BATCH_SIZE).map(|chunk| {
-        let lcols = hj.lkeep.iter().enumerate().map(|(j, keep)| match keep {
-            true => gather_col(&lbatches, j, chunk.iter().map(|p| p.0)),
-            false => Vec::new(),
-        });
-        let rcols = hj.rkeep.iter().enumerate().map(|(j, keep)| match keep {
-            true => gather_col(&rbatches, j, chunk.iter().map(|p| p.1)),
-            false => Vec::new(),
-        });
-        Batch {
-            cols: lcols.chain(rcols).collect(),
-            len: chunk.len(),
+    /// Sort-merge join over both inputs batched: each side's keys are
+    /// computed column-wise, its row ids sorted once (stably) by key,
+    /// and equal-key groups are cross-combined into pairs of row ids.
+    /// Charges, ticks and order are the row engine's `merge_join`.
+    fn merge(&self, left: &PlanNode, right: &PlanNode) -> Result<Vec<Batch>> {
+        let (eng, binds) = (self.eng, self.binds);
+        let (left_id, right_id) = self.children();
+        let lbatches = exec_node_batched(eng, left, left_id, binds)?;
+        let rbatches = exec_node_batched(eng, right, right_id, binds)?;
+        let set = eng.programs();
+        let jp = set.join(self.id)?;
+        let test = self.pair_test(jp);
+        let rctx = eng.simple_ctx(&jp.rlayout, binds);
+        let count = |bs: &[Batch]| bs.iter().map(|b| b.len).sum::<usize>().max(2) as f64;
+        let (ln, rn) = (count(&lbatches), count(&rbatches));
+        eng.add_work(weights::SORT * (ln * ln.log2() + rn * rn.log2()));
+        // a side's key columns, by batch
+        type Keys<'b> = Vec<Vec<Cow<'b, [Value]>>>;
+        fn key<'k>(kc: &'k Keys<'_>, id: Rid) -> impl Iterator<Item = &'k Value> {
+            kc[id.b as usize].iter().map(move |c| &c[id.r as usize])
         }
-    });
-    Ok(out.collect())
+        fn keys<'p, 'b>(
+            progs: impl Iterator<Item = &'p VecExpr> + Clone,
+            bs: &'b [Batch],
+            ctx: &EvalCtx<'_>,
+        ) -> Result<Keys<'b>> {
+            bs.iter().map(|b| eval_all(progs.clone(), b, ctx)).collect()
+        }
+        let lk = keys(jp.lkeys(), &lbatches, &test.lctx)?;
+        let rk = keys(jp.rkeys(), &rbatches, &rctx)?;
+        let sorted = |kc: &Keys<'_>, bs: &[Batch]| {
+            let mut ids = all_ids(bs);
+            ids.sort_by(|a, b| key(kc, *a).cmp(key(kc, *b)));
+            ids
+        };
+        let (lids, rids) = (sorted(&lk, &lbatches), sorted(&rk, &rbatches));
+        let rows = RidRows {
+            batches: &rbatches,
+            ids: &rids,
+        };
+        let (mut pairs, mut crow) = (Vec::new(), Vec::new());
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < lids.len() && j < rids.len() {
+            eng.tick()?;
+            eng.add_work(weights::ROW);
+            // NULL keys never join
+            if key(&lk, lids[i]).any(Value::is_null) {
+                i += 1;
+                continue;
+            }
+            if key(&rk, rids[j]).any(Value::is_null) {
+                j += 1;
+                continue;
+            }
+            match key(&lk, lids[i]).cmp(key(&rk, rids[j])) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    // cross-combine the two equal-key groups
+                    let group = lids[i];
+                    let (li0, rj0) = (i, j);
+                    while i < lids.len() && key(&lk, lids[i]).eq(key(&lk, group)) {
+                        i += 1;
+                    }
+                    while j < rids.len() && key(&rk, rids[j]).eq(key(&lk, group)) {
+                        j += 1;
+                    }
+                    for &lid in &lids[li0..i] {
+                        let lb = &lbatches[lid.b as usize];
+                        for (k, &rid) in rids.iter().enumerate().take(j).skip(rj0) {
+                            eng.tick()?;
+                            if !self.residual.is_empty() {
+                                eng.add_work(self.residual.len() as f64 * weights::PRED);
+                                if !test.residual_holds(lb, lid.r as usize, &rows, k, &mut crow)? {
+                                    continue;
+                                }
+                            }
+                            pairs.push((lid, rid));
+                        }
+                    }
+                }
+            }
+        }
+        eng.add_work(pairs.len() as f64 * weights::ROW);
+        Ok(gather_pairs(&lbatches, jp, &rbatches[..], &pairs))
+    }
+
+    /// A lateral join: the right side runs once per left row, with that
+    /// row bound as its innermost frame — read in place from the left
+    /// batch, never assembled. A base-table right side (an index nested
+    /// loop) is probed per left row, its conjuncts tested on the heap
+    /// rows in place and the surviving ordinals paired; any other right
+    /// side (a lateral view) runs batched with the plan's programs and
+    /// through the TIS cache. Each probe records one execution of the
+    /// right side, and the pair test, the outer and anti-join tails,
+    /// ticks and charges are the row engine's lateral loop.
+    fn lateral(&self, left: &PlanNode, right: &PlanNode) -> Result<Vec<Batch>> {
+        let (eng, binds) = (self.eng, self.binds);
+        let (left_id, right_id) = self.children();
+        let lbatches = exec_node_batched(eng, left, left_id, binds)?;
+        let set = eng.programs();
+        let jp = set.join(self.id)?;
+        let Some(first) = lbatches.first() else {
+            return Ok(Vec::new());
+        };
+        let mut probe = binds.push_frame(&jp.llayout, FrameRow::Batch(first, 0));
+        let test = self.pair_test(jp);
+        let (mut pairs, mut crow) = (Vec::new(), Vec::new());
+        if let PlanNode::ScanBase { table, access, .. } = right {
+            let sc = set.scan(right_id)?;
+            let mut rctx = eng.simple_ctx(&sc.layout, &probe);
+            let mut heap = HeapById {
+                data: None,
+                rowid: sc.layout.width - 1,
+            };
+            // buffers every probe reuses
+            let (mut hits, mut sel, mut cands) = (Vec::new(), Vec::new(), Vec::new());
+            for (bi, lb) in lbatches.iter().enumerate() {
+                for i in 0..lb.len {
+                    rctx.outer.rebind(FrameRow::Batch(lb, i));
+                    // one execution of the right scan per probe
+                    let (data, _) = eng.metered(
+                        right_id,
+                        |(_, n): &(SnapTable<'_>, usize)| *n,
+                        || {
+                            cbqt_common::failpoint!(failpoint::EXEC_SCAN);
+                            let data = match heap.data {
+                                Some(data) => data,
+                                None => *heap.data.insert(eng.snapshot().table(*table)?),
+                            };
+                            eng.scan_ordinals(access, &rctx, &data, &mut hits)?;
+                            filter_hits(eng, sc, &rctx, data, &hits, &mut sel, &mut cands)?;
+                            Ok((data, cands.len()))
+                        },
+                    )?;
+                    let src = HeapRows {
+                        data,
+                        ordinals: &cands,
+                        rowid: heap.rowid,
+                    };
+                    test.lateral_row(lb, Rid::new(bi, i), &src, &rctx, &mut crow, &mut pairs)?;
+                }
+            }
+            eng.add_work(pairs.len() as f64 * weights::ROW);
+            return Ok(gather_pairs(&lbatches, jp, &heap, &pairs));
+        }
+        let mut rctx = eng.simple_ctx(&jp.rlayout, &probe);
+        // the right rows pairs name, and one probe's ids among them
+        let (mut store, mut ids) = (Vec::new(), Vec::new());
+        for (bi, lb) in lbatches.iter().enumerate() {
+            for i in 0..lb.len {
+                probe.rebind(FrameRow::Batch(lb, i));
+                rctx.outer.rebind(FrameRow::Batch(lb, i));
+                let base = store.len();
+                store.extend(exec_node_batched(eng, right, right_id, &probe)?);
+                ids.clear();
+                for (b, rb) in store[base..].iter().enumerate() {
+                    ids.extend((0..rb.len).map(|r| Rid::new(base + b, r)));
+                }
+                let src = RidRows {
+                    batches: &store,
+                    ids: &ids,
+                };
+                test.lateral_row(lb, Rid::new(bi, i), &src, &rctx, &mut crow, &mut pairs)?;
+                if !jp.outputs_right() {
+                    // a semi or anti join outputs no right row
+                    store.truncate(base);
+                }
+            }
+        }
+        eng.add_work(pairs.len() as f64 * weights::ROW);
+        Ok(gather_pairs(&lbatches, jp, &store[..], &pairs))
+    }
+}
+
+/// Filters an index probe's `hits` by the scan's conjuncts, tested on
+/// the heap rows in place a chunk of at most [`BATCH_SIZE`] at a time
+/// as [`scan_batches`] does, and leaves the survivors' ordinals in
+/// `out`; `sel` is the caller's buffer.
+fn filter_hits(
+    eng: &Engine<'_>,
+    sc: &ScanProgs,
+    ctx: &EvalCtx<'_>,
+    data: SnapTable<'_>,
+    hits: &[usize],
+    sel: &mut Vec<usize>,
+    out: &mut Vec<usize>,
+) -> Result<()> {
+    out.clear();
+    let src = HeapRows {
+        data,
+        ordinals: hits,
+        rowid: sc.layout.width - 1,
+    };
+    for start in (0..hits.len()).step_by(BATCH_SIZE) {
+        let len = BATCH_SIZE.min(hits.len() - start);
+        eng.tick_rows(len as u64)?;
+        sel.clear();
+        sel.extend(0..len);
+        let mut fb = Batch {
+            cols: Vec::new(),
+            len,
+        };
+        filter_scan(eng, sc, ctx, &src, start, &mut fb, sel)?;
+        out.extend(sel.iter().map(|&k| hits[start + k]));
+    }
+    Ok(())
 }
 
 /// Vectorized select-block pipeline: the batch counterpart of
@@ -1420,7 +2028,7 @@ pub(crate) fn exec_select_batched(
             for i in 0..b.len {
                 let mut row = Vec::with_capacity(progs.select.len());
                 for p in &progs.select {
-                    row.push(match p.cell(&b, i, eng) {
+                    row.push(match p.cell(&b, i, &base_ctx) {
                         Some(v) => v.clone(),
                         // a slot the batch does not carry: the program's
                         // own error
@@ -1544,7 +2152,7 @@ fn aggregate_batched(
         }
         for (j, col) in out.iter_mut().enumerate().take(w) {
             if keep[j] {
-                col.extend(gather_col(&batches, j, first.iter().copied()));
+                col.extend(gather_col(&batches[..], j, first.iter().copied()));
             }
         }
         // grouping-set semantics: group-by columns not in this set read

@@ -97,7 +97,7 @@ const GOVERNOR_BATCH: u64 = 128;
 
 /// The right input of [`Engine::join_rows`]: rows produced once, or a
 /// lateral side (node and position) run once per left row.
-pub(crate) enum RightInput<'p> {
+enum RightInput<'p> {
     Rows(&'p PlanNode, Vec<Row>),
     Lateral(&'p PlanNode, PlanNodeId),
 }
@@ -688,21 +688,18 @@ impl<'a> Engine<'a> {
             }
             PlanNode::ScanBase {
                 table,
-                refid,
-                width,
                 access,
                 filter,
                 ..
             } => {
                 cbqt_common::failpoint!(failpoint::EXEC_SCAN);
-                let layout = Layout {
-                    slots: vec![(*refid, 0, *width)],
-                    width: *width,
-                };
-                let ctx = self.simple_ctx(&layout, binds);
+                let set = self.programs();
+                let ctx = self.simple_ctx(set.scan_layout(id)?, binds);
                 let data = self.snapshot.table(*table)?;
+                let mut ordinals = Vec::new();
+                self.scan_ordinals(access, &ctx, &data, &mut ordinals)?;
                 let mut out = Vec::new();
-                for ordinal in self.scan_ordinals(access, &ctx, &data)? {
+                for ordinal in ordinals {
                     self.tick()?;
                     // one allocation per row: the heap row and its ROWID
                     let heap_row = data.row(ordinal);
@@ -723,19 +720,10 @@ impl<'a> Engine<'a> {
                 }
                 Ok(out)
             }
-            PlanNode::ScanView {
-                refid,
-                width,
-                plan,
-                filter,
-                ..
-            } => {
+            PlanNode::ScanView { plan, filter, .. } => {
                 let rows = self.execute_cached(plan, id.first_child(), binds)?;
-                let layout = Layout {
-                    slots: vec![(*refid, 0, *width)],
-                    width: *width,
-                };
-                let ctx = self.simple_ctx(&layout, binds);
+                let set = self.programs();
+                let ctx = self.simple_ctx(set.scan_layout(id)?, binds);
                 let mut out = Vec::new();
                 for r in rows.iter() {
                     self.tick()?;
@@ -769,86 +757,92 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Resolves an access path to the matching *visible* row ordinals,
-    /// charging the same work units the row engine always has (per
-    /// visible row for full scans, index probe + per-visible-hit fetch).
-    /// Shared by both engines, so their work metrics stay identical.
+    /// Resolves an access path to the matching *visible* row ordinals in
+    /// `hits` (cleared first, so a caller probing many times reuses one
+    /// buffer), charging the same work units the row engine always has
+    /// (per visible row for full scans, index probe + per-visible-hit
+    /// fetch). Shared by both engines, so their work metrics stay
+    /// identical.
     pub(crate) fn scan_ordinals(
         &self,
         access: &AccessPath,
         ctx: &EvalCtx<'_>,
         data: &SnapTable<'_>,
-    ) -> Result<Vec<usize>> {
+        hits: &mut Vec<usize>,
+    ) -> Result<()> {
+        hits.clear();
         match access {
             AccessPath::FullScan => {
                 // sized for every version, so the list never regrows
-                let mut hits = Vec::with_capacity(data.version_count());
+                hits.reserve(data.version_count());
                 hits.extend(data.visible_ordinals());
                 self.add_work(hits.len() as f64 * weights::ROW);
-                Ok(hits)
+                return Ok(());
             }
             AccessPath::IndexEq { index, key } => {
                 self.add_work(weights::INDEX_PROBE);
-                // key expressions reference only outer bindings
-                let empty = Layout::default();
-                let kctx = EvalCtx {
-                    layout: &empty,
-                    ..ctx.clone()
-                };
-                let keyvals: Vec<Value> = key
-                    .iter()
-                    .map(|e| kctx.eval(e, &[]))
-                    .collect::<Result<_>>()?;
-                let ix = self.snapshot.index(*index)?;
-                let mut hits: Vec<usize> = if ix.columns.len() == keyvals.len() {
-                    ix.lookup_eq(&keyvals).to_vec()
-                } else {
-                    // prefix probe: range over the leading column
-                    let mut v = Vec::new();
-                    if let Some(first) = keyvals.first() {
-                        ix.lookup_range(Bound::Included(first), Bound::Included(first), &mut v);
+                // a one-column key is probed with no key vector
+                let (one, many);
+                let keyvals: &[Value] = match key.as_slice() {
+                    [k] => {
+                        one = self.key_value(k, ctx)?;
+                        std::slice::from_ref(&*one)
                     }
-                    v
+                    _ => {
+                        many = key
+                            .iter()
+                            .map(|e| self.key_value(e, ctx).map(Cow::into_owned))
+                            .collect::<Result<Vec<_>>>()?;
+                        &many
+                    }
                 };
-                hits.retain(|&o| data.visible(o));
-                self.add_work(hits.len() as f64 * weights::INDEX_FETCH);
-                Ok(hits)
+                let ix = self.snapshot.index(*index)?;
+                if ix.columns.len() == keyvals.len() {
+                    hits.extend_from_slice(ix.lookup_eq(keyvals));
+                } else if let Some(first) = keyvals.first() {
+                    // prefix probe: range over the leading column
+                    ix.lookup_range(Bound::Included(first), Bound::Included(first), hits);
+                }
             }
             AccessPath::IndexRange { index, lo, hi } => {
                 self.add_work(weights::INDEX_PROBE);
+                let bound = |b: &Option<(QExpr, bool)>| -> Result<Bound<Value>> {
+                    Ok(match b {
+                        Some((e, inc)) => {
+                            let v = self.key_value(e, ctx)?.into_owned();
+                            match inc {
+                                true => Bound::Included(v),
+                                false => Bound::Excluded(v),
+                            }
+                        }
+                        None => Bound::Unbounded,
+                    })
+                };
+                let (lo_v, hi_v) = (bound(lo)?, bound(hi)?);
+                let ix = self.snapshot.index(*index)?;
+                ix.lookup_range(as_ref_bound(&lo_v), as_ref_bound(&hi_v), hits);
+            }
+        }
+        hits.retain(|&o| data.visible(o));
+        self.add_work(hits.len() as f64 * weights::INDEX_FETCH);
+        Ok(())
+    }
+
+    /// The value of an index key expression, which references only outer
+    /// bindings: a literal, a bind or an outer column is borrowed, and
+    /// anything else is evaluated against the bindings alone.
+    fn key_value<'v>(&'v self, e: &'v QExpr, ctx: &'v EvalCtx<'_>) -> Result<Cow<'v, Value>> {
+        match e {
+            QExpr::Lit(v) => Ok(Cow::Borrowed(v)),
+            QExpr::Param { slot, peek } => Ok(Cow::Borrowed(self.param(*slot, peek))),
+            QExpr::Col { table, column } => ctx.outer.value(*table, *column).map(Cow::Borrowed),
+            _ => {
                 let empty = Layout::default();
                 let kctx = EvalCtx {
                     layout: &empty,
                     ..ctx.clone()
                 };
-                let lo_v = match lo {
-                    Some((e, inc)) => {
-                        let v = kctx.eval(e, &[])?;
-                        if *inc {
-                            Bound::Included(v)
-                        } else {
-                            Bound::Excluded(v)
-                        }
-                    }
-                    None => Bound::Unbounded,
-                };
-                let hi_v = match hi {
-                    Some((e, inc)) => {
-                        let v = kctx.eval(e, &[])?;
-                        if *inc {
-                            Bound::Included(v)
-                        } else {
-                            Bound::Excluded(v)
-                        }
-                    }
-                    None => Bound::Unbounded,
-                };
-                let ix = self.snapshot.index(*index)?;
-                let mut hits = Vec::new();
-                ix.lookup_range(as_ref_bound(&lo_v), as_ref_bound(&hi_v), &mut hits);
-                hits.retain(|&o| data.visible(o));
-                self.add_work(hits.len() as f64 * weights::INDEX_FETCH);
-                Ok(hits)
+                kctx.eval(e, &[]).map(Cow::Owned)
             }
         }
     }
@@ -876,18 +870,22 @@ impl<'a> Engine<'a> {
         } else {
             RightInput::Rows(right, self.exec_node(right, right_id, binds)?)
         };
-        self.join_rows(left, right_in, kind, method, equi, residual, &lrows, binds)
+        let set = self.programs();
+        let layouts = set.join_layouts(id)?;
+        self.join_rows(
+            layouts, right_in, kind, method, equi, residual, &lrows, binds,
+        )
     }
 
-    /// The join loop over rows, once both children are produced (a
-    /// lateral right side is produced here, once per left row). Both
-    /// engines run every nested-loop, merge and lateral join through
-    /// it — the batch engine produces the children batched — so their
-    /// charges, ticks and output order are one code path.
+    /// The row engine's join loop over rows, once both children are
+    /// produced (a lateral right side is produced here, once per left
+    /// row), with the join's compiled left, right and combined layouts.
+    /// The batch engine's joins in [`crate::batch`] charge, tick and
+    /// order their output exactly as this loop does.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn join_rows(
+    fn join_rows(
         &self,
-        left: &PlanNode,
+        [llayout, rlayout_node, combined]: [&Layout; 3],
         right_in: RightInput<'_>,
         kind: PlanJoinKind,
         method: JoinMethod,
@@ -899,13 +897,10 @@ impl<'a> Engine<'a> {
         let right = match &right_in {
             RightInput::Lateral(node, _) | RightInput::Rows(node, _) => *node,
         };
-        let llayout = Layout::from_node(left);
-        let rlayout_node = Layout::from_node(right);
-        let combined = combined_layout(&llayout, &rlayout_node);
         let rwidth = right.width();
 
-        let lctx = self.simple_ctx(&llayout, binds);
-        let cctx = self.simple_ctx(&combined, binds);
+        let lctx = self.simple_ctx(llayout, binds);
+        let cctx = self.simple_ctx(combined, binds);
 
         let rrows = match right_in {
             RightInput::Rows(_, rrows) => rrows,
@@ -913,9 +908,9 @@ impl<'a> Engine<'a> {
                 // right side re-executed per left row
                 let mut out = Vec::new();
                 for lrow in lrows {
-                    let b2 = binds.push(&llayout, lrow);
+                    let b2 = binds.push(llayout, lrow);
                     let rrows = self.exec_node(right, right_id, &b2)?;
-                    let rctx = self.simple_ctx(&rlayout_node, &b2);
+                    let rctx = self.simple_ctx(rlayout_node, &b2);
                     let mut matched = false;
                     for rrow in &rrows {
                         self.tick()?;
@@ -961,7 +956,7 @@ impl<'a> Engine<'a> {
                 return Ok(out);
             }
         };
-        let rctx = self.simple_ctx(&rlayout_node, binds);
+        let rctx = self.simple_ctx(rlayout_node, binds);
 
         match method {
             JoinMethod::Hash => self.hash_join(
@@ -1359,7 +1354,7 @@ fn resolve_outer(binds: &Bindings<'_>, refid: RefId, col: usize) -> Result<Value
     for f in binds.frames.iter().rev() {
         if let Some((off, w)) = f.layout.offset_of(refid) {
             if col < w {
-                return Ok(f.row[off + col].clone());
+                return Ok(f.value(off + col).clone());
             }
             return Err(Error::execution(format!(
                 "outer column {col} out of range for r{}",
@@ -1479,7 +1474,7 @@ fn collect_plan_refs(
     }
 }
 
-fn collect_node_refs(
+pub(crate) fn collect_node_refs(
     node: &PlanNode,
     defined: &mut HashSet<RefId>,
     referenced: &mut Vec<(RefId, usize)>,

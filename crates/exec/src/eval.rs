@@ -1,6 +1,7 @@
 //! Expression evaluation over executor rows, with outer-binding frames
 //! for correlation and slot-mapped aggregate / window values.
 
+use crate::batch::Batch;
 use crate::engine::Engine;
 use cbqt_common::hash::{HashMap, HashSet};
 use cbqt_common::{Error, Result, Row, Truth, Value};
@@ -10,21 +11,79 @@ use cbqt_qgm::{BinOp, QExpr, Quant, SubqKind, WinFunc};
 /// One level of bindings: the layout of a row plus the row itself.
 #[derive(Clone, Copy)]
 pub struct Frame<'a> {
-    pub layout: &'a Layout,
-    pub row: &'a [Value],
+    pub(crate) layout: &'a Layout,
+    pub(crate) row: FrameRow<'a>,
+}
+
+/// The row a [`Frame`] binds: a row, or a row of a batch read in place
+/// (the batch engine binds a join's left row without assembling it).
+#[derive(Clone, Copy)]
+pub(crate) enum FrameRow<'a> {
+    Row(&'a [Value]),
+    Batch(&'a Batch, usize),
+}
+
+impl<'a> Frame<'a> {
+    /// Column `j` of the bound row. A batch column the block pruned is
+    /// never read: whatever binds a batch row keeps the columns read
+    /// through it live.
+    #[inline]
+    pub(crate) fn value(&self, j: usize) -> &'a Value {
+        match self.row {
+            FrameRow::Row(row) => &row[j],
+            FrameRow::Batch(b, i) => &b.cols[j][i],
+        }
+    }
 }
 
 /// Stack of binding frames, innermost last.
 #[derive(Clone, Default)]
 pub struct Bindings<'a> {
-    pub frames: Vec<Frame<'a>>,
+    pub(crate) frames: Vec<Frame<'a>>,
 }
 
 impl<'a> Bindings<'a> {
     pub fn push(&self, layout: &'a Layout, row: &'a [Value]) -> Bindings<'a> {
-        let mut b = self.clone();
+        self.push_frame(layout, FrameRow::Row(row))
+    }
+
+    /// These bindings with `row` of `layout` innermost.
+    pub(crate) fn push_frame(&self, layout: &'a Layout, row: FrameRow<'a>) -> Bindings<'a> {
+        let mut b = Bindings {
+            frames: Vec::with_capacity(self.frames.len() + 1),
+        };
+        b.frames.extend_from_slice(&self.frames);
         b.frames.push(Frame { layout, row });
         b
+    }
+
+    /// Rebinds the innermost frame to `row` of the same layout: a join
+    /// moves its binding from one left row to the next in place.
+    pub(crate) fn rebind(&mut self, row: FrameRow<'a>) {
+        if let Some(f) = self.frames.last_mut() {
+            f.row = row;
+        }
+    }
+
+    /// Column `col` of the innermost frame that binds `refid`, with the
+    /// row engine's errors for a column out of range and an unbound
+    /// reference.
+    pub(crate) fn value(&self, refid: cbqt_qgm::RefId, col: usize) -> Result<&'a Value> {
+        for f in self.frames.iter().rev() {
+            if let Some((off, w)) = f.layout.offset_of(refid) {
+                if col < w {
+                    return Ok(f.value(off + col));
+                }
+                return Err(Error::execution(format!(
+                    "column {col} out of range for outer r{}",
+                    refid.0
+                )));
+            }
+        }
+        Err(Error::execution(format!(
+            "unbound table reference r{}",
+            refid.0
+        )))
     }
 }
 
@@ -83,21 +142,7 @@ impl<'a> EvalCtx<'a> {
                 refid.0
             )));
         }
-        for f in self.outer.frames.iter().rev() {
-            if let Some((off, w)) = f.layout.offset_of(refid) {
-                if col < w {
-                    return Ok(f.row[off + col].clone());
-                }
-                return Err(Error::execution(format!(
-                    "column {col} out of range for outer r{}",
-                    refid.0
-                )));
-            }
-        }
-        Err(Error::execution(format!(
-            "unbound table reference r{}",
-            refid.0
-        )))
+        self.outer.value(refid, col).cloned()
     }
 
     /// Evaluates an expression to a value (`NULL` represents UNKNOWN for

@@ -2,7 +2,7 @@
 //! a small in-memory database.
 
 use crate::{Engine, ExecStats};
-use cbqt_catalog::{Catalog, Column, Constraint, ForeignKey, TableId};
+use cbqt_catalog::{Catalog, Column, Constraint, ForeignKey, IndexId, TableId};
 use cbqt_common::{DataType, Value};
 use cbqt_optimizer::{
     AccessPath, BlockPlan, CostAnnotations, JoinMethod, Layout, Optimizer, PlanJoinKind, PlanNode,
@@ -839,9 +839,30 @@ fn join_plan(
     if matches!(kind, PlanJoinKind::Inner | PlanJoinKind::LeftOuter) {
         select.extend([col(1, 0), col(1, 1)]);
     }
+    block(BlockId(0), join, select)
+}
+
+/// Column `column` of the table reference `t`.
+fn col(t: u32, column: usize) -> QExpr {
+    QExpr::Col {
+        table: RefId(t),
+        column,
+    }
+}
+
+fn cmp(op: BinOp, l: QExpr, r: QExpr) -> QExpr {
+    QExpr::Bin {
+        op,
+        left: Box::new(l),
+        right: Box::new(r),
+    }
+}
+
+/// `SELECT select FROM join` as the block `id`.
+fn block(id: BlockId, join: PlanNode, select: Vec<QExpr>) -> BlockPlan {
     let layout = Layout::from_node(&join);
     BlockPlan {
-        block: BlockId(0),
+        block: id,
         root: PlanRoot::Select(Box::new(SelectPlan {
             join,
             layout,
@@ -917,6 +938,322 @@ fn nested_loop_and_merge_joins_agree_across_batch_boundaries() {
         for residual in [false, true] {
             let plan = join_plan(tables, PlanJoinKind::Inner, JoinMethod::Merge, residual);
             assert_engines_agree_on(&cat, &st, &plan);
+        }
+    }
+}
+
+/// `l(k INT, v INT)` with `nl` rows and `r(k INT, v INT)` with an index
+/// on `r.k`. `l.k` runs over 0..50 with every 11th NULL; `r` holds key
+/// `m` (for `m` < 40) `m % 4` times, plus three NULL keys, so a probe
+/// finds no row, one row or several.
+fn setup_probe(nl: i64) -> (Catalog, Storage, [TableId; 2], IndexId) {
+    let mut cat = Catalog::new();
+    let col = |n: &str| Column {
+        name: n.into(),
+        data_type: DataType::Int,
+        not_null: false,
+    };
+    let l = cat
+        .add_table("l", vec![col("k"), col("v")], vec![])
+        .unwrap();
+    let r = cat
+        .add_table("r", vec![col("k"), col("v")], vec![])
+        .unwrap();
+    let st = Storage::new();
+    st.create_table(l);
+    st.create_table(r);
+    for i in 0..nl {
+        let k = match i % 11 {
+            5 => Value::Null,
+            _ => Value::Int(i % 50),
+        };
+        st.insert(l, vec![k, Value::Int(i % 100)]).unwrap();
+    }
+    for m in 0..40i64 {
+        for c in 0..m % 4 {
+            st.insert(r, vec![Value::Int(m), Value::Int((m * 7 + c * 13) % 100)])
+                .unwrap();
+        }
+    }
+    for c in 0..3 {
+        st.insert(r, vec![Value::Null, Value::Int(c * 40)]).unwrap();
+    }
+    let ix = cat.add_index("i_r_k", r, vec![0], false).unwrap();
+    st.build_index(ix, r, vec![0]).unwrap();
+    st.analyze(&mut cat).unwrap();
+    (cat, st, [l, r], ix)
+}
+
+/// `l` joined laterally to `r` on `l.k = r.k` (`AND r.v > l.v` with
+/// `residual`): the index nested loop the optimizer plans, whose right
+/// side probes `r.k` with the left row's key and re-checks it in place.
+fn index_nl_plan(
+    tables: [TableId; 2],
+    index: IndexId,
+    kind: PlanJoinKind,
+    residual: bool,
+) -> BlockPlan {
+    let right = PlanNode::ScanBase {
+        table: tables[1],
+        refid: RefId(1),
+        width: 3,
+        access: AccessPath::IndexEq {
+            index,
+            key: vec![col(0, 0)],
+        },
+        filter: vec![cmp(BinOp::Eq, col(1, 0), col(0, 0))],
+        rows: 0.0,
+    };
+    lateral_plan(tables, right, kind, residual)
+}
+
+/// `l` joined laterally to `right` (reference 1) on `l.k = r1.k`, with
+/// the residual `r1.v > l.v` when `residual`.
+fn lateral_plan(
+    tables: [TableId; 2],
+    right: PlanNode,
+    kind: PlanJoinKind,
+    residual: bool,
+) -> BlockPlan {
+    let left = PlanNode::ScanBase {
+        table: tables[0],
+        refid: RefId(0),
+        width: 3,
+        access: AccessPath::FullScan,
+        filter: Vec::new(),
+        rows: 0.0,
+    };
+    let residual = match residual {
+        true => vec![cmp(BinOp::Gt, col(1, 1), col(0, 1))],
+        false => Vec::new(),
+    };
+    let join = PlanNode::Join {
+        left: Box::new(left),
+        right: Box::new(right),
+        kind,
+        method: JoinMethod::NestedLoop,
+        equi: vec![(col(0, 0), col(1, 0))],
+        residual,
+        lateral: true,
+        rows: 0.0,
+    };
+    let mut select = vec![col(0, 0), col(0, 1)];
+    if matches!(kind, PlanJoinKind::Inner | PlanJoinKind::LeftOuter) {
+        select.extend([col(1, 0), col(1, 1)]);
+    }
+    block(BlockId(0), join, select)
+}
+
+/// Left inputs below, at and across the batch size.
+const LEFT_ROWS: [i64; 5] = [0, 1023, 1024, 1025, 2049];
+
+#[test]
+fn index_nested_loops_agree_across_batch_boundaries() {
+    for nl in LEFT_ROWS {
+        let (cat, st, tables, ix) = setup_probe(nl);
+        for kind in JOIN_KINDS {
+            for residual in [false, true] {
+                let plan = index_nl_plan(tables, ix, kind, residual);
+                let (rows, _) = assert_engines_agree_on(&cat, &st, &plan);
+                if kind == PlanJoinKind::LeftOuter {
+                    assert!(rows.len() >= nl as usize, "{nl}: outer join lost rows");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn index_probes_find_none_one_many_and_skip_null_keys() {
+    let (cat, st, tables, ix) = setup_probe(200);
+    let plan = index_nl_plan(tables, ix, PlanJoinKind::Inner, false);
+    let (rows, _) = assert_engines_agree_on(&cat, &st, &plan);
+    let mut hits = vec![0usize; 50];
+    for r in &rows {
+        hits[r[0].as_i64().unwrap() as usize] += 1;
+    }
+    // key m < 40 meets m % 4 rows of r for each of the four (or five)
+    // left rows holding it; keys from 40 on meet none, a NULL key none
+    for (m, &n) in hits.iter().enumerate() {
+        let left = (0..200)
+            .filter(|i| i % 50 == m as i64 && i % 11 != 5)
+            .count();
+        let per = if m < 40 { m % 4 } else { 0 };
+        assert_eq!(n, left * per, "key {m}");
+    }
+    assert!(rows.iter().all(|r| !r[0].is_null()));
+    // a left row with a NULL key, a key from 40 on or a key m with
+    // m % 4 == 0 finds nothing and is padded
+    let plan = index_nl_plan(tables, ix, PlanJoinKind::LeftOuter, false);
+    let (rows, _) = assert_engines_agree_on(&cat, &st, &plan);
+    let unmatched = |i: &i64| i % 11 == 5 || i % 50 >= 40 || i % 50 % 4 == 0;
+    let padded = rows.iter().filter(|r| r[2].is_null()).count();
+    assert_eq!(padded, (0..200).filter(unmatched).count());
+}
+
+/// `l` joined laterally to the correlated view
+/// `(SELECT r.k, r.v FROM r r2 WHERE r2.k = l.k)` (reference 1): the
+/// view runs once per distinct binding of `l.k` through the TIS cache,
+/// and the left keys repeat, so most probes are cache hits.
+fn lateral_view_plan(tables: [TableId; 2], kind: PlanJoinKind, residual: bool) -> BlockPlan {
+    let scan = PlanNode::ScanBase {
+        table: tables[1],
+        refid: RefId(2),
+        width: 3,
+        access: AccessPath::FullScan,
+        filter: vec![cmp(BinOp::Eq, col(2, 0), col(0, 0))],
+        rows: 0.0,
+    };
+    let view = block(BlockId(1), scan, vec![col(2, 0), col(2, 1)]);
+    let right = PlanNode::ScanView {
+        block: BlockId(1),
+        refid: RefId(1),
+        width: 2,
+        plan: std::sync::Arc::new(view),
+        correlated: true,
+        filter: Vec::new(),
+        rows: 0.0,
+    };
+    lateral_plan(tables, right, kind, residual)
+}
+
+#[test]
+fn lateral_views_agree_and_share_the_correlation_cache() {
+    for nl in [0, 7, 1025] {
+        let (cat, st, tables, _) = setup_probe(nl);
+        for kind in JOIN_KINDS {
+            for residual in [false, true] {
+                let plan = lateral_view_plan(tables, kind, residual);
+                let (_, stats) = assert_engines_agree_on(&cat, &st, &plan);
+                // one view run per distinct binding (NULL is one), every
+                // other probe a hit
+                let keys = (0..nl).map(|i| (i % 11 != 5).then_some(i % 50));
+                let distinct = keys.collect::<std::collections::BTreeSet<_>>().len() as u64;
+                assert_eq!(stats.cache_misses, distinct, "{nl} {kind:?}");
+                assert_eq!(stats.cache_hits, nl as u64 - distinct, "{nl} {kind:?}");
+            }
+        }
+    }
+}
+
+/// A probe that also tests `r.v > l.v` on the heap rows, in a block that
+/// outputs only `l.k` and `r.v`: the left batches keep `l.v` live for
+/// the probe's binding alone.
+#[test]
+fn a_probe_reads_left_columns_nothing_else_reads() {
+    for nl in [1, 1025] {
+        let (cat, st, tables, ix) = setup_probe(nl);
+        let mut plan = index_nl_plan(tables, ix, PlanJoinKind::Inner, false);
+        let PlanRoot::Select(sp) = &mut plan.root else {
+            unreachable!()
+        };
+        sp.select = vec![col(0, 0), col(1, 1)];
+        let PlanNode::Join { right, .. } = &mut sp.join else {
+            unreachable!()
+        };
+        let PlanNode::ScanBase { filter, .. } = &mut **right else {
+            unreachable!()
+        };
+        filter.push(cmp(BinOp::Gt, col(1, 1), col(0, 1)));
+        let (rows, _) = assert_engines_agree_on(&cat, &st, &plan);
+        assert!(nl == 1 || !rows.is_empty());
+    }
+}
+
+#[test]
+fn block_nested_loops_and_cross_products_agree() {
+    for nl in LEFT_ROWS {
+        let (cat, st, tables) = setup_join(nl, 3);
+        for kind in JOIN_KINDS {
+            let plan = join_plan(tables, kind, JoinMethod::NestedLoop, true);
+            assert_engines_agree_on(&cat, &st, &plan);
+        }
+        // no key and no residual: every pair
+        let mut plan = join_plan(tables, PlanJoinKind::Inner, JoinMethod::NestedLoop, false);
+        if let PlanRoot::Select(sp) = &mut plan.root {
+            if let PlanNode::Join { equi, .. } = &mut sp.join {
+                equi.clear();
+            }
+        }
+        let (rows, _) = assert_engines_agree_on(&cat, &st, &plan);
+        assert_eq!(rows.len(), nl as usize * 3);
+        let plan = join_plan(tables, PlanJoinKind::Inner, JoinMethod::Merge, true);
+        assert_engines_agree_on(&cat, &st, &plan);
+    }
+}
+
+/// The governor outcome of `plan` under `limits` in each engine:
+/// `Ok(rows)` or the error's text.
+fn outcomes(
+    cat: &Catalog,
+    st: &Storage,
+    plan: &BlockPlan,
+    limits: &cbqt_common::ExecutionLimits,
+) -> Vec<Result<usize, String>> {
+    use cbqt_common::{CancelToken, ExecutionMode, Governor};
+    [ExecutionMode::Vectorized, ExecutionMode::Volcano]
+        .into_iter()
+        .map(|mode| {
+            let mut eng = Engine::new(cat, st);
+            eng.set_mode(mode);
+            eng.set_governor(Governor::new(limits, CancelToken::new()));
+            eng.run(plan)
+                .map(|rows| rows.len())
+                .map_err(|e| e.to_string())
+        })
+        .collect()
+}
+
+#[test]
+fn budgets_trip_mid_join_in_both_engines() {
+    use cbqt_common::{Error, ExecutionLimits};
+    let (cat, st, tables, ix) = setup_probe(2049);
+    let plans = [
+        index_nl_plan(tables, ix, PlanJoinKind::Inner, true),
+        lateral_view_plan(tables, PlanJoinKind::LeftOuter, false),
+    ];
+    for plan in &plans {
+        let (_, stats) = assert_engines_agree_on(&cat, &st, plan);
+        // the left scan's 2 049 rows pass; the join's do not
+        let rows = ExecutionLimits::none().with_row_budget(2_500);
+        let work = ExecutionLimits::none().with_work_budget(stats.work / 2.0);
+        for limits in [rows, work] {
+            let got = outcomes(&cat, &st, plan, &limits);
+            assert_eq!(got[0], got[1], "{limits:?}");
+            let mut eng = Engine::new(&cat, &st);
+            eng.set_governor(cbqt_common::Governor::new(
+                &limits,
+                cbqt_common::CancelToken::new(),
+            ));
+            assert!(
+                matches!(eng.run(plan), Err(Error::ResourceExhausted(_))),
+                "{limits:?}"
+            );
+        }
+        let roomy = ExecutionLimits::none()
+            .with_row_budget(1_000_000)
+            .with_work_budget(stats.work + 1.0);
+        let got = outcomes(&cat, &st, plan, &roomy);
+        assert!(got[0].is_ok() && got[0] == got[1], "{got:?}");
+        // the smallest row budget the vectorized run fits in: both
+        // engines tick the same rows, so Volcano fits in it too, and
+        // neither fits in one row less
+        let fits = |rows: u64| {
+            let limits = ExecutionLimits::none().with_row_budget(rows);
+            outcomes(&cat, &st, plan, &limits)[0].is_ok()
+        };
+        let (mut lo, mut hi) = (0u64, 1_000_000u64);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            match fits(mid) {
+                true => hi = mid,
+                false => lo = mid + 1,
+            }
+        }
+        for rows in [lo - 1, lo] {
+            let limits = ExecutionLimits::none().with_row_budget(rows);
+            let got = outcomes(&cat, &st, plan, &limits);
+            assert_eq!(got[0], got[1], "row budget {rows}");
         }
     }
 }

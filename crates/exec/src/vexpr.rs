@@ -11,17 +11,19 @@
 //! subexpression)` evaluations — and therefore every `EXPENSIVE()` burn
 //! and work unit — is exactly the set the Volcano oracle produces.
 //!
-//! Constructs the batch form cannot express natively (subqueries, outer
-//! correlation frames, unknown slots) compile to [`VecExpr::Fallback`],
-//! which gathers the affected rows and evaluates them through the
-//! ordinary row-wise [`EvalCtx`] — same TIS caches, same errors.
+//! A column of an outer binding frame (a correlated reference, or the
+//! left row a lateral join's right side runs for) compiles to
+//! [`VecExpr::Outer`]: one value per execution, read like a bind, so a
+//! correlated comparison such as `j.emp_id = e.emp_id` is still a direct
+//! comparison. Subqueries compile to [`VecExpr::Fallback`], which
+//! gathers the affected rows and evaluates them through the ordinary
+//! row-wise [`EvalCtx`] — same TIS caches, same errors.
 
 use crate::batch::Batch;
-use crate::engine::Engine;
 use crate::eval::{display_raw, like_match, truth_value, EvalCtx};
 use cbqt_common::{Error, Result, Truth, Value};
 use cbqt_optimizer::{weights, Layout};
-use cbqt_qgm::{BinOp, QExpr};
+use cbqt_qgm::{BinOp, QExpr, RefId};
 use std::cmp::Ordering;
 
 /// Slot mapping used while compiling: mirrors the fields of [`EvalCtx`]
@@ -77,10 +79,17 @@ pub(crate) enum VecExpr {
     WinSlot(usize),
     Lit(Value),
     /// Bind slot: the execution's value for `slot`, or `peek` when the
-    /// execution installed none ([`Engine::param`]).
+    /// execution installed none ([`Engine::param`](crate::engine::Engine::param)).
     Param {
         slot: usize,
         peek: Value,
+    },
+    /// Column `column` of the outer reference `table`: the value the
+    /// innermost binding frame holds, the same for every row of one
+    /// execution. Errors like the row engine when no frame binds it.
+    Outer {
+        table: RefId,
+        column: usize,
     },
     /// Non-logical binary operator (arithmetic, comparison, `||`).
     Bin {
@@ -125,7 +134,8 @@ pub(crate) enum VecExpr {
     /// selection; the row engine raises the same error per row, i.e.
     /// only if the expression is ever reached.
     LazyErr(String),
-    /// Row-wise escape hatch: gather the row, evaluate via [`EvalCtx`].
+    /// Row-wise escape hatch for subqueries: gather the row, evaluate via
+    /// [`EvalCtx`].
     Fallback(Box<QExpr>),
 }
 
@@ -135,8 +145,11 @@ pub(crate) fn compile(e: &QExpr, cx: &CompileCtx<'_>) -> VecExpr {
         QExpr::Col { table, column } => match cx.layout.offset_of(*table) {
             Some((off, w)) if *column < w => VecExpr::Col(off + column),
             Some(_) => VecExpr::LazyErr(format!("column {column} out of range for r{}", table.0)),
-            // outer reference: resolved per row through the binding frames
-            None => VecExpr::Fallback(Box::new(e.clone())),
+            // outer reference: read from the binding frames when run
+            None => VecExpr::Outer {
+                table: *table,
+                column: *column,
+            },
         },
         QExpr::Lit(v) => VecExpr::Lit(v.clone()),
         QExpr::Param { slot, peek } => VecExpr::Param {
@@ -233,9 +246,9 @@ pub(crate) fn compile(e: &QExpr, cx: &CompileCtx<'_>) -> VecExpr {
 }
 
 impl VecExpr {
-    /// Whether any node in this program needs a gathered full row
-    /// (subquery / outer-reference fallback). Such programs require the
-    /// batch to be fully materialized.
+    /// Whether any node in this program needs a gathered full row (a
+    /// subquery fallback). Such programs require the batch to be fully
+    /// materialized.
     pub(crate) fn uses_fallback(&self) -> bool {
         let mut found = false;
         self.walk(&mut |n| {
@@ -307,6 +320,7 @@ impl VecExpr {
             | VecExpr::WinSlot(_)
             | VecExpr::Lit(_)
             | VecExpr::Param { .. }
+            | VecExpr::Outer { .. }
             | VecExpr::LazyErr(_)
             | VecExpr::Fallback(_) => {}
         }
@@ -350,6 +364,10 @@ impl VecExpr {
             VecExpr::Param { slot, peek } => {
                 Ok(vec![ctx.engine.param(*slot, peek).clone(); sel.len()])
             }
+            VecExpr::Outer { table, column } => match sel.is_empty() {
+                true => Ok(Vec::new()),
+                false => Ok(vec![ctx.outer.value(*table, *column)?.clone(); sel.len()]),
+            },
             VecExpr::Bin { op, l, r } => {
                 let lv = l.eval(batch, sel, ctx)?;
                 let rv = r.eval(batch, sel, ctx)?;
@@ -670,16 +688,16 @@ impl VecExpr {
     }
 
     /// The value of a direct operand — a column, an aggregate or window
-    /// slot, a literal or a bind — for row `row`, borrowed without
-    /// materializing an operand vector; `None` for any other program
-    /// and for a slot the batch does not carry. Backs the comparison
-    /// fast path in [`eval_truth`](VecExpr::eval_truth) and the row-wise
-    /// projection.
+    /// slot, a literal, a bind or an outer column — for row `row`,
+    /// borrowed without materializing an operand vector; `None` for any
+    /// other program, for a slot the batch does not carry and for an
+    /// unbound outer column. Backs the comparison fast path in
+    /// [`eval_truth`](VecExpr::eval_truth) and the row-wise projection.
     pub(crate) fn cell<'v>(
         &'v self,
         batch: &'v Batch,
         row: usize,
-        engine: &'v Engine<'_>,
+        ctx: &'v EvalCtx<'_>,
     ) -> Option<&'v Value> {
         match self {
             VecExpr::Col(i) => {
@@ -691,9 +709,7 @@ impl VecExpr {
                 Some(&batch.cols[*i][row])
             }
             VecExpr::AggSlot(i) | VecExpr::WinSlot(i) => batch.cols.get(*i).map(|c| &c[row]),
-            VecExpr::Lit(v) => Some(v),
-            VecExpr::Param { slot, peek } => Some(engine.param(*slot, peek)),
-            _ => None,
+            _ => self.constant(ctx),
         }
     }
 
@@ -706,15 +722,17 @@ impl VecExpr {
                 | VecExpr::WinSlot(_)
                 | VecExpr::Lit(_)
                 | VecExpr::Param { .. }
+                | VecExpr::Outer { .. }
         )
     }
 
-    /// A direct comparison operand: a column, a literal or a bind, which
-    /// can neither raise nor miss.
+    /// A direct comparison operand: a column, a literal, a bind or an
+    /// outer column, which cannot raise once [`bound`](VecExpr::bound)
+    /// has found its frame.
     fn is_direct(&self) -> bool {
         matches!(
             self,
-            VecExpr::Col(_) | VecExpr::Lit(_) | VecExpr::Param { .. }
+            VecExpr::Col(_) | VecExpr::Lit(_) | VecExpr::Param { .. } | VecExpr::Outer { .. }
         )
     }
 
@@ -730,13 +748,24 @@ impl VecExpr {
         }
     }
 
-    /// The value of a literal or a bind, the same for every row; `None`
-    /// for any other program.
-    pub(crate) fn constant<'v>(&'v self, engine: &'v Engine<'_>) -> Option<&'v Value> {
+    /// The value of a literal, a bind or an outer column, the same for
+    /// every row of one execution; `None` for any other program and for
+    /// an unbound outer column.
+    pub(crate) fn constant<'v>(&'v self, ctx: &'v EvalCtx<'_>) -> Option<&'v Value> {
         match self {
             VecExpr::Lit(v) => Some(v),
-            VecExpr::Param { slot, peek } => Some(engine.param(*slot, peek)),
+            VecExpr::Param { slot, peek } => Some(ctx.engine.param(*slot, peek)),
+            VecExpr::Outer { table, column } => ctx.outer.value(*table, *column).ok(),
             _ => None,
+        }
+    }
+
+    /// Checks that an outer column operand has a frame to read, with the
+    /// row engine's error when it has none; any other program passes.
+    pub(crate) fn bound(&self, ctx: &EvalCtx<'_>) -> Result<()> {
+        match self {
+            VecExpr::Outer { table, column } => ctx.outer.value(*table, *column).map(drop),
+            _ => Ok(()),
         }
     }
 
@@ -750,9 +779,12 @@ impl VecExpr {
         ctx: &EvalCtx<'_>,
     ) -> Result<()> {
         if let Some((op, l, r)) = self.direct_cmp() {
-            let eng = ctx.engine;
+            if !sel.is_empty() {
+                l.bound(ctx)?;
+                r.bound(ctx)?;
+            }
             retain_cmp(op, sel, |row| {
-                let (a, b) = (l.cell(batch, row, eng), r.cell(batch, row, eng));
+                let (a, b) = (l.cell(batch, row, ctx), r.cell(batch, row, ctx));
                 order(a.unwrap(), b.unwrap())
             });
             return Ok(());
@@ -776,9 +808,12 @@ impl VecExpr {
         // sides into operand vectors. Semantics are identical to the
         // generic Bin arm (the same ordering, and this shape cannot raise).
         if let Some((op, l, r)) = self.direct_cmp() {
-            let eng = ctx.engine;
+            if !sel.is_empty() {
+                l.bound(ctx)?;
+                r.bound(ctx)?;
+            }
             let truth = |&row: &usize| {
-                let (a, b) = (l.cell(batch, row, eng), r.cell(batch, row, eng));
+                let (a, b) = (l.cell(batch, row, ctx), r.cell(batch, row, ctx));
                 compare(op, a.unwrap(), b.unwrap())
             };
             return Ok(sel.iter().map(truth).collect());

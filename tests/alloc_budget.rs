@@ -244,7 +244,7 @@ fn warm_literal_pk_select() {
             "warm literal PK select",
             mode,
             got,
-            ceiling(mode, (25.0, 23.0)),
+            ceiling(mode, (24.0, 21.0)),
         );
     }
 }
@@ -260,7 +260,42 @@ fn warm_owner_lookup() {
     for mode in MODES {
         let db = accounts(mode);
         let got = per_statement(|i| drop(db.query(&sqls[i]).unwrap()));
-        check("warm owner lookup", mode, got, ceiling(mode, (24.0, 24.0)));
+        check("warm owner lookup", mode, got, ceiling(mode, (23.0, 22.0)));
+    }
+}
+
+/// `warm_scan`'s template 3 on the HR schema with `job_history (emp_id)`
+/// indexed and a salary cut that keeps about a fifth of the employees:
+/// an index nested loop (a lateral join over an `INDEX EQ` probe per
+/// employee) with a fresh literal each.
+#[test]
+fn warm_lateral_join() {
+    let sqls = texts(WARMUP + COUNTED, |i| {
+        format!(
+            "SELECT j.job_title, COUNT(*) c, MAX(j.start_date) m \
+             FROM job_history j, employees e \
+             WHERE j.emp_id = e.emp_id AND e.salary > {} \
+             GROUP BY j.job_title",
+            5_000 + i % 200
+        )
+    });
+    for mode in MODES {
+        let mut db = hr(mode);
+        db.execute_script("CREATE INDEX i_jh_emp ON job_history (emp_id);")
+            .unwrap();
+        db.analyze().unwrap();
+        let plan = db.explain(&sqls[0]).unwrap();
+        assert!(
+            plan.contains("JOIN LATERAL") && plan.contains("INDEX EQ"),
+            "not an index nested loop:\n{plan}"
+        );
+        let got = per_statement(|i| drop(db.query(&sqls[i]).unwrap()));
+        check(
+            "warm lateral join (warm_scan template 3)",
+            mode,
+            got,
+            ceiling(mode, (80.0, 495.5)),
+        );
     }
 }
 
@@ -275,7 +310,7 @@ fn prepared_query() {
             .prepare("SELECT balance, branch, note FROM accounts WHERE id = ?")
             .unwrap();
         let got = per_statement(|i| assert_eq!(p.query(&binds[i]).unwrap().rows.len(), 1));
-        check("Prepared::query", mode, got, ceiling(mode, (24.0, 22.0)));
+        check("Prepared::query", mode, got, ceiling(mode, (23.0, 20.0)));
     }
 }
 
@@ -288,7 +323,7 @@ fn single_row_update() {
         let db = kv(mode);
         let writer = db.session();
         let got = per_statement(|i| drop(writer.execute_statement(&sqls[i]).unwrap()));
-        check("single-row UPDATE", mode, got, ceiling(mode, (22.0, 20.0)));
+        check("single-row UPDATE", mode, got, ceiling(mode, (21.0, 18.0)));
     }
 }
 
@@ -309,7 +344,7 @@ fn update_in_an_explicit_transaction() {
             "BEGIN, single-row UPDATE, COMMIT",
             mode,
             got,
-            ceiling(mode, (22.0, 20.0)),
+            ceiling(mode, (21.0, 18.0)),
         );
     }
 }
@@ -328,7 +363,7 @@ fn single_row_delete() {
             let r = writer.execute_statement(&sqls[i]).unwrap();
             assert!(matches!(r, cbqt::StatementResult::RowsAffected(1)));
         });
-        check("single-row DELETE", mode, got, ceiling(mode, (18.0, 18.0)));
+        check("single-row DELETE", mode, got, ceiling(mode, (17.0, 16.0)));
     }
 }
 
@@ -362,7 +397,7 @@ fn sum_count_scan() {
             "2 000-row SUM / COUNT scan",
             mode,
             got,
-            ceiling(mode, (25.0, 2039.0)),
+            ceiling(mode, (25.0, 2038.0)),
         );
     }
 }
@@ -383,7 +418,7 @@ fn group_read() {
             "2 000-row group read (SUM / COUNT WHERE grp = g)",
             mode,
             got,
-            ceiling(mode, (34.0, 2039.0)),
+            ceiling(mode, (34.0, 2037.5)),
         );
     }
 }
@@ -402,7 +437,7 @@ fn grouped_aggregate() {
             "2 000-row GROUP BY (20 groups)",
             mode,
             got,
-            ceiling(mode, (91.0, 4170.0)),
+            ceiling(mode, (91.0, 4169.0)),
         );
     }
 }
@@ -420,7 +455,7 @@ fn table2_cache_miss() {
             "Table-2 query, cache miss (compile + run)",
             mode,
             got,
-            ceiling(mode, (10229.0, 10863.0)),
+            ceiling(mode, (9666.0, 10844.0)),
         );
     }
 }
@@ -455,7 +490,7 @@ fn snowflake_cache_miss() {
             "7-table snowflake, cache miss (compile + run)",
             mode,
             got,
-            ceiling(mode, (1544.5, 4381.5)),
+            ceiling(mode, (1518.5, 4322.5)),
         );
     }
 }
@@ -479,6 +514,6 @@ fn recipe_miss() {
         let before = db.plan_cache_stats().recipe_hits;
         let got = per_statement(|i| assert_eq!(db.query(&sqls[i]).unwrap().rows.len(), 1));
         assert_eq!(db.plan_cache_stats().recipe_hits, before, "a recipe served");
-        check("recipe miss", mode, got, ceiling(mode, (92.5, 90.5)));
+        check("recipe miss", mode, got, ceiling(mode, (91.5, 88.5)));
     }
 }
