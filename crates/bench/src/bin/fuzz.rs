@@ -172,6 +172,26 @@ fn null_keyed_not_in(rng: &mut Rng) -> String {
     format!("SELECT d.department_name FROM departments d WHERE d.dept_id = {dept} AND d.dept_id NOT IN (SELECT e.dept_id FROM employees e WHERE e.salary > {sal})")
 }
 
+/// One of seven statements that put a subquery where a rewrite must
+/// refuse it or keep its NULL semantics: a correlated average under OR,
+/// NOT and IS NULL; a correlated NOT IN on nullable keys, over one table
+/// and over a join; a group-by view whose aggregate a parent subquery
+/// reads; and a subquery in an IN left operand.
+fn unnesting_edge(rng: &mut Rng) -> String {
+    let sal = rng.gen_range(0..8000);
+    let avg = "(SELECT AVG(e2.salary) FROM employees e2 WHERE e2.dept_id = e.dept_id)";
+    let emp = "SELECT e.emp_id FROM employees e WHERE";
+    match rng.gen_range(0..7) {
+        0 => format!("{emp} e.salary > {sal} OR e.salary > {avg}"),
+        1 => format!("{emp} NOT (e.salary < {sal} AND e.salary > {avg})"),
+        2 => format!("{emp} (e.salary > {avg}) IS NULL"),
+        3 => format!("{emp} e.mgr_id NOT IN (SELECT j.emp_id FROM job_history j WHERE j.dept_id = e.dept_id)"),
+        4 => format!("{emp} e.mgr_id NOT IN (SELECT j.emp_id FROM job_history j, employees e2 WHERE j.emp_id = e2.emp_id AND j.dept_id = e.dept_id)"),
+        5 => "SELECT v.dept_id FROM (SELECT dept_id, MIN(emp_id) emp_id FROM employees GROUP BY dept_id) v, departments d WHERE v.dept_id = d.dept_id AND (SELECT COUNT(*) FROM job_history j WHERE j.emp_id = v.emp_id) = 0".to_string(),
+        _ => format!("{emp} (SELECT MAX(d.dept_id) FROM departments d WHERE d.dept_id = e.dept_id) IN (SELECT j.dept_id FROM job_history j)"),
+    }
+}
+
 /// A query shaped for the batch engine's scan and aggregate kernels: one
 /// to three aggregates over the nullable `salary` (SUM, AVG, MIN, MAX,
 /// COUNT(col), DISTINCT, a MIN over strings, and an argument that turns
@@ -518,11 +538,15 @@ impl Round {
 
 const STRATEGIES: Oracle = Oracle {
     flag: None,
-    about: "A random query, and a NOT IN over an indexed key with NULLs, on a\n\
-            random database must return the rows of the run with every\n\
-            transformation off under each search strategy (Exhaustive,\n\
-            TwoPass, Iterative, Linear, Auto) and under the heuristic rules\n\
-            (cost_based = false), all with the default TransformSet.",
+    about: "A random query, a NOT IN over an indexed key with NULLs, and one\n\
+            of seven subqueries that unnesting or view merging must refuse\n\
+            or keep NULL-correct (under OR, NOT or IS NULL, a correlated NOT\n\
+            IN, a view aggregate a parent subquery reads, a subquery left\n\
+            operand), on a random database must return the rows of the run\n\
+            with every transformation off under each search strategy\n\
+            (Exhaustive, TwoPass, Iterative, Linear, Auto) and under the\n\
+            heuristic rules (cost_based = false), all with the default\n\
+            TransformSet.",
     needs_recipe_hits: false,
     needs_lateral_joins: false,
     round: strategies_round,
@@ -531,7 +555,9 @@ const STRATEGIES: Oracle = Oracle {
 fn strategies_round(r: &mut Round) {
     let mut rng = Rng::seed_from_u64(r.seed);
     let mut db = random_db(&mut rng);
-    for sql in [random_query(&mut rng), null_keyed_not_in(&mut rng)] {
+    // its own stream, so that the round's other draws stay as they were
+    let edge = unnesting_edge(&mut Rng::seed_from_u64(r.seed ^ 0x756e_6e65_7374));
+    for sql in [random_query(&mut rng), null_keyed_not_in(&mut rng), edge] {
         let config = db.config_mut();
         config.cost_based = false;
         config.transforms = TransformSet {

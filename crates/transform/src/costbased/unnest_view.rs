@@ -16,13 +16,12 @@
 
 use super::{ApplyEffect, CbTransform, Target};
 use crate::framework::TransformSet;
-use crate::heuristic::unnest_merge::is_mergeable_subquery;
+use crate::heuristic::unnest_merge::mergeable;
+use crate::unnest::{expose_correlation, semi_anti_applicable, semi_anti_join, split_correlation};
 use cbqt_catalog::Catalog;
-use cbqt_common::hash::HashSet;
 use cbqt_common::{Error, Result};
 use cbqt_qgm::{
-    AggFunc, BlockId, JoinInfo, OutputItem, QExpr, QTable, QTableSource, Quant, QueryBlock,
-    QueryTree, RefId, SubqKind,
+    AggFunc, BlockId, JoinInfo, QExpr, QTable, QTableSource, QueryBlock, QueryTree, SubqKind,
 };
 
 pub struct CbUnnestView;
@@ -91,55 +90,16 @@ impl CbTransform for CbUnnestView {
             .ok_or_else(|| Error::transform("subquery no longer unnestable"))?;
         match shape {
             Shape::Aggregate => unnest_aggregate(tree, *block, *subq, conj_idx),
-            Shape::SemiAnti => unnest_semi_anti(tree, catalog, *block, *subq, conj_idx),
+            Shape::SemiAnti { null_aware } => {
+                unnest_semi_anti(tree, *block, *subq, conj_idx, null_aware)
+            }
         }
     }
 }
 
 enum Shape {
     Aggregate,
-    SemiAnti,
-}
-
-/// A correlated conjunct usable for unnesting: `inner = outer` equality.
-fn split_correlation(tree: &QueryTree, sub: BlockId, c: &QExpr) -> Option<(QExpr, QExpr)> {
-    let (l, r) = c.as_equality()?;
-    let declared = collect_subtree_refs(tree, sub);
-    let l_inner = !l.referenced_tables().is_empty()
-        && l.referenced_tables().iter().all(|t| declared.contains(t));
-    let r_inner = !r.referenced_tables().is_empty()
-        && r.referenced_tables().iter().all(|t| declared.contains(t));
-    let l_outer = l.referenced_tables().iter().all(|t| !declared.contains(t));
-    let r_outer = r.referenced_tables().iter().all(|t| !declared.contains(t));
-    if l_inner && r_outer && !r.referenced_tables().is_empty() {
-        return Some((l.clone(), r.clone()));
-    }
-    if r_inner && l_outer && !l.referenced_tables().is_empty() {
-        return Some((r.clone(), l.clone()));
-    }
-    None
-}
-
-fn collect_subtree_refs(tree: &QueryTree, root: BlockId) -> HashSet<RefId> {
-    let mut out = HashSet::default();
-    let mut stack = vec![root];
-    while let Some(b) = stack.pop() {
-        if let Ok(blk) = tree.block(b) {
-            match blk {
-                QueryBlock::Select(s) => {
-                    for t in &s.tables {
-                        out.insert(t.refid);
-                        if let QTableSource::View(v) = t.source {
-                            stack.push(v);
-                        }
-                    }
-                    s.for_each_expr(&mut |e| stack.extend(e.subquery_blocks()));
-                }
-                QueryBlock::SetOp(s) => stack.extend(s.inputs.iter().copied()),
-            }
-        }
-    }
-    out
+    SemiAnti { null_aware: bool },
 }
 
 fn classify(
@@ -169,128 +129,54 @@ fn classify(
     {
         return None;
     }
-    // every correlated conjunct must be extractable as inner = outer
-    let declared = collect_subtree_refs(tree, sub);
-    for c in &s.where_conjuncts {
-        let is_correlated = c.referenced_tables().iter().any(|t| !declared.contains(t));
-        if is_correlated && split_correlation(tree, sub, c).is_none() {
-            return None;
-        }
-        if is_correlated && c.contains_subquery() {
-            return None;
-        }
-    }
-    // correlation must not hide deeper than the subquery's own WHERE
-    let mut deep_corr = false;
-    for t in &s.tables {
-        if let QTableSource::View(v) = t.source {
-            if tree.is_correlated(v) {
-                deep_corr = true;
-            }
-        }
-    }
-    s.for_each_expr(&mut |e| {
-        for b in e.subquery_blocks() {
-            if tree
-                .correlated_refs(b)
-                .iter()
-                .any(|r| !declared.contains(r))
-            {
-                deep_corr = true;
-            }
-        }
-    });
-    if deep_corr {
-        return None;
-    }
+    let correlation = split_correlation(tree, sub)?;
 
-    // aggregate shape: scalar subquery with a single aggregate output
-    if matches!(find_subq_kind(conj, sub)?, SubqKind::Scalar) {
-        if s.group_by.is_empty()
-            && !s.distinct
-            && s.select.len() == 1
-            && s.tables.iter().all(|t| t.join.is_inner())
-        {
-            if let QExpr::Agg {
-                func,
-                distinct: false,
-                ..
-            } = &s.select[0].expr
-            {
-                // COUNT over an empty group would have to produce 0, which
-                // an inner join back cannot (the classic COUNT bug): skip
-                if !matches!(func, AggFunc::Count | AggFunc::CountStar) {
-                    return Some(Shape::Aggregate);
-                }
-            }
-        }
-        return None;
-    }
-
-    // semi/anti shape: the conjunct IS the subquery reference and the
-    // merging heuristic could not handle it
-    let QExpr::Subq { block, kind } = conj else {
-        return None;
-    };
-    if block != &sub || is_mergeable_subquery(tree, sub) {
-        return None;
-    }
-    if s.is_aggregated() && !s.group_by.is_empty() {
-        // grouped subqueries: correlation columns must be grouping
-        // expressions to be exposed in the view
-        for c in &s.where_conjuncts {
-            if let Some((inner, _)) = split_correlation(tree, sub, c) {
-                if !s.group_by.contains(&inner) {
+    let is_sub = |e: &QExpr| matches!(e, QExpr::Subq { block, .. } if *block == sub);
+    match conj {
+        // semi/anti shape: the conjunct IS the subquery reference and the
+        // merging heuristic could not handle it
+        QExpr::Subq { kind, .. } if is_sub(conj) && !mergeable(tree, sub) => {
+            if s.is_aggregated() && !s.group_by.is_empty() {
+                // grouped subqueries: correlation columns must be grouping
+                // expressions to be exposed in the view
+                if !correlation
+                    .keys
+                    .iter()
+                    .all(|(inner, _)| s.group_by.contains(inner))
+                {
                     return None;
                 }
+            } else if s.is_aggregated() {
+                return None; // scalar-aggregated EXISTS: keep TIS
             }
+            let null_aware = semi_anti_applicable(tree, catalog, outer, sub, kind)?;
+            Some(Shape::SemiAnti { null_aware })
         }
-    } else if s.is_aggregated() {
-        return None; // scalar-aggregated EXISTS: keep TIS
-    }
-    match kind {
-        SubqKind::Exists { .. } => Some(Shape::SemiAnti),
-        SubqKind::In { lhs, .. } => {
-            if lhs.iter().any(|e| e.contains_subquery()) {
+        // aggregate shape: a scalar subquery with a single aggregate
+        // output, compared directly in the conjunct, so that a NULL
+        // value (an outer row with no group) rejects the row as the
+        // inner join back does
+        QExpr::Bin { op, left, right } if op.is_comparison() && (is_sub(left) || is_sub(right)) => {
+            if !s.group_by.is_empty()
+                || s.distinct
+                || s.select.len() != 1
+                || !s.tables.iter().all(|t| t.join.is_inner())
+            {
                 return None;
             }
-            Some(Shape::SemiAnti)
-        }
-        SubqKind::Quant { op, quant, lhs } => {
-            if !op.is_comparison() || lhs.contains_subquery() {
-                return None;
-            }
-            match quant {
-                Quant::Any => Some(Shape::SemiAnti),
-                Quant::All => {
-                    // ALL needs BOTH connecting sides provably non-null
-                    // (§2.1.1): a NULL on either side makes the ALL
-                    // comparison UNKNOWN, which an antijoin cannot model
-                    let out_ok =
-                        crate::util::provably_not_null(tree, catalog, s, &s.select[0].expr);
-                    let lhs_ok = crate::util::provably_not_null(tree, catalog, outer_s, lhs);
-                    if out_ok && lhs_ok {
-                        Some(Shape::SemiAnti)
-                    } else {
-                        None
-                    }
-                }
+            match &s.select[0].expr {
+                // COUNT over an empty group would have to produce 0, which
+                // an inner join back cannot (the classic COUNT bug): skip
+                QExpr::Agg {
+                    func,
+                    distinct: false,
+                    ..
+                } if !matches!(func, AggFunc::Count | AggFunc::CountStar) => Some(Shape::Aggregate),
+                _ => None,
             }
         }
-        SubqKind::Scalar => None,
+        _ => None,
     }
-}
-
-fn find_subq_kind(conj: &QExpr, sub: BlockId) -> Option<SubqKind> {
-    let mut found: Option<SubqKind> = None;
-    conj.walk(&mut |e| {
-        if let QExpr::Subq { block, kind } = e {
-            if *block == sub && found.is_none() {
-                found = Some(kind.clone());
-            }
-        }
-    });
-    found
 }
 
 /// Q1 → Q10: aggregate subquery becomes a group-by view.
@@ -300,38 +186,11 @@ fn unnest_aggregate(
     sub: BlockId,
     conj_idx: usize,
 ) -> Result<ApplyEffect> {
-    // extract correlations from the subquery
-    let mut correlations: Vec<(QExpr, QExpr)> = Vec::new();
-    {
-        let declared = collect_subtree_refs(tree, sub);
-        let s = tree.select_mut(sub)?;
-        let mut kept = Vec::new();
-        for c in s.where_conjuncts.drain(..) {
-            let is_corr = c.referenced_tables().iter().any(|t| !declared.contains(t));
-            if is_corr {
-                // shape was validated in classify
-                let (l, r) = c.as_equality().expect("validated equality");
-                let l_inner = l.referenced_tables().iter().all(|t| declared.contains(t))
-                    && !l.referenced_tables().is_empty();
-                if l_inner {
-                    correlations.push((l.clone(), r.clone()));
-                } else {
-                    correlations.push((r.clone(), l.clone()));
-                }
-            } else {
-                kept.push(c);
-            }
-        }
-        s.where_conjuncts = kept;
-        // expose correlation columns and group by them
-        for (k, (inner, _)) in correlations.iter().enumerate() {
-            s.select.push(OutputItem {
-                expr: inner.clone(),
-                name: format!("GK{k}"),
-            });
-            s.group_by.push(inner.clone());
-        }
-    }
+    // expose the correlation columns and group by them
+    let correlations = expose_correlation(tree, sub, "GK")?;
+    let s = tree.select_mut(sub)?;
+    s.group_by
+        .extend(correlations.iter().map(|(inner, _)| inner.clone()));
     // join the view into the outer block
     let rv = tree.new_ref();
     let alias = format!("VW_U{}", sub.0);
@@ -366,108 +225,29 @@ fn unnest_aggregate(
 /// joined by semijoin or antijoin.
 fn unnest_semi_anti(
     tree: &mut QueryTree,
-    catalog: &Catalog,
     outer: BlockId,
     sub: BlockId,
     conj_idx: usize,
+    null_aware: bool,
 ) -> Result<ApplyEffect> {
     let conj = tree.select_mut(outer)?.where_conjuncts.remove(conj_idx);
     let QExpr::Subq { kind, .. } = conj else {
         return Err(Error::transform("expected subquery conjunct"));
     };
-    // extract correlations
-    let mut correlations: Vec<(QExpr, QExpr)> = Vec::new();
-    {
-        let declared = collect_subtree_refs(tree, sub);
-        let s = tree.select_mut(sub)?;
-        let mut kept = Vec::new();
-        for c in s.where_conjuncts.drain(..) {
-            let is_corr = c.referenced_tables().iter().any(|t| !declared.contains(t));
-            if is_corr {
-                let (l, r) = c.as_equality().expect("validated equality");
-                let l_inner = l.referenced_tables().iter().all(|t| declared.contains(t))
-                    && !l.referenced_tables().is_empty();
-                if l_inner {
-                    correlations.push((l.clone(), r.clone()));
-                } else {
-                    correlations.push((r.clone(), l.clone()));
-                }
-            } else {
-                kept.push(c);
-            }
-        }
-        s.where_conjuncts = kept;
-    }
     let base_arity = tree.select(sub)?.select.len();
-    {
-        let s = tree.select_mut(sub)?;
-        for (k, (inner, _)) in correlations.iter().enumerate() {
-            s.select.push(OutputItem {
-                expr: inner.clone(),
-                name: format!("JK{k}"),
-            });
-        }
-    }
+    let correlations = expose_correlation(tree, sub, "JK")?;
     let rv = tree.new_ref();
-    let mut on: Vec<QExpr> = correlations
-        .iter()
+    let on: Vec<QExpr> = correlations
+        .into_iter()
         .enumerate()
-        .map(|(k, (_, outer_expr))| QExpr::eq(QExpr::col(rv, base_arity + k), outer_expr.clone()))
+        .map(|(k, (_, outer_expr))| QExpr::eq(QExpr::col(rv, base_arity + k), outer_expr))
         .collect();
-    let join = match kind {
-        SubqKind::Exists { negated } => {
-            if negated {
-                JoinInfo::Anti {
-                    on,
-                    null_aware: false,
-                }
-            } else {
-                JoinInfo::Semi { on }
-            }
-        }
-        SubqKind::In { lhs, negated } => {
-            for (i, l) in lhs.iter().enumerate() {
-                on.push(QExpr::eq(l.clone(), QExpr::col(rv, i)));
-            }
-            if negated {
-                let outer_s = tree.select(outer)?;
-                let sub_s = tree.select(sub)?;
-                let all_nn = lhs
-                    .iter()
-                    .all(|l| crate::util::provably_not_null(tree, catalog, outer_s, l))
-                    && sub_s.select[..lhs.len()].iter().all(|item| {
-                        crate::util::provably_not_null(tree, catalog, sub_s, &item.expr)
-                    });
-                JoinInfo::Anti {
-                    on,
-                    null_aware: !all_nn,
-                }
-            } else {
-                JoinInfo::Semi { on }
-            }
-        }
-        SubqKind::Quant { op, quant, lhs } => match quant {
-            Quant::Any => {
-                on.push(QExpr::bin(op, (*lhs).clone(), QExpr::col(rv, 0)));
-                JoinInfo::Semi { on }
-            }
-            Quant::All => {
-                let inv = crate::util::invert_comparison(op)
-                    .ok_or_else(|| Error::transform("bad ALL operator"))?;
-                on.push(QExpr::bin(inv, (*lhs).clone(), QExpr::col(rv, 0)));
-                JoinInfo::Anti {
-                    on,
-                    null_aware: false,
-                }
-            }
-        },
-        SubqKind::Scalar => return Err(Error::transform("scalar subquery in semi/anti shape")),
-    };
+    let outputs: Vec<QExpr> = (0..base_arity).map(|i| QExpr::col(rv, i)).collect();
     tree.select_mut(outer)?.tables.push(QTable {
         refid: rv,
         alias: format!("VW_S{}", sub.0),
         source: QTableSource::View(sub),
-        join,
+        join: semi_anti_join(kind, &outputs, on, null_aware)?,
     });
     // semi/anti views are not view-merge candidates — no interleave
     Ok(ApplyEffect::default())
@@ -497,26 +277,17 @@ pub fn heuristic_would_unnest(
                 .all(|r| outer_s.table(*r).is_some())
     });
     // indexes on the local (inner) columns of the correlation?
-    let declared = collect_subtree_refs(tree, sub);
-    let mut has_index_on_correlation = false;
-    for c in &sub_s.where_conjuncts {
-        let is_corr = c.referenced_tables().iter().any(|t| !declared.contains(t));
-        if !is_corr {
-            continue;
-        }
-        let Some((QExpr::Col { table, column }, _)) = split_correlation(tree, sub, c) else {
-            continue;
+    let keys = split_correlation(tree, sub).map_or_else(Vec::new, |c| c.keys);
+    let has_index_on_correlation = keys.iter().any(|(inner, _)| {
+        let QExpr::Col { table, column } = inner else {
+            return false;
         };
-        if let Some(QTable {
-            source: QTableSource::Base(tid),
-            ..
-        }) = sub_s.table(table)
-        {
-            if catalog.has_index_with_leading(*tid, column) {
-                has_index_on_correlation = true;
-            }
-        }
-    }
+        matches!(
+            sub_s.table(*table),
+            Some(QTable { source: QTableSource::Base(tid), .. })
+                if catalog.has_index_with_leading(*tid, *column)
+        )
+    });
     !(has_outer_filters && has_index_on_correlation)
 }
 

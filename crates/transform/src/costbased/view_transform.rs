@@ -6,7 +6,7 @@
 
 use super::{ApplyEffect, CbTransform, Target};
 use crate::framework::TransformSet;
-use crate::util::{dedup_aliases, substitute_view_columns, table_used_elsewhere};
+use crate::util::{splice_view, table_used_elsewhere};
 use cbqt_catalog::Catalog;
 use cbqt_common::hash::HashSet;
 use cbqt_common::{Error, Result};
@@ -19,7 +19,7 @@ impl CbTransform for CbViewTransform {
         "view merging / join predicate pushdown"
     }
 
-    fn find_targets(&self, tree: &QueryTree, catalog: &Catalog) -> Vec<Target> {
+    fn find_targets(&self, tree: &QueryTree, _catalog: &Catalog) -> Vec<Target> {
         let mut out = Vec::new();
         for id in tree.bottom_up() {
             let Ok(QueryBlock::Select(s)) = tree.block(id) else {
@@ -32,7 +32,7 @@ impl CbTransform for CbViewTransform {
                 let QTableSource::View(v) = t.source else {
                     continue;
                 };
-                let can_merge = can_merge_view(tree, catalog, id, t.refid, v);
+                let can_merge = can_merge_view(tree, id, t.refid, v);
                 let can_jppd = can_jppd_view(tree, id, t.refid, v);
                 if can_merge || can_jppd {
                     out.push(Target::View {
@@ -135,27 +135,6 @@ pub fn merge_view(
     parent: BlockId,
     view_ref: RefId,
 ) -> Result<()> {
-    let _ = catalog;
-    let vid = {
-        let p = tree.select(parent)?;
-        let t = p
-            .table(view_ref)
-            .ok_or_else(|| Error::transform("view ref vanished"))?;
-        match t.source {
-            QTableSource::View(v) => v,
-            QTableSource::Base(_) => return Err(Error::transform("not a view")),
-        }
-    };
-    let QueryBlock::Select(mut v) = tree.take_block(vid)? else {
-        return Err(Error::transform("set-op views cannot merge"));
-    };
-    {
-        let p = tree.select(parent)?;
-        dedup_aliases(p, &mut v.tables, vid);
-    }
-    let outputs: Vec<QExpr> = v.select.iter().map(|i| i.expr.clone()).collect();
-    let distinct_case = v.distinct && !v.is_aggregated();
-
     // rowids of the parent's other row-producing tables keep the parent's
     // multiplicity intact (the paper adds j.rowid etc. in Q11/Q18)
     let rowid_keys: Vec<QExpr> = {
@@ -173,58 +152,36 @@ pub fn merge_view(
             })
             .collect()
     };
-
-    {
-        let p = tree.select_mut(parent)?;
-        let pos = p
-            .tables
-            .iter()
-            .position(|t| t.refid == view_ref)
-            .expect("checked above");
-        p.tables.remove(pos);
-        for (i, t) in v.tables.drain(..).enumerate() {
-            p.tables.insert(pos + i, t);
-        }
-        p.where_conjuncts.append(&mut v.where_conjuncts);
-        if distinct_case {
-            // Q12 → Q18: pull the distinct up, keyed by the outer rowids
-            // plus the view's outputs
-            let mut keys = rowid_keys;
-            keys.extend(outputs.iter().cloned());
-            p.distinct_keys = Some(keys);
-        } else {
-            // Q10 → Q11: group by the outer rowids plus the view's keys
-            let mut gb = rowid_keys;
-            gb.append(&mut v.group_by);
-            p.group_by = gb;
-            p.having.append(&mut v.having);
-        }
+    let mut v = splice_view(tree, parent, view_ref)?;
+    let p = tree.select_mut(parent)?;
+    if v.distinct && !v.is_aggregated() {
+        // Q12 → Q18: pull the distinct up, keyed by the outer rowids
+        // plus the view's outputs
+        let mut keys = rowid_keys;
+        keys.extend(v.select.into_iter().map(|i| i.expr));
+        p.distinct_keys = Some(keys);
+        return Ok(());
     }
-    substitute_view_columns(tree, view_ref, &outputs);
+    // Q10 → Q11: group by the outer rowids plus the view's keys
+    let mut gb = rowid_keys;
+    gb.append(&mut v.group_by);
+    p.group_by = gb;
+    p.having.append(&mut v.having);
     // WHERE conjuncts that now contain aggregates must become HAVING
-    if !distinct_case {
-        let p = tree.select_mut(parent)?;
-        let mut kept = Vec::new();
-        for c in p.where_conjuncts.drain(..) {
-            if c.contains_agg() {
-                p.having.push(c);
-            } else {
-                kept.push(c);
-            }
+    let mut kept = Vec::new();
+    for c in p.where_conjuncts.drain(..) {
+        if c.contains_agg() {
+            p.having.push(c);
+        } else {
+            kept.push(c);
         }
-        p.where_conjuncts = kept;
     }
+    p.where_conjuncts = kept;
     Ok(())
 }
 
 /// Checks group-by / distinct view mergeability into `parent`.
-pub fn can_merge_view(
-    tree: &QueryTree,
-    catalog: &Catalog,
-    parent: BlockId,
-    view_ref: RefId,
-    vid: BlockId,
-) -> bool {
+pub fn can_merge_view(tree: &QueryTree, parent: BlockId, view_ref: RefId, vid: BlockId) -> bool {
     let Ok(p) = tree.select(parent) else {
         return false;
     };
@@ -250,7 +207,6 @@ pub fn can_merge_view(
             _ => return false,
         }
     }
-    let _ = catalog;
     // view shape
     if v.rownum_limit.is_some()
         || !v.order_by.is_empty()
@@ -277,6 +233,16 @@ pub fn can_merge_view(
     v.for_each_expr(&mut |e| {
         if e.contains_subquery() {
             has_subq = true;
+        }
+    });
+    // so would a parent subquery, at any depth, that reads one of the
+    // view's aggregates: merged, it would hold an aggregate outside the
+    // parent's aggregation
+    p.for_each_expr(&mut |e| {
+        for b in e.subquery_blocks() {
+            has_subq |= tree.correlated_cols(b).iter().any(|&(r, c)| {
+                r == view_ref && v.select.get(c).is_some_and(|i| i.expr.contains_agg())
+            });
         }
     });
     !has_subq

@@ -720,7 +720,7 @@ fn merge_subset<'t>(
         let QTableSource::View(vid) = merged.select(*parent).ok()?.table(*view_ref)?.source else {
             return None;
         };
-        if !can_merge_view(&merged, catalog, *parent, *view_ref, vid) {
+        if !can_merge_view(&merged, *parent, *view_ref, vid) {
             return None;
         }
         merge_view(merged.to_mut(), catalog, *parent, *view_ref).ok()?;

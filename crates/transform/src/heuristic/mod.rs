@@ -62,7 +62,7 @@ pub fn apply_heuristics_with(
         let mut changed = 0;
         changed += add(
             &mut report.spj_views_merged,
-            view_merge::merge_spj_views(tree, catalog)?,
+            view_merge::merge_spj_views(tree)?,
         );
         changed += add(
             &mut report.joins_eliminated,

@@ -6,27 +6,26 @@
 //! Multi-table and aggregated subqueries require inline views and are
 //! handled by the *cost-based* unnesting transformation (§2.2.1).
 
-use crate::util::{dedup_aliases, invert_comparison, provably_not_null};
+use crate::unnest::{semi_anti_applicable, semi_anti_join};
+use crate::util::dedup_aliases;
 use cbqt_catalog::Catalog;
 use cbqt_common::Result;
-use cbqt_qgm::{BlockId, JoinInfo, QExpr, Quant, QueryBlock, QueryTree, SubqKind};
+use cbqt_qgm::{BlockId, JoinInfo, QExpr, QueryBlock, QueryTree};
 
 /// Applies merging unnesting everywhere; returns the number of
 /// subqueries unnested.
 pub fn unnest_by_merging(tree: &mut QueryTree, catalog: &Catalog) -> Result<usize> {
     let mut count = 0;
-    loop {
-        let Some((block, conj_idx)) = find_candidate(tree, catalog)? else {
-            return Ok(count);
-        };
-        apply(tree, block, conj_idx, catalog)?;
+    while let Some((block, conj_idx, null_aware)) = find_candidate(tree, catalog) {
+        apply(tree, block, conj_idx, null_aware)?;
         count += 1;
     }
+    Ok(count)
 }
 
 /// Is this subquery block mergeable (single table, SPJ, no nested
 /// subqueries, correlations only via its WHERE)?
-fn mergeable(tree: &QueryTree, sub: BlockId) -> bool {
+pub(crate) fn mergeable(tree: &QueryTree, sub: BlockId) -> bool {
     let Ok(QueryBlock::Select(s)) = tree.block(sub) else {
         return false;
     };
@@ -54,7 +53,9 @@ fn mergeable(tree: &QueryTree, sub: BlockId) -> bool {
     !has_subq
 }
 
-fn find_candidate(tree: &QueryTree, catalog: &Catalog) -> Result<Option<(BlockId, usize)>> {
+/// The first subquery conjunct that merges: its block, its index and
+/// whether its anti join is null-aware.
+fn find_candidate(tree: &QueryTree, catalog: &Catalog) -> Option<(BlockId, usize, bool)> {
     for id in tree.bottom_up() {
         let Ok(QueryBlock::Select(s)) = tree.block(id) else {
             continue;
@@ -66,57 +67,15 @@ fn find_candidate(tree: &QueryTree, catalog: &Catalog) -> Result<Option<(BlockId
             if !mergeable(tree, *block) {
                 continue;
             }
-            let sub = tree.select(*block)?;
-            match kind {
-                SubqKind::Exists { .. } => return Ok(Some((id, i))),
-                SubqKind::In { lhs, negated } => {
-                    if *negated {
-                        // NOT IN is unnestable as a null-aware antijoin;
-                        // plain antijoin when both sides are non-null
-                        let _ = (lhs, sub);
-                    }
-                    return Ok(Some((id, i)));
-                }
-                SubqKind::Quant { op, quant, lhs } => {
-                    if !op.is_comparison() {
-                        continue;
-                    }
-                    match quant {
-                        Quant::Any => return Ok(Some((id, i))),
-                        Quant::All => {
-                            // ALL is only unnestable when NEITHER side of
-                            // the connecting condition can be NULL
-                            // (§2.1.1): a NULL on either side makes the
-                            // comparison UNKNOWN, which ALL must treat as
-                            // a failure — an antijoin cannot.
-                            if quant_sides_not_null(tree, catalog, id, *block, lhs)? {
-                                return Ok(Some((id, i)));
-                            }
-                        }
-                    }
-                }
-                SubqKind::Scalar => {}
+            if let Some(null_aware) = semi_anti_applicable(tree, catalog, id, *block, kind) {
+                return Some((id, i, null_aware));
             }
         }
     }
-    Ok(None)
+    None
 }
 
-fn quant_sides_not_null(
-    tree: &QueryTree,
-    catalog: &Catalog,
-    outer: BlockId,
-    sub: BlockId,
-    lhs: &QExpr,
-) -> Result<bool> {
-    let outer_s = tree.select(outer)?;
-    let sub_s = tree.select(sub)?;
-    let out_ok = provably_not_null(tree, catalog, sub_s, &sub_s.select[0].expr);
-    let lhs_ok = provably_not_null(tree, catalog, outer_s, lhs);
-    Ok(out_ok && lhs_ok)
-}
-
-fn apply(tree: &mut QueryTree, block: BlockId, conj_idx: usize, catalog: &Catalog) -> Result<()> {
+fn apply(tree: &mut QueryTree, block: BlockId, conj_idx: usize, null_aware: bool) -> Result<()> {
     // detach the conjunct
     let conj = tree.select_mut(block)?.where_conjuncts.remove(conj_idx);
     let QExpr::Subq { block: sub, kind } = conj else {
@@ -125,89 +84,19 @@ fn apply(tree: &mut QueryTree, block: BlockId, conj_idx: usize, catalog: &Catalo
     let QueryBlock::Select(mut s) = tree.take_block(sub)? else {
         return Err(cbqt_common::Error::transform("expected SELECT subquery"));
     };
-    let mut on: Vec<QExpr> = s.where_conjuncts.drain(..).collect();
-    let (join, extra_on) = match kind {
-        SubqKind::Exists { negated } => {
-            let j = if negated {
-                JoinInfo::Anti {
-                    on: vec![],
-                    null_aware: false,
-                }
-            } else {
-                JoinInfo::Semi { on: vec![] }
-            };
-            (j, vec![])
-        }
-        SubqKind::In { lhs, negated } => {
-            let conds: Vec<QExpr> = lhs
-                .iter()
-                .zip(s.select.iter())
-                .map(|(l, item)| QExpr::eq(l.clone(), item.expr.clone()))
-                .collect();
-            if negated {
-                // null-aware unless both sides are provably non-null
-                let outer_s = tree.select(block)?;
-                let all_nn = lhs
-                    .iter()
-                    .all(|l| provably_not_null(tree, catalog, outer_s, l))
-                    && s.select
-                        .iter()
-                        .all(|item| provably_not_null(tree, catalog, &s, &item.expr));
-                (
-                    JoinInfo::Anti {
-                        on: vec![],
-                        null_aware: !all_nn,
-                    },
-                    conds,
-                )
-            } else {
-                (JoinInfo::Semi { on: vec![] }, conds)
-            }
-        }
-        SubqKind::Quant { op, quant, lhs } => {
-            let cond = match quant {
-                Quant::Any => QExpr::bin(op, (*lhs).clone(), s.select[0].expr.clone()),
-                Quant::All => {
-                    let inv = invert_comparison(op)
-                        .ok_or_else(|| cbqt_common::Error::transform("bad ALL operator"))?;
-                    QExpr::bin(inv, (*lhs).clone(), s.select[0].expr.clone())
-                }
-            };
-            let j = match quant {
-                Quant::Any => JoinInfo::Semi { on: vec![] },
-                Quant::All => JoinInfo::Anti {
-                    on: vec![],
-                    null_aware: false,
-                },
-            };
-            (j, vec![cond])
-        }
-        SubqKind::Scalar => {
-            return Err(cbqt_common::Error::transform(
-                "scalar subquery cannot merge",
-            ))
-        }
-    };
-    on.extend(extra_on);
-
-    let mut incoming = std::mem::take(&mut s.tables);
-    {
-        let p = tree.select(block)?;
-        dedup_aliases(p, &mut incoming, sub);
-    }
-    let mut table = incoming.pop().expect("mergeable subquery has one table");
-    table.join = match join {
-        JoinInfo::Semi { .. } => JoinInfo::Semi { on },
-        JoinInfo::Anti { null_aware, .. } => JoinInfo::Anti { on, null_aware },
-        other => other,
-    };
+    // the subquery's WHERE, correlation included, joins its one table
+    let outputs: Vec<QExpr> = s.select.drain(..).map(|i| i.expr).collect();
+    let join = semi_anti_join(
+        kind,
+        &outputs,
+        std::mem::take(&mut s.where_conjuncts),
+        null_aware,
+    )?;
+    dedup_aliases(tree.select(block)?, &mut s.tables, sub);
+    let mut table = s.tables.pop().expect("mergeable subquery has one table");
+    table.join = join;
     tree.select_mut(block)?.tables.push(table);
     Ok(())
-}
-
-/// Exposed for tests: checks mergeability of a specific subquery block.
-pub fn is_mergeable_subquery(tree: &QueryTree, sub: BlockId) -> bool {
-    mergeable(tree, sub)
 }
 
 #[cfg(test)]

@@ -3,51 +3,23 @@
 //! block, removing query-block boundaries so the join enumerator can
 //! reorder across them.
 
-use crate::util::{dedup_aliases, is_spj, substitute_view_columns};
-use cbqt_catalog::Catalog;
+use crate::util::{is_spj, splice_view};
 use cbqt_common::Result;
-use cbqt_qgm::{JoinInfo, QTableSource, QueryBlock, QueryTree};
+use cbqt_qgm::{BlockId, JoinInfo, QTableSource, QueryBlock, QueryTree, RefId};
 
 /// Merges every mergeable SPJ view, bottom-up, until none remain.
 /// Returns the number of views merged.
-pub fn merge_spj_views(tree: &mut QueryTree, _catalog: &Catalog) -> Result<usize> {
+pub fn merge_spj_views(tree: &mut QueryTree) -> Result<usize> {
     let mut merged = 0;
-    loop {
-        let Some((parent, view_ref, view_block)) = find_candidate(tree)? else {
-            return Ok(merged);
-        };
-        // detach the view block
-        let QueryBlock::Select(mut v) = tree.take_block(view_block)? else {
-            unreachable!("candidate is checked to be a SELECT block");
-        };
-        {
-            let p = tree.select(parent)?;
-            dedup_aliases(p, &mut v.tables, view_block);
-        }
-        let outputs: Vec<_> = v.select.iter().map(|i| i.expr.clone()).collect();
-        {
-            let p = tree.select_mut(parent)?;
-            let pos = p
-                .tables
-                .iter()
-                .position(|t| t.refid == view_ref)
-                .expect("view ref must exist in parent");
-            p.tables.remove(pos);
-            // keep join order roughly stable: splice at the same spot
-            for (i, t) in v.tables.drain(..).enumerate() {
-                p.tables.insert(pos + i, t);
-            }
-            p.where_conjuncts.append(&mut v.where_conjuncts);
-        }
-        substitute_view_columns(tree, view_ref, &outputs);
+    while let Some((parent, view_ref)) = find_candidate(tree) {
+        splice_view(tree, parent, view_ref)?;
         merged += 1;
     }
+    Ok(merged)
 }
 
-/// Finds `(parent_block, view_refid, view_block)` for one mergeable view.
-fn find_candidate(
-    tree: &QueryTree,
-) -> Result<Option<(cbqt_qgm::BlockId, cbqt_qgm::RefId, cbqt_qgm::BlockId)>> {
+/// Finds `(parent_block, view_refid)` for one mergeable view.
+fn find_candidate(tree: &QueryTree) -> Option<(BlockId, RefId)> {
     for id in tree.bottom_up() {
         let Ok(QueryBlock::Select(s)) = tree.block(id) else {
             continue;
@@ -67,10 +39,10 @@ fn find_candidate(
             }
             // a view that the parent's sibling blocks are correlated to is
             // still fine — refids are stable under merging
-            return Ok(Some((id, t.refid, v)));
+            return Some((id, t.refid));
         }
     }
-    Ok(None)
+    None
 }
 
 #[cfg(test)]
@@ -86,7 +58,7 @@ mod tests {
             "SELECT v.n FROM (SELECT e.employee_name n, e.dept_id d FROM employees e \
              WHERE e.salary > 1000) v WHERE v.d = 3",
         );
-        let n = merge_spj_views(&mut tree, &cat).unwrap();
+        let n = merge_spj_views(&mut tree).unwrap();
         assert_eq!(n, 1);
         tree.validate().unwrap();
         let s = tree.select(tree.root).unwrap();
@@ -103,7 +75,7 @@ mod tests {
             &cat,
             "SELECT w.n FROM (SELECT v.n n FROM (SELECT employee_name n FROM employees) v) w",
         );
-        let n = merge_spj_views(&mut tree, &cat).unwrap();
+        let n = merge_spj_views(&mut tree).unwrap();
         assert_eq!(n, 2);
         tree.validate().unwrap();
         assert_eq!(tree.select(tree.root).unwrap().tables.len(), 1);
@@ -116,7 +88,7 @@ mod tests {
             &cat,
             "SELECT v.a FROM (SELECT AVG(salary) a, dept_id FROM employees GROUP BY dept_id) v",
         );
-        let n = merge_spj_views(&mut tree, &cat).unwrap();
+        let n = merge_spj_views(&mut tree).unwrap();
         assert_eq!(n, 0);
     }
 
@@ -127,7 +99,7 @@ mod tests {
             &cat,
             "SELECT v.dept_id FROM (SELECT DISTINCT dept_id FROM employees) v",
         );
-        assert_eq!(merge_spj_views(&mut tree, &cat).unwrap(), 0);
+        assert_eq!(merge_spj_views(&mut tree).unwrap(), 0);
     }
 
     #[test]
@@ -138,7 +110,7 @@ mod tests {
             "SELECT e.employee_name, v.n FROM employees e, \
              (SELECT e.employee_name n FROM employees e) v",
         );
-        assert_eq!(merge_spj_views(&mut tree, &cat).unwrap(), 1);
+        assert_eq!(merge_spj_views(&mut tree).unwrap(), 1);
         tree.validate().unwrap();
         let s = tree.select(tree.root).unwrap();
         assert_eq!(s.tables.len(), 2);
@@ -157,7 +129,7 @@ mod tests {
             "SELECT v.d FROM (SELECT dept_id d FROM employees) v WHERE EXISTS \
              (SELECT 1 FROM departments x WHERE x.dept_id = v.d)",
         );
-        assert_eq!(merge_spj_views(&mut tree, &cat).unwrap(), 1);
+        assert_eq!(merge_spj_views(&mut tree).unwrap(), 1);
         tree.validate().unwrap();
     }
 }

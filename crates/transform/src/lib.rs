@@ -23,6 +23,7 @@
 pub mod costbased;
 pub mod framework;
 pub mod heuristic;
+mod unnest;
 pub mod util;
 
 pub use framework::{

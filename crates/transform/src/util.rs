@@ -3,15 +3,46 @@
 
 use cbqt_catalog::Catalog;
 use cbqt_common::hash::HashSet;
+use cbqt_common::{Error, Result};
 use cbqt_qgm::{
     BlockId, JoinInfo, QExpr, QTable, QTableSource, QueryBlock, QueryTree, RefId, SelectBlock,
 };
+
+/// Splices the view that `view_ref` names in block `parent` into
+/// `parent`, the step SPJ (§2.1) and group-by / distinct (§2.2.2) view
+/// merging share: the view's tables take its place in the FROM list,
+/// renamed away from the parent's aliases, its WHERE joins the parent's,
+/// and every reference to one of its columns becomes the expression the
+/// view computes. Returns the rest of the view block (select list,
+/// grouping, HAVING, DISTINCT) for the caller's own step.
+pub fn splice_view(tree: &mut QueryTree, parent: BlockId, view_ref: RefId) -> Result<SelectBlock> {
+    let p = tree.select(parent)?;
+    let pos = p
+        .tables
+        .iter()
+        .position(|t| t.refid == view_ref)
+        .ok_or_else(|| Error::transform("view ref vanished"))?;
+    let QTableSource::View(vid) = p.tables[pos].source else {
+        return Err(Error::transform("not a view"));
+    };
+    let QueryBlock::Select(mut v) = tree.take_block(vid)? else {
+        return Err(Error::transform("set-op views cannot merge"));
+    };
+    dedup_aliases(tree.select(parent)?, &mut v.tables, vid);
+    let outputs: Vec<QExpr> = v.select.iter().map(|i| i.expr.clone()).collect();
+    let p = tree.select_mut(parent)?;
+    // keep join order roughly stable: splice at the same spot
+    p.tables.splice(pos..=pos, v.tables.drain(..));
+    p.where_conjuncts.append(&mut v.where_conjuncts);
+    substitute_view_columns(tree, view_ref, &outputs);
+    Ok(v)
+}
 
 /// Substitutes every reference `Col{view_ref, i}` anywhere in the tree
 /// with `outputs[i]`. Used when a view is merged into its parent: because
 /// RefIds are tree-unique, substitution is safe to run globally (it also
 /// fixes correlated references from nested subqueries).
-pub fn substitute_view_columns(tree: &mut QueryTree, view_ref: RefId, outputs: &[QExpr]) {
+fn substitute_view_columns(tree: &mut QueryTree, view_ref: RefId, outputs: &[QExpr]) {
     for id in tree.block_ids() {
         if let Ok(QueryBlock::Select(s)) = tree.block_mut(id) {
             s.for_each_expr_mut(&mut |e| {

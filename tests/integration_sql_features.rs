@@ -271,3 +271,156 @@ fn quantifiers_over_empty_sets() {
         .unwrap();
     assert_eq!(r.rows[0][0], Value::Int(0));
 }
+
+/// Checks that `sql` returns `want` (sorted rows, columns joined by `|`)
+/// with every transformation off, and the same rows in the default
+/// cost-based mode and in heuristic mode (`cost_based = false`), under
+/// both engines.
+fn assert_rewrites_keep_rows(db: &mut Database, sql: &str, want: &[&str]) {
+    use cbqt::common::ExecutionMode;
+    use cbqt::TransformSet;
+    let rows = |db: &Database, what: &str| -> Vec<String> {
+        let r = db
+            .query(sql)
+            .unwrap_or_else(|e| panic!("{what}: {e}\n{sql}"));
+        let mut rows: Vec<String> = r
+            .rows
+            .iter()
+            .map(|row| {
+                let cols: Vec<String> = row.iter().map(|v| v.to_string()).collect();
+                cols.join("|")
+            })
+            .collect();
+        rows.sort();
+        rows
+    };
+    db.set_plan_cache_enabled(false);
+    let cfg = db.config_mut();
+    cfg.cost_based = false;
+    cfg.heuristic_unnest_merge = false;
+    cfg.transforms = TransformSet {
+        unnest: false,
+        view_merge: false,
+        jppd: false,
+        setop_to_join: false,
+        group_by_placement: false,
+        predicate_pullup: false,
+        join_factorization: false,
+        or_expansion: false,
+    };
+    assert_eq!(rows(db, "transformations off"), want, "{sql}");
+    for mode in [ExecutionMode::Vectorized, ExecutionMode::Volcano] {
+        for (label, cost_based) in [("default", true), ("heuristic", false)] {
+            let cfg = db.config_mut();
+            cfg.execution_mode = mode;
+            cfg.cost_based = cost_based;
+            cfg.heuristic_unnest_merge = true;
+            cfg.transforms = TransformSet::default();
+            let what = format!("{label}, {mode:?}");
+            assert_eq!(rows(db, &what), want, "{what}\n{sql}");
+        }
+    }
+}
+
+/// `employees(emp_id, dept_id, salary)`, `departments(dept_id, loc)` and
+/// `job_history(emp_id NOT NULL, dept_id)` filled by `inserts`.
+fn hr_db(inserts: &str) -> Database {
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE employees (emp_id INT PRIMARY KEY, dept_id INT, salary INT);
+         CREATE TABLE departments (dept_id INT PRIMARY KEY, loc INT);
+         CREATE TABLE job_history (emp_id INT NOT NULL, dept_id INT);",
+    )
+    .unwrap();
+    db.execute_script(inserts).unwrap();
+    db.analyze().unwrap();
+    db
+}
+
+#[test]
+fn scalar_aggregate_unnesting_keeps_rows_a_null_average_decides() {
+    // Employee 1 has no department, so its correlated average is NULL:
+    // only a conjunct that compares the subquery directly rejects it.
+    let mut db = hr_db("INSERT INTO employees VALUES (1, NULL, 200), (2, 7, 50), (3, 7, 150);");
+    let avg = "(SELECT AVG(e2.salary) FROM employees e2 WHERE e2.dept_id = e.dept_id)";
+    for (filter, want) in [
+        (
+            format!("e.salary > 120 OR e.salary > {avg}"),
+            &["1", "3"][..],
+        ),
+        (
+            format!("NOT (e.salary < 0 AND e.salary > {avg})"),
+            &["1", "2", "3"][..],
+        ),
+        (format!("(e.salary > {avg}) IS NULL"), &["1"][..]),
+        (format!("e.salary > {avg}"), &["3"][..]),
+    ] {
+        let sql = format!("SELECT e.emp_id FROM employees e WHERE {filter}");
+        assert_rewrites_keep_rows(&mut db, &sql, want);
+    }
+}
+
+#[test]
+fn correlated_not_in_keeps_rows_past_a_null_correlation_key() {
+    // s's NULL `k` matches no outer row, so 2 NOT IN (empty set) holds;
+    // as a key of a null-aware anti join it would reject every row.
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE t (a INT, k INT);
+         CREATE TABLE s (b INT NOT NULL, k INT);
+         CREATE TABLE u (b INT NOT NULL);
+         INSERT INTO t VALUES (1, 1), (2, 2);
+         INSERT INTO s VALUES (1, 1), (5, NULL);
+         INSERT INTO u VALUES (1), (5);",
+    )
+    .unwrap();
+    db.analyze().unwrap();
+    // one table: unnesting by merging; two: unnesting into a view
+    for from in ["s", "s, u"] {
+        let join = if from == "s" { "" } else { "s.b = u.b AND " };
+        let sql = format!(
+            "SELECT t.a FROM t WHERE t.a NOT IN (SELECT s.b FROM {from} WHERE {join}s.k = t.k)"
+        );
+        assert_rewrites_keep_rows(&mut db, &sql, &["2"]);
+    }
+}
+
+#[test]
+fn group_by_view_read_by_a_parent_subquery_stays_a_view() {
+    // merged, the parent's COUNT subquery would read MIN(id) outside the
+    // aggregation
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE emp (id INT PRIMARY KEY, dept INT, sal INT);
+         CREATE TABLE dept (dept INT PRIMARY KEY);
+         CREATE TABLE jh (id INT NOT NULL, dept INT);
+         INSERT INTO emp VALUES (1, 10, 100), (2, 10, 200), (3, 20, 300);
+         INSERT INTO dept VALUES (10), (20), (30);
+         INSERT INTO jh VALUES (1, 10);",
+    )
+    .unwrap();
+    db.analyze().unwrap();
+    let sql = "SELECT v.dept FROM (SELECT dept, MIN(id) id FROM emp GROUP BY dept) v, dept d \
+               WHERE v.dept = d.dept AND (SELECT COUNT(*) FROM jh j WHERE j.id = v.id) = 0";
+    assert_rewrites_keep_rows(&mut db, sql, &["20"]);
+}
+
+#[test]
+fn subquery_in_a_left_operand_keeps_its_subplan() {
+    // The left operand is a scalar subquery; unnesting the right-hand
+    // subquery must not move it into a join condition.
+    let mut db = hr_db(
+        "INSERT INTO employees VALUES (1, 10, 100), (2, 20, 200), (3, NULL, 300), (4, 30, 400);
+         INSERT INTO departments VALUES (10, 1), (20, 2);
+         INSERT INTO job_history VALUES (1, 10), (2, 30);",
+    );
+    let max = "(SELECT MAX(d.dept_id) FROM departments d WHERE d.dept_id = e.dept_id)";
+    for (test, want) in [
+        ("IN (SELECT j.dept_id FROM job_history j)", &["1"][..]),
+        ("NOT IN (SELECT j.dept_id FROM job_history j)", &["2"][..]),
+        ("> ANY (SELECT j.dept_id FROM job_history j)", &["2"][..]),
+    ] {
+        let sql = format!("SELECT e.emp_id FROM employees e WHERE {max} {test}");
+        assert_rewrites_keep_rows(&mut db, &sql, want);
+    }
+}
