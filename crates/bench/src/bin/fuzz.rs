@@ -192,6 +192,36 @@ fn unnesting_edge(rng: &mut Rng) -> String {
     }
 }
 
+/// One of eight statements that move a predicate across a view boundary
+/// the view must refuse, each with its rows ordered before any ROWNUM.
+/// Six are filter push-down shapes: a constant output of a scalar
+/// aggregate; a lower bound written constant first on a running sum's
+/// ORDER BY key; a window output; a HAVING filter under a window over
+/// the groups; and a UNION ALL with a ROWNUM branch or with a running
+/// sum branch. Push-down runs in every configuration, the
+/// transformations-off reference included, so each comes with its pinned
+/// form: the constant wrapped in `EXPENSIVE(c, 0)`, which no rewrite
+/// pushes. Two are predicate pullup shapes, with no pinned form: out of
+/// a grouped view whose output lacks the column, and out of a view with
+/// its own ROWNUM.
+fn view_boundary_edge(rng: &mut Rng) -> (String, Option<String>) {
+    let sal = rng.gen_range(0..8000);
+    let n = rng.gen_range(1..6i64);
+    let (sql, c) = match rng.gen_range(0..8) {
+        0 => ("SELECT v.c, v.k FROM (SELECT COUNT(*) c, 1 k FROM employees) v WHERE v.k = {C}", rng.gen_range(1..3i64)),
+        1 => ("SELECT v.emp_id, v.rs FROM (SELECT emp_id, SUM(salary) OVER (ORDER BY emp_id) rs FROM employees) v WHERE {C} < v.emp_id", rng.gen_range(0..250)),
+        2 => ("SELECT v.dept_id, v.rn FROM (SELECT dept_id, ROW_NUMBER() OVER (PARTITION BY dept_id ORDER BY dept_id) rn FROM employees) v WHERE v.rn = {C}", rng.gen_range(1..4)),
+        3 => ("SELECT v.dept_id, v.c, v.rs FROM (SELECT dept_id, COUNT(*) c, SUM(COUNT(*)) OVER (ORDER BY dept_id) rs FROM employees GROUP BY dept_id) v WHERE v.c < {C}", rng.gen_range(1..20)),
+        4 => ("SELECT v.x FROM (SELECT w.emp_id x FROM (SELECT emp_id FROM employees ORDER BY emp_id) w WHERE ROWNUM <= {N} UNION ALL SELECT dept_id x FROM departments) v WHERE v.x > {C}", rng.gen_range(0..10)),
+        5 => ("SELECT v.x, v.rs FROM (SELECT emp_id x, SUM(salary) OVER (ORDER BY emp_id) rs FROM employees UNION ALL SELECT dept_id x, loc_id rs FROM departments) v WHERE v.x > {C}", rng.gen_range(0..250)),
+        6 => return (format!("SELECT v.dept_id, v.c FROM (SELECT dept_id, COUNT(*) c FROM employees WHERE EXPENSIVE(salary, 5) > {sal} GROUP BY dept_id ORDER BY dept_id) v WHERE ROWNUM <= {n}"), None),
+        _ => return (format!("SELECT v.dept_id FROM (SELECT w.dept_id FROM (SELECT dept_id, salary FROM employees ORDER BY emp_id) w WHERE EXPENSIVE(w.salary, 5) > {sal} AND ROWNUM <= {n} ORDER BY w.dept_id) v WHERE ROWNUM <= {}", n + 1), None),
+    };
+    let sql = sql.replace("{N}", &n.to_string());
+    let pinned = sql.replace("{C}", &format!("EXPENSIVE({c}, 0)"));
+    (sql.replace("{C}", &c.to_string()), Some(pinned))
+}
+
 /// A query shaped for the batch engine's scan and aggregate kernels: one
 /// to three aggregates over the nullable `salary` (SUM, AVG, MIN, MAX,
 /// COUNT(col), DISTINCT, a MIN over strings, and an argument that turns
@@ -538,15 +568,21 @@ impl Round {
 
 const STRATEGIES: Oracle = Oracle {
     flag: None,
-    about: "A random query, a NOT IN over an indexed key with NULLs, and one\n\
-            of seven subqueries that unnesting or view merging must refuse\n\
-            or keep NULL-correct (under OR, NOT or IS NULL, a correlated NOT\n\
+    about: "A random query, a NOT IN over an indexed key with NULLs, one of\n\
+            seven subqueries that unnesting or view merging must refuse or\n\
+            keep NULL-correct (under OR, NOT or IS NULL, a correlated NOT\n\
             IN, a view aggregate a parent subquery reads, a subquery left\n\
-            operand), on a random database must return the rows of the run\n\
-            with every transformation off under each search strategy\n\
-            (Exhaustive, TwoPass, Iterative, Linear, Auto) and under the\n\
-            heuristic rules (cost_based = false), all with the default\n\
-            TransformSet.",
+            operand), and one of eight predicates a view must not take\n\
+            (six push-down, two pullup shapes: scalar aggregates, windows,\n\
+            HAVING under windows, ROWNUM, set-op branches), on a random\n\
+            database must return the rows of the run with every\n\
+            transformation off under each search strategy (Exhaustive,\n\
+            TwoPass, Iterative, Linear, Auto) and under the heuristic rules\n\
+            (cost_based = false), all with the default TransformSet. As\n\
+            push-down runs with every transformation off too, a push-down\n\
+            shape's reference is the run of its pinned form (the constant\n\
+            wrapped in EXPENSIVE(c, 0), which stays above the view), which\n\
+            its transformations-off run must match as well.",
     needs_recipe_hits: false,
     needs_lateral_joins: false,
     round: strategies_round,
@@ -555,9 +591,17 @@ const STRATEGIES: Oracle = Oracle {
 fn strategies_round(r: &mut Round) {
     let mut rng = Rng::seed_from_u64(r.seed);
     let mut db = random_db(&mut rng);
-    // its own stream, so that the round's other draws stay as they were
+    // their own streams, so that the round's other draws stay as they were
     let edge = unnesting_edge(&mut Rng::seed_from_u64(r.seed ^ 0x756e_6e65_7374));
-    for sql in [random_query(&mut rng), null_keyed_not_in(&mut rng), edge] {
+    let (boundary, pinned) =
+        view_boundary_edge(&mut Rng::seed_from_u64(r.seed ^ 0x7669_6577_7072_6564));
+    let statements = [
+        (random_query(&mut rng), None),
+        (null_keyed_not_in(&mut rng), None),
+        (edge, None),
+        (boundary, pinned),
+    ];
+    for (sql, pinned) in statements {
         let config = db.config_mut();
         config.cost_based = false;
         config.transforms = TransformSet {
@@ -571,9 +615,13 @@ fn strategies_round(r: &mut Round) {
             or_expansion: false,
         };
         config.heuristic_unnest_merge = false;
-        let want = rows(db.query(&sql));
+        let want = rows(db.query(pinned.as_deref().unwrap_or(&sql)));
         if !r.ok("transformations-off", &want, false, &sql) {
             continue;
+        }
+        if pinned.is_some() {
+            let got = rows(db.query(&sql));
+            r.compare("transformations-off vs pinned", &got, &want, false, &sql);
         }
         for (label, search, cost_based) in [
             ("Exhaustive", SearchStrategy::Exhaustive, true),

@@ -70,7 +70,7 @@ fn table2_db() -> Database {
 }
 
 /// Seven two-table EXISTS subqueries: more objects than
-/// `exhaustive_threshold`, so `Auto` resolves to Linear here (it is
+/// the exhaustive threshold (5), so `Auto` resolves to Linear here (it is
 /// Exhaustive on every other row).
 fn wide_query() -> String {
     let subqueries: Vec<String> = (0..7)

@@ -1145,39 +1145,27 @@ impl Parser {
             self.expect_kw("BY")?;
             spec.order_by = self.parse_order_items()?;
         }
-        // accept and ignore a ROWS/RANGE frame clause (we always compute
-        // running frames when ORDER BY is present, cumulative otherwise)
+        // the engines compute one frame, from the start of the partition
+        // to the current row (all of it without ORDER BY); any other
+        // frame is refused rather than computed as that one
         if self.at_kw("ROWS") || self.at_kw("RANGE") {
-            self.bump();
-            if self.eat_kw("BETWEEN") {
-                self.parse_frame_bound()?;
-                self.expect_kw("AND")?;
-                self.parse_frame_bound()?;
-            } else {
-                self.parse_frame_bound()?;
+            let mut frame = Vec::new();
+            while !matches!(self.peek(), TokenKind::RParen | TokenKind::Eof) {
+                frame.push(self.bump().to_string().to_ascii_uppercase());
+            }
+            let running = matches!(
+                &frame[1..].join(" ")[..],
+                "UNBOUNDED PRECEDING" | "BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW"
+            );
+            if !running {
+                return Err(Error::unsupported(format!(
+                    "window frame {}",
+                    frame.join(" ")
+                )));
             }
         }
         self.expect(&TokenKind::RParen)?;
         Ok(spec)
-    }
-
-    fn parse_frame_bound(&mut self) -> Result<()> {
-        if self.eat_kw("UNBOUNDED") {
-            if !self.eat_kw("PRECEDING") && !self.eat_kw("FOLLOWING") {
-                return Err(self.err("expected PRECEDING or FOLLOWING"));
-            }
-            return Ok(());
-        }
-        if self.eat_kw("CURRENT") {
-            self.expect_kw("ROW")?;
-            return Ok(());
-        }
-        // N PRECEDING/FOLLOWING
-        self.parse_additive()?;
-        if !self.eat_kw("PRECEDING") && !self.eat_kw("FOLLOWING") {
-            return Err(self.err("expected PRECEDING or FOLLOWING"));
-        }
-        Ok(())
     }
 
     fn parse_case(&mut self) -> Result<Expr> {
@@ -1437,6 +1425,28 @@ mod tests {
                 assert_eq!(alias.as_deref(), Some("ravg"));
             }
             other => panic!("expected window func, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn window_frames_other_than_the_running_one_are_refused() {
+        let over =
+            |frame: &str| parse_query(&format!("SELECT SUM(x) OVER (ORDER BY x {frame}) FROM t"));
+        for frame in [
+            "ROWS UNBOUNDED PRECEDING",
+            "rows between unbounded preceding and current row",
+        ] {
+            assert!(over(frame).is_ok(), "{frame}");
+        }
+        for frame in [
+            "ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING",
+            "RANGE BETWEEN UNBOUNDED PRECEDING AND UNBOUNDED FOLLOWING",
+            "ROWS 2 PRECEDING",
+        ] {
+            match over(frame) {
+                Err(Error::Unsupported(m)) => assert_eq!(m, format!("window frame {frame}")),
+                other => panic!("{frame}: {other:?}"),
+            }
         }
     }
 

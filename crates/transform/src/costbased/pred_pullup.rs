@@ -2,13 +2,18 @@
 //! are pulled into the containing query, which evaluates them lazily —
 //! profitable when the containing query has a ROWNUM limit and the view
 //! has a blocking operator (ORDER BY), so only the first k surviving
-//! rows ever pay for the predicate (Q16 → Q17).
+//! rows ever pay for the predicate (Q16 → Q17). A conjunct is lifted
+//! only where the shared rule of `view_pred.rs` would push it back
+//! into the view's WHERE.
 
 use super::{ApplyEffect, CbTransform, Target};
 use crate::framework::TransformSet;
+use crate::view_pred::{landing_in, Landing};
 use cbqt_catalog::Catalog;
 use cbqt_common::{Error, Result};
-use cbqt_qgm::{BlockId, JoinInfo, OutputItem, QExpr, QTableSource, QueryBlock, QueryTree, RefId};
+use cbqt_qgm::{
+    BlockId, JoinInfo, OutputItem, QExpr, QTableSource, QueryBlock, QueryTree, RefId, SelectBlock,
+};
 
 pub struct CbPredicatePullup;
 
@@ -42,7 +47,15 @@ impl CbTransform for CbPredicatePullup {
                     continue;
                 }
                 for (ci, c) in vs.where_conjuncts.iter().enumerate() {
-                    if c.is_expensive() && !c.contains_subquery() && liftable(vs, c) {
+                    if !c.is_expensive() || c.contains_subquery() {
+                        continue;
+                    }
+                    // only a conjunct the view would take back into its
+                    // WHERE keeps the view's rows when evaluated above it
+                    let mut lifted = vs.clone();
+                    if lift(&mut lifted, t.refid, c)
+                        .is_some_and(|e| landing_in(&lifted, t.refid, &e) == Some(Landing::Where))
+                    {
                         out.push(Target::PullupPred {
                             parent: id,
                             view: v,
@@ -78,11 +91,37 @@ impl CbTransform for CbPredicatePullup {
     }
 }
 
-/// A conjunct can be lifted if it references only the view's own tables
-/// (no deeper correlation) and contains no aggregates.
-fn liftable(vs: &cbqt_qgm::SelectBlock, c: &QExpr) -> bool {
+/// Rewrites `pred`, over the tables of view `vs`, over the view's outputs
+/// (`Col { view_ref, i }`). A column no output exposes becomes a new
+/// output, which only a view that is neither DISTINCT nor aggregated can
+/// take without changing its rows. None if `pred` reads a table the view
+/// does not declare (a correlation) or a column the view cannot expose.
+fn lift(vs: &mut SelectBlock, view_ref: RefId, pred: &QExpr) -> Option<QExpr> {
     let declared = vs.declared_refs();
-    !c.contains_agg() && c.referenced_tables().iter().all(|r| declared.contains(r))
+    let fixed = vs.distinct || vs.is_aggregated();
+    let mut ok = true;
+    let mut lifted = pred.clone();
+    lifted.rewrite(&mut |n| {
+        let QExpr::Col { table, .. } = n else {
+            return None;
+        };
+        ok &= declared.contains(table);
+        let i = vs
+            .select
+            .iter()
+            .position(|o| o.expr == *n)
+            .unwrap_or_else(|| {
+                ok &= !fixed;
+                let name = format!("PU{}", vs.select.len());
+                vs.select.push(OutputItem {
+                    expr: n.clone(),
+                    name,
+                });
+                vs.select.len() - 1
+            });
+        Some(QExpr::col(view_ref, i))
+    });
+    ok.then_some(lifted)
 }
 
 fn pull_up(
@@ -99,49 +138,13 @@ fn pull_up(
             .map(|t| t.refid)
             .ok_or_else(|| Error::transform("view ref vanished"))?
     };
-    let mut pred = {
-        let vs = tree.select_mut(view)?;
-        if conjunct >= vs.where_conjuncts.len() {
-            return Err(Error::transform("conjunct index out of date"));
-        }
-        vs.where_conjuncts.remove(conjunct)
-    };
-    // every inner column the predicate uses must be exposed as an output
-    let mut cols = Vec::new();
-    pred.collect_cols(&mut cols);
-    let mut mapping: Vec<((RefId, usize), usize)> = Vec::new();
-    {
-        let vs = tree.select_mut(view)?;
-        for (r, c) in cols {
-            if mapping.iter().any(|(k, _)| *k == (r, c)) {
-                continue;
-            }
-            let existing = vs
-                .select
-                .iter()
-                .position(|item| item.expr == QExpr::col(r, c));
-            let idx = match existing {
-                Some(i) => i,
-                None => {
-                    vs.select.push(OutputItem {
-                        expr: QExpr::col(r, c),
-                        name: format!("PU{}", vs.select.len()),
-                    });
-                    vs.select.len() - 1
-                }
-            };
-            mapping.push(((r, c), idx));
-        }
+    let vs = tree.select_mut(view)?;
+    if conjunct >= vs.where_conjuncts.len() {
+        return Err(Error::transform("conjunct index out of date"));
     }
-    pred.rewrite(&mut |n| {
-        if let QExpr::Col { table, column } = n {
-            if let Some((_, idx)) = mapping.iter().find(|(k, _)| *k == (*table, *column)) {
-                return Some(QExpr::col(view_ref, *idx));
-            }
-        }
-        None
-    });
-    tree.select_mut(parent)?.where_conjuncts.push(pred);
+    let pred = vs.where_conjuncts.remove(conjunct);
+    let lifted = lift(vs, view_ref, &pred).ok_or_else(|| Error::transform("cannot lift"))?;
+    tree.select_mut(parent)?.where_conjuncts.push(lifted);
     Ok(ApplyEffect::default())
 }
 
@@ -236,5 +239,23 @@ mod tests {
              WHERE rownum < 20",
         );
         assert!(CbPredicatePullup.find_targets(&tree, &cat).is_empty());
+    }
+
+    #[test]
+    fn distinct_view_gets_no_new_output() {
+        // lifting EXPENSIVE(salary) would add salary to the DISTINCT list;
+        // a predicate on an existing output lifts
+        let cat = catalog();
+        for (pred, targets) in [("salary", 0), ("dept_id", 1)] {
+            let tree = build(
+                &cat,
+                &format!(
+                    "SELECT v.dept_id FROM (SELECT DISTINCT dept_id FROM employees \
+                     WHERE EXPENSIVE({pred}, 200) > 10 ORDER BY dept_id) v WHERE rownum < 20"
+                ),
+            );
+            let found = CbPredicatePullup.find_targets(&tree, &cat);
+            assert_eq!(found.len(), targets, "{pred}");
+        }
     }
 }

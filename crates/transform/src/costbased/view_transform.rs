@@ -7,6 +7,7 @@
 use super::{ApplyEffect, CbTransform, Target};
 use crate::framework::TransformSet;
 use crate::util::{splice_view, table_used_elsewhere};
+use crate::view_pred::{landing, push, Landing};
 use cbqt_catalog::Catalog;
 use cbqt_common::hash::HashSet;
 use cbqt_common::{Error, Result};
@@ -254,37 +255,43 @@ pub fn can_jppd_view(tree: &QueryTree, parent: BlockId, view_ref: RefId, vid: Bl
     !pushable_conjuncts(tree, parent, view_ref, vid).is_empty()
 }
 
-/// Indexes of the parent WHERE conjuncts that can be pushed into the
-/// view as correlated predicates.
+/// The parent WHERE conjuncts that can be pushed into the view as
+/// correlated predicates: `(conjunct index, view output, view.col = outer)`.
+/// Each must land in the view's WHERE; a join predicate on an aggregate
+/// output would only filter groups.
 fn pushable_conjuncts(
     tree: &QueryTree,
     parent: BlockId,
     view_ref: RefId,
     vid: BlockId,
-) -> Vec<usize> {
+) -> Vec<(usize, usize, QExpr)> {
     let Ok(p) = tree.select(parent) else {
         return Vec::new();
     };
     let declared = p.declared_refs();
     let mut out = Vec::new();
     for (i, c) in p.where_conjuncts.iter().enumerate() {
-        let Some(out_idx) = pushable_output(c, view_ref, &declared) else {
+        let Some((col, outer)) = pushable_output(c, view_ref, &declared) else {
             continue;
         };
-        if !push_target_ok(tree, vid, out_idx) {
-            out.clear();
-            return out; // one unpushable reference blocks the whole view
+        let pushed = QExpr::eq(QExpr::col(view_ref, col), outer.clone());
+        if landing(tree, vid, view_ref, &pushed) != Some(Landing::Where) {
+            return Vec::new(); // one unpushable reference blocks the whole view
         }
-        out.push(i);
+        out.push((i, col, pushed));
     }
     out
 }
 
 /// If `c` is `view.col = expr(other parent tables)`, returns the view
-/// output index.
-fn pushable_output(c: &QExpr, view_ref: RefId, declared: &HashSet<RefId>) -> Option<usize> {
+/// output index and the other side.
+fn pushable_output<'a>(
+    c: &'a QExpr,
+    view_ref: RefId,
+    declared: &HashSet<RefId>,
+) -> Option<(usize, &'a QExpr)> {
     let (l, r) = c.as_equality()?;
-    let side = |a: &QExpr, b: &QExpr| -> Option<usize> {
+    let side = |a: &QExpr, b: &'a QExpr| -> Option<(usize, &'a QExpr)> {
         let QExpr::Col { table, column } = a else {
             return None;
         };
@@ -301,40 +308,9 @@ fn pushable_output(c: &QExpr, view_ref: RefId, declared: &HashSet<RefId>) -> Opt
         if !brefs.iter().all(|x| declared.contains(x)) {
             return None;
         }
-        Some(*column)
+        Some((*column, b))
     };
     side(l, r).or_else(|| side(r, l))
-}
-
-/// Can a predicate be pushed onto view output `out_idx`?
-fn push_target_ok(tree: &QueryTree, vid: BlockId, out_idx: usize) -> bool {
-    match tree.block(vid) {
-        Ok(QueryBlock::Select(v)) => {
-            if v.rownum_limit.is_some()
-                || !v.order_by.is_empty()
-                || v.grouping_sets.is_some()
-                || v.select.iter().any(|i| i.expr.contains_window())
-            {
-                return false;
-            }
-            let Some(item) = v.select.get(out_idx) else {
-                return false;
-            };
-            if v.is_aggregated() {
-                // must land on a grouping expression
-                v.group_by.contains(&item.expr)
-            } else {
-                !item.expr.contains_agg()
-            }
-        }
-        Ok(QueryBlock::SetOp(so)) => {
-            if !matches!(so.op, cbqt_qgm::SetOp::UnionAll) {
-                return false;
-            }
-            so.inputs.iter().all(|b| push_target_ok(tree, *b, out_idx))
-        }
-        Err(_) => false,
-    }
 }
 
 /// Applies JPPD: join predicates become correlated view predicates; the
@@ -350,36 +326,18 @@ pub fn jppd_view(tree: &mut QueryTree, parent: BlockId, view_ref: RefId) -> Resu
             _ => return Err(Error::transform("view ref vanished")),
         }
     };
-    let idxs = pushable_conjuncts(tree, parent, view_ref, vid);
-    if idxs.is_empty() {
+    let pushed = pushable_conjuncts(tree, parent, view_ref, vid);
+    if pushed.is_empty() {
         return Err(Error::transform("no pushable join predicates"));
     }
-    // remove the conjuncts from the parent
-    let declared = tree.select(parent)?.declared_refs();
-    let mut pushed: Vec<(usize, QExpr)> = Vec::new();
-    {
-        let p = tree.select_mut(parent)?;
-        let mut kept = Vec::new();
-        for (i, c) in p.where_conjuncts.drain(..).enumerate() {
-            if idxs.contains(&i) {
-                kept.push(QExpr::Lit(cbqt_common::Value::Bool(true))); // placeholder
-                let out_idx = pushable_output(&c, view_ref, &declared).expect("validated pushable");
-                let (l, r) = c.as_equality().expect("validated equality");
-                let outer = if matches!(l, QExpr::Col { table, .. } if *table == view_ref) {
-                    r.clone()
-                } else {
-                    l.clone()
-                };
-                pushed.push((out_idx, outer));
-                kept.pop();
-            } else {
-                kept.push(c);
-            }
-        }
-        p.where_conjuncts = kept;
+    let p = tree.select_mut(parent)?;
+    for &(i, ..) in pushed.iter().rev() {
+        p.where_conjuncts.remove(i);
     }
-    let pushed_outputs: HashSet<usize> = pushed.iter().map(|(i, _)| *i).collect();
-    push_into_view(tree, vid, &pushed)?;
+    for (_, _, c) in &pushed {
+        push(tree, vid, view_ref, c)?;
+    }
+    let pushed_outputs: HashSet<usize> = pushed.iter().map(|(_, col, _)| *col).collect();
 
     // distinct-removal optimization
     let mut semi = false;
@@ -403,32 +361,6 @@ pub fn jppd_view(tree: &mut QueryTree, parent: BlockId, view_ref: RefId) -> Resu
     let t = p.table_mut(view_ref).expect("checked above");
     t.join = JoinInfo::Lateral { semi };
     Ok(())
-}
-
-/// Pushes `(output index, outer expr)` equalities into the view (or each
-/// UNION ALL branch).
-fn push_into_view(tree: &mut QueryTree, vid: BlockId, pushed: &[(usize, QExpr)]) -> Result<()> {
-    match tree.block(vid)? {
-        QueryBlock::Select(_) => {
-            let outputs: Vec<QExpr> = {
-                let v = tree.select(vid)?;
-                v.select.iter().map(|i| i.expr.clone()).collect()
-            };
-            let v = tree.select_mut(vid)?;
-            for (idx, outer) in pushed {
-                v.where_conjuncts
-                    .push(QExpr::eq(outputs[*idx].clone(), outer.clone()));
-            }
-            Ok(())
-        }
-        QueryBlock::SetOp(so) => {
-            let inputs = so.inputs.clone();
-            for b in inputs {
-                push_into_view(tree, b, pushed)?;
-            }
-            Ok(())
-        }
-    }
 }
 
 #[cfg(test)]

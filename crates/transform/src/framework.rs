@@ -90,11 +90,6 @@ pub struct CbqtConfig {
     /// behaviour the paper compares against in §4.1).
     pub cost_based: bool,
     pub search: SearchStrategy,
-    /// Per-transformation: up to this many targets → exhaustive search.
-    pub exhaustive_threshold: usize,
-    /// Per-transformation: above the exhaustive threshold and up to this
-    /// many targets → linear; beyond → two-pass for everything.
-    pub linear_threshold: usize,
     /// Total targets in the whole query beyond which every
     /// transformation uses two-pass (§3.2).
     pub total_two_pass_threshold: usize,
@@ -108,8 +103,6 @@ pub struct CbqtConfig {
     pub cost_cutoff: bool,
     pub transforms: TransformSet,
     pub optimizer: OptimizerConfig,
-    /// Iterative improvement: number of restarts.
-    pub iterative_restarts: usize,
     /// Iterative improvement: max states explored.
     pub iterative_max_states: usize,
     /// Inert: the state-space search is serial and nothing in the
@@ -157,15 +150,12 @@ impl Default for CbqtConfig {
         CbqtConfig {
             cost_based: true,
             search: SearchStrategy::Auto,
-            exhaustive_threshold: 5,
-            linear_threshold: 12,
             total_two_pass_threshold: 16,
             interleave: true,
             heuristic_unnest_merge: true,
             cost_cutoff: true,
             transforms: TransformSet::default(),
             optimizer: OptimizerConfig::default(),
-            iterative_restarts: 3,
             iterative_max_states: 24,
             parallelism: 1,
             execution_mode: ExecutionMode::default(),
@@ -425,6 +415,12 @@ fn search_and_apply(
     Ok(Some((decision, changed)))
 }
 
+/// `Auto` searches a transformation with up to this many targets
+/// exhaustively, and with up to [`LINEAR_THRESHOLD`] linearly; beyond
+/// that, two-pass.
+const EXHAUSTIVE_THRESHOLD: usize = 5;
+const LINEAR_THRESHOLD: usize = 12;
+
 /// Resolves `Auto` from the object counts (§3.2): `n_targets` of this
 /// transformation, `total` of every enabled transformation in the query.
 fn pick_strategy(
@@ -437,9 +433,9 @@ fn pick_strategy(
     }
     if total() > config.total_two_pass_threshold {
         SearchStrategy::TwoPass
-    } else if n_targets <= config.exhaustive_threshold {
+    } else if n_targets <= EXHAUSTIVE_THRESHOLD {
         SearchStrategy::Exhaustive
-    } else if n_targets <= config.linear_threshold {
+    } else if n_targets <= LINEAR_THRESHOLD {
         SearchStrategy::Linear
     } else {
         SearchStrategy::TwoPass
@@ -513,6 +509,9 @@ struct Search<'a> {
     best: Best,
 }
 
+/// Iterative improvement: number of restarts.
+const ITERATIVE_RESTARTS: usize = 3;
+
 impl<'a> Search<'a> {
     /// A search that has costed nothing yet: the all-zero state (the
     /// tree as it is) stands until a costed state beats it.
@@ -570,7 +569,7 @@ impl<'a> Search<'a> {
                 let config = self.ctx.config;
                 let mut rng = Lcg::new(0x5DEECE66D ^ arities.len() as u64);
                 let mut explored = 0usize;
-                for restart in 0..config.iterative_restarts.max(1) {
+                for restart in 0..ITERATIVE_RESTARTS {
                     let start: Vec<usize> = if restart == 0 {
                         space.zero_state()
                     } else {

@@ -157,7 +157,7 @@ mod tests {
         // pruning still fires on the original outer predicates
         let cat = catalog();
         let mut tree = rollup_tree(&cat, "v.dept_id = 3 AND v.c > 0");
-        let moved = push_filter_predicates(&mut tree, &cat).unwrap();
+        let moved = push_filter_predicates(&mut tree).unwrap();
         // c > 0 goes to HAVING; dept_id = 3 cannot move (grouping sets)
         assert_eq!(moved, 1);
         let n = prune_groups(&mut tree, &cat).unwrap();

@@ -76,7 +76,7 @@ pub fn apply_heuristics_with(
         }
         changed += add(
             &mut report.predicates_pushed,
-            predicate_move::push_filter_predicates(tree, catalog)?,
+            predicate_move::push_filter_predicates(tree)?,
         );
         changed += add(
             &mut report.groups_pruned,

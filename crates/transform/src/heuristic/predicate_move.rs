@@ -1,35 +1,26 @@
 //! Filter predicate move-around (§2.1.3): pushes inexpensive filter
 //! predicates from a block into the views it references so filtering
 //! happens early, and generates transitive predicates from join
-//! equivalence classes.
-//!
-//! Supported pushes:
-//! * into plain SPJ sub-expressions of a view (always);
-//! * into group-by views when the predicate lands on grouping
-//!   expressions (pushed below the aggregation); predicates on aggregate
-//!   outputs become HAVING conjuncts;
-//! * through window functions when the predicate lands on every window's
-//!   PARTITION BY columns (the paper's Q7 → Q8), or is an upper bound on
-//!   the single ascending ORDER BY column of every window (running
-//!   frames are unaffected by removing later rows);
-//! * into every branch of a UNION ALL / UNION / INTERSECT / MINUS view.
+//! equivalence classes. Which views take a predicate, and where, is the
+//! rule `view_pred.rs` shares with JPPD and pullup: on grouping
+//! keys below the aggregation, on aggregate outputs as HAVING, through
+//! windows on PARTITION BY keys (the paper's Q7 → Q8) or as an upper
+//! bound on the ORDER BY key, and into every branch of a set-op view.
 //!
 //! Expensive predicates (procedural functions / subqueries) are never
 //! moved — predicate *pullup* (§2.2.6) is the cost-based counterpart.
 
-use cbqt_catalog::Catalog;
+use crate::view_pred;
 use cbqt_common::Result;
-use cbqt_qgm::{
-    BinOp, BlockId, JoinInfo, QExpr, QTableSource, QueryBlock, QueryTree, RefId, SelectBlock,
-};
+use cbqt_qgm::{BlockId, JoinInfo, QExpr, QTableSource, QueryBlock, QueryTree, RefId};
 
 /// Runs predicate pushdown + transitivity to fixpoint (bounded); returns
 /// the number of predicates moved or generated.
-pub fn push_filter_predicates(tree: &mut QueryTree, catalog: &Catalog) -> Result<usize> {
+pub fn push_filter_predicates(tree: &mut QueryTree) -> Result<usize> {
     let mut total = 0;
     for _ in 0..4 {
         let t = generate_transitive(tree)?;
-        let p = push_once(tree, catalog)?;
+        let p = push_once(tree)?;
         total += t + p;
         if t + p == 0 {
             break;
@@ -39,7 +30,7 @@ pub fn push_filter_predicates(tree: &mut QueryTree, catalog: &Catalog) -> Result
 }
 
 /// One pass of pushing single-view predicates into their views.
-fn push_once(tree: &mut QueryTree, _catalog: &Catalog) -> Result<usize> {
+fn push_once(tree: &mut QueryTree) -> Result<usize> {
     let mut moved = 0;
     for id in tree.bottom_up() {
         let Ok(QueryBlock::Select(_)) = tree.block(id) else {
@@ -87,165 +78,7 @@ fn try_push_conjunct(tree: &mut QueryTree, id: BlockId, c: &QExpr) -> Result<boo
     let QTableSource::View(vid) = t.source else {
         return Ok(false);
     };
-    push_into_block(tree, vid, target, c)
-}
-
-/// Pushes `c` (expressed over the view's outputs) into view block `vid`.
-fn push_into_block(tree: &mut QueryTree, vid: BlockId, view_ref: RefId, c: &QExpr) -> Result<bool> {
-    match tree.block(vid)? {
-        QueryBlock::Select(v) => {
-            if v.rownum_limit.is_some() || !v.order_by.is_empty() && v.rownum_limit.is_some() {
-                return Ok(false);
-            }
-            if v.rownum_limit.is_some() {
-                return Ok(false);
-            }
-            // substitute output refs with the underlying expressions
-            let outputs: Vec<QExpr> = v.select.iter().map(|i| i.expr.clone()).collect();
-            let mut pushed = c.clone();
-            let mut failed = false;
-            pushed.rewrite(&mut |n| match n {
-                QExpr::Col { table, column } if *table == view_ref => match outputs.get(*column) {
-                    Some(e) => Some(e.clone()),
-                    None => {
-                        failed = true;
-                        None
-                    }
-                },
-                _ => None,
-            });
-            if failed {
-                return Ok(false);
-            }
-            let v = tree.select(vid)?;
-            let has_windows = v.select.iter().any(|i| i.expr.contains_window());
-            let aggregated = v.is_aggregated();
-            if pushed.contains_agg() {
-                // lands on aggregate outputs → becomes HAVING (sound for
-                // grouping sets too: HAVING applies per output group row)
-                tree.select_mut(vid)?.having.push(pushed);
-                return Ok(true);
-            }
-            if aggregated {
-                // must land on grouping expressions only
-                let gb = &v.group_by;
-                let ok = exprs_within(&pushed, gb);
-                if !ok || v.grouping_sets.is_some() {
-                    // grouping-set views are handled by group pruning
-                    return Ok(false);
-                }
-            }
-            if has_windows && !window_push_ok(v, &pushed, c) {
-                return Ok(false);
-            }
-            if v.distinct {
-                // pushing below DISTINCT is always sound for filters
-            }
-            tree.select_mut(vid)?.where_conjuncts.push(pushed);
-            Ok(true)
-        }
-        QueryBlock::SetOp(so) => {
-            let inputs = so.inputs.clone();
-            // push a copy into every branch; each branch sees the conjunct
-            // expressed over ITS select list
-            let mut rewritten = Vec::with_capacity(inputs.len());
-            for b in &inputs {
-                let QueryBlock::Select(bs) = tree.block(*b)? else {
-                    return Ok(false); // nested set ops: skip
-                };
-                if bs.is_aggregated() && !exprs_within_outputs(c, bs, view_ref) {
-                    return Ok(false);
-                }
-                let outputs: Vec<QExpr> = bs.select.iter().map(|i| i.expr.clone()).collect();
-                let mut pushed = c.clone();
-                let mut failed = false;
-                pushed.rewrite(&mut |n| match n {
-                    QExpr::Col { table, column } if *table == view_ref => {
-                        match outputs.get(*column) {
-                            Some(e) => Some(e.clone()),
-                            None => {
-                                failed = true;
-                                None
-                            }
-                        }
-                    }
-                    _ => None,
-                });
-                if failed || pushed.contains_agg() {
-                    return Ok(false);
-                }
-                rewritten.push(pushed);
-            }
-            for (b, p) in inputs.iter().zip(rewritten) {
-                tree.select_mut(*b)?.where_conjuncts.push(p);
-            }
-            Ok(true)
-        }
-    }
-}
-
-/// All column references of `e` appear among `allowed` expressions.
-fn exprs_within(e: &QExpr, allowed: &[QExpr]) -> bool {
-    let mut cols = Vec::new();
-    e.collect_cols(&mut cols);
-    cols.iter()
-        .all(|(r, c)| allowed.iter().any(|a| *a == QExpr::col(*r, *c)))
-}
-
-fn exprs_within_outputs(c: &QExpr, bs: &SelectBlock, view_ref: RefId) -> bool {
-    // conjunct references view outputs; in an aggregated branch, those
-    // outputs must be grouping expressions
-    let mut cols = Vec::new();
-    c.collect_cols(&mut cols);
-    cols.iter().all(|(r, idx)| {
-        if *r != view_ref {
-            return true;
-        }
-        match bs.select.get(*idx) {
-            Some(item) => bs.group_by.contains(&item.expr),
-            None => false,
-        }
-    })
-}
-
-/// Is pushing below the view's window functions sound?
-fn window_push_ok(v: &SelectBlock, pushed: &QExpr, _orig: &QExpr) -> bool {
-    let mut cols = Vec::new();
-    pushed.collect_cols(&mut cols);
-    let col_exprs: Vec<QExpr> = cols.iter().map(|(r, c)| QExpr::col(*r, *c)).collect();
-    let mut ok = true;
-    for item in &v.select {
-        item.expr.walk(&mut |e| {
-            if let QExpr::Win {
-                partition_by,
-                order_by,
-                ..
-            } = e
-            {
-                let in_pby = col_exprs.iter().all(|ce| partition_by.contains(ce));
-                if in_pby {
-                    return;
-                }
-                // upper bound on the single ascending ORDER BY column:
-                // running frames of retained rows are unaffected
-                let upper_bound_ok = order_by.len() == 1
-                    && !order_by[0].desc
-                    && col_exprs.len() == 1
-                    && order_by[0].expr == col_exprs[0]
-                    && matches!(
-                        pushed,
-                        QExpr::Bin {
-                            op: BinOp::Lt | BinOp::LtEq,
-                            ..
-                        }
-                    );
-                if !upper_bound_ok {
-                    ok = false;
-                }
-            }
-        });
-    }
-    ok
+    view_pred::push(tree, vid, target, c)
 }
 
 /// Generates transitive single-table predicates from equality classes:
@@ -341,7 +174,7 @@ mod tests {
             "SELECT v.avg_sal FROM (SELECT dept_id, AVG(salary) avg_sal FROM employees \
              GROUP BY dept_id) v WHERE v.dept_id = 5",
         );
-        let n = push_filter_predicates(&mut tree, &cat).unwrap();
+        let n = push_filter_predicates(&mut tree).unwrap();
         assert_eq!(n, 1);
         tree.validate().unwrap();
         let root = tree.select(tree.root).unwrap();
@@ -358,7 +191,7 @@ mod tests {
             "SELECT v.dept_id FROM (SELECT dept_id, AVG(salary) avg_sal FROM employees \
              GROUP BY dept_id) v WHERE v.avg_sal > 100",
         );
-        let n = push_filter_predicates(&mut tree, &cat).unwrap();
+        let n = push_filter_predicates(&mut tree).unwrap();
         assert_eq!(n, 1);
         let root = tree.select(tree.root).unwrap();
         let vid = root.view_blocks()[0];
@@ -376,7 +209,7 @@ mod tests {
               FROM accounts) v \
              WHERE acct_id = 17 AND time <= 12",
         );
-        let n = push_filter_predicates(&mut tree, &cat).unwrap();
+        let n = push_filter_predicates(&mut tree).unwrap();
         assert_eq!(n, 2);
         let root = tree.select(tree.root).unwrap();
         assert!(root.where_conjuncts.is_empty());
@@ -387,15 +220,19 @@ mod tests {
     #[test]
     fn lower_bound_on_window_order_by_not_pushed() {
         let cat = catalog();
-        let mut tree = build(
-            &cat,
-            "SELECT acct_id, ravg FROM \
-             (SELECT acct_id, time, AVG(balance) OVER (PARTITION BY acct_id ORDER BY time) ravg \
-              FROM accounts) v \
-             WHERE time > 12",
-        );
-        // time > 12 would change running averages of retained rows
-        assert_eq!(push_filter_predicates(&mut tree, &cat).unwrap(), 0);
+        // either spelling would change running averages of retained rows
+        for filter in ["time > 12", "12 < time"] {
+            let mut tree = build(
+                &cat,
+                &format!(
+                    "SELECT acct_id, ravg FROM \
+                     (SELECT acct_id, time, AVG(balance) OVER (PARTITION BY acct_id ORDER BY time) ravg \
+                      FROM accounts) v \
+                     WHERE {filter}"
+                ),
+            );
+            assert_eq!(push_filter_predicates(&mut tree).unwrap(), 0, "{filter}");
+        }
     }
 
     #[test]
@@ -407,7 +244,7 @@ mod tests {
              (SELECT emp_id id FROM employees UNION ALL SELECT emp_id id FROM job_history) v \
              WHERE v.id < 100",
         );
-        let n = push_filter_predicates(&mut tree, &cat).unwrap();
+        let n = push_filter_predicates(&mut tree).unwrap();
         assert_eq!(n, 1);
         tree.validate().unwrap();
         let root = tree.select(tree.root).unwrap();
@@ -418,6 +255,15 @@ mod tests {
         for b in &so.inputs {
             assert_eq!(tree.select(*b).unwrap().where_conjuncts.len(), 1);
         }
+        // a branch with a ROWNUM limit takes nothing, so no branch does
+        let mut tree = build(
+            &cat,
+            "SELECT v.id FROM \
+             (SELECT emp_id id FROM employees WHERE rownum <= 2 \
+              UNION ALL SELECT emp_id id FROM job_history) v \
+             WHERE v.id < 100",
+        );
+        assert_eq!(push_filter_predicates(&mut tree).unwrap(), 0);
     }
 
     #[test]
@@ -428,7 +274,7 @@ mod tests {
             "SELECT v.dept_id FROM (SELECT dept_id, AVG(salary) a FROM employees \
              GROUP BY dept_id) v WHERE EXPENSIVE(v.dept_id, 10) > 0",
         );
-        assert_eq!(push_filter_predicates(&mut tree, &cat).unwrap(), 0);
+        assert_eq!(push_filter_predicates(&mut tree).unwrap(), 0);
     }
 
     #[test]
@@ -440,7 +286,7 @@ mod tests {
              GROUP BY dept_id) v WHERE v.m - v.mn > 10",
         );
         // references aggregates → having push
-        let n = push_filter_predicates(&mut tree, &cat).unwrap();
+        let n = push_filter_predicates(&mut tree).unwrap();
         assert_eq!(n, 1);
         let root = tree.select(tree.root).unwrap();
         let vid = root.view_blocks()[0];
@@ -455,7 +301,7 @@ mod tests {
             "SELECT e.employee_name FROM employees e, departments d \
              WHERE e.dept_id = d.dept_id AND d.dept_id = 7",
         );
-        let n = push_filter_predicates(&mut tree, &cat).unwrap();
+        let n = push_filter_predicates(&mut tree).unwrap();
         assert_eq!(n, 1);
         let s = tree.select(tree.root).unwrap();
         // e.dept_id = 7 was derived
@@ -471,6 +317,6 @@ mod tests {
              (SELECT employee_name, salary FROM employees WHERE rownum <= 5) v \
              WHERE v.salary > 10",
         );
-        assert_eq!(push_filter_predicates(&mut tree, &cat).unwrap(), 0);
+        assert_eq!(push_filter_predicates(&mut tree).unwrap(), 0);
     }
 }

@@ -25,6 +25,7 @@ pub mod framework;
 pub mod heuristic;
 mod unnest;
 pub mod util;
+mod view_pred;
 
 pub use framework::{
     optimize_query, optimize_query_feedback, CbqtConfig, CbqtOutcome, FeedbackConfig,

@@ -1,6 +1,7 @@
 //! Shared helpers for transformations: tree-wide substitution, alias
 //! management, mergeability predicates.
 
+use crate::view_pred::substitute;
 use cbqt_catalog::Catalog;
 use cbqt_common::hash::HashSet;
 use cbqt_common::{Error, Result};
@@ -29,32 +30,18 @@ pub fn splice_view(tree: &mut QueryTree, parent: BlockId, view_ref: RefId) -> Re
         return Err(Error::transform("set-op views cannot merge"));
     };
     dedup_aliases(tree.select(parent)?, &mut v.tables, vid);
-    let outputs: Vec<QExpr> = v.select.iter().map(|i| i.expr.clone()).collect();
     let p = tree.select_mut(parent)?;
     // keep join order roughly stable: splice at the same spot
     p.tables.splice(pos..=pos, v.tables.drain(..));
     p.where_conjuncts.append(&mut v.where_conjuncts);
-    substitute_view_columns(tree, view_ref, &outputs);
-    Ok(v)
-}
-
-/// Substitutes every reference `Col{view_ref, i}` anywhere in the tree
-/// with `outputs[i]`. Used when a view is merged into its parent: because
-/// RefIds are tree-unique, substitution is safe to run globally (it also
-/// fixes correlated references from nested subqueries).
-fn substitute_view_columns(tree: &mut QueryTree, view_ref: RefId, outputs: &[QExpr]) {
+    // RefIds are tree-unique, so the substitution runs tree-wide (it also
+    // fixes correlated references from nested subqueries)
     for id in tree.block_ids() {
         if let Ok(QueryBlock::Select(s)) = tree.block_mut(id) {
-            s.for_each_expr_mut(&mut |e| {
-                e.rewrite(&mut |n| match n {
-                    QExpr::Col { table, column } if *table == view_ref => {
-                        outputs.get(*column).cloned()
-                    }
-                    _ => None,
-                })
-            });
+            s.for_each_expr_mut(&mut |e| substitute(e, view_ref, &v.select));
         }
     }
+    Ok(v)
 }
 
 /// True if any expression anywhere in the tree (outside `exclude_block`'s

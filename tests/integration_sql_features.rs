@@ -424,3 +424,109 @@ fn subquery_in_a_left_operand_keeps_its_subplan() {
         assert_rewrites_keep_rows(&mut db, &sql, want);
     }
 }
+
+/// `t(id, g, x)` holding `(i, i % 2, 10·i)` for i = 0..5, `u(id, a)`
+/// holding (1, 1), (2, 1), (3, 2), and the one-row `one`: a filter
+/// compared with `(SELECT c FROM one)` is pinned above its view, since
+/// no rewrite pushes a subquery into one.
+fn tu_db() -> Database {
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE t (id INT PRIMARY KEY, g INT, x INT);
+         CREATE TABLE u (id INT PRIMARY KEY, a INT);
+         CREATE TABLE one (k INT);
+         INSERT INTO t VALUES (0, 0, 0), (1, 1, 10), (2, 0, 20), (3, 1, 30), (4, 0, 40), (5, 1, 50);
+         INSERT INTO u VALUES (1, 1), (2, 1), (3, 2);
+         INSERT INTO one VALUES (0);",
+    )
+    .unwrap();
+    db.analyze().unwrap();
+    db
+}
+
+/// Checks `sql`, whose filter push-down may move into its view, and
+/// `pinned`, the same statement with the filter kept above the view,
+/// both return `want` in every configuration.
+fn assert_pushdown_keeps_rows(sql: &str, pinned: &str, want: &[&str]) {
+    let mut db = tu_db();
+    assert_rewrites_keep_rows(&mut db, pinned, want);
+    assert_rewrites_keep_rows(&mut db, sql, want);
+}
+
+#[test]
+fn filter_on_a_constant_output_stays_above_a_scalar_aggregate() {
+    let view = "SELECT v.c, v.k FROM (SELECT COUNT(*) AS c, 1 AS k FROM t) v";
+    assert_pushdown_keeps_rows(
+        &format!("{view} WHERE v.k = 2"),
+        &format!("{view} WHERE v.k = (SELECT 2 FROM one)"),
+        &[],
+    );
+}
+
+#[test]
+fn lower_bound_written_constant_first_stays_above_a_running_sum() {
+    let view = "SELECT v.x, v.rs FROM (SELECT x, SUM(x) OVER (ORDER BY x) AS rs FROM t) v";
+    assert_pushdown_keeps_rows(
+        &format!("{view} WHERE 20 < v.x"),
+        &format!("{view} WHERE (SELECT 20 FROM one) < v.x"),
+        &["30|60", "40|100", "50|150"],
+    );
+}
+
+#[test]
+fn filter_on_a_window_output_stays_above_the_window() {
+    let view = "SELECT v.g, v.rn FROM \
+                (SELECT g, ROW_NUMBER() OVER (PARTITION BY g ORDER BY g) AS rn FROM t) v";
+    assert_pushdown_keeps_rows(
+        &format!("{view} WHERE v.rn = 1"),
+        &format!("{view} WHERE v.rn = (SELECT 1 FROM one)"),
+        &["0|1", "1|1"],
+    );
+}
+
+#[test]
+fn having_filter_stays_above_a_window_over_the_groups() {
+    let view = "SELECT v.a, v.c, v.rs FROM (SELECT a, COUNT(*) AS c, \
+                SUM(COUNT(*)) OVER (ORDER BY a) AS rs FROM u GROUP BY a) v";
+    assert_pushdown_keeps_rows(
+        &format!("{view} WHERE v.c < 2"),
+        &format!("{view} WHERE v.c < (SELECT 2 FROM one)"),
+        &["2|1|3"],
+    );
+}
+
+#[test]
+fn filter_stays_above_a_union_all_with_a_rownum_branch() {
+    let view = "SELECT v.x FROM \
+                (SELECT x FROM t WHERE ROWNUM <= 2 UNION ALL SELECT x FROM t WHERE x = 50) v";
+    assert_pushdown_keeps_rows(
+        &format!("{view} WHERE v.x > 5"),
+        &format!("{view} WHERE v.x > (SELECT 5 FROM one)"),
+        &["10", "50"],
+    );
+}
+
+#[test]
+fn lower_bound_stays_above_a_union_all_branch_with_a_running_sum() {
+    let view = "SELECT v.x, v.rs FROM \
+                (SELECT x, SUM(x) OVER (ORDER BY x) rs FROM t UNION ALL SELECT a, a FROM u) v";
+    assert_pushdown_keeps_rows(
+        &format!("{view} WHERE v.x > 20"),
+        &format!("{view} WHERE v.x > (SELECT 20 FROM one)"),
+        &["30|60", "40|100", "50|150"],
+    );
+}
+
+#[test]
+fn pullup_adds_no_output_to_an_aggregated_view() {
+    let sql = "SELECT v.g, v.c FROM (SELECT g, COUNT(*) AS c FROM t \
+               WHERE EXPENSIVE(x, 50) > 0 GROUP BY g) v WHERE ROWNUM <= 5";
+    assert_rewrites_keep_rows(&mut tu_db(), sql, &["0|2", "1|3"]);
+}
+
+#[test]
+fn pullup_lifts_nothing_out_of_a_rownum_view() {
+    let sql = "SELECT v.g FROM (SELECT g FROM t WHERE EXPENSIVE(x, 50) > 0 AND ROWNUM <= 2 \
+               ORDER BY g) v WHERE ROWNUM <= 5";
+    assert_rewrites_keep_rows(&mut tu_db(), sql, &["0", "1"]);
+}
