@@ -222,6 +222,23 @@ fn view_boundary_edge(rng: &mut Rng) -> (String, Option<String>) {
     (sql.replace("{C}", &c.to_string()), Some(pinned))
 }
 
+/// A filter on a ROLLUP view's grouping column that hides the grand
+/// total's NULL behind NVL, CASE … IS NULL or NVL … IN, so group pruning
+/// must keep the total's grouping set. Pruning runs in every
+/// configuration, so it comes with its pinned form: the filter OR'd with
+/// `EXPENSIVE(0, 0) = 1`, never TRUE and no comparison at the top.
+fn rollup_edge(rng: &mut Rng) -> (String, String) {
+    let k = rng.gen_range(1..12);
+    let filter = match rng.gen_range(0..3) {
+        0 => format!("NVL(v.dept_id, {k}) = {k}"),
+        1 => format!("(CASE WHEN v.dept_id IS NULL THEN {k} ELSE 0 END) = {k}"),
+        _ => format!("NVL(v.dept_id, {k}) IN ({k}, 99)"),
+    };
+    let sql = format!("SELECT v.dept_id, v.s FROM (SELECT dept_id, SUM(salary) s FROM employees GROUP BY ROLLUP (dept_id)) v WHERE {filter}");
+    let pinned = format!("{sql} OR EXPENSIVE(0, 0) = 1");
+    (sql, pinned)
+}
+
 /// A query shaped for the batch engine's scan and aggregate kernels: one
 /// to three aggregates over the nullable `salary` (SUM, AVG, MIN, MAX,
 /// COUNT(col), DISTINCT, a MIN over strings, and an argument that turns
@@ -574,15 +591,19 @@ const STRATEGIES: Oracle = Oracle {
             IN, a view aggregate a parent subquery reads, a subquery left\n\
             operand), and one of eight predicates a view must not take\n\
             (six push-down, two pullup shapes: scalar aggregates, windows,\n\
-            HAVING under windows, ROWNUM, set-op branches), on a random\n\
-            database must return the rows of the run with every\n\
-            transformation off under each search strategy (Exhaustive,\n\
-            TwoPass, Iterative, Linear, Auto) and under the heuristic rules\n\
+            HAVING under windows, ROWNUM, set-op branches), and a filter\n\
+            on a ROLLUP view's grouping column that hides the total's NULL\n\
+            (NVL, CASE ... IS NULL, NVL ... IN), on a random database\n\
+            must return the rows of the run with every transformation\n\
+            off under each search strategy (Exhaustive, TwoPass,\n\
+            Iterative, Linear, Auto) and under the heuristic rules\n\
             (cost_based = false), all with the default TransformSet. As\n\
-            push-down runs with every transformation off too, a push-down\n\
-            shape's reference is the run of its pinned form (the constant\n\
-            wrapped in EXPENSIVE(c, 0), which stays above the view), which\n\
-            its transformations-off run must match as well.",
+            push-down and group pruning run with every transformation off\n\
+            too, such a shape's reference is the run of its pinned form\n\
+            (the constant wrapped in EXPENSIVE(c, 0), which stays above\n\
+            the view, or the ROLLUP filter OR'd with EXPENSIVE(0, 0) = 1,\n\
+            which prunes nothing), which its transformations-off run must\n\
+            match as well.",
     needs_recipe_hits: false,
     needs_lateral_joins: false,
     round: strategies_round,
@@ -595,11 +616,13 @@ fn strategies_round(r: &mut Round) {
     let edge = unnesting_edge(&mut Rng::seed_from_u64(r.seed ^ 0x756e_6e65_7374));
     let (boundary, pinned) =
         view_boundary_edge(&mut Rng::seed_from_u64(r.seed ^ 0x7669_6577_7072_6564));
+    let (rollup, rollup_pinned) = rollup_edge(&mut Rng::seed_from_u64(r.seed ^ 0x726f_6c6c_7570));
     let statements = [
         (random_query(&mut rng), None),
         (null_keyed_not_in(&mut rng), None),
         (edge, None),
         (boundary, pinned),
+        (rollup, Some(rollup_pinned)),
     ];
     for (sql, pinned) in statements {
         let config = db.config_mut();

@@ -10,14 +10,21 @@
 //! plus statements whose inner blocks reuse an outer block's alias. The
 //! free list `block_keys` returns beside each key — all the optimizer
 //! knows of a block's correlation — must be `correlated_cols`, element
-//! for element.
+//! for element. The optimizer hands that list on as `BlockPlan::free`,
+//! which both engines key the correlation cache by: it must hold, as a
+//! set, the outer columns the plan itself reads.
 
 mod common;
+#[path = "../../exec/tests/support/outer_reads.rs"]
+mod outer_reads;
 
-use cbqt::optimizer::record_optimized_trees;
-use cbqt::qgm::{fingerprint, render, RefId};
+use cbqt::optimizer::{
+    record_optimized_trees, BlockPlan, CostAnnotations, Optimizer, PlanNode, PlanRoot,
+    SamplingCache,
+};
+use cbqt::qgm::{fingerprint, render, QueryTree, RefId};
 use cbqt::Database;
-use cbqt_common::hash::HashMap;
+use cbqt_common::hash::{HashMap, HashSet};
 
 /// What keyed an annotation before the fingerprint did.
 type Rendered = (String, Vec<(RefId, usize)>);
@@ -52,25 +59,12 @@ fn block_keys_partition_blocks_like_rendering_and_correlation() {
     let mut blocks = 0usize;
     let mut check = |name: &str, db: &mut Database, sql: &str| {
         for mode in &common::MODES {
-            let limits = common::set_mode(db, mode);
-            let (report, trees) = record_optimized_trees(|| db.trace_with_limits(sql, limits));
-            report.expect("trace");
-            assert!(!trees.is_empty(), "{name}/{}: nothing was planned", mode.0);
+            let trees = trees_and_twins(name, db, sql, mode);
             // classes are compared across the whole statement: that is
             // the lifetime of one annotation store
             let mut by_key: HashMap<u64, Rendered> = HashMap::default();
             let mut by_rendered: HashMap<Rendered, u64> = HashMap::default();
-            // Each tree is followed by a copy of itself under fresh
-            // `RefId`s and block ids, what OR expansion and join
-            // factorization make of a branch: its uncorrelated blocks
-            // render as before and must find the original's plans.
-            let twins = trees.iter().map(|tree| {
-                let mut twin = tree.clone();
-                twin.root = twin.import_subtree(tree, tree.root).expect("import");
-                twin
-            });
-            let twins: Vec<_> = twins.collect();
-            for tree in trees.iter().chain(&twins) {
+            for tree in &trees {
                 for (id, key, free) in fingerprint::block_keys(tree) {
                     let rendered = (
                         render::render_block(tree, db.catalog(), id),
@@ -113,4 +107,87 @@ fn block_keys_partition_blocks_like_rendering_and_correlation() {
         check("shadowed alias", &mut db, sql);
     }
     assert!(blocks > 1_000, "only {blocks} blocks compared");
+}
+
+/// Every tree the optimizer is asked to plan for `sql` under `mode`, each
+/// followed by a copy of itself under fresh `RefId`s and block ids, what
+/// OR expansion and join factorization make of a branch: its
+/// uncorrelated blocks render as before and must find the original's
+/// plans.
+fn trees_and_twins(
+    name: &str,
+    db: &mut Database,
+    sql: &str,
+    mode: &common::Mode,
+) -> Vec<QueryTree> {
+    let limits = common::set_mode(db, mode);
+    let (report, trees) = record_optimized_trees(|| db.trace_with_limits(sql, limits));
+    report.expect("trace");
+    assert!(!trees.is_empty(), "{name}/{}: nothing was planned", mode.0);
+    let twins = trees.iter().map(|tree| {
+        let mut twin = tree.clone();
+        twin.root = twin.import_subtree(tree, tree.root).expect("import");
+        twin
+    });
+    let twins: Vec<_> = twins.collect();
+    trees.into_iter().chain(twins).collect()
+}
+
+/// Calls `f` on `plan` and on every block plan below it.
+fn each_block(plan: &BlockPlan, f: &mut impl FnMut(&BlockPlan)) {
+    f(plan);
+    match &plan.root {
+        PlanRoot::Select(sp) => {
+            let mut nodes = vec![&sp.join];
+            while let Some(n) = nodes.pop() {
+                match n {
+                    PlanNode::ScanView { plan, .. } => each_block(plan, f),
+                    PlanNode::Join { left, right, .. } => nodes.extend([&**left, &**right]),
+                    PlanNode::OneRow | PlanNode::ScanBase { .. } => {}
+                }
+            }
+            for (_, p) in &sp.subplans {
+                each_block(p, f);
+            }
+        }
+        PlanRoot::SetOp(s) => {
+            for i in &s.inputs {
+                each_block(i, f);
+            }
+        }
+    }
+}
+
+#[test]
+fn plan_free_lists_are_the_outer_columns_each_plan_reads() {
+    let mut blocks = 0usize;
+    let mut check = |name: &str, db: &mut Database, sql: &str| {
+        for mode in &common::MODES {
+            // one annotation store per statement, as in a search: twins
+            // and repeated blocks get a stored plan relabelled
+            let annotations = CostAnnotations::new();
+            let sampling = SamplingCache::default();
+            for tree in trees_and_twins(name, db, sql, mode) {
+                let mut opt = Optimizer::new(db.catalog(), &annotations, &sampling);
+                let plan = opt.optimize(&tree, None).expect("plan");
+                each_block(&plan, &mut |p| {
+                    let free: HashSet<_> = p.free.iter().copied().collect();
+                    let read: HashSet<_> = outer_reads::outer_reads(p).into_iter().collect();
+                    assert_eq!(
+                        free, read,
+                        "{name}/{}: block {} carries free list {:?}, but its plan reads \
+                         {:?} from outside\n-- {sql}",
+                        mode.0, p.block, p.free, read
+                    );
+                    blocks += 1;
+                });
+            }
+        }
+    };
+    common::for_each_statement(&mut check);
+    let mut db = shadowed_alias_db();
+    for sql in SHADOWED_ALIAS {
+        check("shadowed alias", &mut db, sql);
+    }
+    assert!(blocks > 1_000, "only {blocks} block plans compared");
 }

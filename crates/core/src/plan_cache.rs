@@ -688,6 +688,7 @@ mod tests {
             cost,
             rows: 0.0,
             out_ndv: vec![],
+            free: vec![],
         };
         CachedPlan {
             runtime: Arc::new(Runtime::of(&plan)),

@@ -57,11 +57,11 @@
 //! subqueries (a [`VecExpr::Fallback`] program evaluates them through
 //! the row engine's `EvalCtx`, with its TIS cache).
 
-use crate::engine::{collect_node_refs, combined_layout, order_cmp, Engine};
+use crate::engine::{combined_layout, order_cmp, Engine};
 use crate::eval::{compute_windows, AggAcc, Bindings, EvalCtx, FrameRow};
 use crate::vexpr::{compile, order, retain_cmp, CompileCtx, VecExpr};
 use cbqt_common::failpoint;
-use cbqt_common::hash::{hash_all, HashMap, HashSet};
+use cbqt_common::hash::{hash_all, HashMap};
 use cbqt_common::{Error, Result, Row, Value};
 use cbqt_optimizer::{
     weights, BlockPlan, JoinMethod, Layout, PlanIndex, PlanJoinKind, PlanNode, PlanNodeId,
@@ -776,13 +776,27 @@ fn node_steps(node: &PlanNode, live: Option<&mut Live>, steps: &mut Vec<Step>) {
             }
             let both = live.0.len();
             if *lateral {
-                collect_node_refs(right, &mut HashSet::default(), &mut live.0);
+                lateral_reads(right, &mut live.0);
             }
             node_steps(left, Some(&mut *live), steps);
             live.0.truncate(both);
             node_steps(right, Some(&mut *live), steps);
             live.0.truncate(above);
         }
+    }
+}
+
+/// The columns a lateral right side reads through its binding: a view's
+/// free list, or what an index probe's key and filter read.
+fn lateral_reads(right: &PlanNode, cols: &mut Vec<(RefId, usize)>) {
+    match right {
+        PlanNode::ScanView { plan, .. } => cols.extend(&plan.free),
+        PlanNode::ScanBase { access, filter, .. } => {
+            for e in access.exprs().chain(filter) {
+                e.collect_cols(cols);
+            }
+        }
+        PlanNode::OneRow | PlanNode::Join { .. } => {}
     }
 }
 

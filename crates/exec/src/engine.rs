@@ -23,8 +23,6 @@ use std::sync::Arc;
 
 /// TIS cache: (subquery block, correlation binding values) → rows.
 type SubqCache = HashMap<(BlockId, Vec<Value>), Rc<Vec<Row>>>;
-/// Outer column dependencies per block, memoized.
-type OuterColsCache = HashMap<BlockId, Rc<Vec<(RefId, usize)>>>;
 
 /// Execution statistics for one query run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -58,7 +56,6 @@ pub struct Engine<'a> {
     cache_hits: Cell<u64>,
     cache_misses: Cell<u64>,
     subq_cache: RefCell<SubqCache>,
-    outer_cols: RefCell<OuterColsCache>,
     /// Per-operator runtime counters; `None` (the default) keeps the
     /// execution path free of timing calls.
     metrics: RefCell<Option<ExecMetrics>>,
@@ -118,7 +115,6 @@ impl<'a> Engine<'a> {
             cache_hits: Cell::new(0),
             cache_misses: Cell::new(0),
             subq_cache: RefCell::new(HashMap::default()),
-            outer_cols: RefCell::new(HashMap::default()),
             metrics: RefCell::new(None),
             metrics_timing: Cell::new(true),
             programs: RefCell::new(None),
@@ -309,17 +305,16 @@ impl<'a> Engine<'a> {
     }
 
     /// Executes a (possibly correlated) block plan at position `id` with
-    /// caching on the values of its outer references — the TIS
-    /// correlation cache.
+    /// caching on the values of its outer references (`plan.free`) — the
+    /// TIS correlation cache.
     pub(crate) fn execute_cached(
         &self,
         plan: &BlockPlan,
         id: PlanNodeId,
         binds: &Bindings<'_>,
     ) -> Result<Rc<Vec<Row>>> {
-        let cols = self.outer_cols_of(plan);
-        let mut key = Vec::with_capacity(cols.len());
-        for (r, c) in cols.iter() {
+        let mut key = Vec::with_capacity(plan.free.len());
+        for (r, c) in &plan.free {
             key.push(resolve_outer(binds, *r, *c)?);
         }
         let cache_key = (plan.block, key);
@@ -334,28 +329,6 @@ impl<'a> Engine<'a> {
             .borrow_mut()
             .insert(cache_key, Rc::clone(&rows));
         Ok(rows)
-    }
-
-    /// The outer `(RefId, column)` pairs a plan depends on (computed once
-    /// per block and cached).
-    fn outer_cols_of(&self, plan: &BlockPlan) -> Rc<Vec<(RefId, usize)>> {
-        if let Some(c) = self.outer_cols.borrow().get(&plan.block) {
-            return Rc::clone(c);
-        }
-        let mut defined: HashSet<RefId> = HashSet::default();
-        let mut referenced: Vec<(RefId, usize)> = Vec::new();
-        collect_plan_refs(plan, &mut defined, &mut referenced);
-        let mut outer: Vec<(RefId, usize)> = Vec::new();
-        for (r, c) in referenced {
-            if !defined.contains(&r) && !outer.contains(&(r, c)) {
-                outer.push((r, c));
-            }
-        }
-        let rc = Rc::new(outer);
-        self.outer_cols
-            .borrow_mut()
-            .insert(plan.block, Rc::clone(&rc));
-        rc
     }
 
     fn execute_block(
@@ -1425,121 +1398,6 @@ pub fn order_cmp(a: &Value, b: &Value, desc: bool, nulls_first: bool) -> Orderin
                 ord.reverse()
             } else {
                 ord
-            }
-        }
-    }
-}
-
-fn collect_plan_refs(
-    plan: &BlockPlan,
-    defined: &mut HashSet<RefId>,
-    referenced: &mut Vec<(RefId, usize)>,
-) {
-    match &plan.root {
-        PlanRoot::Select(sp) => {
-            collect_node_refs(&sp.join, defined, referenced);
-            let mut push_expr = |e: &QExpr| {
-                let mut cols = Vec::new();
-                e.collect_cols(&mut cols);
-                referenced.extend(cols);
-            };
-            for e in sp
-                .post_filter
-                .iter()
-                .chain(sp.group_by.iter())
-                .chain(sp.having.iter())
-                .chain(sp.select.iter())
-                .chain(sp.aggs.iter())
-                .chain(sp.windows.iter())
-            {
-                push_expr(e);
-            }
-            for o in &sp.order_by {
-                push_expr(&o.expr);
-            }
-            if let Some(keys) = &sp.distinct_keys {
-                for e in keys {
-                    push_expr(e);
-                }
-            }
-            for (_, p) in &sp.subplans {
-                collect_plan_refs(p, defined, referenced);
-            }
-        }
-        PlanRoot::SetOp(sop) => {
-            for i in &sop.inputs {
-                collect_plan_refs(i, defined, referenced);
-            }
-        }
-    }
-}
-
-pub(crate) fn collect_node_refs(
-    node: &PlanNode,
-    defined: &mut HashSet<RefId>,
-    referenced: &mut Vec<(RefId, usize)>,
-) {
-    let push_expr = |e: &QExpr, referenced: &mut Vec<(RefId, usize)>| {
-        let mut cols = Vec::new();
-        e.collect_cols(&mut cols);
-        referenced.extend(cols);
-    };
-    match node {
-        PlanNode::OneRow => {}
-        PlanNode::ScanBase {
-            refid,
-            filter,
-            access,
-            ..
-        } => {
-            defined.insert(*refid);
-            for c in filter {
-                push_expr(c, referenced);
-            }
-            match access {
-                AccessPath::IndexEq { key, .. } => {
-                    for e in key {
-                        push_expr(e, referenced);
-                    }
-                }
-                AccessPath::IndexRange { lo, hi, .. } => {
-                    if let Some((e, _)) = lo {
-                        push_expr(e, referenced);
-                    }
-                    if let Some((e, _)) = hi {
-                        push_expr(e, referenced);
-                    }
-                }
-                AccessPath::FullScan => {}
-            }
-        }
-        PlanNode::ScanView {
-            refid,
-            plan,
-            filter,
-            ..
-        } => {
-            defined.insert(*refid);
-            for c in filter {
-                push_expr(c, referenced);
-            }
-            collect_plan_refs(plan, defined, referenced);
-        }
-        PlanNode::Join {
-            left,
-            right,
-            equi,
-            residual,
-            ..
-        } => {
-            collect_node_refs(left, defined, referenced);
-            collect_node_refs(right, defined, referenced);
-            for (l, r) in equi {
-                push_expr(l, referenced);
-                push_expr(r, referenced);
-            }
-            for c in residual {
-                push_expr(c, referenced);
             }
         }
     }

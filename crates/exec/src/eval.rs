@@ -583,7 +583,8 @@ pub fn like_match(s: &str, p: &str) -> bool {
 /// Window-function computation over a block's row set.
 ///
 /// `rows` are mutated in place: each window expression's value is pushed
-/// onto every row (in `windows` order).
+/// onto every row (in `windows` order). An aggregate's frame is SQL's
+/// default, `RANGE UNBOUNDED PRECEDING`: ORDER BY peers share a value.
 pub fn compute_windows(ctx: &EvalCtx<'_>, rows: &mut [Row], windows: &[QExpr]) -> Result<()> {
     for w in windows {
         let QExpr::Win {
@@ -605,64 +606,60 @@ pub fn compute_windows(ctx: &EvalCtx<'_>, rows: &mut [Row], windows: &[QExpr]) -
             parts.entry(key).or_default().push(i);
         }
         let mut values: Vec<Value> = vec![Value::Null; rows.len()];
-        for (_, mut idxs) in parts {
+        let cmp = |a: &[Value], b: &[Value]| {
+            for (j, o) in order_by.iter().enumerate() {
+                let ord = crate::engine::order_cmp(&a[j], &b[j], o.desc, o.nulls_first);
+                if ord != std::cmp::Ordering::Equal {
+                    return ord;
+                }
+            }
+            std::cmp::Ordering::Equal
+        };
+        for (_, idxs) in parts {
+            // each row with its ORDER BY key, sorted; without ORDER BY
+            // every key is empty and every row a peer of every other
+            let mut keyed: Vec<(Vec<Value>, usize)> = idxs
+                .iter()
+                .map(|&i| {
+                    let k: Vec<Value> = order_by
+                        .iter()
+                        .map(|o| ctx.eval(&o.expr, &rows[i]))
+                        .collect::<Result<_>>()?;
+                    Ok((k, i))
+                })
+                .collect::<Result<_>>()?;
             if !order_by.is_empty() {
-                // sort partition by the order spec
-                let mut keyed: Vec<(Vec<Value>, usize)> = idxs
-                    .iter()
-                    .map(|&i| {
-                        let k: Vec<Value> = order_by
-                            .iter()
-                            .map(|o| ctx.eval(&o.expr, &rows[i]))
-                            .collect::<Result<_>>()?;
-                        Ok((k, i))
-                    })
-                    .collect::<Result<_>>()?;
-                keyed.sort_by(|a, b| {
-                    for (j, o) in order_by.iter().enumerate() {
-                        let ord = crate::engine::order_cmp(&a.0[j], &b.0[j], o.desc, o.nulls_first);
-                        if ord != std::cmp::Ordering::Equal {
-                            return ord;
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                });
-                idxs = keyed.into_iter().map(|(_, i)| i).collect();
+                keyed.sort_by(|a, b| cmp(&a.0, &b.0));
                 ctx.engine.add_work(
                     weights::SORT * (idxs.len().max(2) as f64).log2() * idxs.len() as f64,
                 );
             }
             match func {
                 WinFunc::RowNumber => {
-                    for (n, &i) in idxs.iter().enumerate() {
-                        values[i] = Value::Int(n as i64 + 1);
+                    for (n, (_, i)) in keyed.iter().enumerate() {
+                        values[*i] = Value::Int(n as i64 + 1);
                     }
                 }
                 WinFunc::Agg(af) => {
-                    if order_by.is_empty() {
-                        // whole-partition aggregate
-                        let mut acc = AggAcc::new(*af);
-                        for &i in &idxs {
-                            let v = match arg {
-                                Some(a) => ctx.eval(a, &rows[i])?,
-                                None => Value::Int(1),
-                            };
-                            acc.add(&v);
-                        }
-                        let out = acc.finish();
-                        for &i in &idxs {
-                            values[i] = out.clone();
-                        }
-                    } else {
-                        // running aggregate: unbounded preceding..current
-                        let mut acc = AggAcc::new(*af);
-                        for &i in &idxs {
-                            let v = match arg {
-                                Some(a) => ctx.eval(a, &rows[i])?,
-                                None => Value::Int(1),
-                            };
-                            acc.add(&v);
-                            values[i] = acc.finish();
+                    // RANGE from the partition's start to the current
+                    // row's last peer: a peer group takes one value
+                    let mut acc = AggAcc::new(*af);
+                    let mut first = 0;
+                    for n in 0..keyed.len() {
+                        let v = match arg {
+                            Some(a) => ctx.eval(a, &rows[keyed[n].1])?,
+                            None => Value::Int(1),
+                        };
+                        acc.add(&v);
+                        if keyed
+                            .get(n + 1)
+                            .is_none_or(|next| cmp(&next.0, &keyed[n].0).is_ne())
+                        {
+                            let out = acc.finish();
+                            for (_, i) in &keyed[first..=n] {
+                                values[*i] = out.clone();
+                            }
+                            first = n + 1;
                         }
                     }
                 }

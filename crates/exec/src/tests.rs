@@ -12,6 +12,10 @@ use cbqt_qgm::{build_query_tree, BinOp, BlockId, QExpr, RefId};
 use cbqt_sql::parse_query;
 use cbqt_storage::Storage;
 
+#[path = "../tests/support/outer_reads.rs"]
+mod outer_reads;
+use outer_reads::outer_reads;
+
 /// departments(dept_id PK, loc_id), employees(emp_id PK, name, dept_id FK,
 /// salary, mgr_id) with small deterministic contents:
 /// * 4 departments, loc 0/0/1/1
@@ -676,6 +680,7 @@ fn one_arc_at_two_positions_keeps_two_sets_of_actuals() {
         cost: 2.0 * branch.cost,
         rows: 2.0 * branch.rows,
         out_ndv: branch.out_ndv.clone(),
+        free: Vec::new(),
     };
     let index = PlanIndex::build(&plan);
     let inputs = [PlanNodeId(1), index.after(PlanNodeId(1))];
@@ -858,10 +863,11 @@ fn cmp(op: BinOp, l: QExpr, r: QExpr) -> QExpr {
     }
 }
 
-/// `SELECT select FROM join` as the block `id`.
+/// `SELECT select FROM join` as the block `id`, reading outside itself
+/// what the walk of [`outer_reads`] finds.
 fn block(id: BlockId, join: PlanNode, select: Vec<QExpr>) -> BlockPlan {
     let layout = Layout::from_node(&join);
-    BlockPlan {
+    let mut plan = BlockPlan {
         block: id,
         root: PlanRoot::Select(Box::new(SelectPlan {
             join,
@@ -882,7 +888,10 @@ fn block(id: BlockId, join: PlanNode, select: Vec<QExpr>) -> BlockPlan {
         cost: 0.0,
         rows: 0.0,
         out_ndv: Vec::new(),
-    }
+        free: Vec::new(),
+    };
+    plan.free = outer_reads(&plan);
+    plan
 }
 
 const JOIN_KINDS: [PlanJoinKind; 5] = [

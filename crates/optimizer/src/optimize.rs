@@ -206,10 +206,10 @@ impl<'a> Optimizer<'a> {
         });
         // one pass keys every block and finds what it reads from outside
         // its subtree; without reuse the keys go unused
-        let mut plans: HashMap<BlockId, Planned> = HashMap::default();
+        let mut plans: HashMap<BlockId, Arc<BlockPlan>> = HashMap::default();
         for (id, key, free) in fingerprint::block_keys(tree) {
             let key = self.config.reuse_annotations.then_some(key);
-            let plan = self.plan_block(tree, id, key, &plans, budget)?;
+            let plan = self.plan_block(tree, id, key, free, &plans, budget)?;
             if let Some(b) = budget {
                 // the root cost is at least the cost of any block that the
                 // root (transitively) executes at least once
@@ -217,11 +217,10 @@ impl<'a> Optimizer<'a> {
                     return Err(Error::plan(COST_CUTOFF));
                 }
             }
-            plans.insert(id, Planned { plan, free });
+            plans.insert(id, plan);
         }
         plans
             .remove(&tree.root)
-            .map(|p| p.plan)
             .ok_or_else(|| Error::plan("root block was not planned"))
     }
 
@@ -230,7 +229,8 @@ impl<'a> Optimizer<'a> {
         tree: &QueryTree,
         id: BlockId,
         key: Option<u64>,
-        plans: &HashMap<BlockId, Planned>,
+        free: fingerprint::FreeCols,
+        plans: &HashMap<BlockId, Arc<BlockPlan>>,
         budget: Option<f64>,
     ) -> Result<Arc<BlockPlan>> {
         cbqt_common::failpoint!(failpoint::OPTIMIZER_PLAN);
@@ -244,7 +244,8 @@ impl<'a> Optimizer<'a> {
             // across states the plan is shared as it is. A twin under
             // another id (an OR-expansion branch, a repeated subquery)
             // gets the stored plan relabelled at the root; plan elements
-            // are positions, so the two share every child.
+            // are positions, so the two share every child; the key holds
+            // the free list, so the two read the same outer columns.
             return Ok(if p.block == id {
                 p
             } else {
@@ -259,7 +260,7 @@ impl<'a> Optimizer<'a> {
             block: id.to_string(),
         });
         let plan = match tree.block(id)? {
-            QueryBlock::Select(s) => self.plan_select(tree, id, s, plans, budget)?,
+            QueryBlock::Select(s) => self.plan_select(tree, id, s, free, plans, budget)?,
             QueryBlock::SetOp(s) => {
                 let inputs: Vec<Arc<BlockPlan>> = s
                     .inputs
@@ -267,7 +268,7 @@ impl<'a> Optimizer<'a> {
                     .map(|i| {
                         plans
                             .get(i)
-                            .map(|p| Arc::clone(&p.plan))
+                            .map(Arc::clone)
                             .ok_or_else(|| Error::plan(format!("missing child plan {i}")))
                     })
                     .collect::<Result<_>>()?;
@@ -290,6 +291,7 @@ impl<'a> Optimizer<'a> {
                     cost,
                     rows,
                     out_ndv,
+                    free,
                 }
             }
         };
@@ -328,7 +330,8 @@ impl<'a> Optimizer<'a> {
         tree: &QueryTree,
         id: BlockId,
         s: &SelectBlock,
-        plans: &HashMap<BlockId, Planned>,
+        free: fingerprint::FreeCols,
+        plans: &HashMap<BlockId, Arc<BlockPlan>>,
         budget: Option<f64>,
     ) -> Result<BlockPlan> {
         let declared = s.declared_refs();
@@ -363,7 +366,9 @@ impl<'a> Optimizer<'a> {
                     base.insert(t.refid, *tid);
                 }
                 QTableSource::View(b) => {
-                    let p = &planned_view(plans, *b)?.plan;
+                    let p = plans
+                        .get(b)
+                        .ok_or_else(|| Error::plan(format!("missing view plan {b}")))?;
                     rels.insert(
                         t.refid,
                         RelStats {
@@ -494,7 +499,7 @@ impl<'a> Optimizer<'a> {
             for b in e.subquery_blocks() {
                 if !subplans.iter().any(|(x, _)| *x == b) {
                     if let Some(p) = plans.get(&b) {
-                        subplans.push((b, Arc::clone(&p.plan)));
+                        subplans.push((b, Arc::clone(p)));
                     }
                 }
             }
@@ -523,8 +528,8 @@ impl<'a> Optimizer<'a> {
             Some(lim) => (lim as f64 / post_sel.max(1e-9)).min(rows),
             None => rows,
         };
-        for (b, p) in &subplans {
-            let corr = &plans[b].free;
+        for (_, p) in &subplans {
+            let corr = &p.free;
             let eff = if corr.is_empty() {
                 1.0
             } else {
@@ -628,7 +633,7 @@ impl<'a> Optimizer<'a> {
             for b in i.expr.subquery_blocks() {
                 if let Some(p) = plans.get(&b) {
                     let corr_execs = if p.free.is_empty() { 1.0 } else { rows };
-                    cost += corr_execs.max(1.0) * p.plan.cost;
+                    cost += corr_execs.max(1.0) * p.cost;
                 }
             }
         }
@@ -679,6 +684,7 @@ impl<'a> Optimizer<'a> {
             cost,
             rows: rows.max(0.0),
             out_ndv,
+            free,
         })
     }
 
@@ -688,7 +694,7 @@ impl<'a> Optimizer<'a> {
         t: &cbqt_qgm::QTable,
         declared: &HashSet<RefId>,
         rels: &HashMap<RefId, RelStats>,
-        plans: &HashMap<BlockId, Planned>,
+        plans: &HashMap<BlockId, Arc<BlockPlan>>,
     ) -> Result<Item> {
         let mut deps: Vec<RefId> = Vec::new();
         for c in t.join.on_conjuncts() {
@@ -701,12 +707,14 @@ impl<'a> Optimizer<'a> {
         let (kind, correlated, plan) = match &t.source {
             QTableSource::Base(tid) => (ItemKind::Base(*tid), false, None),
             QTableSource::View(b) => {
-                let view = planned_view(plans, *b)?;
+                let view = plans
+                    .get(b)
+                    .ok_or_else(|| Error::plan(format!("missing view plan {b}")))?;
                 let corr = view.free.iter().map(|(r, _)| *r);
                 let corr: Vec<RefId> = corr.filter(|r| declared.contains(r)).collect();
                 let correlated = !corr.is_empty();
                 deps.extend(corr);
-                (ItemKind::View(*b), correlated, Some(Arc::clone(&view.plan)))
+                (ItemKind::View(*b), correlated, Some(Arc::clone(view)))
             }
         };
         let rows = rels.get(&t.refid).map(|r| r.rows).unwrap_or(DEFAULT_ROWS);
@@ -724,19 +732,6 @@ impl<'a> Optimizer<'a> {
             },
         })
     }
-}
-
-/// A block planned earlier in one optimizer call, with the outer columns
-/// its subtree reads (its free list from [`fingerprint::block_keys`]).
-struct Planned {
-    plan: Arc<BlockPlan>,
-    free: fingerprint::FreeCols,
-}
-
-fn planned_view(plans: &HashMap<BlockId, Planned>, b: BlockId) -> Result<&Planned> {
-    plans
-        .get(&b)
-        .ok_or_else(|| Error::plan(format!("missing view plan {b}")))
 }
 
 fn expensive_cost(e: &QExpr) -> f64 {

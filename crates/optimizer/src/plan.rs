@@ -2,7 +2,7 @@
 //! the execution engine.
 
 use cbqt_catalog::{IndexId, TableId};
-use cbqt_qgm::{BlockId, QExpr, QOrder, RefId, SetOp};
+use cbqt_qgm::{fingerprint::FreeCols, BlockId, QExpr, QOrder, RefId, SetOp};
 use std::sync::Arc;
 
 /// Cost-model constants. The execution engine counts *work units* with
@@ -59,6 +59,17 @@ impl AccessPath {
             AccessPath::IndexEq { index, .. } => format!("INDEX EQ (ix{})", index.0),
             AccessPath::IndexRange { index, .. } => format!("INDEX RANGE (ix{})", index.0),
         }
+    }
+
+    /// The expressions the path evaluates per probe: its key or bounds.
+    pub fn exprs(&self) -> impl Iterator<Item = &QExpr> {
+        let (key, lo, hi) = match self {
+            AccessPath::FullScan => (&[][..], None, None),
+            AccessPath::IndexEq { key, .. } => (&key[..], None, None),
+            AccessPath::IndexRange { lo, hi, .. } => (&[][..], lo.as_ref(), hi.as_ref()),
+        };
+        key.iter()
+            .chain([lo, hi].into_iter().flatten().map(|(e, _)| e))
     }
 }
 
@@ -243,6 +254,11 @@ pub struct BlockPlan {
     pub rows: f64,
     /// Estimated number of distinct values per output column.
     pub out_ndv: Vec<f64>,
+    /// The outer columns the block's subtree reads, first-seen order:
+    /// its free list from [`cbqt_qgm::fingerprint::block_keys`]. TIS
+    /// cost multiplies NDVs along it, and both engines key the
+    /// correlation cache by its values.
+    pub free: FreeCols,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -540,7 +556,9 @@ impl BlockPlan {
     /// `Arc<str>` literals are counted once per reference.
     pub fn estimated_bytes(&self) -> usize {
         use std::mem::size_of;
-        let mut n = size_of::<BlockPlan>() + self.out_ndv.capacity() * size_of::<f64>();
+        let mut n = size_of::<BlockPlan>()
+            + self.out_ndv.capacity() * size_of::<f64>()
+            + self.free.capacity() * size_of::<(RefId, usize)>();
         match &self.root {
             PlanRoot::Select(sp) => {
                 n += size_of::<SelectPlan>();
@@ -585,7 +603,7 @@ fn node_bytes(node: &PlanNode) -> usize {
     stem + match node {
         PlanNode::OneRow => 0,
         PlanNode::ScanBase { access, filter, .. } => {
-            access_bytes(access) + filter.iter().map(qexpr_bytes).sum::<usize>()
+            access.exprs().chain(filter).map(qexpr_bytes).sum::<usize>()
         }
         PlanNode::ScanView { plan, filter, .. } => {
             plan.estimated_bytes() + filter.iter().map(qexpr_bytes).sum::<usize>()
@@ -605,18 +623,6 @@ fn node_bytes(node: &PlanNode) -> usize {
                     .sum::<usize>()
                 + residual.iter().map(qexpr_bytes).sum::<usize>()
         }
-    }
-}
-
-fn access_bytes(access: &AccessPath) -> usize {
-    match access {
-        AccessPath::FullScan => 0,
-        AccessPath::IndexEq { key, .. } => key.iter().map(qexpr_bytes).sum(),
-        AccessPath::IndexRange { lo, hi, .. } => lo
-            .iter()
-            .chain(hi.iter())
-            .map(|(e, _)| qexpr_bytes(e))
-            .sum(),
     }
 }
 
@@ -860,6 +866,7 @@ mod tests {
             cost: 1.0,
             rows: 1.0,
             out_ndv: vec![],
+            free: vec![],
         };
         let small = leaf.estimated_bytes();
         assert!(small > 0);
@@ -873,6 +880,7 @@ mod tests {
             cost: 2.0,
             rows: 2.0,
             out_ndv: vec![],
+            free: vec![],
         };
         assert!(bigger.estimated_bytes() > 2 * small);
     }
@@ -899,6 +907,7 @@ mod tests {
             cost: 1.0,
             rows: 1.0,
             out_ndv: vec![],
+            free: vec![],
         }
     }
 

@@ -997,56 +997,18 @@ impl QueryTree {
         None
     }
 
-    /// RefIds referenced by block `id`'s expressions (and the
-    /// expressions of its nested subtree) that are *not* declared inside
-    /// the subtree rooted at `id` — i.e. its correlations.
-    pub fn correlated_refs(&self, id: BlockId) -> HashSet<RefId> {
-        let mut declared = HashSet::default();
-        let mut referenced = HashSet::default();
-        self.collect_subtree(id, &mut declared, &mut referenced);
-        referenced.difference(&declared).copied().collect()
-    }
-
-    fn collect_subtree(
-        &self,
-        id: BlockId,
-        declared: &mut HashSet<RefId>,
-        referenced: &mut HashSet<RefId>,
-    ) {
-        let Ok(b) = self.block(id) else { return };
-        match b {
-            QueryBlock::Select(s) => {
-                for t in &s.tables {
-                    declared.insert(t.refid);
-                    if let QTableSource::View(v) = t.source {
-                        self.collect_subtree(v, declared, referenced);
-                    }
-                }
-                s.for_each_expr(&mut |e| {
-                    referenced.extend(e.referenced_tables());
-                    for sq in e.subquery_blocks() {
-                        self.collect_subtree(sq, declared, referenced);
-                    }
-                });
-            }
-            QueryBlock::SetOp(s) => {
-                for i in &s.inputs {
-                    self.collect_subtree(*i, declared, referenced);
-                }
-            }
-        }
-    }
-
     /// True when block `id` (including nested blocks) is correlated to
     /// tables declared outside its subtree.
     pub fn is_correlated(&self, id: BlockId) -> bool {
-        !self.correlated_refs(id).is_empty()
+        !self.correlated_cols(id).is_empty()
     }
 
     /// Column-level correlation info: the distinct `(RefId, column)`
     /// pairs referenced inside the subtree of `id` whose table is
-    /// declared outside the subtree. Drives correlation-cache sizing
-    /// (the executor caches TIS results per distinct binding).
+    /// declared outside the subtree: the one correlation walk the
+    /// rewrites read. The optimizer and both engines read the same list
+    /// from [`crate::fingerprint::block_keys`], carried in each block's
+    /// plan.
     pub fn correlated_cols(&self, id: BlockId) -> Vec<(RefId, usize)> {
         // one walk: every distinct column in first-seen order and every
         // table the subtree declares; what it declares is then dropped
@@ -1380,10 +1342,7 @@ mod tests {
         tree.root = root;
         tree.validate().unwrap();
         assert!(tree.is_correlated(sub));
-        assert_eq!(
-            tree.correlated_refs(sub).into_iter().collect::<Vec<_>>(),
-            vec![r0]
-        );
+        assert_eq!(tree.correlated_cols(sub), [(r0, 0)]);
         assert!(!tree.is_correlated(root));
         assert_eq!(tree.parent_of(sub), Some(root));
         assert_eq!(tree.ref_owner(r1), Some(sub));

@@ -1145,17 +1145,18 @@ impl Parser {
             self.expect_kw("BY")?;
             spec.order_by = self.parse_order_items()?;
         }
-        // the engines compute one frame, from the start of the partition
-        // to the current row (all of it without ORDER BY); any other
-        // frame is refused rather than computed as that one
+        // the engines compute one frame, RANGE from the start of the
+        // partition to the current row's last peer (all of it without
+        // ORDER BY); any other frame is refused rather than computed as
+        // that one
         if self.at_kw("ROWS") || self.at_kw("RANGE") {
             let mut frame = Vec::new();
             while !matches!(self.peek(), TokenKind::RParen | TokenKind::Eof) {
                 frame.push(self.bump().to_string().to_ascii_uppercase());
             }
             let running = matches!(
-                &frame[1..].join(" ")[..],
-                "UNBOUNDED PRECEDING" | "BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW"
+                &frame.join(" ")[..],
+                "RANGE UNBOUNDED PRECEDING" | "RANGE BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW"
             );
             if !running {
                 return Err(Error::unsupported(format!(
@@ -1433,12 +1434,14 @@ mod tests {
         let over =
             |frame: &str| parse_query(&format!("SELECT SUM(x) OVER (ORDER BY x {frame}) FROM t"));
         for frame in [
-            "ROWS UNBOUNDED PRECEDING",
-            "rows between unbounded preceding and current row",
+            "RANGE UNBOUNDED PRECEDING",
+            "range between unbounded preceding and current row",
         ] {
             assert!(over(frame).is_ok(), "{frame}");
         }
         for frame in [
+            "ROWS UNBOUNDED PRECEDING",
+            "ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW",
             "ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING",
             "RANGE BETWEEN UNBOUNDED PRECEDING AND UNBOUNDED FOLLOWING",
             "ROWS 2 PRECEDING",

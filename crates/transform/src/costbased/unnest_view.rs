@@ -116,9 +116,9 @@ fn classify(
     // correlation must resolve to the outer block's own tables
     let outer_declared = outer_s.declared_refs();
     if !tree
-        .correlated_refs(sub)
+        .correlated_cols(sub)
         .iter()
-        .all(|r| outer_declared.contains(r))
+        .all(|(r, _)| outer_declared.contains(r))
     {
         return None;
     }

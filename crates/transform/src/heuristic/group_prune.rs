@@ -2,14 +2,16 @@
 //! predicates on grouping columns cannot be satisfied by those sets.
 //!
 //! A grouping set that does not contain grouping column `g` produces
-//! rows with `g = NULL`; a null-rejecting outer predicate on `g` filters
-//! all such rows, so the set need not be computed at all. The pass runs
+//! rows with `g = NULL`; an outer conjunct that rejects a NULL `g`
+//! ([`rejects_null`]) filters all such rows, so the set need not be
+//! computed at all. The pass runs
 //! after predicate move-around so pruning predicates sit next to the
 //! grouping view (§2.1.4).
 
+use crate::util::rejects_null;
 use cbqt_catalog::Catalog;
 use cbqt_common::Result;
-use cbqt_qgm::{BlockId, JoinInfo, QExpr, QTableSource, QueryBlock, QueryTree, RefId};
+use cbqt_qgm::{BlockId, JoinInfo, QTableSource, QueryBlock, QueryTree, RefId};
 
 /// Prunes grouping sets in all views; returns the number of sets removed.
 pub fn prune_groups(tree: &mut QueryTree, _catalog: &Catalog) -> Result<usize> {
@@ -44,19 +46,16 @@ fn prune_view(
     view_ref: RefId,
     vid: BlockId,
 ) -> Result<usize> {
-    // grouping columns the outer block filters with null-rejecting preds
+    // grouping columns a conjunct of the outer block rejects NULL on
     let mut required: Vec<usize> = Vec::new();
     {
         let outer_s = tree.select(outer)?;
         let v = tree.select(vid)?;
         for c in &outer_s.where_conjuncts {
-            if !null_rejecting(c) {
-                continue;
-            }
             let mut cols = Vec::new();
             c.collect_cols(&mut cols);
             for (r, out_idx) in cols {
-                if r != view_ref {
+                if r != view_ref || !rejects_null(c, r, out_idx) {
                     continue;
                 }
                 // which group-by expr does this output map to?
@@ -87,18 +86,6 @@ fn prune_view(
     Ok(removed)
 }
 
-/// Conservative null-rejection test: comparisons, LIKE, IN-lists and
-/// IS NOT NULL reject NULL inputs.
-fn null_rejecting(e: &QExpr) -> bool {
-    match e {
-        QExpr::Bin { op, .. } => op.is_comparison(),
-        QExpr::Like { negated, .. } => !negated,
-        QExpr::InList { negated, .. } => !negated,
-        QExpr::IsNull { negated, .. } => *negated,
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,15 +108,17 @@ mod tests {
     fn predicate_on_finest_column_prunes_coarse_sets() {
         let cat = catalog();
         // paper Q9: predicate on the innermost rollup column prunes the
-        // (loc) and () sets
-        let mut tree = rollup_tree(&cat, "v.dept_id = 3");
-        let n = prune_groups(&mut tree, &cat).unwrap();
-        assert_eq!(n, 2);
-        let root = tree.select(tree.root).unwrap();
-        let vid = root.view_blocks()[0];
-        let v = tree.select(vid).unwrap();
-        // only the full set survived → degenerates to plain GROUP BY
-        assert!(v.grouping_sets.is_none());
+        // (loc) and () sets, under strict arithmetic too
+        for pred in ["v.dept_id = 3", "v.dept_id + 1 = 4"] {
+            let mut tree = rollup_tree(&cat, pred);
+            let n = prune_groups(&mut tree, &cat).unwrap();
+            assert_eq!(n, 2, "{pred}");
+            let root = tree.select(tree.root).unwrap();
+            let vid = root.view_blocks()[0];
+            let v = tree.select(vid).unwrap();
+            // only the full set survived → degenerates to plain GROUP BY
+            assert!(v.grouping_sets.is_none());
+        }
     }
 
     #[test]
@@ -147,8 +136,16 @@ mod tests {
     #[test]
     fn is_null_predicate_does_not_prune() {
         let cat = catalog();
-        let mut tree = rollup_tree(&cat, "v.dept_id IS NULL");
-        assert_eq!(prune_groups(&mut tree, &cat).unwrap(), 0);
+        // nor does a comparison over a function or CASE that hides the NULL
+        for pred in [
+            "v.dept_id IS NULL",
+            "NVL(v.dept_id, 9) = 9",
+            "(CASE WHEN v.dept_id IS NULL THEN 1 ELSE 0 END) = 1",
+            "NVL(v.dept_id, 9) IN (9)",
+        ] {
+            let mut tree = rollup_tree(&cat, pred);
+            assert_eq!(prune_groups(&mut tree, &cat).unwrap(), 0, "{pred}");
+        }
     }
 
     #[test]

@@ -11,8 +11,7 @@ use cbqt_catalog::Catalog;
 use cbqt_common::hash::HashSet;
 use cbqt_common::{Error, Result};
 use cbqt_qgm::{
-    BlockId, JoinInfo, OutputItem, QExpr, QTableSource, Quant, QueryBlock, QueryTree, RefId,
-    SubqKind,
+    BlockId, JoinInfo, OutputItem, QExpr, QTableSource, Quant, QueryTree, RefId, SubqKind,
 };
 
 /// Whether the WHERE conjunct `kind` over subquery block `sub` of block
@@ -114,17 +113,17 @@ pub(crate) struct Correlation<'t> {
 /// subquery, or a correlated view or nested subquery inside `sub`.
 pub(crate) fn split_correlation(tree: &QueryTree, sub: BlockId) -> Option<Correlation<'_>> {
     let s = tree.select(sub).ok()?;
-    let declared = subtree_refs(tree, sub);
+    let outer: HashSet<RefId> = tree.correlated_cols(sub).iter().map(|&(r, _)| r).collect();
     let side = |e: &QExpr, inner: bool| {
         let refs = e.referenced_tables();
-        !refs.is_empty() && refs.iter().all(|t| declared.contains(t) == inner)
+        !refs.is_empty() && refs.iter().all(|t| outer.contains(t) != inner)
     };
     let mut split = Correlation {
         keys: Vec::new(),
         is_key: Vec::with_capacity(s.where_conjuncts.len()),
     };
     for c in &s.where_conjuncts {
-        let is_key = !c.referenced_tables().iter().all(|t| declared.contains(t));
+        let is_key = c.referenced_tables().iter().any(|t| outer.contains(t));
         split.is_key.push(is_key);
         if !is_key {
             continue;
@@ -146,9 +145,9 @@ pub(crate) fn split_correlation(tree: &QueryTree, sub: BlockId) -> Option<Correl
     s.for_each_expr(&mut |e| {
         for b in e.subquery_blocks() {
             deep |= tree
-                .correlated_refs(b)
+                .correlated_cols(b)
                 .iter()
-                .any(|r| !declared.contains(r));
+                .any(|(r, _)| outer.contains(r));
         }
     });
     (!deep).then_some(split)
@@ -180,28 +179,4 @@ pub(crate) fn expose_correlation(
         });
     }
     Ok(keys)
-}
-
-/// Every table reference declared in the subtree rooted at `root`: its
-/// own tables, its views' and its nested subqueries'.
-fn subtree_refs(tree: &QueryTree, root: BlockId) -> HashSet<RefId> {
-    let mut out = HashSet::default();
-    let mut stack = vec![root];
-    while let Some(b) = stack.pop() {
-        if let Ok(blk) = tree.block(b) {
-            match blk {
-                QueryBlock::Select(s) => {
-                    for t in &s.tables {
-                        out.insert(t.refid);
-                        if let QTableSource::View(v) = t.source {
-                            stack.push(v);
-                        }
-                    }
-                    s.for_each_expr(&mut |e| stack.extend(e.subquery_blocks()));
-                }
-                QueryBlock::SetOp(s) => stack.extend(s.inputs.iter().copied()),
-            }
-        }
-    }
-    out
 }

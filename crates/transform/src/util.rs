@@ -6,7 +6,8 @@ use cbqt_catalog::Catalog;
 use cbqt_common::hash::HashSet;
 use cbqt_common::{Error, Result};
 use cbqt_qgm::{
-    BlockId, JoinInfo, QExpr, QTable, QTableSource, QueryBlock, QueryTree, RefId, SelectBlock,
+    BinOp, BlockId, JoinInfo, QExpr, QTable, QTableSource, QueryBlock, QueryTree, RefId,
+    SelectBlock,
 };
 
 /// Splices the view that `view_ref` names in block `parent` into
@@ -172,6 +173,42 @@ pub fn provably_not_null(
                 QTableSource::View(_) => false,
             }
         }
+        _ => false,
+    }
+}
+
+/// Whether conjunct `conj` cannot be TRUE while column `col` of `table`
+/// is NULL: an AND with a side that rejects it, or a comparison, LIKE,
+/// IN-list or IS NOT NULL with an operand that is NULL whenever the
+/// column is. OR, NOT, IS NULL, CASE and functions (NVL, LNNVL) do not
+/// count.
+pub fn rejects_null(conj: &QExpr, table: RefId, col: usize) -> bool {
+    let strict = |e: &QExpr| null_with(e, table, col);
+    match conj {
+        QExpr::Bin {
+            op: BinOp::And,
+            left,
+            right,
+        } => rejects_null(left, table, col) || rejects_null(right, table, col),
+        QExpr::Bin { op, left, right } if op.is_comparison() => strict(left) || strict(right),
+        QExpr::Like { expr, pattern, .. } => strict(expr) || strict(pattern),
+        QExpr::InList { expr, .. } => strict(expr),
+        QExpr::IsNull { expr, negated } => *negated && strict(expr),
+        _ => false,
+    }
+}
+
+/// Whether `e` is NULL whenever column `col` of `table` is: the column,
+/// or arithmetic, concatenation or negation over it.
+fn null_with(e: &QExpr, table: RefId, col: usize) -> bool {
+    match e {
+        QExpr::Col { table: t, column } => (*t, *column) == (table, col),
+        QExpr::Bin {
+            op: BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Concat,
+            left,
+            right,
+        } => null_with(left, table, col) || null_with(right, table, col),
+        QExpr::Neg(e) => null_with(e, table, col),
         _ => false,
     }
 }

@@ -455,7 +455,7 @@ fn table2_cache_miss() {
             "Table-2 query, cache miss (compile + run)",
             mode,
             got,
-            ceiling(mode, (9591.0, 10769.0)),
+            ceiling(mode, (9513.0, 10691.0)),
         );
     }
 }

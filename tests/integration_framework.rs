@@ -254,12 +254,22 @@ fn heuristic_mode_explores_no_states() {
 
 #[test]
 fn auto_strategy_degrades_to_two_pass_on_wide_queries() {
-    // a query with many OR-expansion targets exceeds the total threshold
-    let mut d = db();
-    d.config_mut().total_two_pass_threshold = 1;
-    let r = d.query(TABLE2_QUERY).unwrap();
-    // with everything forced to two-pass, at most 2 states per transform
-    assert!(r.stats.states_explored <= 8, "{}", r.stats.states_explored);
+    // 17 unnestable subqueries and three disjunctions exceed the total
+    // threshold (16): the disjunctions, an exhaustive search on their
+    // own, are searched two-pass like the subqueries
+    let sql = seventeen_exists_and_three_disjunctions();
+    let report = db().trace(&sql).unwrap();
+    for (transform, targets) in [
+        ("subquery unnesting (inline view)", 17),
+        ("disjunction into UNION ALL", 3),
+    ] {
+        let begin = cbqt::OptimizerEvent::TransformBegin {
+            transform: transform.into(),
+            targets,
+            strategy: "TwoPass".into(),
+        };
+        assert!(report.events.contains(&begin), "{}", report.render());
+    }
 }
 
 #[test]
@@ -357,12 +367,8 @@ const ALL_OFF: cbqt::TransformSet = cbqt::TransformSet {
     or_expansion: false,
 };
 
-/// The objects of a switched-off transformation are not part of the
-/// query's state space, so they must not count toward
-/// `total_two_pass_threshold` either: 17 unnestable subqueries with
-/// unnesting off leave the three disjunctions an exhaustive search.
-#[test]
-fn disabled_transformations_do_not_force_two_pass() {
+/// 17 two-table EXISTS subqueries over `t1` and three disjunctions.
+fn seventeen_exists_and_three_disjunctions() -> String {
     let exists: Vec<String> = (0..17)
         .map(|k| {
             format!(
@@ -372,11 +378,20 @@ fn disabled_transformations_do_not_force_two_pass() {
             )
         })
         .collect();
-    let sql = format!(
+    format!(
         "SELECT t1.a FROM t1 WHERE {} AND (t1.c = 1 OR t1.b < 12) \
          AND (t1.a < 40 OR t1.b = 3) AND (t1.c = 2 OR t1.a > 250)",
         exists.join(" AND ")
-    );
+    )
+}
+
+/// The objects of a switched-off transformation are not part of the
+/// query's state space, so they must not count toward the total beyond
+/// which `Auto` searches two-pass either: 17 unnestable subqueries with
+/// unnesting off leave the three disjunctions an exhaustive search.
+#[test]
+fn disabled_transformations_do_not_force_two_pass() {
+    let sql = seventeen_exists_and_three_disjunctions();
     let mut d = db();
     d.config_mut().transforms.unnest = false;
     let report = d.trace(&sql).unwrap();

@@ -530,3 +530,48 @@ fn pullup_lifts_nothing_out_of_a_rownum_view() {
                ORDER BY g) v WHERE ROWNUM <= 5";
     assert_rewrites_keep_rows(&mut tu_db(), sql, &["0", "1"]);
 }
+
+/// `t`'s sums by `g` with a grand total, whose `g` is NULL: a filter
+/// that hides a NULL `g` behind NVL or CASE keeps the total's row, so
+/// group pruning (§2.1.4) must keep its grouping set. The pinned form
+/// `… OR 1 = 0` is no comparison at the top and prunes nothing.
+fn assert_rollup_filter_keeps_rows(filter: &str, want: &[&str]) {
+    let sql = format!(
+        "SELECT v.g, v.s FROM (SELECT g, SUM(x) AS s FROM t GROUP BY ROLLUP (g)) v WHERE {filter}"
+    );
+    assert_pushdown_keeps_rows(&sql, &format!("{sql} OR 1 = 0"), want);
+}
+
+#[test]
+fn group_pruning_keeps_the_total_under_nvl() {
+    assert_rollup_filter_keeps_rows("NVL(v.g, 9) = 9", &["NULL|150"]);
+}
+
+#[test]
+fn group_pruning_keeps_the_total_under_case_is_null() {
+    assert_rollup_filter_keeps_rows(
+        "(CASE WHEN v.g IS NULL THEN 1 ELSE 0 END) = 1",
+        &["NULL|150"],
+    );
+}
+
+#[test]
+fn group_pruning_keeps_the_total_under_nvl_in_a_list() {
+    assert_rollup_filter_keeps_rows("NVL(v.g, 9) IN (9)", &["NULL|150"]);
+}
+
+#[test]
+fn group_pruning_still_prunes_on_a_comparison() {
+    assert_rollup_filter_keeps_rows("v.g = 1", &["1|90"]);
+}
+
+#[test]
+fn running_sum_gives_order_by_peers_one_value() {
+    // the default frame is RANGE: the three rows tied on g = 0 all sum
+    // to the last of them, as Q7's explicit spelling does
+    let want = ["0|60", "0|60", "0|60", "1|150", "1|150", "1|150"];
+    for frame in ["", " RANGE BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW"] {
+        let sql = format!("SELECT g, SUM(x) OVER (ORDER BY g{frame}) FROM t");
+        assert_rewrites_keep_rows(&mut tu_db(), &sql, &want);
+    }
+}
