@@ -242,10 +242,12 @@ fn rollup_edge(rng: &mut Rng) -> (String, String) {
 /// A query shaped for the batch engine's scan and aggregate kernels: one
 /// to three aggregates over the nullable `salary` (SUM, AVG, MIN, MAX,
 /// COUNT(col), DISTINCT, a MIN over strings, and an argument that turns
-/// `Double` on one row), maybe grouped, under a filter that the scan tests
-/// in place (`col <cmp> lit`, a flipped `lit < col`, `col <cmp> col`, a
-/// ROWID bound) or that puts a computed conjunct between two in-place
-/// ones.
+/// `Double` on one row), maybe grouped — by `dept_id`, or by a key that
+/// turns `Double` or NULL on one row mid-table, so that one batch's key
+/// column is untyped and the others are `Int` — under a filter that the
+/// scan tests in place (`col <cmp> lit`, a flipped `lit < col`,
+/// `col <cmp> col`, a ROWID bound) or that puts a computed conjunct
+/// between two in-place ones.
 fn kernel_query(rng: &mut Rng) -> String {
     let sal = rng.gen_range(0..8000);
     let k = rng.gen_range(0..4000);
@@ -275,9 +277,14 @@ fn kernel_query(rng: &mut Rng) -> String {
         5 => format!("WHERE e.ROWID < {k} AND {d} >= e.dept_id"),
         _ => format!("WHERE e.salary IS NULL OR e.salary > {sal}"),
     };
+    let key = match rng.gen_range(0..3) {
+        0 => "e.dept_id".to_string(),
+        1 => format!("CASE WHEN e.emp_id = {k} THEN 0.5 ELSE e.dept_id END"),
+        _ => format!("CASE WHEN e.emp_id = {k} THEN NULL ELSE e.dept_id + 1 END"),
+    };
     match rng.gen_bool(0.4) {
         true => format!(
-            "SELECT e.dept_id, {} FROM employees e {filter} GROUP BY e.dept_id",
+            "SELECT {key}, {} FROM employees e {filter} GROUP BY {key}",
             list.join(", ")
         ),
         false => format!("SELECT {} FROM employees e {filter}", list.join(", ")),
@@ -300,8 +307,9 @@ fn random_join_query(rng: &mut Rng) -> String {
         0 => format!("SELECT e.employee_name, d.department_name FROM job_history j, employees e, departments d WHERE j.emp_id = e.emp_id AND j.dept_id = d.dept_id AND e.salary > {sal} AND j.start_date > {date}"),
         // snowflake: fact -> employees arm plus departments -> locations chain
         1 => format!("SELECT COUNT(*) FROM job_history j, employees e, departments d, locations l WHERE j.emp_id = e.emp_id AND j.dept_id = d.dept_id AND d.loc_id = l.loc_id AND l.country_id = '{c}' AND e.salary > {sal}"),
-        // chain with a selective mid-chain filter
-        2 => format!("SELECT e.emp_id, l.country_id FROM employees e, departments d, locations l WHERE e.dept_id = d.dept_id AND d.loc_id = l.loc_id AND d.department_name = 'd{}'", k % 8),
+        // chain with a selective mid-chain filter, joined on an `Int`
+        // key against a `Double` one
+        2 => format!("SELECT e.emp_id, l.country_id FROM employees e, departments d, locations l WHERE e.dept_id = d.dept_id + 0.0 AND d.loc_id = l.loc_id AND d.department_name = 'd{}'", k % 8),
         // self-join arm: manager lookup plus a dimension
         3 => format!("SELECT m.employee_name FROM employees e, employees m, departments d WHERE e.mgr_id = m.emp_id AND e.dept_id = d.dept_id AND e.salary > {sal}"),
         // 4-way snowflake under grouping

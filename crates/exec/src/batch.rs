@@ -2,7 +2,9 @@
 //! row interpreter in [`crate::engine`].
 //!
 //! Operators exchange [`Batch`]es of up to [`BATCH_SIZE`] rows stored
-//! column-wise; predicates and projections run as [`crate::vexpr`]
+//! column-wise, each column typed on its own ([`Column`]: `i64`s and a
+//! validity mask when every non-NULL cell is an `Int`, `Value`s
+//! otherwise); predicates and projections run as [`crate::vexpr`]
 //! programs. Programs are compiled **once per plan**, not per execution:
 //! a [`ProgramSet`] holds, by plan position, everything the pipeline
 //! derives from the plan — each block's live columns, each scan's,
@@ -37,7 +39,7 @@
 //! key. A [`Live`] set names the columns something reads above a point
 //! of a block's join tree; each scan, view and join materializes only
 //! those read above it (a join's own keys only below it), and the
-//! others stay empty `Vec`s.
+//! others stay empty.
 //!
 //! Scans filter in place. A conjunct that compares two direct operands
 //! (`col <cmp> lit | bind | col`) is tested on the source row where it
@@ -45,7 +47,8 @@
 //! and copies nothing; any other conjunct materializes the columns it
 //! reads, for the rows still selected only, and the conjuncts run in the
 //! plan's order, so PRED charges and errors fall as in the row engine.
-//! The survivors' live columns are then gathered once. Aggregates fold
+//! The survivors' live columns are then gathered once, each typed by the
+//! cells it meets ([`Column::of_cells`]). Aggregates fold
 //! whole columns: a scalar aggregate makes one accumulator call per
 //! aggregate per batch ([`AggAcc::add_all`]), and a grouped one first
 //! computes the batch's group ids, then folds each aggregate's column by
@@ -57,11 +60,12 @@
 //! subqueries (a [`VecExpr::Fallback`] program evaluates them through
 //! the row engine's `EvalCtx`, with its TIS cache).
 
+use crate::column::{Builder, Column, IntoCells};
 use crate::engine::{combined_layout, order_cmp, Engine};
 use crate::eval::{compute_windows, AggAcc, Bindings, EvalCtx, FrameRow};
 use crate::vexpr::{compile, order, retain_cmp, CompileCtx, VecExpr};
 use cbqt_common::failpoint;
-use cbqt_common::hash::{hash_all, HashMap};
+use cbqt_common::hash::{HashMap, KeyHasher};
 use cbqt_common::{Error, Result, Row, Value};
 use cbqt_optimizer::{
     weights, BlockPlan, JoinMethod, Layout, PlanIndex, PlanJoinKind, PlanNode, PlanNodeId,
@@ -70,6 +74,7 @@ use cbqt_optimizer::{
 use cbqt_qgm::{QExpr, RefId};
 use cbqt_storage::SnapTable;
 use std::borrow::Cow;
+use std::hash::Hasher;
 use std::mem::size_of;
 use std::sync::Arc;
 
@@ -77,14 +82,16 @@ use std::sync::Arc;
 /// small enough to keep a batch's columns cache-resident.
 pub(crate) const BATCH_SIZE: usize = 1024;
 
-/// A columnar batch: `cols[j][i]` is column `j` of row `i`.
+/// A columnar batch: `cols[j]` is column `j`, one cell per row.
 ///
 /// A zero-width batch (`cols` empty) still carries `len` rows — the
 /// OneRow source produces exactly that shape. A column no operator above
-/// reads is *pruned*: it stays an empty `Vec` while `len > 0`.
+/// reads is *pruned*: it stays empty while `len > 0`. Each column is
+/// typed on its own ([`Column`]): `Int` when every non-NULL cell is an
+/// `Int`, `Values` otherwise.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Batch {
-    pub cols: Vec<Vec<Value>>,
+    pub cols: Vec<Column>,
     pub len: usize,
 }
 
@@ -97,10 +104,7 @@ impl Batch {
     /// Reassembles row `i` as a wide row (for row-wise fallbacks); a
     /// pruned column reads NULL.
     pub fn gather_row(&self, i: usize) -> Row {
-        self.cols
-            .iter()
-            .map(|c| c.get(i).cloned().unwrap_or(Value::Null))
-            .collect()
+        (0..self.cols.len()).map(|j| self.value(i, j)).collect()
     }
 
     /// Keeps only the rows named by `sel`, in order.
@@ -108,8 +112,8 @@ impl Batch {
         Batch {
             cols: (0..self.cols.len())
                 .map(|j| match self.has(j) {
-                    true => sel.iter().map(|&i| self.cols[j][i].clone()).collect(),
-                    false => Vec::new(),
+                    true => self.cols[j].gather(sel),
+                    false => Column::default(),
                 })
                 .collect(),
             len: sel.len(),
@@ -119,7 +123,7 @@ impl Batch {
     /// Moves the batch into row form; a pruned column reads NULL.
     pub fn into_rows(self) -> Vec<Row> {
         let len = self.len;
-        let mut iters: Vec<Option<std::vec::IntoIter<Value>>> = self
+        let mut iters: Vec<Option<IntoCells>> = self
             .cols
             .into_iter()
             .map(|c| (c.len() == len).then(|| c.into_iter()))
@@ -140,21 +144,25 @@ pub(crate) fn rows_to_batches(rows: Vec<Row>, width: usize) -> Vec<Batch> {
     let mut out = Vec::with_capacity(rows.len().div_ceil(BATCH_SIZE).max(1));
     let mut cols: Vec<Vec<Value>> = vec![Vec::new(); width];
     let mut n = 0usize;
+    let batch = |cols: Vec<Vec<Value>>, len| Batch {
+        cols: cols.into_iter().map(Column::from).collect(),
+        len,
+    };
     for row in rows {
         for (j, v) in row.into_iter().enumerate().take(width) {
             cols[j].push(v);
         }
         n += 1;
         if n == BATCH_SIZE {
-            out.push(Batch {
-                cols: std::mem::replace(&mut cols, vec![Vec::new(); width]),
-                len: n,
-            });
+            out.push(batch(
+                std::mem::replace(&mut cols, vec![Vec::new(); width]),
+                n,
+            ));
             n = 0;
         }
     }
     if n > 0 {
-        out.push(Batch { cols, len: n });
+        out.push(batch(cols, n));
     }
     out
 }
@@ -170,29 +178,28 @@ pub(crate) fn batches_to_rows(batches: Vec<Batch>) -> Vec<Row> {
 
 /// Splits full-length columns into batches of at most [`BATCH_SIZE`]
 /// rows; a column shorter than `len` is pruned and stays empty.
-fn into_batches(cols: Vec<Vec<Value>>, len: usize) -> Vec<Batch> {
+fn into_batches(cols: Vec<Column>, len: usize) -> Vec<Batch> {
     if len <= BATCH_SIZE {
         return match len {
             0 => Vec::new(),
             _ => vec![Batch { cols, len }],
         };
     }
-    let mut iters: Vec<Option<std::vec::IntoIter<Value>>> = cols
+    let mut chunks: Vec<Option<std::vec::IntoIter<Column>>> = cols
         .into_iter()
-        .map(|c| (c.len() == len).then(|| c.into_iter()))
+        .map(|c| (c.len() == len).then(|| c.into_chunks(BATCH_SIZE).into_iter()))
         .collect();
     (0..len)
         .step_by(BATCH_SIZE)
-        .map(|start| {
-            let n = BATCH_SIZE.min(len - start);
-            let cols = iters
+        .map(|start| Batch {
+            cols: chunks
                 .iter_mut()
-                .map(|it| match it {
-                    Some(it) => it.by_ref().take(n).collect(),
-                    None => Vec::new(),
+                .map(|c| {
+                    c.as_mut()
+                        .map_or_else(Column::default, |c| c.next().unwrap())
                 })
-                .collect();
-            Batch { cols, len: n }
+                .collect(),
+            len: BATCH_SIZE.min(len - start),
         })
         .collect()
 }
@@ -222,14 +229,14 @@ const PAD: Rid = Rid {
 /// Rows addressed by [`Rid`]: an operator's output batches, or a heap
 /// table whose rows a join names by ordinal.
 trait RowsById {
-    /// Column `j` of row `id` (never [`PAD`]).
-    fn at(&self, id: Rid, j: usize) -> Value;
+    /// Pushes column `j` of row `id` (never [`PAD`]) to `out`.
+    fn push_cell(&self, id: Rid, j: usize, out: &mut Builder);
 }
 
 impl RowsById for [Batch] {
     #[inline]
-    fn at(&self, id: Rid, j: usize) -> Value {
-        self[id.b as usize].cols[j][id.r as usize].clone()
+    fn push_cell(&self, id: Rid, j: usize, out: &mut Builder) {
+        out.push_from(&self[id.b as usize].cols[j], id.r as usize);
     }
 }
 
@@ -243,13 +250,13 @@ struct HeapById<'a> {
 
 impl RowsById for HeapById<'_> {
     #[inline]
-    fn at(&self, id: Rid, j: usize) -> Value {
+    fn push_cell(&self, id: Rid, j: usize, out: &mut Builder) {
         let ordinal = id.r as usize;
         match j == self.rowid {
-            true => Value::Int(ordinal as i64),
+            true => out.push_int(ordinal as i64),
             false => {
                 let data = self.data.as_ref().expect("a paired heap row was probed");
-                data.row(ordinal)[j].clone()
+                out.push(&data.row(ordinal)[j]);
             }
         }
     }
@@ -259,13 +266,16 @@ impl RowsById for HeapById<'_> {
 fn gather_col<R: RowsById + ?Sized>(
     src: &R,
     j: usize,
-    ids: impl Iterator<Item = Rid>,
-) -> Vec<Value> {
-    ids.map(|id| match id == PAD {
-        true => Value::Null,
-        false => src.at(id, j),
-    })
-    .collect()
+    ids: impl ExactSizeIterator<Item = Rid>,
+) -> Column {
+    let mut out = Builder::new(ids.len());
+    for id in ids {
+        match id == PAD {
+            true => out.push_null(),
+            false => src.push_cell(id, j, &mut out),
+        }
+    }
+    out.finish()
 }
 
 /// A join's output from the pairs it emitted: each pair's left row and
@@ -281,11 +291,11 @@ fn gather_pairs<R: RowsById + ?Sized>(
         let (lkeep, rkeep) = jp.keep.split_at(jp.llayout.width);
         let lcols = lkeep.iter().enumerate().map(|(j, keep)| match keep {
             true => gather_col(lbatches, j, chunk.iter().map(|p| p.0)),
-            false => Vec::new(),
+            false => Column::default(),
         });
         let rcols = rkeep.iter().enumerate().map(|(j, keep)| match keep {
             true => gather_col(right, j, chunk.iter().map(|p| p.1)),
-            false => Vec::new(),
+            false => Column::default(),
         });
         Batch {
             cols: lcols.chain(rcols).collect(),
@@ -305,7 +315,7 @@ fn gather_ids(src: &[Batch], ids: &[Rid]) -> Vec<Batch> {
             cols: (0..width)
                 .map(|j| match keep[j] {
                     true => gather_col(src, j, chunk.iter().copied()),
-                    false => Vec::new(),
+                    false => Column::default(),
                 })
                 .collect(),
             len: chunk.len(),
@@ -395,7 +405,7 @@ fn eval_all<'b, 'p>(
     progs: impl IntoIterator<Item = &'p VecExpr>,
     b: &'b Batch,
     ctx: &EvalCtx<'_>,
-) -> Result<Vec<Cow<'b, [Value]>>> {
+) -> Result<Vec<Cow<'b, Column>>> {
     let mut all: Option<Vec<usize>> = None;
     progs
         .into_iter()
@@ -404,35 +414,50 @@ fn eval_all<'b, 'p>(
 }
 
 /// Evaluates `p` over every row of `b`; a bare column is borrowed, not
-/// copied. `all` caches the selection of every row for the next call.
+/// copied, and a computed one is typed as a scan types a column. `all`
+/// caches the selection of every row for the next call.
 fn eval_col<'b>(
     p: &VecExpr,
     b: &'b Batch,
     ctx: &EvalCtx<'_>,
     all: &mut Option<Vec<usize>>,
-) -> Result<Cow<'b, [Value]>> {
+) -> Result<Cow<'b, Column>> {
     match p {
         VecExpr::Col(i) => {
             debug_assert!(b.has(*i), "a program reads pruned column {i}");
-            Ok(Cow::Borrowed(&b.cols[*i][..]))
+            Ok(Cow::Borrowed(&b.cols[*i]))
         }
         _ => {
             let sel = all.get_or_insert_with(|| (0..b.len).collect());
-            p.eval(b, sel, ctx).map(Cow::Owned)
+            p.eval(b, sel, ctx).map(|v| Cow::Owned(Column::typed(v)))
         }
     }
 }
 
-/// The hash of row `i`'s key, over the key columns `kc`.
-fn key_hash(kc: &[Cow<[Value]>], i: usize) -> u64 {
-    hash_all(kc.iter().map(|c| &c[i]))
+/// The hashes of the `n` rows' keys over the key columns `kc`, row `i`'s
+/// at `hs[i]` (finish it with `Hasher::finish`): what `hash_all` gives
+/// for the values the cells stand for, computed column by column.
+fn key_hashes(kc: &[Cow<Column>], n: usize, hs: &mut Vec<KeyHasher>) {
+    hs.clear();
+    hs.resize(n, KeyHasher::default());
+    for c in kc {
+        c.hash_cells(hs);
+    }
 }
 
-/// Whether row `i`'s key equals `key`, value by value under `Value`'s
-/// equality: NULL meets NULL (a join drops NULL keys before asking) and
-/// `Int(1)` meets `Double(1.0)`, as in the row engine's hash tables.
-fn key_eq<'v>(kc: &[Cow<[Value]>], i: usize, key: impl IntoIterator<Item = &'v Value>) -> bool {
-    kc.iter().zip(key).all(|(c, k)| c[i] == *k)
+/// Whether row `i`'s key equals the stored key `key`, cell by cell under
+/// `Value`'s equality: NULL meets NULL (a join drops NULL keys before
+/// asking) and `Int(1)` meets `Double(1.0)`, as in the row engine's hash
+/// tables.
+#[inline]
+fn key_eq(kc: &[Cow<Column>], i: usize, key: &[Value]) -> bool {
+    kc.iter().zip(key).all(|(c, v)| c.eq_value(i, v))
+}
+
+/// Whether row `i`'s key has a NULL.
+#[inline]
+fn key_has_null(kc: &[Cow<Column>], i: usize) -> bool {
+    kc.iter().any(|c| c.is_null(i))
 }
 
 /// Groups of equal keys, found by hash: each bucket chains the ids of
@@ -453,6 +478,23 @@ pub(crate) struct GroupTable {
 const NONE: u32 = u32::MAX;
 
 impl GroupTable {
+    /// A table with room for `n` groups: it grows only past them.
+    pub fn with_capacity(n: usize) -> GroupTable {
+        match n {
+            0 => GroupTable::default(),
+            _ => GroupTable {
+                heads: vec![NONE; n.next_power_of_two().max(16)],
+                next: Vec::with_capacity(n),
+                hashes: Vec::with_capacity(n),
+            },
+        }
+    }
+
+    /// The number of groups.
+    pub fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
     /// The group whose hash is `h` and whose key `eq` accepts.
     pub fn find(&self, h: u64, mut eq: impl FnMut(usize) -> bool) -> Option<usize> {
         if self.heads.is_empty() {
@@ -998,6 +1040,14 @@ trait ScanRows {
     fn value(&self, i: usize, j: usize) -> Value {
         self.cell(i, j).into_owned()
     }
+
+    /// Column `j` of the source rows `rows` (`n` of them), in order,
+    /// typed by the cells it meets.
+    fn gather(&self, j: usize, rows: impl Iterator<Item = usize> + Clone, n: usize) -> Column {
+        let mut out = Builder::new(n);
+        rows.for_each(|i| out.push(&self.cell(i, j)));
+        out.finish()
+    }
 }
 
 /// A base scan's heap rows, by ordinal; the ROWID pseudo-column (index
@@ -1016,6 +1066,13 @@ impl ScanRows for HeapRows<'_> {
             false => Cow::Borrowed(&self.data.row(self.ordinals[i])[j]),
         }
     }
+
+    fn gather(&self, j: usize, rows: impl Iterator<Item = usize> + Clone, n: usize) -> Column {
+        match j == self.rowid {
+            true => rows.map(|i| Value::Int(self.ordinals[i] as i64)).collect(),
+            false => Column::of_cells(n, rows.map(|i| &self.data.row(self.ordinals[i])[j])),
+        }
+    }
 }
 
 /// A view scan's input: the view's output rows.
@@ -1024,15 +1081,19 @@ impl ScanRows for [Row] {
     fn cell(&self, i: usize, j: usize) -> Cow<'_, Value> {
         Cow::Borrowed(&self[i][j])
     }
+
+    fn gather(&self, j: usize, rows: impl Iterator<Item = usize> + Clone, n: usize) -> Column {
+        Column::of_cells(n, rows.map(|i| &self[i][j]))
+    }
 }
 
 /// A batch's rows; a pruned column reads NULL.
 impl ScanRows for Batch {
     #[inline]
     fn cell(&self, i: usize, j: usize) -> Cow<'_, Value> {
-        match self.cols[j].get(i) {
-            Some(v) => Cow::Borrowed(v),
-            None => Cow::Owned(Value::Null),
+        match i < self.cols[j].len() {
+            true => self.cols[j].get(i),
+            false => Cow::Owned(Value::Null),
         }
     }
 }
@@ -1089,19 +1150,16 @@ fn scan_batches<S: ScanRows + ?Sized>(
         }
         // the survivors' chunk positions; `None`: every row survived
         let kept = (!sc.filter.is_empty() && sel.len() < len).then_some(&sel[..]);
-        let gather = |j: usize| -> Vec<Value> {
-            let value = |k: usize| src.value(start + k, j);
-            match kept {
-                None => (0..len).map(value).collect(),
-                Some(kept) => kept.iter().map(|&k| value(k)).collect(),
-            }
+        let gather = |j: usize| match kept {
+            None => src.gather(j, start..start + len, len),
+            Some(kept) => src.gather(j, kept.iter().map(|&k| start + k), kept.len()),
         };
         let cols = sc
             .keep
             .iter()
             .enumerate()
             .map(|(j, &keep)| match (keep, kept) {
-                (false, _) => Vec::new(),
+                (false, _) => Column::default(),
                 // every row survived, so a materialized column is whole
                 (true, None) if fb.cols.get(j).is_some_and(|c| c.len() == len) => {
                     std::mem::take(&mut fb.cols[j])
@@ -1120,8 +1178,9 @@ fn scan_batches<S: ScanRows + ?Sized>(
 /// starts at `start`, by each of the scan's conjuncts in turn, charging
 /// one PRED per conjunct per row still selected — what the row engine's
 /// per-row break-on-fail charges add up to. A batched conjunct first
-/// materializes in `fb` each column it reads that no earlier one did:
-/// NULL at the positions no longer selected.
+/// materializes in `fb` each column it reads that no earlier one did,
+/// typed as a scan gathers it; a position no longer selected holds a
+/// filler that no program reads (NULL, or 0 in an `Int` column).
 fn filter_scan<S: ScanRows + ?Sized>(
     eng: &Engine<'_>,
     sc: &ScanProgs,
@@ -1144,15 +1203,19 @@ fn filter_scan<S: ScanRows + ?Sized>(
             ScanConj::Batched { prog, cols } => (prog, cols),
         };
         if fb.cols.is_empty() {
-            fb.cols = vec![Vec::new(); sc.layout.width];
+            fb.cols = vec![Column::default(); sc.layout.width];
         }
         for &j in cols {
             if fb.cols[j].is_empty() {
-                let mut col = vec![Value::Null; fb.len];
-                for &k in sel.iter() {
-                    col[k] = src.value(start + k, j);
+                let mut col = Builder::new(fb.len);
+                let mut selected = sel.iter().peekable();
+                for k in 0..fb.len {
+                    match selected.next_if_eq(&&k) {
+                        Some(_) => col.push(&src.cell(start + k, j)),
+                        None => col.push_filler(),
+                    }
                 }
-                fb.cols[j] = col;
+                fb.cols[j] = col.finish();
             }
         }
         prog.refine(fb, sel, ctx)?;
@@ -1183,11 +1246,11 @@ fn refine_in_place<S: ScanRows + ?Sized>(
     match (l.constant(ctx), r.constant(ctx)) {
         (None, Some(v)) => {
             let j = col(l);
-            retain_cmp(op, sel, |k| order(&src.cell(start + k, j), v));
+            retain_cmp(op, sel, |k| order(&src.cell(start + k, j), &v));
         }
         (Some(v), None) => {
             let j = col(r);
-            retain_cmp(op, sel, |k| order(v, &src.cell(start + k, j)));
+            retain_cmp(op, sel, |k| order(&v, &src.cell(start + k, j)));
         }
         (None, None) => {
             let (a, b) = (col(l), col(r));
@@ -1195,7 +1258,7 @@ fn refine_in_place<S: ScanRows + ?Sized>(
                 order(&src.cell(start + k, a), &src.cell(start + k, b))
             });
         }
-        (Some(a), Some(b)) => retain_cmp(op, sel, |_| order(a, b)),
+        (Some(a), Some(b)) => retain_cmp(op, sel, |_| order(&a, &b)),
     }
     Ok(())
 }
@@ -1440,10 +1503,12 @@ fn key_of<'v, S: ScanRows + ?Sized>(
         return Ok(src.cell(k, *j));
     }
     if let Some(v) = p.constant(ctx) {
-        return Ok(Cow::Borrowed(v));
+        return Ok(v);
     }
     let row = Batch {
-        cols: (0..width).map(|j| vec![src.value(k, j)]).collect(),
+        cols: (0..width)
+            .map(|j| Column::from(vec![src.value(k, j)]))
+            .collect(),
         len: 1,
     };
     Ok(Cow::Owned(
@@ -1491,38 +1556,43 @@ impl<'r> JoinRun<'r> {
         let test = self.pair_test(hj);
         let rkctx = eng.simple_ctx(&hj.rlayout, binds);
         let rbatches = exec_node_batched(eng, right, right_id, binds)?;
-        // build on right: key groups, each compared by its first row's key
-        let mut rkeys = Vec::with_capacity(rbatches.len());
-        let mut table = GroupTable::default();
-        let mut first: Vec<Rid> = Vec::new();
-        let mut members: Vec<(u32, Rid)> = Vec::new();
+        // build on right: key groups, each holding a copy of its key
+        let nk = hj.keys.len();
+        let build_rows: usize = rbatches.iter().map(|b| b.len).sum();
+        let mut table = GroupTable::with_capacity(build_rows);
+        // a batch's key hashes, by row: a buffer the build and the probe reuse
+        let mut hs = Vec::with_capacity(BATCH_SIZE);
+        // grows with the distinct keys: sized for every build row up front,
+        // a large build's store is mapped and page-faulted afresh on each
+        // execution
+        let mut keys: Vec<Value> = Vec::new();
+        let mut members: Vec<(u32, Rid)> = Vec::with_capacity(build_rows);
         let mut null_rows: Vec<Rid> = Vec::new();
         for (bi, b) in rbatches.iter().enumerate() {
             eng.tick_rows(b.len as u64)?;
             eng.add_work(b.len as f64 * weights::HASH_BUILD);
-            rkeys.push(eval_all(hj.rkeys(), b, &rkctx)?);
-            let kc = &rkeys[bi];
-            for i in 0..b.len {
-                if kc.iter().any(|c| c[i].is_null()) {
+            let kc = eval_all(hj.rkeys(), b, &rkctx)?;
+            key_hashes(&kc, b.len, &mut hs);
+            for (i, h) in hs.iter().enumerate() {
+                if key_has_null(&kc, i) {
                     null_rows.push(Rid::new(bi, i));
                     continue;
                 }
-                let (g, new) = table.find_or_insert(key_hash(kc, i), |g| {
-                    let f = first[g];
-                    key_eq(kc, i, rkeys[f.b as usize].iter().map(|c| &c[f.r as usize]))
-                });
+                let eq = |g: usize| key_eq(&kc, i, &keys[g * nk..(g + 1) * nk]);
+                let (g, new) = table.find_or_insert(h.finish(), eq);
                 if new {
-                    first.push(Rid::new(bi, i));
+                    keys.extend(kc.iter().map(|c| c.get(i).into_owned()));
                 }
                 members.push((g as u32, Rid::new(bi, i)));
             }
         }
+        let groups = table.len();
         // group g's rows are by_group[starts[g]..starts[g + 1]], in build order
-        let mut starts = vec![0usize; first.len() + 1];
+        let mut starts = vec![0usize; groups + 1];
         for &(g, _) in &members {
             starts[g as usize + 1] += 1;
         }
-        for g in 0..first.len() {
+        for g in 0..groups {
             starts[g + 1] += starts[g];
         }
         let mut fill = starts.clone();
@@ -1544,16 +1614,15 @@ impl<'r> JoinRun<'r> {
         // every right row, for a NULL probe key of a null-aware anti join
         let mut all_right: Option<Vec<Rid>> = None;
         for (bi, (b, kc)) in lbatches.iter().zip(&lkeys).enumerate() {
-            for i in 0..b.len {
+            key_hashes(kc, b.len, &mut hs);
+            for (i, h) in hs.iter().enumerate() {
                 let lid = Rid::new(bi, i);
-                let null_key = kc.iter().any(|c| c[i].is_null());
+                let null_key = key_has_null(kc, i);
                 let hits: &[Rid] = match null_key {
                     true => &[],
                     false => {
-                        let g = table.find(key_hash(kc, i), |g| {
-                            let f = first[g];
-                            key_eq(kc, i, rkeys[f.b as usize].iter().map(|c| &c[f.r as usize]))
-                        });
+                        let g =
+                            table.find(h.finish(), |g| key_eq(kc, i, &keys[g * nk..(g + 1) * nk]));
                         g.map_or(&[], |g| &by_group[starts[g]..starts[g + 1]])
                     }
                 };
@@ -1741,10 +1810,15 @@ impl<'r> JoinRun<'r> {
         let (ln, rn) = (count(&lbatches), count(&rbatches));
         eng.add_work(weights::SORT * (ln * ln.log2() + rn * rn.log2()));
         // a side's key columns, by batch
-        type Keys<'b> = Vec<Vec<Cow<'b, [Value]>>>;
-        fn key<'k>(kc: &'k Keys<'_>, id: Rid) -> impl Iterator<Item = &'k Value> {
-            kc[id.b as usize].iter().map(move |c| &c[id.r as usize])
+        type Keys<'b> = Vec<Vec<Cow<'b, Column>>>;
+        // two rows' keys under `Value::total_cmp`, column by column
+        fn cmp(ka: &Keys<'_>, a: Rid, kb: &Keys<'_>, b: Rid) -> std::cmp::Ordering {
+            let cols = ka[a.b as usize].iter().zip(&kb[b.b as usize]);
+            cols.map(|(x, y)| x.cell_cmp(a.r as usize, y, b.r as usize))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
         }
+        let null = |kc: &Keys<'_>, id: Rid| key_has_null(&kc[id.b as usize], id.r as usize);
         fn keys<'p, 'b>(
             progs: impl Iterator<Item = &'p VecExpr> + Clone,
             bs: &'b [Batch],
@@ -1756,7 +1830,7 @@ impl<'r> JoinRun<'r> {
         let rk = keys(jp.rkeys(), &rbatches, &rctx)?;
         let sorted = |kc: &Keys<'_>, bs: &[Batch]| {
             let mut ids = all_ids(bs);
-            ids.sort_by(|a, b| key(kc, *a).cmp(key(kc, *b)));
+            ids.sort_by(|a, b| cmp(kc, *a, kc, *b));
             ids
         };
         let (lids, rids) = (sorted(&lk, &lbatches), sorted(&rk, &rbatches));
@@ -1770,25 +1844,25 @@ impl<'r> JoinRun<'r> {
             eng.tick()?;
             eng.add_work(weights::ROW);
             // NULL keys never join
-            if key(&lk, lids[i]).any(Value::is_null) {
+            if null(&lk, lids[i]) {
                 i += 1;
                 continue;
             }
-            if key(&rk, rids[j]).any(Value::is_null) {
+            if null(&rk, rids[j]) {
                 j += 1;
                 continue;
             }
-            match key(&lk, lids[i]).cmp(key(&rk, rids[j])) {
+            match cmp(&lk, lids[i], &rk, rids[j]) {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
                     // cross-combine the two equal-key groups
                     let group = lids[i];
                     let (li0, rj0) = (i, j);
-                    while i < lids.len() && key(&lk, lids[i]).eq(key(&lk, group)) {
+                    while i < lids.len() && cmp(&lk, lids[i], &lk, group).is_eq() {
                         i += 1;
                     }
-                    while j < rids.len() && key(&rk, rids[j]).eq(key(&lk, group)) {
+                    while j < rids.len() && cmp(&rk, rids[j], &lk, group).is_eq() {
                         j += 1;
                     }
                     for &lid in &lids[li0..i] {
@@ -1981,15 +2055,17 @@ pub(crate) fn exec_select_batched(
         let mut seen = GroupTable::default();
         let mut seen_keys: Vec<Value> = Vec::new();
         let mut kept = Vec::with_capacity(batches.len());
+        let mut hs = Vec::new();
         for b in batches {
             eng.add_work(b.len as f64 * weights::DEDUP);
             let kc = eval_all(&progs.distinct, &b, &base_ctx)?;
+            key_hashes(&kc, b.len, &mut hs);
             let mut keep = Vec::new();
-            for i in 0..b.len {
+            for (i, h) in hs.iter().enumerate() {
                 let nk = kc.len();
                 let eq = |g: usize| key_eq(&kc, i, &seen_keys[g * nk..(g + 1) * nk]);
-                if seen.find_or_insert(key_hash(&kc, i), eq).1 {
-                    seen_keys.extend(kc.iter().map(|c| c[i].clone()));
+                if seen.find_or_insert(h.finish(), eq).1 {
+                    seen_keys.extend(kc.iter().map(|c| c.get(i).into_owned()));
                     keep.push(i);
                 }
             }
@@ -2009,7 +2085,7 @@ pub(crate) fn exec_select_batched(
         let n = total.max(2) as f64;
         eng.add_work(weights::SORT * n * n.log2());
         let sorted = {
-            let keys: Vec<Vec<Cow<[Value]>>> = batches
+            let keys: Vec<Vec<Cow<Column>>> = batches
                 .iter()
                 .map(|b| eval_all(&progs.order_by, b, &base_ctx))
                 .collect::<Result<_>>()?;
@@ -2020,8 +2096,8 @@ pub(crate) fn exec_select_batched(
             ids.sort_by(|a, b| {
                 let (ka, kb) = (&keys[a.b as usize], &keys[b.b as usize]);
                 for (j, o) in sp.order_by.iter().enumerate() {
-                    let (x, y) = (&ka[j][a.r as usize], &kb[j][b.r as usize]);
-                    let ord = order_cmp(x, y, o.desc, o.nulls_first);
+                    let (x, y) = (ka[j].get(a.r as usize), kb[j].get(b.r as usize));
+                    let ord = order_cmp(&x, &y, o.desc, o.nulls_first);
                     if ord != std::cmp::Ordering::Equal {
                         return ord;
                     }
@@ -2043,7 +2119,7 @@ pub(crate) fn exec_select_batched(
                 let mut row = Vec::with_capacity(progs.select.len());
                 for p in &progs.select {
                     row.push(match p.cell(&b, i, &base_ctx) {
-                        Some(v) => v.clone(),
+                        Some(v) => v.into_owned(),
                         // a slot the batch does not carry: the program's
                         // own error
                         None => p.eval(&b, &[i], &base_ctx)?.pop().unwrap_or(Value::Null),
@@ -2054,10 +2130,10 @@ pub(crate) fn exec_select_batched(
             continue;
         }
         let sel: Vec<usize> = (0..b.len).collect();
-        let pcols: Vec<Vec<Value>> = progs
+        let pcols: Vec<Column> = progs
             .select
             .iter()
-            .map(|p| p.eval(&b, &sel, &base_ctx))
+            .map(|p| p.eval(&b, &sel, &base_ctx).map(Column::from))
             .collect::<Result<_>>()?;
         out.extend(
             Batch {
@@ -2089,13 +2165,14 @@ fn aggregate_batched(
     let (w, na) = (sp.layout.width, sp.aggs.len());
     let count_star = Value::Int(1);
 
-    let mut out: Vec<Vec<Value>> = vec![Vec::new(); w + na];
+    let mut out: Vec<Column> = vec![Column::default(); w + na];
     let mut out_len = 0usize;
-    // a batch's key and argument columns, and its group ids by row:
-    // buffers every batch reuses
-    let mut kc: Vec<Cow<[Value]>> = Vec::new();
-    let mut ac: Vec<Option<Cow<[Value]>>> = Vec::with_capacity(na);
+    // a batch's key and argument columns, key hashes and group ids by
+    // row: buffers every batch reuses
+    let mut kc: Vec<Cow<Column>> = Vec::new();
+    let mut ac: Vec<Option<Cow<Column>>> = Vec::with_capacity(na);
     let mut gids: Vec<u32> = Vec::new();
+    let mut hs = Vec::new();
     for set in sets {
         let nk = set.len();
         let mut table = GroupTable::default();
@@ -2135,12 +2212,13 @@ fn aggregate_batched(
             }
             gids.clear();
             gids.reserve(BATCH_SIZE.max(b.len));
-            for i in 0..b.len {
+            key_hashes(&kc, b.len, &mut hs);
+            for (i, h) in hs.iter().enumerate() {
                 let eq = |g: usize| key_eq(&kc, i, &keys[g * nk..(g + 1) * nk]);
-                let (g, new) = table.find_or_insert(key_hash(&kc, i), eq);
+                let (g, new) = table.find_or_insert(h.finish(), eq);
                 if new {
                     first.push(Rid::new(bi, i));
-                    keys.extend(kc.iter().map(|c| c[i].clone()));
+                    keys.extend(kc.iter().map(|c| c.get(i).into_owned()));
                     accs.extend(AggAcc::for_slots(&sp.aggs)?);
                 }
                 gids.push(g as u32);
@@ -2155,18 +2233,18 @@ fn aggregate_batched(
         if first.is_empty() && sp.group_by.is_empty() && sets.len() == 1 {
             for (j, col) in out.iter_mut().enumerate().take(w) {
                 if keep[j] {
-                    col.push(Value::Null);
+                    col.append(Column::from(vec![Value::Null]));
                 }
             }
             for (col, acc) in out[w..].iter_mut().zip(AggAcc::for_slots(&sp.aggs)?) {
-                col.push(acc.finish());
+                col.append(Column::from(vec![acc.finish()]));
             }
             out_len += 1;
             continue;
         }
         for (j, col) in out.iter_mut().enumerate().take(w) {
             if keep[j] {
-                col.extend(gather_col(&batches[..], j, first.iter().copied()));
+                col.append(gather_col(&batches[..], j, first.iter().copied()));
             }
         }
         // grouping-set semantics: group-by columns not in this set read
@@ -2180,14 +2258,18 @@ fn aggregate_batched(
                 if let QExpr::Col { table, column } = g {
                     if let Some((off, cw)) = sp.layout.offset_of(*table) {
                         if *column < cw && keep[off + column] {
-                            out[off + column][out_len..].fill(Value::Null);
+                            out[off + column].null_from(out_len);
                         }
                     }
                 }
             }
         }
         for (j, col) in out[w..].iter_mut().enumerate() {
-            col.extend((0..first.len()).map(|g| accs[g * na + j].finish()));
+            col.append(
+                (0..first.len())
+                    .map(|g| accs[g * na + j].finish())
+                    .collect(),
+            );
         }
         out_len += first.len();
     }
@@ -2197,8 +2279,10 @@ fn aggregate_batched(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::Column as BatchCol;
     use crate::tests::{assert_engines_agree_on, plan_of};
     use cbqt_catalog::{Catalog, Column};
+    use cbqt_common::hash::hash_all;
     use cbqt_common::DataType;
     use cbqt_qgm::AggFunc;
     use cbqt_storage::Storage;
@@ -2379,8 +2463,8 @@ mod tests {
                 let mut one = new();
                 col.iter().for_each(|v| one.add(v));
                 let mut all = new();
-                all.add_all(&col[..4]);
-                all.add_all(&col[4..]);
+                all.add_all(&BatchCol::from(col[..4].to_vec()));
+                all.add_all(&BatchCol::from(col[4..].to_vec()));
                 let (a, b) = (one.finish(), all.finish());
                 assert_eq!(format!("{a:?}"), format!("{b:?}"), "{func:?}");
                 // three groups, rows dealt round-robin, two accumulators
@@ -2391,6 +2475,7 @@ mod tests {
                     by_row[g as usize * 2 + 1].add(v);
                 }
                 let mut folded: Vec<AggAcc> = (0..6).map(|_| new()).collect();
+                let col = BatchCol::from(col.to_vec());
                 AggAcc::add_by_group(&mut folded[1..], 2, Some(&col), &Value::Int(1), &gids);
                 let finish = |accs: &[AggAcc]| {
                     format!("{:?}", accs.iter().map(AggAcc::finish).collect::<Vec<_>>())
@@ -2503,7 +2588,10 @@ mod tests {
     #[test]
     fn pruned_columns_read_null_and_stay_pruned() {
         let b = Batch {
-            cols: vec![vec![Value::Int(1), Value::Int(2)], Vec::new()],
+            cols: vec![
+                [Value::Int(1), Value::Int(2)].into_iter().collect(),
+                BatchCol::default(),
+            ],
             len: 2,
         };
         assert_eq!(b.gather_row(1), vec![Value::Int(2), Value::Null]);
@@ -2516,7 +2604,7 @@ mod tests {
                 vec![Value::Int(2), Value::Null]
             ]
         );
-        let cols = vec![(0..2500).map(Value::Int).collect(), Vec::new()];
+        let cols = vec![(0..2500).map(Value::Int).collect(), BatchCol::default()];
         let batches = into_batches(cols, 2500);
         let lens: Vec<_> = batches.iter().map(|b| (b.len, b.cols[1].len())).collect();
         assert_eq!(lens, [(1024, 0), (1024, 0), (452, 0)]);

@@ -808,7 +808,7 @@ impl<'a> Engine<'a> {
         match e {
             QExpr::Lit(v) => Ok(Cow::Borrowed(v)),
             QExpr::Param { slot, peek } => Ok(Cow::Borrowed(self.param(*slot, peek))),
-            QExpr::Col { table, column } => ctx.outer.value(*table, *column).map(Cow::Borrowed),
+            QExpr::Col { table, column } => ctx.outer.value(*table, *column),
             _ => {
                 let empty = Layout::default();
                 let kctx = EvalCtx {
@@ -1327,7 +1327,7 @@ fn resolve_outer(binds: &Bindings<'_>, refid: RefId, col: usize) -> Result<Value
     for f in binds.frames.iter().rev() {
         if let Some((off, w)) = f.layout.offset_of(refid) {
             if col < w {
-                return Ok(f.value(off + col).clone());
+                return Ok(f.value(off + col).into_owned());
             }
             return Err(Error::execution(format!(
                 "outer column {col} out of range for r{}",

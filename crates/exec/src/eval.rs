@@ -2,11 +2,13 @@
 //! for correlation and slot-mapped aggregate / window values.
 
 use crate::batch::Batch;
+use crate::column::{Column, Ints};
 use crate::engine::Engine;
 use cbqt_common::hash::{HashMap, HashSet};
 use cbqt_common::{Error, Result, Row, Truth, Value};
 use cbqt_optimizer::{weights, Layout, PlanNodeId, SelectPlan};
 use cbqt_qgm::{BinOp, QExpr, Quant, SubqKind, WinFunc};
+use std::borrow::Cow;
 
 /// One level of bindings: the layout of a row plus the row itself.
 #[derive(Clone, Copy)]
@@ -28,10 +30,10 @@ impl<'a> Frame<'a> {
     /// never read: whatever binds a batch row keeps the columns read
     /// through it live.
     #[inline]
-    pub(crate) fn value(&self, j: usize) -> &'a Value {
+    pub(crate) fn value(&self, j: usize) -> Cow<'a, Value> {
         match self.row {
-            FrameRow::Row(row) => &row[j],
-            FrameRow::Batch(b, i) => &b.cols[j][i],
+            FrameRow::Row(row) => Cow::Borrowed(&row[j]),
+            FrameRow::Batch(b, i) => b.cols[j].get(i),
         }
     }
 }
@@ -68,7 +70,7 @@ impl<'a> Bindings<'a> {
     /// Column `col` of the innermost frame that binds `refid`, with the
     /// row engine's errors for a column out of range and an unbound
     /// reference.
-    pub(crate) fn value(&self, refid: cbqt_qgm::RefId, col: usize) -> Result<&'a Value> {
+    pub(crate) fn value(&self, refid: cbqt_qgm::RefId, col: usize) -> Result<Cow<'a, Value>> {
         for f in self.frames.iter().rev() {
             if let Some((off, w)) = f.layout.offset_of(refid) {
                 if col < w {
@@ -142,7 +144,7 @@ impl<'a> EvalCtx<'a> {
                 refid.0
             )));
         }
-        self.outer.value(refid, col).cloned()
+        self.outer.value(refid, col).map(Cow::into_owned)
     }
 
     /// Evaluates an expression to a value (`NULL` represents UNKNOWN for
@@ -779,13 +781,18 @@ impl AggAcc {
         }
     }
 
-    /// Adds every value of `col`, in order, as one [`add`](AggAcc::add)
+    /// Adds every cell of `col`, in order, as one [`add`](AggAcc::add)
     /// per value would. COUNT(\*) counts the column's length; a
     /// non-DISTINCT SUM, AVG or COUNT folds `Int`s and skips NULLs in a
     /// tight loop, adding in the same order (so a floating sum rounds
-    /// alike), and hands any other value to `add`.
-    pub fn add_all(&mut self, col: &[Value]) {
+    /// alike), and hands any other value to `add`. An `Int` column folds
+    /// its `i64`s, MIN and MAX too.
+    pub fn add_all(&mut self, col: &Column) {
         use cbqt_qgm::AggFunc::*;
+        let col = match col {
+            Column::Int(x) => return self.add_ints(x),
+            Column::Values(col) => col,
+        };
         match (self.func, self.distinct.is_some()) {
             (CountStar, _) => self.count += col.len() as i64,
             (Count, false) => self.count += col.iter().filter(|v| !v.is_null()).count() as i64,
@@ -809,15 +816,36 @@ impl AggAcc {
         }
     }
 
+    /// [`add_all`](AggAcc::add_all) of an `Int` column.
+    fn add_ints(&mut self, x: &Ints) {
+        use cbqt_qgm::AggFunc::*;
+        match (self.func, self.distinct.is_some()) {
+            (CountStar, _) => self.count += x.len() as i64,
+            (Count, false) => self.count += x.non_null().count() as i64,
+            (Sum | Avg, false) => {
+                let (mut count, mut isum, mut sum) = (self.count, self.isum, self.sum);
+                for i in x.non_null() {
+                    count += 1;
+                    isum = isum.wrapping_add(i);
+                    sum += i as f64;
+                }
+                (self.count, self.isum, self.sum) = (count, isum, sum);
+            }
+            (Min | Max, false) => x.non_null().for_each(|i| self.add_extreme(i)),
+            _ => (0..x.len()).for_each(|i| self.add(&x.value(i))),
+        }
+    }
+
     /// Adds each row of a batch to its group's accumulator of one
     /// aggregate: row `i` goes to `accs[gids[i] * stride]`, reading
-    /// `col[i]`, or `star` when the aggregate has no argument. Each
-    /// accumulator sees its rows in batch order, and the accumulators
-    /// at the stride share one function, so the fold decides it once.
+    /// `col`'s cell `i`, or `star` when the aggregate has no argument.
+    /// Each accumulator sees its rows in batch order, and the
+    /// accumulators at the stride share one function, so the fold
+    /// decides it once.
     pub fn add_by_group(
         accs: &mut [AggAcc],
         stride: usize,
-        col: Option<&[Value]>,
+        col: Option<&Column>,
         star: &Value,
         gids: &[u32],
     ) {
@@ -828,12 +856,31 @@ impl AggAcc {
         let at = |g: u32| g as usize * stride;
         match (a0.func, a0.distinct.is_some(), col) {
             (CountStar, ..) => gids.iter().for_each(|&g| accs[at(g)].count += 1),
-            (Count, false, Some(col)) => {
+            (Count, false, Some(Column::Int(x))) => {
+                for (i, &g) in gids.iter().enumerate() {
+                    accs[at(g)].count += x.get(i).is_some() as i64;
+                }
+            }
+            (Sum | Avg, false, Some(Column::Int(x))) => {
+                for (i, &g) in gids.iter().enumerate() {
+                    if let Some(v) = x.get(i) {
+                        accs[at(g)].add_int(v);
+                    }
+                }
+            }
+            (Min | Max, false, Some(Column::Int(x))) => {
+                for (i, &g) in gids.iter().enumerate() {
+                    if let Some(v) = x.get(i) {
+                        accs[at(g)].add_extreme(v);
+                    }
+                }
+            }
+            (Count, false, Some(Column::Values(col))) => {
                 for (&g, v) in gids.iter().zip(col) {
                     accs[at(g)].count += !v.is_null() as i64;
                 }
             }
-            (Sum | Avg, false, Some(col)) => {
+            (Sum | Avg, false, Some(Column::Values(col))) => {
                 for (&g, v) in gids.iter().zip(col) {
                     let acc = &mut accs[at(g)];
                     match v {
@@ -844,8 +891,8 @@ impl AggAcc {
                 }
             }
             (.., Some(col)) => {
-                for (&g, v) in gids.iter().zip(col) {
-                    accs[at(g)].add(v);
+                for (i, &g) in gids.iter().enumerate() {
+                    accs[at(g)].add(&col.get(i));
                 }
             }
             (.., None) => gids.iter().for_each(|&g| accs[at(g)].add(star)),
@@ -859,6 +906,30 @@ impl AggAcc {
         self.count += 1;
         self.isum = self.isum.wrapping_add(i);
         self.sum += i as f64;
+    }
+
+    /// What [`add`](AggAcc::add) does with `Value::Int(i)` in a
+    /// non-DISTINCT MIN or MAX: against an `Int` extreme, one `i64`
+    /// compare.
+    #[inline]
+    fn add_extreme(&mut self, i: i64) {
+        let (slot, min) = match self.func {
+            cbqt_qgm::AggFunc::Min => (&mut self.min, true),
+            _ => (&mut self.max, false),
+        };
+        match slot {
+            Some(Value::Int(m)) => {
+                self.count += 1;
+                if (min && i < *m) || (!min && i > *m) {
+                    *m = i;
+                }
+            }
+            None => {
+                self.count += 1;
+                *slot = Some(Value::Int(i));
+            }
+            Some(_) => self.add(&Value::Int(i)),
+        }
     }
 
     pub fn finish(&self) -> Value {

@@ -20,6 +20,7 @@
 //!   model uses, so measured work and estimated cost share a currency.
 
 pub(crate) mod batch;
+pub mod column;
 pub mod engine;
 pub mod eval;
 pub mod metrics;

@@ -1105,16 +1105,23 @@ fn index_probes_find_none_one_many_and_skip_null_keys() {
 /// view runs once per distinct binding of `l.k` through the TIS cache,
 /// and the left keys repeat, so most probes are cache hits.
 fn lateral_view_plan(tables: [TableId; 2], kind: PlanJoinKind, residual: bool) -> BlockPlan {
+    let filter = vec![cmp(BinOp::Eq, col(2, 0), col(0, 0))];
+    lateral_plan(tables, lateral_view(tables, filter), kind, residual)
+}
+
+/// The view `(SELECT r2.k, r2.v FROM r r2 WHERE filter)` (reference 1),
+/// whose filter may read the left row `l` (reference 0).
+fn lateral_view(tables: [TableId; 2], filter: Vec<QExpr>) -> PlanNode {
     let scan = PlanNode::ScanBase {
         table: tables[1],
         refid: RefId(2),
         width: 3,
         access: AccessPath::FullScan,
-        filter: vec![cmp(BinOp::Eq, col(2, 0), col(0, 0))],
+        filter,
         rows: 0.0,
     };
     let view = block(BlockId(1), scan, vec![col(2, 0), col(2, 1)]);
-    let right = PlanNode::ScanView {
+    PlanNode::ScanView {
         block: BlockId(1),
         refid: RefId(1),
         width: 2,
@@ -1122,8 +1129,7 @@ fn lateral_view_plan(tables: [TableId; 2], kind: PlanJoinKind, residual: bool) -
         correlated: true,
         filter: Vec::new(),
         rows: 0.0,
-    };
-    lateral_plan(tables, right, kind, residual)
+    }
 }
 
 #[test]
@@ -1166,6 +1172,39 @@ fn a_probe_reads_left_columns_nothing_else_reads() {
         filter.push(cmp(BinOp::Gt, col(1, 1), col(0, 1)));
         let (rows, _) = assert_engines_agree_on(&cat, &st, &plan);
         assert!(nl == 1 || !rows.is_empty());
+    }
+}
+
+/// A lateral view whose correlated conjunct `r2.v > l.v` is the only
+/// reader of `l.v`, in a block that outputs only `l.k` and `r1.v`: the
+/// view's free list keeps `l.v` live in the left batches, and its binding
+/// reads it there in place.
+#[test]
+fn a_lateral_view_reads_left_columns_nothing_else_reads() {
+    for nl in [1, 1025] {
+        let (cat, st, tables, _) = setup_probe(nl);
+        let filter = vec![
+            cmp(BinOp::Eq, col(2, 0), col(0, 0)),
+            cmp(BinOp::Gt, col(2, 1), col(0, 1)),
+        ];
+        let right = lateral_view(tables, filter);
+        let mut plan = lateral_plan(tables, right, PlanJoinKind::Inner, false);
+        let PlanRoot::Select(sp) = &mut plan.root else {
+            unreachable!()
+        };
+        sp.select = vec![col(0, 0), col(1, 1)];
+        let (rows, _) = assert_engines_agree_on(&cat, &st, &plan);
+        // each row's `r1.v` beats the `l.v` of its left row
+        let expect = (0..nl)
+            .filter(|i| i % 11 != 5 && i % 50 < 40)
+            .map(|i| {
+                let m = i % 50;
+                (0..m % 4)
+                    .filter(|c| (m * 7 + c * 13) % 100 > i % 100)
+                    .count()
+            })
+            .sum::<usize>();
+        assert_eq!(rows.len(), expect, "{nl} left rows");
     }
 }
 

@@ -20,10 +20,12 @@
 //! row-wise [`EvalCtx`] — same TIS caches, same errors.
 
 use crate::batch::Batch;
+use crate::column::{Column, Ints};
 use crate::eval::{display_raw, like_match, truth_value, EvalCtx};
 use cbqt_common::{Error, Result, Truth, Value};
 use cbqt_optimizer::{weights, Layout};
 use cbqt_qgm::{BinOp, QExpr, RefId};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// Slot mapping used while compiling: mirrors the fields of [`EvalCtx`]
@@ -340,7 +342,7 @@ impl VecExpr {
                     sel.is_empty() || batch.cols[*i].len() == batch.len,
                     "a program reads pruned column {i}"
                 );
-                Ok(sel.iter().map(|&r| batch.cols[*i][r].clone()).collect())
+                Ok(batch.cols[*i].values_at(sel))
             }
             VecExpr::AggSlot(i) => {
                 if sel.is_empty() {
@@ -349,7 +351,7 @@ impl VecExpr {
                 if *i >= batch.cols.len() {
                     return Err(Error::execution("aggregate slot out of range"));
                 }
-                Ok(sel.iter().map(|&r| batch.cols[*i][r].clone()).collect())
+                Ok(batch.cols[*i].values_at(sel))
             }
             VecExpr::WinSlot(i) => {
                 if sel.is_empty() {
@@ -358,7 +360,7 @@ impl VecExpr {
                 if *i >= batch.cols.len() {
                     return Err(Error::execution("window slot out of range"));
                 }
-                Ok(sel.iter().map(|&r| batch.cols[*i][r].clone()).collect())
+                Ok(batch.cols[*i].values_at(sel))
             }
             VecExpr::Lit(v) => Ok(vec![v.clone(); sel.len()]),
             VecExpr::Param { slot, peek } => {
@@ -366,7 +368,10 @@ impl VecExpr {
             }
             VecExpr::Outer { table, column } => match sel.is_empty() {
                 true => Ok(Vec::new()),
-                false => Ok(vec![ctx.outer.value(*table, *column)?.clone(); sel.len()]),
+                false => Ok(vec![
+                    ctx.outer.value(*table, *column)?.into_owned();
+                    sel.len()
+                ]),
             },
             VecExpr::Bin { op, l, r } => {
                 let lv = l.eval(batch, sel, ctx)?;
@@ -688,8 +693,8 @@ impl VecExpr {
     }
 
     /// The value of a direct operand — a column, an aggregate or window
-    /// slot, a literal, a bind or an outer column — for row `row`,
-    /// borrowed without materializing an operand vector; `None` for any
+    /// slot, a literal, a bind or an outer column — for row `row`, read
+    /// in place without materializing an operand vector; `None` for any
     /// other program, for a slot the batch does not carry and for an
     /// unbound outer column. Backs the comparison fast path in
     /// [`eval_truth`](VecExpr::eval_truth) and the row-wise projection.
@@ -698,7 +703,7 @@ impl VecExpr {
         batch: &'v Batch,
         row: usize,
         ctx: &'v EvalCtx<'_>,
-    ) -> Option<&'v Value> {
+    ) -> Option<Cow<'v, Value>> {
         match self {
             VecExpr::Col(i) => {
                 debug_assert_eq!(
@@ -706,10 +711,22 @@ impl VecExpr {
                     batch.len,
                     "a program reads pruned column {i}"
                 );
-                Some(&batch.cols[*i][row])
+                Some(batch.cols[*i].get(row))
             }
-            VecExpr::AggSlot(i) | VecExpr::WinSlot(i) => batch.cols.get(*i).map(|c| &c[row]),
+            VecExpr::AggSlot(i) | VecExpr::WinSlot(i) => batch.cols.get(*i).map(|c| c.get(row)),
             _ => self.constant(ctx),
+        }
+    }
+
+    /// The `Int` column this program reads, when it is a column and the
+    /// batch holds that column typed.
+    fn int_col<'v>(&self, batch: &'v Batch) -> Option<&'v Ints> {
+        match self {
+            VecExpr::Col(i) => match &batch.cols[*i] {
+                Column::Int(x) => Some(x),
+                Column::Values(_) => None,
+            },
+            _ => None,
         }
     }
 
@@ -751,10 +768,10 @@ impl VecExpr {
     /// The value of a literal, a bind or an outer column, the same for
     /// every row of one execution; `None` for any other program and for
     /// an unbound outer column.
-    pub(crate) fn constant<'v>(&'v self, ctx: &'v EvalCtx<'_>) -> Option<&'v Value> {
+    pub(crate) fn constant<'v>(&'v self, ctx: &'v EvalCtx<'_>) -> Option<Cow<'v, Value>> {
         match self {
-            VecExpr::Lit(v) => Some(v),
-            VecExpr::Param { slot, peek } => Some(ctx.engine.param(*slot, peek)),
+            VecExpr::Lit(v) => Some(Cow::Borrowed(v)),
+            VecExpr::Param { slot, peek } => Some(Cow::Borrowed(ctx.engine.param(*slot, peek))),
             VecExpr::Outer { table, column } => ctx.outer.value(*table, *column).ok(),
             _ => None,
         }
@@ -771,7 +788,9 @@ impl VecExpr {
 
     /// Keeps in `sel` the rows on which the program is true: what
     /// [`eval_truth`](VecExpr::eval_truth) decides, applied in place. A
-    /// direct comparison is decided row by row with no truth vector.
+    /// direct comparison is decided row by row with no truth vector; an
+    /// `Int` column against an `Int` constant or another `Int` column
+    /// compares `i64`s.
     pub(crate) fn refine(
         &self,
         batch: &Batch,
@@ -783,10 +802,25 @@ impl VecExpr {
                 l.bound(ctx)?;
                 r.bound(ctx)?;
             }
-            retain_cmp(op, sel, |row| {
-                let (a, b) = (l.cell(batch, row, ctx), r.cell(batch, row, ctx));
-                order(a.unwrap(), b.unwrap())
-            });
+            let int = |e: &VecExpr| match e.constant(ctx).as_deref() {
+                Some(Value::Int(c)) => Some(*c),
+                _ => None,
+            };
+            match (l.int_col(batch), r.int_col(batch), int(l), int(r)) {
+                (Some(x), Some(y), ..) => {
+                    retain_cmp(op, sel, |row| Some(x.get(row)?.cmp(&y.get(row)?)));
+                }
+                (Some(x), _, _, Some(c)) => {
+                    retain_cmp(op, sel, |row| Some(x.get(row)?.cmp(&c)));
+                }
+                (_, Some(y), Some(c), _) => {
+                    retain_cmp(op, sel, |row| Some(c.cmp(&y.get(row)?)));
+                }
+                _ => retain_cmp(op, sel, |row| {
+                    let (a, b) = (l.cell(batch, row, ctx), r.cell(batch, row, ctx));
+                    order(&a.unwrap(), &b.unwrap())
+                }),
+            }
             return Ok(());
         }
         let truths = self.eval_truth(batch, sel, ctx)?;
@@ -814,7 +848,7 @@ impl VecExpr {
             }
             let truth = |&row: &usize| {
                 let (a, b) = (l.cell(batch, row, ctx), r.cell(batch, row, ctx));
-                compare(op, a.unwrap(), b.unwrap())
+                compare(op, &a.unwrap(), &b.unwrap())
             };
             return Ok(sel.iter().map(truth).collect());
         }

@@ -294,7 +294,7 @@ fn warm_lateral_join() {
             "warm lateral join (warm_scan template 3)",
             mode,
             got,
-            ceiling(mode, (80.0, 495.5)),
+            ceiling(mode, (79.0, 495.5)),
         );
     }
 }
@@ -380,7 +380,7 @@ fn single_row_insert() {
             "single-row INSERT … VALUES",
             mode,
             got,
-            ceiling(mode, (31.5, 31.5)),
+            ceiling(mode, (29.5, 29.5)),
         );
     }
 }
@@ -397,7 +397,7 @@ fn sum_count_scan() {
             "2 000-row SUM / COUNT scan",
             mode,
             got,
-            ceiling(mode, (25.0, 2038.0)),
+            ceiling(mode, (24.0, 2038.0)),
         );
     }
 }
@@ -418,7 +418,7 @@ fn group_read() {
             "2 000-row group read (SUM / COUNT WHERE grp = g)",
             mode,
             got,
-            ceiling(mode, (34.0, 2037.5)),
+            ceiling(mode, (32.5, 2037.5)),
         );
     }
 }
@@ -437,7 +437,7 @@ fn grouped_aggregate() {
             "2 000-row GROUP BY (20 groups)",
             mode,
             got,
-            ceiling(mode, (91.0, 4169.0)),
+            ceiling(mode, (90.0, 4169.0)),
         );
     }
 }
@@ -455,7 +455,7 @@ fn table2_cache_miss() {
             "Table-2 query, cache miss (compile + run)",
             mode,
             got,
-            ceiling(mode, (9513.0, 10691.0)),
+            ceiling(mode, (9483.0, 10685.0)),
         );
     }
 }
@@ -490,7 +490,7 @@ fn snowflake_cache_miss() {
             "7-table snowflake, cache miss (compile + run)",
             mode,
             got,
-            ceiling(mode, (1518.5, 4322.5)),
+            ceiling(mode, (1462.5, 4317.5)),
         );
     }
 }
@@ -514,6 +514,6 @@ fn recipe_miss() {
         let before = db.plan_cache_stats().recipe_hits;
         let got = per_statement(|i| assert_eq!(db.query(&sqls[i]).unwrap().rows.len(), 1));
         assert_eq!(db.plan_cache_stats().recipe_hits, before, "a recipe served");
-        check("recipe miss", mode, got, ceiling(mode, (91.5, 88.5)));
+        check("recipe miss", mode, got, ceiling(mode, (89.5, 86.5)));
     }
 }
