@@ -1,12 +1,11 @@
 //! Bind-parameter plan sharing on a 1000-statement query family: the
-//! same predicate with 1000 different literals, served either with
-//! bind sharing disabled (every statement is its own cache key, so the
-//! "cold" mode pays one CBQT compile per statement) or enabled (the
-//! whole family shares one parameterized plan per selectivity bucket).
-//! The gate (`bind_sharing_speedup` in `BENCH_baseline.json`) is
-//! `literal_text_cold / bind_shared_cold` ≥ 2: both modes start every
-//! rep from an empty cache, so the ratio isolates the 999 compiles
-//! sharing avoids.
+//! same predicate with 1000 different literals, served either with the
+//! plan cache off (`uncached`: every statement pays one CBQT compile) or
+//! through the plan-family cache (the whole family shares one
+//! parameterized plan per selectivity bucket). The gate
+//! (`bind_sharing_speedup` in `BENCH_baseline.json`) is `uncached /
+//! bind_shared_cold` ≥ 2: the cold arm starts every rep from an empty
+//! cache, so the ratio isolates the 999 compiles sharing avoids.
 
 use cbqt::common::Value;
 use cbqt::Database;
@@ -43,20 +42,13 @@ fn bench(c: &mut Harness) {
     let mut g = c.benchmark_group("plan_cache_binds");
     g.sample_size(10);
 
-    // Every literal text is its own cache key: cold pays 1000 compiles
-    // per rep, warm serves 1000 per-text entries (modulo LRU pressure).
-    db.set_bind_sharing_enabled(false);
-    g.bench_function("literal_text_cold", |b| {
-        b.iter(|| {
-            db.clear_plan_cache();
-            run_family(&db, &sqls)
-        })
-    });
-    g.bench_function("literal_text_warm", |b| b.iter(|| run_family(&db, &sqls)));
+    // No plan cache: 1000 compiles per rep.
+    db.set_plan_cache_enabled(false);
+    g.bench_function("uncached", |b| b.iter(|| run_family(&db, &sqls)));
 
     // One extracted family: cold compiles once per selectivity bucket
     // (here: once), warm serves all 1000 statements from that plan.
-    db.set_bind_sharing_enabled(true);
+    db.set_plan_cache_enabled(true);
     g.bench_function("bind_shared_cold", |b| {
         b.iter(|| {
             db.clear_plan_cache();

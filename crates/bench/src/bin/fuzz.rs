@@ -816,8 +816,11 @@ const BINDS: Oracle = Oracle {
             return the same rows. Copies of each query with a few number\n\
             literals changed, served as text (mostly from the recipe of the\n\
             query's shape), must return the rows of a plan-cache-off twin.\n\
-            The plan-family cache must stay coherent, and the run must serve\n\
-            at least one statement from a recipe.",
+            In about one round in four, one or two number literals of each\n\
+            query are first set to 0 or to another literal's value, so its\n\
+            shape's recipe is recorded from a text with equal or zero\n\
+            literals. The plan-family cache must stay coherent, and the run\n\
+            must serve at least one statement from a recipe.",
     needs_recipe_hits: true,
     needs_lateral_joins: false,
     round: binds_round,
@@ -832,8 +835,16 @@ fn binds_round(r: &mut Round) {
     // a stream of its own, so the siblings leave the query stream as it
     // was
     let mut perturb = Rng::seed_from_u64(r.seed ^ 0x5eed_5eed);
+    // and one for the rounds whose queries are served with equal or
+    // zero literals first
+    let mut collide = Rng::seed_from_u64(r.seed ^ 0xc011_1de5);
+    let colliding = collide.gen_bool(0.25);
     for _ in 0..4 {
-        let sql = random_query(&mut rng);
+        let mut sql = random_query(&mut rng);
+        if colliding {
+            let k = collide.gen_range(1usize..3);
+            sql = with_numbers_collided(&mut collide, &sql, k);
+        }
         let armed = r.arm(&mut rng, 0.5);
         let literal = rows(db.query(&sql));
         let prepared = db
@@ -867,6 +878,38 @@ const SIBLINGS: usize = 3;
 /// `sql` with `k` of its number literals, picked at random, rewritten
 /// to other values of a similar size (an integer stays an integer).
 fn with_numbers_changed(rng: &mut Rng, sql: &str, k: usize) -> String {
+    rewrite_numbers(rng, sql, k, |rng, text, _| {
+        let size = text.parse::<f64>().unwrap_or(10.0) as i64;
+        let value = rng.gen_range(0i64..2 * size + 20);
+        if text.contains(['.', 'e', 'E']) {
+            format!("{value}.5")
+        } else {
+            value.to_string()
+        }
+    })
+}
+
+/// `sql` with `k` of its number literals, picked at random, set to 0 or
+/// to the text of another of its number literals.
+fn with_numbers_collided(rng: &mut Rng, sql: &str, k: usize) -> String {
+    rewrite_numbers(rng, sql, k, |rng, text, all| {
+        let others: Vec<&str> = all.iter().copied().filter(|t| *t != text).collect();
+        if others.is_empty() || rng.gen_bool(0.5) {
+            "0".to_string()
+        } else {
+            others[rng.gen_range(0usize..others.len())].to_string()
+        }
+    })
+}
+
+/// `sql` with `k` of its number literals, picked at random, replaced by
+/// what `new` makes of each literal's text and the texts of all of them.
+fn rewrite_numbers(
+    rng: &mut Rng,
+    sql: &str,
+    k: usize,
+    mut new: impl FnMut(&mut Rng, &str, &[&str]) -> String,
+) -> String {
     let Ok(tokens) = Lexer::tokenize(sql) else {
         return sql.to_string();
     };
@@ -877,6 +920,7 @@ fn with_numbers_changed(rng: &mut Rng, sql: &str, k: usize) -> String {
             _ => None,
         })
         .collect();
+    let all: Vec<&str> = numbers.iter().map(|&(_, text)| text).collect();
     let mut picked: Vec<(usize, &str)> = (0..k.min(numbers.len()))
         .map(|_| numbers.remove(rng.gen_range(0usize..numbers.len())))
         .collect();
@@ -884,14 +928,8 @@ fn with_numbers_changed(rng: &mut Rng, sql: &str, k: usize) -> String {
     picked.sort_by_key(|&(offset, _)| std::cmp::Reverse(offset));
     let mut out = sql.to_string();
     for (offset, text) in picked {
-        let size = text.parse::<f64>().unwrap_or(10.0) as i64;
-        let value = rng.gen_range(0i64..2 * size + 20);
-        let new = if text.contains(['.', 'e', 'E']) {
-            format!("{value}.5")
-        } else {
-            value.to_string()
-        };
-        out.replace_range(offset..offset + text.len(), &new);
+        let replacement = new(rng, text, &all);
+        out.replace_range(offset..offset + text.len(), &replacement);
     }
     out
 }

@@ -1,7 +1,7 @@
 //! The engine-vs-engine differential oracle behind
 //! [`Database::differential_exec`].
 
-use crate::serve::{catch_internal, refused, Accept, Ctx, Executed, Measure, StatementPath};
+use crate::serve::{catch_internal, refused, Accept, Ctx, Executed, Measure};
 use crate::Database;
 use cbqt_common::{ExecutionLimits, ExecutionMode, Governor, Result, Row, Tracer};
 use cbqt_exec::{ExecMetrics, OpMetrics};
@@ -57,7 +57,7 @@ impl Database {
                 governor: &Governor::new(&ExecutionLimits::none(), self.cancel.clone()),
                 tracer: Tracer::disabled(),
             };
-            let outcome = self.plan_uncached(&q, ctx, StatementPath::Differential)?;
+            let outcome = self.plan_uncached(&q, ctx)?;
 
             // each engine runs the same plan allocation under a fresh governor
             let run = |mode| {

@@ -13,7 +13,7 @@ use cbqt_catalog::{Table, TableId};
 use cbqt_common::{Error, Result, Row, TraceEvent, Tracer, Value};
 use cbqt_optimizer::{BlockPlan, PlanEntity, PlanNode};
 use cbqt_sql::ast::{self, Statement};
-use cbqt_sql::{parameterize_dml_target, Dml, Recipe, RecipeKind, Shape};
+use cbqt_sql::{parameterize_dml_target, Dml, Parameterized, Recipe, RecipeKind, Shape};
 
 impl Scope<'_> {
     pub(crate) fn insert(self, ins: ast::Insert, ctx: Ctx<'_>) -> Result<u64> {
@@ -63,18 +63,19 @@ impl Scope<'_> {
     ) -> Result<u64> {
         let db = self.db;
         let (dml, t, query) = db.dml_target(stmt)?;
-        let (fam, binds, key) = db.dml_family(query);
+        let (p, key) = db.dml_family(query);
         let Some(shape) = record else {
-            return self.write_family(dml, t, key, &fam, &binds, ctx);
+            return self.write_family(dml, t, key, &p.query, &p.binds, ctx);
         };
         let recipe_key = key.clone();
-        let n = self.write_family(dml, t, key, &fam, &binds, ctx)?;
+        let n = self.write_family(dml, t, key, &p.query, &p.binds, ctx)?;
         // in lower case, a hit looks its table up without a copy
         let kind = RecipeKind::Write {
             dml,
             table: t.name.to_ascii_lowercase().into(),
         };
-        let recipe = recipe_key.and_then(|key| Recipe::derive(sql, &shape, kind, key, fam, &binds));
+        let recipe =
+            recipe_key.and_then(|key| Recipe::derive(sql, &shape, kind, key, p.query, &p.sources));
         if let Some(recipe) = recipe {
             db.plan_cache.insert_recipe(shape, recipe);
         }
@@ -217,20 +218,24 @@ impl Database {
         Ok((dml, t, query))
     }
 
-    /// The plan family of a target query, its binds and its key. The
-    /// literals of the SET list and the filter become bind slots
+    /// The plan family of a target query, with its binds and their
+    /// sources, and its key. While the plan cache is on, the literals of
+    /// the SET list and the filter become bind slots
     /// ([`parameterize_dml_target`]), so every statement of one shape
     /// shares a cached family. A plan depends on the table's shape, not
     /// its data, so the statement's own commit leaves it warm.
-    pub(crate) fn dml_family(&self, query: ast::Query) -> (ast::Query, Vec<Value>, Option<String>) {
-        let (fam, binds) = if self.plan_cache_enabled && self.bind_sharing_enabled {
-            let p = parameterize_dml_target(&query);
-            (p.query, p.binds)
+    pub(crate) fn dml_family(&self, query: ast::Query) -> (Parameterized, Option<String>) {
+        let p = if self.plan_cache_enabled {
+            parameterize_dml_target(&query)
         } else {
-            (query, Vec::new())
+            Parameterized {
+                query,
+                binds: Vec::new(),
+                sources: Vec::new(),
+            }
         };
-        let key = self.family_key(&fam, !binds.is_empty(), None);
-        (fam, binds, key)
+        let key = self.family_key(&p.query);
+        (p, key)
     }
 
     /// Runs a target plan against the transaction's snapshot under the
@@ -298,7 +303,7 @@ pub(crate) fn column_named(t: &Table, name: &str) -> Result<usize> {
 /// unary `+`/`-` signs (SQL semantics: negating NULL yields NULL).
 fn eval_const(e: &ast::Expr) -> Result<Value> {
     match e {
-        ast::Expr::Literal(v) => Ok(v.clone()),
+        ast::Expr::Literal(v, _) => Ok(v.clone()),
         ast::Expr::Unary {
             op: ast::UnOp::Neg,
             expr,

@@ -1,7 +1,7 @@
 //! The single EXPLAIN formatter behind `explain`, `explain_analyze` and
 //! the SQL `EXPLAIN [ANALYZE]` statement.
 
-use crate::serve::{Ctx, Measure, Scope, StatementPath};
+use crate::serve::{Ctx, Measure, Scope};
 use cbqt_common::{Governor, Result, Tracer};
 use cbqt_optimizer::PlanIndex;
 use cbqt_qgm::render_tree;
@@ -22,7 +22,7 @@ impl Scope<'_> {
             governor,
             tracer: Tracer::disabled(),
         };
-        let outcome = db.plan_uncached(query, ctx, StatementPath::Explain)?;
+        let outcome = db.plan_uncached(query, ctx)?;
         let mut out = String::new();
         out.push_str("== transformed query ==\n");
         out.push_str(&render_tree(&outcome.tree, &db.catalog));

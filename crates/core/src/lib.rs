@@ -39,7 +39,6 @@ use cbqt_sql::{parameterize, parse_statement, parse_statements_spanned, render_q
 use cbqt_storage::Storage;
 use cbqt_transform::CbqtConfig;
 use serve::{catch_internal, refused, Accept, Request, Scope};
-use std::borrow::Cow;
 use std::panic::AssertUnwindSafe;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -152,7 +151,7 @@ pub use cbqt_common::{TraceEvent as OptimizerEvent, TraceSink};
 pub use cbqt_storage::TxnStats;
 pub use cbqt_transform::{CbqtConfig as OptimizerSettings, SearchStrategy, TransformSet};
 pub use differential::{DifferentialReport, JoinsRan};
-pub use plan_cache::{normalize_sql, BucketSig as PlanBucketSig, PlanCache, PlanCacheStats};
+pub use plan_cache::{BucketSig as PlanBucketSig, PlanCache, PlanCacheStats};
 pub use session::{Prepared, Session};
 
 /// Result of one query execution, including the measurements the
@@ -203,7 +202,7 @@ pub struct QueryStats {
     pub degraded: bool,
     /// True when this execution recompiled a cached plan that runtime
     /// cardinality feedback had marked suspect (estimate vs. actual
-    /// divergence beyond `CbqtConfig::feedback.divergence_ratio`). The
+    /// divergence of 10× or more). The
     /// recompile saw the observed cardinalities.
     pub reoptimized: bool,
 }
@@ -332,7 +331,6 @@ pub struct Database {
     config: CbqtConfig,
     plan_cache: PlanCache,
     plan_cache_enabled: bool,
-    bind_sharing_enabled: bool,
     feedback: FeedbackStore,
     cancel: CancelToken,
     /// The open explicit transaction of the `&mut self` statement entry
@@ -356,7 +354,6 @@ impl Database {
             config: CbqtConfig::default(),
             plan_cache: PlanCache::default(),
             plan_cache_enabled: true,
-            bind_sharing_enabled: true,
             feedback: FeedbackStore::default(),
             cancel: CancelToken::new(),
             txn: Mutex::new(None),
@@ -427,22 +424,11 @@ impl Database {
         }
     }
 
-    /// Enables or disables bind-parameter extraction and adaptive
-    /// cursor sharing on the serving path. When disabled, plans are
-    /// keyed by [`normalize_sql`] of the literal statement text — every
-    /// distinct literal combination compiles and caches its own plan
-    /// (the pre-bind-sharing behaviour, kept for benchmarking the two
-    /// modes against each other), and statements with explicit `?`
-    /// binds are executed without caching. Toggling clears the cache:
-    /// the two modes key plans differently.
-    pub fn set_bind_sharing_enabled(&mut self, enabled: bool) {
-        self.bind_sharing_enabled = enabled;
-        self.plan_cache.clear();
-    }
-
-    pub fn bind_sharing_enabled(&self) -> bool {
-        self.bind_sharing_enabled
-    }
+    /// Inert: a plan-cache key is always the family's canonical render
+    /// ([`plan_cache_key`]). Kept while the `benchmark/` package calls
+    /// it; the next `benchmark` PR drops both the call and this method.
+    #[doc(hidden)]
+    pub fn set_bind_sharing_enabled(&mut self, _enabled: bool) {}
 
     pub fn config(&self) -> &CbqtConfig {
         &self.config
@@ -458,10 +444,9 @@ impl Database {
 
     /// Runs a semicolon-separated DDL/DML/query script and returns one
     /// [`StatementResult`] per statement, in order. Each query
-    /// statement is keyed into the shared plan cache by its own SQL
-    /// text, carved out of the script source — re-running a script (or
-    /// issuing one of its queries through [`query`](Database::query))
-    /// reuses the cached plans.
+    /// statement is served through the shared plan-family cache —
+    /// re-running a script (or issuing one of its queries through
+    /// [`query`](Database::query)) reuses the cached plans.
     pub fn execute_script(&mut self, script: &str) -> Result<Vec<StatementResult>> {
         parse_statements_spanned(script)?
             .into_iter()
@@ -501,9 +486,9 @@ impl Database {
             Statement::Analyze | Statement::CreateTable(_) | Statement::CreateIndex(_) => {
                 catch_internal(AssertUnwindSafe(|| self.run_ddl(stmt)))
             }
-            other => self.scope().statement(
-                Request::new("execute_mut", sql, Accept::Shared).parsed(Cow::Owned(other)),
-            ),
+            other => self
+                .scope()
+                .statement(Request::new("execute_mut", sql, Accept::Shared).parsed(other)),
         }
     }
 
@@ -539,13 +524,10 @@ const _: () = {
     _assert_send_sync::<PlanCache>();
 };
 
-/// The plan-cache family key `sql` is served under when bind sharing
-/// is enabled (the default): the canonical render of the query with
-/// its predicate literals extracted into bind parameters. Two
-/// statements differing only in those literals (or in case and
-/// whitespace) share a key — and therefore a plan family. With bind
-/// sharing disabled, keys are [`normalize_sql`] of the literal text
-/// instead.
+/// The plan-cache family key `sql` is served under: the canonical
+/// render of the query with its predicate literals extracted into bind
+/// parameters. Two statements differing only in those literals (or in
+/// case and whitespace) share a key — and therefore a plan family.
 pub fn plan_cache_key(sql: &str) -> Result<String> {
     match parse_statement(sql)? {
         Statement::Query(q) => Ok(render_query(&parameterize(&q).query)),

@@ -11,11 +11,9 @@
 //!
 //! - **Keying**: one cache key per *query family* — the canonical
 //!   render of the parameterized AST (literals extracted into bind
-//!   slots), so `salary > 100` and `salary > 200` share a key. Callers
-//!   that cache un-parameterized text use [`normalize_sql`] instead
-//!   (case-folded outside string literals, whitespace collapsed,
-//!   trailing semicolons stripped). The full key string is the map key,
-//!   so hash collisions can never serve the wrong plan.
+//!   slots), so `salary > 100` and `salary > 200` share a key. The full
+//!   key string is the map key, so hash collisions can never serve the
+//!   wrong plan.
 //! - **Adaptive cursor sharing**: a family holds one plan *variant* per
 //!   selectivity bucket. Each family records the [`BindSite`]s of its
 //!   bind slots (which table/column/operator each slot filters); on a
@@ -169,7 +167,7 @@ struct Entry {
     /// Estimated bytes this entry holds (plan + key + sig + columns).
     bytes: usize,
     /// Runtime actuals diverged from this plan's estimates beyond the
-    /// configured ratio: the next probe recompiles with feedback
+    /// divergence ratio: the next probe recompiles with feedback
     /// ([`Lookup::Reoptimize`]) instead of serving it.
     suspect: bool,
     /// Re-optimization of this variant already failed to improve it
@@ -567,7 +565,7 @@ impl PlanCache {
     }
 
     /// Marks the `sig` variant of `key`'s family suspect: its runtime
-    /// actuals diverged from its estimates beyond the configured ratio,
+    /// actuals diverged from its estimates beyond the divergence ratio,
     /// so the next probe should recompile with feedback. A no-op when
     /// the variant does not exist or re-optimization of it is blocked.
     pub fn mark_suspect(&self, key: &str, sig: &BucketSig) {
@@ -628,50 +626,6 @@ impl PlanCache {
     }
 }
 
-/// Normalizes SQL text into a cache key: whitespace runs collapse to
-/// one space, everything outside single-quoted string literals is
-/// lowercased (`''` escapes respected), and trailing semicolons are
-/// stripped. `SELECT  1` and `select 1;` share a plan; `'ABC'` and
-/// `'abc'` do not. Used when bind sharing is disabled; the bind-sharing
-/// path keys on the canonical render of the parameterized AST instead.
-pub fn normalize_sql(sql: &str) -> String {
-    let mut out = String::with_capacity(sql.len());
-    let mut chars = sql.chars().peekable();
-    let mut in_literal = false;
-    let mut pending_space = false;
-    while let Some(c) = chars.next() {
-        if in_literal {
-            out.push(c);
-            if c == '\'' {
-                if chars.peek() == Some(&'\'') {
-                    out.push(chars.next().unwrap());
-                } else {
-                    in_literal = false;
-                }
-            }
-            continue;
-        }
-        if c.is_whitespace() {
-            pending_space = true;
-            continue;
-        }
-        if pending_space && !out.is_empty() {
-            out.push(' ');
-        }
-        pending_space = false;
-        if c == '\'' {
-            in_literal = true;
-            out.push(c);
-        } else {
-            out.push(c.to_ascii_lowercase());
-        }
-    }
-    while matches!(out.chars().last(), Some(';') | Some(' ')) {
-        out.pop();
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -724,23 +678,6 @@ mod tests {
 
     fn put(cache: &PlanCache, key: &str, p: CachedPlan) {
         cache.insert(key.into(), Vec::new(), Arc::new(vec![]), p);
-    }
-
-    #[test]
-    fn normalization_rules() {
-        assert_eq!(normalize_sql("SELECT  1"), "select 1");
-        assert_eq!(normalize_sql("select 1;"), "select 1");
-        assert_eq!(normalize_sql("  SELECT\n\t1 ; "), "select 1");
-        assert_eq!(
-            normalize_sql("SELECT 'ABC''D'  FROM T"),
-            "select 'ABC''D' from t"
-        );
-        // literal casing is preserved, so these are distinct keys
-        assert_ne!(normalize_sql("SELECT 'A'"), normalize_sql("SELECT 'a'"));
-        assert_eq!(
-            normalize_sql("SELECT * FROM t WHERE a = 'x y  z'"),
-            "select * from t where a = 'x y  z'"
-        );
     }
 
     #[test]
@@ -922,7 +859,7 @@ mod tests {
         let shape = Shape::of(sql).unwrap();
         let key = cbqt_sql::render_query(&p.query);
         let kind = RecipeKind::Query;
-        let recipe = Recipe::derive(sql, &shape, kind, key, p.query, &p.binds).unwrap();
+        let recipe = Recipe::derive(sql, &shape, kind, key, p.query, &p.sources).unwrap();
         (shape, recipe)
     }
 

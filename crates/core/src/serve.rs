@@ -1,11 +1,13 @@
-//! The one serving path. Every statement entry point on [`Database`],
-//! [`Session`](crate::Session) and [`Prepared`] fills a [`Request`] and
+//! The one serving path. Every statement entry point on [`Database`] and
+//! [`Session`](crate::Session) fills a [`Request`] and
 //! hands it to [`Scope::serve`] (through the projection its signature
 //! needs: [`Scope::statement`], [`rows`](Scope::rows),
 //! [`report`](Scope::report) or [`plan_text`](Scope::plan_text)), which
 //! does each step exactly once: panic boundary → governor → tracer →
 //! recipe probe → parse → accept rule → dispatch to query / EXPLAIN /
-//! DML / transaction control.
+//! DML / transaction control. A [`Prepared`] query holds its family and
+//! goes from the governor and the tracer straight to
+//! [`Scope::serve_family`], as a recipe hit does.
 //!
 //! A statement that runs from its own text first looks for the recipe
 //! of its [`Shape`] (see [`cbqt_sql::shape`]). A hit yields the family
@@ -22,7 +24,7 @@
 //! scan, either side of the differential oracle — runs through
 //! [`Database::execute_plan`].
 
-use crate::plan_cache::{self, BucketSig, CachedPlan, Lookup, RecipeProbe, Runtime, TableDep};
+use crate::plan_cache::{BucketSig, CachedPlan, Lookup, RecipeProbe, Runtime, TableDep};
 use crate::{Database, Prepared, QueryResult, QueryStats, StatementResult, TraceReport};
 use cbqt_catalog::{selectivity_band, Catalog, FeedbackKey, FeedbackStore, TableId};
 use cbqt_common::{
@@ -35,7 +37,7 @@ use cbqt_qgm::{
     build_query_tree, build_query_tree_with_binds, collect_base_tables, collect_bind_sites,
     BindSite, BindSiteOp, QueryTree,
 };
-use cbqt_sql::ast::{self, Statement};
+use cbqt_sql::ast::{self, Source, Statement};
 use cbqt_sql::{
     count_params, parameterize, parse_statement, render_query, Recipe, RecipeKind, Shape,
 };
@@ -136,17 +138,13 @@ pub(crate) fn refused(entry: &str, accept: Accept, stmt: &Statement) -> Error {
 pub(crate) struct Request<'r> {
     /// The public method asked, for the refusal message.
     entry: &'static str,
-    /// The statement text: parsed unless `stmt` is set, and the plan
-    /// cache key of a query when bind sharing is off.
+    /// The statement text: parsed unless `stmt` is set.
     sql: &'r str,
     /// The statement, when the caller has parsed it already (a script
-    /// statement, a prepared query).
-    stmt: Option<Cow<'r, Statement>>,
+    /// statement).
+    stmt: Option<Statement>,
     /// Explicit values for the query's `?` parameters.
     binds: Option<&'r [Value]>,
-    /// The plan-family key of the parsed query, when the caller rendered
-    /// it already (a prepared statement); `Some(None)` runs it uncached.
-    family_key: Option<Option<&'r str>>,
     limits: ExecutionLimits,
     /// Collect the statement's trace events ([`Scope::report`] sets it).
     traced: bool,
@@ -160,14 +158,13 @@ impl<'r> Request<'r> {
             sql,
             stmt: None,
             binds: None,
-            family_key: None,
             limits: ExecutionLimits::none(),
             traced: false,
             accept,
         }
     }
 
-    pub(crate) fn parsed(self, stmt: Cow<'r, Statement>) -> Request<'r> {
+    pub(crate) fn parsed(self, stmt: Statement) -> Request<'r> {
         Request {
             stmt: Some(stmt),
             ..self
@@ -184,13 +181,6 @@ impl<'r> Request<'r> {
     pub(crate) fn limits(self, limits: ExecutionLimits) -> Request<'r> {
         Request { limits, ..self }
     }
-
-    pub(crate) fn keyed(self, family_key: Option<&'r str>) -> Request<'r> {
-        Request {
-            family_key: Some(family_key),
-            ..self
-        }
-    }
 }
 
 /// What a served statement produced.
@@ -204,10 +194,21 @@ impl<'a> Scope<'a> {
     /// Serves one statement — see the module docs for the steps — and
     /// returns its output with, for a traced request, its events.
     fn serve(self, req: Request<'_>) -> Result<(Output, Vec<TraceEvent>)> {
+        self.framed(req.limits, req.traced, |ctx| self.dispatch(req, ctx))
+    }
+
+    /// Runs `f` in the frame every statement is served in: the panic
+    /// boundary, a governor over `limits`, and a tracer when `traced`.
+    fn framed<T>(
+        self,
+        limits: ExecutionLimits,
+        traced: bool,
+        f: impl FnOnce(Ctx<'_>) -> Result<T>,
+    ) -> Result<(T, Vec<TraceEvent>)> {
         catch_internal(|| {
             // the wall clock of a deadline starts before the parse
-            let governor = Governor::new(&req.limits, self.cancel.clone());
-            let buffer = req.traced.then(TraceBuffer::new);
+            let governor = Governor::new(&limits, self.cancel.clone());
+            let buffer = traced.then(TraceBuffer::new);
             let tracer = buffer
                 .as_ref()
                 .map_or(Tracer::disabled(), |b| Tracer::new(b));
@@ -215,7 +216,7 @@ impl<'a> Scope<'a> {
                 governor: &governor,
                 tracer,
             };
-            let output = self.dispatch(req, ctx)?;
+            let output = f(ctx)?;
             Ok((output, buffer.map_or_else(Vec::new, |b| b.take())))
         })
     }
@@ -249,28 +250,26 @@ impl<'a> Scope<'a> {
         }
         let stmt = match req.stmt {
             Some(stmt) => stmt,
-            None => Cow::Owned(parse_statement(req.sql)?),
+            None => parse_statement(req.sql)?,
         };
         if !req.accept.admits(&stmt) {
             return Err(refused(req.entry, req.accept, &stmt));
         }
-        // reads (a query, an EXPLAIN) run from a borrow of the statement
-        // — a prepared statement lends its AST; writes and transaction
-        // control consume it
-        Ok(match stmt.as_ref() {
+        // reads (a query, an EXPLAIN) run from a borrow of the statement;
+        // writes and transaction control consume it
+        Ok(match &stmt {
             Statement::Query(q) | Statement::Explain { query: q, .. } => {
                 match req.accept.explains(&stmt) {
                     None => {
                         // an EXPLAIN run as its query (`trace`) must not
                         // teach its shape to run
-                        let record = record.filter(|_| matches!(*stmt, Statement::Query(_)));
-                        let (binds, key) = (req.binds, req.family_key);
-                        rows(self.serve_query(req.sql, q, binds, key, record, ctx)?)
+                        let record = record.filter(|_| matches!(stmt, Statement::Query(_)));
+                        rows(self.serve_query(req.sql, q, req.binds, record, ctx)?)
                     }
                     Some(analyze) => Output::Plan(self.explain_query(q, analyze, ctx.governor)?),
                 }
             }
-            _ => match stmt.into_owned() {
+            _ => match stmt {
                 Statement::Insert(ins) => affected(self.insert(ins, ctx)?),
                 w @ (Statement::Update(_) | Statement::Delete(_)) => {
                     affected(self.write(w, req.sql, record, ctx)?)
@@ -285,19 +284,14 @@ impl<'a> Scope<'a> {
 
     /// The shape a request probes recipes with: only a statement that
     /// runs from its own text — not pre-parsed, no explicit binds, not
-    /// explained — and only while recipes' route, the plan cache with
-    /// bind sharing, is on. Whether the recipe found may serve the
-    /// request is [`Accept::admits_recipe`]'s call.
+    /// explained — and only while recipes' route, the plan cache, is on.
+    /// Whether the recipe found may serve the request is
+    /// [`Accept::admits_recipe`]'s call.
     fn recipe_shape(self, req: &Request<'_>) -> Option<Shape> {
-        let db = self.db;
         let runs_text = req.stmt.is_none()
             && req.binds.is_none()
             && !matches!(req.accept, Accept::Explain { .. });
-        if runs_text && db.plan_cache_enabled && db.bind_sharing_enabled {
-            Shape::of(req.sql)
-        } else {
-            None
-        }
+        (runs_text && self.db.plan_cache_enabled).then(|| Shape::of(req.sql))?
     }
 
     /// [`serve`](Scope::serve) for the wrappers that return whatever
@@ -351,57 +345,56 @@ impl<'a> Scope<'a> {
                 Statement::Query(q) => q,
                 other => return Err(refused("prepare", Accept::Query, &other)),
             };
-            let (query, defaults) = if count_params(&q) > 0 {
+            let (family, defaults) = if count_params(&q) > 0 {
                 (*q, Vec::new())
             } else {
                 let p = parameterize(&q);
                 (p.query, p.binds)
             };
-            let param_count = count_params(&query);
             Ok(Prepared {
                 scope: self,
                 sql: sql.to_string(),
-                key: self.db.family_key(&query, param_count > 0, Some(sql)),
-                param_count,
-                stmt: Statement::Query(Box::new(query)),
+                key: self.db.family_key(&family),
+                param_count: count_params(&family),
+                family,
                 defaults,
             })
         })
     }
 
-    /// The query arm ([`StatementPath::Serve`]): resolve the query's
-    /// bind parameters (explicit `?` values, or literals extracted at
-    /// normalization time when bind sharing is on) and its family key
-    /// (`known_key`, if the caller rendered it), then
-    /// [`serve_family`](Scope::serve_family). With `record`, the shape
-    /// of `sql` had no recipe: one is derived from this route and
-    /// recorded once the statement has run.
+    /// Runs a [`Prepared`] query's family with `binds` bound, in the frame
+    /// of [`serve`](Scope::serve), as a recipe hit is served.
+    pub(crate) fn serve_prepared(self, p: &Prepared<'_>, binds: &[Value]) -> Result<QueryResult> {
+        let (rows, _) = self.framed(ExecutionLimits::none(), false, |ctx| {
+            check_bind_count(p.param_count, binds.len())?;
+            self.serve_family(p.key.clone(), &p.family, binds, ctx)
+        })?;
+        Ok(rows)
+    }
+
+    /// The query arm: resolve the query's bind parameters (explicit `?`
+    /// values, or literals extracted at normalization time) and its
+    /// family key, then [`serve_family`](Scope::serve_family). With
+    /// `record`, the shape of `sql` had no recipe: one is derived from
+    /// this route and recorded once the statement has run.
     fn serve_query(
         self,
         sql: &str,
         q: &ast::Query,
         binds: Option<&[Value]>,
-        known_key: Option<Option<&str>>,
         record: Option<Shape>,
         ctx: Ctx<'_>,
     ) -> Result<QueryResult> {
         let db = self.db;
-        let (fam, values) = db.resolve_binds(q, binds)?;
-        let key = match known_key {
-            Some(known) => {
-                let known = known.map(str::to_string);
-                debug_assert_eq!(known, db.family_key(&fam, !values.is_empty(), Some(sql)));
-                known
-            }
-            None => db.family_key(&fam, !values.is_empty(), Some(sql)),
-        };
+        let (fam, values, sources) = db.resolve_binds(q, binds)?;
+        let key = db.family_key(&fam);
         let (Some(shape), Some(recipe_key)) = (record, key.clone()) else {
             return self.serve_family(key, &fam, &values, ctx);
         };
         let fam = fam.into_owned();
         let result = self.serve_family(key, &fam, &values, ctx)?;
         let kind = RecipeKind::Query;
-        if let Some(recipe) = Recipe::derive(sql, &shape, kind, recipe_key, fam, &values) {
+        if let Some(recipe) = Recipe::derive(sql, &shape, kind, recipe_key, fam, &sources) {
             db.plan_cache.insert_recipe(shape, recipe);
         }
         Ok(result)
@@ -431,6 +424,9 @@ impl<'a> Scope<'a> {
         ))
     }
 }
+
+/// A query's plan family, its bind values and where extracted ones were read.
+type Resolved<'q> = (Cow<'q, ast::Query>, Vec<Value>, Vec<Option<Source>>);
 
 /// A plan for one query family (see [`Database::plan_family`]).
 pub(crate) struct Planned {
@@ -534,7 +530,7 @@ impl Database {
 
     /// Executes a served query's plan and harvests cardinality feedback
     /// from it; also returns whether the harvest saw an estimate off by
-    /// the configured divergence ratio or more. In-transaction reads
+    /// [`DIVERGENCE_RATIO`] or more. In-transaction reads
     /// never harvest: observed cardinalities over uncommitted data must
     /// not steer recompiles of statements reading committed state.
     fn run_plan(
@@ -552,41 +548,38 @@ impl Database {
         };
         let (programs, mode) = (Some(&runtime.programs), self.config.execution_mode);
         let exec = self.execute_plan(plan, programs, binds, governor, txn, measure, mode)?;
-        let diverged = exec.metrics.as_ref().is_some_and(|m| {
-            self.harvest_feedback(runtime, m, binds) >= self.config.feedback.divergence_ratio
-        });
+        let diverged = exec
+            .metrics
+            .as_ref()
+            .is_some_and(|m| self.harvest_feedback(runtime, m, binds) >= DIVERGENCE_RATIO);
         Ok((exec, diverged))
     }
 
     /// Checks explicit bind values against the query's `?` count, or —
-    /// without explicit values, when bind sharing is on — extracts the
-    /// query's predicate literals into binds. Returns the query of the
-    /// plan family and the values to install.
+    /// without explicit values, while the plan cache is on — extracts
+    /// the query's predicate literals into binds. Returns the query of
+    /// the plan family, the values to install and, for extracted ones,
+    /// where the parser read each.
     fn resolve_binds<'q>(
         &self,
         q: &'q ast::Query,
         binds: Option<&[Value]>,
-    ) -> Result<(Cow<'q, ast::Query>, Vec<Value>)> {
+    ) -> Result<Resolved<'q>> {
         let n = count_params(q);
         match binds {
-            Some(vals) if n > 0 && vals.len() == n => Ok((Cow::Borrowed(q), vals.to_vec())),
-            Some(vals) if n > 0 => Err(Error::analysis(format!(
-                "statement expects {n} bind value(s), got {}",
-                vals.len()
-            ))),
-            Some(vals) if !vals.is_empty() => Err(Error::analysis(format!(
-                "statement has no bind parameters but {} value(s) were supplied",
-                vals.len()
-            ))),
+            Some(vals) if n > 0 || !vals.is_empty() => {
+                check_bind_count(n, vals.len())?;
+                Ok((Cow::Borrowed(q), vals.to_vec(), Vec::new()))
+            }
             _ if n > 0 => Err(Error::analysis(format!(
                 "statement has {n} bind parameter(s); supply values \
                  via query_bound or a prepared statement"
             ))),
-            _ if self.plan_cache_enabled && self.bind_sharing_enabled => {
+            _ if self.plan_cache_enabled => {
                 let p = parameterize(q);
-                Ok((Cow::Owned(p.query), p.binds))
+                Ok((Cow::Owned(p.query), p.binds, p.sources))
             }
-            _ => Ok((Cow::Borrowed(q), Vec::new())),
+            _ => Ok((Cow::Borrowed(q), Vec::new(), Vec::new())),
         }
     }
 
@@ -610,27 +603,10 @@ impl Database {
         sites.iter().map(|s| band(s).unwrap_or(0)).collect()
     }
 
-    /// The plan-cache key of the family `fam`, run with bind values
-    /// when `bound`, or `None` to compile it uncached. With bind sharing
-    /// on, the key is the canonical render of the family; off, it is the
-    /// statement's text (`sql`, or the render of `fam` for a statement
-    /// built in here), and statements with explicit binds run uncached
-    /// — text keying would conflate their values.
-    pub(crate) fn family_key(
-        &self,
-        fam: &ast::Query,
-        bound: bool,
-        sql: Option<&str>,
-    ) -> Option<String> {
-        if !self.plan_cache_enabled || !path_uses_plan_cache(StatementPath::Serve) {
-            None
-        } else if self.bind_sharing_enabled {
-            Some(render_query(fam))
-        } else if !bound {
-            Some(sql.map_or_else(|| render_query(fam), plan_cache::normalize_sql))
-        } else {
-            None
-        }
+    /// The plan-cache key of the family `fam` — its canonical render —
+    /// or `None` to compile it uncached, while the plan cache is off.
+    pub(crate) fn family_key(&self, fam: &ast::Query) -> Option<String> {
+        self.plan_cache_enabled.then(|| render_query(fam))
     }
 
     /// Gets a plan for the family `fam`, with `binds` peeked for
@@ -731,11 +707,10 @@ impl Database {
     /// count within the feedback divergence ratio of the recorded one.
     /// Atomic loads only — this runs on every cache hit.
     fn deps_current(&self, deps: &[TableDep]) -> bool {
-        let ratio = self.config.feedback.divergence_ratio;
         deps.iter().all(|d| {
             let live = self.catalog.live_rows(d.table);
             self.catalog.shape_version(d.table) == d.shape
-                && divergence_ratio(d.rows as f64, live as f64) < ratio
+                && divergence_ratio(d.rows as f64, live as f64) < DIVERGENCE_RATIO
         })
     }
 
@@ -841,20 +816,11 @@ impl Database {
     }
 
     /// Compiles a query *without* touching the bind-family plan cache:
-    /// no literal extraction, no probe, no publish. This is the single
-    /// bypass — both cache-exempt paths ([`StatementPath::Explain`],
-    /// [`StatementPath::Differential`]) compile through here, and the
-    /// path must answer `false` to [`path_uses_plan_cache`].
-    pub(crate) fn plan_uncached(
-        &self,
-        q: &ast::Query,
-        ctx: Ctx<'_>,
-        path: StatementPath,
-    ) -> Result<CbqtOutcome> {
-        assert!(
-            !path_uses_plan_cache(path),
-            "{path:?} serves from the plan cache; use Scope::serve"
-        );
+    /// no literal extraction, no probe, no publish. EXPLAIN and the
+    /// differential oracle compile through here: EXPLAIN output must
+    /// show the plan for the literal text as written, and the oracle
+    /// must hand both engines a fresh, cache-independent plan.
+    pub(crate) fn plan_uncached(&self, q: &ast::Query, ctx: Ctx<'_>) -> Result<CbqtOutcome> {
         let tree = build_query_tree(&self.catalog, q)?;
         self.optimize(&tree, ctx)
     }
@@ -926,10 +892,10 @@ impl Database {
         let stmt = parse_statement(sql).expect("a recipe's statement parses");
         let (fam, values, key) = match (stmt, recipe.kind()) {
             (Statement::Query(q), RecipeKind::Query) => {
-                let (fam, values) = self
+                let (fam, values, _) = self
                     .resolve_binds(&q, None)
                     .expect("binds of a recipe's query");
-                let key = self.family_key(&fam, !values.is_empty(), Some(sql));
+                let key = self.family_key(&fam);
                 (fam.into_owned(), values, key)
             }
             (stmt, RecipeKind::Write { dml, table }) => {
@@ -941,7 +907,8 @@ impl Database {
                     t.name.eq_ignore_ascii_case(table),
                     "recipe table of {sql:?}"
                 );
-                self.dml_family(query)
+                let (p, key) = self.dml_family(query);
+                (p.query, p.binds, key)
             }
             (stmt, kind) => panic!(
                 "a {kind:?} recipe served {sql:?}, a {}",
@@ -982,26 +949,22 @@ pub(crate) fn catch_internal<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
     }
 }
 
-/// Which execution path a statement is served through — the single
-/// authority on plan-cache interaction. `Serve` (queries through
-/// `query`/`execute`/`query_bound`/`Prepared`/`trace`/scripts, and the
-/// target queries of UPDATE / DELETE) probes the bind-family cache and
-/// publishes compiled plans; every other path must compile through
-/// [`Database::plan_uncached`], which asserts against this predicate:
-/// EXPLAIN output must show the plan for the literal text as written
-/// (no literal extraction, no cached plan), and the differential oracle
-/// must hand both engines a fresh, cache-independent allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StatementPath {
-    Serve,
-    Explain,
-    Differential,
+/// The error for `got` bind values given to a statement with `n` bind
+/// parameters, if they do not match.
+fn check_bind_count(n: usize, got: usize) -> Result<()> {
+    let msg = match n {
+        _ if got == n => return Ok(()),
+        0 => format!("statement has no bind parameters but {got} value(s) were supplied"),
+        _ => format!("statement expects {n} bind value(s), got {got}"),
+    };
+    Err(Error::analysis(msg))
 }
 
-/// True iff statements on `path` probe and populate the plan cache.
-const fn path_uses_plan_cache(path: StatementPath) -> bool {
-    matches!(path, StatementPath::Serve)
-}
+/// A cached plan is marked suspect (recompiled on its next probe, with
+/// the observed actuals fed back) when a scan's estimate and actual rows
+/// diverge by at least this symmetric ratio, both floored at one row,
+/// and dropped once a table it reads has drifted that far in size.
+const DIVERGENCE_RATIO: f64 = 10.0;
 
 /// Human-readable kind of a statement, for error messages.
 pub(crate) fn statement_kind(stmt: &Statement) -> &'static str {

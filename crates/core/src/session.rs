@@ -5,8 +5,7 @@
 use crate::serve::{Accept, Request, Scope};
 use crate::{Database, QueryResult, StatementResult, TraceReport};
 use cbqt_common::{CancelToken, ExecutionLimits, Result, Tracer, Value};
-use cbqt_sql::ast::Statement;
-use std::borrow::Cow;
+use cbqt_sql::ast;
 use std::sync::Mutex;
 
 /// A prepared statement: a query parsed and normalized once, executed
@@ -19,16 +18,17 @@ use std::sync::Mutex;
 /// calling [`query`](Prepared::query) with an empty slice runs with
 /// them. Every execution is served through the shared plan-family
 /// cache: one compile per selectivity bucket, adaptive cursor sharing
-/// picking the variant that matches the incoming values.
+/// picking the variant that matches the incoming values. The statement
+/// holds its family, so an execution starts at the cache probe, as a
+/// statement served from its shape's recipe does.
 pub struct Prepared<'a> {
     pub(crate) scope: Scope<'a>,
     pub(crate) sql: String,
     /// The plan-family key, rendered once at preparation (`None` runs
     /// uncached).
     pub(crate) key: Option<String>,
-    /// The parameterized query (bind slots in place of literals), as
-    /// the statement [`Scope::serve`] dispatches on.
-    pub(crate) stmt: Statement,
+    /// The parameterized query (bind slots in place of literals).
+    pub(crate) family: ast::Query,
     /// Literals extracted at preparation (empty for explicit-`?` text).
     pub(crate) defaults: Vec<Value>,
     pub(crate) param_count: usize,
@@ -61,12 +61,7 @@ impl Prepared<'_> {
         } else {
             binds
         };
-        self.scope.rows(
-            Request::new("Prepared::query", &self.sql, Accept::Query)
-                .parsed(Cow::Borrowed(&self.stmt))
-                .binds(binds)
-                .keyed(self.key.as_deref()),
-        )
+        self.scope.serve_prepared(self, binds)
     }
 
     /// [`query`](Prepared::query) shaped like [`Database::execute`]

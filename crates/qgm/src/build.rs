@@ -373,7 +373,7 @@ impl<'a> Builder<'a> {
     fn resolve_expr(&mut self, e: &Expr) -> Result<QExpr> {
         match e {
             Expr::Column { qualifier, name } => self.resolve_column(qualifier.as_deref(), name),
-            Expr::Literal(v) => Ok(QExpr::Lit(v.clone())),
+            Expr::Literal(v, _) => Ok(QExpr::Lit(v.clone())),
             Expr::Param(slot) => match self.binds.get(*slot) {
                 Some(v) => Ok(QExpr::Param {
                     slot: *slot,
@@ -656,7 +656,7 @@ impl<'a> Builder<'a> {
             .iter()
             .map(|o| {
                 // positional ORDER BY (ORDER BY 2) and select-alias refs
-                let expr = if let (Some(b), Expr::Literal(Value::Int(i))) = (block, &o.expr) {
+                let expr = if let (Some(b), Expr::Literal(Value::Int(i), _)) = (block, &o.expr) {
                     let s = self.tree.select(b)?;
                     let idx = (*i - 1) as usize;
                     s.select

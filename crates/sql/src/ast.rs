@@ -230,7 +230,8 @@ pub enum Expr {
         qualifier: Option<String>,
         name: String,
     },
-    Literal(Value),
+    /// A constant, and where the parser read it ([`Stamp`]).
+    Literal(Value, Stamp),
     /// Positional bind parameter (`?` in SQL text, or a literal site
     /// extracted by [`crate::binds::parameterize`]). The slot indexes
     /// into the statement's bind vector, assigned left-to-right.
@@ -298,6 +299,29 @@ pub enum Expr {
     Rownum,
 }
 
+/// Where the parser read a literal: the ordinal of its token among the
+/// number and string literals of the statement's text, in text order
+/// (the order [`Shape::of`](crate::Shape::of) lists them in), and
+/// whether it folded a unary minus (an odd number of them) into it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Source {
+    pub literal: usize,
+    pub negated: bool,
+}
+
+/// A literal's [`Source`], or `None` for one no single literal token
+/// spells: `TRUE`, `NULL`, a `DATE`, a literal built by code. No part of
+/// what the literal means: any two stamps are equal, and neither
+/// `Display` nor [`render_query`](crate::render_query) shows one.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Stamp(pub Option<Source>);
+
+impl PartialEq for Stamp {
+    fn eq(&self, _: &Stamp) -> bool {
+        true
+    }
+}
+
 /// SQL-ish rendering, used in error messages (subquery bodies are
 /// abbreviated to `(subquery)`).
 impl fmt::Display for Expr {
@@ -317,7 +341,7 @@ impl fmt::Display for Expr {
                 Some(q) => write!(f, "{q}.{name}"),
                 None => write!(f, "{name}"),
             },
-            Expr::Literal(v) => write!(f, "{v}"),
+            Expr::Literal(v, _) => write!(f, "{v}"),
             Expr::Param(i) => write!(f, "?{i}"),
             Expr::Binary { op, left, right } => write!(f, "({left} {op} {right})"),
             Expr::Unary { op, expr } => match op {
@@ -417,7 +441,7 @@ impl Expr {
     }
 
     pub fn lit(v: impl Into<Value>) -> Expr {
-        Expr::Literal(v.into())
+        Expr::Literal(v.into(), Stamp::default())
     }
 
     pub fn binary(op: BinOp, l: Expr, r: Expr) -> Expr {
@@ -508,7 +532,7 @@ impl Expr {
                 }
             }
             Expr::Column { .. }
-            | Expr::Literal(_)
+            | Expr::Literal(..)
             | Expr::Param(_)
             | Expr::Exists { .. }
             | Expr::ScalarSubquery(_)

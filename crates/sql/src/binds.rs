@@ -22,6 +22,10 @@
 //! - a statement that already contains explicit `?` placeholders is
 //!   returned untouched: the caller controls its binds.
 //!
+//! Every slot also reports where the parser read its literal
+//! ([`Parameterized::sources`]): the literal a statement-shape recipe
+//! reads the slot from, whatever values the literals hold.
+//!
 //! [`parameterize_dml_target`] applies the same rules to the target
 //! query of an UPDATE or DELETE and also extracts the literals of its
 //! top-level SELECT list, which holds the SET expressions.
@@ -43,6 +47,9 @@ pub struct Parameterized {
     /// Extracted literal values, indexed by slot. Empty when the input
     /// already used explicit placeholders (or had nothing to extract).
     pub binds: Vec<Value>,
+    /// Where the parser read each slot's literal ([`Stamp`]), indexed
+    /// by slot.
+    pub sources: Vec<Option<Source>>,
 }
 
 /// Extract predicate literals into bind parameters. See the module
@@ -62,20 +69,20 @@ pub fn parameterize_dml_target(q: &Query) -> Parameterized {
 }
 
 fn extract(q: &Query, items: bool) -> Parameterized {
-    if count_params(q) > 0 {
-        return Parameterized {
-            query: q.clone(),
-            binds: Vec::new(),
-        };
-    }
     let mut x = Extract {
         binds: Vec::new(),
+        sources: Vec::new(),
         items,
     };
-    let query = x.query(q);
+    let query = if count_params(q) > 0 {
+        q.clone()
+    } else {
+        x.query(q)
+    };
     Parameterized {
         query,
         binds: x.binds,
+        sources: x.sources,
     }
 }
 
@@ -255,7 +262,7 @@ fn nested_queries<'a>(e: &'a Expr, out: &mut Vec<&'a Query>) {
                 }
             }
         }
-        Expr::Column { .. } | Expr::Literal(_) | Expr::Param(_) | Expr::Rownum => {}
+        Expr::Column { .. } | Expr::Literal(..) | Expr::Param(_) | Expr::Rownum => {}
     }
 }
 
@@ -308,6 +315,7 @@ fn from_exprs(t: &TableRef, f: &mut impl FnMut(&Expr)) {
 
 struct Extract {
     binds: Vec<Value>,
+    sources: Vec<Option<Source>>,
     /// Extract from the next SELECT list too (the top-level one of a
     /// DML target query; cleared once used).
     items: bool,
@@ -384,9 +392,10 @@ impl Extract {
     /// Rewrite within a predicate position.
     fn expr(&mut self, e: &Expr) -> Expr {
         match e {
-            Expr::Literal(v) if extractable(v) => {
+            Expr::Literal(v, Stamp(source)) if extractable(v) => {
                 let slot = self.binds.len();
                 self.binds.push(v.clone());
+                self.sources.push(*source);
                 Expr::Param(slot)
             }
             // ROWNUM bounds are folded into the plan; keep them literal.
@@ -489,7 +498,7 @@ impl Extract {
                 distinct: *distinct,
                 window: window.clone(),
             },
-            Expr::Column { .. } | Expr::Literal(_) | Expr::Param(_) | Expr::Rownum => e.clone(),
+            Expr::Column { .. } | Expr::Literal(..) | Expr::Param(_) | Expr::Rownum => e.clone(),
         }
     }
 }

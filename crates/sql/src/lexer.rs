@@ -373,20 +373,31 @@ fn unescape_string(quoted: &[u8]) -> String {
     s
 }
 
-/// The value a literal token stands for: `Number` text with a `.` or an
-/// exponent, or too large for an `i64`, is a `Double`, other `Number`
-/// text an `Int`, and a `StringLit` a `Str`. `None` for any other token
-/// (and for number text no float parse accepts). The parser and the
-/// statement-shape recipes ([`crate::shape`]) both convert through
-/// here, so a recipe can never read a literal differently from a parse.
-pub(crate) fn literal_value(kind: &TokenKind) -> Option<Value> {
-    match kind {
-        // an `i64` parse refuses a `.` or an exponent
-        TokenKind::Number(text) => match text.parse::<i64>() {
-            Ok(i) => Some(Value::Int(i)),
-            Err(_) => text.parse::<f64>().ok().map(Value::Double),
-        },
-        TokenKind::StringLit(s) => Some(Value::str(s)),
+/// The value of a literal token's source text: a string literal's
+/// (quotes included) is its text with the quotes dropped and every `''`
+/// read as one `'`; number text with a `.` or an exponent, or too large
+/// for an `i64`, is a `Double`, other number text an `Int`. `None` for
+/// number text no float parse accepts. The parser reads its number
+/// tokens, and the statement-shape recipes ([`crate::shape`]) every
+/// literal, through here, and a string token holds the same unescaped
+/// text, so a recipe can never read a literal differently from a parse.
+pub(crate) fn literal_value(text: &str) -> Option<Value> {
+    if text.starts_with('\'') {
+        return Some(Value::str(unescape_string(text.as_bytes())));
+    }
+    // an `i64` parse refuses a `.` or an exponent
+    match text.parse::<i64>() {
+        Ok(i) => Some(Value::Int(i)),
+        Err(_) => text.parse::<f64>().ok().map(Value::Double),
+    }
+}
+
+/// The value a folded unary minus makes of `v` (numbers only): the
+/// parser's fold and a recipe's negated slot both negate through here.
+pub(crate) fn negated(v: &Value) -> Option<Value> {
+    match v {
+        Value::Int(i) => i.checked_neg().map(Value::Int),
+        Value::Double(d) => Some(Value::Double(-d)),
         _ => None,
     }
 }

@@ -2,7 +2,7 @@
 //! expressions.
 
 use crate::ast::*;
-use crate::lexer::{literal_value, Lexer, Token, TokenKind};
+use crate::lexer::{literal_value, negated, Lexer, Token, TokenKind};
 use cbqt_common::{DataType, Error, Result, Value};
 
 /// Parses a single statement (trailing semicolon optional).
@@ -36,6 +36,8 @@ pub fn parse_statements_spanned(src: &str) -> Result<Vec<(Statement, std::ops::R
             return Ok(out);
         }
         let start = p.current_offset();
+        // literal ordinals count within the statement's own text
+        p.literals = 0;
         let stmt = p.parse_statement()?;
         let end = p.current_offset();
         out.push((stmt, start..end));
@@ -112,6 +114,9 @@ struct Parser {
     /// Bind-parameter slots seen so far; `?` placeholders number
     /// left-to-right in token order within one statement.
     params: usize,
+    /// Number and string literal tokens consumed so far in the
+    /// statement: the ordinal the next one is stamped with ([`Source`]).
+    literals: usize,
 }
 
 impl Parser {
@@ -121,6 +126,7 @@ impl Parser {
             pos: 0,
             depth: 0,
             params: 0,
+            literals: 0,
         })
     }
 
@@ -162,6 +168,9 @@ impl Parser {
             .clone();
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
+        }
+        if let TokenKind::Number(_) | TokenKind::StringLit(_) = t {
+            self.literals += 1;
         }
         t
     }
@@ -946,12 +955,15 @@ impl Parser {
     fn parse_unary(&mut self) -> Result<Expr> {
         if self.eat(&TokenKind::Minus) {
             let e = self.parse_unary()?;
-            // fold negative literals
-            if let Expr::Literal(Value::Int(i)) = e {
-                return Ok(Expr::Literal(Value::Int(-i)));
-            }
-            if let Expr::Literal(Value::Double(d)) = e {
-                return Ok(Expr::Literal(Value::Double(-d)));
+            // fold negative literals; the stamp records the fold
+            if let Expr::Literal(v, Stamp(source)) = &e {
+                if let Some(v) = negated(v) {
+                    let source = source.map(|s| Source {
+                        negated: !s.negated,
+                        ..s
+                    });
+                    return Ok(Expr::Literal(v, Stamp(source)));
+                }
             }
             return Ok(Expr::Unary {
                 op: UnOp::Neg,
@@ -966,12 +978,11 @@ impl Parser {
 
     fn parse_primary(&mut self) -> Result<Expr> {
         match self.peek().clone() {
-            lit @ (TokenKind::Number(_) | TokenKind::StringLit(_)) => {
-                let value =
-                    literal_value(&lit).ok_or_else(|| self.err(format!("bad number {lit}")));
-                self.bump();
-                Ok(Expr::Literal(value?))
-            }
+            TokenKind::Number(text) => match literal_value(&text) {
+                Some(value) => Ok(self.literal(value)),
+                None => Err(self.err(format!("bad number {text}"))),
+            },
+            TokenKind::StringLit(s) => Ok(self.literal(Value::str(s))),
             TokenKind::Question => {
                 self.bump();
                 let slot = self.params;
@@ -1025,20 +1036,31 @@ impl Parser {
         }
     }
 
+    /// The literal `value` of the current token, which it consumes,
+    /// stamped with the token's ordinal.
+    fn literal(&mut self, value: Value) -> Expr {
+        let source = Source {
+            literal: self.literals,
+            negated: false,
+        };
+        self.bump();
+        Expr::Literal(value, Stamp(Some(source)))
+    }
+
     fn parse_ident_expr(&mut self, word: String) -> Result<Expr> {
         let upper = word.to_ascii_uppercase();
         match upper.as_str() {
             "NULL" => {
                 self.bump();
-                return Ok(Expr::Literal(Value::Null));
+                return Ok(Expr::lit(Value::Null));
             }
             "TRUE" => {
                 self.bump();
-                return Ok(Expr::Literal(Value::Bool(true)));
+                return Ok(Expr::lit(true));
             }
             "FALSE" => {
                 self.bump();
-                return Ok(Expr::Literal(Value::Bool(false)));
+                return Ok(Expr::lit(false));
             }
             "ROWNUM" => {
                 self.bump();
@@ -1051,12 +1073,12 @@ impl Parser {
                     match self.bump() {
                         TokenKind::Number(n) => {
                             let d: i32 = n.parse().map_err(|_| self.err("bad DATE literal"))?;
-                            return Ok(Expr::Literal(Value::Date(d)));
+                            return Ok(Expr::lit(Value::Date(d)));
                         }
                         TokenKind::StringLit(s) => {
                             let d: i32 =
                                 s.trim().parse().map_err(|_| self.err("bad DATE literal"))?;
-                            return Ok(Expr::Literal(Value::Date(d)));
+                            return Ok(Expr::lit(Value::Date(d)));
                         }
                         _ => unreachable!(),
                     }
@@ -1505,10 +1527,57 @@ mod tests {
 
     #[test]
     fn parse_negative_literal_folded() {
+        assert_eq!(parse_expression("-5").unwrap(), Expr::lit(-5i64));
+    }
+
+    /// Every stamp of the literals of a query or an UPDATE, in the
+    /// order a walk meets them.
+    fn stamps(stmt: Statement) -> Vec<Option<Source>> {
+        let mut out = Vec::new();
+        let mut walk = |e: &Expr| {
+            if let Expr::Literal(_, Stamp(source)) = e {
+                out.push(*source);
+            }
+        };
+        match stmt {
+            Statement::Query(q) => crate::binds::for_each_expr(&q, &mut walk),
+            Statement::Update(u) => {
+                for (_, e) in &u.sets {
+                    e.walk(&mut walk);
+                }
+                u.filter.as_ref().unwrap().walk(&mut walk);
+            }
+            other => panic!("{other:?}"),
+        }
+        out
+    }
+
+    #[test]
+    fn literals_are_stamped_with_their_token_ordinal() {
+        let at = |literal, negated| Some(Source { literal, negated });
+        // every number and string token counts, DATE's too; a folded
+        // minus flips `negated`, TRUE / NULL / DATE have no source
+        let sql = "SELECT 'x', 7 FROM t WHERE a = -(5) AND d = DATE '3' \
+                   AND b = - -1 AND c = TRUE AND e IS NULL AND f = 2.5";
         assert_eq!(
-            parse_expression("-5").unwrap(),
-            Expr::Literal(Value::Int(-5))
+            stamps(parse_statement(sql).unwrap()),
+            vec![
+                at(0, false),
+                at(1, false),
+                at(2, true),
+                None,
+                at(4, false),
+                None,
+                at(5, false)
+            ]
         );
+        assert_eq!(
+            stamps(parse_statement("UPDATE t SET v = 5 WHERE id = 5").unwrap()),
+            vec![at(0, false), at(1, false)]
+        );
+        // a script's statements count from their own first token
+        let mut script = parse_statements("SELECT 1 FROM t; SELECT 2 FROM t").unwrap();
+        assert_eq!(stamps(script.remove(1)), vec![at(0, false)]);
     }
 
     #[test]

@@ -184,7 +184,7 @@ fn expr(e: &Expr, out: &mut String) {
             }
             ident(name, out);
         }
-        Expr::Literal(v) => literal(v, out),
+        Expr::Literal(v, _) => literal(v, out),
         Expr::Param(_) => out.push('?'),
         Expr::Binary { op, left, right } => {
             out.push('(');

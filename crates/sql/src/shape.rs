@@ -8,8 +8,8 @@
 //! with every number and string literal masked, and where each literal
 //! sits. The first time a shape is served the full way, a [`Recipe`] is
 //! derived from what that route produced: the family key, the
-//! parameterized family query, and for every bind slot the literal it
-//! was extracted from. A later statement of the same shape gets its key
+//! parameterized family query, and for every bind slot the literal the
+//! parser read it from. A later statement of the same shape gets its key
 //! and bind vector from the recipe and its own literals
 //! ([`Recipe::binds`]), or is declined and takes the full route.
 //!
@@ -25,22 +25,25 @@
 //!   has no shape, so masks cannot be forged. The parser, the target
 //!   query of a write and `parameterize` decide structure from token
 //!   kinds and names, not literal text, so every text of a shape puts
-//!   slot `j` at the same literal.
-//! - A recipe is derived only from a statement whose literal values are
-//!   pairwise distinct and not zero. The literal whose value a bind
-//!   holds — or whose negation, for a folded unary minus — is then
-//!   unique, so the slot's source is too.
+//!   its literal `j` at the same place in the family and binds it to the
+//!   same slot.
+//! - The parser stamps every literal with its ordinal among the text's
+//!   literals and whether it folded a unary minus into it
+//!   ([`Stamp`](crate::ast::Stamp)), and `parameterize` reports each
+//!   slot's stamp. A recipe reads slot `i` from the literal named there,
+//!   so literals of equal value, or zeros, are never confused. A bind
+//!   that no single literal spells (a `DATE`) has no stamp, and its
+//!   shape records no recipe.
 //! - A literal that is not a slot shapes the plan: a select-list
 //!   constant, a `ROWNUM` bound, a `LIKE` pattern, an `ORDER BY`
 //!   position, a `DATE`, a `SET` item a later one overrides. The recipe
 //!   keeps its text and declines any statement that spells it
 //!   differently.
 
-use crate::ast::Query;
-use crate::lexer::{literal_value, Lexer, Scanned, TokenKind};
-use cbqt_common::hash::HashMap;
+use crate::ast::{Query, Source};
+use crate::lexer::{literal_value, negated, Lexer, Scanned, TokenKind};
 use cbqt_common::Value;
-use std::mem::{discriminant, size_of};
+use std::mem::size_of;
 use std::ops::Range;
 
 /// What stands in a shape for a number literal.
@@ -112,11 +115,6 @@ impl Shape {
         self.text
     }
 
-    /// Number of literals in the statement.
-    fn literal_count(&self) -> usize {
-        self.literals.len()
-    }
-
     /// The source text of literal `i` of `src` (the text this shape was
     /// taken of).
     fn literal<'s>(&self, src: &'s str, i: usize) -> &'s str {
@@ -126,19 +124,8 @@ impl Shape {
     /// The value of literal `i` of `src`, read the way the parser reads
     /// it.
     fn value(&self, src: &str, i: usize) -> Option<Value> {
-        let token = Lexer::new(self.literal(src, i)).next_token().ok()?;
-        literal_value(&token.kind)
+        literal_value(self.literal(src, i))
     }
-}
-
-/// Where one bind slot's value comes from in a statement of a recipe's
-/// shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Slot {
-    /// The literal's ordinal, in token order.
-    literal: usize,
-    /// The parser folded a unary minus into the literal.
-    negate: bool,
 }
 
 /// What a recipe's statement does with its family query.
@@ -165,7 +152,8 @@ pub struct Recipe {
     kind: RecipeKind,
     key: String,
     family: Query,
-    slots: Vec<Slot>,
+    /// The literal each bind slot is read from, by slot.
+    slots: Vec<Source>,
     /// Ordinal and source text of every literal that is not a slot.
     fixed: Vec<(usize, Box<str>)>,
 }
@@ -173,9 +161,9 @@ pub struct Recipe {
 impl Recipe {
     /// The recipe of `src`'s shape, from what the full route produced
     /// for `src`, a statement of `kind`: its plan-family `key`, the
-    /// parameterized `family` query and its bind values. `None` when a
-    /// slot's source is ambiguous — two literals of one value, a zero
-    /// literal — or a bind came from no literal (a `DATE`); the next
+    /// parameterized `family` query and where the parser read each bind
+    /// slot's literal ([`Parameterized::sources`](crate::Parameterized::sources)).
+    /// `None` when a bind came from no one literal (a `DATE`); the next
     /// statement of the shape tries again.
     pub fn derive(
         src: &str,
@@ -183,33 +171,14 @@ impl Recipe {
         kind: RecipeKind,
         key: String,
         family: Query,
-        binds: &[Value],
+        sources: &[Option<Source>],
     ) -> Option<Recipe> {
-        let values = (0..shape.literal_count())
-            .map(|i| shape.value(src, i))
-            .collect::<Option<Vec<Value>>>()?;
-        // `Value` equality is numeric across Int and Double, so this
-        // also refuses `5` beside `5.0`: coarser than needed, never wrong
-        let mut ordinal = HashMap::with_capacity_and_hasher(values.len(), Default::default());
-        for (i, v) in values.iter().enumerate() {
-            if *v == Value::Int(0) || ordinal.insert(v, i).is_some() {
-                return None;
-            }
-        }
-        let source = |b: &Value| {
-            let found = |v: &Value, negate| {
-                let literal = *ordinal.get(v)?;
-                let value = if negate {
-                    negated(&values[literal])?
-                } else {
-                    values[literal].clone()
-                };
-                same(&value, b).then_some(Slot { literal, negate })
-            };
-            found(b, false).or_else(|| found(&negated(b)?, true))
-        };
-        let slots = binds.iter().map(source).collect::<Option<Vec<Slot>>>()?;
-        let fixed = (0..values.len())
+        let n = shape.literals.len();
+        let slots = sources
+            .iter()
+            .map(|s| s.filter(|s| s.literal < n))
+            .collect::<Option<Vec<Source>>>()?;
+        let fixed = (0..n)
             .filter(|i| slots.iter().all(|s| s.literal != *i))
             .map(|i| (i, shape.literal(src, i).into()))
             .collect();
@@ -238,7 +207,7 @@ impl Recipe {
             .iter()
             .map(|s| {
                 let v = shape.value(src, s.literal)?;
-                if s.negate {
+                if s.negated {
                     negated(&v)
                 } else {
                     Some(v)
@@ -274,7 +243,7 @@ impl Recipe {
         size_of::<Recipe>()
             + table
             + self.key.len() * (1 + AST_BYTES_PER_KEY_BYTE)
-            + self.slots.len() * size_of::<Slot>()
+            + self.slots.len() * size_of::<Source>()
             + self
                 .fixed
                 .iter()
@@ -287,43 +256,27 @@ impl Recipe {
 /// node is a few boxed words, its render a few characters.
 const AST_BYTES_PER_KEY_BYTE: usize = 8;
 
-/// The value a folded unary minus makes of `v` (numbers only).
-fn negated(v: &Value) -> Option<Value> {
-    match v {
-        Value::Int(i) => i.checked_neg().map(Value::Int),
-        Value::Double(d) => Some(Value::Double(-d)),
-        _ => None,
-    }
-}
-
-/// Equal and of one type: `5` is not `5.0`, which reads differently.
-fn same(a: &Value, b: &Value) -> bool {
-    discriminant(a) == discriminant(b) && a == b
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binds::{parameterize, parameterize_dml_target};
-    use crate::parser::parse_query;
+    use crate::ast::{Expr, Select, SelectItem, SetExpr, Statement, TableRef};
+    use crate::binds::{parameterize, parameterize_dml_target, Parameterized};
+    use crate::parser::{parse_query, parse_statement};
     use crate::render::render_query;
 
-    /// What the full route makes of `sql`: key, family and binds.
-    fn full(sql: &str) -> (String, Query, Vec<Value>) {
-        let p = parameterize(&parse_query(sql).unwrap());
-        (render_query(&p.query), p.query, p.binds)
+    /// What the full route makes of `sql`: the parameterized query, with
+    /// its binds and their sources.
+    fn full(sql: &str) -> Parameterized {
+        parameterize(&parse_query(sql).unwrap())
+    }
+
+    fn derive(sql: &str, kind: RecipeKind, p: Parameterized) -> Option<Recipe> {
+        let key = render_query(&p.query);
+        Recipe::derive(sql, &Shape::of(sql)?, kind, key, p.query, &p.sources)
     }
 
     fn recipe(sql: &str) -> Option<Recipe> {
-        let (key, family, binds) = full(sql);
-        Recipe::derive(
-            sql,
-            &Shape::of(sql)?,
-            RecipeKind::Query,
-            key,
-            family,
-            &binds,
-        )
+        derive(sql, RecipeKind::Query, full(sql))
     }
 
     /// Serves `sql` from the recipe recorded from `recorded`, checking
@@ -333,11 +286,10 @@ mod tests {
         let shape = Shape::of(sql).unwrap();
         assert_eq!(shape.text(), Shape::of(recorded).unwrap().text());
         let binds = r.binds(sql, &shape)?;
-        let (key, _, want) = full(sql);
-        assert_eq!((r.key(), &binds), (key.as_str(), &want), "{sql}");
-        for (a, b) in binds.iter().zip(&want) {
-            assert!(same(a, b), "{a:?} vs {b:?}");
-        }
+        let p = full(sql);
+        assert_eq!(r.key(), render_query(&p.query), "{sql}");
+        // `Debug` shows the variant: `5` and `5.0` differ
+        assert_eq!(format!("{binds:?}"), format!("{:?}", p.binds), "{sql}");
         Some(binds)
     }
 
@@ -345,7 +297,7 @@ mod tests {
     fn shape_masks_literals_and_keeps_everything_else() {
         let s = Shape::of("SELECT a FROM t WHERE b = 12 AND c = 'x''y' -- 7\n").unwrap();
         assert_eq!(s.text(), "SELECT a FROM t WHERE b = \0# AND c = \0' -- 7\n");
-        assert_eq!(s.literal_count(), 2);
+        assert_eq!(s.literals.len(), 2);
         assert_eq!(
             Shape::of("SELECT a FROM t WHERE b = 99999 AND c = '' -- 7\n")
                 .unwrap()
@@ -410,9 +362,9 @@ mod tests {
     #[test]
     fn predicate_literals_are_slots_in_slot_order() {
         let r = recipe("SELECT a FROM t WHERE b = 12 AND c = 'x'").unwrap();
-        let slot = |literal| Slot {
+        let slot = |literal| Source {
             literal,
-            negate: false,
+            negated: false,
         };
         assert_eq!(r.slots, &[slot(0), slot(1)]);
         let binds = serve(
@@ -433,7 +385,7 @@ mod tests {
     fn in_lists_and_folded_minus_map_to_slots() {
         let r = recipe("SELECT a FROM t WHERE b IN (3, 4, 5) AND c > -5.5").unwrap();
         assert_eq!(r.slots.len(), 4);
-        assert!(r.slots[3].negate && !r.slots[0].negate);
+        assert!(r.slots[3].negated && !r.slots[0].negated);
         let binds = serve(
             "SELECT a FROM t WHERE b IN (3, 4, 5) AND c > -5.5",
             "SELECT a FROM t WHERE b IN (9, 8, 7) AND c > -2",
@@ -479,19 +431,11 @@ mod tests {
     }
 
     #[test]
-    fn ambiguous_or_unmatched_literals_record_nothing() {
+    fn a_bind_no_literal_spells_records_nothing() {
+        // a DATE bind is read from no one literal token
         for sql in [
-            // a DATE bind comes from no literal's value
             "SELECT a FROM t WHERE d = DATE '5' AND b = 7",
             "SELECT a FROM t WHERE d = DATE 5",
-            // duplicate values: which literal is the slot?
-            "SELECT 5 FROM t WHERE a = 5",
-            "SELECT a FROM t WHERE a = 5 OR b = 5",
-            "SELECT a FROM t WHERE a = 'x' OR b = 'x'",
-            "SELECT a FROM t WHERE a = 5 OR b = 5.0",
-            // zero is its own negation
-            "SELECT a FROM t WHERE a = 0",
-            "SELECT a FROM t WHERE a = -0.0",
         ] {
             assert!(recipe(sql).is_none(), "{sql}");
         }
@@ -500,18 +444,57 @@ mod tests {
     }
 
     #[test]
+    fn equal_and_zero_literals_are_slots_of_their_own() {
+        // every slot names its literal, so equal values and zeros
+        // record a recipe, and each sibling is served its own binds
+        for (recorded, sql, want) in [
+            (
+                "SELECT a FROM t WHERE a = 1 AND b = 1",
+                "SELECT a FROM t WHERE a = 2 AND b = 3",
+                vec![Value::Int(2), Value::Int(3)],
+            ),
+            (
+                "SELECT a FROM t WHERE a BETWEEN 0 AND 9",
+                "SELECT a FROM t WHERE a BETWEEN 4 AND 0",
+                vec![Value::Int(4), Value::Int(0)],
+            ),
+            (
+                "SELECT a FROM t WHERE a = 'x' OR b = 'x'",
+                "SELECT a FROM t WHERE a = 'y' OR b = 'x'",
+                vec![Value::str("y"), Value::str("x")],
+            ),
+            (
+                "SELECT a FROM t WHERE a = 5 OR b = 5.0",
+                "SELECT a FROM t WHERE a = 5.0 OR b = 5",
+                vec![Value::Double(5.0), Value::Int(5)],
+            ),
+            (
+                "SELECT a FROM t WHERE a = 0",
+                "SELECT a FROM t WHERE a = 8",
+                vec![Value::Int(8)],
+            ),
+            // a folded minus on zero is still a negated slot
+            (
+                "SELECT a FROM t WHERE a = -0.0",
+                "SELECT a FROM t WHERE a = -3",
+                vec![Value::Int(-3)],
+            ),
+        ] {
+            assert_eq!(serve(recorded, sql), Some(want), "{recorded} then {sql}");
+        }
+    }
+
+    #[test]
     fn a_select_constant_equal_to_a_bind_never_serves_it() {
-        // `SELECT 5 … WHERE a = 5` records nothing; `SELECT 5 … WHERE
-        // a = 6` records a recipe whose slot is the second literal, so a
-        // statement moving the first declines and one moving the second
-        // is served its own value
-        assert!(recipe("SELECT 5 FROM t WHERE a = 5").is_none());
-        let recorded = "SELECT 5 FROM t WHERE a = 6";
+        // the slot of `SELECT 5 … WHERE a = 5` is the second literal, so
+        // a statement moving the first declines and one moving the
+        // second is served its own value
+        let recorded = "SELECT 5 FROM t WHERE a = 5";
         assert_eq!(recipe(recorded).unwrap().slots[0].literal, 1);
         assert!(serve(recorded, "SELECT 6 FROM t WHERE a = 6").is_none());
         assert_eq!(
-            serve(recorded, "SELECT 5 FROM t WHERE a = 5").unwrap(),
-            vec![Value::Int(5)]
+            serve(recorded, "SELECT 5 FROM t WHERE a = 6").unwrap(),
+            vec![Value::Int(6)]
         );
     }
 
@@ -549,31 +532,49 @@ mod tests {
     #[test]
     fn a_write_recipe_maps_set_and_filter_literals() {
         // the target query an UPDATE of `kv (id, val)` is served by,
-        // written out here: the core crate builds it from the AST
-        let target = |val: &str, id: &str| {
-            let q = parse_query(&format!(
-                "SELECT kv.id, {val}, kv.ROWID FROM kv WHERE kv.id = {id}"
-            ))
-            .unwrap();
-            let p = parameterize_dml_target(&q);
-            (render_query(&p.query), p.query, p.binds)
+        // built here from the statement's own SET value and filter as
+        // the core crate builds it
+        let target = |sql: &str| {
+            let Statement::Update(mut u) = parse_statement(sql).unwrap() else {
+                panic!("an UPDATE")
+            };
+            let item = |expr| SelectItem::Expr { expr, alias: None };
+            let q = Query {
+                body: SetExpr::Select(Box::new(Select {
+                    distinct: false,
+                    items: vec![
+                        item(Expr::col("id")),
+                        item(u.sets.remove(0).1),
+                        item(Expr::col("ROWID")),
+                    ],
+                    from: vec![TableRef::Table {
+                        name: "kv".into(),
+                        alias: None,
+                    }],
+                    where_clause: u.filter,
+                    group_by: None,
+                    having: None,
+                })),
+                order_by: Vec::new(),
+            };
+            parameterize_dml_target(&q)
         };
         let kind = RecipeKind::Write {
             dml: Dml::Update,
             table: "kv".into(),
         };
-        let derive = |sql: &str, (key, family, binds): (String, Query, Vec<Value>)| {
-            Recipe::derive(sql, &Shape::of(sql)?, kind.clone(), key, family, &binds)
-        };
         let sql = "UPDATE kv SET val = 7 WHERE id = 3";
-        let r = derive(sql, target("7", "3")).unwrap();
+        let r = derive(sql, kind.clone(), target(sql)).unwrap();
         assert_eq!(r.kind(), &kind);
-        assert_eq!(r.key(), target("9", "4").0);
         let other = "UPDATE kv SET val = 9 WHERE id = 4";
+        assert_eq!(r.key(), render_query(&target(other).query));
         let binds = r.binds(other, &Shape::of(other).unwrap()).unwrap();
-        assert_eq!(binds, target("9", "4").2);
+        assert_eq!(binds, target(other).binds);
         assert_eq!(binds, vec![Value::Int(9), Value::Int(4)]);
-        // a SET value equal to the key leaves the slots ambiguous
-        assert!(derive("UPDATE kv SET val = 5 WHERE id = 5", target("5", "5")).is_none());
+        // a SET value equal to the key is a slot of its own
+        let equal = "UPDATE kv SET val = 5 WHERE id = 5";
+        let r = derive(equal, kind, target(equal)).unwrap();
+        let binds = r.binds(other, &Shape::of(other).unwrap()).unwrap();
+        assert_eq!(binds, vec![Value::Int(9), Value::Int(4)]);
     }
 }

@@ -56,7 +56,7 @@ props! {
     fn numeric_literals_roundtrip(v in -1_000_000_000i64..1_000_000_000) {
         let e = parse_expression(&v.to_string()).unwrap();
         match e {
-            cbqt_sql::ast::Expr::Literal(cbqt_common::Value::Int(i)) => assert_eq!(i, v),
+            cbqt_sql::ast::Expr::Literal(cbqt_common::Value::Int(i), _) => assert_eq!(i, v),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -65,7 +65,7 @@ props! {
         let quoted = format!("'{}'", s.replace('\'', "''"));
         let e = parse_expression(&quoted).unwrap();
         match e {
-            cbqt_sql::ast::Expr::Literal(v) => {
+            cbqt_sql::ast::Expr::Literal(v, _) => {
                 assert_eq!(v.as_str().unwrap(), s.as_str());
             }
             other => panic!("unexpected {other:?}"),

@@ -111,32 +111,24 @@ pub struct CbqtConfig {
     /// oracle. A caller that wants the oracle sets it here; nothing
     /// process-wide overrides it.
     pub execution_mode: ExecutionMode,
-    /// Cardinality feedback & re-optimization knobs.
+    /// Cardinality feedback & re-optimization.
     pub feedback: FeedbackConfig,
 }
 
-/// Knobs of the cardinality-feedback loop: runtime actuals harvested
-/// into the feedback store, suspect-marking of cached plans whose
-/// estimates diverged, and feedback-informed recompilation.
+/// The switch of the cardinality-feedback loop: runtime actuals
+/// harvested into the feedback store, suspect-marking of cached plans
+/// whose estimates diverged 10× or more, and feedback-informed
+/// recompilation.
 #[derive(Debug, Clone)]
 pub struct FeedbackConfig {
     /// Master switch. When off, nothing is harvested, estimates stay
     /// purely static, and cached plans are never marked suspect.
     pub enabled: bool,
-    /// A cached plan is marked suspect when an eligible scan's observed
-    /// cardinality diverges from its estimate by at least this
-    /// symmetric ratio (`max(actual/est, est/actual)` with both sides
-    /// floored at one row). The suspect plan is recompiled — with the
-    /// observed actuals fed back — on its next cache probe.
-    pub divergence_ratio: f64,
 }
 
 impl Default for FeedbackConfig {
     fn default() -> Self {
-        FeedbackConfig {
-            enabled: true,
-            divergence_ratio: 10.0,
-        }
+        FeedbackConfig { enabled: true }
     }
 }
 

@@ -244,7 +244,7 @@ fn warm_literal_pk_select() {
             "warm literal PK select",
             mode,
             got,
-            ceiling(mode, (24.0, 21.0)),
+            ceiling(mode, (23.0, 20.0)),
         );
     }
 }
@@ -260,7 +260,7 @@ fn warm_owner_lookup() {
     for mode in MODES {
         let db = accounts(mode);
         let got = per_statement(|i| drop(db.query(&sqls[i]).unwrap()));
-        check("warm owner lookup", mode, got, ceiling(mode, (23.0, 22.0)));
+        check("warm owner lookup", mode, got, ceiling(mode, (22.0, 21.0)));
     }
 }
 
@@ -294,7 +294,7 @@ fn warm_lateral_join() {
             "warm lateral join (warm_scan template 3)",
             mode,
             got,
-            ceiling(mode, (79.0, 495.5)),
+            ceiling(mode, (78.0, 494.5)),
         );
     }
 }
@@ -310,7 +310,7 @@ fn prepared_query() {
             .prepare("SELECT balance, branch, note FROM accounts WHERE id = ?")
             .unwrap();
         let got = per_statement(|i| assert_eq!(p.query(&binds[i]).unwrap().rows.len(), 1));
-        check("Prepared::query", mode, got, ceiling(mode, (23.0, 20.0)));
+        check("Prepared::query", mode, got, ceiling(mode, (20.0, 17.0)));
     }
 }
 
@@ -323,7 +323,7 @@ fn single_row_update() {
         let db = kv(mode);
         let writer = db.session();
         let got = per_statement(|i| drop(writer.execute_statement(&sqls[i]).unwrap()));
-        check("single-row UPDATE", mode, got, ceiling(mode, (21.0, 18.0)));
+        check("single-row UPDATE", mode, got, ceiling(mode, (19.0, 16.0)));
     }
 }
 
@@ -344,7 +344,7 @@ fn update_in_an_explicit_transaction() {
             "BEGIN, single-row UPDATE, COMMIT",
             mode,
             got,
-            ceiling(mode, (21.0, 18.0)),
+            ceiling(mode, (19.0, 16.0)),
         );
     }
 }
@@ -363,7 +363,7 @@ fn single_row_delete() {
             let r = writer.execute_statement(&sqls[i]).unwrap();
             assert!(matches!(r, cbqt::StatementResult::RowsAffected(1)));
         });
-        check("single-row DELETE", mode, got, ceiling(mode, (17.0, 16.0)));
+        check("single-row DELETE", mode, got, ceiling(mode, (16.0, 15.0)));
     }
 }
 
@@ -418,7 +418,7 @@ fn group_read() {
             "2 000-row group read (SUM / COUNT WHERE grp = g)",
             mode,
             got,
-            ceiling(mode, (32.5, 2037.5)),
+            ceiling(mode, (31.5, 2036.5)),
         );
     }
 }
@@ -514,6 +514,6 @@ fn recipe_miss() {
         let before = db.plan_cache_stats().recipe_hits;
         let got = per_statement(|i| assert_eq!(db.query(&sqls[i]).unwrap().rows.len(), 1));
         assert_eq!(db.plan_cache_stats().recipe_hits, before, "a recipe served");
-        check("recipe miss", mode, got, ceiling(mode, (89.5, 86.5)));
+        check("recipe miss", mode, got, ceiling(mode, (87.5, 84.5)));
     }
 }

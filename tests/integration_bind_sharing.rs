@@ -334,45 +334,13 @@ fn literal_and_bound_forms_agree_across_engines() {
 }
 
 #[test]
-fn disabling_bind_sharing_keys_each_literal_separately() {
-    let mut db = uniform_db(100);
-    db.set_bind_sharing_enabled(false);
-    assert!(!db.bind_sharing_enabled());
-    db.query("SELECT emp_id FROM employees WHERE salary = 1001")
-        .unwrap();
-    db.query("SELECT emp_id FROM employees WHERE salary = 1002")
-        .unwrap();
-    let s = db.plan_cache_stats();
-    // literal-text keying: two statements, two families, zero sharing
-    assert_eq!((s.families, s.entries, s.hits), (2, 2, 0), "{s:?}");
-    // explicit binds run uncached in this mode (text keying would
-    // conflate values) but still return correct rows
-    let r = db
-        .query_bound(
-            "SELECT emp_id FROM employees WHERE salary = ?",
-            &[Value::Int(1003)],
-        )
-        .unwrap();
-    assert_eq!(r.rows, vec![vec![Value::Int(3)]]);
-    assert_eq!(db.plan_cache_stats().entries, 2);
-    // re-enabling collapses the traffic back into one family
-    db.set_bind_sharing_enabled(true);
-    db.query("SELECT emp_id FROM employees WHERE salary = 1001")
-        .unwrap();
-    db.query("SELECT emp_id FROM employees WHERE salary = 1002")
-        .unwrap();
-    let s = db.plan_cache_stats();
-    assert_eq!((s.families, s.entries), (1, 1), "{s:?}");
-}
-
-#[test]
 fn recipes_serve_a_thousand_literal_variants_without_a_parse() {
     let db = uniform_db(1000);
     let mut off = uniform_db(1000);
     off.set_plan_cache_enabled(false);
     for i in 0..1000i64 {
-        // two distinct, non-zero literals per statement; the range
-        // moves across selectivity bands, so siblings compile too
+        // two literals per statement; the range moves across
+        // selectivity bands, so siblings compile too
         let sql = format!(
             "SELECT emp_id, salary FROM employees WHERE salary > {} AND emp_id <= {}",
             1000 + i,
@@ -411,14 +379,14 @@ fn clearing_the_plan_cache_drops_every_recipe() {
         .unwrap();
     assert_eq!(db.plan_cache_stats().recipe_hits, 1);
     // every toggle that clears the cache drops them too
-    db.set_bind_sharing_enabled(true);
+    db.config_mut();
     assert_eq!(db.plan_cache_stats().recipes, 0);
     db.query("SELECT emp_id FROM employees WHERE emp_id = 9")
         .unwrap();
-    db.config_mut();
+    assert_eq!(db.plan_cache_stats().recipes, 1);
+    db.set_plan_cache_enabled(false);
     assert_eq!(db.plan_cache_stats().recipes, 0);
-    // and with bind sharing off no recipe is recorded
-    db.set_bind_sharing_enabled(false);
+    // and with the plan cache off no recipe is recorded
     db.query("SELECT emp_id FROM employees WHERE emp_id = 9")
         .unwrap();
     assert_eq!(db.plan_cache_stats().recipes, 0);
@@ -434,19 +402,55 @@ fn a_literal_equal_to_a_bind_never_recipe_serves_a_wrong_bind() {
         assert_eq!(got, off.query(sql).unwrap().rows, "{sql}");
         got
     };
-    // `5` twice: which one is the bind? No recipe is recorded
+    // `5` twice: the parser says the second is the bind, so a recipe is
+    // recorded whose select-list constant stays fixed
     let five = "SELECT 5, emp_id FROM employees WHERE emp_id = 5";
     assert_eq!(rows(five), vec![vec![Value::Int(5), Value::Int(5)]]);
-    assert_eq!(db.plan_cache_stats().recipes, 0);
-    // from distinct literals it is; the select-list constant stays fixed
-    rows("SELECT 5, emp_id FROM employees WHERE emp_id = 6");
     assert_eq!(db.plan_cache_stats().recipes, 1);
-    assert_eq!(rows(five), vec![vec![Value::Int(5), Value::Int(5)]]);
+    let bind = "SELECT 5, emp_id FROM employees WHERE emp_id = 6";
+    assert_eq!(rows(bind), vec![vec![Value::Int(5), Value::Int(6)]]);
     assert_eq!(db.plan_cache_stats().recipe_hits, 1);
     // another constant is declined, not served the recorded one
     let six = "SELECT 6, emp_id FROM employees WHERE emp_id = 6";
     assert_eq!(rows(six), vec![vec![Value::Int(6), Value::Int(6)]]);
     assert_eq!(db.plan_cache_stats().recipe_hits, 1);
+}
+
+#[test]
+fn equal_and_zero_literals_record_recipes_that_serve_each_sibling_its_binds() {
+    let db = uniform_db(100);
+    let mut off = uniform_db(100);
+    off.set_plan_cache_enabled(false);
+    let rows = |sql: &str| {
+        let got = db.query(sql).unwrap().rows;
+        assert_eq!(got, off.query(sql).unwrap().rows, "{sql}");
+        got
+    };
+    let ids =
+        |ids: &[i64]| -> Vec<Vec<Value>> { ids.iter().map(|&i| vec![Value::Int(i)]).collect() };
+    // two equal literals, both zero: each is a slot of its own
+    let between = "SELECT emp_id FROM employees WHERE emp_id BETWEEN 0 AND 0";
+    assert_eq!(rows(between), ids(&[0]));
+    assert_eq!(db.plan_cache_stats().recipes, 1);
+    let sibling = "SELECT emp_id FROM employees WHERE emp_id BETWEEN 3 AND 5";
+    assert_eq!(rows(sibling), ids(&[3, 4, 5]));
+    let sibling = "SELECT emp_id FROM employees WHERE emp_id BETWEEN 7 AND 0";
+    assert_eq!(rows(sibling), ids(&[]));
+    assert_eq!(db.plan_cache_stats().recipe_hits, 2);
+    // a write whose SET value equals its key records a recipe too
+    let (session, twin) = (db.session(), off.session());
+    let write = |sql: &str| {
+        let (got, want) = (session.execute(sql), twin.execute(sql));
+        assert_eq!((got.is_ok(), want.is_ok()), (true, true), "{sql}");
+    };
+    write("UPDATE employees SET salary = 5 WHERE emp_id = 5");
+    let hits = db.plan_cache_stats().recipe_hits;
+    write("UPDATE employees SET salary = 2 WHERE emp_id = 0");
+    assert_eq!(db.plan_cache_stats().recipe_hits, hits + 1);
+    let salaries = "SELECT emp_id, salary FROM employees WHERE emp_id <= 5 ORDER BY emp_id";
+    let got = rows(salaries);
+    assert_eq!(got[0], vec![Value::Int(0), Value::Int(2)]);
+    assert_eq!(got[5], vec![Value::Int(5), Value::Int(5)]);
 }
 
 #[test]

@@ -107,16 +107,21 @@ fn disabling_feedback_disables_the_loop() {
     assert!(db.feedback_store().is_empty(), "harvest ran while disabled");
 }
 
-/// skewt(id, a, b) with heavy skew on `a`: 900 rows with a = 0 (and
-/// b = i % 10, correlated with nothing), plus 100 rows a = 1..=100 with
-/// b = a. Popular-band probes (a = 0) under-estimate by ~3.5×; rare-band
+/// skewt(id, a, b) with heavy skew on `a`: 900 rows with a = 0, of
+/// which every tenth has b = 5 and the others a b of their own above
+/// 1 000, plus 100 rows a = 1..=100 with b = a. The outliers stretch
+/// b's histogram, so a popular-band probe (a = 0 AND b = 5) estimates
+/// about one row against 90, past the 10× divergence ratio; rare-band
 /// probes (a = K, b = K) estimate accurately.
 fn skewed_db() -> Database {
     let mut db = Database::new();
     db.execute_script("CREATE TABLE skewt (id INT PRIMARY KEY, a INT, b INT);")
         .unwrap();
     let mut rows: Vec<Vec<Value>> = (0..900)
-        .map(|i| vec![Value::Int(i), Value::Int(0), Value::Int(i % 10)])
+        .map(|i| {
+            let b = if i % 10 == 5 { 5 } else { 1000 + i };
+            vec![Value::Int(i), Value::Int(0), Value::Int(b)]
+        })
         .collect();
     for i in 900..1000i64 {
         rows.push(vec![
@@ -133,13 +138,11 @@ fn skewed_db() -> Database {
 #[test]
 fn feedback_is_isolated_per_bind_band() {
     let _serial = failpoints::serial();
-    let mut db = skewed_db();
-    // tighten the trigger so the popular band's ~3.5x miss re-optimizes
-    db.config_mut().feedback.divergence_ratio = 3.0;
+    let db = skewed_db();
     let popular = "SELECT id FROM skewt WHERE a = 0 AND b = 5";
     let rare = "SELECT id FROM skewt WHERE a = 7 AND b = 7";
 
-    // popular band: histogram estimate ~25, actual 90 — suspect
+    // popular band: histogram estimate ~1, actual 90 — suspect
     let p1 = db.query(popular).unwrap();
     assert_eq!(p1.rows.len(), 90);
 
