@@ -819,7 +819,9 @@ const BINDS: Oracle = Oracle {
             In about one round in four, one or two number literals of each\n\
             query are first set to 0 or to another literal's value, so its\n\
             shape's recipe is recorded from a text with equal or zero\n\
-            literals. The plan-family cache must stay coherent, and the run\n\
+            literals; in about one round in four (drawn apart), one or two\n\
+            are negated, so recipes read literals the parser folded a minus\n\
+            into. The plan-family cache must stay coherent, and the run\n\
             must serve at least one statement from a recipe.",
     needs_recipe_hits: true,
     needs_lateral_joins: false,
@@ -839,11 +841,19 @@ fn binds_round(r: &mut Round) {
     // zero literals first
     let mut collide = Rng::seed_from_u64(r.seed ^ 0xc011_1de5);
     let colliding = collide.gen_bool(0.25);
+    // and one for the rounds whose queries are served with negative
+    // literals first (`random_query` writes none)
+    let mut negate = Rng::seed_from_u64(r.seed ^ 0x9e6a_7ed5);
+    let negating = negate.gen_bool(0.25);
     for _ in 0..4 {
         let mut sql = random_query(&mut rng);
         if colliding {
             let k = collide.gen_range(1usize..3);
             sql = with_numbers_collided(&mut collide, &sql, k);
+        }
+        if negating {
+            let k = negate.gen_range(1usize..3);
+            sql = rewrite_numbers(&mut negate, &sql, k, |_, text, _| format!("-{text}"));
         }
         let armed = r.arm(&mut rng, 0.5);
         let literal = rows(db.query(&sql));

@@ -1,7 +1,7 @@
 //! Cardinality and selectivity estimation.
 
 use cbqt_catalog::{selectivity_band, Catalog, ColumnStats, FeedbackKey, TableId};
-use cbqt_common::hash::{HashMap, HashSet};
+use cbqt_common::hash::HashMap;
 use cbqt_common::Value;
 use cbqt_qgm::{BinOp, QExpr, RefId, SubqKind};
 
@@ -521,32 +521,6 @@ impl<'a> Estimator<'a> {
         }
         prod.min(input_rows).max(1.0)
     }
-
-    /// Number of *distinct bindings* of the bound (outer) columns
-    /// mentioned by the expressions — caps the number of distinct
-    /// executions of a correlated subplan under correlation caching.
-    pub fn distinct_bindings(&self, exprs: &[QExpr], outer_rels: &HashMap<RefId, RelStats>) -> f64 {
-        let mut prod = 1.0_f64;
-        let mut seen = HashSet::default();
-        for e in exprs {
-            let mut cols = Vec::new();
-            e.collect_cols(&mut cols);
-            for (r, c) in cols {
-                if self.rels.contains_key(&r) {
-                    continue; // local, not a binding
-                }
-                if !seen.insert((r, c)) {
-                    continue;
-                }
-                let ndv = outer_rels
-                    .get(&r)
-                    .map(|rs| rs.ndv_of(c))
-                    .unwrap_or(DEFAULT_ROWS);
-                prod = (prod * ndv).min(1e15);
-            }
-        }
-        prod
-    }
 }
 
 #[cfg(test)]
@@ -881,26 +855,5 @@ mod tests {
         assert_eq!(clamp_feedback_rows(-1.0), None);
         assert_eq!(clamp_feedback_rows(f64::NAN), None);
         assert_eq!(clamp_feedback_rows(f64::INFINITY), None);
-    }
-
-    #[test]
-    fn distinct_bindings_product() {
-        let (cat, rels, base) = setup();
-        let est = Estimator {
-            catalog: &cat,
-            rels: &rels,
-            base: &base,
-        };
-        let mut outer = HashMap::default();
-        outer.insert(
-            RefId(9),
-            RelStats {
-                rows: 100.0,
-                ndv: vec![20.0],
-            },
-        );
-        let e = QExpr::eq(QExpr::col(RefId(0), 1), QExpr::col(RefId(9), 0));
-        let n = est.distinct_bindings(&[e], &outer);
-        assert!((n - 20.0).abs() < 1e-9);
     }
 }

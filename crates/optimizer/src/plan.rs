@@ -626,55 +626,25 @@ fn node_bytes(node: &PlanNode) -> usize {
     }
 }
 
+/// An expression's heap share: a stem per node, plus string payloads
+/// and window ordering keys. A subquery reference counts its stem only.
 fn qexpr_bytes(e: &QExpr) -> usize {
     use cbqt_common::Value;
     use std::mem::size_of;
-    let stem = size_of::<QExpr>();
-    stem + match e {
-        QExpr::Col { .. } | QExpr::Subq { .. } => 0,
-        QExpr::Lit(v) => match v {
-            Value::Str(s) => s.len(),
-            _ => 0,
-        },
-        QExpr::Param { peek, .. } => match peek {
-            Value::Str(s) => s.len(),
-            _ => 0,
-        },
-        QExpr::Bin { left, right, .. } => qexpr_bytes(left) + qexpr_bytes(right),
-        QExpr::Not(x) | QExpr::Neg(x) => qexpr_bytes(x),
-        QExpr::IsNull { expr, .. } => qexpr_bytes(expr),
-        QExpr::InList { expr, list, .. } => {
-            qexpr_bytes(expr) + list.iter().map(qexpr_bytes).sum::<usize>()
-        }
-        QExpr::Like { expr, pattern, .. } => qexpr_bytes(expr) + qexpr_bytes(pattern),
-        QExpr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => {
-            operand.as_deref().map(qexpr_bytes).unwrap_or(0)
-                + branches
-                    .iter()
-                    .map(|(c, v)| qexpr_bytes(c) + qexpr_bytes(v))
-                    .sum::<usize>()
-                + else_expr.as_deref().map(qexpr_bytes).unwrap_or(0)
-        }
-        QExpr::Func { name, args } => name.len() + args.iter().map(qexpr_bytes).sum::<usize>(),
-        QExpr::Agg { arg, .. } => arg.as_deref().map(qexpr_bytes).unwrap_or(0),
-        QExpr::Win {
-            arg,
-            partition_by,
-            order_by,
+    let mut n = size_of::<QExpr>();
+    match e {
+        QExpr::Subq { .. } => return n,
+        QExpr::Lit(Value::Str(s))
+        | QExpr::Param {
+            peek: Value::Str(s),
             ..
-        } => {
-            arg.as_deref().map(qexpr_bytes).unwrap_or(0)
-                + partition_by.iter().map(qexpr_bytes).sum::<usize>()
-                + order_by
-                    .iter()
-                    .map(|o| size_of::<QOrder>() + qexpr_bytes(&o.expr))
-                    .sum::<usize>()
-        }
+        } => n += s.len(),
+        QExpr::Func { name, .. } => n += name.len(),
+        QExpr::Win { order_by, .. } => n += order_by.len() * size_of::<QOrder>(),
+        _ => {}
     }
+    e.for_each_child(|c| n += qexpr_bytes(c));
+    n
 }
 
 fn walk_node<'a>(

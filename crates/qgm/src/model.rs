@@ -176,6 +176,88 @@ pub enum QExpr {
     },
 }
 
+/// The one list of a [`QExpr`]'s direct children, in the order the
+/// walks visit them, spelled once for the `&` and the `&mut` visit:
+/// `children!(name)` emits `fn name(&self, f)`, `children!(name, mut)`
+/// its `&mut` twin. A subquery reference's children are its left-hand
+/// sides; its block lives in the tree arena.
+macro_rules! children {
+    ($name:ident $(, $m:tt)?) => {
+        /// Calls `f` on each *direct* child expression, in order.
+        pub fn $name<'a>(&'a $($m)? self, mut f: impl FnMut(&'a $($m)? QExpr)) {
+            match self {
+                QExpr::Bin { left, right, .. } => {
+                    f(left);
+                    f(right);
+                }
+                QExpr::Not(e) | QExpr::Neg(e) | QExpr::IsNull { expr: e, .. } => f(e),
+                QExpr::InList { expr, list, .. } => {
+                    f(expr);
+                    for e in list {
+                        f(e);
+                    }
+                }
+                QExpr::Like { expr, pattern, .. } => {
+                    f(expr);
+                    f(pattern);
+                }
+                QExpr::Case {
+                    operand,
+                    branches,
+                    else_expr,
+                } => {
+                    if let Some(o) = operand {
+                        f(o);
+                    }
+                    for (w, t) in branches {
+                        f(w);
+                        f(t);
+                    }
+                    if let Some(e) = else_expr {
+                        f(e);
+                    }
+                }
+                QExpr::Func { args, .. } => {
+                    for e in args {
+                        f(e);
+                    }
+                }
+                QExpr::Agg { arg, .. } => {
+                    if let Some(a) = arg {
+                        f(a);
+                    }
+                }
+                QExpr::Win {
+                    arg,
+                    partition_by,
+                    order_by,
+                    ..
+                } => {
+                    if let Some(a) = arg {
+                        f(a);
+                    }
+                    for e in partition_by {
+                        f(e);
+                    }
+                    for o in order_by {
+                        f(&$($m)? o.expr);
+                    }
+                }
+                QExpr::Subq { kind, .. } => match kind {
+                    SubqKind::In { lhs, .. } => {
+                        for e in lhs {
+                            f(e);
+                        }
+                    }
+                    SubqKind::Quant { lhs, .. } => f(lhs),
+                    SubqKind::Scalar | SubqKind::Exists { .. } => {}
+                },
+                QExpr::Col { .. } | QExpr::Lit(_) | QExpr::Param { .. } => {}
+            }
+        }
+    };
+}
+
 impl QExpr {
     pub fn col(table: RefId, column: usize) -> QExpr {
         QExpr::Col { table, column }
@@ -197,156 +279,21 @@ impl QExpr {
         QExpr::bin(BinOp::Eq, l, r)
     }
 
+    children!(for_each_child);
+    children!(for_each_child_mut, mut);
+
     /// Visits this expression and all children, *including* subquery
     /// reference nodes themselves but not descending into the referenced
     /// blocks (those live in the tree arena).
     pub fn walk(&self, f: &mut impl FnMut(&QExpr)) {
         f(self);
-        match self {
-            QExpr::Bin { left, right, .. } => {
-                left.walk(f);
-                right.walk(f);
-            }
-            QExpr::Not(e) | QExpr::Neg(e) => e.walk(f),
-            QExpr::IsNull { expr, .. } => expr.walk(f),
-            QExpr::InList { expr, list, .. } => {
-                expr.walk(f);
-                for e in list {
-                    e.walk(f);
-                }
-            }
-            QExpr::Like { expr, pattern, .. } => {
-                expr.walk(f);
-                pattern.walk(f);
-            }
-            QExpr::Case {
-                operand,
-                branches,
-                else_expr,
-            } => {
-                if let Some(o) = operand {
-                    o.walk(f);
-                }
-                for (w, t) in branches {
-                    w.walk(f);
-                    t.walk(f);
-                }
-                if let Some(e) = else_expr {
-                    e.walk(f);
-                }
-            }
-            QExpr::Func { args, .. } => {
-                for a in args {
-                    a.walk(f);
-                }
-            }
-            QExpr::Agg { arg, .. } => {
-                if let Some(a) = arg {
-                    a.walk(f);
-                }
-            }
-            QExpr::Win {
-                arg,
-                partition_by,
-                order_by,
-                ..
-            } => {
-                if let Some(a) = arg {
-                    a.walk(f);
-                }
-                for e in partition_by {
-                    e.walk(f);
-                }
-                for o in order_by {
-                    o.expr.walk(f);
-                }
-            }
-            QExpr::Subq { kind, .. } => match kind {
-                SubqKind::In { lhs, .. } => {
-                    for e in lhs {
-                        e.walk(f);
-                    }
-                }
-                SubqKind::Quant { lhs, .. } => lhs.walk(f),
-                SubqKind::Scalar | SubqKind::Exists { .. } => {}
-            },
-            QExpr::Col { .. } | QExpr::Lit(_) | QExpr::Param { .. } => {}
-        }
+        self.for_each_child(|c| c.walk(f));
     }
 
     /// Mutable visit (post-order on children, then the node itself is
     /// *not* revisited — use [`QExpr::rewrite`] for node replacement).
     pub fn walk_mut(&mut self, f: &mut impl FnMut(&mut QExpr)) {
-        match self {
-            QExpr::Bin { left, right, .. } => {
-                left.walk_mut(f);
-                right.walk_mut(f);
-            }
-            QExpr::Not(e) | QExpr::Neg(e) => e.walk_mut(f),
-            QExpr::IsNull { expr, .. } => expr.walk_mut(f),
-            QExpr::InList { expr, list, .. } => {
-                expr.walk_mut(f);
-                for e in list {
-                    e.walk_mut(f);
-                }
-            }
-            QExpr::Like { expr, pattern, .. } => {
-                expr.walk_mut(f);
-                pattern.walk_mut(f);
-            }
-            QExpr::Case {
-                operand,
-                branches,
-                else_expr,
-            } => {
-                if let Some(o) = operand {
-                    o.walk_mut(f);
-                }
-                for (w, t) in branches {
-                    w.walk_mut(f);
-                    t.walk_mut(f);
-                }
-                if let Some(e) = else_expr {
-                    e.walk_mut(f);
-                }
-            }
-            QExpr::Func { args, .. } => {
-                for a in args {
-                    a.walk_mut(f);
-                }
-            }
-            QExpr::Agg { arg, .. } => {
-                if let Some(a) = arg {
-                    a.walk_mut(f);
-                }
-            }
-            QExpr::Win {
-                arg,
-                partition_by,
-                order_by,
-                ..
-            } => {
-                if let Some(a) = arg {
-                    a.walk_mut(f);
-                }
-                for e in partition_by {
-                    e.walk_mut(f);
-                }
-                for o in order_by {
-                    o.expr.walk_mut(f);
-                }
-            }
-            QExpr::Subq { kind, .. } => match kind {
-                SubqKind::In { lhs, .. } => {
-                    for e in lhs {
-                        e.walk_mut(f);
-                    }
-                }
-                SubqKind::Quant { lhs, .. } => lhs.walk_mut(f),
-                SubqKind::Scalar | SubqKind::Exists { .. } => {}
-            },
-            QExpr::Col { .. } | QExpr::Lit(_) | QExpr::Param { .. } => {}
-        }
+        self.for_each_child_mut(|c| c.walk_mut(f));
         f(self);
     }
 
@@ -358,80 +305,6 @@ impl QExpr {
                 *e = n;
             }
         });
-    }
-
-    /// Calls `f` on each *direct* child expression.
-    pub fn for_each_child_mut(&mut self, mut f: impl FnMut(&mut QExpr)) {
-        match self {
-            QExpr::Bin { left, right, .. } => {
-                f(left);
-                f(right);
-            }
-            QExpr::Not(e) | QExpr::Neg(e) => f(e),
-            QExpr::IsNull { expr, .. } => f(expr),
-            QExpr::InList { expr, list, .. } => {
-                f(expr);
-                for e in list {
-                    f(e);
-                }
-            }
-            QExpr::Like { expr, pattern, .. } => {
-                f(expr);
-                f(pattern);
-            }
-            QExpr::Case {
-                operand,
-                branches,
-                else_expr,
-            } => {
-                if let Some(o) = operand {
-                    f(o);
-                }
-                for (w, t) in branches {
-                    f(w);
-                    f(t);
-                }
-                if let Some(e) = else_expr {
-                    f(e);
-                }
-            }
-            QExpr::Func { args, .. } => {
-                for a in args {
-                    f(a);
-                }
-            }
-            QExpr::Agg { arg, .. } => {
-                if let Some(a) = arg {
-                    f(a);
-                }
-            }
-            QExpr::Win {
-                arg,
-                partition_by,
-                order_by,
-                ..
-            } => {
-                if let Some(a) = arg {
-                    f(a);
-                }
-                for e in partition_by {
-                    f(e);
-                }
-                for o in order_by {
-                    f(&mut o.expr);
-                }
-            }
-            QExpr::Subq { kind, .. } => match kind {
-                SubqKind::In { lhs, .. } => {
-                    for e in lhs {
-                        f(e);
-                    }
-                }
-                SubqKind::Quant { lhs, .. } => f(lhs),
-                SubqKind::Scalar | SubqKind::Exists { .. } => {}
-            },
-            QExpr::Col { .. } | QExpr::Lit(_) | QExpr::Param { .. } => {}
-        }
     }
 
     /// Rewrites top-down: when `f` returns a replacement for a node, the
@@ -620,6 +493,13 @@ impl JoinInfo {
         }
     }
 
+    pub fn on_conjuncts_mut(&mut self) -> &mut [QExpr] {
+        match self {
+            JoinInfo::Semi { on } | JoinInfo::Anti { on, .. } | JoinInfo::LeftOuter { on } => on,
+            JoinInfo::Inner | JoinInfo::Lateral { .. } => &mut [],
+        }
+    }
+
     pub fn is_inner(&self) -> bool {
         matches!(self, JoinInfo::Inner)
     }
@@ -666,6 +546,42 @@ pub struct SelectBlock {
     pub rownum_limit: Option<u64>,
 }
 
+/// The one list of a [`SelectBlock`]'s expressions — join
+/// on-conditions, select list, where, group by, having, order by,
+/// distinct keys — spelled once for the `&` and the `&mut` visit.
+macro_rules! block_exprs {
+    ($name:ident, $on:ident $(, $m:tt)?) => {
+        /// Calls `f` on each top-level expression of the block, in order.
+        pub fn $name(&$($m)? self, f: &mut impl FnMut(&$($m)? QExpr)) {
+            for t in &$($m)? self.tables {
+                for e in t.join.$on() {
+                    f(e);
+                }
+            }
+            for i in &$($m)? self.select {
+                f(&$($m)? i.expr);
+            }
+            for e in &$($m)? self.where_conjuncts {
+                f(e);
+            }
+            for e in &$($m)? self.group_by {
+                f(e);
+            }
+            for e in &$($m)? self.having {
+                f(e);
+            }
+            for o in &$($m)? self.order_by {
+                f(&$($m)? o.expr);
+            }
+            if let Some(keys) = &$($m)? self.distinct_keys {
+                for e in keys {
+                    f(e);
+                }
+            }
+        }
+    };
+}
+
 impl SelectBlock {
     /// True if the block performs any aggregation.
     pub fn is_aggregated(&self) -> bool {
@@ -688,69 +604,8 @@ impl SelectBlock {
         self.tables.iter().map(|t| t.refid).collect()
     }
 
-    /// Iterates over all expressions of the block (select, where, group
-    /// by, having, order by, join on-conditions).
-    pub fn for_each_expr(&self, f: &mut impl FnMut(&QExpr)) {
-        for t in &self.tables {
-            for e in t.join.on_conjuncts() {
-                f(e);
-            }
-        }
-        for i in &self.select {
-            f(&i.expr);
-        }
-        for e in &self.where_conjuncts {
-            f(e);
-        }
-        for e in &self.group_by {
-            f(e);
-        }
-        for e in &self.having {
-            f(e);
-        }
-        for o in &self.order_by {
-            f(&o.expr);
-        }
-        if let Some(keys) = &self.distinct_keys {
-            for e in keys {
-                f(e);
-            }
-        }
-    }
-
-    /// Mutable variant of [`SelectBlock::for_each_expr`].
-    pub fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut QExpr)) {
-        for t in &mut self.tables {
-            match &mut t.join {
-                JoinInfo::Semi { on } | JoinInfo::Anti { on, .. } | JoinInfo::LeftOuter { on } => {
-                    for e in on {
-                        f(e);
-                    }
-                }
-                JoinInfo::Inner | JoinInfo::Lateral { .. } => {}
-            }
-        }
-        for i in &mut self.select {
-            f(&mut i.expr);
-        }
-        for e in &mut self.where_conjuncts {
-            f(e);
-        }
-        for e in &mut self.group_by {
-            f(e);
-        }
-        for e in &mut self.having {
-            f(e);
-        }
-        for o in &mut self.order_by {
-            f(&mut o.expr);
-        }
-        if let Some(keys) = &mut self.distinct_keys {
-            for e in keys {
-                f(e);
-            }
-        }
-    }
+    block_exprs!(for_each_expr, on_conjuncts);
+    block_exprs!(for_each_expr_mut, on_conjuncts_mut, mut);
 
     /// All subquery blocks referenced from this block's expressions.
     pub fn subquery_blocks(&self) -> Vec<BlockId> {
@@ -960,29 +815,6 @@ impl QueryTree {
             }
         }
         out.push(id);
-    }
-
-    /// The parent block of `child`, if reachable from the root.
-    pub fn parent_of(&self, child: BlockId) -> Option<BlockId> {
-        for id in self.bottom_up() {
-            if id == child {
-                continue;
-            }
-            if let Ok(b) = self.block(id) {
-                let children: Vec<BlockId> = match b {
-                    QueryBlock::Select(s) => {
-                        let mut c = s.view_blocks();
-                        c.extend(s.subquery_blocks());
-                        c
-                    }
-                    QueryBlock::SetOp(s) => s.inputs.clone(),
-                };
-                if children.contains(&child) {
-                    return Some(id);
-                }
-            }
-        }
-        None
     }
 
     /// The block in which a given table reference is declared.
@@ -1344,7 +1176,6 @@ mod tests {
         assert!(tree.is_correlated(sub));
         assert_eq!(tree.correlated_cols(sub), [(r0, 0)]);
         assert!(!tree.is_correlated(root));
-        assert_eq!(tree.parent_of(sub), Some(root));
         assert_eq!(tree.ref_owner(r1), Some(sub));
         // bottom-up puts the subquery before the root
         let order = tree.bottom_up();

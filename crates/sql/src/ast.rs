@@ -432,6 +432,97 @@ impl fmt::Display for Expr {
     }
 }
 
+/// The one list of an [`Expr`]'s direct children, in the order
+/// [`render_query`](crate::render_query) prints them, spelled once for
+/// the `&` and the `&mut` visit: `children!(each, body)` emits
+/// `fn each(&self, f)` and `fn body(&self)`, `children!(each, body,
+/// mut)` their `&mut` twins. A subquery body is no child: `body` returns
+/// it, and it renders after the node's children.
+macro_rules! children {
+    ($each:ident, $body:ident $(, $m:tt)?) => {
+        /// Calls `f` on each *direct* child expression, in order.
+        pub fn $each<'a>(&'a $($m)? self, mut f: impl FnMut(&'a $($m)? Expr)) {
+            match self {
+                Expr::Binary { left, right, .. } => {
+                    f(left);
+                    f(right);
+                }
+                Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => f(expr),
+                Expr::InList { expr, list, .. } => {
+                    f(expr);
+                    for e in list {
+                        f(e);
+                    }
+                }
+                Expr::InSubquery { exprs, .. } => {
+                    for e in exprs {
+                        f(e);
+                    }
+                }
+                Expr::Quantified { left, .. } => f(left),
+                Expr::Between {
+                    expr, low, high, ..
+                } => {
+                    f(expr);
+                    f(low);
+                    f(high);
+                }
+                Expr::Like { expr, pattern, .. } => {
+                    f(expr);
+                    f(pattern);
+                }
+                Expr::Case {
+                    operand,
+                    branches,
+                    else_expr,
+                } => {
+                    if let Some(o) = operand {
+                        f(o);
+                    }
+                    for (w, t) in branches {
+                        f(w);
+                        f(t);
+                    }
+                    if let Some(e) = else_expr {
+                        f(e);
+                    }
+                }
+                Expr::Func { args, window, .. } => {
+                    for a in args {
+                        f(a);
+                    }
+                    if let Some(w) = window {
+                        for e in &$($m)? w.partition_by {
+                            f(e);
+                        }
+                        for o in &$($m)? w.order_by {
+                            f(&$($m)? o.expr);
+                        }
+                    }
+                }
+                Expr::Column { .. }
+                | Expr::Literal(..)
+                | Expr::Param(_)
+                | Expr::Exists { .. }
+                | Expr::ScalarSubquery(_)
+                | Expr::Rownum => {}
+            }
+        }
+
+        /// The subquery body of an `IN`, `EXISTS`, quantified or scalar
+        /// subquery.
+        pub fn $body(&$($m)? self) -> Option<&$($m)? Query> {
+            match self {
+                Expr::InSubquery { query, .. }
+                | Expr::Exists { query, .. }
+                | Expr::Quantified { query, .. }
+                | Expr::ScalarSubquery(query) => Some(query),
+                _ => None,
+            }
+        }
+    };
+}
+
 impl Expr {
     pub fn col(name: &str) -> Expr {
         Expr::Column {
@@ -469,75 +560,14 @@ impl Expr {
         found
     }
 
+    children!(for_each_child, subquery);
+    children!(for_each_child_mut, subquery_mut, mut);
+
     /// Calls `f` on this expression and all sub-expressions (not
     /// descending into subquery bodies).
     pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
         f(self);
-        match self {
-            Expr::Binary { left, right, .. } => {
-                left.walk(f);
-                right.walk(f);
-            }
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => expr.walk(f),
-            Expr::InList { expr, list, .. } => {
-                expr.walk(f);
-                for e in list {
-                    e.walk(f);
-                }
-            }
-            Expr::InSubquery { exprs, .. } => {
-                for e in exprs {
-                    e.walk(f);
-                }
-            }
-            Expr::Quantified { left, .. } => left.walk(f),
-            Expr::Between {
-                expr, low, high, ..
-            } => {
-                expr.walk(f);
-                low.walk(f);
-                high.walk(f);
-            }
-            Expr::Like { expr, pattern, .. } => {
-                expr.walk(f);
-                pattern.walk(f);
-            }
-            Expr::Case {
-                operand,
-                branches,
-                else_expr,
-            } => {
-                if let Some(o) = operand {
-                    o.walk(f);
-                }
-                for (w, t) in branches {
-                    w.walk(f);
-                    t.walk(f);
-                }
-                if let Some(e) = else_expr {
-                    e.walk(f);
-                }
-            }
-            Expr::Func { args, window, .. } => {
-                for a in args {
-                    a.walk(f);
-                }
-                if let Some(w) = window {
-                    for e in &w.partition_by {
-                        e.walk(f);
-                    }
-                    for o in &w.order_by {
-                        o.expr.walk(f);
-                    }
-                }
-            }
-            Expr::Column { .. }
-            | Expr::Literal(..)
-            | Expr::Param(_)
-            | Expr::Exists { .. }
-            | Expr::ScalarSubquery(_)
-            | Expr::Rownum => {}
-        }
+        self.for_each_child(|c| c.walk(f));
     }
 }
 

@@ -74,11 +74,10 @@ fn extract(q: &Query, items: bool) -> Parameterized {
         sources: Vec::new(),
         items,
     };
-    let query = if count_params(q) > 0 {
-        q.clone()
-    } else {
-        x.query(q)
-    };
+    let mut query = q.clone();
+    if count_params(q) == 0 {
+        x.query(&mut query);
+    }
     Parameterized {
         query,
         binds: x.binds,
@@ -96,39 +95,6 @@ pub fn count_params(q: &Query) -> usize {
         }
     });
     max.map_or(0, |m| m + 1)
-}
-
-/// Lowercased names of every base table the query references, including
-/// inside subqueries and derived tables — duplicates removed, order of
-/// first mention. Used to pin cached plans to per-table catalog
-/// state (a superset is safe: a plan invalidated for a table the
-/// optimizer later eliminated is merely recompiled).
-pub fn collect_table_names(q: &Query) -> Vec<String> {
-    let mut names: Vec<String> = Vec::new();
-    for_each_query(q, &mut |q| {
-        for_each_select(&q.body, &mut |s| {
-            for t in &s.from {
-                table_names(t, &mut names);
-            }
-        });
-    });
-    names
-}
-
-fn table_names(t: &TableRef, out: &mut Vec<String>) {
-    match t {
-        TableRef::Table { name, .. } => {
-            let lower = name.to_ascii_lowercase();
-            if !out.contains(&lower) {
-                out.push(lower);
-            }
-        }
-        TableRef::Derived { .. } => {} // inner query visited separately
-        TableRef::Join { left, right, .. } => {
-            table_names(left, out);
-            table_names(right, out);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -197,73 +163,11 @@ fn from_queries<'a>(t: &'a TableRef, out: &mut Vec<&'a Query>) {
     }
 }
 
+/// Every subquery body under `e`: an expression's own body after
+/// those of its children.
 fn nested_queries<'a>(e: &'a Expr, out: &mut Vec<&'a Query>) {
-    match e {
-        Expr::InSubquery { exprs, query, .. } => {
-            for e in exprs {
-                nested_queries(e, out);
-            }
-            out.push(query);
-        }
-        Expr::Exists { query, .. } => out.push(query),
-        Expr::Quantified { left, query, .. } => {
-            nested_queries(left, out);
-            out.push(query);
-        }
-        Expr::ScalarSubquery(query) => out.push(query),
-        Expr::Binary { left, right, .. } => {
-            nested_queries(left, out);
-            nested_queries(right, out);
-        }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => nested_queries(expr, out),
-        Expr::InList { expr, list, .. } => {
-            nested_queries(expr, out);
-            for e in list {
-                nested_queries(e, out);
-            }
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            nested_queries(expr, out);
-            nested_queries(low, out);
-            nested_queries(high, out);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            nested_queries(expr, out);
-            nested_queries(pattern, out);
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => {
-            if let Some(o) = operand {
-                nested_queries(o, out);
-            }
-            for (w, t) in branches {
-                nested_queries(w, out);
-                nested_queries(t, out);
-            }
-            if let Some(e) = else_expr {
-                nested_queries(e, out);
-            }
-        }
-        Expr::Func { args, window, .. } => {
-            for a in args {
-                nested_queries(a, out);
-            }
-            if let Some(w) = window {
-                for p in &w.partition_by {
-                    nested_queries(p, out);
-                }
-                for o in &w.order_by {
-                    nested_queries(&o.expr, out);
-                }
-            }
-        }
-        Expr::Column { .. } | Expr::Literal(..) | Expr::Param(_) | Expr::Rownum => {}
-    }
+    e.for_each_child(|c| nested_queries(c, out));
+    out.extend(e.subquery());
 }
 
 /// Visit every expression node in the statement, including inside
@@ -325,180 +229,77 @@ impl Extract {
     // Traversal order mirrors `render_query` exactly so slot numbers
     // match token order in the rendered family key.
 
-    fn query(&mut self, q: &Query) -> Query {
-        Query {
-            body: self.set_expr(&q.body),
-            order_by: q.order_by.clone(),
-        }
+    fn query(&mut self, q: &mut Query) {
+        self.set_expr(&mut q.body);
     }
 
-    fn set_expr(&mut self, s: &SetExpr) -> SetExpr {
+    fn set_expr(&mut self, s: &mut SetExpr) {
         match s {
-            SetExpr::Select(sel) => SetExpr::Select(Box::new(self.select(sel))),
-            SetExpr::SetOp { op, left, right } => SetExpr::SetOp {
-                op: *op,
-                left: Box::new(self.set_expr(left)),
-                right: Box::new(self.set_expr(right)),
-            },
+            SetExpr::Select(sel) => self.select(sel),
+            SetExpr::SetOp { left, right, .. } => {
+                self.set_expr(left);
+                self.set_expr(right);
+            }
         }
     }
 
-    fn select(&mut self, s: &Select) -> Select {
-        let items = if std::mem::take(&mut self.items) {
-            s.items
-                .iter()
-                .map(|item| match item {
-                    SelectItem::Expr { expr, alias } => SelectItem::Expr {
-                        expr: self.expr(expr),
-                        alias: alias.clone(),
-                    },
-                    other => other.clone(),
-                })
-                .collect()
-        } else {
-            s.items.clone()
-        };
-        Select {
-            distinct: s.distinct,
-            items,
-            from: s.from.iter().map(|t| self.table_ref(t)).collect(),
-            where_clause: s.where_clause.as_ref().map(|e| self.expr(e)),
-            group_by: s.group_by.clone(),
-            having: s.having.as_ref().map(|e| self.expr(e)),
+    fn select(&mut self, s: &mut Select) {
+        if std::mem::take(&mut self.items) {
+            for item in &mut s.items {
+                if let SelectItem::Expr { expr, .. } = item {
+                    self.expr(expr);
+                }
+            }
+        }
+        for t in &mut s.from {
+            self.table_ref(t);
+        }
+        for e in [&mut s.where_clause, &mut s.having].into_iter().flatten() {
+            self.expr(e);
         }
     }
 
-    fn table_ref(&mut self, t: &TableRef) -> TableRef {
+    fn table_ref(&mut self, t: &mut TableRef) {
         match t {
-            TableRef::Table { .. } => t.clone(),
-            TableRef::Derived { query, alias } => TableRef::Derived {
-                query: Box::new(self.query(query)),
-                alias: alias.clone(),
-            },
+            TableRef::Table { .. } => {}
+            TableRef::Derived { query, .. } => self.query(query),
             TableRef::Join {
-                left,
-                right,
-                kind,
-                on,
-            } => TableRef::Join {
-                left: Box::new(self.table_ref(left)),
-                right: Box::new(self.table_ref(right)),
-                kind: *kind,
-                on: on.as_ref().map(|e| self.expr(e)),
-            },
+                left, right, on, ..
+            } => {
+                self.table_ref(left);
+                self.table_ref(right);
+                if let Some(e) = on {
+                    self.expr(e);
+                }
+            }
         }
     }
 
     /// Rewrite within a predicate position.
-    fn expr(&mut self, e: &Expr) -> Expr {
+    fn expr(&mut self, e: &mut Expr) {
         match e {
             Expr::Literal(v, Stamp(source)) if extractable(v) => {
-                let slot = self.binds.len();
-                self.binds.push(v.clone());
                 self.sources.push(*source);
-                Expr::Param(slot)
+                let slot = Expr::Param(self.binds.len());
+                if let Expr::Literal(v, _) = std::mem::replace(e, slot) {
+                    self.binds.push(v);
+                }
             }
             // ROWNUM bounds are folded into the plan; keep them literal.
             Expr::Binary { op, left, right }
                 if op.is_comparison()
-                    && (matches!(**left, Expr::Rownum) || matches!(**right, Expr::Rownum)) =>
-            {
-                e.clone()
-            }
-            Expr::Binary { op, left, right } => Expr::Binary {
-                op: *op,
-                left: Box::new(self.expr(left)),
-                right: Box::new(self.expr(right)),
-            },
-            Expr::Unary { op, expr } => Expr::Unary {
-                op: *op,
-                expr: Box::new(self.expr(expr)),
-            },
-            Expr::IsNull { expr, negated } => Expr::IsNull {
-                expr: Box::new(self.expr(expr)),
-                negated: *negated,
-            },
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => Expr::InList {
-                expr: Box::new(self.expr(expr)),
-                list: list.iter().map(|e| self.expr(e)).collect(),
-                negated: *negated,
-            },
-            Expr::InSubquery {
-                exprs,
-                query,
-                negated,
-            } => Expr::InSubquery {
-                exprs: exprs.iter().map(|e| self.expr(e)).collect(),
-                query: Box::new(self.query(query)),
-                negated: *negated,
-            },
-            Expr::Exists { query, negated } => Expr::Exists {
-                query: Box::new(self.query(query)),
-                negated: *negated,
-            },
-            Expr::Quantified {
-                op,
-                quant,
-                left,
-                query,
-            } => Expr::Quantified {
-                op: *op,
-                quant: *quant,
-                left: Box::new(self.expr(left)),
-                query: Box::new(self.query(query)),
-            },
-            Expr::ScalarSubquery(q) => Expr::ScalarSubquery(Box::new(self.query(q))),
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => Expr::Between {
-                expr: Box::new(self.expr(expr)),
-                low: Box::new(self.expr(low)),
-                high: Box::new(self.expr(high)),
-                negated: *negated,
-            },
+                    && (matches!(**left, Expr::Rownum) || matches!(**right, Expr::Rownum)) => {}
             // The pattern's shape drives selectivity estimation; only
             // the tested expression is rewritten.
-            Expr::Like {
-                expr,
-                pattern,
-                negated,
-            } => Expr::Like {
-                expr: Box::new(self.expr(expr)),
-                pattern: pattern.clone(),
-                negated: *negated,
-            },
-            Expr::Case {
-                operand,
-                branches,
-                else_expr,
-            } => Expr::Case {
-                operand: operand.as_ref().map(|o| Box::new(self.expr(o))),
-                branches: branches
-                    .iter()
-                    .map(|(w, t)| (self.expr(w), self.expr(t)))
-                    .collect(),
-                else_expr: else_expr.as_ref().map(|e| Box::new(self.expr(e))),
-            },
+            Expr::Like { expr, .. } => self.expr(expr),
             // Window clauses are not predicate positions; args are.
-            Expr::Func {
-                name,
-                args,
-                distinct,
-                window,
-            } => Expr::Func {
-                name: name.clone(),
-                args: args.iter().map(|a| self.expr(a)).collect(),
-                distinct: *distinct,
-                window: window.clone(),
-            },
-            Expr::Column { .. } | Expr::Literal(..) | Expr::Param(_) | Expr::Rownum => e.clone(),
+            Expr::Func { args, .. } => args.iter_mut().for_each(|a| self.expr(a)),
+            _ => {
+                e.for_each_child_mut(|c| self.expr(c));
+                if let Some(q) = e.subquery_mut() {
+                    self.query(q);
+                }
+            }
         }
     }
 }
@@ -601,17 +402,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(count_params(&q), 3);
-    }
-
-    #[test]
-    fn collects_tables_from_all_levels() {
-        let q = parse_query(
-            "SELECT * FROM emp e, (SELECT * FROM dept) v \
-             WHERE EXISTS (SELECT 1 FROM bonus WHERE bonus.emp_id = e.id) \
-             AND e.id IN (SELECT emp_id FROM Emp)",
-        )
-        .unwrap();
-        assert_eq!(collect_table_names(&q), vec!["emp", "dept", "bonus"]);
     }
 
     #[test]

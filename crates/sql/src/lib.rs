@@ -18,9 +18,7 @@ pub mod render;
 pub mod shape;
 
 pub use ast::*;
-pub use binds::{
-    collect_table_names, count_params, parameterize, parameterize_dml_target, Parameterized,
-};
+pub use binds::{count_params, parameterize, parameterize_dml_target, Parameterized};
 pub use lexer::{Lexer, Token, TokenKind};
 pub use parser::{
     parse_expression, parse_query, parse_statement, parse_statements, parse_statements_spanned,

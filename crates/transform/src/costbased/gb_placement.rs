@@ -134,7 +134,7 @@ fn push_group_by(tree: &mut QueryTree, block: BlockId, table_ref: RefId) -> Resu
     {
         let s = tree.select(block)?;
         let mut note = |e: &QExpr| {
-            e.rewrite_probe(&mut |n| match n {
+            probe(e, &mut |n| match n {
                 QExpr::Agg { .. } => true, // don't descend into agg args
                 QExpr::Col { table, column } => {
                     if *table == table_ref && !needed.contains(column) {
@@ -309,19 +309,10 @@ fn push_group_by(tree: &mut QueryTree, block: BlockId, table_ref: RefId) -> Resu
     Ok(ApplyEffect::default())
 }
 
-/// Small extension trait: a probing walk that can refuse to descend.
-trait RewriteProbe {
-    fn rewrite_probe(&self, stop: &mut impl FnMut(&QExpr) -> bool);
-}
-
-impl RewriteProbe for QExpr {
-    fn rewrite_probe(&self, stop: &mut impl FnMut(&QExpr) -> bool) {
-        if stop(self) {
-            return;
-        }
-        // visit direct children only
-        let mut clone = self.clone();
-        clone.for_each_child_mut(|c| c.rewrite_probe(stop));
+/// A preorder walk that does not descend below a node `stop` accepts.
+fn probe(e: &QExpr, stop: &mut impl FnMut(&QExpr) -> bool) {
+    if !stop(e) {
+        e.for_each_child(|c| probe(c, stop));
     }
 }
 
